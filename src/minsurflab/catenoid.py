@@ -25,6 +25,7 @@ import numpy as np
 from .cylinder import (
     CylinderField,
     GridError,
+    homogeneous_pair,
     norm_exp,
     solve_band_decaying_kernel,
     solve_band_dirichlet_robin,
@@ -73,6 +74,32 @@ def grid_profile(n: int, s: np.ndarray) -> dict:
             "pot": pot,
         }
     return _PROFILE_CACHE[key]
+
+
+_PAIR_CACHE: dict = {}
+
+
+def band_pair(n: int, s: np.ndarray, ell: int):
+    """Read-only homogeneous pair (u_plus, u_minus, W) of band ell on a grid.
+
+    The band potential -(lam_l + ((n-2)/2)^2) + pot is shared by every row
+    of the band and every solve on the grid, so the pair is computed once.
+    The cache is a module-level dict of its own rather than a field of the
+    grid_profile entries, so that resetting the module's dicts starts it
+    cold together with the profile cache.  Its key is the grid_profile key
+    plus the band and the exact step.
+    """
+    h = float(s[1] - s[0])
+    key = (n, round(float(s[0]), 12), round(float(s[-1]), 12), s.size, int(ell), h)
+    if key not in _PAIR_CACHE:
+        c2 = ((n - 2) / 2.0) ** 2
+        lam = ell * (ell + n - 2.0)
+        vpot = -(lam + c2) + grid_profile(n, s)["pot"]
+        up, um, W = homogeneous_pair(vpot, h, np.sqrt(lam + c2))
+        up.flags.writeable = False
+        um.flags.writeable = False
+        _PAIR_CACHE[key] = (up, um, W)
+    return _PAIR_CACHE[key]
 
 
 def _check_profile_covers(profile: ProfileTable, s: np.ndarray):
@@ -135,12 +162,11 @@ def solve_GS(
     bands = row_bands(spec)
     out = np.empty_like(f.values)
     for i, ell in enumerate(bands):
-        vpot = -(spec.lam[ell] + c2) + data["pot"]
-        gam = spec.gamma[ell]
         if ell >= 2:
-            out[i] = solve_band_dirichlet_robin(vpot, h, f.values[i], 0.0, gam)
+            vpot = -(spec.lam[ell] + c2) + data["pot"]
+            out[i] = solve_band_dirichlet_robin(vpot, h, f.values[i], 0.0, spec.gamma[ell])
         else:
-            out[i] = solve_band_decaying_kernel(vpot, h, gam, f.values[i])
+            out[i] = solve_band_decaying_kernel(band_pair(n, f.s, ell), h, f.values[i])
     w = CylinderField(spec, f.s, out, f.pole)
     nf = norm_exp(f, 0, alpha, delta)
     if nf > 0:

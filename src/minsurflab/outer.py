@@ -21,6 +21,7 @@ from .catenoid import (
     ContractionError,
     PreconditionError,
     ResidualError,
+    band_pair,
     grid_profile,
 )
 from .cylinder import CylinderField, GridError, row_bands
@@ -182,17 +183,8 @@ def seed_catenoid(
 
 def _homogeneous_profiles(n: int, ell: int, s: np.ndarray):
     """Discrete growing/decaying homogeneous band solutions on the end."""
-    from .cylinder import homogeneous_pair
-
-    data = grid_profile(n, s)
-    c2 = ((n - 2) / 2.0) ** 2
-    lam = ell * (ell + n - 2.0)
-    gam = np.sqrt(lam + c2)
-    h = s[1] - s[0]
-    vpot = -(lam + c2) + data["pot"]
-    up, um, _ = homogeneous_pair(vpot, h, gam)
-    up = up / np.max(np.abs(up))
-    return up, um
+    up, um, _ = band_pair(n, s, ell)
+    return up / np.max(np.abs(up)), um
 
 
 def build_deficiency(surface: OuterSurface) -> dict:

@@ -229,8 +229,11 @@ def weighted_norm(w: RadialField, k: int, alpha: float, nu: float) -> float:
 
     Dyadic windows [r, 2r] over the grid; derivative factors r^j d^j/dr^j
     realized as d/d rho powers, plus a Hoelder quotient of the top
-    derivative in rho over adjacent nodes.
+    derivative in rho over adjacent nodes.  Raises ValueError on non-finite
+    values.
     """
+    if not np.all(np.isfinite(w.values)):
+        raise ValueError("weighted_norm of a field with non-finite values")
     grid = w.grid
     rho = grid.rho
     vals = [w.values]

@@ -4,6 +4,7 @@ import pytest
 from minsurflab.catenoid import (
     PreconditionError,
     apply_Lcal,
+    band_pair,
     grid_profile,
     solve_GS,
     solve_PS,
@@ -11,9 +12,13 @@ from minsurflab.catenoid import (
 from minsurflab.cylinder import (
     CylinderField,
     dense_band_dirichlet_robin,
+    homogeneous_pair,
     norm_exp,
+    row_bands,
+    solve_band_decaying_kernel,
     solve_band_dirichlet_robin,
 )
+from minsurflab.outer import _homogeneous_profiles
 from minsurflab.spectral import SphereField
 
 N = 3
@@ -96,6 +101,53 @@ class TestApplyLcal:
 
         with pytest.raises(GridError):
             apply_Lcal(w, profile)
+
+
+class TestBandPair:
+    def _source(self, spectrum, s):
+        f = CylinderField.zeros(spectrum, s)
+        for i in range(f.values.shape[0]):
+            f.values[i] = bump(s, s[0] + 0.5 + 0.1 * i)
+        return f
+
+    def test_solve_GS_matches_direct_pair(self, spectrum, profile):
+        s = make_grid(S=-1.5)
+        f = self._source(spectrum, s)
+        data = grid_profile(N, s)
+        c2 = ((N - 2) / 2.0) ** 2
+        h = f.step
+        direct = np.empty_like(f.values)
+        for i, ell in enumerate(row_bands(spectrum)):
+            vpot = -(spectrum.lam[ell] + c2) + data["pot"]
+            gam = spectrum.gamma[ell]
+            if ell >= 2:
+                direct[i] = solve_band_dirichlet_robin(vpot, h, f.values[i], 0.0, gam)
+            else:
+                pair = homogeneous_pair(vpot, h, gam)
+                direct[i] = solve_band_decaying_kernel(pair, h, f.values[i])
+        for _ in range(2):  # cold, then warm cache
+            w = solve_GS(f, s[0], -2.0, profile)
+            assert np.array_equal(w.values, direct)
+
+    def test_cached_arrays_read_only(self):
+        s = make_grid(S=-1.5)
+        up, um, _ = band_pair(N, s, 1)
+        assert band_pair(N, s, 1)[0] is up
+        for arr in (up, um):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_outer_profiles_share_the_pair(self, spectrum, profile):
+        s = make_grid(S=-1.5)
+        for ell in (0, 1):
+            up, um, _ = band_pair(N, s, ell)
+            up_o, um_o = _homogeneous_profiles(N, ell, s)
+            assert um_o is um
+            assert np.array_equal(up_o, up / np.max(np.abs(up)))
+            vpot = -(spectrum.lam[ell] + ((N - 2) / 2.0) ** 2) + grid_profile(N, s)["pot"]
+            up_d, um_d, _ = homogeneous_pair(vpot, s[1] - s[0], spectrum.gamma[ell])
+            assert np.array_equal(up, up_d) and np.array_equal(um, um_d)
 
 
 class TestSolveGS:
