@@ -64,8 +64,6 @@ from .gluing import (  # noqa: F401
     conglomerate_C,
     fixed_point_glue,
     glue_end,
-    invert_C0,
-    simple_C0,
     stack_tower,
 )
 from .verify import (  # noqa: F401

@@ -17,7 +17,6 @@ graph of the prescribed high-mode data over the cut sphere.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,16 +24,16 @@ import numpy as np
 from .cylinder import (
     CylinderField,
     GridError,
+    axial_collocation,
     homogeneous_pair,
     norm_exp,
+    rows_from_collocation,
     solve_band_decaying_kernel,
     solve_band_dirichlet_robin,
 )
 from .geometry import uniform_surface
 from .profile import ProfileTable, Scales, compute_scales, profile_values
 from .spectral import SphereField, ZonalGrid, apply_Dtheta, project_low
-
-log = logging.getLogger(__name__)
 
 
 class PreconditionError(ValueError):
@@ -43,6 +42,46 @@ class PreconditionError(ValueError):
 
 class ContractionError(RuntimeError):
     """Fixed-point iteration failed to contract."""
+
+
+def contraction_median(contractions: list) -> float:
+    """Median of the finite contraction factors without the first and the
+    last (start-up and settling transients); 0.0 when none remain."""
+    tail = [c for c in contractions[1:-1] if np.isfinite(c)]
+    return float(np.median(tail)) if tail else 0.0
+
+
+def picard(step, v0, tol: float, floor: float, max_iter: int, *, stage: str):
+    """Iterate v <- step(v) on band-row fields until the update settles.
+
+    The update norm is max|v_new - v| over the rows, the scale
+    max(max|v_new|, floor).  From the second iteration on the iteration
+    stops when the update is at most tol * scale, or when it stalls: at most
+    1e-5 * scale and more than half the previous update.  Returns
+    (v, iterations, contraction factors).  Exceptions raised by step
+    propagate; an iteration that has not settled after max_iter steps
+    raises ContractionError naming the stage, the median contraction and
+    the update-norm history.
+    """
+    v = v0
+    history = []
+    contractions = []
+    for it in range(1, max_iter + 1):
+        v_new = step(v)
+        dnorm = float(np.max(np.abs(v_new.values - v.values)))
+        scale = max(float(np.max(np.abs(v_new.values))), floor)
+        if history and history[-1] > 0:
+            contractions.append(dnorm / history[-1])
+        stalled = bool(history) and dnorm <= 1e-5 * scale and dnorm > 0.5 * history[-1]
+        history.append(dnorm)
+        v = v_new
+        if it >= 2 and (dnorm <= tol * scale or stalled):
+            return v, it, contractions
+    raise ContractionError(
+        f"{stage} iteration did not converge in {max_iter} iterations "
+        f"(median contraction {contraction_median(contractions):.3f}); "
+        f"update norms {['%.2e' % d for d in history]}"
+    )
 
 
 class ResidualError(RuntimeError):
@@ -219,7 +258,7 @@ def solve_PS(
 # -- nonlinear catenoid piece ----------------------------------------------------
 
 
-def smoothstep(x: np.ndarray) -> np.ndarray:
+def smooth_step(x: np.ndarray) -> np.ndarray:
     """Quintic smooth step: 0 for x <= 0, 1 for x >= 1, C^2 ramp between."""
     x = np.clip(x, 0.0, 1.0)
     return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
@@ -259,7 +298,7 @@ class _NeckGeometry:
         self.psi = data["psi"]
         self.dpsi = data["dpsi"]
         self.pot = data["pot"]
-        chi = smoothstep(s - s[0])
+        chi = smooth_step(s - s[0])
         self.chi = chi
         conj = self.phi ** ((2 - n) / 2.0)
         self.alpha_theta = conj * chi * self.dpsi / self.phi
@@ -271,18 +310,6 @@ class _NeckGeometry:
         """Measured sup |N_eps . N_0 - 1| over the ramp region."""
         ndotn = (1.0 - self.chi) * (-self.dphi / self.phi) + self.chi
         return float(np.max(np.abs(ndotn - 1.0)))
-
-    def axial_values(self, w: CylinderField) -> np.ndarray:
-        """Collocation values of the zonal + axial-linear content of w."""
-        g = self.grid
-        n = self.n
-        rows = w.values
-        q = w.pole
-        axial = rows[1 : n + 1].T @ q
-        vals = rows[0][:, None] + axial[:, None] * g.t[None, :]
-        if np.any(rows[n + 1 :]):
-            vals = vals + rows[n + 1 :].T @ g.Z[2:]
-        return vals
 
     def surface_points(self, w_hat_vals: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -299,7 +326,7 @@ class _NeckGeometry:
         """
         keep = self.s <= self.s[0] + defect_span
         m = int(np.sum(keep)) + 4
-        w_hat = self.axial_values(w)[:m] / self.eps_len
+        w_hat = axial_collocation(w, self.grid)[:m] / self.eps_len
         g = self.grid
         F = self.phi[:m, None] + w_hat * self.alpha_theta[:m, None]
         G = self.psi[:m, None] + w_hat * self.alpha_vert[:m, None]
@@ -310,17 +337,6 @@ class _NeckGeometry:
         out[: m - 2] = -self.eps_len * self.mfac[: m - 2, None] * H[: m - 2]
         out[np.sum(keep) :] = 0.0
         return out
-
-    def bands_from_values(self, vals: np.ndarray, pole: np.ndarray) -> np.ndarray:
-        """Collocation values -> coefficient rows (axial band-1 only)."""
-        g = self.grid
-        n = self.n
-        coeffs = g.to_bands(vals)  # (Ns, L+1)
-        rows = np.zeros((1 + n + (g.L - 1), vals.shape[0]))
-        rows[0] = coeffs[:, 0]
-        rows[1 : n + 1] = np.outer(pole, coeffs[:, 1])
-        rows[n + 1 :] = coeffs[:, 2:].T
-        return rows
 
 
 def recorded_eps0(kappa: float) -> float:
@@ -339,7 +355,6 @@ def build_catenoid_piece(
     span: float = 15.0,
     grid: ZonalGrid | None = None,
     max_iter: int = 40,
-    _allow_restart: bool = True,
 ) -> CatenoidPiece:
     """Solve the perturbed-catenoid problem with high-mode boundary data.
 
@@ -381,61 +396,30 @@ def build_catenoid_piece(
     guard = 0.2  # smallness guard on the cubic-regime variable
     defect_span = min(6.0, 0.45 * span)
     mask = (s_grid <= s_eps + defect_span).astype(float)
-    v = CylinderField.zeros(spec, s_grid, pole=h_II.pole)
-    contractions = []
-    prev_delta_norm = None
-    converged = False
-    for it in range(1, max_iter + 1):
+
+    def update(v: CylinderField) -> CylinderField:
         w = wt + v
         lcal_w = apply_Lcal(w, profile)
         mc = geo.conjugated_mc(w, defect_span=defect_span)
         qbar = lcal_w.copy()
         qbar.values = (
-            lcal_w.values - geo.bands_from_values(mc, h_II.pole)
+            lcal_w.values - rows_from_collocation(mc, h_II.pole, grid)
         ) * mask[None, :]
         v_new = solve_GS(qbar, s_eps, delta, profile)
-        dnorm = float(np.max(np.abs(v_new.values - v.values)))
-        scale = max(
-            float(np.max(np.abs(v_new.values))),
-            float(np.max(np.abs(wt.values))),
-            scales.r_eps**2,
-            1e-300,
-        )
-        if prev_delta_norm is not None and prev_delta_norm > 0:
-            contractions.append(dnorm / prev_delta_norm)
-        stalled = (
-            prev_delta_norm is not None
-            and dnorm <= 1e-5 * scale
-            and dnorm > 0.5 * prev_delta_norm
-        )
-        prev_delta_norm = dnorm
-        v = v_new
-        gvar = np.max(np.abs(geo.axial_values(v + wt))) * np.max(
+        gvar = np.max(np.abs(axial_collocation(v_new + wt, grid))) * np.max(
             geo.phi ** (-n / 2.0)
         ) / scales.eps_len
         if gvar > guard:
             raise ContractionError(
                 f"cubic-regime guard tripped: |phi^(-n/2) eps^(-1/(n-1)) w| = {gvar:.3e}"
             )
-        if it >= 2 and (dnorm <= 1e-7 * scale or stalled):
-            converged = True
-            break
-    tail = [c for c in contractions[1:-1] if np.isfinite(c)]
-    contracting = (not tail) or (np.median(tail) <= 0.9) or converged
-    if not (converged and contracting):
-        if _allow_restart:
-            log.warning(
-                "catenoid solve at eps=%.3e not contracting; restarting at eps/2", eps
-            )
-            return build_catenoid_piece(
-                profile, eps / 2.0, h_II, kappa, tol, delta=delta, step=step,
-                span=span, grid=grid, max_iter=max_iter, _allow_restart=False,
-            )
-        raise ContractionError(
-            f"iteration not contracting after restart (median factor "
-            f"{np.median(tail) if tail else float('nan'):.3f})"
-        )
+        return v_new
 
+    floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
+    v, it, contractions = picard(
+        update, CylinderField.zeros(spec, s_grid, pole=h_II.pole), 1e-7, floor, max_iter,
+        stage=f"catenoid (eps={eps:.3e})",
+    )
     w = wt + v
 
     # independent oracle: offset, refined grid, 4th-order stencils
@@ -456,7 +440,7 @@ def build_catenoid_piece(
         iterations=it,
         info={
             "contractions": contractions,
-            "contraction_median": float(np.median(tail)) if tail else 0.0,
+            "contraction_median": contraction_median(contractions),
             "transition_defect": geo.transition_defect(),
             "transition_bound": float(np.exp((2 * n - 2) * s_eps)),
             # weighted norms measured on the window where the admissible decay
@@ -492,7 +476,7 @@ def _oracle_residual(n, spec, grid, scales, w) -> float:
     rows_fine = CubicSpline(s, w.values, axis=1)(s_fine)
     wf = CylinderField(spec, s_fine, rows_fine, w.pole)
     geo_f = _NeckGeometry(n, s_fine, grid, scales.eps_len)
-    w_hat = geo_f.axial_values(wf) / scales.eps_len
+    w_hat = axial_collocation(wf, grid) / scales.eps_len
     P = geo_f.surface_points(w_hat)
     H = uniform_surface(P, grid, h / 2.0, order=4).mean_curvature(n)
     interior = slice(4, -4)

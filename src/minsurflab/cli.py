@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .catenoid import admissible_delta, default_delta
+from .neck import admissible_nu, default_nu
 from .verify import DELTA1
 
 log = logging.getLogger(__name__)
@@ -45,7 +47,6 @@ class RunConfig:
     s_step: float = 8e-3
     piece_step: float = 5e-3
     m_radial: int = 150
-    n_theta: int = 48
     tol_solver: float = 5e-3
     tol_match: float | None = None
     tol_verify: float = 1e-2
@@ -54,7 +55,6 @@ class RunConfig:
     nu: float | None = None
     seed_scale: float = 0.3
     seed: int = 0
-    threads: int = 1
     out_dir: str = "out"
 
     def validate(self) -> "RunConfig":
@@ -66,26 +66,22 @@ class RunConfig:
         if self.L < 2:
             raise ConfigError(f"L={self.L} must be >= 2")
         if self.delta is None:
-            self.delta = -(n + 1) / 2.0
-        if not (-(n + 2) / 2.0 < self.delta < -n / 2.0):
+            self.delta = default_delta(n)
+        if not admissible_delta(n, self.delta):
             raise ConfigError(
                 f"delta={self.delta} outside (-(n+2)/2, -n/2) = ({-(n + 2) / 2}, {-n / 2})"
             )
         if self.nu is None:
-            self.nu = -7.0 / 3.0 if n == 3 else -n + 0.5
-        if n == 3:
-            if not (-8.0 / 3.0 < self.nu < -2.0):
-                raise ConfigError(f"nu={self.nu} outside (-8/3, -2) for n=3")
-        elif not (-n < self.nu < 1 - n):
-            raise ConfigError(f"nu={self.nu} outside (-n, 1-n)")
+            self.nu = default_nu(n)
+        if not admissible_nu(n, self.nu, neck=True):
+            window = "(-8/3, -2) for n=3" if n == 3 else "(-n, 1-n)"
+            raise ConfigError(f"nu={self.nu} outside {window}")
         if self.eps_schedule is not None:
             for e in self.eps_schedule:
                 if not (0.0 < e < 1.0):
                     raise ConfigError(f"schedule entry {e} outside (0, 1)")
         if self.K < 1:
             raise ConfigError("K must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         return self
 
     @classmethod
@@ -449,14 +445,13 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--eps", type=float, default=None)
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig().validate()
-        for name in ("out_dir", "seed", "threads", "eps"):
+        for name in ("out_dir", "seed", "eps"):
             arg = getattr(args, name if name != "out_dir" else "out")
             if arg is not None:
                 setattr(cfg, name, arg)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import BandSpectrum, SphereField, SpectralError
+from .spectral import BandSpectrum, SphereField, SpectralError, ZonalGrid
 
 
 class GridError(ValueError):
@@ -120,6 +120,32 @@ class CylinderField:
         out = self.copy()
         out.values[: self.spectrum.n + 1, :] = 0.0
         return out
+
+
+def axial_collocation(f, grid: ZonalGrid) -> np.ndarray:
+    """Point values of the zonal plus axial-linear content of band rows.
+
+    f is any field with band rows over its first coordinate (a CylinderField
+    or a RadialField); returns values on (node, beta).
+    """
+    n = f.spectrum.n
+    rows = f.values
+    axial = rows[1 : n + 1].T @ f.pole
+    vals = rows[0][:, None] + axial[:, None] * grid.t[None, :]
+    if np.any(rows[n + 1 :]):
+        vals = vals + rows[n + 1 :].T @ grid.Z[2:]
+    return vals
+
+
+def rows_from_collocation(vals: np.ndarray, pole: np.ndarray, grid: ZonalGrid) -> np.ndarray:
+    """Collocation values on (node, beta) -> band rows (axial band 1 only)."""
+    n = grid.n
+    coeffs = grid.to_bands(vals)  # (nodes, L+1)
+    rows = np.zeros((1 + n + (grid.L - 1), vals.shape[0]))
+    rows[0] = coeffs[:, 0]
+    rows[1 : n + 1] = np.outer(pole, coeffs[:, 1])
+    rows[n + 1 :] = coeffs[:, 2:].T
+    return rows
 
 
 def norm_exp(w: CylinderField, k: int, alpha: float, delta: float, S: float | None = None) -> float:

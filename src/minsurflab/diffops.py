@@ -82,20 +82,6 @@ def bary_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def bary_diff_matrix(x: np.ndarray) -> np.ndarray:
-    """Polynomial differentiation matrix on arbitrary distinct nodes."""
-    x = np.asarray(x, dtype=float)
-    w = bary_weights(x)
-    m = x.size
-    D = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                D[i, j] = (w[j] / w[i]) / (x[i] - x[j])
-    D[np.diag_indices(m)] = -D.sum(axis=1)
-    return D
-
-
 def bary_interp_matrix(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Interpolation matrix from values on nodes x to points xi."""
     x = np.asarray(x, dtype=float)

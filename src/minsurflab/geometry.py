@@ -84,9 +84,6 @@ class OrbitSurface:
         krot = -Nvec[1] / self.P[1]
         return k1 * k1 + k2 * k2 + (n - 2) * krot * krot
 
-    def unit_normal(self) -> np.ndarray:
-        return self.fundamental_forms()[-1]
-
 
 def uniform_surface(P, grid: ZonalGrid, h: float, order: int = 2) -> OrbitSurface:
     """OrbitSurface whose first parameter lives on a uniform grid."""
@@ -113,11 +110,3 @@ def graph_orbit_points(r: np.ndarray, grid: ZonalGrid, height: np.ndarray) -> np
     """Orbit generator of a height graph over polar coordinates x = r theta."""
     R = r[:, None]
     return np.stack([R * grid.t[None, :], R * grid.sinb[None, :], height])
-
-
-def revolution_second_fundamental(n: int, phi, dphi, dpsi):
-    """|A| of the profile surface of revolution, via its two distinct
-    principal curvatures; the independent oracle for catenoid charts."""
-    # conformal gauge: |X_s| = phi, kappa_rot = dpsi/phi^2, kappa_prof = -(n-1) kappa_rot on a minimal profile
-    krot = dpsi / phi**2
-    return np.sqrt((n - 1.0) ** 2 * krot**2 + (n - 1.0) * krot**2)

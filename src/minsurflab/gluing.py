@@ -21,6 +21,7 @@ from .catenoid import (
     PreconditionError,
     build_catenoid_piece,
     cauchy_maps_catenoid,
+    default_delta,
     grid_profile,
     simple_cauchy_catenoid,
 )
@@ -30,6 +31,7 @@ from .neck import (
     NeckPiece,
     RigidParams,
     build_neck_piece,
+    default_nu,
     green_function,
     simple_cauchy_neck,
 )
@@ -109,9 +111,9 @@ class GlueContext:
 
     def __post_init__(self):
         if self.delta is None:
-            self.delta = -(self.spectrum.n + 1) / 2.0
+            self.delta = default_delta(self.spectrum.n)
         if self.nu is None:
-            self.nu = -7.0 / 3.0 if self.spectrum.n == 3 else -self.spectrum.n + 0.5
+            self.nu = default_nu(self.spectrum.n)
 
 
 def prepare_glue(
@@ -264,19 +266,6 @@ def _band_coefficient(f: SphereField, ell: int) -> float:
     if ell == 1:
         return float(f.low[1])
     return float(f.zonal[ell - 2])
-
-
-def simple_C0(t: BoundaryTriple, ctx: GlueContext, maps: SimpleMaps | None = None):
-    """The block-diagonal model of the conglomerate map."""
-    if maps is None:
-        maps = SimpleMaps(ctx)
-    return maps.C0(t)
-
-
-def invert_C0(rhs, ctx: GlueContext, maps: SimpleMaps | None = None) -> BoundaryTriple:
-    if maps is None:
-        maps = SimpleMaps(ctx)
-    return maps.invert(rhs)
 
 
 def certify_eps0(ctx: GlueContext, maps: SimpleMaps, n_samples: int = 2) -> dict:
@@ -486,7 +475,7 @@ def glue_end(
             f"eps={eps:.3e} above the certified threshold {limit:.3e}"
         )
     if delta is None:
-        delta = -(surface.spectrum.n + 1) / 2.0
+        delta = default_delta(surface.spectrum.n)
     nondegeneracy_check(surface, delta, m=400)
     ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece)
     t, glued = fixed_point_glue(ctx, tol_match=tol_match)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catenoid import ContractionError, PreconditionError, ResidualError
-from .cylinder import GridError, row_bands
+from .catenoid import PreconditionError, ResidualError, contraction_median, picard, smooth_step
+from .cylinder import GridError, axial_collocation, rows_from_collocation
 from .diffops import fd_derivative
 from .geometry import OrbitSurface, graph_orbit_points, matrix_surface
 from .profile import Scales
@@ -33,12 +33,6 @@ from .spectral import (
 )
 
 log = logging.getLogger(__name__)
-
-
-def smooth_step(x: np.ndarray) -> np.ndarray:
-    """0 for x <= 0, 1 for x >= 1, C^2 quintic ramp between."""
-    x = np.clip(x, 0.0, 1.0)
-    return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
 
 @dataclass
@@ -158,27 +152,6 @@ def angular_grid(spectrum) -> ZonalGrid:
     if key not in _ANGULAR:
         _ANGULAR[key] = ZonalGrid(spectrum.n, spectrum.L, max(48, 4 * spectrum.L))
     return _ANGULAR[key]
-
-
-def axial_collocation(f: RadialField, grid: ZonalGrid) -> np.ndarray:
-    """Point values of the zonal plus axial-linear content on (rho, beta)."""
-    n = f.spectrum.n
-    rows = f.values
-    axial = rows[1 : n + 1].T @ f.pole
-    vals = rows[0][:, None] + axial[:, None] * grid.t[None, :]
-    if np.any(rows[n + 1 :]):
-        vals = vals + rows[n + 1 :].T @ grid.Z[2:]
-    return vals
-
-
-def rows_from_collocation(vals: np.ndarray, f_like: RadialField, grid: ZonalGrid) -> np.ndarray:
-    n = f_like.spectrum.n
-    coeffs = grid.to_bands(vals)
-    rows = np.zeros_like(f_like.values)
-    rows[0] = coeffs[:, 0]
-    rows[1 : n + 1] = np.outer(f_like.pole, coeffs[:, 1])
-    rows[n + 1 :] = coeffs[:, 2:].T
-    return rows
 
 
 def mean_curvature_graph(patch: GraphPatch, w: RadialField | None = None, oracle: bool = False):
@@ -378,6 +351,10 @@ def admissible_nu(n: int, nu: float, neck: bool = False) -> bool:
     return -float(n) < nu < 1.0 - n
 
 
+def default_nu(n: int) -> float:
+    return -7.0 / 3.0 if n == 3 else -n + 0.5
+
+
 def solve_annulus_mixed(
     patch: GraphPatch, f: RadialField, r: float, nu: float, alpha: float = 0.5
 ) -> RadialField:
@@ -428,7 +405,7 @@ def poisson_neck(
     n = patch.n
     spec = patch.spectrum
     if nu is None:
-        nu = -n + 0.5 if n > 3 else -7.0 / 3.0
+        nu = default_nu(n)
     if project_low(h_II).holder_norm() > 1e-12 * max(1.0, h_II.holder_norm()):
         raise PreconditionError("poisson_neck requires high-mode data")
     if h_II.holder_norm() > kappa * scales.r_eps**2 * (1 + 1e-9):
@@ -501,7 +478,7 @@ def build_neck_piece(
     n = patch.n
     spec = patch.spectrum
     if nu is None:
-        nu = -7.0 / 3.0 if n == 3 else -n + 0.5
+        nu = default_nu(n)
     if not admissible_nu(n, nu, neck=True):
         raise PreconditionError(f"nu={nu} inadmissible for the neck solve")
     triple_norm = h_I.holder_norm() + A.norm(scales) + h_II.holder_norm()
@@ -537,48 +514,28 @@ def build_neck_piece(
 
     # mean curvature of the backdrop graph
     H_base_vals = mean_curvature_graph(back_patch)
-    H_base = RadialField(spec, grid, rows_from_collocation(H_base_vals, backdrop, g), h_II.pole)
+    H_base = RadialField(spec, grid, rows_from_collocation(H_base_vals, backdrop.pole, g), h_II.pole)
     gamma_H = solve_mixed(op, H_base, inner=None, outer=None)
 
     inner_gap = project_high(h_II - (backdrop + w_h).trace(0))
     w_pi = poisson_neck(back_patch, scales, A, inner_gap, nu=nu, kappa=10 * kappa + 1e3)
     wt = w_h + w_pi - gamma_H
 
-    v = RadialField.zeros(spec, grid, pole=h_II.pole)
-    contractions = []
-    prev = None
-    converged = False
-    for it in range(1, max_iter + 1):
+    def update(v: RadialField) -> RadialField:
         w = wt + v
         H_vals = mean_curvature_graph(back_patch, w=w)
-        q_vals = rows_from_collocation(H_vals - H_base_vals, w, g)
+        q_vals = rows_from_collocation(H_vals - H_base_vals, w.pole, g)
         lam_w = op.apply(w)
         qbar = RadialField(spec, grid, lam_w.values - q_vals, h_II.pole)
         qbar.values[:, 0] = 0.0
         qbar.values[:, -1] = 0.0
-        v_new = solve_mixed(op, qbar, inner=None, outer=None)
-        dnorm = float(np.max(np.abs(v_new.values - v.values)))
-        scale = max(
-            float(np.max(np.abs(v_new.values))),
-            float(np.max(np.abs(wt.values))),
-            scales.r_eps**2,
-            1e-300,
-        )
-        if prev is not None and prev > 0:
-            contractions.append(dnorm / prev)
-        stalled = prev is not None and dnorm <= 1e-5 * scale and dnorm > 0.5 * prev
-        prev = dnorm
-        v = v_new
-        if it >= 2 and (dnorm <= 1e-8 * scale or stalled):
-            converged = True
-            break
-    tail = [c for c in contractions[1:-1] if np.isfinite(c)]
-    if not converged and not ((not tail) or np.median(tail) <= 0.9):
-        raise ContractionError(
-            f"neck iteration not contracting (median {np.median(tail):.3f})"
-        )
-    if not converged:
-        raise ContractionError("neck iteration exhausted its budget")
+        return solve_mixed(op, qbar, inner=None, outer=None)
+
+    floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
+    v, it, contractions = picard(
+        update, RadialField.zeros(spec, grid, pole=h_II.pole), 1e-8, floor, max_iter,
+        stage=f"neck (eps={scales.eps:.3e})",
+    )
 
     w = wt + v
     V = backdrop + w
@@ -619,7 +576,7 @@ def build_neck_piece(
         iterations=it,
         info={
             "contractions": contractions,
-            "contraction_median": float(np.median(tail)) if tail else 0.0,
+            "contraction_median": contraction_median(contractions),
             "nu": nu,
             "v_weighted_norm": weighted_norm(v, 2, 0.5, nu),
             "ball_radius": float(scales.r_eps ** (10.0 / 3.0 - nu)),

@@ -21,12 +21,15 @@ from .catenoid import (
     ContractionError,
     PreconditionError,
     ResidualError,
+    admissible_delta,
     band_pair,
     grid_profile,
+    picard,
+    smooth_step,
 )
-from .cylinder import CylinderField, GridError, row_bands
+from .cylinder import CylinderField, GridError, axial_collocation, row_bands, rows_from_collocation
 from .geometry import graph_orbit_points, matrix_surface
-from .neck import GraphPatch, NeckPiece, angular_grid, axial_collocation, rows_from_collocation, smooth_step
+from .neck import GraphPatch, NeckPiece, angular_grid
 from .profile import ProfileTable, Scales, profile_values
 from .radial import BandOperator, RadialField, RadialGrid
 from .spectral import BandSpectrum, SphereField
@@ -81,10 +84,6 @@ class EndModel:
     plane_height: float  # ambient height of the asymptotic plane
     psi_inf: float
     excised: list = field(default_factory=list)  # (center_xy, radius) holes
-
-    def radius_at(self, s: float, profile_n: int) -> float:
-        phi = profile_values(profile_n, np.array([s]))[0][0]
-        return self.a * float(phi)
 
     def height_profile(self, n: int, R: np.ndarray):
         """Height over the asymptotic plane and its radial slope at radii R
@@ -304,7 +303,7 @@ def nondegeneracy_check(
     """Normalized smallest singular value of the core operator on the
     decaying space, minimized over bands; raises if below threshold."""
     n = surface.n
-    if not (-(n + 2) / 2.0 < delta < -n / 2.0):
+    if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
     span = surface.core_span
     s = np.linspace(-span, span, m)
@@ -372,7 +371,7 @@ def solve_outer_linear(
     RadialField or None).
     """
     n = surface.n
-    if not (-(n + 2) / 2.0 < delta < -n / 2.0):
+    if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
     s = f.s
     data = grid_profile(n, s)
@@ -511,7 +510,7 @@ def assemble_outer(
     h_prof, _ = end.height_profile(n, R_amb.ravel())
     u_vals = end.orientation * h_prof.reshape(R_amb.shape) - float(end.orientation * h_site[0])
     # rebase so u(0) = 0: subtract the interpolated center value
-    u_field = RadialField(spec, grid, rows_from_collocation(u_vals, RadialField.zeros(spec, grid, pole=pole), g), pole=pole)
+    u_field = RadialField(spec, grid, rows_from_collocation(u_vals, pole, g), pole=pole)
     c2 = _patch_c2(u_field, grid)
     patch = GraphPatch(
         n=n, r0=r0, grid=grid, u=u_field, kind="ball",
@@ -525,7 +524,7 @@ def assemble_outer(
     )
     h_e, _ = end.height_profile(n, R_amb_e.ravel())
     u_e = end.orientation * h_e.reshape(R_amb_e.shape) - float(end.orientation * h_site[0])
-    ext_field = RadialField(spec, ext_grid, rows_from_collocation(u_e, RadialField.zeros(spec, ext_grid, pole=pole), g), pole=pole)
+    ext_field = RadialField(spec, ext_grid, rows_from_collocation(u_e, pole, g), pole=pole)
     surface.site = {
         "end": end,
         "patch": patch,
@@ -617,30 +616,16 @@ def solve_outer_nonlinear(
 
     H_base_vals = mean_curvature_graph(base_patch)
 
-    w = site_exterior_solve(surface, h_I)
-    prev = None
-    converged = h_I.holder_norm() == 0.0
-    it = 0
-    contractions = []
-    for it in range(1, max_iter + 1):
-        if converged:
-            break
+    def update(w: RadialField) -> RadialField:
         H_vals = mean_curvature_graph(base_patch, w=w)
         lam_w = op.apply(w)
-        q = RadialField(spec, grid, lam_w.values - rows_from_collocation(H_vals - H_base_vals, w, g), w.pole)
-        w_new = site_exterior_solve(surface, h_I, f=q)
-        dnorm = float(np.max(np.abs(w_new.values - w.values)))
-        scale = max(float(np.max(np.abs(w_new.values))), 1e-300)
-        if prev is not None and prev > 0:
-            contractions.append(dnorm / prev)
-        stalled = prev is not None and dnorm <= 1e-5 * scale and dnorm > 0.5 * prev
-        prev = dnorm
-        w = w_new
-        if it >= 2 and (dnorm <= 1e-9 * scale or stalled):
-            converged = True
-            break
-    if not converged:
-        raise ContractionError("outer nonlinear iteration did not settle")
+        q = RadialField(spec, grid, lam_w.values - rows_from_collocation(H_vals - H_base_vals, w.pole, g), w.pole)
+        return site_exterior_solve(surface, h_I, f=q)
+
+    w = site_exterior_solve(surface, h_I)
+    it = 0
+    if h_I.holder_norm() != 0.0:
+        w, it, _ = picard(update, w, 1e-9, 1e-300, max_iter, stage="outer")
 
     total_patch = GraphPatch(
         n=n, r0=grid.r_out / 2.0, grid=grid, u=base + w, kind="annulus",

@@ -89,17 +89,6 @@ class ProfileTable:
         """Normalized defect |(phi'/phi)^2 + phi^(2-2n) - 1| per node."""
         return np.abs((self.dphi / self.phi) ** 2 + self.phi ** (2 - 2 * self.n) - 1.0)
 
-    def interpolators(self):
-        """Cubic-spline evaluators (phi, dphi, psi, dpsi) on [-s_max, s_max]."""
-        from scipy.interpolate import CubicSpline
-
-        return (
-            CubicSpline(self.s, self.phi),
-            CubicSpline(self.s, self.dphi),
-            CubicSpline(self.s, self.psi),
-            CubicSpline(self.s, self.dpsi),
-        )
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("s,phi,psi,dphi,dpsi\n")

@@ -285,16 +285,6 @@ class SphereField:
 
     # -- evaluation -------------------------------------------------------------
 
-    def eval_points(self, theta: np.ndarray) -> np.ndarray:
-        """Evaluate at unit vectors theta, shape (..., n)."""
-        theta = np.asarray(theta, dtype=float)
-        t = theta @ self.pole
-        vals = self.low[0] + theta @ self.low[1:]
-        for k, c in enumerate(self.zonal):
-            if c != 0.0:
-                vals = vals + c * zonal_eval(self.spectrum.n, k + 2, t)
-        return vals
-
     def eval_meridian(self, t: np.ndarray, transverse: float | np.ndarray = 0.0):
         """Evaluate along the meridian theta(t) = t q + sqrt(1-t^2) m.
 
@@ -339,25 +329,6 @@ class SphereField:
         return SphereField(self.spectrum, low, self.zonal * multipliers[2:], self.pole)
 
     # -- norms ---------------------------------------------------------------------
-
-    def l2_norm(self) -> float:
-        """L^2(S^{n-1}) norm from band orthogonality."""
-        n, L = self.spectrum.n, self.spectrum.L
-        area = sphere_area(n)
-        total = area * self.low[0] ** 2
-        total += area / n * float(self.low[1:] @ self.low[1:])
-        grid = _norm_grid(n, L)
-        ring = sphere_area(n - 1)  # volume of the orbit sphere S^{n-2}
-        for k, c in enumerate(self.zonal):
-            total += c * c * grid.band_norm[k + 2] * ring
-        return float(np.sqrt(total))
-
-    def sup_norm(self, n_t: int = 64) -> float:
-        grid = _norm_grid(self.spectrum.n, self.spectrum.L)
-        a_perp = self.low[1:] - (self.low[1:] @ self.pole) * self.pole
-        up = self.eval_meridian(grid.t, transverse=np.linalg.norm(a_perp))
-        dn = self.eval_meridian(grid.t, transverse=-np.linalg.norm(a_perp))
-        return float(max(np.max(np.abs(up)), np.max(np.abs(dn))))
 
     def holder_norm(self, alpha: float = 0.5) -> float:
         """Surrogate C^{2,alpha} norm: sup |f| + sup |grad f| + sup |Lap f|

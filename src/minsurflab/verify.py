@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catenoid import grid_profile
+from .cylinder import axial_collocation
 from .diffops import fd_derivative
 from .geometry import OrbitSurface, graph_orbit_points, matrix_surface, uniform_surface
-from .neck import angular_grid, axial_collocation, mean_curvature_graph
+from .neck import angular_grid, mean_curvature_graph
 from .profile import profile_values
 from .spectral import ZonalGrid, sphere_area
 

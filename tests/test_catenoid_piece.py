@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
 from minsurflab.catenoid import (
+    ContractionError,
     PreconditionError,
     _NeckGeometry,
     build_catenoid_piece,
@@ -9,6 +12,7 @@ from minsurflab.catenoid import (
     grid_profile,
     simple_cauchy_catenoid,
 )
+from minsurflab.cylinder import axial_collocation
 from minsurflab.profile import compute_scales
 from minsurflab.spectral import SphereField, ZonalGrid, project_high
 
@@ -65,6 +69,16 @@ class TestBuild:
         with pytest.raises(PreconditionError, match="threshold"):
             build_catenoid_piece(profile, 0.5, SphereField.zeros(spectrum), 1.0, TOL)
 
+    def test_unconverged_solve_raises_at_the_requested_eps(self, spectrum, profile, caplog):
+        # one iteration can never settle: the solve must fail at the eps it
+        # was asked for, not retry silently at another scale
+        with caplog.at_level(logging.WARNING):
+            with pytest.raises(ContractionError) as excinfo:
+                build_catenoid_piece(profile, EPS, SphereField.zeros(spectrum), 1.0, TOL, max_iter=1)
+        assert f"eps={EPS:.3e}" in str(excinfo.value)
+        assert "update norms" in str(excinfo.value)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
     def test_transition_field_bound(self, piece_zero):
         # |N_eps . N_0 - 1| <= c e^{(2n-2) s_eps}, c measured modest
         defect = piece_zero.info["transition_defect"]
@@ -83,7 +97,7 @@ class TestBuild:
         solve's low-mode trace, which is itself recorded and small."""
         sc = piece_zonal.scales
         geo = _NeckGeometry(N, piece_zonal.w.s, zgrid, sc.eps_len)
-        w_hat = geo.axial_values(piece_zonal.w) / sc.eps_len
+        w_hat = axial_collocation(piece_zonal.w, zgrid) / sc.eps_len
         P = geo.surface_points(w_hat)
         # boundary ring: at s_eps the transition field is exactly vertical
         horiz = np.hypot(P[0, 0], P[1, 0]) * sc.eps_len
