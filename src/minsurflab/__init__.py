@@ -24,7 +24,7 @@ from .profile import (  # noqa: F401
     compute_scales,
     solve_profile,
 )
-from .cylinder import CylinderField, norm_exp  # noqa: F401
+from .cylinder import BandField, UniformGrid, norm_exp  # noqa: F401
 from .catenoid import (  # noqa: F401
     CatenoidPiece,
     apply_Lcal,

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cylinder import (
-    CylinderField,
+    BandField,
     GridError,
+    UniformGrid,
     axial_collocation,
     homogeneous_pair,
     norm_exp,
@@ -149,13 +150,13 @@ def _check_profile_covers(profile: ProfileTable, s: np.ndarray):
         )
 
 
-def apply_Lcal(w: CylinderField, profile: ProfileTable) -> CylinderField:
+def apply_Lcal(w: BandField, profile: ProfileTable) -> BandField:
     """Apply the conjugated cylinder operator row by row (2nd order)."""
     if profile.n != w.spectrum.n:
         raise GridError("profile dimension does not match the field spectrum")
-    _check_profile_covers(profile, w.s)
-    data = grid_profile(profile.n, w.s)
-    h = w.step
+    _check_profile_covers(profile, w.grid.s)
+    data = grid_profile(profile.n, w.grid.s)
+    h = w.grid.step
     spec = w.spectrum
     c2 = ((spec.n - 2) / 2.0) ** 2
     from .cylinder import row_bands
@@ -169,21 +170,15 @@ def apply_Lcal(w: CylinderField, profile: ProfileTable) -> CylinderField:
     d2[:, -1] = (2 * v[:, -1] - 5 * v[:, -2] + 4 * v[:, -3] - v[:, -4]) / h**2
     for i, ell in enumerate(bands):
         out[i] = d2[i] + (-(spec.lam[ell] + c2) + data["pot"]) * v[i]
-    return CylinderField(spec, w.s, out, w.pole)
+    return BandField(spec, w.grid, out, w.pole)
 
 
-def solve_GS(
-    f: CylinderField,
-    S: float,
-    delta: float,
-    profile: ProfileTable,
-    alpha: float = 0.5,
-) -> CylinderField:
+def solve_GS(f: BandField, S: float, delta: float, profile: ProfileTable) -> BandField:
     """Right inverse of the cylinder operator with high-mode zero trace.
 
     Bands l >= 2: Dirichlet 0 at the cut, decaying Robin at the far
     truncation.  Bands l <= 1: double-decaying kernel; no trace may be
-    imposed.  The measured norm ratio is stored in info['bound_ratio'].
+    imposed.
     """
     spec = f.spectrum
     n = spec.n
@@ -191,10 +186,11 @@ def solve_GS(
         raise PreconditionError(
             f"delta={delta} outside the admissible interval (-(n+2)/2, -n/2)"
         )
-    if abs(f.S - S) > 1e-9:
-        raise GridError(f"field starts at s={f.S}, not at the requested S={S}")
-    data = grid_profile(n, f.s)
-    h = f.step
+    grid = f.grid
+    if abs(grid.S - S) > 1e-9:
+        raise GridError(f"field starts at s={grid.S}, not at the requested S={S}")
+    data = grid_profile(n, grid.s)
+    h = grid.step
     c2 = ((n - 2) / 2.0) ** 2
     from .cylinder import row_bands
 
@@ -205,12 +201,8 @@ def solve_GS(
             vpot = -(spec.lam[ell] + c2) + data["pot"]
             out[i] = solve_band_dirichlet_robin(vpot, h, f.values[i], 0.0, spec.gamma[ell])
         else:
-            out[i] = solve_band_decaying_kernel(band_pair(n, f.s, ell), h, f.values[i])
-    w = CylinderField(spec, f.s, out, f.pole)
-    nf = norm_exp(f, 0, alpha, delta)
-    if nf > 0:
-        w.info["bound_ratio"] = norm_exp(w, 2, alpha, delta) / nf
-    return w
+            out[i] = solve_band_decaying_kernel(band_pair(n, grid.s, ell), h, f.values[i])
+    return BandField(spec, grid, out, f.pole)
 
 
 def solve_PS(
@@ -221,9 +213,8 @@ def solve_PS(
     s_grid: np.ndarray | None = None,
     span: float = 15.0,
     step: float = 5e-3,
-    alpha: float = 0.5,
     _zero_potential: bool = False,
-) -> CylinderField:
+) -> BandField:
     """Decaying solution with prescribed high-mode trace at the cut.
 
     Built as the explicit flat decaying extension w0 of the trace data plus
@@ -239,20 +230,16 @@ def solve_PS(
     if s_grid is None:
         m = int(round(span / step))
         s_grid = S + step * np.arange(m + 1)
-    w0 = CylinderField.zeros(spec, s_grid, pole=g_II.pole)
-    decay = np.exp(-np.outer(spec.gamma[2:], s_grid - S))
+    grid = UniformGrid(s_grid)
+    w0 = BandField.zeros(spec, grid, pole=g_II.pole)
+    decay = np.exp(-np.outer(spec.gamma[2:], grid.s - S))
     w0.values[n + 1 :] = g_II.zonal[:, None] * decay
     if _zero_potential:
         return w0
-    data = grid_profile(n, s_grid)
+    data = grid_profile(n, grid.s)
     rhs = w0.copy()
     rhs.values = -data["pot"][None, :] * w0.values
-    w1 = solve_GS(rhs, S, delta, profile, alpha=alpha)
-    w = w0 + w1
-    ref = np.exp(-delta * S) * g_II.holder_norm()
-    if ref > 0:
-        w.info["bound_ratio"] = norm_exp(w, 2, alpha, delta) / ref
-    return w
+    return w0 + solve_GS(rhs, S, delta, profile)
 
 
 # -- nonlinear catenoid piece ----------------------------------------------------
@@ -269,7 +256,7 @@ class CatenoidPiece:
     """Converged perturbed catenoid with its cut-ring Cauchy data."""
 
     scales: Scales
-    w: CylinderField
+    w: BandField
     h_II: SphereField
     residual: float  # oracle sup |H| at unit neck scale
     residual_ambient: float
@@ -317,7 +304,7 @@ class _NeckGeometry:
         G = self.psi[:, None] + w_hat_vals * self.alpha_vert[:, None]
         return np.stack([F * g.t[None, :], F * g.sinb[None, :], G])
 
-    def conjugated_mc(self, w: CylinderField, order: int = 2, defect_span: float = 6.0) -> np.ndarray:
+    def conjugated_mc(self, w: BandField, order: int = 2, defect_span: float = 6.0) -> np.ndarray:
         """Collocation values of the conjugated mean-curvature functional.
 
         Sign fixed so the linearization at w = 0 is the cylinder operator.
@@ -397,7 +384,7 @@ def build_catenoid_piece(
     defect_span = min(6.0, 0.45 * span)
     mask = (s_grid <= s_eps + defect_span).astype(float)
 
-    def update(v: CylinderField) -> CylinderField:
+    def update(v: BandField) -> BandField:
         w = wt + v
         lcal_w = apply_Lcal(w, profile)
         mc = geo.conjugated_mc(w, defect_span=defect_span)
@@ -417,7 +404,7 @@ def build_catenoid_piece(
 
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
     v, it, contractions = picard(
-        update, CylinderField.zeros(spec, s_grid, pole=h_II.pole), 1e-7, floor, max_iter,
+        update, BandField.zeros(spec, wt.grid, pole=h_II.pole), 1e-7, floor, max_iter,
         stage=f"catenoid (eps={eps:.3e})",
     )
     w = wt + v
@@ -461,20 +448,20 @@ def build_catenoid_piece(
     return piece
 
 
-def _restrict(w: CylinderField, s_top: float) -> CylinderField:
-    keep = w.s <= s_top + 1e-12
-    return CylinderField(w.spectrum, w.s[keep], w.values[:, keep], w.pole)
+def _restrict(w: BandField, s_top: float) -> BandField:
+    keep = w.grid.s <= s_top + 1e-12
+    return BandField(w.spectrum, UniformGrid(w.grid.s[keep]), w.values[:, keep], w.pole)
 
 
 def _oracle_residual(n, spec, grid, scales, w) -> float:
     from scipy.interpolate import CubicSpline
 
-    s = w.s
-    h = w.step
+    s = w.grid.s
+    h = w.grid.step
     s_fine = (s[0] + 0.37 * h) + (h / 2.0) * np.arange(2 * (s.size - 4))
     s_fine = s_fine[s_fine <= s[-1] - 2 * h]
     rows_fine = CubicSpline(s, w.values, axis=1)(s_fine)
-    wf = CylinderField(spec, s_fine, rows_fine, w.pole)
+    wf = BandField(spec, UniformGrid(s_fine), rows_fine, w.pole)
     geo_f = _NeckGeometry(n, s_fine, grid, scales.eps_len)
     w_hat = axial_collocation(wf, grid) / scales.eps_len
     P = geo_f.surface_points(w_hat)
@@ -483,12 +470,12 @@ def _oracle_residual(n, spec, grid, scales, w) -> float:
     return float(np.max(np.abs(H[interior])))
 
 
-def _catenoid_cauchy(geo: _NeckGeometry, scales: Scales, w: CylinderField):
+def _catenoid_cauchy(geo: _NeckGeometry, scales: Scales, w: BandField):
     n = geo.n
     value = w.trace(0) * float(geo.conj[0])
     conj_w = w.copy()
     conj_w.values = geo.conj[None, :] * w.values
-    slope_rows = conj_w.dds_trace(0)
+    slope_rows = conj_w.d_trace(0)
     pref = geo.phi[0] / geo.dphi[0]  # phi'(s_eps) < 0 on the lower branch
     slope = slope_rows * pref
     slope.low[0] += pref * scales.eps_len * geo.dpsi[0]

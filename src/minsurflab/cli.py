@@ -11,7 +11,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +161,7 @@ def cmd_catenoid_piece(cfg: RunConfig, out: Path) -> int:
         prof, cfg.eps, h, cfg.kappa, cfg.tol_solver, delta=cfg.delta, step=cfg.piece_step
     )
     cauchy_maps_catenoid(piece)
-    _export_cylinder(piece.w, out / "catenoid_piece.csv")
+    _export_rows("s", piece.w.grid.s, piece.w.values, out / "catenoid_piece.csv")
     dump_json(
         {
             "eps": sc.eps, "s_eps": sc.s_eps, "r_eps": sc.r_eps,
@@ -177,22 +177,13 @@ def cmd_catenoid_piece(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _export_cylinder(w, path: Path):
-    rows = ["s," + ",".join(f"row{i}" for i in range(w.values.shape[0]))]
-    for j in range(w.s.size):
+def _export_rows(name: str, x: np.ndarray, values: np.ndarray, path: Path):
+    """CSV of band rows: one line per node x[j], full-precision floats."""
+    rows = [f"{name}," + ",".join(f"row{i}" for i in range(values.shape[0]))]
+    for j in range(x.size):
         rows.append(
-            format(w.s[j], ".17g") + ","
-            + ",".join(format(v, ".17g") for v in w.values[:, j])
-        )
-    path.write_text("\n".join(rows) + "\n")
-
-
-def _export_radial(f, path: Path):
-    rows = ["r," + ",".join(f"row{i}" for i in range(f.values.shape[0]))]
-    for j in range(f.grid.m):
-        rows.append(
-            format(f.grid.r[j], ".17g") + ","
-            + ",".join(format(v, ".17g") for v in f.values[:, j])
+            format(x[j], ".17g") + ","
+            + ",".join(format(v, ".17g") for v in values[:, j])
         )
     path.write_text("\n".join(rows) + "\n")
 
@@ -213,7 +204,7 @@ def cmd_neck(cfg: RunConfig, out: Path) -> int:
     h0 = SphereField.zeros(spec)
     piece = build_neck_piece(patch, sc, A, h0, h2, cfg.tol_solver, nu=cfg.nu, kappa=cfg.kappa)
     cauchy_T(piece)
-    _export_radial(piece.V, out / "neck_piece.csv")
+    _export_rows("r", piece.V.grid.r, piece.V.values, out / "neck_piece.csv")
     dump_json(
         {
             "eps": sc.eps, "r_eps": sc.r_eps, "r0": r0,
@@ -239,7 +230,8 @@ def cmd_glue(cfg: RunConfig, out: Path) -> int:
 
     surf = _seed_surface(cfg)
     glued = glue_end(
-        surf, cfg.eps, kappa=cfg.kappa, tol_piece=cfg.tol_solver, tol_match=cfg.tol_match
+        surf, cfg.eps, kappa=cfg.kappa, tol_piece=cfg.tol_solver, tol_match=cfg.tol_match,
+        delta=cfg.delta,
     )
     cert = glued.certificates["embeddedness"]
     dump_json(
@@ -261,12 +253,17 @@ def cmd_glue(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_tower(cfg: RunConfig, out: Path) -> int:
-    from .gluing import stack_tower
+    from .gluing import GlueError, stack_tower
 
     surf = _seed_surface(cfg)
-    glued, report = stack_tower(
-        cfg.K, surf, schedule=cfg.eps_schedule, kappa=cfg.kappa, tol_piece=cfg.tol_solver
-    )
+    try:
+        glued, report = stack_tower(
+            cfg.K, surf, schedule=cfg.eps_schedule, kappa=cfg.kappa, tol_piece=cfg.tol_solver
+        )
+    except GlueError as exc:
+        if exc.report is not None:
+            dump_json(exc.report.to_dict(), out / "tower_report.json")
+        raise
     dump_json(report.to_dict(), out / "tower_report.json")
     if any(not c.get("embedded", False) for c in report.certificates):
         return EXIT_CERTIFICATE
@@ -278,7 +275,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     from .verify import mc_residual, second_fund
 
     surf = _seed_surface(cfg)
-    glued = glue_end(surf, cfg.eps, kappa=cfg.kappa, tol_piece=cfg.tol_solver)
+    glued = glue_end(surf, cfg.eps, kappa=cfg.kappa, tol_piece=cfg.tol_solver, delta=cfg.delta)
     res = mc_residual(glued)
     prof2 = second_fund(glued)
     report = {

@@ -1,9 +1,11 @@
-"""Band-coefficient fields on the half-cylinder and their weighted norms.
+"""Band-coefficient fields on 1-D grids and their weighted norms.
 
-A CylinderField stores one real value per coefficient row and s-node.  Rows
+A BandField stores one real value per coefficient row and grid node.  Rows
 follow the SphereField layout: row 0 is the constant band, rows 1..n the n
-components of the linear band, rows n+1..n+L-1 the zonal bands 2..L.  All
-band solvers act row by row since the cylinder operators are band-diagonal.
+components of the linear band, rows n+1..n+L-1 the zonal bands 2..L.  The
+grid is a UniformGrid in s on the half-cylinder or a RadialGrid in log r on
+an annulus; all band solvers act row by row since the operators on both are
+band-diagonal.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import BandSpectrum, SphereField, SpectralError, ZonalGrid
+from .spectral import BandSpectrum, SphereField, ZonalGrid
 
 
 class GridError(ValueError):
@@ -25,29 +27,46 @@ def row_bands(spectrum: BandSpectrum) -> np.ndarray:
     return np.concatenate([[0], np.full(n, 1), np.arange(2, L + 1)])
 
 
+class UniformGrid:
+    """Uniform s-grid [S, S_max] of the half-cylinder."""
+
+    def __init__(self, s: np.ndarray):
+        s = np.asarray(s, dtype=float)
+        steps = np.diff(s)
+        if s.size < 4 or np.any(steps <= 0):
+            raise GridError("s-grid must be increasing with at least 4 nodes")
+        if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-14):
+            raise GridError("s-grid must be uniform")
+        self.s = s
+        self.nodes = s
+        self.m = s.size
+        self.step = float(s[1] - s[0])
+        self.S = float(s[0])
+
+    def d_rows(self, values: np.ndarray, index: int) -> np.ndarray:
+        """d/ds of the rows at a node by the forward one-sided 2nd-order
+        stencil, which needs the two nodes above it."""
+        if not 0 <= index <= self.m - 3:
+            raise GridError(f"no forward stencil at node {index} of {self.m}")
+        v = values[:, index : index + 3]
+        return (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2 * self.step)
+
+
 @dataclass
-class CylinderField:
-    """Function on [S, S_max] x S^{n-1} as band rows over a uniform s-grid."""
+class BandField:
+    """Band rows over a grid that provides m, nodes and d_rows."""
 
     spectrum: BandSpectrum
-    s: np.ndarray
+    grid: object
     values: np.ndarray
     pole: np.ndarray = None
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         rows = self.spectrum.row_count()
-        if self.values.shape != (rows, self.s.size):
-            raise GridError(
-                f"values shape {self.values.shape} != ({rows}, {self.s.size})"
-            )
-        steps = np.diff(self.s)
-        if self.s.size < 4 or np.any(steps <= 0):
-            raise GridError("s-grid must be increasing with at least 4 nodes")
-        if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-14):
-            raise GridError("s-grid must be uniform")
+        if self.values.shape != (rows, self.grid.m):
+            raise GridError(f"values shape {self.values.shape} != ({rows}, {self.grid.m})")
         if self.pole is None:
             pole = np.zeros(self.spectrum.n)
             pole[0] = 1.0
@@ -56,77 +75,52 @@ class CylinderField:
             self.pole = np.asarray(self.pole, dtype=float)
 
     @classmethod
-    def zeros(cls, spectrum: BandSpectrum, s: np.ndarray, pole=None) -> "CylinderField":
-        s = np.asarray(s, dtype=float)
-        return cls(spectrum, s, np.zeros((spectrum.row_count(), s.size)), pole=pole)
+    def zeros(cls, spectrum: BandSpectrum, grid, pole=None) -> "BandField":
+        return cls(spectrum, grid, np.zeros((spectrum.row_count(), grid.m)), pole=pole)
 
-    @property
-    def step(self) -> float:
-        return float(self.s[1] - self.s[0])
+    def copy(self) -> "BandField":
+        return BandField(self.spectrum, self.grid, self.values.copy(), self.pole.copy())
 
-    @property
-    def S(self) -> float:
-        return float(self.s[0])
-
-    def copy(self) -> "CylinderField":
-        return CylinderField(self.spectrum, self.s, self.values.copy(), self.pole.copy())
-
-    def _check(self, other: "CylinderField"):
+    def _check(self, other: "BandField"):
         if self.spectrum is not other.spectrum and (
             self.spectrum.n != other.spectrum.n or self.spectrum.L != other.spectrum.L
         ):
-            raise GridError("cylinder fields live on different spectra")
-        if self.s.size != other.s.size or not np.allclose(self.s, other.s, atol=1e-12):
-            raise GridError("cylinder fields live on different s-grids")
+            raise GridError("band fields live on different spectra")
+        g, h = self.grid, other.grid
+        if g is not h and (g.m != h.m or not np.allclose(g.nodes, h.nodes, atol=1e-12)):
+            raise GridError("band fields live on different grids")
 
-    def __add__(self, other):
+    def __add__(self, other: "BandField") -> "BandField":
         self._check(other)
-        return CylinderField(self.spectrum, self.s, self.values + other.values, self.pole)
+        return BandField(self.spectrum, self.grid, self.values + other.values, self.pole)
 
-    def __sub__(self, other):
+    def __sub__(self, other: "BandField") -> "BandField":
         self._check(other)
-        return CylinderField(self.spectrum, self.s, self.values - other.values, self.pole)
+        return BandField(self.spectrum, self.grid, self.values - other.values, self.pole)
 
-    def __mul__(self, a: float):
-        return CylinderField(self.spectrum, self.s, a * self.values, self.pole)
+    def __mul__(self, a: float) -> "BandField":
+        return BandField(self.spectrum, self.grid, a * self.values, self.pole)
 
     __rmul__ = __mul__
 
+    def _sphere(self, col: np.ndarray) -> SphereField:
+        n = self.spectrum.n
+        return SphereField(self.spectrum, col[: n + 1].copy(), col[n + 1 :].copy(), self.pole)
+
     def trace(self, index: int = 0) -> SphereField:
         """SphereField of the coefficient column at node `index`."""
-        col = self.values[:, index]
-        n = self.spectrum.n
-        return SphereField(self.spectrum, col[: n + 1].copy(), col[n + 1 :].copy(), self.pole)
+        return self._sphere(self.values[:, index])
 
-    def dds_trace(self, index: int = 0) -> SphereField:
-        """One-sided 2nd-order d/ds of the coefficient rows at an end node."""
-        h = self.step
-        v = self.values
-        if index == 0:
-            col = (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2 * h)
-        elif index in (-1, self.s.size - 1):
-            col = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2 * h)
-        else:
-            col = (v[:, index + 1] - v[:, index - 1]) / (2 * h)
-        n = self.spectrum.n
-        return SphereField(self.spectrum, col[: n + 1].copy(), col[n + 1 :].copy(), self.pole)
-
-    def project_low(self) -> "CylinderField":
-        out = self.copy()
-        out.values[self.spectrum.n + 1 :, :] = 0.0
-        return out
-
-    def project_high(self) -> "CylinderField":
-        out = self.copy()
-        out.values[: self.spectrum.n + 1, :] = 0.0
-        return out
+    def d_trace(self, index: int = 0) -> SphereField:
+        """SphereField of the grid derivative of the rows at node `index`
+        (d/ds on a UniformGrid, r d/dr = d/d rho on a RadialGrid)."""
+        return self._sphere(self.grid.d_rows(self.values, index))
 
 
 def axial_collocation(f, grid: ZonalGrid) -> np.ndarray:
     """Point values of the zonal plus axial-linear content of band rows.
 
-    f is any field with band rows over its first coordinate (a CylinderField
-    or a RadialField); returns values on (node, beta).
+    f is any BandField; returns values on (node, beta).
     """
     n = f.spectrum.n
     rows = f.values
@@ -148,7 +142,7 @@ def rows_from_collocation(vals: np.ndarray, pole: np.ndarray, grid: ZonalGrid) -
     return rows
 
 
-def norm_exp(w: CylinderField, k: int, alpha: float, delta: float, S: float | None = None) -> float:
+def norm_exp(w: BandField, k: int, alpha: float, delta: float, S: float | None = None) -> float:
     """Discrete surrogate of the exponentially weighted Hoelder norm.
 
     Supremum over unit s-windows of e^{-delta s} times the sum of maxima of
@@ -169,8 +163,8 @@ def norm_exp(w: CylinderField, k: int, alpha: float, delta: float, S: float | No
         raise ValueError("k must be 0, 1, or 2")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    s = w.s
-    h = w.step
+    s = w.grid.s
+    h = w.grid.step
     if S is None:
         S = float(s[0])
     vals = w.values

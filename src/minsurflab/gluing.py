@@ -11,7 +11,6 @@ mismatch drives the true mismatch to the matching tolerance.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,6 @@ from .catenoid import (
     CatenoidPiece,
     PreconditionError,
     build_catenoid_piece,
-    cauchy_maps_catenoid,
     default_delta,
     grid_profile,
     simple_cauchy_catenoid,
@@ -50,11 +48,14 @@ from .outer import (
 from .profile import ProfileTable, Scales, compute_scales, profile_values
 from .spectral import BandSpectrum, SphereField, project_high, project_low
 
-log = logging.getLogger(__name__)
-
 
 class GlueError(RuntimeError):
-    """A glue failed; the message carries the failing stage."""
+    """A glue failed; the message carries the failing stage.  A failed
+    tower attaches its partial TowerReport as `report`."""
+
+    def __init__(self, message: str, report: "TowerReport | None" = None):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass
@@ -107,7 +108,6 @@ class GlueContext:
     tol_piece: float = 5e-3
     delta: float | None = None
     nu: float | None = None
-    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.delta is None:
@@ -203,7 +203,7 @@ class SimpleMaps:
             h = _unit_band_field(spec, ell)
             w0 = site_exterior_solve(ctx.surface, h)
             wt0 = interior_ball_solve(ctx.surface, h)
-            resp = w0.r_dr_trace(0) - wt0.r_dr_trace(-1)
+            resp = w0.d_trace(0) - wt0.d_trace(-1)
             mult[ell] = _band_coefficient(resp, ell)
         self.u0_mult = mult
 
@@ -268,38 +268,6 @@ def _band_coefficient(f: SphereField, ell: int) -> float:
     return float(f.zonal[ell - 2])
 
 
-def certify_eps0(ctx: GlueContext, maps: SimpleMaps, n_samples: int = 2) -> dict:
-    """Measured ball-mapping certificate on a shell of the working ball."""
-    sc = ctx.scales
-    spec = ctx.spectrum
-    b = ctx.kappa * sc.r_eps**2
-    worst = 0.0
-    rng = np.random.default_rng(11)
-    for k in range(n_samples):
-        t = BoundaryTriple.zeros(spec)
-        if k % 2 == 0:
-            t.h_II = SphereField.zonal_band(spec, 2, 1.0)
-            t.h_II = t.h_II * (0.5 * b / t.h_II.holder_norm())
-            t.A = RigidParams(np.zeros(spec.n), np.zeros(spec.n), 0.25 * b, 0.0)
-            t.h_I = SphereField.constant(spec, 0.25 * b)
-        else:
-            t.h_I = SphereField.linear(spec, 0.3 * b * rng.standard_normal(spec.n) / np.sqrt(spec.n))
-            t.h_II = SphereField.zonal_band(spec, 3, 1.0)
-            t.h_II = t.h_II * (0.3 * b / t.h_II.holder_norm())
-            t.A = RigidParams(
-                np.zeros(spec.n), np.zeros(spec.n), 0.0,
-                0.3 * b * sc.r_eps ** (spec.n - 2),
-            )
-        scale = t.norm(sc)
-        t = t.combine(t, b / scale, 0.0)
-        c_eps = conglomerate_C(t, ctx)
-        c_0 = maps.C0(t)
-        image = maps.invert(_project_model_range(c_0, c_eps))
-        worst = max(worst, image.norm(sc) / sc.r_eps**2)
-    certified = worst <= ctx.kappa
-    return {"kappa0_measured": worst, "kappa": ctx.kappa, "certified": certified}
-
-
 def _project_model_range(c_0, c_eps):
     """Difference C0 - C_eps with the middle value slot's high modes dropped
     (they cancel identically in exact matching; discretization crumbs are
@@ -331,7 +299,6 @@ def fixed_point_glue(
     tol_match: float | None = None,
     max_iter: int = 30,
     theta: float = 1.0,
-    certify: bool = False,
 ) -> tuple:
     """Damped Picard iteration on the model-preconditioned mismatch.
 
@@ -343,13 +310,6 @@ def fixed_point_glue(
     if tol_match is None:
         tol_match = 1e-8 * sc.r_eps ** (2 - spec.n)
     maps = SimpleMaps(ctx)
-    if certify:
-        cert = certify_eps0(ctx, maps)
-        ctx.info["ball_certificate"] = cert
-        if not cert["certified"]:
-            raise GlueError(
-                f"ball certificate failed: kappa0 = {cert['kappa0_measured']:.3f} > kappa"
-            )
     t = BoundaryTriple.zeros(spec, pole=ctx.patch.u.pole)
     history = []
     ball = ctx.kappa * sc.r_eps**2
@@ -478,6 +438,7 @@ def glue_end(
         delta = default_delta(surface.spectrum.n)
     nondegeneracy_check(surface, delta, m=400)
     ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece)
+    ctx.delta = delta  # the catenoid piece solves at the checked weight
     t, glued = fixed_point_glue(ctx, tol_match=tol_match)
     if prev is not None:
         glued.eps_history = prev.eps_history + glued.eps_history
@@ -506,10 +467,10 @@ def _new_end_tilt(glued: GluedSurface) -> float:
     cat = glued.catenoid_piece
     n = cat.scales.n
     w = cat.w
-    data = grid_profile(n, w.s)
+    data = grid_profile(n, w.grid.s)
     phi, dphi = data["phi"], data["dphi"]
     conj = phi ** ((2 - n) / 2.0)
-    far = w.s >= w.s[0] + 6.0
+    far = w.grid.s >= w.grid.s[0] + 6.0
     b1 = np.abs(w.values[1 : 1 + n][:, far]).sum(axis=0)
     slope = b1 * conj[far] * np.abs(dphi[far]) / phi[far] / (cat.scales.eps_len * phi[far])
     return float(np.max(slope)) if np.any(far) else 0.0
@@ -580,7 +541,6 @@ def stack_tower(
 ) -> tuple:
     """Stack K glues on the seed; returns (GluedSurface | seed, TowerReport)."""
     from .catenoid import recorded_eps0
-    from .verify import second_fund
 
     if K < 1:
         raise PreconditionError("K must be >= 1")
@@ -607,9 +567,9 @@ def stack_tower(
                 surface, eps, kappa=kappa, tol_piece=tol_piece,
                 eps0_certified=eps0, prev=glued,
             )
-        except Exception as exc:  # partial report on failure
+        except Exception as exc:  # the partial report rides on the error
             report = _tower_report(surface, glued, levels, certificates, partial=str(exc))
-            raise GlueError(f"tower aborted at level {k + 2}: {exc}") from exc
+            raise GlueError(f"tower aborted at level {k + 2}: {exc}", report) from exc
         surface = glued.outer
         levels.append({"k": k + 2, "eps": eps,
                        "mismatch": glued.mismatch_norm,

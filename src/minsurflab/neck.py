@@ -12,17 +12,16 @@ reference plane.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .catenoid import PreconditionError, ResidualError, contraction_median, picard, smooth_step
-from .cylinder import GridError, axial_collocation, rows_from_collocation
+from .cylinder import BandField, GridError, axial_collocation, rows_from_collocation
 from .diffops import fd_derivative
 from .geometry import OrbitSurface, graph_orbit_points, matrix_surface
 from .profile import Scales
-from .radial import BandOperator, RadialField, RadialGrid, solve_mixed, weighted_norm
+from .radial import BandOperator, RadialGrid, solve_mixed, weighted_norm
 from .spectral import (
     SphereField,
     ZonalGrid,
@@ -31,8 +30,6 @@ from .spectral import (
     project_low,
     sphere_area,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -47,7 +44,7 @@ class GraphPatch:
     n: int
     r0: float
     grid: RadialGrid
-    u: RadialField
+    u: BandField
     kind: str = "ball"  # or "annulus"
     grad0: float = 0.0
     c2_norm: float = 0.0
@@ -78,7 +75,7 @@ class GraphPatch:
     def resample(self, grid: RadialGrid) -> "GraphPatch":
         # flat continuation below the stored inner truncation
         P = self.grid.interp_matrix(np.clip(grid.r, self.grid.r_in, self.grid.r_out))
-        u = RadialField(self.spectrum, grid, self.u.values @ P.T, self.u.pole)
+        u = BandField(self.spectrum, grid, self.u.values @ P.T, self.u.pole)
         return GraphPatch(
             self.n, self.r0, grid, u, self.kind, self.grad0,
             self.c2_norm, self.eta0, self.frame_center.copy(),
@@ -90,7 +87,7 @@ def flat_patch(spectrum, r0: float, m: int = 160, r_in: float | None = None, kin
     if r_in is None:
         r_in = 1e-3 * r0
     grid = RadialGrid(r_in, r0, m)
-    return GraphPatch(spectrum.n, r0, grid, RadialField.zeros(spectrum, grid), kind=kind)
+    return GraphPatch(spectrum.n, r0, grid, BandField.zeros(spectrum, grid), kind=kind)
 
 
 @dataclass
@@ -154,7 +151,7 @@ def angular_grid(spectrum) -> ZonalGrid:
     return _ANGULAR[key]
 
 
-def mean_curvature_graph(patch: GraphPatch, w: RadialField | None = None, oracle: bool = False):
+def mean_curvature_graph(patch: GraphPatch, w: BandField | None = None, oracle: bool = False):
     """Mean curvature values of the patch graph (plus optional extra height).
 
     Returns collocation values on the (rho, beta) grid.  With oracle=True
@@ -183,7 +180,7 @@ def mean_curvature_graph(patch: GraphPatch, w: RadialField | None = None, oracle
     return surf.mean_curvature(patch.n)
 
 
-def linearized_graph_op(patch: GraphPatch, w: RadialField) -> RadialField:
+def linearized_graph_op(patch: GraphPatch, w: BandField) -> BandField:
     """Band-diagonal linearization about the radialized background."""
     if w.grid is not patch.grid and not np.allclose(w.grid.rho, patch.grid.rho):
         raise GridError("field grid does not match the patch grid")
@@ -269,7 +266,7 @@ def green_function(patch: GraphPatch, rho_in: float, m: int | None = None) -> Gr
 
 def rigid_deviation_rows(
     patch: GraphPatch, scales: Scales, A: RigidParams, green: GreenTable
-) -> RadialField:
+) -> BandField:
     """Band rows of the neck-opening deviation w_{eps, A} over the patch.
 
     Closed-form family: Green's term with coefficient (eps + e)/(n - 2)
@@ -281,7 +278,7 @@ def rigid_deviation_rows(
     n = patch.n
     spec = patch.spectrum
     grid = patch.grid
-    out = RadialField.zeros(spec, grid, pole=patch.u.pole)
+    out = BandField.zeros(spec, grid, pole=patch.u.pole)
     coef = (scales.eps + A.e) / (n - 2)
     gam = green.at(grid.r)
     dgam = green.deriv_at(grid.r)
@@ -356,8 +353,8 @@ def default_nu(n: int) -> float:
 
 
 def solve_annulus_mixed(
-    patch: GraphPatch, f: RadialField, r: float, nu: float, alpha: float = 0.5
-) -> RadialField:
+    patch: GraphPatch, f: BandField, r: float, nu: float, alpha: float = 0.5
+) -> BandField:
     """Mixed two-point solve on the annulus [r, r0] about the patch graph.
 
     High bands take zero Dirichlet data at the inner ring, low bands the
@@ -377,7 +374,7 @@ def solve_annulus_mixed(
         base = patch.resample(grid)
         if f.grid is not grid:
             Pmat = f.grid.interp_matrix(np.clip(grid.r, f.grid.r_in, f.grid.r_out))
-            f = RadialField(f.spectrum, grid, f.values @ Pmat.T, f.pole)
+            f = BandField(f.spectrum, grid, f.values @ Pmat.T, f.pole)
     op = graph_operator(base)
     w = solve_mixed(op, f, inner=None, outer=None)
     nf = weighted_norm(f, 0, alpha, nu - 2)
@@ -394,7 +391,7 @@ def poisson_neck(
     nu: float | None = None,
     cutoff: bool = True,
     kappa: float = 1.0,
-) -> RadialField:
+) -> BandField:
     """High-mode Poisson operator at the inner ring of the opened neck.
 
     w0 carries each band along its flat-harmonic power law, cut off away
@@ -412,7 +409,7 @@ def poisson_neck(
         raise PreconditionError("|h_II| exceeds kappa r_eps^2")
     grid = patch.grid
     r_eps = grid.r_in
-    w0 = RadialField.zeros(spec, grid, pole=h_II.pole)
+    w0 = BandField.zeros(spec, grid, pole=h_II.pole)
     lam_arg = (2 * patch.r0 - 8 * grid.r) / patch.r0
     ramp = smooth_step(lam_arg) if cutoff else np.ones(grid.m)
     for k in range(2, spec.L + 1):
@@ -425,7 +422,7 @@ def poisson_neck(
     corr = solve_mixed(op, defect, inner=None, outer=None)
     w = w0 - corr
     # slope-trace defect of the flat model (Prop-7.2 shape)
-    slope = w.r_dr_trace(0)
+    slope = w.d_trace(0)
     model = apply_Dtheta(h_II) * (-1.0) - (n - 2.0) * h_II
     defect_trace = project_high(slope) - model
     w.info["trace_defect"] = defect_trace.holder_norm()
@@ -447,7 +444,7 @@ class NeckPiece:
     rigid: RigidParams
     h_I: SphereField
     h_II: SphereField
-    V: RadialField  # total height over the reference plane (unshifted)
+    V: BandField  # total height over the reference plane (unshifted)
     residual: float
     residual_rel: float
     cauchy_inner: tuple  # ring-frame (value, r_eps d_r) SphereField pair
@@ -510,30 +507,30 @@ def build_neck_piece(
     # inner ring exactly.  The outer piece receives the same ring data, so
     # the 0th-order interface match still holds by construction.
     outer_data = h_I + rigid_ring_data(A, patch.r0, h_II.spectrum, h_II.pole) - dev.trace(-1)
-    w_h = solve_mixed(op, RadialField.zeros(spec, grid, pole=h_II.pole), inner=None, outer=outer_data)
+    w_h = solve_mixed(op, BandField.zeros(spec, grid, pole=h_II.pole), inner=None, outer=outer_data)
 
     # mean curvature of the backdrop graph
     H_base_vals = mean_curvature_graph(back_patch)
-    H_base = RadialField(spec, grid, rows_from_collocation(H_base_vals, backdrop.pole, g), h_II.pole)
+    H_base = BandField(spec, grid, rows_from_collocation(H_base_vals, backdrop.pole, g), h_II.pole)
     gamma_H = solve_mixed(op, H_base, inner=None, outer=None)
 
     inner_gap = project_high(h_II - (backdrop + w_h).trace(0))
     w_pi = poisson_neck(back_patch, scales, A, inner_gap, nu=nu, kappa=10 * kappa + 1e3)
     wt = w_h + w_pi - gamma_H
 
-    def update(v: RadialField) -> RadialField:
+    def update(v: BandField) -> BandField:
         w = wt + v
         H_vals = mean_curvature_graph(back_patch, w=w)
         q_vals = rows_from_collocation(H_vals - H_base_vals, w.pole, g)
         lam_w = op.apply(w)
-        qbar = RadialField(spec, grid, lam_w.values - q_vals, h_II.pole)
+        qbar = BandField(spec, grid, lam_w.values - q_vals, h_II.pole)
         qbar.values[:, 0] = 0.0
         qbar.values[:, -1] = 0.0
         return solve_mixed(op, qbar, inner=None, outer=None)
 
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
     v, it, contractions = picard(
-        update, RadialField.zeros(spec, grid, pole=h_II.pole), 1e-8, floor, max_iter,
+        update, BandField.zeros(spec, grid, pole=h_II.pole), 1e-8, floor, max_iter,
         stage=f"neck (eps={scales.eps:.3e})",
     )
 
@@ -559,9 +556,9 @@ def build_neck_piece(
     shift = scales.eps * scales.r_eps ** (2 - n) / (n - 2)
     inner_val = V.trace(0)
     inner_val.low[0] -= shift
-    inner_slope = V.r_dr_trace(0)
+    inner_slope = V.d_trace(0)
     outer_val = V.trace(-1)
-    outer_slope = (V - base.u).r_dr_trace(-1)
+    outer_slope = (V - base.u).d_trace(-1)
 
     piece = NeckPiece(
         scales=scales,

@@ -12,7 +12,6 @@ bookkeeping and the nondegeneracy check.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,14 +26,12 @@ from .catenoid import (
     picard,
     smooth_step,
 )
-from .cylinder import CylinderField, GridError, axial_collocation, row_bands, rows_from_collocation
+from .cylinder import BandField, UniformGrid, axial_collocation, row_bands, rows_from_collocation
 from .geometry import graph_orbit_points, matrix_surface
 from .neck import GraphPatch, NeckPiece, angular_grid
 from .profile import ProfileTable, Scales, profile_values
-from .radial import BandOperator, RadialField, RadialGrid
+from .radial import BandOperator, RadialGrid
 from .spectral import BandSpectrum, SphereField
-
-log = logging.getLogger(__name__)
 
 
 def psi_infinity(profile: ProfileTable) -> float:
@@ -78,7 +75,7 @@ class EndModel:
 
     a: float  # end scale (neck units of its generating catenoid)
     S0: float  # start parameter of the end chart
-    w: CylinderField | None  # decaying perturbation rows (may be None)
+    w: BandField | None  # decaying perturbation rows (may be None)
     orientation: int  # +1 opens upward, -1 downward
     axis_center: np.ndarray  # ambient (n+1,) point on the end's axis
     plane_height: float  # ambient height of the asymptotic plane
@@ -101,10 +98,9 @@ class EndModel:
         h = self.a * (sp["psi_inf"] - psi)
         g = -dpsi / dphi  # d height / d radius, sign per the upper branch
         if self.w is not None:
-            sw = np.clip(s, self.w.s[0], self.w.s[-1])
-            idx = np.minimum(
-                ((sw - self.w.s[0]) / self.w.step).astype(int), self.w.s.size - 1
-            )
+            wg = self.w.grid
+            sw = np.clip(s, wg.s[0], wg.s[-1])
+            idx = np.minimum(((sw - wg.s[0]) / wg.step).astype(int), wg.m - 1)
             conj = phi ** ((2 - n) / 2.0)
             h = h + conj * self.w.values[0][idx] * (-dphi / phi)
         return h, g
@@ -119,7 +115,7 @@ class OuterSurface:
     core_scale: float
     core_center: np.ndarray  # ambient (n+1,)
     core_span: float  # core chart covers |s| <= core_span
-    core_w: CylinderField
+    core_w: BandField
     ends: list
     frozen_charts: list = field(default_factory=list)
     deficiency: dict = field(default_factory=dict)
@@ -148,7 +144,7 @@ def seed_catenoid(
         center = np.zeros(n + 1)
     m = int(round(2 * core_span / core_step))
     s = -core_span + core_step * np.arange(m + 1)
-    core_w = CylinderField.zeros(spectrum, s)
+    core_w = BandField.zeros(spectrum, UniformGrid(s))
     psi_inf = psi_infinity(profile)
     ends = [
         EndModel(
@@ -195,7 +191,7 @@ def build_deficiency(surface: OuterSurface) -> dict:
     """
     n = surface.n
     prof = surface.profile
-    s = surface.core_w.s
+    s = surface.core_w.grid.s
     data = grid_profile(n, s)
     phi, dphi, psi, dpsi = data["phi"], data["dphi"], data["psi"], data["dpsi"]
     k_ends = len(surface.ends)
@@ -254,7 +250,7 @@ def build_deficiency(surface: OuterSurface) -> dict:
 def deficiency_field(surface: OuterSurface, j: int, coeffs: np.ndarray) -> np.ndarray:
     """Realize a band-j deficiency coefficient vector as a core profile."""
     n = surface.n
-    s = surface.core_w.s
+    s = surface.core_w.grid.s
     up, um = _homogeneous_profiles(n, j, s)
     cut_hi = smooth_step(s - (surface.core_span - 4.0))
     cut_lo = cut_hi[::-1]
@@ -357,7 +353,7 @@ def nondegeneracy_check(
 
 def solve_outer_linear(
     surface: OuterSurface,
-    f: CylinderField,
+    f: BandField,
     h_I: SphereField | None,
     delta: float,
     ring_patch: GraphPatch | None = None,
@@ -367,16 +363,16 @@ def solve_outer_linear(
     The core part is solved band-wise with strict-decay closures, the
     low-band solution augmented by the band's K1 columns (coefficients
     returned); ring data is handled by the site-exterior solve when a site
-    is active.  Returns (core CylinderField, K1 coefficient dict, site
-    RadialField or None).
+    is active.  Returns (core BandField, K1 coefficient dict, site
+    BandField or None).
     """
     n = surface.n
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
-    s = f.s
+    s = f.grid.s
     data = grid_profile(n, s)
     c2 = ((n - 2) / 2.0) ** 2
-    h = f.step
+    h = f.grid.step
     m = s.size
     spec = f.spectrum
     bands = row_bands(spec)
@@ -425,7 +421,7 @@ def solve_outer_linear(
             k1_coeffs[(int(ell), i)] = sol[m:]
         else:
             out[i] = weight * np.linalg.solve(A, rhs)
-    core = CylinderField(spec, s, out, f.pole)
+    core = BandField(spec, f.grid, out, f.pole)
     site_sol = None
     if h_I is not None:
         if surface.site is None and ring_patch is None:
@@ -510,7 +506,7 @@ def assemble_outer(
     h_prof, _ = end.height_profile(n, R_amb.ravel())
     u_vals = end.orientation * h_prof.reshape(R_amb.shape) - float(end.orientation * h_site[0])
     # rebase so u(0) = 0: subtract the interpolated center value
-    u_field = RadialField(spec, grid, rows_from_collocation(u_vals, pole, g), pole=pole)
+    u_field = BandField(spec, grid, rows_from_collocation(u_vals, pole, g), pole=pole)
     c2 = _patch_c2(u_field, grid)
     patch = GraphPatch(
         n=n, r0=r0, grid=grid, u=u_field, kind="ball",
@@ -524,7 +520,7 @@ def assemble_outer(
     )
     h_e, _ = end.height_profile(n, R_amb_e.ravel())
     u_e = end.orientation * h_e.reshape(R_amb_e.shape) - float(end.orientation * h_site[0])
-    ext_field = RadialField(spec, ext_grid, rows_from_collocation(u_e, pole, g), pole=pole)
+    ext_field = BandField(spec, ext_grid, rows_from_collocation(u_e, pole, g), pole=pole)
     surface.site = {
         "end": end,
         "patch": patch,
@@ -540,7 +536,7 @@ def assemble_outer(
     return surface, patch
 
 
-def _patch_c2(u: RadialField, grid: RadialGrid) -> float:
+def _patch_c2(u: BandField, grid: RadialGrid) -> float:
     d1 = (u.values @ grid.D.T) / grid.r
     d2 = (u.values @ (grid.D @ grid.D).T) / grid.r**2
     return float(np.max(np.abs(u.values)) + np.max(np.abs(d1)) + np.max(np.abs(d2)))
@@ -571,8 +567,8 @@ def _solve_exterior_band(op: BandOperator, ell: int, f: np.ndarray, ring_value: 
 
 
 def site_exterior_solve(
-    surface: OuterSurface, h_I: SphereField, f: RadialField | None = None
-) -> RadialField:
+    surface: OuterSurface, h_I: SphereField, f: BandField | None = None
+) -> BandField:
     """Linear exterior solve with full Dirichlet ring data."""
     site = surface.site
     if site is None:
@@ -587,7 +583,7 @@ def site_exterior_solve(
     for i, ell in enumerate(bands):
         src = np.zeros(grid.m) if f is None else f.values[i]
         out[i] = _solve_exterior_band(op, int(ell), src, float(ring[i]), n)
-    return RadialField(spec, grid, out, pole=site["pole"])
+    return BandField(spec, grid, out, pole=site["pole"])
 
 
 def solve_outer_nonlinear(
@@ -616,10 +612,10 @@ def solve_outer_nonlinear(
 
     H_base_vals = mean_curvature_graph(base_patch)
 
-    def update(w: RadialField) -> RadialField:
+    def update(w: BandField) -> BandField:
         H_vals = mean_curvature_graph(base_patch, w=w)
         lam_w = op.apply(w)
-        q = RadialField(spec, grid, lam_w.values - rows_from_collocation(H_vals - H_base_vals, w.pole, g), w.pole)
+        q = BandField(spec, grid, lam_w.values - rows_from_collocation(H_vals - H_base_vals, w.pole, g), w.pole)
         return site_exterior_solve(surface, h_I, f=q)
 
     w = site_exterior_solve(surface, h_I)
@@ -648,7 +644,7 @@ def solve_outer_nonlinear(
     return surface
 
 
-def interior_ball_solve(surface: OuterSurface, h_I: SphereField) -> RadialField:
+def interior_ball_solve(surface: OuterSurface, h_I: SphereField) -> BandField:
     """Model interior solve on the site ball with Dirichlet ring data."""
     site = surface.site
     patch = site["patch"]
@@ -673,7 +669,7 @@ def interior_ball_solve(surface: OuterSurface, h_I: SphereField) -> RadialField:
         A[0, 0] -= float(ell)
         rhs[0] = 0.0
         out[i] = np.linalg.solve(A, rhs)
-    return RadialField(spec, grid, out, pole=site["pole"])
+    return BandField(spec, grid, out, pole=site["pole"])
 
 
 def cauchy_U(surface: OuterSurface, h_I: SphereField, neck: NeckPiece):
@@ -687,10 +683,10 @@ def cauchy_U(surface: OuterSurface, h_I: SphereField, neck: NeckPiece):
     if site is None or "w_hI" not in site:
         raise PreconditionError("solve_outer_nonlinear must run before cauchy_U")
     w = site["w_hI"]
-    u_eps = w.r_dr_trace(0) - neck.cauchy_outer[1]
+    u_eps = w.d_trace(0) - neck.cauchy_outer[1]
     w0 = site_exterior_solve(surface, h_I)
     wt0 = interior_ball_solve(surface, h_I)
-    u_0 = w0.r_dr_trace(0) - wt0.r_dr_trace(-1)
+    u_0 = w0.d_trace(0) - wt0.d_trace(-1)
     gap = (u_eps - u_0).holder_norm()
     info = {
         "gap": gap,

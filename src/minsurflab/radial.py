@@ -15,11 +15,9 @@ bounded as the inner radius shrinks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .cylinder import GridError, row_bands
+from .cylinder import BandField, GridError, row_bands
 from .diffops import bary_interp_matrix, cheb_nodes_matrix
 from .spectral import BandSpectrum, SphereField
 
@@ -57,72 +55,14 @@ class RadialGrid:
         self.r_out = r_out
         self.m = m
         self.quad_rho = clencurt_weights(self.rho)
+        self.nodes = self.rho
+
+    def d_rows(self, values: np.ndarray, index: int) -> np.ndarray:
+        """r d/dr ( = d/d rho ) of the rows at a node, spectrally accurate."""
+        return values @ self.D[index]
 
     def interp_matrix(self, r_new: np.ndarray) -> np.ndarray:
         return bary_interp_matrix(self.rho, np.log(np.asarray(r_new, dtype=float)))
-
-
-@dataclass
-class RadialField:
-    """Band rows over a RadialGrid (same row layout as CylinderField)."""
-
-    spectrum: BandSpectrum
-    grid: RadialGrid
-    values: np.ndarray
-    pole: np.ndarray = None
-    info: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        rows = self.spectrum.row_count()
-        if self.values.shape != (rows, self.grid.m):
-            raise GridError(f"values shape {self.values.shape} != ({rows}, {self.grid.m})")
-        if self.pole is None:
-            pole = np.zeros(self.spectrum.n)
-            pole[0] = 1.0
-            self.pole = pole
-        else:
-            self.pole = np.asarray(self.pole, dtype=float)
-
-    @classmethod
-    def zeros(cls, spectrum: BandSpectrum, grid: RadialGrid, pole=None) -> "RadialField":
-        return cls(spectrum, grid, np.zeros((spectrum.row_count(), grid.m)), pole=pole)
-
-    def copy(self) -> "RadialField":
-        return RadialField(self.spectrum, self.grid, self.values.copy(), self.pole.copy())
-
-    def __add__(self, other: "RadialField") -> "RadialField":
-        if other.grid is not self.grid and (
-            other.grid.m != self.grid.m
-            or not np.allclose(other.grid.rho, self.grid.rho)
-        ):
-            raise GridError("radial fields on different grids")
-        return RadialField(self.spectrum, self.grid, self.values + other.values, self.pole)
-
-    def __sub__(self, other: "RadialField") -> "RadialField":
-        return self.__add__(other * (-1.0))
-
-    def __mul__(self, a: float) -> "RadialField":
-        return RadialField(self.spectrum, self.grid, a * self.values, self.pole)
-
-    __rmul__ = __mul__
-
-    def trace(self, index: int) -> SphereField:
-        col = self.values[:, index]
-        n = self.spectrum.n
-        return SphereField(self.spectrum, col[: n + 1].copy(), col[n + 1 :].copy(), self.pole)
-
-    def set_trace(self, index: int, f: SphereField):
-        n = self.spectrum.n
-        self.values[0, index] = f.low[0]
-        self.values[1 : n + 1, index] = f.low[1:]
-        self.values[n + 1 :, index] = f.zonal
-
-    def r_dr_trace(self, index: int) -> SphereField:
-        """r d/dr trace ( = d/d rho ) at a grid node, spectrally accurate."""
-        drow = self.values @ self.grid.D[index]
-        n = self.spectrum.n
-        return SphereField(self.spectrum, drow[: n + 1].copy(), drow[n + 1 :].copy(), self.pole)
 
 
 class BandOperator:
@@ -157,12 +97,12 @@ class BandOperator:
     def matrix(self, ell: int) -> np.ndarray:
         return np.diag(self._front) @ self.matrix_scaled(ell)
 
-    def apply(self, w: RadialField) -> RadialField:
+    def apply(self, w: BandField) -> BandField:
         bands = row_bands(self.spectrum)
         out = np.empty_like(w.values)
         for i, ell in enumerate(bands):
             out[i] = self._front * (self.matrix_scaled(ell) @ w.values[i])
-        return RadialField(self.spectrum, self.grid, out, w.pole)
+        return BandField(self.spectrum, self.grid, out, w.pole)
 
 
 def solve_band_mixed(
@@ -194,10 +134,10 @@ def solve_band_mixed(
 
 def solve_mixed(
     op: BandOperator,
-    f: RadialField,
+    f: BandField,
     inner: SphereField | None,
     outer: SphereField | None,
-) -> RadialField:
+) -> BandField:
     """Row-wise mixed solve.
 
     inner supplies Dirichlet data for bands l >= 2 (its low-mode content is
@@ -221,10 +161,10 @@ def solve_mixed(
         elif ell >= 2:
             iv = 0.0
         out[i] = solve_band_mixed(op, int(ell), f.values[i], iv, float(outer_cols[i]))
-    return RadialField(spec, f.grid, out, f.pole)
+    return BandField(spec, f.grid, out, f.pole)
 
 
-def weighted_norm(w: RadialField, k: int, alpha: float, nu: float) -> float:
+def weighted_norm(w: BandField, k: int, alpha: float, nu: float) -> float:
     """Surrogate of the power-weighted Hoelder norm sup r^{-nu} [w]_{k,a,[r,2r]}.
 
     Dyadic windows [r, 2r] over the grid; derivative factors r^j d^j/dr^j

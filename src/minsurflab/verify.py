@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catenoid import grid_profile
 from .cylinder import axial_collocation
-from .diffops import fd_derivative
-from .geometry import OrbitSurface, graph_orbit_points, matrix_surface, uniform_surface
+from .geometry import graph_orbit_points, matrix_surface, uniform_surface
 from .neck import angular_grid, mean_curvature_graph
 from .profile import profile_values
-from .spectral import ZonalGrid, sphere_area
+from .spectral import sphere_area
 
 log = logging.getLogger(__name__)
 
@@ -173,7 +171,7 @@ def mc_residual(surface) -> dict:
     n = outer.n
     g = angular_grid(outer.spectrum)
     # core catenoid chart (plus its stored perturbation, normally zero)
-    s = outer.core_w.s
+    s = outer.core_w.grid.s
     sf = np.linspace(s[0] + 0.05, s[-1] - 0.05, 2 * s.size)
     sf = sf + 0.37 * (sf[1] - sf[0])
     sf = sf[sf <= s[-1] - 0.05]

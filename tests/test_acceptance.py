@@ -11,8 +11,10 @@ import pytest
 
 from minsurflab.catenoid import grid_profile
 from minsurflab.cylinder import (
-    CylinderField,
+    BandField,
+    UniformGrid,
     dense_band_dirichlet_robin,
+    norm_exp,
     solve_band_dirichlet_robin,
 )
 from minsurflab.gluing import glue_end, stack_tower
@@ -33,7 +35,7 @@ from minsurflab.outer import (
 )
 from minsurflab.catenoid import build_catenoid_piece, cauchy_maps_catenoid, solve_GS
 from minsurflab.profile import compute_scales, solve_profile
-from minsurflab.radial import RadialField, RadialGrid
+from minsurflab.radial import RadialGrid
 from minsurflab.spectral import SphereField, band_spectrum
 from minsurflab.verify import (
     chord_arc,
@@ -101,7 +103,7 @@ class TestAcceptance:
         sc = compute_scales(profile, 1e-6)
         r_in, r_out = sc.r_eps, 0.35
         patch = flat_patch(spectrum, r_out, m=160, r_in=r_in)
-        f2 = RadialField.zeros(spectrum, patch.grid)
+        f2 = BandField.zeros(spectrum, patch.grid)
 
         def source(r):
             return np.exp(-0.5 * ((np.log(r) - np.log(0.01)) / 0.8) ** 2)
@@ -124,16 +126,16 @@ class TestAcceptance:
         gs_ratios = []
         for S in (-1.0, -2.0, -3.0):
             sS = S + h * np.arange(int(14.0 / h) + 1)
-            fS = CylinderField.zeros(spectrum, sS)
+            fS = BandField.zeros(spectrum, UniformGrid(sS))
             fS.values[N + 1] = np.exp(-2.0 * (sS - S)) * np.exp(-0.5 * ((sS - S - 1.0) / 0.3) ** 2)
             wS = solve_GS(fS, S, -2.0, profile)
-            gs_ratios.append(wS.info["bound_ratio"])
+            gs_ratios.append(norm_exp(wS, 2, 0.5, -2.0) / norm_exp(fS, 0, 0.5, -2.0))
         gs_spread = max(gs_ratios) / min(gs_ratios)
         ann_ratios = []
         nu = -7.0 / 3.0
         for r in (sc.r_eps / 2, sc.r_eps, 2 * sc.r_eps):
             grid = RadialGrid(r, r_out, 150)
-            fr = RadialField.zeros(spectrum, grid)
+            fr = BandField.zeros(spectrum, grid)
             fr.values[N + 1] = (grid.r / r) ** (nu - 2) * np.exp(-0.5 * (np.log(grid.r / r)) ** 2)
             wr = solve_annulus_mixed(patch, fr, r, nu)
             ann_ratios.append(wr.info["bound_ratio"])

@@ -87,7 +87,7 @@ class TestBuild:
 
     def test_high_mode_trace_reproduced_exactly(self, piece_zonal, profile):
         sc = piece_zonal.scales
-        data = grid_profile(N, piece_zonal.w.s)
+        data = grid_profile(N, piece_zonal.w.grid.s)
         g_expect = piece_zonal.h_II.zonal * data["phi"][0] ** ((N - 2) / 2.0)
         tr = piece_zonal.w.trace(0)
         assert np.allclose(tr.zonal, g_expect, rtol=1e-12, atol=1e-18)
@@ -96,7 +96,7 @@ class TestBuild:
         """Sampled boundary points sit at (r_eps theta, h_II(theta)) up to the
         solve's low-mode trace, which is itself recorded and small."""
         sc = piece_zonal.scales
-        geo = _NeckGeometry(N, piece_zonal.w.s, zgrid, sc.eps_len)
+        geo = _NeckGeometry(N, piece_zonal.w.grid.s, zgrid, sc.eps_len)
         w_hat = axial_collocation(piece_zonal.w, zgrid) / sc.eps_len
         P = geo.surface_points(w_hat)
         # boundary ring: at s_eps the transition field is exactly vertical

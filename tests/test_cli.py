@@ -4,9 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from minsurflab import gluing
+from minsurflab.catenoid import PreconditionError
 from minsurflab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     ConfigError,
     RunConfig,
     main,
@@ -63,6 +66,16 @@ class TestRun:
             run("profile", cfg)
             outs.append((tmp_path / name / "profile_summary.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_failed_tower_writes_partial_report(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise PreconditionError("no admissible gluing site")
+
+        monkeypatch.setattr(gluing, "glue_end", fail)
+        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2).validate()
+        assert run("tower", cfg) == EXIT_SOLVER
+        report = json.loads((tmp_path / "tower" / "tower_report.json").read_text())
+        assert report["levels"] == [{"aborted": "no admissible gluing site"}]
 
 
 class TestSectionExport:

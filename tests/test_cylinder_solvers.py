@@ -10,7 +10,8 @@ from minsurflab.catenoid import (
     solve_PS,
 )
 from minsurflab.cylinder import (
-    CylinderField,
+    BandField,
+    UniformGrid,
     dense_band_dirichlet_robin,
     homogeneous_pair,
     norm_exp,
@@ -39,7 +40,7 @@ class TestApplyLcal:
         s = make_grid(S=10.0, span=4.0)
         data = grid_profile(N, s)
         assert np.max(data["pot"]) < 1e-12 * data["pot"].max() + 1e-8
-        w = CylinderField.zeros(spectrum, s)
+        w = BandField.zeros(spectrum, UniformGrid(s))
         ell = 3
         w.values[N - 1 + ell] = np.sin(2 * (s - 10.0))
         out = apply_Lcal(w, profile)
@@ -51,7 +52,7 @@ class TestApplyLcal:
     def test_vertical_translation_jacobi_field(self, spectrum, profile):
         s = make_grid()
         data = grid_profile(N, s)
-        w = CylinderField.zeros(spectrum, s)
+        w = BandField.zeros(spectrum, UniformGrid(s))
         w.values[0] = -(data["phi"] ** ((N - 4) / 2.0)) * data["dphi"]
         res = apply_Lcal(w, profile)
         scale = np.max(np.abs(w.values[0]))
@@ -60,7 +61,7 @@ class TestApplyLcal:
     def test_horizontal_translation_jacobi_field(self, spectrum, profile):
         s = make_grid()
         data = grid_profile(N, s)
-        w = CylinderField.zeros(spectrum, s)
+        w = BandField.zeros(spectrum, UniformGrid(s))
         w.values[1] = data["phi"] ** (-N / 2.0)
         res = apply_Lcal(w, profile)
         assert np.max(np.abs(res.values[1][2:-2])) < 5e-4 * np.max(np.abs(w.values[1]))
@@ -71,7 +72,7 @@ class TestApplyLcal:
         def both(h):
             s = -1.0 + h * np.arange(int(3.0 / h) + 1)
             data = grid_profile(N, s)
-            w = CylinderField.zeros(spectrum, s)
+            w = BandField.zeros(spectrum, UniformGrid(s))
             w.values[N - 1 + 2] = np.exp(-0.5 * ((s - 0.2) / 0.5) ** 2)
             lhs = apply_Lcal(w, profile).values[N - 1 + 2]
             phi = data["phi"]
@@ -96,7 +97,7 @@ class TestApplyLcal:
 
     def test_grid_mismatch_rejected(self, spectrum, profile):
         s = 10.0 + H * np.arange(3000)  # runs past the profile table
-        w = CylinderField.zeros(spectrum, s)
+        w = BandField.zeros(spectrum, UniformGrid(s))
         from minsurflab.cylinder import GridError
 
         with pytest.raises(GridError):
@@ -105,7 +106,7 @@ class TestApplyLcal:
 
 class TestBandPair:
     def _source(self, spectrum, s):
-        f = CylinderField.zeros(spectrum, s)
+        f = BandField.zeros(spectrum, UniformGrid(s))
         for i in range(f.values.shape[0]):
             f.values[i] = bump(s, s[0] + 0.5 + 0.1 * i)
         return f
@@ -115,7 +116,7 @@ class TestBandPair:
         f = self._source(spectrum, s)
         data = grid_profile(N, s)
         c2 = ((N - 2) / 2.0) ** 2
-        h = f.step
+        h = f.grid.step
         direct = np.empty_like(f.values)
         for i, ell in enumerate(row_bands(spectrum)):
             vpot = -(spectrum.lam[ell] + c2) + data["pot"]
@@ -153,7 +154,7 @@ class TestBandPair:
 class TestSolveGS:
     def test_zero_source(self, spectrum, profile):
         s = make_grid()
-        f = CylinderField.zeros(spectrum, s)
+        f = BandField.zeros(spectrum, UniformGrid(s))
         w = solve_GS(f, s[0], -2.0, profile)
         assert np.max(np.abs(w.values)) == 0.0
 
@@ -171,7 +172,7 @@ class TestSolveGS:
 
     def test_interior_residual_exact(self, spectrum, profile):
         s = make_grid()
-        f = CylinderField.zeros(spectrum, s)
+        f = BandField.zeros(spectrum, UniformGrid(s))
         f.values[0] = bump(s, s[0] + 0.8)
         f.values[1] = bump(s, s[0] + 1.2)
         f.values[N + 1] = bump(s, s[0] + 0.5)
@@ -182,7 +183,7 @@ class TestSolveGS:
 
     def test_high_mode_trace_zero(self, spectrum, profile):
         s = make_grid()
-        f = CylinderField.zeros(spectrum, s)
+        f = BandField.zeros(spectrum, UniformGrid(s))
         f.values[N + 1 :] = bump(s, s[0] + 1.0)
         w = solve_GS(f, s[0], -2.0, profile)
         assert np.max(np.abs(w.values[N + 1 :, 0])) < 1e-12
@@ -191,16 +192,16 @@ class TestSolveGS:
         ratios = []
         for S in (-1.0, -2.0, -3.0):
             s = make_grid(S=S)
-            f = CylinderField.zeros(spectrum, s)
+            f = BandField.zeros(spectrum, UniformGrid(s))
             f.values[N + 1] = bump(s, S + 1.0)
             w = solve_GS(f, S, -2.0, profile)
-            ratios.append(w.info["bound_ratio"])
+            ratios.append(norm_exp(w, 2, 0.5, -2.0) / norm_exp(f, 0, 0.5, -2.0))
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() <= 2.0
 
     def test_rejects_inadmissible_weight(self, spectrum, profile):
         s = make_grid()
-        f = CylinderField.zeros(spectrum, s)
+        f = BandField.zeros(spectrum, UniformGrid(s))
         with pytest.raises(PreconditionError):
             solve_GS(f, s[0], -1.0, profile)
 
@@ -217,7 +218,7 @@ class TestSolveGS:
 
         for h in (8e-3, 4e-3):
             s = 10.0 + h * np.arange(int(5.0 / h) + 1)
-            f = CylinderField.zeros(spectrum, s)
+            f = BandField.zeros(spectrum, UniformGrid(s))
             f.values[0] = np.exp(delta * s)
             w = solve_GS(f, s[0], delta, profile)
             ex = exact(s, s[-1])
@@ -259,6 +260,6 @@ class TestSolvePS:
             g = SphereField.zonal_band(spectrum, 2, 1.0)
             s = make_grid(S=S)
             w = solve_PS(g, S, -2.0, profile, s_grid=s)
-            vals.append(w.info["bound_ratio"])
+            vals.append(norm_exp(w, 2, 0.5, -2.0) / (np.exp(2.0 * S) * g.holder_norm()))
         vals = np.array(vals)
         assert vals.max() / vals.min() <= 2.0

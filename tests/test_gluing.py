@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from minsurflab import gluing
 from minsurflab.catenoid import PreconditionError
 from minsurflab.gluing import (
     BoundaryTriple,
+    GlueError,
     SimpleMaps,
     conglomerate_C,
     default_schedule,
@@ -153,6 +155,19 @@ class TestGlue:
         assert glued.certificates["new_end_tilt"] < 1e-6
         assert glued.triple.norm(sc) <= 16 * sc.r_eps**2
 
+    def test_delta_reaches_the_glue_context(self, spectrum, profile, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def capture(ctx, **kwargs):
+            raise Reached(ctx.delta)
+
+        monkeypatch.setattr(gluing, "fixed_point_glue", capture)
+        surf = seed_catenoid(profile, spectrum, scale=1.0)
+        with pytest.raises(Reached) as reached:
+            glue_end(surf, EPS, delta=-1.9)
+        assert reached.value.args == (-1.9,)
+
 
 class TestTower:
     def test_schedule_below_bounds_and_summable(self):
@@ -166,6 +181,18 @@ class TestTower:
         surf = seed_catenoid(profile, spectrum, scale=0.3)
         out, report = stack_tower(1, surf)
         assert out is surf
+        assert len(report.plane_heights) == 2
+
+    def test_failed_level_keeps_partial_report(self, spectrum, profile, monkeypatch):
+        def fail(*args, **kwargs):
+            raise PreconditionError("no admissible gluing site")
+
+        monkeypatch.setattr(gluing, "glue_end", fail)
+        surf = seed_catenoid(profile, spectrum, scale=0.3)
+        with pytest.raises(GlueError, match="level 2") as failed:
+            stack_tower(2, surf)
+        report = failed.value.report
+        assert report.levels == [{"aborted": "no admissible gluing site"}]
         assert len(report.plane_heights) == 2
 
     def test_schedule_violation_rejected(self, spectrum, profile):

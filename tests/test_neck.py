@@ -18,7 +18,8 @@ from minsurflab.neck import (
     simple_cauchy_neck,
 )
 from minsurflab.profile import compute_scales, profile_values
-from minsurflab.radial import RadialField, RadialGrid, weighted_norm
+from minsurflab.cylinder import BandField
+from minsurflab.radial import RadialGrid, weighted_norm
 from minsurflab.spectral import SphereField, project_high
 
 N = 3
@@ -79,7 +80,7 @@ class TestMeanCurvature:
 
 class TestLinearizedOp:
     def test_flat_reduces_to_laplacian(self, spectrum, patch, rng):
-        w = RadialField.zeros(spectrum, patch.grid)
+        w = BandField.zeros(spectrum, patch.grid)
         w.values[N + 1] = np.exp(-0.5 * ((np.log(patch.grid.r) - np.log(0.02)) / 0.7) ** 2)
         out = linearized_graph_op(patch, w)
         r = patch.grid.r
@@ -94,7 +95,7 @@ class TestLinearizedOp:
         radial background."""
         p = flat_patch(spectrum, R0, m=140, r_in=R0 * 2e-2)
         p.u.values[0] = 0.05 * np.exp(-0.5 * ((p.grid.r - 0.12) / 0.05) ** 2)
-        w = RadialField.zeros(spectrum, p.grid)
+        w = BandField.zeros(spectrum, p.grid)
         w.values[0] = np.exp(-0.5 * ((p.grid.r - 0.15) / 0.06) ** 2)
         lam_w = linearized_graph_op(p, w)
         g = angular_grid(spectrum)
@@ -118,8 +119,8 @@ class TestLinearizedOp:
         rho = grid.rho
         # smooth compactly-supported band fields
         envelope = np.exp(-0.5 * ((rho - rho.mean()) / (0.09 * (rho[-1] - rho[0]))) ** 2)
-        w = RadialField.zeros(spectrum, grid)
-        v = RadialField.zeros(spectrum, grid)
+        w = BandField.zeros(spectrum, grid)
+        v = BandField.zeros(spectrum, grid)
         w.values[N + 1] = envelope * np.sin(2 * rho)
         v.values[N + 1] = envelope * np.cos(3 * rho)
         Lw = linearized_graph_op(p, w)
@@ -199,7 +200,7 @@ class TestAnnulusMixed:
     def test_zero_source(self, spectrum, patch, scales):
         from minsurflab.neck import solve_annulus_mixed
 
-        f = RadialField.zeros(spectrum, patch.grid)
+        f = BandField.zeros(spectrum, patch.grid)
         w = solve_annulus_mixed(patch, f, scales.r_eps, -7.0 / 3.0)
         assert np.max(np.abs(w.values)) == 0.0
 
@@ -211,7 +212,7 @@ class TestAnnulusMixed:
         r_in = scales.r_eps
         grid = RadialGrid(r_in, R0, 160)
         base = flat_patch(spectrum, R0, m=160, r_in=r_in)
-        f = RadialField.zeros(spectrum, grid)
+        f = BandField.zeros(spectrum, grid)
 
         def source(r):
             return np.exp(-0.5 * ((np.log(r) - np.log(0.01)) / 0.8) ** 2)
@@ -239,7 +240,7 @@ class TestAnnulusMixed:
         ratios = []
         for r in (scales.r_eps / 2, scales.r_eps, 2 * scales.r_eps):
             grid = RadialGrid(r, R0, 150)
-            f = RadialField.zeros(spectrum, grid)
+            f = BandField.zeros(spectrum, grid)
             f.values[N + 1] = (grid.r / r) ** (nu - 2) * np.exp(
                 -0.5 * ((np.log(grid.r / r)) / 1.0) ** 2
             )
@@ -251,7 +252,7 @@ class TestAnnulusMixed:
     def test_rejects_bad_weight(self, spectrum, patch, scales):
         from minsurflab.neck import solve_annulus_mixed
 
-        f = RadialField.zeros(spectrum, patch.grid)
+        f = BandField.zeros(spectrum, patch.grid)
         with pytest.raises(PreconditionError):
             solve_annulus_mixed(patch, f, scales.r_eps, -0.5)
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minsurflab.cylinder import CylinderField, norm_exp
-from minsurflab.radial import RadialField, RadialGrid, weighted_norm
+from minsurflab.cylinder import BandField, UniformGrid, norm_exp
+from minsurflab.radial import RadialGrid, weighted_norm
 from minsurflab.spectral import band_spectrum
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -19,8 +19,8 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 def norm_exp_loop(w, k, alpha, delta, S=None):
     """Reference norm_exp: slices every unit window and takes its maxima."""
-    s = w.s
-    h = w.step
+    s = w.grid.s
+    h = w.grid.step
     if S is None:
         S = float(s[0])
     vals = w.values
@@ -66,7 +66,7 @@ def cylinder_fields(draw, m_max=800):
     if draw(st.booleans()):
         vals = vals.cumsum(axis=1)
     vals *= np.exp(rng.uniform(-3.0, 3.0, size=(spec.row_count(), 1)))
-    return CylinderField(spec, s, vals)
+    return BandField(spec, UniformGrid(s), vals)
 
 
 @st.composite
@@ -91,12 +91,12 @@ class TestNormExpAgainstLoop:
     @PROPERTY
     @given(data=st.data(), w=cylinder_fields(), k=orders, delta=deltas)
     def test_equal_to_window_loop(self, data, w, k, delta):
-        S = data.draw(window_starts(w.s))
+        S = data.draw(window_starts(w.grid.s))
         assert norm_exp(w, k, 0.5, delta, S) == norm_exp_loop(w, k, 0.5, delta, S)
 
     def test_coarse_grid_shorter_than_one_window(self, spectrum):
         s = 0.6 * np.arange(4)
-        w = CylinderField(spectrum, s, np.arange(spectrum.row_count() * 4.0).reshape(-1, 4))
+        w = BandField(spectrum, UniformGrid(s), np.arange(spectrum.row_count() * 4.0).reshape(-1, 4))
         for S in (None, -1.0, 0.6, 1.8, 1.9):
             for k in (0, 1, 2):
                 assert norm_exp(w, k, 0.5, -2.0, S) == norm_exp_loop(w, k, 0.5, -2.0, S)
@@ -114,7 +114,7 @@ class TestNormExpProperties:
     @given(data=st.data(), u=cylinder_fields(m_max=400), k=orders, delta=deltas)
     def test_triangle_inequality(self, data, u, k, delta):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        v = CylinderField(u.spectrum, u.s, rng.normal(size=u.values.shape).cumsum(axis=1))
+        v = BandField(u.spectrum, u.grid, rng.normal(size=u.values.shape).cumsum(axis=1))
         total = norm_exp(u, k, 0.5, delta) + norm_exp(v, k, 0.5, delta)
         assert norm_exp(u + v, k, 0.5, delta) <= total * (1.0 + 1e-12)
 
@@ -128,7 +128,7 @@ def radial_fields(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = rng.normal(size=(spec.row_count(), grid.m))
     vals *= np.exp(rng.uniform(-3.0, 3.0, size=(spec.row_count(), 1)))
-    return RadialField(spec, grid, vals)
+    return BandField(spec, grid, vals)
 
 
 nus = st.floats(-3.0, 1.0)
@@ -146,7 +146,7 @@ class TestWeightedNormProperties:
     @given(data=st.data(), u=radial_fields(), k=orders, nu=nus)
     def test_triangle_inequality(self, data, u, k, nu):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        v = RadialField(u.spectrum, u.grid, rng.normal(size=u.values.shape))
+        v = BandField(u.spectrum, u.grid, rng.normal(size=u.values.shape))
         total = weighted_norm(u, k, 0.5, nu) + weighted_norm(v, k, 0.5, nu)
         assert weighted_norm(u + v, k, 0.5, nu) <= total * (1.0 + 1e-10)
 
@@ -170,7 +170,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("how", SPOILS)
     def test_norm_exp_raises(self, spectrum, how):
         s = -1.0 + 5e-3 * np.arange(600)
-        w = CylinderField(spectrum, s, _spoiled(spectrum, s, how))
+        w = BandField(spectrum, UniformGrid(s), _spoiled(spectrum, s, how))
         for k in (0, 1, 2):
             with pytest.raises(ValueError, match="non-finite"):
                 norm_exp(w, k, 0.5, -2.0)
@@ -178,7 +178,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("how", SPOILS)
     def test_weighted_norm_raises(self, spectrum, how):
         grid = RadialGrid(0.05, 1.0, 24)
-        w = RadialField(spectrum, grid, _spoiled(spectrum, grid.rho, how))
+        w = BandField(spectrum, grid, _spoiled(spectrum, grid.rho, how))
         for k in (0, 1, 2):
             with pytest.raises(ValueError, match="non-finite"):
                 weighted_norm(w, k, 0.5, -1.0)

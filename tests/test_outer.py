@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minsurflab.catenoid import ContractionError, PreconditionError, grid_profile
-from minsurflab.cylinder import CylinderField
+from minsurflab.cylinder import BandField, UniformGrid
 from minsurflab.outer import (
     cauchy_U,
     deficiency_field,
@@ -91,8 +91,8 @@ class TestNondegeneracy:
 
 class TestOuterLinear:
     def test_zero_data(self, surface, spectrum):
-        s = surface.core_w.s
-        f = CylinderField.zeros(spectrum, s)
+        s = surface.core_w.grid.s
+        f = BandField.zeros(spectrum, UniformGrid(s))
         core, k1, site = solve_outer_linear(surface, f, None, -2.0)
         assert np.max(np.abs(core.values)) == 0.0
         assert all(np.allclose(c, 0.0) for c in k1.values())
@@ -101,11 +101,11 @@ class TestOuterLinear:
         """f = L(cutoff K1 element) recovers its coefficients."""
         from minsurflab.catenoid import apply_Lcal
 
-        s = surface.core_w.s
+        s = surface.core_w.grid.s
         K1 = surface.deficiency["K1"][0]
         coeff = K1[:, 0]
         prof_vals = deficiency_field(surface, 0, coeff)
-        psi = CylinderField.zeros(spectrum, s)
+        psi = BandField.zeros(spectrum, UniformGrid(s))
         psi.values[0] = prof_vals
         f = apply_Lcal(psi, profile)
         f.values[:, :2] = 0.0
@@ -117,8 +117,8 @@ class TestOuterLinear:
         assert abs(abs(got[0]) - 1.0) < 0.1
 
     def test_inverse_norm_stable_in_delta(self, surface, spectrum, rng):
-        s = surface.core_w.s
-        f = CylinderField.zeros(spectrum, s)
+        s = surface.core_w.grid.s
+        f = BandField.zeros(spectrum, UniformGrid(s))
         f.values[N + 1] = np.exp(-0.5 * (s / 1.5) ** 2)
         norms = []
         for delta in (-2.1, -2.0, -1.9):
@@ -169,7 +169,7 @@ class TestCauchyU:
         def u0(h):
             w0 = site_exterior_solve(surf, h)
             wt0 = interior_ball_solve(surf, h)
-            return w0.r_dr_trace(0) - wt0.r_dr_trace(-1)
+            return w0.d_trace(0) - wt0.d_trace(-1)
 
         lhs = u0(h1 + h2)
         rhs = u0(h1) + u0(h2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minsurflab.cylinder import CylinderField, norm_exp
+from minsurflab.cylinder import BandField, UniformGrid, norm_exp
 from minsurflab.profile import (
     ProfileError,
     ScaleError,
@@ -96,7 +96,7 @@ class TestComputeScales:
 class TestNormExp:
     def _field(self, spectrum, fn, S=-1.0, h=5e-3, m=900):
         s = S + h * np.arange(m)
-        w = CylinderField.zeros(spectrum, s)
+        w = BandField.zeros(spectrum, UniformGrid(s))
         w.values[0] = fn(s)
         return w
 
@@ -114,7 +114,7 @@ class TestNormExp:
 
     def test_monotone_in_derivative_order(self, spectrum, rng):
         s = -1.0 + 5e-3 * np.arange(900)
-        w = CylinderField.zeros(spectrum, s)
+        w = BandField.zeros(spectrum, UniformGrid(s))
         w.values[: 4] = rng.normal(size=(4, s.size)).cumsum(axis=1) * 1e-3
         n0 = norm_exp(w, 0, 0.5, -2.0)
         n2 = norm_exp(w, 2, 0.5, -2.0)
@@ -129,8 +129,8 @@ class TestNormExp:
 
     def test_triangle_inequality_exact(self, spectrum, rng):
         s = -1.0 + 5e-3 * np.arange(600)
-        u = CylinderField.zeros(spectrum, s)
-        v = CylinderField.zeros(spectrum, s)
+        u = BandField.zeros(spectrum, UniformGrid(s))
+        v = BandField.zeros(spectrum, UniformGrid(s))
         u.values[0] = np.sin(2 * s)
         v.values[2] = np.cos(5 * s) * np.exp(-s)
         lhs = norm_exp(u + v, 2, 0.5, -2.0)

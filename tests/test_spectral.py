@@ -131,7 +131,7 @@ class TestDtheta:
     def test_decaying_extension_traces(self, spectrum, profile):
         """The flat decaying band extension is annihilated by the flat
         operator on the grid, and its slope trace is the multiplier pair."""
-        from minsurflab.cylinder import CylinderField
+        from minsurflab.cylinder import BandField, UniformGrid
 
         n = spectrum.n
         S = -1.0
@@ -139,7 +139,7 @@ class TestDtheta:
         s = S + h * np.arange(800)
         for ell in (2, 4, 8):
             gam = spectrum.gamma[ell]
-            w = CylinderField.zeros(spectrum, s)
+            w = BandField.zeros(spectrum, UniformGrid(s))
             w.values[n - 1 + ell] = np.exp(-gam * (s - S))
             prof_vals = np.exp(-gam * (s - S))
             d2 = (prof_vals[2:] - 2 * prof_vals[1:-1] + prof_vals[:-2]) / h**2
