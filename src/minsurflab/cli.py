@@ -253,6 +253,7 @@ def cmd_glue(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_tower(cfg: RunConfig, out: Path) -> int:
+    from .catenoid import PreconditionError
     from .gluing import GlueError, stack_tower
 
     surf = _seed_surface(cfg)
@@ -263,6 +264,9 @@ def cmd_tower(cfg: RunConfig, out: Path) -> int:
     except GlueError as exc:
         if exc.report is not None:
             dump_json(exc.report.to_dict(), out / "tower_report.json")
+        if isinstance(exc.__cause__, PreconditionError):
+            # a refused level exits with the code `glue` gives the same refusal
+            raise PreconditionError(str(exc)) from exc
         raise
     dump_json(report.to_dict(), out / "tower_report.json")
     if any(not c.get("embedded", False) for c in report.certificates):

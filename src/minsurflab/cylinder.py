@@ -157,7 +157,8 @@ def norm_exp(w: BandField, k: int, alpha: float, delta: float, S: float | None =
     A maximum over rows and nodes may be taken in either order, so each term
     is reduced to its column maximum over rows first and then to a running
     maximum over the window starts: O(rows * m), and bit-identical to
-    slicing every window.  Raises ValueError on non-finite values.
+    slicing every window.  Raises ValueError on non-finite values and on a
+    non-finite norm (the weight overflows when -delta s exceeds about 709.78).
     """
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
@@ -204,7 +205,15 @@ def norm_exp(w: BandField, k: int, alpha: float, delta: float, S: float | None =
     window_val = 0.0
     for t in terms:
         window_val = window_val + t
-    return float(np.max(np.exp(-delta * starts) * window_val))
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = float(np.max(np.exp(-delta * starts) * window_val))
+    if not np.isfinite(best):
+        raise ValueError(
+            f"norm_exp is not finite for delta={delta}, largest window start "
+            f"s={float(starts[-1])}; the weight e^(-delta s) overflows once -delta s "
+            "exceeds about 709.78"
+        )
+    return best
 
 
 def _forward_max(col: np.ndarray, size: int, count: int) -> np.ndarray:

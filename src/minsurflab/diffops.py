@@ -74,12 +74,13 @@ def cheb_nodes_matrix(m: int, a: float, b: float):
 
 
 def bary_weights(x: np.ndarray) -> np.ndarray:
+    """Barycentric weights 1 / prod_{k != j} (x_j - x_k), each difference
+    scaled by 4 / (max x - min x) for stability."""
     x = np.asarray(x, dtype=float)
-    w = np.ones_like(x)
-    for j in range(x.size):
-        dx = x[j] - np.delete(x, j)
-        w[j] = 1.0 / np.prod(dx * 4.0 / (x.max() - x.min()))  # scaled for stability
-    return w
+    m = x.size
+    rng = x.max() - x.min()
+    d = (x[:, None] - x[None, :])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    return 1.0 / np.prod(d * 4.0 / rng, axis=1)
 
 
 def bary_interp_matrix(x: np.ndarray, xi: np.ndarray) -> np.ndarray:

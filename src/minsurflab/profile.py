@@ -14,6 +14,7 @@ independent error monitor.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,38 +31,56 @@ class ScaleError(ValueError):
 FIRST_INTEGRAL_TOL = 1e-10
 
 
-def _profile_rhs(n: int, y: np.ndarray) -> np.ndarray:
-    phi, dphi, _ = y
-    return np.array([dphi, phi + (n - 2) * phi ** (3 - 2 * n), phi ** (2 - n)])
-
-
 def integrate_profile(n: int, s_nodes: np.ndarray, max_substep: float = 1e-3):
     """RK4 integration of (phi, phi', psi) onto arbitrary nonnegative nodes.
 
     Integrates upward from s = 0 with internal substeps no larger than
     max_substep; nodes must be sorted and start at a value >= 0.
+
+    The state is three Python floats, so no array is built per stage.  Each
+    component sees the IEEE operations of the vector form
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4), in that order, with the right-hand
+    side (phi', phi + (n-2) phi^(3-2n), phi^(2-n)).
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     if np.any(np.diff(s_nodes) <= 0):
         raise ProfileError("profile nodes must be strictly increasing")
     if s_nodes[0] < 0:
         raise ProfileError("integrate_profile expects nonnegative nodes; use symmetry")
-    y = np.array([1.0, 0.0, 0.0])
+    c = n - 2
+    p3 = 3 - 2 * n
+    p2 = 2 - n
+    phi, dphi, psi = 1.0, 0.0, 0.0
     out = np.empty((len(s_nodes), 3))
     s = 0.0
-    for i, target in enumerate(s_nodes):
+    for i, target in enumerate(s_nodes.tolist()):
         span = target - s
         if span > 0:
-            m = max(1, int(np.ceil(span / max_substep)))
+            m = max(1, math.ceil(span / max_substep))
             h = span / m
+            half = 0.5 * h
+            sixth = h / 6.0
             for _ in range(m):
-                k1 = _profile_rhs(n, y)
-                k2 = _profile_rhs(n, y + 0.5 * h * k1)
-                k3 = _profile_rhs(n, y + 0.5 * h * k2)
-                k4 = _profile_rhs(n, y + h * k3)
-                y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                a1 = dphi
+                b1 = phi + c * phi**p3
+                c1 = phi**p2
+                x = phi + half * a1
+                a2 = dphi + half * b1
+                b2 = x + c * x**p3
+                c2 = x**p2
+                x = phi + half * a2
+                a3 = dphi + half * b2
+                b3 = x + c * x**p3
+                c3 = x**p2
+                x = phi + h * a3
+                a4 = dphi + h * b3
+                b4 = x + c * x**p3
+                c4 = x**p2
+                phi = phi + sixth * (((a1 + 2 * a2) + 2 * a3) + a4)
+                dphi = dphi + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
+                psi = psi + sixth * (((c1 + 2 * c2) + 2 * c3) + c4)
             s = target
-        out[i] = y
+        out[i] = (phi, dphi, psi)
     return out
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from minsurflab import gluing
-from minsurflab.catenoid import PreconditionError
+from minsurflab.catenoid import ContractionError, PreconditionError
 from minsurflab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -73,9 +73,19 @@ class TestRun:
 
         monkeypatch.setattr(gluing, "glue_end", fail)
         cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2).validate()
-        assert run("tower", cfg) == EXIT_SOLVER
+        assert run("tower", cfg) == EXIT_CONFIG
         report = json.loads((tmp_path / "tower" / "tower_report.json").read_text())
         assert report["levels"] == [{"aborted": "no admissible gluing site"}]
+
+    def test_unsettled_tower_level_exits_with_solver_code(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ContractionError("neck iteration not contracting")
+
+        monkeypatch.setattr(gluing, "glue_end", fail)
+        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2).validate()
+        assert run("tower", cfg) == EXIT_SOLVER
+        report = json.loads((tmp_path / "tower" / "tower_report.json").read_text())
+        assert report["levels"] == [{"aborted": "neck iteration not contracting"}]
 
 
 class TestSectionExport:

@@ -45,7 +45,8 @@ def norm_exp_loop(w, k, alpha, delta, S=None):
         for d in derivs[: k + 1]:
             window_val += float(np.max(np.abs(d[:, i0:i1])))
         window_val += float(np.max(quot[:, i0 : max(i0 + 1, i1 - 1)]))
-        best = max(best, float(np.exp(-delta * s[i0])) * window_val)
+        with np.errstate(over="ignore"):
+            best = max(best, float(np.exp(-delta * s[i0])) * window_val)
         if i1 == s.size:
             break
     return best
@@ -92,7 +93,12 @@ class TestNormExpAgainstLoop:
     @given(data=st.data(), w=cylinder_fields(), k=orders, delta=deltas)
     def test_equal_to_window_loop(self, data, w, k, delta):
         S = data.draw(window_starts(w.grid.s))
-        assert norm_exp(w, k, 0.5, delta, S) == norm_exp_loop(w, k, 0.5, delta, S)
+        ref = norm_exp_loop(w, k, 0.5, delta, S)
+        if np.isfinite(ref):
+            assert norm_exp(w, k, 0.5, delta, S) == ref
+        else:
+            with pytest.raises(ValueError, match="not finite"):
+                norm_exp(w, k, 0.5, delta, S)
 
     def test_coarse_grid_shorter_than_one_window(self, spectrum):
         s = 0.6 * np.arange(4)
@@ -106,6 +112,11 @@ class TestNormExpProperties:
     @PROPERTY
     @given(w=cylinder_fields(m_max=400), k=orders, delta=deltas, a=scales)
     def test_absolute_homogeneity(self, w, k, delta, a):
+        if not np.isfinite(norm_exp_loop(w, k, 0.5, delta)):
+            for field in (w, a * w):
+                with pytest.raises(ValueError, match="not finite"):
+                    norm_exp(field, k, 0.5, delta)
+            return
         assert norm_exp(a * w, k, 0.5, delta) == pytest.approx(
             abs(a) * norm_exp(w, k, 0.5, delta), rel=1e-12
         )
@@ -115,6 +126,11 @@ class TestNormExpProperties:
     def test_triangle_inequality(self, data, u, k, delta):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         v = BandField(u.spectrum, u.grid, rng.normal(size=u.values.shape).cumsum(axis=1))
+        if not np.isfinite(norm_exp_loop(u, k, 0.5, delta)):
+            for field in (u, v, u + v):
+                with pytest.raises(ValueError, match="not finite"):
+                    norm_exp(field, k, 0.5, delta)
+            return
         total = norm_exp(u, k, 0.5, delta) + norm_exp(v, k, 0.5, delta)
         assert norm_exp(u + v, k, 0.5, delta) <= total * (1.0 + 1e-12)
 
@@ -174,6 +190,13 @@ class TestNonFinite:
         for k in (0, 1, 2):
             with pytest.raises(ValueError, match="non-finite"):
                 norm_exp(w, k, 0.5, -2.0)
+
+    def test_norm_exp_raises_when_the_weight_overflows(self, spectrum):
+        s = 700.0 + 0.05 * np.arange(100)
+        w = BandField(spectrum, UniformGrid(s), np.ones((spectrum.row_count(), s.size)))
+        assert np.isfinite(norm_exp(w, 0, 0.5, -1.0, S=700.0))
+        with pytest.raises(ValueError, match=r"delta=-1\.05, largest window start s=703\.95"):
+            norm_exp(w, 0, 0.5, -1.05)
 
     @pytest.mark.parametrize("how", SPOILS)
     def test_weighted_norm_raises(self, spectrum, how):

@@ -1,14 +1,62 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minsurflab.cylinder import BandField, UniformGrid, norm_exp
 from minsurflab.profile import (
     ProfileError,
     ScaleError,
     compute_scales,
+    integrate_profile,
     profile_values,
     solve_profile,
 )
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def _profile_rhs(n, y):
+    phi, dphi, _ = y
+    return np.array([dphi, phi + (n - 2) * phi ** (3 - 2 * n), phi ** (2 - n)])
+
+
+def integrate_profile_numpy(n, s_nodes, max_substep=1e-3):
+    """Reference integrator: the RK4 loop on a numpy state vector that
+    integrate_profile replaced."""
+    s_nodes = np.asarray(s_nodes, dtype=float)
+    y = np.array([1.0, 0.0, 0.0])
+    out = np.empty((len(s_nodes), 3))
+    s = 0.0
+    for i, target in enumerate(s_nodes):
+        span = target - s
+        if span > 0:
+            m = max(1, int(np.ceil(span / max_substep)))
+            h = span / m
+            for _ in range(m):
+                k1 = _profile_rhs(n, y)
+                k2 = _profile_rhs(n, y + 0.5 * h * k1)
+                k3 = _profile_rhs(n, y + 0.5 * h * k2)
+                k4 = _profile_rhs(n, y + h * k3)
+                y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            s = target
+        out[i] = y
+    return out
+
+
+@st.composite
+def profile_nodes(draw):
+    """1-600 strictly increasing nodes in [0, 26] and a substep; the first
+    node is 0 or positive, the gaps lie below and above the substep, and in
+    some draws the nodes fill [first, 26)."""
+    max_substep = draw(st.sampled_from([1e-3, 5e-4]))
+    first = draw(st.one_of(st.just(0.0), st.floats(1e-6, 13.0)))
+    count = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = max_substep * np.exp(rng.uniform(np.log(1e-3), np.log(60.0), size=count - 1))
+    room = 26.0 - first
+    if count > 1 and (gaps.sum() > room or draw(st.integers(0, 3)) == 0):
+        gaps *= room / gaps.sum() * (1.0 - 1e-12)
+    return first + np.concatenate([[0.0], np.cumsum(gaps)]), max_substep
 
 
 class TestSolveProfile:
@@ -49,6 +97,26 @@ class TestSolveProfile:
     def test_csv_export_has_all_columns(self, profile):
         head = profile.to_csv().splitlines()[0]
         assert head == "s,phi,psi,dphi,dpsi"
+
+
+class TestIntegrateProfile:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @PROPERTY
+    @given(drawn=profile_nodes())
+    def test_bit_identical_to_numpy_loop(self, n, drawn):
+        nodes, max_substep = drawn
+        assert np.array_equal(
+            integrate_profile(n, nodes, max_substep),
+            integrate_profile_numpy(n, nodes, max_substep),
+        )
+
+    def test_rejects_unsorted_nodes(self):
+        with pytest.raises(ProfileError, match="strictly increasing"):
+            integrate_profile(3, np.array([0.0, 0.5, 0.5]))
+
+    def test_rejects_negative_nodes(self):
+        with pytest.raises(ProfileError, match="nonnegative"):
+            integrate_profile(3, np.array([-0.1, 0.5]))
 
 
 class TestComputeScales:
