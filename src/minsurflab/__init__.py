@@ -42,7 +42,6 @@ from .neck import (  # noqa: F401
     build_sigma_eps,
     cauchy_T,
     green_function,
-    linearized_graph_op,
     mean_curvature_graph,
     poisson_neck,
     solve_annulus_mixed,

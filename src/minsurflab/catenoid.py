@@ -417,7 +417,7 @@ def build_catenoid_piece(
         )
 
     cauchy = _catenoid_cauchy(geo, scales, w)
-    piece = CatenoidPiece(
+    return CatenoidPiece(
         scales=scales,
         w=w,
         h_II=h_II,
@@ -442,10 +442,6 @@ def build_catenoid_piece(
             "delta": delta,
         },
     )
-    # plane height of the far end at unit scale, measured from the cut ring
-    psi_top = geo.psi[-1] + (profile.A_asym * np.exp(s_grid[-1])) ** (2 - n) / (n - 2)
-    piece.info["end_plane_unit"] = float(psi_top - geo.psi[0])
-    return piece
 
 
 def _restrict(w: BandField, s_top: float) -> BandField:
@@ -471,7 +467,6 @@ def _oracle_residual(n, spec, grid, scales, w) -> float:
 
 
 def _catenoid_cauchy(geo: _NeckGeometry, scales: Scales, w: BandField):
-    n = geo.n
     value = w.trace(0) * float(geo.conj[0])
     conj_w = w.copy()
     conj_w.values = geo.conj[None, :] * w.values

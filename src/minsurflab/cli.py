@@ -1,6 +1,6 @@
 """Configuration-driven entry points and report/export plumbing.
 
-Every run is deterministic given config + seed: reports are JSON with
+Every run is deterministic given its config: reports are JSON with
 sorted keys, charts are CSV with full-precision floats, and each run
 writes a manifest listing the inputs and the recorded constants.
 """
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .catenoid import admissible_delta, default_delta
-from .neck import admissible_nu, default_nu
 from .verify import DELTA1
 
 log = logging.getLogger(__name__)
@@ -41,20 +40,15 @@ class RunConfig:
     eps: float = 1e-6
     eps_schedule: list | None = None
     K: int = 4
-    r0: float | None = None
     L: int = 8
     s_max: float = 16.0
     s_step: float = 8e-3
-    piece_step: float = 5e-3
-    m_radial: int = 150
     tol_solver: float = 5e-3
     tol_match: float | None = None
     tol_verify: float = 1e-2
     kappa: float = 16.0
     delta: float | None = None
-    nu: float | None = None
     seed_scale: float = 0.3
-    seed: int = 0
     out_dir: str = "out"
 
     def validate(self) -> "RunConfig":
@@ -71,11 +65,6 @@ class RunConfig:
             raise ConfigError(
                 f"delta={self.delta} outside (-(n+2)/2, -n/2) = ({-(n + 2) / 2}, {-n / 2})"
             )
-        if self.nu is None:
-            self.nu = default_nu(n)
-        if not admissible_nu(n, self.nu, neck=True):
-            window = "(-8/3, -2) for n=3" if n == 3 else "(-n, 1-n)"
-            raise ConfigError(f"nu={self.nu} outside {window}")
         if self.eps_schedule is not None:
             for e in self.eps_schedule:
                 if not (0.0 < e < 1.0):
@@ -157,9 +146,7 @@ def cmd_catenoid_piece(cfg: RunConfig, out: Path) -> int:
     sc = compute_scales(prof, cfg.eps)
     h = SphereField.zonal_band(spec, 2, 1.0)
     h = h * (0.3 * sc.r_eps**2 / h.holder_norm())
-    piece = build_catenoid_piece(
-        prof, cfg.eps, h, cfg.kappa, cfg.tol_solver, delta=cfg.delta, step=cfg.piece_step
-    )
+    piece = build_catenoid_piece(prof, cfg.eps, h, cfg.kappa, cfg.tol_solver, delta=cfg.delta)
     cauchy_maps_catenoid(piece)
     _export_rows("s", piece.w.grid.s, piece.w.values, out / "catenoid_piece.csv")
     dump_json(
@@ -195,14 +182,14 @@ def cmd_neck(cfg: RunConfig, out: Path) -> int:
 
     spec, prof = _context(cfg)
     sc = compute_scales(prof, cfg.eps)
-    r0 = cfg.r0 if cfg.r0 else 180.0 * sc.r_eps
-    patch = flat_patch(spec, r0, m=cfg.m_radial, r_in=sc.r_eps / 4)
+    r0 = 180.0 * sc.r_eps
+    patch = flat_patch(spec, r0, m=150, r_in=sc.r_eps / 4)
     b = sc.r_eps**2
     A = RigidParams(np.zeros(cfg.n), np.zeros(cfg.n), 0.1 * b, 0.0)
     h2 = SphereField.zonal_band(spec, 2, 1.0)
     h2 = h2 * (0.3 * b / h2.holder_norm())
     h0 = SphereField.zeros(spec)
-    piece = build_neck_piece(patch, sc, A, h0, h2, cfg.tol_solver, nu=cfg.nu, kappa=cfg.kappa)
+    piece = build_neck_piece(patch, sc, A, h0, h2, cfg.tol_solver, kappa=cfg.kappa)
     cauchy_T(piece)
     _export_rows("r", piece.V.grid.r, piece.V.values, out / "neck_piece.csv")
     dump_json(
@@ -259,7 +246,8 @@ def cmd_tower(cfg: RunConfig, out: Path) -> int:
     surf = _seed_surface(cfg)
     try:
         glued, report = stack_tower(
-            cfg.K, surf, schedule=cfg.eps_schedule, kappa=cfg.kappa, tol_piece=cfg.tol_solver
+            cfg.K, surf, schedule=cfg.eps_schedule, kappa=cfg.kappa, tol_piece=cfg.tol_solver,
+            tol_match=cfg.tol_match, delta=cfg.delta,
         )
     except GlueError as exc:
         if exc.report is not None:
@@ -279,7 +267,10 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     from .verify import mc_residual, second_fund
 
     surf = _seed_surface(cfg)
-    glued = glue_end(surf, cfg.eps, kappa=cfg.kappa, tol_piece=cfg.tol_solver, delta=cfg.delta)
+    glued = glue_end(
+        surf, cfg.eps, kappa=cfg.kappa, tol_piece=cfg.tol_solver, tol_match=cfg.tol_match,
+        delta=cfg.delta,
+    )
     res = mc_residual(glued)
     prof2 = second_fund(glued)
     report = {
@@ -358,8 +349,6 @@ def section_export(surface, plane: dict, path: Path | None = None, n_samples: in
                 pt[1] += radius * np.sin(ang)
                 pt[-1] = c
                 lines.append("core," + ",".join(format(v, ".17g") for v in pt))
-        if len(lines) == 1:
-            lines.append("# empty intersection")
     elif plane.get("axis") == "meridian":
         s = np.linspace(-outer.core_span, outer.core_span, n_samples)
         phi, dphi, psi, dpsi = profile_values(n, s)
@@ -378,7 +367,6 @@ def section_export(surface, plane: dict, path: Path | None = None, n_samples: in
                         pt = np.zeros(n + 1)
                         pt[:n] = site["center_xy"]
                         pt[0] += sgn * piece.V.grid.r[i]
-                        zon = piece.V.values[n + 1:, i] if piece.V.values.shape[0] > n + 1 else 0.0
                         val = piece.V.values[0, i] + sgn * piece.V.values[1, i]
                         pt[-1] = site["height"] + val
                         lines.append("neck," + ",".join(format(v, ".17g") for v in pt))
@@ -418,8 +406,7 @@ COMMANDS = {
 
 
 def run(subcommand: str, config: RunConfig) -> int:
-    """Dispatch a subcommand; deterministic given config + seed."""
-    np.random.seed(config.seed)
+    """Dispatch a subcommand; deterministic given the config."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(config, out)
@@ -445,14 +432,12 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    logging.basicConfig(level=logging.WARNING)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig().validate()
-        for name in ("out_dir", "seed", "eps"):
+        for name in ("out_dir", "eps"):
             arg = getattr(args, name if name != "out_dir" else "out")
             if arg is not None:
                 setattr(cfg, name, arg)

@@ -29,7 +29,6 @@ from .neck import (
     NeckPiece,
     RigidParams,
     build_neck_piece,
-    default_nu,
     green_function,
     simple_cauchy_neck,
 )
@@ -37,7 +36,7 @@ from .outer import (
     EndModel,
     OuterSurface,
     assemble_outer,
-    cauchy_U,
+    cauchy_U_eps,
     find_site,
     interior_ball_solve,
     nondegeneracy_check,
@@ -107,35 +106,25 @@ class GlueContext:
     kappa: float = 1.0
     tol_piece: float = 5e-3
     delta: float | None = None
-    nu: float | None = None
 
     def __post_init__(self):
         if self.delta is None:
             self.delta = default_delta(self.spectrum.n)
-        if self.nu is None:
-            self.nu = default_nu(self.spectrum.n)
 
 
 def prepare_glue(
-    surface: OuterSurface,
-    eps: float,
-    r0: float | None = None,
-    kappa: float = 16.0,
-    tol_piece: float = 5e-3,
-    m_radial: int = 150,
+    surface: OuterSurface, eps: float, kappa: float = 16.0, tol_piece: float = 5e-3
 ) -> GlueContext:
     """Select a site on the top end and freeze the glue inputs."""
     scales = compute_scales(surface.profile, eps)
     site = find_site(surface, scales)
-    if r0 is None:
-        r0 = max(180.0 * scales.r_eps, 1e-3 * site["r_site"])
-        r0 = min(r0, site["r_site"] / 10.0)
+    r0 = min(max(180.0 * scales.r_eps, 1e-3 * site["r_site"]), site["r_site"] / 10.0)
     if r0 < 60.0 * scales.r_eps:
         raise PreconditionError(
             f"r0={r0:.3e} leaves no room above r_eps={scales.r_eps:.3e}"
         )
     p = np.concatenate([site["center_xy"], [site["height"]]])
-    surface, patch = assemble_outer(surface, r0, p, scales, m_radial=m_radial)
+    surface, patch = assemble_outer(surface, r0, p, scales)
     green = green_function(patch, scales.r_eps / 4.0)
     return GlueContext(
         profile=surface.profile,
@@ -167,12 +156,11 @@ def conglomerate_C(t: BoundaryTriple, ctx: GlueContext, keep_pieces: bool = Fals
     # side shift would be cancelled at the inner ring by its own outer lift
     A_neck = RigidParams(t.A.T.copy(), t.A.R.copy(), 0.0, t.A.e)
     neck = build_neck_piece(
-        ctx.patch, sc, A_neck, t.h_I, t.h_II, ctx.tol_piece,
-        nu=ctx.nu, kappa=ctx.kappa, green=ctx.green,
+        ctx.patch, sc, A_neck, t.h_I, t.h_II, ctx.tol_piece, kappa=ctx.kappa, green=ctx.green
     )
     ctx.surface.site["scales"] = sc
     surf = solve_outer_nonlinear(ctx.surface, t.h_I, ctx.tol_piece)
-    u_eps, u_0, u_info = cauchy_U(surf, t.h_I, neck)
+    u_eps = cauchy_U_eps(surf, neck)
     s_val = cat.cauchy[0].copy()
     s_val.low[0] -= t.A.d
     s_eps = (s_val, cat.cauchy[1])
@@ -181,7 +169,7 @@ def conglomerate_C(t: BoundaryTriple, ctx: GlueContext, keep_pieces: bool = Fals
     mid_slope = t_eps[1] - s_eps[1]
     out = (u_eps, mid_val, mid_slope)
     if keep_pieces:
-        return out, {"catenoid": cat, "neck": neck, "outer": surf, "u_info": u_info}
+        return out, {"catenoid": cat, "neck": neck, "outer": surf}
     return out
 
 
@@ -250,14 +238,11 @@ class SimpleMaps:
 
 
 def _unit_band_field(spec: BandSpectrum, ell: int) -> SphereField:
-    f = SphereField.zeros(spec)
     if ell == 0:
-        f.low[0] = 1.0
-    elif ell == 1:
-        f.low[1] = 1.0
-    else:
-        f.zonal[ell - 2] = 1.0
-    return f
+        return SphereField.constant(spec, 1.0)
+    if ell == 1:
+        return SphereField.linear(spec, np.eye(spec.n)[0])
+    return SphereField.zonal_band(spec, ell, 1.0)
 
 
 def _band_coefficient(f: SphereField, ell: int) -> float:
@@ -404,9 +389,8 @@ def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
         ends=ends,
         eps_history=[sc.eps],
         neck_boxes=[box],
-        info={"history": history, "u_info": pieces["u_info"],
-              "ring_height": ring_height, "site": {k: site[k] for k in
-              ("r_site", "height", "r0")}},
+        info={"history": history, "ring_height": ring_height,
+              "site": {k: site[k] for k in ("r_site", "height", "r0")}},
     )
     return glued
 
@@ -418,9 +402,7 @@ def glue_end(
     tol_piece: float = 5e-3,
     tol_match: float | None = None,
     delta: float | None = None,
-    eps0_certified: float | None = None,
     prev: GluedSurface | None = None,
-    verify_embedding: bool = True,
 ) -> GluedSurface:
     """Glue one half-catenoid to the top end of the surface.
 
@@ -428,8 +410,9 @@ def glue_end(
     and carries the embeddedness certificate of the verify module.
     """
     from .catenoid import recorded_eps0
+    from .verify import embeddedness
 
-    limit = eps0_certified if eps0_certified is not None else recorded_eps0(kappa)
+    limit = recorded_eps0(kappa)
     if eps > limit:
         raise PreconditionError(
             f"eps={eps:.3e} above the certified threshold {limit:.3e}"
@@ -447,13 +430,10 @@ def glue_end(
         seed_box = _seed_neck_box(surface)
         glued.neck_boxes = [seed_box] + glued.neck_boxes
     glued.certificates["new_end_tilt"] = _new_end_tilt(glued)
-    if verify_embedding:
-        from .verify import embeddedness
-
-        cert = embeddedness(glued)
-        glued.certificates["embeddedness"] = cert
-        if not cert["embedded"]:
-            raise GlueError(f"embeddedness failed: witness {cert.get('witness')}")
+    cert = embeddedness(glued)
+    glued.certificates["embeddedness"] = cert
+    if not cert["embedded"]:
+        raise GlueError(f"embeddedness failed: witness {cert.get('witness')}")
     return glued
 
 
@@ -535,17 +515,20 @@ def stack_tower(
     K: int,
     seed: OuterSurface,
     schedule: list | None = None,
-    eps0: float | None = None,
     kappa: float = 16.0,
     tol_piece: float = 5e-3,
+    tol_match: float | None = None,
+    delta: float | None = None,
 ) -> tuple:
-    """Stack K glues on the seed; returns (GluedSurface | seed, TowerReport)."""
+    """Stack K glues on the seed; returns (GluedSurface | seed, TowerReport).
+
+    tol_match and delta reach every level's glue_end.
+    """
     from .catenoid import recorded_eps0
 
     if K < 1:
         raise PreconditionError("K must be >= 1")
-    if eps0 is None:
-        eps0 = recorded_eps0(kappa)
+    eps0 = recorded_eps0(kappa)
     if schedule is None:
         schedule = default_schedule(K - 1, eps0)
     if len(schedule) < K - 1:
@@ -564,8 +547,8 @@ def stack_tower(
         eps = schedule[k]
         try:
             glued = glue_end(
-                surface, eps, kappa=kappa, tol_piece=tol_piece,
-                eps0_certified=eps0, prev=glued,
+                surface, eps, kappa=kappa, tol_piece=tol_piece, tol_match=tol_match,
+                delta=delta, prev=glued,
             )
         except Exception as exc:  # the partial report rides on the error
             report = _tower_report(surface, glued, levels, certificates, partial=str(exc))
@@ -574,7 +557,7 @@ def stack_tower(
         levels.append({"k": k + 2, "eps": eps,
                        "mismatch": glued.mismatch_norm,
                        "triple_norm": glued.triple.norm(compute_scales(seed.profile, eps))})
-        certificates.append(glued.certificates.get("embeddedness", {}))
+        certificates.append(glued.certificates["embeddedness"])
     report = _tower_report(surface, glued, levels, certificates)
     return (glued if glued is not None else surface), report
 

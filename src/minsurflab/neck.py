@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catenoid import PreconditionError, ResidualError, contraction_median, picard, smooth_step
-from .cylinder import BandField, GridError, axial_collocation, rows_from_collocation
+from .cylinder import BandField, axial_collocation, rows_from_collocation
 from .diffops import fd_derivative
 from .geometry import OrbitSurface, graph_orbit_points, matrix_surface
 from .profile import Scales
@@ -64,22 +64,22 @@ class GraphPatch:
     def spectrum(self):
         return self.u.spectrum
 
-    def radial_profile(self) -> np.ndarray:
-        """Band-0 height profile (the radialized background)."""
-        return self.u.values[0]
-
     def radial_slope(self) -> np.ndarray:
         """d/dr of the radialized background on the grid."""
         return (self.grid.D @ self.u.values[0]) / self.grid.r
 
+    def with_height(self, grid: RadialGrid, u: BandField) -> "GraphPatch":
+        """The annulus graph of u over grid, with this patch's radius,
+        recorded bounds and frame."""
+        return GraphPatch(
+            self.n, self.r0, grid, u, "annulus", self.grad0,
+            self.c2_norm, self.eta0, self.frame_center.copy(),
+        )
+
     def resample(self, grid: RadialGrid) -> "GraphPatch":
         # flat continuation below the stored inner truncation
         P = self.grid.interp_matrix(np.clip(grid.r, self.grid.r_in, self.grid.r_out))
-        u = BandField(self.spectrum, grid, self.u.values @ P.T, self.u.pole)
-        return GraphPatch(
-            self.n, self.r0, grid, u, self.kind, self.grad0,
-            self.c2_norm, self.eta0, self.frame_center.copy(),
-        )
+        return self.with_height(grid, BandField(self.spectrum, grid, self.u.values @ P.T, self.u.pole))
 
 
 def flat_patch(spectrum, r0: float, m: int = 160, r_in: float | None = None, kind="annulus") -> GraphPatch:
@@ -127,7 +127,6 @@ class GreenTable:
     a0: float
     flux: float
     fit_exponents: dict
-    info: dict = field(default_factory=dict)
 
     def at(self, r: np.ndarray) -> np.ndarray:
         return self.grid.interp_matrix(r) @ self.values
@@ -180,15 +179,18 @@ def mean_curvature_graph(patch: GraphPatch, w: BandField | None = None, oracle: 
     return surf.mean_curvature(patch.n)
 
 
-def linearized_graph_op(patch: GraphPatch, w: BandField) -> BandField:
-    """Band-diagonal linearization about the radialized background."""
-    if w.grid is not patch.grid and not np.allclose(w.grid.rho, patch.grid.rho):
-        raise GridError("field grid does not match the patch grid")
-    op = BandOperator(patch.spectrum, patch.grid, patch.radial_slope())
-    return op.apply(w)
+def graph_residual(patch: GraphPatch) -> tuple:
+    """Oracle sup|H| of the patch graph, raw and relative to the chart
+    curvature scale max(sup|A|, 1/r_out)."""
+    g = angular_grid(patch.spectrum)
+    sup_H = float(np.max(np.abs(mean_curvature_graph(patch, oracle=True)[3:-3])))
+    P = graph_orbit_points(patch.grid.r, g, axial_collocation(patch.u, g))
+    A2 = matrix_surface(P, g, patch.grid.D).second_fundamental_sq(patch.n)
+    return sup_H, sup_H / max(float(np.sqrt(np.max(A2))), 1.0 / patch.grid.r_out)
 
 
 def graph_operator(patch: GraphPatch) -> BandOperator:
+    """Band-diagonal linearization about the radialized background."""
     return BandOperator(patch.spectrum, patch.grid, patch.radial_slope())
 
 
@@ -255,10 +257,7 @@ def green_function(patch: GraphPatch, rho_in: float, m: int | None = None) -> Gr
             y = np.abs(prof[mid]) + 1e-300
             slope = np.polyfit(np.log(r[mid]), np.log(y), 1)[0]
             fit[k] = float(slope)
-    return GreenTable(
-        n=n, grid=grid, values=gam, a0=a0, flux=flux, fit_exponents=fit,
-        info={"singular_excess": sing_extra},
-    )
+    return GreenTable(n=n, grid=grid, values=gam, a0=a0, flux=flux, fit_exponents=fit)
 
 
 # -- the opened-neck background -----------------------------------------------------
@@ -289,6 +288,19 @@ def rigid_deviation_rows(
     return out
 
 
+def _opened_backdrop(
+    patch: GraphPatch, scales: Scales, A: RigidParams, green: GreenTable | None,
+    r_in: float, r_out: float,
+) -> tuple:
+    """(patch resampled onto [r_in, r_out], the rows w_{eps, A} there, the
+    graph of their sum): the opened neck's backdrop."""
+    if green is None:
+        green = green_function(patch, scales.r_eps / 4.0)
+    base = patch.resample(RadialGrid(r_in, r_out, patch.grid.m))
+    dev = rigid_deviation_rows(base, scales, A, green)
+    return base, dev, patch.with_height(base.grid, base.u + dev)
+
+
 def build_sigma_eps(
     patch: GraphPatch,
     scales: Scales,
@@ -306,14 +318,10 @@ def build_sigma_eps(
         raise PreconditionError(
             f"|A| = {A.norm(scales):.3e} exceeds kappa r_eps^2 = {kappa * scales.r_eps ** 2:.3e}"
         )
-    if green is None:
-        green = green_function(patch, scales.r_eps / 4.0)
-    grid = RadialGrid(scales.r_eps / 2.0, patch.r0 / 2.0, patch.grid.m)
-    base = patch.resample(grid)
-    dev = rigid_deviation_rows(base, scales, A, green)
-    total = base.u + dev
+    _, dev, out = _opened_backdrop(patch, scales, A, green, scales.r_eps / 2.0, patch.r0 / 2.0)
+    grid = out.grid
     g = angular_grid(patch.spectrum)
-    vals = axial_collocation(total, g)
+    vals = axial_collocation(out.u, g)
     dvals = (grid.D @ vals) / grid.r[:, None]
     max_grad = float(np.max(np.abs(dvals)))
     # the inner collar is genuinely steep (the lower neck sheet); only a
@@ -322,11 +330,6 @@ def build_sigma_eps(
         raise PreconditionError(
             f"opened-neck graph fails the vertical-graph test: sup|du/dr| = {max_grad:.3f}"
         )
-    out = GraphPatch(
-        n, patch.r0, grid, total, kind="annulus",
-        grad0=patch.grad0, c2_norm=patch.c2_norm, eta0=patch.eta0,
-        frame_center=patch.frame_center.copy(),
-    )
     # measured shape constant of |grad^k w| <= c r^{-k} (r_eps r + eps r^{2-n})
     env = scales.r_eps * grid.r + scales.eps * grid.r ** (2 - n)
     w0 = np.abs(dev.values[0]) + np.abs(dev.values[1 : 1 + n]).sum(axis=0)
@@ -334,8 +337,6 @@ def build_sigma_eps(
     w1 = np.abs(grid.D @ dev.values[0]) / grid.r
     c1 = float(np.max(w1 / (env / grid.r)))
     out.info["sigma_shape_constants"] = (c0, c1)
-    out.info["rigid"] = A
-    out.info["green_a0"] = green.a0
     return out
 
 
@@ -352,14 +353,12 @@ def default_nu(n: int) -> float:
     return -7.0 / 3.0 if n == 3 else -n + 0.5
 
 
-def solve_annulus_mixed(
-    patch: GraphPatch, f: BandField, r: float, nu: float, alpha: float = 0.5
-) -> BandField:
+def solve_annulus_mixed(patch: GraphPatch, f: BandField, r: float, nu: float) -> BandField:
     """Mixed two-point solve on the annulus [r, r0] about the patch graph.
 
     High bands take zero Dirichlet data at the inner ring, low bands the
-    regular-selection row, zero Dirichlet at the outer boundary; the
-    measured weighted-norm ratio lands in info['bound_ratio'].
+    regular-selection row, zero Dirichlet at the outer boundary.  nu is the
+    weight the solve is measured in; it must lie in (-n, 1-n).
     """
     n = patch.n
     if not admissible_nu(n, nu):
@@ -372,15 +371,9 @@ def solve_annulus_mixed(
     else:
         grid = RadialGrid(r, patch.grid.r_out, f.grid.m)
         base = patch.resample(grid)
-        if f.grid is not grid:
-            Pmat = f.grid.interp_matrix(np.clip(grid.r, f.grid.r_in, f.grid.r_out))
-            f = BandField(f.spectrum, grid, f.values @ Pmat.T, f.pole)
-    op = graph_operator(base)
-    w = solve_mixed(op, f, inner=None, outer=None)
-    nf = weighted_norm(f, 0, alpha, nu - 2)
-    if nf > 0:
-        w.info["bound_ratio"] = weighted_norm(w, 2, alpha, nu) / nf
-    return w
+        Pmat = f.grid.interp_matrix(np.clip(grid.r, f.grid.r_in, f.grid.r_out))
+        f = BandField(f.spectrum, grid, f.values @ Pmat.T, f.pole)
+    return solve_mixed(graph_operator(base), f, inner=None, outer=None)
 
 
 def poisson_neck(
@@ -486,17 +479,9 @@ def build_neck_piece(
     if project_low(h_II).holder_norm() > 1e-12 * max(1.0, h_II.holder_norm()):
         raise PreconditionError("h_II must be high-mode data")
 
-    if green is None:
-        green = green_function(patch, scales.r_eps / 4.0)
-    grid = RadialGrid(scales.r_eps, patch.r0, patch.grid.m)
-    base = patch.resample(grid)
-    dev = rigid_deviation_rows(base, scales, A, green)
-    backdrop = base.u + dev  # u0 + w_{eps,A} rows
-    back_patch = GraphPatch(
-        n, patch.r0, grid, backdrop, kind="annulus",
-        grad0=patch.grad0, c2_norm=patch.c2_norm, eta0=patch.eta0,
-        frame_center=patch.frame_center.copy(),
-    )
+    base, dev, back_patch = _opened_backdrop(patch, scales, A, green, scales.r_eps, patch.r0)
+    grid = back_patch.grid
+    backdrop = back_patch.u  # u0 + w_{eps,A} rows
     op = graph_operator(back_patch)
     g = angular_grid(spec)
 
@@ -536,18 +521,7 @@ def build_neck_piece(
 
     w = wt + v
     V = backdrop + w
-
-    total_patch = GraphPatch(
-        n, patch.r0, grid, V, kind="annulus",
-        grad0=patch.grad0, c2_norm=patch.c2_norm, eta0=patch.eta0,
-        frame_center=patch.frame_center.copy(),
-    )
-    H_or = mean_curvature_graph(total_patch, oracle=True)
-    sup_H = float(np.max(np.abs(H_or[3:-3])))
-    P = graph_orbit_points(grid.r, g, axial_collocation(V, g))
-    surf = matrix_surface(P, g, grid.D)
-    sup_A = float(np.sqrt(np.max(surf.second_fundamental_sq(n))))
-    res_rel = sup_H / max(sup_A, 1.0 / patch.r0)
+    sup_H, res_rel = graph_residual(patch.with_height(grid, V))
     if res_rel > tol:
         raise ResidualError(
             f"neck oracle residual {res_rel:.3e} (relative to curvature scale) exceeds tol={tol:.3e}"
@@ -560,7 +534,7 @@ def build_neck_piece(
     outer_val = V.trace(-1)
     outer_slope = (V - base.u).d_trace(-1)
 
-    piece = NeckPiece(
+    return NeckPiece(
         scales=scales,
         rigid=A,
         h_I=h_I,
@@ -577,12 +551,8 @@ def build_neck_piece(
             "nu": nu,
             "v_weighted_norm": weighted_norm(v, 2, 0.5, nu),
             "ball_radius": float(scales.r_eps ** (10.0 / 3.0 - nu)),
-            "inner_gap_norm": inner_gap.holder_norm(),
-            "ring_shift": shift,
-            "green_a0": green.a0,
         },
     )
-    return piece
 
 
 def rigid_ring_data(A: RigidParams, r0: float, spectrum, pole=None) -> SphereField:
@@ -602,7 +572,6 @@ def simple_cauchy_neck(scales: Scales, A: RigidParams, h_II: SphereField, pole=N
     """
     n = scales.n
     r_eps = scales.r_eps
-    spec = h_II.spectrum
     value = h_II.copy()
     value.low[0] += A.e / (n - 2) * r_eps ** (2 - n) + A.d
     value.low[1:] += r_eps * A.R + scales.eps * r_eps ** (1 - n) * A.T

@@ -26,9 +26,8 @@ from .catenoid import (
     picard,
     smooth_step,
 )
-from .cylinder import BandField, UniformGrid, axial_collocation, row_bands, rows_from_collocation
-from .geometry import graph_orbit_points, matrix_surface
-from .neck import GraphPatch, NeckPiece, angular_grid
+from .cylinder import BandField, UniformGrid, row_bands, rows_from_collocation
+from .neck import GraphPatch, NeckPiece, angular_grid, graph_residual, mean_curvature_graph
 from .profile import ProfileTable, Scales, profile_values
 from .radial import BandOperator, RadialGrid
 from .spectral import BandSpectrum, SphereField
@@ -190,7 +189,6 @@ def build_deficiency(surface: OuterSurface) -> dict:
     fields; K1^{(j)} is its orthogonal complement.
     """
     n = surface.n
-    prof = surface.profile
     s = surface.core_w.grid.s
     data = grid_profile(n, s)
     phi, dphi, psi, dpsi = data["phi"], data["dphi"], data["psi"], data["dpsi"]
@@ -379,8 +377,6 @@ def solve_outer_linear(
     out = np.zeros_like(f.values)
     k1_coeffs: dict = {}
     sK1 = surface.deficiency["K1"]
-    cut_hi = smooth_step(s - (surface.core_span - 4.0))
-    cut_lo = cut_hi[::-1]
     weight = np.exp(delta * np.sqrt(s * s + 1.0))
     for i, ell in enumerate(bands):
         A = _band_matrix_conjugated(n, int(ell), s, delta)
@@ -388,18 +384,8 @@ def solve_outer_linear(
         rhs[0] = 0.0
         rhs[-1] = 0.0
         if ell <= 1:
-            up, um = _homogeneous_profiles(n, int(ell), s)
             K1 = sK1[int(ell)]
-            cols = []
-            for c_idx in range(K1.shape[1]):
-                cvec = K1[:, c_idx]
-                prof_vals = (
-                    cvec[0] * cut_hi * up
-                    + cvec[1] * cut_hi * um
-                    + (cvec[2] * cut_lo * up[::-1] + cvec[3] * cut_lo * um[::-1]
-                       if cvec.size > 2 else 0.0)
-                )
-                cols.append(prof_vals)
+            cols = [deficiency_field(surface, int(ell), K1[:, c_idx]) for c_idx in range(K1.shape[1])]
             nc = len(cols)
             Abig = np.zeros((m + nc, m + nc))
             Abig[:m, :m] = A
@@ -608,8 +594,6 @@ def solve_outer_nonlinear(
         n=n, r0=grid.r_out / 2.0, grid=grid, u=base, kind="annulus",
         frame_center=np.concatenate([site["center_xy"], [site["height"]]]),
     )
-    from .neck import mean_curvature_graph
-
     H_base_vals = mean_curvature_graph(base_patch)
 
     def update(w: BandField) -> BandField:
@@ -623,16 +607,7 @@ def solve_outer_nonlinear(
     if h_I.holder_norm() != 0.0:
         w, it, _ = picard(update, w, 1e-9, 1e-300, max_iter, stage="outer")
 
-    total_patch = GraphPatch(
-        n=n, r0=grid.r_out / 2.0, grid=grid, u=base + w, kind="annulus",
-        frame_center=base_patch.frame_center,
-    )
-    H_or = mean_curvature_graph(total_patch, oracle=True)
-    sup_H = float(np.max(np.abs(H_or[3:-3])))
-    P = graph_orbit_points(grid.r, g, axial_collocation(base + w, g))
-    surf2 = matrix_surface(P, g, grid.D)
-    sup_A = float(np.sqrt(np.max(surf2.second_fundamental_sq(n))))
-    res_rel = sup_H / max(sup_A, 1.0 / grid.r_out)
+    _, res_rel = graph_residual(base_patch.with_height(grid, base + w))
     if res_rel > tol:
         raise ResidualError(f"outer residual {res_rel:.3e} exceeds tol={tol:.3e}")
     site["w_hI"] = w
@@ -649,7 +624,6 @@ def interior_ball_solve(surface: OuterSurface, h_I: SphereField) -> BandField:
     site = surface.site
     patch = site["patch"]
     spec = surface.spectrum
-    n = surface.n
     r0 = site["r0"]
     grid = RadialGrid(1e-3 * r0, r0, patch.grid.m)
     Pm = patch.grid.interp_matrix(grid.r)
@@ -672,18 +646,21 @@ def interior_ball_solve(surface: OuterSurface, h_I: SphereField) -> BandField:
     return BandField(spec, grid, out, pole=site["pole"])
 
 
-def cauchy_U(surface: OuterSurface, h_I: SphereField, neck: NeckPiece):
-    """Solved and simple outer Cauchy data on the ring (derivative slot).
-
-    U_eps compares the outer piece's perturbation slope with the neck
-    piece's outer deviation slope; U_0 uses the two linear model problems
-    with the same ring data.
-    """
+def cauchy_U_eps(surface: OuterSurface, neck: NeckPiece) -> SphereField:
+    """Solved outer Cauchy data on the ring (derivative slot): the outer
+    piece's perturbation slope minus the neck piece's outer deviation slope."""
     site = surface.site
     if site is None or "w_hI" not in site:
-        raise PreconditionError("solve_outer_nonlinear must run before cauchy_U")
-    w = site["w_hI"]
-    u_eps = w.d_trace(0) - neck.cauchy_outer[1]
+        raise PreconditionError("solve_outer_nonlinear must run before cauchy_U_eps")
+    return site["w_hI"].d_trace(0) - neck.cauchy_outer[1]
+
+
+def cauchy_U(surface: OuterSurface, h_I: SphereField, neck: NeckPiece):
+    """Solved and simple outer Cauchy data on the ring, with their gap.
+
+    U_0 uses the two linear model problems with the same ring data.
+    """
+    u_eps = cauchy_U_eps(surface, neck)
     w0 = site_exterior_solve(surface, h_I)
     wt0 = interior_ball_solve(surface, h_I)
     u_0 = w0.d_trace(0) - wt0.d_trace(-1)

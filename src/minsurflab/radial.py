@@ -145,7 +145,6 @@ def solve_mixed(
     supplies Dirichlet data for every band.  None means zero data.
     """
     spec = f.spectrum
-    n = spec.n
     bands = row_bands(spec)
     out = np.empty_like(f.values)
     inner_cols = None

@@ -228,52 +228,7 @@ class SphereField:
     def copy(self) -> "SphereField":
         return SphereField(self.spectrum, self.low.copy(), self.zonal.copy(), self.pole.copy())
 
-    # -- serialization -----------------------------------------------------------
-
-    def to_table(self) -> str:
-        """Plain-text table of (band, coefficient...) rows."""
-        lines = [f"# n={self.spectrum.n} L={self.spectrum.L}"]
-        lines.append("# pole " + " ".join(format(v, ".17g") for v in self.pole))
-        lines.append("0 " + format(self.low[0], ".17g"))
-        lines.append("1 " + " ".join(format(v, ".17g") for v in self.low[1:]))
-        for k, c in enumerate(self.zonal):
-            lines.append(f"{k + 2} " + format(c, ".17g"))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_table(cls, text: str, spectrum: BandSpectrum) -> "SphereField":
-        pole = None
-        low = np.zeros(spectrum.n + 1)
-        zonal = np.zeros(spectrum.L - 1)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# pole"):
-                pole = np.array([float(v) for v in line.split()[2:]])
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split()
-            ell = int(parts[0])
-            vals = [float(v) for v in parts[1:]]
-            if ell == 0:
-                low[0] = vals[0]
-            elif ell == 1:
-                low[1:] = vals
-            else:
-                zonal[ell - 2] = vals[0]
-        return cls(spectrum, low, zonal, pole=pole)
-
     # -- band coefficient access ----------------------------------------------
-
-    def band_coefficient(self, ell: int) -> float | np.ndarray:
-        """l=0: scalar; l=1: vector in R^n; l>=2: zonal scalar."""
-        if ell == 0:
-            return self.low[0]
-        if ell == 1:
-            return self.low[1:].copy()
-        return self.zonal[ell - 2]
 
     def axial_coefficients(self) -> np.ndarray:
         """Coefficients along the pole meridian: [a0, a.q, zonal_2..L]."""

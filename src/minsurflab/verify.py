@@ -18,7 +18,7 @@ import numpy as np
 
 from .cylinder import axial_collocation
 from .geometry import graph_orbit_points, matrix_surface, uniform_surface
-from .neck import angular_grid, mean_curvature_graph
+from .neck import angular_grid
 from .profile import profile_values
 from .spectral import sphere_area
 
@@ -149,22 +149,14 @@ def catenoid_sample_graph(
 # -- residual and curvature oracles -----------------------------------------------------
 
 
-def _charts_of(surface) -> list:
-    """Normalize the chart inventory of a GluedSurface or OuterSurface."""
-    charts = []
-    outer = getattr(surface, "outer", surface)
-    charts.append(("core", outer))
-    for fc in getattr(outer, "frozen_charts", []):
-        charts.append((fc["kind"], fc))
-    return charts
-
-
 def mc_residual(surface) -> dict:
     """Independent mean-curvature oracle over all charts.
 
-    Each chart is resampled on an offset, refined grid and differentiated
-    with 4th-order stencils; residuals are reported raw and relative to the
-    chart's curvature scale.
+    The core chart is resampled on an offset, refined grid and
+    differentiated with 4th-order stencils; the neck and catenoid pieces run
+    the same kind of oracle when they are built, and their stored values are
+    reported here.  Residuals are reported raw and relative to the chart's
+    curvature scale.
     """
     out = {}
     outer = getattr(surface, "outer", surface)
@@ -197,12 +189,7 @@ def mc_residual(surface) -> dict:
     for fc in getattr(outer, "frozen_charts", []):
         piece = fc["piece"]
         if fc["kind"] == "neck_annulus":
-            patch = _neck_total_patch(outer, fc)
-            Hv = mean_curvature_graph(patch, oracle=True)
-            sup_H = float(np.max(np.abs(Hv[3:-3])))
-            out.setdefault("neck", []).append(
-                {"sup_H": sup_H, "rel": sup_H / _patch_curvature_scale(patch)}
-            )
+            out.setdefault("neck", []).append({"sup_H": piece.residual, "rel": piece.residual_rel})
         elif fc["kind"] == "catenoid":
             res = piece.residual  # unit-neck oracle value stored at build
             out.setdefault("catenoid", []).append(
@@ -213,23 +200,6 @@ def mc_residual(surface) -> dict:
         rels += [c["rel"] for c in out.get(key, [])]
     out["max_rel"] = float(np.max(rels))
     return out
-
-
-def _neck_total_patch(outer, fc):
-    from .neck import GraphPatch
-
-    piece = fc["piece"]
-    return GraphPatch(
-        n=outer.n, r0=fc["site"]["r0"], grid=piece.V.grid, u=piece.V,
-        kind="annulus", frame_center=np.zeros(outer.n + 1),
-    )
-
-
-def _patch_curvature_scale(patch) -> float:
-    g = angular_grid(patch.spectrum)
-    P = graph_orbit_points(patch.grid.r, g, axial_collocation(patch.u, g))
-    surf = matrix_surface(P, g, patch.grid.D)
-    return float(max(np.sqrt(np.max(surf.second_fundamental_sq(patch.n))), 1.0 / patch.r0))
 
 
 def second_fund(surface) -> dict:
@@ -266,16 +236,15 @@ def second_fund(surface) -> dict:
                 )
                 samples.append((pt, float(Avals[j])))
         elif fc["kind"] == "neck_annulus":
-            patch = _neck_total_patch(outer, fc)
-            g = angular_grid(patch.spectrum)
-            P = graph_orbit_points(patch.grid.r, g, axial_collocation(patch.u, g))
-            surf2 = matrix_surface(P, g, patch.grid.D)
-            A2 = np.sqrt(surf2.second_fundamental_sq(n))
+            V = piece.V
+            g = angular_grid(V.spectrum)
+            P = graph_orbit_points(V.grid.r, g, axial_collocation(V, g))
+            A2 = np.sqrt(matrix_surface(P, g, V.grid.D).second_fundamental_sq(n))
             site = fc["site"]
-            for i in range(0, patch.grid.m, 4):
+            for i in range(0, V.grid.m, 4):
                 pt = np.concatenate(
-                    [site["center_xy"] + np.eye(n)[0][: n] * patch.grid.r[i],
-                     [site["height"] + patch.u.values[0, i]]]
+                    [site["center_xy"] + np.eye(n)[0][: n] * V.grid.r[i],
+                     [site["height"] + V.values[0, i]]]
                 )
                 samples.append((pt, float(np.max(A2[i]))))
     outside = 0.0
@@ -401,9 +370,7 @@ def chord_arc(graph: ChartSampleGraph, x_index: int, R: float) -> dict:
     pts = graph.points
     n = pts.shape[1] - 1
     d_ext = np.linalg.norm(pts - pts[x_index], axis=1)
-    dist = graph.shortest_paths(x_index)
     inside = d_ext <= R
-    comp = inside & np.isfinite(dist)
     # component = points reachable without leaving the extrinsic ball: prune
     # by re-running restricted shortest paths
     sub = np.where(inside)[0]
@@ -434,7 +401,6 @@ def graphical_radius(graph: ChartSampleGraph, x_index: int, C_A: float, radii=No
     """Largest sampled R with the intrinsic ball a graph over the tangent
     plane with |grad u| < 1, and the measured inclusion factor delta_c."""
     pts = graph.points
-    n = pts.shape[1] - 1
     dist = graph.shortest_paths(x_index)
     finite = np.isfinite(dist)
     # tangent plane by local PCA over the nearest samples

@@ -22,11 +22,6 @@ class TestConfig:
     def test_defaults_validate(self):
         cfg = RunConfig().validate()
         assert cfg.delta == -2.0
-        assert cfg.nu == pytest.approx(-7.0 / 3.0)
-
-    def test_rejects_nu_outside_n3_window(self):
-        with pytest.raises(ConfigError, match="nu"):
-            RunConfig(nu=-1.0).validate()
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ConfigError, match="delta"):
@@ -44,9 +39,19 @@ class TestConfig:
 
     def test_cli_exit_code_on_config_error(self, tmp_path):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"nu": -1.0}))
+        p.write_text(json.dumps({"delta": -1.2}))
         rc = main(["profile", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name, value", [
+        ("nu", -7.0 / 3.0), ("m_radial", 150), ("r0", 0.1), ("piece_step", 5e-3), ("seed", 0),
+    ])
+    def test_removed_fields_are_refused(self, tmp_path, capsys, name, value):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({name: value}))
+        rc = main(["profile", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "unknown config fields" in capsys.readouterr().err
 
 
 class TestRun:
@@ -62,10 +67,22 @@ class TestRun:
     def test_deterministic_outputs(self, tmp_path):
         outs = []
         for name in ("a", "b"):
-            cfg = RunConfig(out_dir=str(tmp_path / name), seed=11).validate()
+            cfg = RunConfig(out_dir=str(tmp_path / name)).validate()
             run("profile", cfg)
             outs.append((tmp_path / name / "profile_summary.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_tower_forwards_delta_and_tol_match(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(kwargs)
+            raise PreconditionError("recorded")
+
+        monkeypatch.setattr(gluing, "glue_end", record)
+        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2, delta=-1.9, tol_match=1e-9).validate()
+        assert run("tower", cfg) == EXIT_CONFIG
+        assert [(kw["delta"], kw["tol_match"]) for kw in seen] == [(-1.9, 1e-9)]
 
     def test_failed_tower_writes_partial_report(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

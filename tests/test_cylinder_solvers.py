@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from band_reference import dense_band_dirichlet_robin
 from minsurflab.catenoid import (
     PreconditionError,
     apply_Lcal,
@@ -12,7 +13,6 @@ from minsurflab.catenoid import (
 from minsurflab.cylinder import (
     BandField,
     UniformGrid,
-    dense_band_dirichlet_robin,
     homogeneous_pair,
     norm_exp,
     row_bands,

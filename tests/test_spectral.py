@@ -171,13 +171,6 @@ class TestTransformsAndSerialization:
         direct = f.eval_meridian(zgrid.t)
         assert np.max(np.abs(vals - direct)) < 1e-12
 
-    def test_table_roundtrip(self, spectrum, rng):
-        f = SphereField(spectrum, rng.normal(size=4), rng.normal(size=7), pole=[0.0, 1.0, 0.0])
-        g = SphereField.from_table(f.to_table(), spectrum)
-        assert np.allclose(g.low, f.low)
-        assert np.allclose(g.zonal, f.zonal)
-        assert np.allclose(g.pole, f.pole)
-
     def test_norm_properties(self, spectrum, rng):
         f = SphereField(spectrum, rng.normal(size=4), rng.normal(size=7))
         g = SphereField(spectrum, rng.normal(size=4), rng.normal(size=7))
