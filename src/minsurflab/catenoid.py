@@ -34,7 +34,7 @@ from .cylinder import (
 )
 from .geometry import uniform_surface
 from .profile import ProfileTable, Scales, compute_scales, profile_values
-from .spectral import SphereField, ZonalGrid, apply_Dtheta, project_low
+from .spectral import SphereField, angular_grid, apply_Dtheta, project_low
 
 
 class PreconditionError(ValueError):
@@ -173,7 +173,7 @@ def apply_Lcal(w: BandField, profile: ProfileTable) -> BandField:
     return BandField(spec, w.grid, out, w.pole)
 
 
-def solve_GS(f: BandField, S: float, delta: float, profile: ProfileTable) -> BandField:
+def solve_GS(f: BandField, S: float, delta: float) -> BandField:
     """Right inverse of the cylinder operator with high-mode zero trace.
 
     Bands l >= 2: Dirichlet 0 at the cut, decaying Robin at the far
@@ -205,21 +205,29 @@ def solve_GS(f: BandField, S: float, delta: float, profile: ProfileTable) -> Ban
     return BandField(spec, grid, out, f.pole)
 
 
+# the catenoid piece's s-grid: step and length above the cut
+PIECE_STEP = 5e-3
+PIECE_SPAN = 15.0
+
+
+def _piece_grid(S: float) -> np.ndarray:
+    return S + PIECE_STEP * np.arange(int(round(PIECE_SPAN / PIECE_STEP)) + 1)
+
+
 def solve_PS(
     g_II: SphereField,
     S: float,
     delta: float,
-    profile: ProfileTable,
     s_grid: np.ndarray | None = None,
-    span: float = 15.0,
-    step: float = 5e-3,
     _zero_potential: bool = False,
 ) -> BandField:
     """Decaying solution with prescribed high-mode trace at the cut.
 
     Built as the explicit flat decaying extension w0 of the trace data plus
     a correction solve against the potential term.  g_II must have no
-    low-mode content.
+    low-mode content.  The grid is s_grid, by default the catenoid piece's
+    grid S + PIECE_STEP k over [S, S + PIECE_SPAN]; _zero_potential returns
+    w0 alone.
     """
     spec = g_II.spectrum
     n = spec.n
@@ -228,8 +236,7 @@ def solve_PS(
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
     if s_grid is None:
-        m = int(round(span / step))
-        s_grid = S + step * np.arange(m + 1)
+        s_grid = _piece_grid(S)
     grid = UniformGrid(s_grid)
     w0 = BandField.zeros(spec, grid, pole=g_II.pole)
     decay = np.exp(-np.outer(spec.gamma[2:], grid.s - S))
@@ -239,7 +246,7 @@ def solve_PS(
     data = grid_profile(n, grid.s)
     rhs = w0.copy()
     rhs.values = -data["pot"][None, :] * w0.values
-    return w0 + solve_GS(rhs, S, delta, profile)
+    return w0 + solve_GS(rhs, S, delta)
 
 
 # -- nonlinear catenoid piece ----------------------------------------------------
@@ -265,10 +272,14 @@ class CatenoidPiece:
     info: dict = field(default_factory=dict)
 
 
+# length of the window above the cut on which the nonlinear defect is evaluated
+DEFECT_SPAN = 6.0
+
+
 class _NeckGeometry:
     """Collocation machinery for the transition-field perturbation.
 
-    The nonlinear defect is only evaluated on s <= s_cut + defect_span: the
+    The nonlinear defect is only evaluated on s <= s_cut + DEFECT_SPAN: the
     conjugation weight phi^{(n+2)/2} grows like e^{(n+2)s/2} and would
     amplify curvature-engine roundoff beyond the size of the genuinely
     nonlinear contribution, which itself decays super-exponentially.
@@ -304,14 +315,14 @@ class _NeckGeometry:
         G = self.psi[:, None] + w_hat_vals * self.alpha_vert[:, None]
         return np.stack([F * g.t[None, :], F * g.sinb[None, :], G])
 
-    def conjugated_mc(self, w: BandField, order: int = 2, defect_span: float = 6.0) -> np.ndarray:
+    def conjugated_mc(self, w: BandField) -> np.ndarray:
         """Collocation values of the conjugated mean-curvature functional.
 
         Sign fixed so the linearization at w = 0 is the cylinder operator.
-        Evaluated on the near window s <= S + defect_span (plus a stencil
+        Evaluated on the near window s <= S + DEFECT_SPAN (plus a stencil
         margin); callers combine it with the linear operator there only.
         """
-        keep = self.s <= self.s[0] + defect_span
+        keep = self.s <= self.s[0] + DEFECT_SPAN
         m = int(np.sum(keep)) + 4
         w_hat = axial_collocation(w, self.grid)[:m] / self.eps_len
         g = self.grid
@@ -319,7 +330,7 @@ class _NeckGeometry:
         G = self.psi[:m, None] + w_hat * self.alpha_vert[:m, None]
         P = np.stack([F * g.t[None, :], F * g.sinb[None, :], G])
         h = float(self.s[1] - self.s[0])
-        H = uniform_surface(P, g, h, order=order).mean_curvature(self.n)
+        H = uniform_surface(P, g, h).mean_curvature(self.n)
         out = np.zeros((self.s.size, g.t.size))
         out[: m - 2] = -self.eps_len * self.mfac[: m - 2, None] * H[: m - 2]
         out[np.sum(keep) :] = 0.0
@@ -338,9 +349,6 @@ def build_catenoid_piece(
     kappa: float,
     tol: float,
     delta: float | None = None,
-    step: float = 5e-3,
-    span: float = 15.0,
-    grid: ZonalGrid | None = None,
     max_iter: int = 40,
 ) -> CatenoidPiece:
     """Solve the perturbed-catenoid problem with high-mode boundary data.
@@ -368,31 +376,28 @@ def build_catenoid_piece(
         raise PreconditionError(
             f"eps={eps:.3e} above the recorded threshold {recorded_eps0(kappa):.3e} for kappa={kappa}"
         )
-    if grid is None:
-        grid = ZonalGrid(n, spec.L, max(48, 4 * spec.L))
+    grid = angular_grid(spec)
 
     s_eps = scales.s_eps
-    m = int(round(span / step))
-    s_grid = s_eps + step * np.arange(m + 1)
+    s_grid = _piece_grid(s_eps)
     _check_profile_covers(profile, s_grid)
     geo = _NeckGeometry(n, s_grid, grid, scales.eps_len)
 
     g_II = h_II * (geo.phi[0] ** ((n - 2) / 2.0))
-    wt = solve_PS(g_II, s_eps, delta, profile, s_grid=s_grid)
+    wt = solve_PS(g_II, s_eps, delta, s_grid=s_grid)
 
     guard = 0.2  # smallness guard on the cubic-regime variable
-    defect_span = min(6.0, 0.45 * span)
-    mask = (s_grid <= s_eps + defect_span).astype(float)
+    mask = (s_grid <= s_eps + DEFECT_SPAN).astype(float)
 
     def update(v: BandField) -> BandField:
         w = wt + v
         lcal_w = apply_Lcal(w, profile)
-        mc = geo.conjugated_mc(w, defect_span=defect_span)
+        mc = geo.conjugated_mc(w)
         qbar = lcal_w.copy()
         qbar.values = (
             lcal_w.values - rows_from_collocation(mc, h_II.pole, grid)
         ) * mask[None, :]
-        v_new = solve_GS(qbar, s_eps, delta, profile)
+        v_new = solve_GS(qbar, s_eps, delta)
         gvar = np.max(np.abs(axial_collocation(v_new + wt, grid))) * np.max(
             geo.phi ** (-n / 2.0)
         ) / scales.eps_len

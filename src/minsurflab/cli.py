@@ -97,7 +97,7 @@ def dump_json(obj, path: Path):
     path.write_text(json.dumps(obj, indent=1, sort_keys=True, default=default) + "\n")
 
 
-def write_manifest(cfg: RunConfig, out: Path, extra: dict | None = None):
+def write_manifest(cfg: RunConfig, out: Path):
     manifest = {
         "version": __version__,
         "config": asdict(cfg),
@@ -107,8 +107,6 @@ def write_manifest(cfg: RunConfig, out: Path, extra: dict | None = None):
             "r_eps_rule": "eps^(1/(n-1)) * phi(s_eps)",
         },
     }
-    if extra:
-        manifest.update(extra)
     dump_json(manifest, out / "manifest.json")
 
 
@@ -316,15 +314,17 @@ def cmd_report(cfg: RunConfig, out: Path) -> int:
     return rc
 
 
-def section_export(surface, plane: dict, path: Path | None = None, n_samples: int = 256) -> str:
+def section_export(surface, plane: dict) -> str:
     """Ordered intersection polylines of the surface charts with a hyperplane.
 
     plane: {"axis": "vertical", "offset": c} intersects with x_{n+1} = c;
     {"axis": "meridian"} cuts along the vertical 2-plane through the pole
-    axis, producing the profile curve of the zonal charts.  Returns CSV text
-    (and writes it when a path is given); an empty intersection produces a
-    CSV with only the header and a note line.
+    axis, producing the profile curve of the zonal charts.  Curves are
+    sampled at 256 points (128 on a glued catenoid chart).  Returns CSV
+    text; an empty intersection produces a CSV with only the header and a
+    note line.
     """
+    n_samples = 256
     from .outer import psi_infinity
     from .profile import profile_values
 
@@ -387,10 +387,7 @@ def section_export(surface, plane: dict, path: Path | None = None, n_samples: in
         raise ConfigError(f"unknown hyperplane spec {plane}")
     if len(lines) == 1:
         lines.append("# empty intersection")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 COMMANDS = {

@@ -95,9 +95,9 @@ def uniform_surface(P, grid: ZonalGrid, h: float, order: int = 2) -> OrbitSurfac
     )
 
 
-def matrix_surface(P, grid: ZonalGrid, D1: np.ndarray, D2: np.ndarray | None = None) -> OrbitSurface:
+def matrix_surface(P, grid: ZonalGrid, D1: np.ndarray) -> OrbitSurface:
     """OrbitSurface differentiated by a dense collocation matrix (axis 0)."""
-    DD = D1 @ D1 if D2 is None else D2
+    DD = D1 @ D1
     return OrbitSurface(
         P,
         grid,

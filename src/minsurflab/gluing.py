@@ -141,10 +141,11 @@ def prepare_glue(
 # -- conglomerate maps ------------------------------------------------------------
 
 
-def conglomerate_C(t: BoundaryTriple, ctx: GlueContext, keep_pieces: bool = False):
-    """The mismatch triple (outer slope gap, inner value gap, inner slope gap).
+def conglomerate_C(t: BoundaryTriple, ctx: GlueContext):
+    """The mismatch triple (outer slope gap, inner value gap, inner slope gap)
+    and the pieces it was measured on, {"catenoid", "neck", "outer"}.
 
-    Zero means the three pieces form a C^1 matched minimal surface.
+    Zero mismatch means the three pieces form a C^1 matched minimal surface.
     """
     sc = ctx.scales
     cat = build_catenoid_piece(
@@ -158,7 +159,6 @@ def conglomerate_C(t: BoundaryTriple, ctx: GlueContext, keep_pieces: bool = Fals
     neck = build_neck_piece(
         ctx.patch, sc, A_neck, t.h_I, t.h_II, ctx.tol_piece, kappa=ctx.kappa, green=ctx.green
     )
-    ctx.surface.site["scales"] = sc
     surf = solve_outer_nonlinear(ctx.surface, t.h_I, ctx.tol_piece)
     u_eps = cauchy_U_eps(surf, neck)
     s_val = cat.cauchy[0].copy()
@@ -167,10 +167,7 @@ def conglomerate_C(t: BoundaryTriple, ctx: GlueContext, keep_pieces: bool = Fals
     t_eps = neck.cauchy_inner
     mid_val = t_eps[0] - s_eps[0]
     mid_slope = t_eps[1] - s_eps[1]
-    out = (u_eps, mid_val, mid_slope)
-    if keep_pieces:
-        return out, {"catenoid": cat, "neck": neck, "outer": surf}
-    return out
+    return (u_eps, mid_val, mid_slope), {"catenoid": cat, "neck": neck, "outer": surf}
 
 
 def triple_norm(mismatch) -> float:
@@ -279,17 +276,17 @@ class GluedSurface:
     info: dict = field(default_factory=dict)
 
 
-def fixed_point_glue(
-    ctx: GlueContext,
-    tol_match: float | None = None,
-    max_iter: int = 30,
-    theta: float = 1.0,
-) -> tuple:
+def fixed_point_glue(ctx: GlueContext, tol_match: float | None = None) -> tuple:
     """Damped Picard iteration on the model-preconditioned mismatch.
 
-    Terminates when the mismatch norm falls under the matching tolerance
-    (default 1e-8 r_eps^{2-n}); returns (triple, GluedSurface).
+    Starts undamped; a step that does not cut the mismatch below 0.9 times
+    the last one damps harder and restarts from the best point.  Terminates
+    when the mismatch norm falls under the matching tolerance (default
+    1e-8 r_eps^{2-n}) and fails after 30 evaluations; returns (triple,
+    GluedSurface).
     """
+    max_iter = 30
+    theta = 1.0
     sc = ctx.scales
     spec = ctx.spectrum
     if tol_match is None:
@@ -301,7 +298,7 @@ def fixed_point_glue(
     best = None
     prev_norm = None
     for it in range(1, max_iter + 1):
-        mismatch, pieces = conglomerate_C(t, ctx, keep_pieces=True)
+        mismatch, pieces = conglomerate_C(t, ctx)
         mis_norm = triple_norm(mismatch)
         history.append(mis_norm)
         if best is None or mis_norm < best[0]:

@@ -24,7 +24,7 @@ from .profile import Scales
 from .radial import BandOperator, RadialGrid, solve_mixed, weighted_norm
 from .spectral import (
     SphereField,
-    ZonalGrid,
+    angular_grid,
     apply_Dtheta,
     project_high,
     project_low,
@@ -36,29 +36,19 @@ from .spectral import (
 class GraphPatch:
     """Height graph over a polar grid on a ball or annulus.
 
-    u holds band rows of the height over the reference plane.  grad0 is the
-    recorded gluing-point gradient bound (A.2) and c2_norm the recorded C^2
-    size (A.3); domain radii record (A.1).
+    u holds band rows of the height over the reference plane; the domain
+    radii satisfy (A.1).
     """
 
     n: int
     r0: float
     grid: RadialGrid
     u: BandField
-    kind: str = "ball"  # or "annulus"
-    grad0: float = 0.0
-    c2_norm: float = 0.0
-    eta0: float = 1.0
-    frame_center: np.ndarray | None = None  # ambient (n+1,) of the patch origin
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("ball", "annulus"):
-            raise ValueError("kind must be 'ball' or 'annulus'")
         if not (self.grid.r_out <= 2 * self.r0 + 1e-12 and self.r0 / 2 <= self.grid.r_out + 1e-12):
             raise ValueError("(A.1): domain radii must satisfy B_{r0/2} within domain within B_{2 r0}")
-        if self.frame_center is None:
-            self.frame_center = np.zeros(self.n + 1)
 
     @property
     def spectrum(self):
@@ -69,12 +59,8 @@ class GraphPatch:
         return (self.grid.D @ self.u.values[0]) / self.grid.r
 
     def with_height(self, grid: RadialGrid, u: BandField) -> "GraphPatch":
-        """The annulus graph of u over grid, with this patch's radius,
-        recorded bounds and frame."""
-        return GraphPatch(
-            self.n, self.r0, grid, u, "annulus", self.grad0,
-            self.c2_norm, self.eta0, self.frame_center.copy(),
-        )
+        """The graph of u over grid, with this patch's radius."""
+        return GraphPatch(self.n, self.r0, grid, u)
 
     def resample(self, grid: RadialGrid) -> "GraphPatch":
         # flat continuation below the stored inner truncation
@@ -82,12 +68,11 @@ class GraphPatch:
         return self.with_height(grid, BandField(self.spectrum, grid, self.u.values @ P.T, self.u.pole))
 
 
-def flat_patch(spectrum, r0: float, m: int = 160, r_in: float | None = None, kind="annulus") -> GraphPatch:
-    """Zero-height patch, the model background for tests and seeds."""
-    if r_in is None:
-        r_in = 1e-3 * r0
+def flat_patch(spectrum, r0: float, m: int, r_in: float) -> GraphPatch:
+    """Zero-height patch on m nodes over [r_in, r0], the model background
+    for tests and seeds."""
     grid = RadialGrid(r_in, r0, m)
-    return GraphPatch(spectrum.n, r0, grid, BandField.zeros(spectrum, grid), kind=kind)
+    return GraphPatch(spectrum.n, r0, grid, BandField.zeros(spectrum, grid))
 
 
 @dataclass
@@ -140,16 +125,6 @@ class GreenTable:
 # -- collocation machinery --------------------------------------------------------
 
 
-_ANGULAR: dict = {}
-
-
-def angular_grid(spectrum) -> ZonalGrid:
-    key = (spectrum.n, spectrum.L)
-    if key not in _ANGULAR:
-        _ANGULAR[key] = ZonalGrid(spectrum.n, spectrum.L, max(48, 4 * spectrum.L))
-    return _ANGULAR[key]
-
-
 def mean_curvature_graph(patch: GraphPatch, w: BandField | None = None, oracle: bool = False):
     """Mean curvature values of the patch graph (plus optional extra height).
 
@@ -197,7 +172,7 @@ def graph_operator(patch: GraphPatch) -> BandOperator:
 # -- Green's function ---------------------------------------------------------------
 
 
-def green_function(patch: GraphPatch, rho_in: float, m: int | None = None) -> GreenTable:
+def green_function(patch: GraphPatch, rho_in: float) -> GreenTable:
     """Annulus approximation of the operator's Green's function.
 
     Solves the radial Dirichlet problem with r^{2-n} data on the inner ring
@@ -208,7 +183,7 @@ def green_function(patch: GraphPatch, rho_in: float, m: int | None = None) -> Gr
     r0 = patch.grid.r_out
     if not (0.0 < rho_in <= 0.26 * r0):
         raise PreconditionError(f"rho_in={rho_in} too large for r0={r0}")
-    grid = RadialGrid(rho_in, r0, m or patch.grid.m)
+    grid = RadialGrid(rho_in, r0, patch.grid.m)
     # sample the background slope inside its own grid; below the patch's
     # inner truncation the radial background continues flat
     r_sample = np.clip(grid.r, patch.grid.r_in, patch.grid.r_out)
@@ -301,24 +276,19 @@ def _opened_backdrop(
     return base, dev, patch.with_height(base.grid, base.u + dev)
 
 
-def build_sigma_eps(
-    patch: GraphPatch,
-    scales: Scales,
-    A: RigidParams,
-    green: GreenTable | None = None,
-    kappa: float = 1.0,
-) -> GraphPatch:
+def build_sigma_eps(patch: GraphPatch, scales: Scales, A: RigidParams) -> GraphPatch:
     """The opened-neck background graph on the working annulus.
 
     Returns the patch carrying u + w_{eps, A} on [r_eps/2, r0/2], with the
-    measured gradient-bound profile recorded in info.
+    measured gradient-bound profile recorded in info.  A must lie in the
+    ball |A| <= r_eps^2.
     """
     n = patch.n
-    if A.norm(scales) > kappa * scales.r_eps**2 * (1 + 1e-9):
+    if A.norm(scales) > scales.r_eps**2 * (1 + 1e-9):
         raise PreconditionError(
-            f"|A| = {A.norm(scales):.3e} exceeds kappa r_eps^2 = {kappa * scales.r_eps ** 2:.3e}"
+            f"|A| = {A.norm(scales):.3e} exceeds r_eps^2 = {scales.r_eps ** 2:.3e}"
         )
-    _, dev, out = _opened_backdrop(patch, scales, A, green, scales.r_eps / 2.0, patch.r0 / 2.0)
+    _, dev, out = _opened_backdrop(patch, scales, A, None, scales.r_eps / 2.0, patch.r0 / 2.0)
     grid = out.grid
     g = angular_grid(patch.spectrum)
     vals = axial_collocation(out.u, g)
@@ -343,9 +313,7 @@ def build_sigma_eps(
 # -- annulus solvers -----------------------------------------------------------------
 
 
-def admissible_nu(n: int, nu: float, neck: bool = False) -> bool:
-    if neck and n == 3:
-        return -8.0 / 3.0 < nu < -2.0
+def admissible_nu(n: int, nu: float) -> bool:
     return -float(n) < nu < 1.0 - n
 
 
@@ -373,29 +341,27 @@ def solve_annulus_mixed(patch: GraphPatch, f: BandField, r: float, nu: float) ->
         base = patch.resample(grid)
         Pmat = f.grid.interp_matrix(np.clip(grid.r, f.grid.r_in, f.grid.r_out))
         f = BandField(f.spectrum, grid, f.values @ Pmat.T, f.pole)
-    return solve_mixed(graph_operator(base), f, inner=None, outer=None)
+    return solve_mixed(graph_operator(base), f)
 
 
 def poisson_neck(
     patch: GraphPatch,
     scales: Scales,
-    A: RigidParams,
     h_II: SphereField,
-    nu: float | None = None,
     cutoff: bool = True,
     kappa: float = 1.0,
 ) -> BandField:
     """High-mode Poisson operator at the inner ring of the opened neck.
 
     w0 carries each band along its flat-harmonic power law, cut off away
-    from the ring; the annulus solve removes the resulting defect without
-    touching the prescribed high-mode trace.  The slope-trace defect
-    against the flat multiplier is recorded in info.
+    from the ring (cutoff=False keeps the bare power law); the annulus
+    solve removes the resulting defect without touching the prescribed
+    high-mode trace.  The slope-trace defect against the flat multiplier,
+    scaled at the weight default_nu(n), is recorded in info.
     """
     n = patch.n
     spec = patch.spectrum
-    if nu is None:
-        nu = default_nu(n)
+    nu = default_nu(n)
     if project_low(h_II).holder_norm() > 1e-12 * max(1.0, h_II.holder_norm()):
         raise PreconditionError("poisson_neck requires high-mode data")
     if h_II.holder_norm() > kappa * scales.r_eps**2 * (1 + 1e-9):
@@ -412,7 +378,7 @@ def poisson_neck(
         )
     op = graph_operator(patch)
     defect = op.apply(w0)
-    corr = solve_mixed(op, defect, inner=None, outer=None)
+    corr = solve_mixed(op, defect)
     w = w0 - corr
     # slope-trace defect of the flat model (Prop-7.2 shape)
     slope = w.d_trace(0)
@@ -422,7 +388,6 @@ def poisson_neck(
     w.info["trace_defect_scaled"] = w.info["trace_defect"] / max(
         h_II.holder_norm() * (r_eps ** (n + nu) + r_eps ** (2.0 / 3.0)), 1e-300
     )
-    w.info["nu"] = nu
     return w
 
 
@@ -453,24 +418,20 @@ def build_neck_piece(
     h_I: SphereField,
     h_II: SphereField,
     tol: float,
-    nu: float | None = None,
     kappa: float = 1.0,
     green: GreenTable | None = None,
-    max_iter: int = 40,
 ) -> NeckPiece:
     """Solve the opened-neck minimal-graph problem on [r_eps, r0].
 
     Boundary structure: high modes of the full height match h_II on the
     inner ring, the deviation from the base graph matches h_I on the outer
     ring, and the rigid parameters supply the inner low modes.  tol bounds
-    the oracle residual relative to the chart curvature scale.
+    the oracle residual relative to the chart curvature scale; the
+    correction is measured at the weight default_nu(n).
     """
     n = patch.n
     spec = patch.spectrum
-    if nu is None:
-        nu = default_nu(n)
-    if not admissible_nu(n, nu, neck=True):
-        raise PreconditionError(f"nu={nu} inadmissible for the neck solve")
+    nu = default_nu(n)
     triple_norm = h_I.holder_norm() + A.norm(scales) + h_II.holder_norm()
     if triple_norm > kappa * scales.r_eps**2 * (1 + 1e-9):
         raise PreconditionError(
@@ -492,15 +453,15 @@ def build_neck_piece(
     # inner ring exactly.  The outer piece receives the same ring data, so
     # the 0th-order interface match still holds by construction.
     outer_data = h_I + rigid_ring_data(A, patch.r0, h_II.spectrum, h_II.pole) - dev.trace(-1)
-    w_h = solve_mixed(op, BandField.zeros(spec, grid, pole=h_II.pole), inner=None, outer=outer_data)
+    w_h = solve_mixed(op, BandField.zeros(spec, grid, pole=h_II.pole), outer=outer_data)
 
     # mean curvature of the backdrop graph
     H_base_vals = mean_curvature_graph(back_patch)
     H_base = BandField(spec, grid, rows_from_collocation(H_base_vals, backdrop.pole, g), h_II.pole)
-    gamma_H = solve_mixed(op, H_base, inner=None, outer=None)
+    gamma_H = solve_mixed(op, H_base)
 
     inner_gap = project_high(h_II - (backdrop + w_h).trace(0))
-    w_pi = poisson_neck(back_patch, scales, A, inner_gap, nu=nu, kappa=10 * kappa + 1e3)
+    w_pi = poisson_neck(back_patch, scales, inner_gap, kappa=10 * kappa + 1e3)
     wt = w_h + w_pi - gamma_H
 
     def update(v: BandField) -> BandField:
@@ -511,11 +472,11 @@ def build_neck_piece(
         qbar = BandField(spec, grid, lam_w.values - q_vals, h_II.pole)
         qbar.values[:, 0] = 0.0
         qbar.values[:, -1] = 0.0
-        return solve_mixed(op, qbar, inner=None, outer=None)
+        return solve_mixed(op, qbar)
 
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
     v, it, contractions = picard(
-        update, BandField.zeros(spec, grid, pole=h_II.pole), 1e-8, floor, max_iter,
+        update, BandField.zeros(spec, grid, pole=h_II.pole), 1e-8, floor, 40,
         stage=f"neck (eps={scales.eps:.3e})",
     )
 
@@ -548,7 +509,6 @@ def build_neck_piece(
         info={
             "contractions": contractions,
             "contraction_median": contraction_median(contractions),
-            "nu": nu,
             "v_weighted_norm": weighted_norm(v, 2, 0.5, nu),
             "ball_radius": float(scales.r_eps ** (10.0 / 3.0 - nu)),
         },
@@ -563,7 +523,7 @@ def rigid_ring_data(A: RigidParams, r0: float, spectrum, pole=None) -> SphereFie
     return f
 
 
-def simple_cauchy_neck(scales: Scales, A: RigidParams, h_II: SphereField, pole=None):
+def simple_cauchy_neck(scales: Scales, A: RigidParams, h_II: SphereField):
     """Closed-form simple Cauchy data of the opened neck at the inner ring.
 
     Uses w0_A(r theta) = e r^{2-n}/(n-2) + d + r R.theta + eps r^{1-n} T.theta;
@@ -584,7 +544,7 @@ def simple_cauchy_neck(scales: Scales, A: RigidParams, h_II: SphereField, pole=N
 def cauchy_T(piece: NeckPiece):
     """Solved and simple inner Cauchy maps with their measured gap."""
     t_eps = piece.cauchy_inner
-    t0 = simple_cauchy_neck(piece.scales, piece.rigid, piece.h_II, pole=piece.h_II.pole)
+    t0 = simple_cauchy_neck(piece.scales, piece.rigid, piece.h_II)
     gap = (t_eps[0] - t0[0]).holder_norm() + (t_eps[1] - t0[1]).holder_norm()
     piece.info["cauchy_gap"] = gap
     piece.info["cauchy_gap_over_reps2"] = gap / piece.scales.r_eps**2

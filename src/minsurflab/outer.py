@@ -27,10 +27,10 @@ from .catenoid import (
     smooth_step,
 )
 from .cylinder import BandField, UniformGrid, row_bands, rows_from_collocation
-from .neck import GraphPatch, NeckPiece, angular_grid, graph_residual, mean_curvature_graph
+from .neck import GraphPatch, NeckPiece, graph_residual, mean_curvature_graph
 from .profile import ProfileTable, Scales, profile_values
 from .radial import BandOperator, RadialGrid
-from .spectral import BandSpectrum, SphereField
+from .spectral import BandSpectrum, SphereField, angular_grid
 
 
 def psi_infinity(profile: ProfileTable) -> float:
@@ -47,16 +47,16 @@ def psi_infinity(profile: ProfileTable) -> float:
 _END_SPLINES: dict = {}
 
 
-def _end_splines(n: int, s_top: float = 26.0):
-    """Cached splines s(log phi), psi(s), dpsi/dphi slope data for ends."""
-    key = (n, s_top)
-    if key not in _END_SPLINES:
+def _end_splines(n: int):
+    """Cached splines s(log phi), psi(s), dpsi/dphi slope data for ends,
+    tabulated on s in [0, 26]."""
+    if n not in _END_SPLINES:
         from scipy.interpolate import CubicSpline
 
-        s = np.linspace(0.0, s_top, 9000)
+        s = np.linspace(0.0, 26.0, 9000)
         phi, dphi, psi, dpsi = profile_values(n, s)
         psi_inf_val = psi[-1] + phi[-1] ** (2 - n) / (n - 2)
-        _END_SPLINES[key] = {
+        _END_SPLINES[n] = {
             "s_of_logphi": CubicSpline(np.log(phi[1:]), s[1:]),
             "phi": CubicSpline(s, phi),
             "dphi": CubicSpline(s, dphi),
@@ -65,7 +65,7 @@ def _end_splines(n: int, s_top: float = 26.0):
             "psi_inf": psi_inf_val,
             "logphi_max": float(np.log(phi[-1])),
         }
-    return _END_SPLINES[key]
+    return _END_SPLINES[n]
 
 
 @dataclass
@@ -107,7 +107,7 @@ class EndModel:
 
 @dataclass
 class OuterSurface:
-    """Core cylinder chart, ends, deficiency data, and frozen glue charts."""
+    """Core cylinder chart, ends, and frozen glue charts."""
 
     profile: ProfileTable
     spectrum: BandSpectrum
@@ -117,7 +117,6 @@ class OuterSurface:
     core_w: BandField
     ends: list
     frozen_charts: list = field(default_factory=list)
-    deficiency: dict = field(default_factory=dict)
     site: dict | None = None
     info: dict = field(default_factory=dict)
 
@@ -129,47 +128,37 @@ class OuterSurface:
         return max(self.ends, key=lambda e: e.plane_height)
 
 
-def seed_catenoid(
-    profile: ProfileTable,
-    spectrum: BandSpectrum,
-    scale: float = 1.0,
-    center: np.ndarray | None = None,
-    core_span: float = 8.0,
-    core_step: float = 8e-3,
-) -> OuterSurface:
-    """The exact catenoid with two planar ends as the tower seed."""
+# the seed's core chart covers |s| <= CORE_SPAN on a uniform grid of step CORE_STEP
+CORE_SPAN = 8.0
+CORE_STEP = 8e-3
+
+
+def seed_catenoid(profile: ProfileTable, spectrum: BandSpectrum, scale: float = 1.0) -> OuterSurface:
+    """The exact catenoid with two planar ends as the tower seed, centered
+    at the origin."""
     n = profile.n
-    if center is None:
-        center = np.zeros(n + 1)
-    m = int(round(2 * core_span / core_step))
-    s = -core_span + core_step * np.arange(m + 1)
+    m = int(round(2 * CORE_SPAN / CORE_STEP))
+    s = -CORE_SPAN + CORE_STEP * np.arange(m + 1)
     core_w = BandField.zeros(spectrum, UniformGrid(s))
     psi_inf = psi_infinity(profile)
     ends = [
         EndModel(
-            a=scale, S0=core_span - 2.0, w=None, orientation=+1,
-            axis_center=center.copy(),
-            plane_height=float(center[-1] + scale * psi_inf),
+            a=scale, S0=CORE_SPAN - 2.0, w=None, orientation=orientation,
+            axis_center=np.zeros(n + 1),
+            plane_height=float(orientation * scale * psi_inf),
             psi_inf=psi_inf,
-        ),
-        EndModel(
-            a=scale, S0=core_span - 2.0, w=None, orientation=-1,
-            axis_center=center.copy(),
-            plane_height=float(center[-1] - scale * psi_inf),
-            psi_inf=psi_inf,
-        ),
+        )
+        for orientation in (+1, -1)
     ]
-    surface = OuterSurface(
+    return OuterSurface(
         profile=profile,
         spectrum=spectrum,
         core_scale=scale,
-        core_center=center,
-        core_span=core_span,
+        core_center=np.zeros(n + 1),
+        core_span=CORE_SPAN,
         core_w=core_w,
         ends=ends,
     )
-    surface.deficiency = build_deficiency(surface)
-    return surface
 
 
 # -- deficiency space --------------------------------------------------------------
@@ -354,15 +343,14 @@ def solve_outer_linear(
     f: BandField,
     h_I: SphereField | None,
     delta: float,
-    ring_patch: GraphPatch | None = None,
 ):
     """Global linear solve in the decaying-plus-deficiency ansatz.
 
     The core part is solved band-wise with strict-decay closures, the
-    low-band solution augmented by the band's K1 columns (coefficients
-    returned); ring data is handled by the site-exterior solve when a site
-    is active.  Returns (core BandField, K1 coefficient dict, site
-    BandField or None).
+    low-band solution augmented by the band's K1 columns of
+    build_deficiency (coefficients returned); ring data is handled by the
+    site-exterior solve, which needs an active site.  Returns (core
+    BandField, K1 coefficient dict, site BandField or None).
     """
     n = surface.n
     if not admissible_delta(n, delta):
@@ -376,7 +364,7 @@ def solve_outer_linear(
     bands = row_bands(spec)
     out = np.zeros_like(f.values)
     k1_coeffs: dict = {}
-    sK1 = surface.deficiency["K1"]
+    sK1 = build_deficiency(surface)["K1"]
     weight = np.exp(delta * np.sqrt(s * s + 1.0))
     for i, ell in enumerate(bands):
         A = _band_matrix_conjugated(n, int(ell), s, delta)
@@ -410,8 +398,6 @@ def solve_outer_linear(
     core = BandField(spec, f.grid, out, f.pole)
     site_sol = None
     if h_I is not None:
-        if surface.site is None and ring_patch is None:
-            raise PreconditionError("ring data given but no active site")
         site_sol = site_exterior_solve(surface, h_I)
     return core, k1_coeffs, site_sol
 
@@ -419,23 +405,24 @@ def solve_outer_linear(
 # -- gluing site --------------------------------------------------------------------
 
 
-def find_site(
-    surface: OuterSurface, scales: Scales, margin: float = 1.3, r0_ratio: float = 180.0
-) -> dict:
+def find_site(surface: OuterSurface, scales: Scales) -> dict:
     """March outward along the top end to the first admissible gluing site.
 
     Beyond the hard bound |grad u| <= r_eps, the site tilt is pushed below
-    r_eps^2 / r0 so the reference-plane tilt contributes below the matching
-    tolerance at the inner ring; the fixed point then never needs a rotation
-    of the glued pieces, and the new end stays parallel to the old plane.
+    r_eps^2 / r0 (r0 = 180 r_eps) so the reference-plane tilt contributes
+    below the matching tolerance at the inner ring; the fixed point then
+    never needs a rotation of the glued pieces, and the new end stays
+    parallel to the old plane.  The site sits a factor 1.3 beyond the first
+    radius that passes, and beyond 1.3 times three times the last site.
     """
+    margin = 1.3
     n = surface.n
     end = surface.top_end()
     r_min_prev = surface.info.get("last_site_radius", 0.0)
     r_cap = 0.98 * end.a * np.exp(_end_splines(n)["logphi_max"])
     R = np.geomspace(max(2.0 * end.a, 1e-6), r_cap / margin, 600)
     h_prof, g_prof = end.height_profile(n, R)
-    tilt_cap = min(scales.r_eps, 0.5 * scales.r_eps**2 / (r0_ratio * scales.r_eps))
+    tilt_cap = min(scales.r_eps, 0.5 * scales.r_eps**2 / (180.0 * scales.r_eps))
     ok = np.abs(g_prof) < tilt_cap
     ok &= R > margin * max(r_min_prev * 3.0, 2.0 * end.a)
     idx = np.argmax(ok)
@@ -444,7 +431,7 @@ def find_site(
             "no admissible gluing site: end gradient never drops below the tilt cap"
         )
     r_site = float(R[idx] * margin)
-    h_site, g_site = end.height_profile(n, np.array([r_site]))
+    h_site, _ = end.height_profile(n, np.array([r_site]))
     direction = np.zeros(n)
     direction[0] = 1.0
     center_xy = end.axis_center[:n] + r_site * direction
@@ -453,9 +440,12 @@ def find_site(
         "r_site": r_site,
         "center_xy": center_xy,
         "height": float(end.plane_height + end.orientation * h_site[0]),
-        "grad": float(abs(g_site[0])),
         "pole": direction,
     }
+
+
+# Chebyshev nodes of the site patch and of the site exterior
+M_RADIAL = 150
 
 
 def assemble_outer(
@@ -463,7 +453,6 @@ def assemble_outer(
     r0: float,
     p: np.ndarray,
     scales: Scales,
-    m_radial: int = 150,
 ) -> tuple:
     """Split off the compact site patch around the ambient point p.
 
@@ -485,7 +474,7 @@ def assemble_outer(
     pole = (xy - end.axis_center[:n]) / r_site
     spec = surface.spectrum
     g = angular_grid(spec)
-    grid = RadialGrid(scales.r_eps / 8.0, r0, m_radial)
+    grid = RadialGrid(scales.r_eps / 8.0, r0, M_RADIAL)
     R_amb = np.sqrt(
         r_site**2 + grid.r[:, None] ** 2 + 2 * r_site * grid.r[:, None] * g.t[None, :]
     )
@@ -493,14 +482,9 @@ def assemble_outer(
     u_vals = end.orientation * h_prof.reshape(R_amb.shape) - float(end.orientation * h_site[0])
     # rebase so u(0) = 0: subtract the interpolated center value
     u_field = BandField(spec, grid, rows_from_collocation(u_vals, pole, g), pole=pole)
-    c2 = _patch_c2(u_field, grid)
-    patch = GraphPatch(
-        n=n, r0=r0, grid=grid, u=u_field, kind="ball",
-        grad0=float(abs(g_site[0])), c2_norm=c2, eta0=max(1.0, 2 * c2),
-        frame_center=np.concatenate([xy, [end.plane_height + end.orientation * h_site[0]]]),
-    )
+    patch = GraphPatch(n=n, r0=r0, grid=grid, u=u_field)
     R_out = 0.45 * r_site
-    ext_grid = RadialGrid(r0, R_out, m_radial)
+    ext_grid = RadialGrid(r0, R_out, M_RADIAL)
     R_amb_e = np.sqrt(
         r_site**2 + ext_grid.r[:, None] ** 2 + 2 * r_site * ext_grid.r[:, None] * g.t[None, :]
     )
@@ -517,15 +501,8 @@ def assemble_outer(
         "exterior_grid": ext_grid,
         "exterior_u": ext_field,
         "r0": r0,
-        "scales": scales,
     }
     return surface, patch
-
-
-def _patch_c2(u: BandField, grid: RadialGrid) -> float:
-    d1 = (u.values @ grid.D.T) / grid.r
-    d2 = (u.values @ (grid.D @ grid.D).T) / grid.r**2
-    return float(np.max(np.abs(u.values)) + np.max(np.abs(d1)) + np.max(np.abs(d2)))
 
 
 # -- site-exterior solves --------------------------------------------------------------
@@ -572,9 +549,7 @@ def site_exterior_solve(
     return BandField(spec, grid, out, pole=site["pole"])
 
 
-def solve_outer_nonlinear(
-    surface: OuterSurface, h_I: SphereField, tol: float, max_iter: int = 30
-) -> OuterSurface:
+def solve_outer_nonlinear(surface: OuterSurface, h_I: SphereField, tol: float) -> OuterSurface:
     """Minimal perturbation of the outer piece with ring data h_I.
 
     Site-exterior Picard iteration on the mean-curvature defect; far planes
@@ -590,10 +565,7 @@ def solve_outer_nonlinear(
     g = angular_grid(spec)
     op = _exterior_operator(surface)
     base = site["exterior_u"]
-    base_patch = GraphPatch(
-        n=n, r0=grid.r_out / 2.0, grid=grid, u=base, kind="annulus",
-        frame_center=np.concatenate([site["center_xy"], [site["height"]]]),
-    )
+    base_patch = GraphPatch(n=n, r0=grid.r_out / 2.0, grid=grid, u=base)
     H_base_vals = mean_curvature_graph(base_patch)
 
     def update(w: BandField) -> BandField:
@@ -605,7 +577,7 @@ def solve_outer_nonlinear(
     w = site_exterior_solve(surface, h_I)
     it = 0
     if h_I.holder_norm() != 0.0:
-        w, it, _ = picard(update, w, 1e-9, 1e-300, max_iter, stage="outer")
+        w, it, _ = picard(update, w, 1e-9, 1e-300, 30, stage="outer")
 
     _, res_rel = graph_residual(base_patch.with_height(grid, base + w))
     if res_rel > tol:

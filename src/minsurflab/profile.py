@@ -116,18 +116,18 @@ class ProfileTable:
         return buf.getvalue()
 
 
-def profile_values(n: int, s_points: np.ndarray, max_substep: float = 1e-3):
+def profile_values(n: int, s_points: np.ndarray):
     """Exact-symmetry profile samples (phi, dphi, psi, dpsi) at arbitrary s.
 
     phi is even, psi odd; negative arguments are folded through the symmetry
-    so both halves share one upward integration.
+    so both halves share one upward integration, with the default substep.
     """
     s_points = np.asarray(s_points, dtype=float)
     flat = np.abs(s_points).ravel()
     order = np.argsort(flat, kind="stable")
     uniq, inverse = np.unique(flat[order], return_inverse=True)
     nodes = uniq if uniq[0] == 0.0 else np.concatenate([[0.0], uniq])
-    vals = integrate_profile(n, nodes, max_substep)
+    vals = integrate_profile(n, nodes)
     if uniq[0] != 0.0:
         vals = vals[1:]
     gathered = np.empty((flat.size, 3))

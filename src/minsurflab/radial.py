@@ -105,61 +105,40 @@ class BandOperator:
         return BandField(self.spectrum, self.grid, out, w.pole)
 
 
-def solve_band_mixed(
-    op: BandOperator,
-    ell: int,
-    f: np.ndarray,
-    inner_value: float | None,
-    outer_value: float,
-) -> np.ndarray:
-    """Single-band mixed solve: Dirichlet at the outer ring, and either
-    Dirichlet (high bands) or the regular-selection Robin row (low bands,
-    inner_value None) at the inner ring."""
+def solve_band_mixed(op: BandOperator, ell: int, f: np.ndarray, outer_value: float) -> np.ndarray:
+    """Single-band mixed solve of Lambda_l w = f: Dirichlet data outer_value
+    at the outer ring; at the inner ring zero Dirichlet data (bands l >= 2)
+    or the regular-selection Robin row w_rho = l w (bands l <= 1)."""
     A = op.matrix_scaled(ell).copy()
     rhs = np.array(f, dtype=float) * op.row_scale
-    D = op.grid.D
     A[-1, :] = 0.0
     A[-1, -1] = 1.0
     rhs[-1] = outer_value
-    if inner_value is not None:
+    if ell >= 2:
         A[0, :] = 0.0
         A[0, 0] = 1.0
-        rhs[0] = inner_value
     else:
-        A[0, :] = D[0]
+        A[0, :] = op.grid.D[0]
         A[0, 0] -= float(ell)
-        rhs[0] = 0.0
+    rhs[0] = 0.0
     return np.linalg.solve(A, rhs)
 
 
-def solve_mixed(
-    op: BandOperator,
-    f: BandField,
-    inner: SphereField | None,
-    outer: SphereField | None,
-) -> BandField:
+def solve_mixed(op: BandOperator, f: BandField, outer: SphereField | None = None) -> BandField:
     """Row-wise mixed solve.
 
-    inner supplies Dirichlet data for bands l >= 2 (its low-mode content is
-    ignored: low bands always take the regular-selection row); outer
-    supplies Dirichlet data for every band.  None means zero data.
+    Bands l >= 2 take zero Dirichlet data at the inner ring, bands l <= 1
+    the regular-selection row; outer supplies Dirichlet data for every band
+    at the outer ring, None meaning zero data.
     """
     spec = f.spectrum
     bands = row_bands(spec)
     out = np.empty_like(f.values)
-    inner_cols = None
-    if inner is not None:
-        inner_cols = np.concatenate([inner.low, inner.zonal])
     outer_cols = np.zeros(spec.row_count())
     if outer is not None:
         outer_cols = np.concatenate([outer.low, outer.zonal])
     for i, ell in enumerate(bands):
-        iv = None
-        if ell >= 2 and inner_cols is not None:
-            iv = float(inner_cols[i])
-        elif ell >= 2:
-            iv = 0.0
-        out[i] = solve_band_mixed(op, int(ell), f.values[i], iv, float(outer_cols[i]))
+        out[i] = solve_band_mixed(op, int(ell), f.values[i], float(outer_cols[i]))
     return BandField(spec, f.grid, out, f.pole)
 
 

@@ -204,24 +204,23 @@ class SphereField:
         )
 
     @classmethod
-    def constant(cls, spectrum: BandSpectrum, value: float, pole=None) -> "SphereField":
-        f = cls.zeros(spectrum, pole)
+    def constant(cls, spectrum: BandSpectrum, value: float) -> "SphereField":
+        f = cls.zeros(spectrum)
         f.low[0] = value
         return f
 
     @classmethod
-    def linear(cls, spectrum: BandSpectrum, vector, pole=None) -> "SphereField":
-        f = cls.zeros(spectrum, pole)
+    def linear(cls, spectrum: BandSpectrum, vector) -> "SphereField":
+        f = cls.zeros(spectrum)
         f.low[1:] = np.asarray(vector, dtype=float)
         return f
 
     @classmethod
-    def zonal_band(
-        cls, spectrum: BandSpectrum, ell: int, coeff: float, pole=None
-    ) -> "SphereField":
+    def zonal_band(cls, spectrum: BandSpectrum, ell: int, coeff: float) -> "SphereField":
+        """coeff Z_ell about the default pole e_1."""
         if ell < 2 or ell > spectrum.L:
             raise SpectralError(f"zonal_band requires 2 <= ell <= L, got {ell}")
-        f = cls.zeros(spectrum, pole)
+        f = cls.zeros(spectrum)
         f.zonal[ell - 2] = coeff
         return f
 
@@ -285,12 +284,11 @@ class SphereField:
 
     # -- norms ---------------------------------------------------------------------
 
-    def holder_norm(self, alpha: float = 0.5) -> float:
-        """Surrogate C^{2,alpha} norm: sup |f| + sup |grad f| + sup |Lap f|
+    def holder_norm(self) -> float:
+        """Surrogate C^{2,1/2} norm: sup |f| + sup |grad f| + sup |Lap f|
         plus an adjacent-node Hoelder quotient of Lap f along the meridian."""
         spec = self.spectrum
-        n = spec.n
-        grid = _norm_grid(n, spec.L)
+        grid = angular_grid(spec)
         t = grid.t
         a = self.low[1:]
         q = self.pole
@@ -312,7 +310,7 @@ class SphereField:
                 if c != 0.0:
                     lap = lap - spec.lam[k + 2] * c * grid.Z[k + 2]
             arc = np.abs(np.arccos(np.clip(t[1:], -1, 1)) - np.arccos(np.clip(t[:-1], -1, 1)))
-            quot = np.abs(np.diff(lap)) / np.maximum(arc, 1e-300) ** alpha
+            quot = np.abs(np.diff(lap)) / np.maximum(arc, 1e-300) ** 0.5
             total = max(
                 total,
                 float(np.max(np.abs(f)) + np.max(np.sqrt(np.clip(grad2, 0, None))) + np.max(np.abs(lap)) + (np.max(quot) if len(quot) else 0.0)),
@@ -320,14 +318,16 @@ class SphereField:
         return total
 
 
-_NORM_GRIDS: dict = {}
+_ANGULAR_GRIDS: dict = {}
 
 
-def _norm_grid(n: int, L: int) -> ZonalGrid:
-    key = (n, L)
-    if key not in _NORM_GRIDS:
-        _NORM_GRIDS[key] = ZonalGrid(n, L, max(48, 4 * L))
-    return _NORM_GRIDS[key]
+def angular_grid(spectrum: BandSpectrum) -> ZonalGrid:
+    """The ZonalGrid(n, L, max(48, 4 L)) on which the band fields of a
+    spectrum are collocated and normed, built once per (n, L)."""
+    key = (spectrum.n, spectrum.L)
+    if key not in _ANGULAR_GRIDS:
+        _ANGULAR_GRIDS[key] = ZonalGrid(spectrum.n, spectrum.L, max(48, 4 * spectrum.L))
+    return _ANGULAR_GRIDS[key]
 
 
 # -- the three spec operations -------------------------------------------------

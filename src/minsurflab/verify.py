@@ -18,9 +18,8 @@ import numpy as np
 
 from .cylinder import axial_collocation
 from .geometry import graph_orbit_points, matrix_surface, uniform_surface
-from .neck import angular_grid
 from .profile import profile_values
-from .spectral import sphere_area
+from .spectral import angular_grid, sphere_area
 
 log = logging.getLogger(__name__)
 
@@ -78,28 +77,28 @@ def _grid_edges(shape, pts_flat):
     return rows, cols, w
 
 
-def _wrap_edges(shape, pts_flat, axis: int):
-    """Extra edges closing the periodic meridian axis."""
+def _wrap_edges(shape, pts_flat):
+    """Extra edges closing the periodic meridian axis (the last one)."""
     idx = np.arange(np.prod(shape)).reshape(shape)
-    if axis != 2:
-        raise ValueError("only the meridian axis wraps")
     src = idx[:, :, -1].ravel()
     dst = idx[:, :, 0].ravel()
     w = np.linalg.norm(pts_flat[src] - pts_flat[dst], axis=1)
     return src, dst, w
 
 
-def plane_sample_graph(n: int, extent: float, m_r: int = 60, m_ang: int = 48) -> ChartSampleGraph:
-    """Sampled flat n-plane in R^{n+1} on a polar-orbit grid."""
+def plane_sample_graph(n: int, extent: float) -> ChartSampleGraph:
+    """Sampled flat n-plane in R^{n+1} on a polar-orbit grid: 60 radii,
+    20 colatitudes and 48 orbit angles."""
+    m_r = 60
     r = np.linspace(extent * 1e-3, extent, m_r)
     beta = np.linspace(0.12, np.pi - 0.12, 20)
-    omega = np.linspace(0, 2 * np.pi, m_ang, endpoint=False)
+    omega = np.linspace(0, 2 * np.pi, 48, endpoint=False)
     pts = _orbit_points_cloud(n, r[:, None] * np.cos(beta)[None, :],
                               r[:, None] * np.sin(beta)[None, :],
                               np.zeros((m_r, beta.size)), omega)
     shape = (m_r, beta.size, omega.size)
     rows, cols, w = _grid_edges(shape, pts)
-    r2, c2, w2 = _wrap_edges(shape, pts, 2)
+    r2, c2, w2 = _wrap_edges(shape, pts)
     edges = (np.concatenate([rows, r2]), np.concatenate([cols, c2]), np.concatenate([w, w2]))
     return ChartSampleGraph(pts, edges, np.zeros(pts.shape[0], dtype=int))
 
@@ -121,25 +120,22 @@ def _orbit_points_cloud(n, xq, rho, xv, omega):
     return pts.reshape(-1, n + 1)
 
 
-def catenoid_sample_graph(
-    n: int, scale: float = 1.0, s_window: float = 3.0, m_s: int = 90,
-    m_b: int = 20, m_ang: int = 40, center=None,
-) -> ChartSampleGraph:
-    """Sampled catenoid across its neck."""
+def catenoid_sample_graph(n: int, scale: float = 1.0, s_window: float = 3.0) -> ChartSampleGraph:
+    """Sampled catenoid across its neck, centered at the origin: 90 profile
+    nodes, 20 colatitudes and 40 orbit angles."""
+    m_s, m_b = 90, 20
     s = np.linspace(-s_window, s_window, m_s)
     phi, dphi, psi, dpsi = profile_values(n, s)
     beta = np.linspace(0.12, np.pi - 0.12, m_b)
-    omega = np.linspace(0, 2 * np.pi, m_ang, endpoint=False)
+    omega = np.linspace(0, 2 * np.pi, 40, endpoint=False)
     F = scale * phi[:, None] * np.ones((1, m_b))
     xq = F * np.cos(beta)[None, :]
     rho = F * np.sin(beta)[None, :]
     xv = scale * psi[:, None] * np.ones((1, m_b))
     pts = _orbit_points_cloud(n, xq, rho, xv, omega)
-    if center is not None:
-        pts = pts + np.asarray(center)[None, :]
     shape = (m_s, m_b, omega.size)
     rows, cols, w = _grid_edges(shape, pts)
-    r2, c2, w2 = _wrap_edges(shape, pts, 2)
+    r2, c2, w2 = _wrap_edges(shape, pts)
     edges = (np.concatenate([rows, r2]), np.concatenate([cols, c2]), np.concatenate([w, w2]))
     g = ChartSampleGraph(pts, edges, np.zeros(pts.shape[0], dtype=int))
     g.info["A_sup"] = float(np.sqrt(n * (n - 1)) * (scale * phi.min() / scale) ** (-n) / scale)
@@ -283,11 +279,11 @@ def sheet_separation_report(pts: np.ndarray, lower: np.ndarray, upper: np.ndarra
     return {"positive": False, "min_separation": float(sep[i]), "witness": pts[i]}
 
 
-def embeddedness(glued, test_shift: float = 0.0) -> dict:
+def embeddedness(glued) -> dict:
     """Certificate: separation positivity, box disjointness, overlap scan.
 
-    test_shift lowers the new sheet artificially (negative controls).
-    Violations return a witness; they are data, not exceptions.
+    The new sheet sits at glued.info["ring_height"].  Violations return a
+    witness; they are data, not exceptions.
     """
     outer = glued.outer
     n = outer.n
@@ -300,7 +296,7 @@ def embeddedness(glued, test_shift: float = 0.0) -> dict:
     # probe radii across the neck chart and out into the old sheet
     radii = np.geomspace(2.0 * sc.r_eps, min(0.4 * site["r_site"], 50 * r0), 120)
     sp = _upper_branch_height(n, sc, radii)  # catenoid upper sheet over ring frame
-    upper = ring_h + sp + test_shift
+    upper = ring_h + sp
     lower = np.empty_like(radii)
     inside = radii <= neck.V.grid.r_out
     if np.any(inside):
@@ -397,9 +393,12 @@ def chord_arc(graph: ChartSampleGraph, x_index: int, R: float) -> dict:
     }
 
 
-def graphical_radius(graph: ChartSampleGraph, x_index: int, C_A: float, radii=None) -> dict:
+def graphical_radius(graph: ChartSampleGraph, x_index: int, C_A: float) -> dict:
     """Largest sampled R with the intrinsic ball a graph over the tangent
-    plane with |grad u| < 1, and the measured inclusion factor delta_c."""
+    plane with |grad u| < 1, and the measured inclusion factor delta_c.
+
+    R runs over 26 geometric steps from 2 to 98 percent of the largest
+    intrinsic distance from x."""
     pts = graph.points
     dist = graph.shortest_paths(x_index)
     finite = np.isfinite(dist)
@@ -408,9 +407,8 @@ def graphical_radius(graph: ChartSampleGraph, x_index: int, C_A: float, radii=No
     Q = pts[near] - pts[x_index]
     _, _, vt = np.linalg.svd(Q, full_matrices=False)
     normal = vt[-1]
-    if radii is None:
-        dmax = np.max(dist[finite])
-        radii = np.geomspace(0.02 * dmax, 0.98 * dmax, 26)
+    dmax = np.max(dist[finite])
+    radii = np.geomspace(0.02 * dmax, 0.98 * dmax, 26)
     R_graph = 0.0
     for R in radii:
         ball = finite & (dist <= R)
@@ -451,14 +449,12 @@ class StabilityReport:
     delta: float
     min_quotient: float
     stable: bool
-    max_A_dist: float
     family: str
-    seed: int
     info: dict = field(default_factory=dict)
 
 
-def _stability_forms(P: np.ndarray, A2: np.ndarray, n: int, grid_b_weights=None):
-    """Stiffness, |A|^2-mass, and mass quadratic forms on an orbit chart.
+def _stability_forms(P: np.ndarray, n: int):
+    """The stiffness form and the area weights of an orbit chart.
 
     Hat functions on the structured (a, b) grid, flat-index ordering; the
     rotational volume rho^{n-2} |S^{n-2}| weights each cell.
@@ -497,7 +493,7 @@ def _stability_forms(P: np.ndarray, A2: np.ndarray, n: int, grid_b_weights=None)
             out[c] = np.sum(grad2 * dA)
         return out
 
-    return apply_grad_energy, dA, None
+    return apply_grad_energy, dA
 
 
 def delta_stability(
@@ -506,27 +502,26 @@ def delta_stability(
     n: int,
     delta: float,
     domain_id: str = "chart",
-    seed: int = 0,
-    n_random: int = 40,
-    boundary_dist: np.ndarray | None = None,
 ) -> StabilityReport:
     """Minimum discrete Rayleigh quotient of the delta-stability form.
 
     P is an orbit chart (3, Na, Nb), A2 the squared second fundamental form
-    on the grid.  The test family is the interior hat basis plus seeded
-    random combinations; the quotient normalizer is the L^2 mass.
+    on the grid.  The test family is the interior hat basis plus 40 further
+    fields: six caps, then random combinations drawn with seed 0; the
+    quotient normalizer is the L^2 mass.
     """
+    n_random = 40
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
     if n in DELTA1 and delta >= 1.0 - DELTA1[n] + 1e-12:
         log.warning("delta=%s at n=%d is outside the flatness window", delta, n)
     Na, Nb = P.shape[1], P.shape[2]
-    apply_grad_energy, dA, _ = _stability_forms(P, A2, n)
+    apply_grad_energy, dA = _stability_forms(P, n)
     N = Na * Nb
     interior = np.zeros((Na, Nb), dtype=bool)
     interior[2:-2, 2:-2] = True
     ii = np.where(interior.ravel())[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # hat basis (single-node bumps) + random smooth combinations of hats;
     # low-frequency coefficient fields keep the family's span wide while
     # resolving the smooth directions that carry catenoid-type instability
@@ -569,30 +564,19 @@ def delta_stability(
     mass = np.einsum("nc,n,nc->c", vecs, dA.ravel(), vecs)
     quotients = (grad_en - (1.0 - delta) * mass_A) / np.maximum(mass, 1e-300)
     min_q = float(np.min(quotients))
-    max_ad = 0.0
-    if boundary_dist is not None:
-        max_ad = float(np.max(np.sqrt(np.clip(A2, 0, None)) * boundary_dist))
     return StabilityReport(
         domain_id=domain_id,
         delta=delta,
         min_quotient=min_q,
         stable=bool(min_q >= -1e-8 * max(1.0, float(np.max(np.abs(grad_en))) / max(float(np.max(mass)), 1e-300))),
-        max_A_dist=max_ad,
         family=f"hat{n_hat}+caps+random{n_random}",
-        seed=seed,
     )
 
 
 # -- separation PDE -----------------------------------------------------------------------
 
 
-def separation_check(
-    P1: np.ndarray,
-    u: np.ndarray,
-    A2: np.ndarray,
-    n: int,
-    h_a: float | None = None,
-) -> dict:
+def separation_check(P1: np.ndarray, u: np.ndarray, A2: np.ndarray, n: int) -> dict:
     """Defect of the separation PDE and its coefficient-consistency fit.
 
     P1 is the base sheet's orbit chart, u the normal separation sampled on

@@ -111,7 +111,7 @@ class TestBandPair:
             f.values[i] = bump(s, s[0] + 0.5 + 0.1 * i)
         return f
 
-    def test_solve_GS_matches_direct_pair(self, spectrum, profile):
+    def test_solve_GS_matches_direct_pair(self, spectrum):
         s = make_grid(S=-1.5)
         f = self._source(spectrum, s)
         data = grid_profile(N, s)
@@ -127,7 +127,7 @@ class TestBandPair:
                 pair = homogeneous_pair(vpot, h, gam)
                 direct[i] = solve_band_decaying_kernel(pair, h, f.values[i])
         for _ in range(2):  # cold, then warm cache
-            w = solve_GS(f, s[0], -2.0, profile)
+            w = solve_GS(f, s[0], -2.0)
             assert np.array_equal(w.values, direct)
 
     def test_cached_arrays_read_only(self):
@@ -152,10 +152,10 @@ class TestBandPair:
 
 
 class TestSolveGS:
-    def test_zero_source(self, spectrum, profile):
+    def test_zero_source(self, spectrum):
         s = make_grid()
         f = BandField.zeros(spectrum, UniformGrid(s))
-        w = solve_GS(f, s[0], -2.0, profile)
+        w = solve_GS(f, s[0], -2.0)
         assert np.max(np.abs(w.values)) == 0.0
 
     def test_dense_oracle_band_two(self, spectrum, profile):
@@ -176,36 +176,36 @@ class TestSolveGS:
         f.values[0] = bump(s, s[0] + 0.8)
         f.values[1] = bump(s, s[0] + 1.2)
         f.values[N + 1] = bump(s, s[0] + 0.5)
-        w = solve_GS(f, s[0], -2.0, profile)
+        w = solve_GS(f, s[0], -2.0)
         r = apply_Lcal(w, profile)
         err = np.abs(r.values - f.values)[:, 1:-1]
         assert np.max(err) < 1e-8 * np.max(np.abs(f.values))
 
-    def test_high_mode_trace_zero(self, spectrum, profile):
+    def test_high_mode_trace_zero(self, spectrum):
         s = make_grid()
         f = BandField.zeros(spectrum, UniformGrid(s))
         f.values[N + 1 :] = bump(s, s[0] + 1.0)
-        w = solve_GS(f, s[0], -2.0, profile)
+        w = solve_GS(f, s[0], -2.0)
         assert np.max(np.abs(w.values[N + 1 :, 0])) < 1e-12
 
-    def test_bound_ratio_stable_in_S(self, spectrum, profile):
+    def test_bound_ratio_stable_in_S(self, spectrum):
         ratios = []
         for S in (-1.0, -2.0, -3.0):
             s = make_grid(S=S)
             f = BandField.zeros(spectrum, UniformGrid(s))
             f.values[N + 1] = bump(s, S + 1.0)
-            w = solve_GS(f, S, -2.0, profile)
+            w = solve_GS(f, S, -2.0)
             ratios.append(norm_exp(w, 2, 0.5, -2.0) / norm_exp(f, 0, 0.5, -2.0))
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() <= 2.0
 
-    def test_rejects_inadmissible_weight(self, spectrum, profile):
+    def test_rejects_inadmissible_weight(self, spectrum):
         s = make_grid()
         f = BandField.zeros(spectrum, UniformGrid(s))
         with pytest.raises(PreconditionError):
-            solve_GS(f, s[0], -1.0, profile)
+            solve_GS(f, s[0], -1.0)
 
-    def test_flat_region_matches_continuum_kernel(self, spectrum, profile):
+    def test_flat_region_matches_continuum_kernel(self, spectrum):
         """Low-band solve against the closed-form truncated sinh-kernel
         response to e^{delta s} on a potential-free window."""
         delta = -2.0
@@ -220,7 +220,7 @@ class TestSolveGS:
             s = 10.0 + h * np.arange(int(5.0 / h) + 1)
             f = BandField.zeros(spectrum, UniformGrid(s))
             f.values[0] = np.exp(delta * s)
-            w = solve_GS(f, s[0], delta, profile)
+            w = solve_GS(f, s[0], delta)
             ex = exact(s, s[-1])
             # agreement at the window scale; the residual potential
             # phi^{2-2n} ~ 4e-16 sets the floor of the comparison
@@ -229,37 +229,37 @@ class TestSolveGS:
 
 
 class TestSolvePS:
-    def test_zero_data(self, spectrum, profile):
+    def test_zero_data(self, spectrum):
         g = SphereField.zeros(spectrum)
-        w = solve_PS(g, -1.0, -2.0, profile)
+        w = solve_PS(g, -1.0, -2.0)
         assert np.max(np.abs(w.values)) == 0.0
 
-    def test_flat_extension_exact_per_band(self, spectrum, profile):
+    def test_flat_extension_exact_per_band(self, spectrum):
         g = SphereField.zonal_band(spectrum, 3, 0.7)
         s = make_grid()
-        w = solve_PS(g, s[0], -2.0, profile, s_grid=s, _zero_potential=True)
+        w = solve_PS(g, s[0], -2.0, s_grid=s, _zero_potential=True)
         expect = 0.7 * np.exp(-spectrum.gamma[3] * (s - s[0]))
         assert np.max(np.abs(w.values[N + 2] - expect)) == 0.0
 
-    def test_trace_identity(self, spectrum, profile):
+    def test_trace_identity(self, spectrum):
         g = SphereField.zonal_band(spectrum, 2, 1.0) + SphereField.zonal_band(spectrum, 5, -0.4)
         s = make_grid()
-        w = solve_PS(g, s[0], -2.0, profile, s_grid=s)
+        w = solve_PS(g, s[0], -2.0, s_grid=s)
         tr = w.trace(0)
         assert tr.zonal[0] == pytest.approx(1.0, abs=1e-12)
         assert tr.zonal[3] == pytest.approx(-0.4, abs=1e-12)
 
-    def test_rejects_low_modes(self, spectrum, profile):
+    def test_rejects_low_modes(self, spectrum):
         g = SphereField.constant(spectrum, 1.0)
         with pytest.raises(PreconditionError):
-            solve_PS(g, -1.0, -2.0, profile)
+            solve_PS(g, -1.0, -2.0)
 
-    def test_bound_stable_in_S(self, spectrum, profile):
+    def test_bound_stable_in_S(self, spectrum):
         vals = []
         for S in (-1.0, -2.0, -3.0):
             g = SphereField.zonal_band(spectrum, 2, 1.0)
             s = make_grid(S=S)
-            w = solve_PS(g, S, -2.0, profile, s_grid=s)
+            w = solve_PS(g, S, -2.0, s_grid=s)
             vals.append(norm_exp(w, 2, 0.5, -2.0) / (np.exp(2.0 * S) * g.holder_norm()))
         vals = np.array(vals)
         assert vals.max() / vals.min() <= 2.0

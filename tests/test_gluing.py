@@ -115,7 +115,7 @@ class TestSimpleMaps:
 class TestConglomerate:
     def test_components_assemble_from_piece_maps(self, ctx):
         t = BoundaryTriple.zeros(ctx.spectrum, pole=ctx.patch.u.pole)
-        mismatch, pieces = conglomerate_C(t, ctx, keep_pieces=True)
+        mismatch, pieces = conglomerate_C(t, ctx)
         cat = pieces["catenoid"]
         neck = pieces["neck"]
         val = neck.cauchy_inner[0] - cat.cauchy[0]
@@ -129,7 +129,7 @@ class TestConglomerate:
             surf = seed_catenoid(profile, spectrum, scale=1.0)
             c = prepare_glue(surf, eps)
             t = BoundaryTriple.zeros(spectrum, pole=c.patch.u.pole)
-            norms.append(triple_norm(conglomerate_C(t, c)))
+            norms.append(triple_norm(conglomerate_C(t, c)[0]))
         assert norms[1] < norms[0]
 
 

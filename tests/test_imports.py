@@ -8,6 +8,13 @@
   module, or in the benchmark's ``bench/*.py``.  Reads from the tests do not
   count; the few definitions only the tests use are listed in ``ALLOWED``
   with the reason each stays.
+- Parameters: each parameter of a module-level function or of a method,
+  other than ``self`` and ``cls``, must be read (as a name) in the function's
+  body, and each parameter with a default must be passed, by keyword or by
+  position, in at least one call of a function or attribute of that name in
+  a package module or in ``bench/*.py``.  Calls from the tests do not count;
+  the few parameters only the tests set are listed in ``PARAMS_ALLOWED`` with
+  the reason each stays.
 
 The package's ``__init__.py`` re-exports names and is skipped by both
 checks: as a reader it would make the definitions check vacuous.
@@ -37,6 +44,18 @@ ALLOWED = {
     "verify.harnack_ratios": "Harnack ratios over intrinsic balls, a verify oracle no workload runs",
 }
 
+# parameters that only the tests set, with the reason each stays
+PARAMS_ALLOWED = {
+    "catenoid.build_catenoid_piece(max_iter)": "a test caps the iterations to reach the non-convergence failure",
+    "catenoid.solve_PS(_zero_potential)": "returns the flat extension w0 alone, checked against its closed form",
+    "cli.main(argv)": "the CLI tests run commands in process; the console script passes none",
+    "cylinder.norm_exp(S)": "window start of the norm, checked against a loop reference by the norm tests",
+    "neck.poisson_neck(cutoff)": "cutoff=False keeps the bare power law, which a test checks is exact when flat",
+    "outer.nondegeneracy_check(extra_fields)": "a test injects a Jacobi field to show the check detects kernel",
+    "outer.nondegeneracy_check(threshold)": "the injection test measures the kernel instead of being refused",
+    "profile.solve_profile(max_substep)": "a test forces a coarse substep to reach the first-integral refusal",
+}
+
 
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
@@ -56,20 +75,23 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-def _definitions(tree) -> list:
-    """(qualified name, name, node) of the checked definitions of a module."""
+def _definitions(tree, all_methods=False) -> list:
+    """(qualified name, name, node) of the checked definitions of a module;
+    methods whose names start with an underscore only with all_methods."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append((node.name, node.name, node))
         if isinstance(node, ast.ClassDef):
             out += [(f"{node.name}.{sub.name}", sub.name, sub) for sub in node.body
-                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
+                    if isinstance(sub, ast.FunctionDef)
+                    and (all_methods or not sub.name.startswith("_"))]
     return out
 
 
-def _names_read(tree, skip=None) -> set:
-    """Names loaded as a Name or an attribute anywhere in tree but skip."""
+def _names_read(tree, skip=None, attributes=True) -> set:
+    """Names loaded as a Name, or as an attribute with attributes, anywhere
+    in tree but skip."""
     read = set()
     stack = [tree]
     while stack:
@@ -78,7 +100,7 @@ def _names_read(tree, skip=None) -> set:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        elif attributes and isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return read
@@ -107,8 +129,69 @@ def allow_list_problems(unreferenced: list, allowed) -> tuple:
     return sorted(set(unreferenced) - set(allowed)), sorted(set(allowed) - set(unreferenced))
 
 
+def _parameters(qual: str, node) -> list:
+    """(name, position in a call or None, has a default) of each parameter
+    of a function node, without the self or cls of a method."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    if "." in qual and not static:
+        positional = positional[1:]
+    first_default = len(positional) - len(args.defaults)
+    out = [(p.arg, i, i >= first_default) for i, p in enumerate(positional)]
+    out += [(p.arg, None, d is not None) for p, d in zip(args.kwonlyargs, args.kw_defaults)]
+    return out + [(p.arg, None, False) for p in (args.vararg, args.kwarg) if p is not None]
+
+
+def _passes(call, name: str, position) -> bool:
+    """Whether call passes the parameter name (at position, if positional)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def parameter_problems(modules: dict, callers: dict) -> dict:
+    """{'module.function(parameter)': 'unread' or 'unset'} for each
+    parameter of a function or method in modules ({name: source}) that its
+    body never reads, or that has a default no call in modules or callers
+    ({name: source}) passes.  Calls are matched by the name called: the
+    function's, or the class's for __init__."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    calls = {}
+    for tree in [*trees.values(), *(ast.parse(src) for src in callers.values())]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(called, []).append(node)
+    out = {}
+    for mod, tree in trees.items():
+        for qual, name, node in _definitions(tree, all_methods=True):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            read = set().union(*(_names_read(stmt, attributes=False) for stmt in node.body))
+            called = qual.split(".")[0] if name == "__init__" else name
+            for param, position, defaulted in _parameters(qual, node):
+                if param not in read:
+                    out[f"{mod}.{qual}({param})"] = "unread"
+                elif defaulted and not any(
+                    _passes(call, param, position) for call in calls.get(called, [])
+                ):
+                    out[f"{mod}.{qual}({param})"] = "unset"
+    return out
+
+
 def _package_unreferenced() -> list:
     return unreferenced_definitions(
+        {p.stem: p.read_text() for p in MODULES},
+        {f"bench/{p.name}": p.read_text() for p in BENCH},
+    )
+
+
+def _package_parameter_problems() -> dict:
+    return parameter_problems(
         {p.stem: p.read_text() for p in MODULES},
         {f"bench/{p.name}": p.read_text() for p in BENCH},
     )
@@ -152,3 +235,44 @@ def test_the_check_sees_an_unreferenced_definition():
     assert unreferenced_definitions(modules, {"bench": "Box\ncaller\n"}) == ["a.recursive"]
     # an allow-listed name that gains a caller is reported as stale
     assert allow_list_problems(found, ["a.Box", "a.used"]) == (["a.recursive", "b.caller"], ["a.used"])
+
+
+def test_every_parameter_is_read_and_set():
+    assert BENCH, "bench/*.py not found next to tests/"
+    problems = _package_parameter_problems()
+    unlisted, _ = allow_list_problems(list(problems), PARAMS_ALLOWED)
+    assert {entry: problems[entry] for entry in unlisted} == {}
+
+
+def test_params_allow_list_names_only_flagged_parameters():
+    _, stale = allow_list_problems(list(_package_parameter_problems()), PARAMS_ALLOWED)
+    assert stale == []
+
+
+def test_the_check_sees_an_unread_or_unset_parameter():
+    modules = {
+        "a": (
+            "def f(x, y=1, *, z=2):\n    return x + y + z\n\n"
+            "def g(x, unused):\n    return x\n\n"
+            "class Box:\n"
+            "    def __init__(self, size=0):\n        self.size = size\n\n"
+            "    def grow(self, by=1):\n        return self.size + by\n\n"
+            "    @staticmethod\n"
+            "    def make(size=3):\n        return Box(size)\n"
+        ),
+        "b": "from .a import Box, f, g\n\ndef caller():\n    return f(1, 2), g(1, 2), Box.make(), Box().grow()\n",
+    }
+    found = parameter_problems(modules, {})
+    assert found == {
+        "a.f(z)": "unset",
+        "a.g(unused)": "unread",
+        "a.Box.grow(by)": "unset",
+        "a.Box.make(size)": "unset",
+    }
+    # a call in a reader module counts, by keyword, position or ** mapping
+    readers = {"bench": "f(0, z=3)\nBox.make(4)\nBox().grow(**{'by': 2})\n"}
+    assert parameter_problems(modules, readers) == {"a.g(unused)": "unread"}
+    # an allow-listed parameter that gains a caller is reported as stale
+    assert allow_list_problems(list(found), ["a.f(z)", "a.f(y)"]) == (
+        ["a.Box.grow(by)", "a.Box.make(size)", "a.g(unused)"], ["a.f(y)"]
+    )

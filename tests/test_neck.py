@@ -167,33 +167,33 @@ class TestGreenFunction:
 
 class TestSigmaEps:
     def test_zero_parameters_give_green_term(self, patch, scales, green):
-        sig = build_sigma_eps(patch, scales, RigidParams.zeros(N), green=green)
+        sig = build_sigma_eps(patch, scales, RigidParams.zeros(N))
         expect = EPS / (N - 2) * (green.at(sig.grid.r) - green.a0)
         assert np.max(np.abs(sig.u.values[0] - expect)) < 1e-12 * np.max(np.abs(expect))
 
-    def test_pure_vertical_shift(self, patch, scales, green):
+    def test_pure_vertical_shift(self, patch, scales):
         d = 0.3 * scales.r_eps**2
-        sig0 = build_sigma_eps(patch, scales, RigidParams.zeros(N), green=green)
-        sigd = build_sigma_eps(patch, scales, RigidParams(np.zeros(N), np.zeros(N), d, 0.0), green=green)
+        sig0 = build_sigma_eps(patch, scales, RigidParams.zeros(N))
+        sigd = build_sigma_eps(patch, scales, RigidParams(np.zeros(N), np.zeros(N), d, 0.0))
         diff = sigd.u.values[0] - sig0.u.values[0]
         assert np.max(np.abs(diff - d)) < 1e-15
 
-    def test_pure_coefficient_shift(self, patch, scales, green):
+    def test_pure_coefficient_shift(self, patch, scales):
         e = 0.2 * scales.r_eps**2 * scales.r_eps ** (N - 2)
-        sig = build_sigma_eps(patch, scales, RigidParams(np.zeros(N), np.zeros(N), 0.0, e), green=green)
+        sig = build_sigma_eps(patch, scales, RigidParams(np.zeros(N), np.zeros(N), 0.0, e))
         near = sig.grid.r < 3 * scales.r_eps
         coef = np.polyfit(sig.grid.r[near] ** (2 - N), sig.u.values[0][near], 1)[0]
         assert coef == pytest.approx((EPS + e) / (N - 2), rel=0.01)
 
-    def test_deviation_envelope_shape(self, patch, scales, green):
-        sig = build_sigma_eps(patch, scales, RigidParams.zeros(N), green=green)
+    def test_deviation_envelope_shape(self, patch, scales):
+        sig = build_sigma_eps(patch, scales, RigidParams.zeros(N))
         c0, c1 = sig.info["sigma_shape_constants"]
         assert c0 < 5.0 and c1 < 10.0
 
-    def test_norm_precondition(self, patch, scales, green):
+    def test_norm_precondition(self, patch, scales):
         big = RigidParams(np.zeros(N), np.zeros(N), 5.0 * scales.r_eps**2, 0.0)
         with pytest.raises(PreconditionError):
-            build_sigma_eps(patch, scales, big, green=green, kappa=1.0)
+            build_sigma_eps(patch, scales, big)
 
 
 class TestAnnulusMixed:
@@ -260,14 +260,14 @@ class TestAnnulusMixed:
 class TestPoisson:
     def test_zero_data(self, spectrum, scales):
         p = flat_patch(spectrum, R0, m=150, r_in=scales.r_eps)
-        w = poisson_neck(p, scales, RigidParams.zeros(N), SphereField.zeros(spectrum))
+        w = poisson_neck(p, scales, SphereField.zeros(spectrum))
         assert np.max(np.abs(w.values)) == 0.0
 
     def test_flat_harmonic_identity_without_cutoff(self, spectrum, scales):
         p = flat_patch(spectrum, R0, m=150, r_in=scales.r_eps)
         h = SphereField.zonal_band(spectrum, 2, 1.0)
         h = h * (0.3 * scales.r_eps**2 / h.holder_norm())
-        w = poisson_neck(p, scales, RigidParams.zeros(N), h, cutoff=False)
+        w = poisson_neck(p, scales, h, cutoff=False)
         a = (2 - N) / 2.0 - 2.5
         expect = h.zonal[0] * (p.grid.r / scales.r_eps) ** a
         assert np.max(np.abs(w.values[N + 1] - expect)) < 1e-8 * np.max(np.abs(expect))
@@ -276,7 +276,7 @@ class TestPoisson:
         p = flat_patch(spectrum, R0, m=150, r_in=scales.r_eps)
         h = SphereField.zonal_band(spectrum, 2, 1.0) + SphereField.zonal_band(spectrum, 4, -0.5)
         h = h * (0.3 * scales.r_eps**2 / h.holder_norm())
-        w = poisson_neck(p, scales, RigidParams.zeros(N), h)
+        w = poisson_neck(p, scales, h)
         tr = project_high(w.trace(0))
         assert np.allclose(tr.zonal, h.zonal, rtol=1e-10, atol=1e-22)
 
@@ -287,7 +287,7 @@ class TestPoisson:
             p = flat_patch(spectrum, R0, m=150, r_in=sc.r_eps)
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.3 * sc.r_eps**2 / h.holder_norm())
-            w = poisson_neck(p, sc, RigidParams.zeros(N), h)
+            w = poisson_neck(p, sc, h)
             vals.append(w.info["trace_defect_scaled"])
         # defect / (|h| (r^{n+nu} + r^{2/3})) stays bounded as eps shrinks
         assert max(vals) < 10.0
@@ -295,7 +295,7 @@ class TestPoisson:
     def test_rejects_low_modes(self, spectrum, scales):
         p = flat_patch(spectrum, R0, m=150, r_in=scales.r_eps)
         with pytest.raises(PreconditionError):
-            poisson_neck(p, scales, RigidParams.zeros(N), SphereField.constant(spectrum, 1e-9))
+            poisson_neck(p, scales, SphereField.constant(spectrum, 1e-9))
 
 
 class TestNeckPiece:
@@ -321,11 +321,6 @@ class TestNeckPiece:
         big = RigidParams(np.zeros(N), np.zeros(N), 3.0 * scales.r_eps**2, 0.0)
         with pytest.raises(PreconditionError):
             build_neck_piece(patch, scales, big, h0, h0, tol=5e-3, kappa=1.0)
-
-    def test_nu_range(self, spectrum, patch, scales):
-        h0 = SphereField.zeros(spectrum)
-        with pytest.raises(PreconditionError):
-            build_neck_piece(patch, scales, RigidParams.zeros(N), h0, h0, tol=5e-3, nu=-1.0)
 
 
 class TestCauchyT:

@@ -4,6 +4,7 @@ import pytest
 from minsurflab.catenoid import ContractionError, PreconditionError, grid_profile
 from minsurflab.cylinder import BandField, UniformGrid
 from minsurflab.outer import (
+    build_deficiency,
     cauchy_U,
     deficiency_field,
     find_site,
@@ -41,12 +42,14 @@ class TestAssemble:
         assert len(surface.ends) == 2
         hts = sorted(e.plane_height for e in surface.ends)
         assert hts[0] == pytest.approx(-hts[1])
-        assert surface.deficiency["dim_K"] == 2 * 2 * (N + 1)
-        assert surface.deficiency["dim_K1"] == 2 * (N + 1)
+        deficiency = build_deficiency(surface)
+        assert deficiency["dim_K"] == 2 * 2 * (N + 1)
+        assert deficiency["dim_K1"] == 2 * (N + 1)
 
     def test_far_site_gradient_below_r_eps(self, sited):
         surf, patch, sc = sited
-        assert patch.grad0 <= sc.r_eps
+        _, grad = surf.site["end"].height_profile(N, np.array([surf.site["r_site"]]))
+        assert abs(grad[0]) <= sc.r_eps
         assert patch.u.values[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_neck_site_rejected(self, surface, profile):
@@ -57,8 +60,11 @@ class TestAssemble:
 
     def test_assumption_records(self, sited):
         surf, patch, sc = sited
-        assert patch.kind == "ball"
-        assert patch.c2_norm <= patch.eta0
+        # (A.3): the C^2 size of the site graph stays below 1
+        grid, u = patch.grid, patch.u.values
+        c2 = (np.max(np.abs(u)) + np.max(np.abs(u @ grid.D.T / grid.r))
+              + np.max(np.abs(u @ grid.D2.T / grid.r**2)))
+        assert c2 <= 1.0
         # (A.1): grid covers [r_eps/8, r0] inside [r0/2, 2 r0]
         assert patch.grid.r_out == pytest.approx(patch.r0)
 
@@ -102,7 +108,7 @@ class TestOuterLinear:
         from minsurflab.catenoid import apply_Lcal
 
         s = surface.core_w.grid.s
-        K1 = surface.deficiency["K1"][0]
+        K1 = build_deficiency(surface)["K1"][0]
         coeff = K1[:, 0]
         prof_vals = deficiency_field(surface, 0, coeff)
         psi = BandField.zeros(spectrum, UniformGrid(s))
