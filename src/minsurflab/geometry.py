@@ -16,6 +16,15 @@ orientation-free since H = 0.
 Angular derivatives are exact (trig differentiation in the colatitude on
 the ZonalGrid); the profile direction uses finite differences, so the
 engine's only discretization error is the profile-direction truncation.
+
+The profile-direction derivatives are taken once over all rows, since their
+stencils (or collocation matrix) couple neighbouring rows.  Everything else
+is row-local, so the angular derivatives, the forms and the curvatures are
+evaluated over blocks of BLOCK rows: one batched d_beta call per derivative
+and block covers all three components, and the temporaries stay the size of
+one block rather than of the whole chart.  Each row's FFT and each
+elementwise form is independent of the batch it is computed in, so the
+blocked result is bit-identical to a whole-chart evaluation.
 """
 
 from __future__ import annotations
@@ -25,8 +34,12 @@ import numpy as np
 from .diffops import fd_derivative
 from .spectral import ZonalGrid
 
-# parities of (x_q, rho, x_v) under reflection through the pole axis
-_ORBIT_PARITY = (+1, -1, +1)
+# rows per block of the angular derivatives and forms
+BLOCK = 128
+
+# parities of (x_q, rho, x_v) under reflection through the pole axis, shaped
+# to broadcast over a (3, rows, Nb) block
+_ORBIT_PARITY = np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)
 
 
 class OrbitSurface:
@@ -34,7 +47,9 @@ class OrbitSurface:
 
     P has shape (3, Na, Nb) with the beta axis last, sampled on grid.beta.
     d_a / d_aa differentiate along the first parameter; solver and oracle
-    paths pass different stencils, keeping verification independent.
+    paths pass different stencils, keeping verification independent.  They
+    are applied once to the whole chart; the beta derivatives, the forms and
+    the curvatures follow block by block over BLOCK rows.
     """
 
     def __init__(self, P, grid: ZonalGrid, d_a, d_aa):
@@ -45,16 +60,20 @@ class OrbitSurface:
         self.d_a = d_a
         self.d_aa = d_aa
 
-    def _db(self, i: int, F: np.ndarray, deriv: int = 1) -> np.ndarray:
-        return self.grid.d_beta(F, _ORBIT_PARITY[i], deriv)
-
-    def fundamental_forms(self):
+    def _blocks(self):
+        """Yield (rows, forms of those rows) over blocks of BLOCK rows."""
         P = self.P
         Pa = np.stack([self.d_a(P[i]) for i in range(3)])
-        Pb = np.stack([self._db(i, P[i]) for i in range(3)])
         Paa = np.stack([self.d_aa(P[i]) for i in range(3)])
-        Pab = np.stack([self._db(i, self.d_a(P[i])) for i in range(3)])
-        Pbb = np.stack([self._db(i, P[i], 2) for i in range(3)])
+        for start in range(0, P.shape[1], BLOCK):
+            rows = slice(start, start + BLOCK)
+            yield rows, self.fundamental_forms(P[:, rows], Pa[:, rows], Paa[:, rows])
+
+    def fundamental_forms(self, P, Pa, Paa):
+        """E, F, G, L, M, NN and the unit normal of the rows of one block."""
+        Pb = self.grid.d_beta(P, _ORBIT_PARITY)
+        Pab = self.grid.d_beta(Pa, _ORBIT_PARITY)
+        Pbb = self.grid.d_beta(P, _ORBIT_PARITY, 2)
         E = np.einsum("kij,kij->ij", Pa, Pa)
         F = np.einsum("kij,kij->ij", Pa, Pb)
         G = np.einsum("kij,kij->ij", Pb, Pb)
@@ -67,22 +86,26 @@ class OrbitSurface:
         return E, F, G, L, M, NN, Nvec
 
     def mean_curvature(self, n: int) -> np.ndarray:
-        E, F, G, L, M, NN, Nvec = self.fundamental_forms()
-        det = E * G - F * F
-        h2 = (G * L - 2 * F * M + E * NN) / det
-        return h2 - (n - 2) * Nvec[1] / self.P[1]
+        H = np.empty(self.P.shape[1:])
+        for rows, (E, F, G, L, M, NN, Nvec) in self._blocks():
+            det = E * G - F * F
+            h2 = (G * L - 2 * F * M + E * NN) / det
+            H[rows] = h2 - (n - 2) * Nvec[1] / self.P[1, rows]
+        return H
 
     def second_fundamental_sq(self, n: int) -> np.ndarray:
         """|A|^2 = kappa_1^2 + kappa_2^2 + (n - 2) kappa_rot^2."""
-        E, F, G, L, M, NN, Nvec = self.fundamental_forms()
-        det = E * G - F * F
-        tr = (G * L - 2 * F * M + E * NN) / det
-        dt = (L * NN - M * M) / det
-        disc = np.clip(tr * tr - 4 * dt, 0.0, None)
-        k1 = 0.5 * (tr + np.sqrt(disc))
-        k2 = 0.5 * (tr - np.sqrt(disc))
-        krot = -Nvec[1] / self.P[1]
-        return k1 * k1 + k2 * k2 + (n - 2) * krot * krot
+        A2 = np.empty(self.P.shape[1:])
+        for rows, (E, F, G, L, M, NN, Nvec) in self._blocks():
+            det = E * G - F * F
+            tr = (G * L - 2 * F * M + E * NN) / det
+            dt = (L * NN - M * M) / det
+            disc = np.clip(tr * tr - 4 * dt, 0.0, None)
+            k1 = 0.5 * (tr + np.sqrt(disc))
+            k2 = 0.5 * (tr - np.sqrt(disc))
+            krot = -Nvec[1] / self.P[1, rows]
+            A2[rows] = k1 * k1 + k2 * k2 + (n - 2) * krot * krot
+        return A2
 
 
 def uniform_surface(P, grid: ZonalGrid, h: float, order: int = 2) -> OrbitSurface:

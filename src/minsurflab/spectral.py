@@ -137,11 +137,14 @@ class ZonalGrid:
         """Evaluate sum_l c_l Z_l at the collocation nodes (last axis)."""
         return np.asarray(coeffs) @ self.Z
 
-    def d_beta(self, values: np.ndarray, parity: int, deriv: int = 1) -> np.ndarray:
+    def d_beta(self, values: np.ndarray, parity: float | np.ndarray, deriv: int = 1) -> np.ndarray:
         """Exact trig differentiation d/d beta along the last axis.
 
         parity +1 extends the sample evenly across the poles, -1 oddly;
         chart components are even (heights, axial parts) or odd (rho).
+        parity may also be an array of +-1 that broadcasts against values,
+        e.g. shape (3, 1, 1) for the three components of one orbit chart
+        block; each row's result is the same as with its scalar parity.
         """
         v = np.asarray(values, dtype=float)
         m = v.shape[-1]

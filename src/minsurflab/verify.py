@@ -445,12 +445,8 @@ def graphical_radius(graph: ChartSampleGraph, x_index: int, C_A: float) -> dict:
 
 @dataclass
 class StabilityReport:
-    domain_id: str
-    delta: float
     min_quotient: float
     stable: bool
-    family: str
-    info: dict = field(default_factory=dict)
 
 
 def _stability_forms(P: np.ndarray, n: int):
@@ -508,13 +504,14 @@ def delta_stability(
     P is an orbit chart (3, Na, Nb), A2 the squared second fundamental form
     on the grid.  The test family is the interior hat basis plus 40 further
     fields: six caps, then random combinations drawn with seed 0; the
-    quotient normalizer is the L^2 mass.
+    quotient normalizer is the L^2 mass.  domain_id names the chart in the
+    warning for a delta outside the flatness window.
     """
     n_random = 40
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
     if n in DELTA1 and delta >= 1.0 - DELTA1[n] + 1e-12:
-        log.warning("delta=%s at n=%d is outside the flatness window", delta, n)
+        log.warning("%s: delta=%s at n=%d is outside the flatness window", domain_id, delta, n)
     Na, Nb = P.shape[1], P.shape[2]
     apply_grad_energy, dA = _stability_forms(P, n)
     N = Na * Nb
@@ -565,11 +562,8 @@ def delta_stability(
     quotients = (grad_en - (1.0 - delta) * mass_A) / np.maximum(mass, 1e-300)
     min_q = float(np.min(quotients))
     return StabilityReport(
-        domain_id=domain_id,
-        delta=delta,
         min_quotient=min_q,
         stable=bool(min_q >= -1e-8 * max(1.0, float(np.max(np.abs(grad_en))) / max(float(np.max(mass)), 1e-300))),
-        family=f"hat{n_hat}+caps+random{n_random}",
     )
 
 

@@ -164,6 +164,32 @@ class TestTransformsAndSerialization:
         exact = -zgrid.sinb * zonal_eval_deriv(spectrum.n, 5, zgrid.t, 1)
         assert np.max(np.abs(dfdb - exact)) < 1e-12
 
+    def test_beta_derivative_odd_parity(self, zgrid):
+        b = zgrid.beta
+        rho = np.sin(b) + 0.3 * np.sin(3 * b)
+        drho = zgrid.d_beta(rho, parity=-1)
+        assert np.max(np.abs(drho - (np.cos(b) + 0.9 * np.cos(3 * b)))) < 1e-12
+        d2rho = zgrid.d_beta(rho, -1, deriv=2)
+        assert np.max(np.abs(d2rho - (-np.sin(b) - 2.7 * np.sin(3 * b)))) < 1e-12
+
+    def test_beta_second_derivative_even_parity(self, zgrid):
+        b = zgrid.beta
+        f = np.cos(b) - 0.5 * np.cos(4 * b)
+        d2f = zgrid.d_beta(f, +1, deriv=2)
+        assert np.max(np.abs(d2f - (-np.cos(b) + 8.0 * np.cos(4 * b)))) < 1e-12
+
+    def test_beta_derivative_parity_array_matches_per_component(self, zgrid, rng):
+        parity = np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)
+        block = rng.normal(size=(3, 5, zgrid.t.size))
+        for deriv in (1, 2):
+            batched = zgrid.d_beta(block, parity, deriv)
+            for i, p in enumerate((+1, -1, +1)):
+                assert np.array_equal(batched[i], zgrid.d_beta(block[i], p, deriv))
+
+    def test_beta_derivative_rejects_third_order(self, zgrid):
+        with pytest.raises(SpectralError):
+            zgrid.d_beta(np.ones(zgrid.t.size), +1, deriv=3)
+
     def test_eval_reproduced_by_band_expansion(self, spectrum, zgrid, rng):
         f = SphereField(spectrum, rng.normal(size=4), rng.normal(size=7))
         axial = f.axial_coefficients()

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -164,6 +165,12 @@ class TestDeltaStability:
             rep = delta_stability(P, A2, N, delta, domain_id="disk")
             assert rep.stable
             assert rep.min_quotient >= -1e-10
+
+    def test_warning_outside_flatness_window_names_domain(self, spectrum, caplog):
+        P, A2 = self._flat_disk(spectrum)
+        with caplog.at_level(logging.WARNING, logger="minsurflab.verify"):
+            delta_stability(P, A2, N, 0.7, domain_id="disk")
+        assert "disk: delta=0.7 at n=3 is outside the flatness window" in caplog.text
 
     def test_catenoid_delta_zero_unstable(self, spectrum):
         g = angular_grid(spectrum)
