@@ -26,6 +26,7 @@ from .cylinder import (
     GridError,
     UniformGrid,
     axial_collocation,
+    collocation_from_rows,
     homogeneous_pair,
     norm_exp,
     rows_from_collocation,
@@ -324,7 +325,7 @@ class _NeckGeometry:
         """
         keep = self.s <= self.s[0] + DEFECT_SPAN
         m = int(np.sum(keep)) + 4
-        w_hat = axial_collocation(w, self.grid)[:m] / self.eps_len
+        w_hat = collocation_from_rows(w.values[:, :m], w.pole, self.grid) / self.eps_len
         g = self.grid
         F = self.phi[:m, None] + w_hat * self.alpha_theta[:m, None]
         G = self.psi[:m, None] + w_hat * self.alpha_vert[:m, None]

@@ -122,9 +122,14 @@ def axial_collocation(f, grid: ZonalGrid) -> np.ndarray:
 
     f is any BandField; returns values on (node, beta).
     """
-    n = f.spectrum.n
-    rows = f.values
-    axial = rows[1 : n + 1].T @ f.pole
+    return collocation_from_rows(f.values, f.pole, grid)
+
+
+def collocation_from_rows(rows: np.ndarray, pole: np.ndarray, grid: ZonalGrid) -> np.ndarray:
+    """Band rows on (row, node) -> values on (node, beta), the counterpart of
+    rows_from_collocation.  Each node's values read only that node's rows."""
+    n = grid.n
+    axial = rows[1 : n + 1].T @ pole
     vals = rows[0][:, None] + axial[:, None] * grid.t[None, :]
     if np.any(rows[n + 1 :]):
         vals = vals + rows[n + 1 :].T @ grid.Z[2:]

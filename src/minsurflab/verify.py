@@ -52,7 +52,8 @@ def _grid_edges(shape, pts_flat):
     """Neighbor + knight-move edges on a structured (i, j, k) grid; the
     two-ring moves keep the graph-metric distortion under ~3 percent."""
     idx = np.arange(np.prod(shape)).reshape(shape)
-    rows, cols = [], []
+    pts = pts_flat.reshape(tuple(shape) + (-1,))
+    rows, cols, w = [], [], []
     moves = [
         (1, 0, 0), (0, 1, 0), (0, 0, 1),
         (1, 1, 0), (1, -1, 0), (0, 1, 1), (0, 1, -1), (1, 0, 1), (1, 0, -1),
@@ -64,17 +65,15 @@ def _grid_edges(shape, pts_flat):
         dst_slices = []
         for d, extent in zip(move, shape):
             lo = max(0, -d)
-            hi = extent - max(0, d)
+            hi = max(lo, extent - max(0, d))
             src_slices.append(slice(lo, hi))
-            dst_slices.append(slice(lo + d, hi + d if hi + d != 0 else None))
-        src = idx[tuple(src_slices)]
-        dst = idx[tuple(dst_slices)]
-        rows.append(src.ravel())
-        cols.append(dst.ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    w = np.linalg.norm(pts_flat[rows] - pts_flat[cols], axis=1)
-    return rows, cols, w
+            dst_slices.append(slice(lo + d, hi + d))
+        src, dst = tuple(src_slices), tuple(dst_slices)
+        rows.append(idx[src].ravel())
+        cols.append(idx[dst].ravel())
+        # each move's lengths from its own slices: temporaries of one move only
+        w.append(np.linalg.norm((pts[src] - pts[dst]).reshape(-1, pts.shape[-1]), axis=1))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(w)
 
 
 def _wrap_edges(shape, pts_flat):
@@ -370,17 +369,15 @@ def chord_arc(graph: ChartSampleGraph, x_index: int, R: float) -> dict:
     # component = points reachable without leaving the extrinsic ball: prune
     # by re-running restricted shortest paths
     sub = np.where(inside)[0]
-    sub_index = {g: i for i, g in enumerate(sub)}
+    index = np.full(pts.shape[0], -1)  # point -> its position in sub
+    index[sub] = np.arange(sub.size)
     rows, cols, w = graph.edges
     keep = inside[rows] & inside[cols]
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    m = coo_matrix(
-        (w[keep], ([sub_index[i] for i in rows[keep]], [sub_index[j] for j in cols[keep]])),
-        shape=(sub.size, sub.size),
-    )
-    dist_in = dijkstra(m, directed=False, indices=sub_index[x_index])
+    m = coo_matrix((w[keep], (index[rows[keep]], index[cols[keep]])), shape=(sub.size, sub.size))
+    dist_in = dijkstra(m, directed=False, indices=index[x_index])
     finite = np.isfinite(dist_in)
     rho = float(np.max(dist_in[finite]))
     boundary_touch = bool(R > 0.97 * np.max(d_ext))

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from graph_reference import chord_arc_dict_remap
 
 from minsurflab import gluing
 from minsurflab.catenoid import ContractionError, PreconditionError
@@ -16,6 +17,7 @@ from minsurflab.cli import (
     run,
     section_export,
 )
+from minsurflab.verify import catenoid_sample_graph, plane_sample_graph
 
 
 class TestConfig:
@@ -71,6 +73,21 @@ class TestRun:
             run("profile", cfg)
             outs.append((tmp_path / name / "profile_summary.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_chordarc_report_equals_reference(self, tmp_path):
+        assert main(["chordarc", "--out", str(tmp_path)]) == EXIT_OK
+        rows = json.loads((tmp_path / "chordarc_report.json").read_text())["measurements"]
+        expected = []
+        for chart, g, near, radii in (
+            ("plane", plane_sample_graph(3, extent=10.0), np.zeros(4), (2.0, 4.0, 6.0)),
+            ("catenoid", catenoid_sample_graph(3), np.eye(4)[0], (2.0, 4.0, 8.0)),
+        ):
+            center = int(np.argmin(np.linalg.norm(g.points - near, axis=1)))
+            for R in radii:
+                rep = chord_arc_dict_remap(g, center, R)
+                del rep["component_size"]
+                expected.append({"chart": chart, "R": R, **rep})
+        assert rows == expected
 
     def test_tower_forwards_delta_and_tol_match(self, tmp_path, monkeypatch):
         seen = []
