@@ -39,21 +39,17 @@ from .neck import (  # noqa: F401
     NeckPiece,
     RigidParams,
     build_neck_piece,
-    build_sigma_eps,
     cauchy_T,
     green_function,
     mean_curvature_graph,
     poisson_neck,
-    solve_annulus_mixed,
 )
 from .outer import (  # noqa: F401
     EndModel,
     OuterSurface,
     assemble_outer,
-    cauchy_U,
     nondegeneracy_check,
     seed_catenoid,
-    solve_outer_linear,
     solve_outer_nonlinear,
 )
 from .gluing import (  # noqa: F401
@@ -76,4 +72,4 @@ from .verify import (  # noqa: F401
     second_fund,
     separation_check,
 )
-from .cli import RunConfig, run, section_export  # noqa: F401
+from .cli import RunConfig, run  # noqa: F401

@@ -220,15 +220,13 @@ def solve_PS(
     S: float,
     delta: float,
     s_grid: np.ndarray | None = None,
-    _zero_potential: bool = False,
 ) -> BandField:
     """Decaying solution with prescribed high-mode trace at the cut.
 
     Built as the explicit flat decaying extension w0 of the trace data plus
     a correction solve against the potential term.  g_II must have no
     low-mode content.  The grid is s_grid, by default the catenoid piece's
-    grid S + PIECE_STEP k over [S, S + PIECE_SPAN]; _zero_potential returns
-    w0 alone.
+    grid S + PIECE_STEP k over [S, S + PIECE_SPAN].
     """
     spec = g_II.spectrum
     n = spec.n
@@ -242,8 +240,6 @@ def solve_PS(
     w0 = BandField.zeros(spec, grid, pole=g_II.pole)
     decay = np.exp(-np.outer(spec.gamma[2:], grid.s - S))
     w0.values[n + 1 :] = g_II.zonal[:, None] * decay
-    if _zero_potential:
-        return w0
     data = grid_profile(n, grid.s)
     rhs = w0.copy()
     rhs.values = -data["pot"][None, :] * w0.values
@@ -267,7 +263,6 @@ class CatenoidPiece:
     w: BandField
     h_II: SphereField
     residual: float  # oracle sup |H| at unit neck scale
-    residual_ambient: float
     cauchy: tuple  # (value trace, scaled radial slope trace) as SphereFields
     iterations: int
     info: dict = field(default_factory=dict)
@@ -428,7 +423,6 @@ def build_catenoid_piece(
         w=w,
         h_II=h_II,
         residual=res_unit,
-        residual_ambient=res_unit / scales.eps_len,
         cauchy=cauchy,
         iterations=it,
         info={

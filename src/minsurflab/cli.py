@@ -314,82 +314,6 @@ def cmd_report(cfg: RunConfig, out: Path) -> int:
     return rc
 
 
-def section_export(surface, plane: dict) -> str:
-    """Ordered intersection polylines of the surface charts with a hyperplane.
-
-    plane: {"axis": "vertical", "offset": c} intersects with x_{n+1} = c;
-    {"axis": "meridian"} cuts along the vertical 2-plane through the pole
-    axis, producing the profile curve of the zonal charts.  Curves are
-    sampled at 256 points (128 on a glued catenoid chart).  Returns CSV
-    text; an empty intersection produces a CSV with only the header and a
-    note line.
-    """
-    n_samples = 256
-    from .outer import psi_infinity
-    from .profile import profile_values
-
-    outer = getattr(surface, "outer", surface)
-    n = outer.n
-    lines = ["chart," + ",".join(f"x{i}" for i in range(n + 1))]
-    if plane.get("axis") == "vertical":
-        c = float(plane.get("offset", 0.0))
-        a = outer.core_scale
-        z = (c - outer.core_center[-1]) / a
-        sp_inf = psi_infinity(outer.profile)
-        if abs(z) < sp_inf:
-            from scipy.optimize import brentq
-
-            s_hit = brentq(
-                lambda s: profile_values(n, np.array([abs(s)]))[2][0] - abs(z), 0, outer.core_span
-            )
-            radius = a * profile_values(n, np.array([s_hit]))[0][0]
-            for ang in np.linspace(0, 2 * np.pi, n_samples, endpoint=False):
-                pt = outer.core_center.copy()
-                pt[0] += radius * np.cos(ang)
-                pt[1] += radius * np.sin(ang)
-                pt[-1] = c
-                lines.append("core," + ",".join(format(v, ".17g") for v in pt))
-    elif plane.get("axis") == "meridian":
-        s = np.linspace(-outer.core_span, outer.core_span, n_samples)
-        phi, dphi, psi, dpsi = profile_values(n, s)
-        for sgn in (+1.0, -1.0):
-            for k in range(s.size):
-                pt = outer.core_center.copy()
-                pt[0] += sgn * outer.core_scale * phi[k]
-                pt[-1] += outer.core_scale * psi[k]
-                lines.append("core," + ",".join(format(v, ".17g") for v in pt))
-        for fc in getattr(outer, "frozen_charts", []):
-            piece = fc["piece"]
-            if fc["kind"] == "neck_annulus":
-                site = fc["site"]
-                for sgn in (+1.0, -1.0):
-                    for i in range(piece.V.grid.m):
-                        pt = np.zeros(n + 1)
-                        pt[:n] = site["center_xy"]
-                        pt[0] += sgn * piece.V.grid.r[i]
-                        val = piece.V.values[0, i] + sgn * piece.V.values[1, i]
-                        pt[-1] = site["height"] + val
-                        lines.append("neck," + ",".join(format(v, ".17g") for v in pt))
-            elif fc["kind"] == "catenoid":
-                site = fc["site"]
-                sc = piece.scales
-                sgrid = np.linspace(sc.s_eps, sc.s_eps + 10, n_samples // 2)
-                phis, _, psis, _ = profile_values(n, sgrid)
-                psic = profile_values(n, np.array([sc.s_eps]))[2][0]
-                for sgn in (+1.0, -1.0):
-                    for k in range(sgrid.size):
-                        pt = np.zeros(n + 1)
-                        pt[:n] = site["center_xy"]
-                        pt[0] += sgn * sc.eps_len * phis[k]
-                        pt[-1] = fc["ring_height"] + sc.eps_len * (psis[k] - psic)
-                        lines.append("catenoid," + ",".join(format(v, ".17g") for v in pt))
-    else:
-        raise ConfigError(f"unknown hyperplane spec {plane}")
-    if len(lines) == 1:
-        lines.append("# empty intersection")
-    return "\n".join(lines) + "\n"
-
-
 COMMANDS = {
     "profile": cmd_profile,
     "catenoid-piece": cmd_catenoid_piece,

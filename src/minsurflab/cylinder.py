@@ -147,17 +147,16 @@ def rows_from_collocation(vals: np.ndarray, pole: np.ndarray, grid: ZonalGrid) -
     return rows
 
 
-def norm_exp(w: BandField, k: int, alpha: float, delta: float, S: float | None = None) -> float:
+def norm_exp(w: BandField, k: int, alpha: float, delta: float) -> float:
     """Discrete surrogate of the exponentially weighted Hoelder norm.
 
     Supremum over unit s-windows of e^{-delta s} times the sum of maxima of
     finite-difference derivatives up to order k plus a pairwise Hoelder
     quotient of the k-th derivative over node pairs at distance in
     [step, 3*step].  The weight uses the window start.  Windows
-    [i0, min(m, i0+win+1)), win = max(2, round(1/step)), start at every node
-    at or beyond S, and the sweep ends at the first window that reaches the
-    end of the grid; the quotient window is one node shorter.  The norm is
-    0.0 when no node lies at or beyond S.
+    [i0, min(m, i0+win+1)), win = max(2, round(1/step)), start at every node,
+    and the sweep ends at the first window that reaches the end of the grid;
+    the quotient window is one node shorter.
 
     A maximum over rows and nodes may be taken in either order, so each term
     is reduced to its column maximum over rows first and then to a running
@@ -171,8 +170,6 @@ def norm_exp(w: BandField, k: int, alpha: float, delta: float, S: float | None =
         raise ValueError("alpha must lie in (0, 1)")
     s = w.grid.s
     h = w.grid.step
-    if S is None:
-        S = float(s[0])
     vals = w.values
     if not np.all(np.isfinite(vals)):
         raise ValueError("norm_exp of a field with non-finite values")
@@ -191,20 +188,17 @@ def norm_exp(w: BandField, k: int, alpha: float, delta: float, S: float | None =
             q = np.abs(top[:, off:] - top[:, :-off]) / (off * h) ** alpha
             quot[:, : q.shape[1]] = np.maximum(quot[:, : q.shape[1]], q)
     m = s.size
-    first = int(np.searchsorted(s, S - 1e-12))
-    if first >= m:
-        return 0.0
     cols = [np.max(np.abs(d), axis=0) for d in derivs]
     qcol = np.max(quot, axis=0)
-    if first + win + 1 > m:
+    if win + 1 > m:
         # a single window, cut short by the end of the grid
-        starts = s[first : first + 1]
-        terms = [c[first:].max(keepdims=True) for c in cols]
-        terms.append(qcol[first : max(first + 1, m - 1)].max(keepdims=True))
+        starts = s[:1]
+        terms = [c.max(keepdims=True) for c in cols]
+        terms.append(qcol[: max(1, m - 1)].max(keepdims=True))
     else:
-        starts = s[first : m - win]
-        terms = [_forward_max(c[first:], win + 1, starts.size) for c in cols]
-        terms.append(_forward_max(qcol[first:], win, starts.size))
+        starts = s[: m - win]
+        terms = [_forward_max(c, win + 1, starts.size) for c in cols]
+        terms.append(_forward_max(qcol, win, starts.size))
     # added in one fixed order: 0.0 + values (+ first and second
     # derivative) + quotient
     window_val = 0.0

@@ -103,19 +103,20 @@ class GlueContext:
     patch: GraphPatch
     scales: Scales
     green: GreenTable
-    kappa: float = 1.0
-    tol_piece: float = 5e-3
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.delta is None:
-            self.delta = default_delta(self.spectrum.n)
+    kappa: float
+    tol_piece: float
+    delta: float
 
 
 def prepare_glue(
-    surface: OuterSurface, eps: float, kappa: float = 16.0, tol_piece: float = 5e-3
+    surface: OuterSurface,
+    eps: float,
+    kappa: float = 16.0,
+    tol_piece: float = 5e-3,
+    delta: float | None = None,
 ) -> GlueContext:
-    """Select a site on the top end and freeze the glue inputs."""
+    """Select a site on the top end and freeze the glue inputs; delta is the
+    catenoid piece's weight, by default default_delta(n)."""
     scales = compute_scales(surface.profile, eps)
     site = find_site(surface, scales)
     r0 = min(max(180.0 * scales.r_eps, 1e-3 * site["r_site"]), site["r_site"] / 10.0)
@@ -135,6 +136,7 @@ def prepare_glue(
         green=green,
         kappa=kappa,
         tol_piece=tol_piece,
+        delta=default_delta(surface.spectrum.n) if delta is None else delta,
     )
 
 
@@ -417,8 +419,8 @@ def glue_end(
     if delta is None:
         delta = default_delta(surface.spectrum.n)
     nondegeneracy_check(surface, delta, m=400)
-    ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece)
-    ctx.delta = delta  # the catenoid piece solves at the checked weight
+    # the catenoid piece solves at the weight the nondegeneracy check used
+    ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece, delta=delta)
     t, glued = fixed_point_glue(ctx, tol_match=tol_match)
     if prev is not None:
         glued.eps_history = prev.eps_history + glued.eps_history

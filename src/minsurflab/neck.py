@@ -18,8 +18,7 @@ import numpy as np
 
 from .catenoid import PreconditionError, ResidualError, contraction_median, picard, smooth_step
 from .cylinder import BandField, axial_collocation, rows_from_collocation
-from .diffops import fd_derivative
-from .geometry import OrbitSurface, graph_orbit_points, matrix_surface
+from .geometry import graph_orbit_points, matrix_surface, uniform_surface
 from .profile import Scales
 from .radial import BandOperator, RadialGrid, solve_mixed, weighted_norm
 from .spectral import (
@@ -44,7 +43,6 @@ class GraphPatch:
     r0: float
     grid: RadialGrid
     u: BandField
-    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.grid.r_out <= 2 * self.r0 + 1e-12 and self.r0 / 2 <= self.grid.r_out + 1e-12):
@@ -145,13 +143,7 @@ def mean_curvature_graph(patch: GraphPatch, w: BandField | None = None, oracle: 
     Pmat = patch.grid.interp_matrix(np.exp(rho_f))
     vals_f = Pmat @ vals
     P = graph_orbit_points(np.exp(rho_f), g, vals_f)
-    h = rho_f[1] - rho_f[0]
-    surf = OrbitSurface(
-        P, g,
-        d_a=lambda F: fd_derivative(F, h, 0, 1, 4),
-        d_aa=lambda F: fd_derivative(F, h, 0, 2, 4),
-    )
-    return surf.mean_curvature(patch.n)
+    return uniform_surface(P, g, rho_f[1] - rho_f[0], order=4).mean_curvature(patch.n)
 
 
 def graph_residual(patch: GraphPatch) -> tuple:
@@ -276,72 +268,11 @@ def _opened_backdrop(
     return base, dev, patch.with_height(base.grid, base.u + dev)
 
 
-def build_sigma_eps(patch: GraphPatch, scales: Scales, A: RigidParams) -> GraphPatch:
-    """The opened-neck background graph on the working annulus.
-
-    Returns the patch carrying u + w_{eps, A} on [r_eps/2, r0/2], with the
-    measured gradient-bound profile recorded in info.  A must lie in the
-    ball |A| <= r_eps^2.
-    """
-    n = patch.n
-    if A.norm(scales) > scales.r_eps**2 * (1 + 1e-9):
-        raise PreconditionError(
-            f"|A| = {A.norm(scales):.3e} exceeds r_eps^2 = {scales.r_eps ** 2:.3e}"
-        )
-    _, dev, out = _opened_backdrop(patch, scales, A, None, scales.r_eps / 2.0, patch.r0 / 2.0)
-    grid = out.grid
-    g = angular_grid(patch.spectrum)
-    vals = axial_collocation(out.u, g)
-    dvals = (grid.D @ vals) / grid.r[:, None]
-    max_grad = float(np.max(np.abs(dvals)))
-    # the inner collar is genuinely steep (the lower neck sheet); only a
-    # rotated graph degenerating toward vertical must be refused
-    if max_grad > 5.0:
-        raise PreconditionError(
-            f"opened-neck graph fails the vertical-graph test: sup|du/dr| = {max_grad:.3f}"
-        )
-    # measured shape constant of |grad^k w| <= c r^{-k} (r_eps r + eps r^{2-n})
-    env = scales.r_eps * grid.r + scales.eps * grid.r ** (2 - n)
-    w0 = np.abs(dev.values[0]) + np.abs(dev.values[1 : 1 + n]).sum(axis=0)
-    c0 = float(np.max(w0 / env))
-    w1 = np.abs(grid.D @ dev.values[0]) / grid.r
-    c1 = float(np.max(w1 / (env / grid.r)))
-    out.info["sigma_shape_constants"] = (c0, c1)
-    return out
-
-
 # -- annulus solvers -----------------------------------------------------------------
-
-
-def admissible_nu(n: int, nu: float) -> bool:
-    return -float(n) < nu < 1.0 - n
 
 
 def default_nu(n: int) -> float:
     return -7.0 / 3.0 if n == 3 else -n + 0.5
-
-
-def solve_annulus_mixed(patch: GraphPatch, f: BandField, r: float, nu: float) -> BandField:
-    """Mixed two-point solve on the annulus [r, r0] about the patch graph.
-
-    High bands take zero Dirichlet data at the inner ring, low bands the
-    regular-selection row, zero Dirichlet at the outer boundary.  nu is the
-    weight the solve is measured in; it must lie in (-n, 1-n).
-    """
-    n = patch.n
-    if not admissible_nu(n, nu):
-        raise PreconditionError(f"nu={nu} outside (-n, 1-n)")
-    if not (r < patch.grid.r_out):
-        raise PreconditionError("inner radius must sit inside the patch")
-    same_inner = abs(r - patch.grid.r_in) <= 1e-12 * r
-    if same_inner and f.grid.m == patch.grid.m and np.allclose(f.grid.rho, patch.grid.rho):
-        base = patch
-    else:
-        grid = RadialGrid(r, patch.grid.r_out, f.grid.m)
-        base = patch.resample(grid)
-        Pmat = f.grid.interp_matrix(np.clip(grid.r, f.grid.r_in, f.grid.r_out))
-        f = BandField(f.spectrum, grid, f.values @ Pmat.T, f.pole)
-    return solve_mixed(graph_operator(base), f)
 
 
 def poisson_neck(

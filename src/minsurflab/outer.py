@@ -1,4 +1,5 @@
-"""The noncompact outer surface: ends, deficiency space, and site solvers.
+"""The noncompact outer surface: ends, the nondegeneracy check, and site
+solvers.
 
 The outer surface carries a core cylinder chart (the seed catenoid), a list
 of planar-asymptotic ends in the catenoid band representation, and frozen
@@ -6,8 +7,8 @@ charts from earlier gluings.  Ring-data solves are localized at the active
 gluing site: responses to data on the small ring decay like exterior
 multipoles, so the exterior problem on [r0, R_site] with per-band decaying
 Robin closure represents the global solve up to couplings far below the
-working ball; the global band structure of the core enters the deficiency
-bookkeeping and the nondegeneracy check.
+working ball; the global band structure of the core enters only the
+nondegeneracy check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .catenoid import (
     band_pair,
     grid_profile,
     picard,
-    smooth_step,
 )
 from .cylinder import BandField, UniformGrid, row_bands, rows_from_collocation
 from .neck import GraphPatch, NeckPiece, graph_residual, mean_curvature_graph
@@ -161,93 +161,13 @@ def seed_catenoid(profile: ProfileTable, spectrum: BandSpectrum, scale: float = 
     )
 
 
-# -- deficiency space --------------------------------------------------------------
+# -- nondegeneracy ------------------------------------------------------------------
 
 
 def _homogeneous_profiles(n: int, ell: int, s: np.ndarray):
     """Discrete growing/decaying homogeneous band solutions on the end."""
     up, um, _ = band_pair(n, s, ell)
     return up / np.max(np.abs(up)), um
-
-
-def build_deficiency(surface: OuterSurface) -> dict:
-    """Cutoff Jacobi-field basis, its coefficient geometry, and the split.
-
-    Coefficient order per band j: (end_0 +, end_0 -, end_1 +, end_1 -, ...).
-    K0^{(j)} is spanned by the projections of the global geometric Jacobi
-    fields; K1^{(j)} is its orthogonal complement.
-    """
-    n = surface.n
-    s = surface.core_w.grid.s
-    data = grid_profile(n, s)
-    phi, dphi, psi, dpsi = data["phi"], data["dphi"], data["psi"], data["dpsi"]
-    k_ends = len(surface.ends)
-    # geometric Jacobi fields of the core catenoid, conjugated
-    conj = phi ** ((n - 2) / 2.0)
-    fields = {
-        0: [
-            -(phi ** ((n - 4) / 2.0)) * dphi,  # vertical translation
-            conj * (phi * dpsi - psi * dphi) / phi,  # dilation
-        ],
-        1: [
-            phi ** (-n / 2.0),  # horizontal translation (per direction)
-            conj * (psi * dpsi / phi + dphi),  # rotation (per direction)
-        ],
-    }
-    # expansion windows at the two core ends; ends beyond the seed pair are
-    # carried by their own glue charts and enter with zero core projection
-    win_hi = (s >= s[-1] - 3.0) & (s <= s[-1] - 0.5)
-    win_lo = (s <= s[0] + 3.0) & (s >= s[0] + 0.5)
-
-    def project(gfield: np.ndarray, ell: int) -> np.ndarray:
-        up, um = _homogeneous_profiles(n, ell, s)
-        coeffs = np.zeros(2 * k_ends)
-        for e_idx, win in ((0, win_hi), (1, win_lo)):
-            if e_idx >= k_ends:
-                break
-            if e_idx == 1:
-                gf = gfield[::-1]
-                window = win_lo[::-1]
-            else:
-                gf = gfield
-                window = win
-            X = np.stack([up[window], um[window]], axis=1)
-            c, *_ = np.linalg.lstsq(X, gf[window], rcond=None)
-            coeffs[2 * e_idx : 2 * e_idx + 2] = c
-        return coeffs
-
-    K0 = {}
-    K1 = {}
-    for j in (0, 1):
-        vecs = []
-        for gfield in fields[j]:
-            vecs.append(project(gfield, j))
-        V = np.stack(vecs, axis=1)
-        q, _ = np.linalg.qr(V)
-        K0[j] = q
-        full = np.eye(2 * k_ends)
-        proj = full - q @ q.T
-        # orthonormal basis of the complement
-        u, sv, vt = np.linalg.svd(proj)
-        K1[j] = u[:, : 2 * k_ends - q.shape[1]]
-    return {"K0": K0, "K1": K1, "k_ends": k_ends, "dim_K": 2 * k_ends * (n + 1),
-            "dim_K1": k_ends * (n + 1)}
-
-
-def deficiency_field(surface: OuterSurface, j: int, coeffs: np.ndarray) -> np.ndarray:
-    """Realize a band-j deficiency coefficient vector as a core profile."""
-    n = surface.n
-    s = surface.core_w.grid.s
-    up, um = _homogeneous_profiles(n, j, s)
-    cut_hi = smooth_step(s - (surface.core_span - 4.0))
-    cut_lo = cut_hi[::-1]
-    out = coeffs[0] * cut_hi * up + coeffs[1] * cut_hi * um
-    if coeffs.size > 2:
-        out = out + coeffs[2] * cut_lo * up[::-1] + coeffs[3] * cut_lo * um[::-1]
-    return out
-
-
-# -- nondegeneracy ------------------------------------------------------------------
 
 
 def _band_matrix_conjugated(n: int, ell: int, s: np.ndarray, delta: float) -> np.ndarray:
@@ -333,73 +253,6 @@ def nondegeneracy_check(
             f"outer surface degenerate: normalized sigma_min = {worst:.3e}"
         )
     return float(worst)
-
-
-# -- core linear solve with the deficiency bookkeeping --------------------------------
-
-
-def solve_outer_linear(
-    surface: OuterSurface,
-    f: BandField,
-    h_I: SphereField | None,
-    delta: float,
-):
-    """Global linear solve in the decaying-plus-deficiency ansatz.
-
-    The core part is solved band-wise with strict-decay closures, the
-    low-band solution augmented by the band's K1 columns of
-    build_deficiency (coefficients returned); ring data is handled by the
-    site-exterior solve, which needs an active site.  Returns (core
-    BandField, K1 coefficient dict, site BandField or None).
-    """
-    n = surface.n
-    if not admissible_delta(n, delta):
-        raise PreconditionError(f"delta={delta} outside the admissible interval")
-    s = f.grid.s
-    data = grid_profile(n, s)
-    c2 = ((n - 2) / 2.0) ** 2
-    h = f.grid.step
-    m = s.size
-    spec = f.spectrum
-    bands = row_bands(spec)
-    out = np.zeros_like(f.values)
-    k1_coeffs: dict = {}
-    sK1 = build_deficiency(surface)["K1"]
-    weight = np.exp(delta * np.sqrt(s * s + 1.0))
-    for i, ell in enumerate(bands):
-        A = _band_matrix_conjugated(n, int(ell), s, delta)
-        rhs = f.values[i] / weight
-        rhs[0] = 0.0
-        rhs[-1] = 0.0
-        if ell <= 1:
-            K1 = sK1[int(ell)]
-            cols = [deficiency_field(surface, int(ell), K1[:, c_idx]) for c_idx in range(K1.shape[1])]
-            nc = len(cols)
-            Abig = np.zeros((m + nc, m + nc))
-            Abig[:m, :m] = A
-            for c_idx, col in enumerate(cols):
-                lcol = np.empty(m)
-                lcol[1:-1] = (col[2:] - 2 * col[1:-1] + col[:-2]) / h**2 + (
-                    -(spec.lam[ell] + c2) + data["pot"][1:-1]
-                ) * col[1:-1]
-                lcol[0] = 0.0
-                lcol[-1] = 0.0
-                Abig[:m, m + c_idx] = lcol / weight
-                # orthogonality of the decaying part to the K1 window profile
-                Abig[m + c_idx, :m] = col * weight * h
-            rhs_big = np.concatenate([rhs, np.zeros(nc)])
-            sol = np.linalg.solve(Abig, rhs_big)
-            out[i] = weight * sol[:m] + sum(
-                sol[m + c_idx] * cols[c_idx] for c_idx in range(nc)
-            )
-            k1_coeffs[(int(ell), i)] = sol[m:]
-        else:
-            out[i] = weight * np.linalg.solve(A, rhs)
-    core = BandField(spec, f.grid, out, f.pole)
-    site_sol = None
-    if h_I is not None:
-        site_sol = site_exterior_solve(surface, h_I)
-    return core, k1_coeffs, site_sol
 
 
 # -- gluing site --------------------------------------------------------------------
@@ -626,19 +479,3 @@ def cauchy_U_eps(surface: OuterSurface, neck: NeckPiece) -> SphereField:
         raise PreconditionError("solve_outer_nonlinear must run before cauchy_U_eps")
     return site["w_hI"].d_trace(0) - neck.cauchy_outer[1]
 
-
-def cauchy_U(surface: OuterSurface, h_I: SphereField, neck: NeckPiece):
-    """Solved and simple outer Cauchy data on the ring, with their gap.
-
-    U_0 uses the two linear model problems with the same ring data.
-    """
-    u_eps = cauchy_U_eps(surface, neck)
-    w0 = site_exterior_solve(surface, h_I)
-    wt0 = interior_ball_solve(surface, h_I)
-    u_0 = w0.d_trace(0) - wt0.d_trace(-1)
-    gap = (u_eps - u_0).holder_norm()
-    info = {
-        "gap": gap,
-        "gap_over_scale": gap / neck.scales.r_eps ** (surface.n - 2.0 / 3.0),
-    }
-    return u_eps, u_0, info

@@ -97,10 +97,6 @@ class ProfileTable:
     A_asym: float
 
     @property
-    def step(self) -> float:
-        return float(self.s[1] - self.s[0])
-
-    @property
     def s_max(self) -> float:
         return float(self.s[-1])
 

@@ -133,10 +133,6 @@ class ZonalGrid:
         """
         return np.asarray(values) @ self._proj.T
 
-    def from_bands(self, coeffs: np.ndarray) -> np.ndarray:
-        """Evaluate sum_l c_l Z_l at the collocation nodes (last axis)."""
-        return np.asarray(coeffs) @ self.Z
-
     def d_beta(self, values: np.ndarray, parity: float | np.ndarray, deriv: int = 1) -> np.ndarray:
         """Exact trig differentiation d/d beta along the last axis.
 
@@ -231,14 +227,6 @@ class SphereField:
         return SphereField(self.spectrum, self.low.copy(), self.zonal.copy(), self.pole.copy())
 
     # -- band coefficient access ----------------------------------------------
-
-    def axial_coefficients(self) -> np.ndarray:
-        """Coefficients along the pole meridian: [a0, a.q, zonal_2..L]."""
-        out = np.empty(self.spectrum.L + 1)
-        out[0] = self.low[0]
-        out[1] = float(self.low[1:] @ self.pole)
-        out[2:] = self.zonal
-        return out
 
     # -- evaluation -------------------------------------------------------------
 

@@ -12,7 +12,7 @@ functions and box disjointness, never through rendering.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class ChartSampleGraph:
     points: np.ndarray  # (N, n+1) ambient coordinates
     edges: tuple  # (rows, cols, lengths)
     provenance: np.ndarray  # chart id per point
-    info: dict = field(default_factory=dict)
 
     def shortest_paths(self, source: int) -> np.ndarray:
         from scipy.sparse import coo_matrix
@@ -136,9 +135,7 @@ def catenoid_sample_graph(n: int, scale: float = 1.0, s_window: float = 3.0) -> 
     rows, cols, w = _grid_edges(shape, pts)
     r2, c2, w2 = _wrap_edges(shape, pts)
     edges = (np.concatenate([rows, r2]), np.concatenate([cols, c2]), np.concatenate([w, w2]))
-    g = ChartSampleGraph(pts, edges, np.zeros(pts.shape[0], dtype=int))
-    g.info["A_sup"] = float(np.sqrt(n * (n - 1)) * (scale * phi.min() / scale) ** (-n) / scale)
-    return g
+    return ChartSampleGraph(pts, edges, np.zeros(pts.shape[0], dtype=int))
 
 
 # -- residual and curvature oracles -----------------------------------------------------
@@ -257,7 +254,7 @@ def second_fund(surface) -> dict:
         bb = dict(b)
         bb["sup_A"] = per_box[b_idx]
         boxes_out.append(bb)
-    return {"outside_sup": outside, "boxes": boxes_out, "n_samples": len(samples)}
+    return {"outside_sup": outside, "boxes": boxes_out}
 
 
 def _in_box(pt, box, n) -> bool:
@@ -568,13 +565,14 @@ def delta_stability(
 
 
 def separation_check(P1: np.ndarray, u: np.ndarray, A2: np.ndarray, n: int) -> dict:
-    """Defect of the separation PDE and its coefficient-consistency fit.
+    """Defect of the separation PDE and the closeness it is measured against.
 
     P1 is the base sheet's orbit chart, u the normal separation sampled on
     it.  The displayed equation's unknown first-order coefficients are only
     bounded; the testable content is that the zeroth-order defect
-    div grad u + |A|^2 u is controlled by C1 q + C2 q^2 with
-    q = |u||A| + |grad u| against the local second-derivative scale.
+    div grad u + |A|^2 u shrinks with q = |u||A| + |grad u|.  Returns the
+    interior suprema of the defect (defect_sup) and of q (max_q), and
+    whether q <= 1 there (precondition_ok).
     """
     Na, Nb = u.shape
     Pa = np.gradient(P1, axis=1)
@@ -603,32 +601,9 @@ def separation_check(P1: np.ndarray, u: np.ndarray, A2: np.ndarray, n: int) -> d
     interior[3:-3, 3:-3] = True
     q = np.abs(u) * np.sqrt(np.clip(A2, 0, None)) + np.sqrt(np.clip(grad2, 0, None))
     pre_ok = float(np.max(q[interior])) <= 1.0 if interior.any() else True
-    curv_scale = np.abs(lap) + np.abs(A2 * u) + np.sqrt(np.clip(A2, 0, None)) * np.sqrt(np.clip(grad2, 0, None)) + 1e-300
-    X = np.stack([(q * curv_scale)[interior].ravel(), ((q**2) * curv_scale)[interior].ravel()], axis=1)
-    y = np.abs(defect[interior]).ravel()
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    fitted = X @ coef
-    resid = float(np.max(np.abs(y - fitted))) if y.size else 0.0
     return {
         "precondition_ok": bool(pre_ok),
         "max_q": float(np.max(q[interior])) if interior.any() else 0.0,
         "defect_sup": float(np.max(np.abs(defect[interior]))) if interior.any() else 0.0,
-        "fit_C1": float(coef[0]),
-        "fit_C2": float(coef[1]),
-        "fit_residual_sup": resid,
-        "defect_field": defect,
     }
 
-
-def harnack_ratios(graph: ChartSampleGraph, u_values: np.ndarray, x_index: int, radii) -> list:
-    """sup u / inf u over concentric intrinsic balls."""
-    dist = graph.shortest_paths(x_index)
-    out = []
-    for R in radii:
-        ball = np.isfinite(dist) & (dist <= R)
-        if ball.sum() < 4:
-            out.append(np.nan)
-            continue
-        vals = u_values[ball]
-        out.append(float(np.max(vals) / max(np.min(vals), 1e-300)))
-    return out

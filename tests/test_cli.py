@@ -15,7 +15,6 @@ from minsurflab.cli import (
     RunConfig,
     main,
     run,
-    section_export,
 )
 from minsurflab.verify import catenoid_sample_graph, plane_sample_graph
 
@@ -56,7 +55,29 @@ class TestConfig:
         assert "unknown config fields" in capsys.readouterr().err
 
 
+def _numbers(doc) -> list:
+    """Every int or float leaf of a JSON document."""
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in _numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in _numbers(v)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
 class TestRun:
+    @pytest.mark.parametrize("command, summary", [
+        ("catenoid-piece", "catenoid_summary.json"),
+        ("neck", "neck_summary.json"),
+        ("verify", "verify_report.json"),
+    ])
+    def test_command_smoke(self, tmp_path, command, summary):
+        assert main([command, "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / summary).read_text())
+        numbers = _numbers(report)
+        assert numbers and np.all(np.isfinite(numbers))
+        if command == "verify":
+            assert report["mc_residual"]["max_rel"] <= 2 * RunConfig().tol_verify
+
     def test_profile_smoke_with_summary(self, tmp_path):
         cfg = RunConfig(out_dir=str(tmp_path / "run")).validate()
         assert run("profile", cfg) == EXIT_OK
@@ -121,33 +142,3 @@ class TestRun:
         report = json.loads((tmp_path / "tower" / "tower_report.json").read_text())
         assert report["levels"] == [{"aborted": "neck iteration not contracting"}]
 
-
-class TestSectionExport:
-    def test_catenoid_horizontal_cut_is_unit_circle(self, spectrum, profile):
-        from minsurflab.outer import seed_catenoid
-
-        surf = seed_catenoid(profile, spectrum, scale=1.0)
-        text = section_export(surf, {"axis": "vertical", "offset": 0.0})
-        rows = [r for r in text.splitlines()[1:] if r and not r.startswith("#")]
-        pts = np.array([[float(v) for v in r.split(",")[1:]] for r in rows])
-        radii = np.linalg.norm(pts[:, :2], axis=1)
-        assert np.max(np.abs(radii - 1.0)) < 1e-9
-        assert np.max(np.abs(pts[:, 3])) < 1e-12
-
-    def test_empty_intersection(self, spectrum, profile):
-        from minsurflab.outer import seed_catenoid
-
-        surf = seed_catenoid(profile, spectrum, scale=1.0)
-        text = section_export(surf, {"axis": "vertical", "offset": 5.0})
-        assert "# empty intersection" in text
-
-    def test_meridian_cut_shows_profile(self, spectrum, profile):
-        from minsurflab.outer import seed_catenoid
-
-        surf = seed_catenoid(profile, spectrum, scale=1.0)
-        text = section_export(surf, {"axis": "meridian"})
-        rows = [r for r in text.splitlines()[1:] if r and not r.startswith("#")]
-        pts = np.array([[float(v) for v in r.split(",")[1:]] for r in rows])
-        # both sheets present and the waist reaches radius 1
-        assert pts[:, 0].min() < -1.0 and pts[:, 0].max() > 1.0
-        assert np.min(np.abs(pts[:, 0])) >= 1.0 - 1e-9

@@ -234,13 +234,6 @@ class TestSolvePS:
         w = solve_PS(g, -1.0, -2.0)
         assert np.max(np.abs(w.values)) == 0.0
 
-    def test_flat_extension_exact_per_band(self, spectrum):
-        g = SphereField.zonal_band(spectrum, 3, 0.7)
-        s = make_grid()
-        w = solve_PS(g, s[0], -2.0, s_grid=s, _zero_potential=True)
-        expect = 0.7 * np.exp(-spectrum.gamma[3] * (s - s[0]))
-        assert np.max(np.abs(w.values[N + 2] - expect)) == 0.0
-
     def test_trace_identity(self, spectrum):
         g = SphereField.zonal_band(spectrum, 2, 1.0) + SphereField.zonal_band(spectrum, 5, -0.4)
         s = make_grid()

@@ -6,15 +6,17 @@
   name has no leading underscore, must be read by name (an ``ast.Name`` or
   an attribute name in a load context) outside its own body: in a package
   module, or in the benchmark's ``bench/*.py``.  Reads from the tests do not
-  count; the few definitions only the tests use are listed in ``ALLOWED``
-  with the reason each stays.
+  count, so the package holds only what the pipeline runs.
 - Parameters: each parameter of a module-level function or of a method,
   other than ``self`` and ``cls``, must be read (as a name) in the function's
   body, and each parameter with a default must be passed, by keyword or by
   position, in at least one call of a function or attribute of that name in
-  a package module or in ``bench/*.py``.  Calls from the tests do not count;
-  the few parameters only the tests set are listed in ``PARAMS_ALLOWED`` with
-  the reason each stays.
+  a package module or in ``bench/*.py``.  Calls from the tests do not count.
+- Allow-lists: ``ALLOWED`` and ``PARAMS_ALLOWED`` hold test seams only, each
+  with the reason it stays: a definition or parameter the pipeline does not
+  use but a test needs to reach a failure path or inject a case.  An entry
+  that the checks no longer flag is stale, and every entry must be used by
+  the tests: a definition read by name, a parameter passed by some call.
 
 The package's ``__init__.py`` re-exports names and is skipped by both
 checks: as a reader it would make the definitions check vacuous.
@@ -31,25 +33,15 @@ MODULES = sorted(
     p for p in Path(minsurflab.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
 BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # definitions that only the tests read, with the reason each stays
-ALLOWED = {
-    "cli.section_export": "hyperplane-section export of the charts; tests check its cuts",
-    "neck.build_sigma_eps": "the opened-neck background on [r_eps/2, r0/2], checked by the neck tests",
-    "neck.solve_annulus_mixed": "the annulus solve of the linear estimate, the A2 oracle",
-    "outer.solve_outer_linear": "global linear solve with the deficiency columns, tested on its own",
-    "outer.cauchy_U": "U_0 and its gap to U_eps, checked by A5; the glue reads only U_eps",
-    "spectral.ZonalGrid.from_bands": "inverse of to_bands, the oracle of the band-transform tests",
-    "spectral.SphereField.axial_coefficients": "meridian coefficients that test eval_meridian",
-    "verify.harnack_ratios": "Harnack ratios over intrinsic balls, a verify oracle no workload runs",
-}
+ALLOWED = {}
 
 # parameters that only the tests set, with the reason each stays
 PARAMS_ALLOWED = {
     "catenoid.build_catenoid_piece(max_iter)": "a test caps the iterations to reach the non-convergence failure",
-    "catenoid.solve_PS(_zero_potential)": "returns the flat extension w0 alone, checked against its closed form",
     "cli.main(argv)": "the CLI tests run commands in process; the console script passes none",
-    "cylinder.norm_exp(S)": "window start of the norm, checked against a loop reference by the norm tests",
     "neck.poisson_neck(cutoff)": "cutoff=False keeps the bare power law, which a test checks is exact when flat",
     "outer.nondegeneracy_check(extra_fields)": "a test injects a Jacobi field to show the check detects kernel",
     "outer.nondegeneracy_check(threshold)": "the injection test measures the kernel instead of being refused",
@@ -152,6 +144,19 @@ def _passes(call, name: str, position) -> bool:
     )
 
 
+def _calls_by_name(trees) -> dict:
+    """{name called: [ast.Call]} over trees; a call is named by its function
+    or by its attribute."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(called, []).append(node)
+    return calls
+
+
 def parameter_problems(modules: dict, callers: dict) -> dict:
     """{'module.function(parameter)': 'unread' or 'unset'} for each
     parameter of a function or method in modules ({name: source}) that its
@@ -159,13 +164,7 @@ def parameter_problems(modules: dict, callers: dict) -> dict:
     ({name: source}) passes.  Calls are matched by the name called: the
     function's, or the class's for __init__."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
-    calls = {}
-    for tree in [*trees.values(), *(ast.parse(src) for src in callers.values())]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(called, []).append(node)
+    calls = _calls_by_name([*trees.values(), *(ast.parse(src) for src in callers.values())])
     out = {}
     for mod, tree in trees.items():
         for qual, name, node in _definitions(tree, all_methods=True):
@@ -181,6 +180,28 @@ def parameter_problems(modules: dict, callers: dict) -> dict:
                 ):
                     out[f"{mod}.{qual}({param})"] = "unset"
     return out
+
+
+def allow_list_unused(allowed, params_allowed, modules: dict, tests: dict) -> list:
+    """Allow-list entries that the tests ({name: source}) do not use: a
+    definition no test reads by name, or a parameter of a function in
+    modules ({name: source}) that no call in the tests passes."""
+    test_trees = [ast.parse(src) for src in tests.values()]
+    read = set().union(*(_names_read(tree) for tree in test_trees))
+    calls = _calls_by_name(test_trees)
+    unused = [entry for entry in allowed if entry.rsplit(".", 1)[-1] not in read]
+    for mod, src in modules.items():
+        for qual, name, node in _definitions(ast.parse(src), all_methods=True):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            called = qual.split(".")[0] if name == "__init__" else name
+            for param, position, _ in _parameters(qual, node):
+                entry = f"{mod}.{qual}({param})"
+                if entry in params_allowed and not any(
+                    _passes(call, param, position) for call in calls.get(called, [])
+                ):
+                    unused.append(entry)
+    return sorted(unused)
 
 
 def _package_unreferenced() -> list:
@@ -276,3 +297,26 @@ def test_the_check_sees_an_unread_or_unset_parameter():
     assert allow_list_problems(list(found), ["a.f(z)", "a.f(y)"]) == (
         ["a.Box.grow(by)", "a.Box.make(size)", "a.g(unused)"], ["a.f(y)"]
     )
+
+
+def test_allow_list_entries_are_used_by_the_tests():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    tests = {p.name: p.read_text() for p in TESTS}
+    assert allow_list_unused(ALLOWED, PARAMS_ALLOWED, modules, tests) == []
+
+
+def test_the_check_sees_an_allow_list_entry_the_tests_do_not_use():
+    modules = {
+        "a": (
+            "def f(x, y=1):\n    return x + y\n\n"
+            "def g():\n    pass\n\n"
+            "class Box:\n"
+            "    def size(self, unit=1):\n        return unit\n"
+        ),
+    }
+    tests = {"t": "from a import Box, f, g\n\nf(1, 2)\nBox().size()\n"}
+    allowed, params = ["a.f", "a.g", "a.Box.size"], ["a.f(y)", "a.Box.size(unit)"]
+    # an import alone is no read; a call that leaves the default passes nothing
+    assert allow_list_unused(allowed, params, modules, tests) == ["a.Box.size(unit)", "a.g"]
+    tests["u"] = "g()\nBox().size(unit=2)\n"
+    assert allow_list_unused(allowed, params, modules, tests) == []

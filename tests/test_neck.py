@@ -8,18 +8,18 @@ from minsurflab.neck import (
     angular_grid,
     axial_collocation,
     build_neck_piece,
-    build_sigma_eps,
     cauchy_T,
     flat_patch,
     graph_operator,
     green_function,
     mean_curvature_graph,
     poisson_neck,
+    rigid_deviation_rows,
     simple_cauchy_neck,
 )
 from minsurflab.profile import compute_scales, profile_values
 from minsurflab.cylinder import BandField
-from minsurflab.radial import RadialGrid, weighted_norm
+from minsurflab.radial import RadialGrid, solve_mixed, weighted_norm
 from minsurflab.spectral import SphereField, project_high
 
 N = 3
@@ -166,59 +166,65 @@ class TestGreenFunction:
 
 
 class TestSigmaEps:
-    def test_zero_parameters_give_green_term(self, patch, scales, green):
-        sig = build_sigma_eps(patch, scales, RigidParams.zeros(N))
-        expect = EPS / (N - 2) * (green.at(sig.grid.r) - green.a0)
-        assert np.max(np.abs(sig.u.values[0] - expect)) < 1e-12 * np.max(np.abs(expect))
+    """The opened-neck deviation w_{eps, A} over the working annulus
+    [r_eps/2, r0/2] of the flat patch."""
 
-    def test_pure_vertical_shift(self, patch, scales):
+    @pytest.fixture(scope="class")
+    def working(self, patch, scales):
+        return patch.resample(RadialGrid(scales.r_eps / 2, R0 / 2, patch.grid.m))
+
+    def test_zero_parameters_give_green_term(self, working, scales, green):
+        dev = rigid_deviation_rows(working, scales, RigidParams.zeros(N), green)
+        expect = EPS / (N - 2) * (green.at(working.grid.r) - green.a0)
+        assert np.max(np.abs(dev.values[0] - expect)) < 1e-12 * np.max(np.abs(expect))
+
+    def test_pure_vertical_shift(self, working, scales, green):
         d = 0.3 * scales.r_eps**2
-        sig0 = build_sigma_eps(patch, scales, RigidParams.zeros(N))
-        sigd = build_sigma_eps(patch, scales, RigidParams(np.zeros(N), np.zeros(N), d, 0.0))
-        diff = sigd.u.values[0] - sig0.u.values[0]
-        assert np.max(np.abs(diff - d)) < 1e-15
+        dev0 = rigid_deviation_rows(working, scales, RigidParams.zeros(N), green)
+        devd = rigid_deviation_rows(working, scales, RigidParams(np.zeros(N), np.zeros(N), d, 0.0), green)
+        assert np.max(np.abs(devd.values[0] - dev0.values[0] - d)) < 1e-15
 
-    def test_pure_coefficient_shift(self, patch, scales):
+    def test_pure_coefficient_shift(self, working, scales, green):
         e = 0.2 * scales.r_eps**2 * scales.r_eps ** (N - 2)
-        sig = build_sigma_eps(patch, scales, RigidParams(np.zeros(N), np.zeros(N), 0.0, e))
-        near = sig.grid.r < 3 * scales.r_eps
-        coef = np.polyfit(sig.grid.r[near] ** (2 - N), sig.u.values[0][near], 1)[0]
+        dev = rigid_deviation_rows(working, scales, RigidParams(np.zeros(N), np.zeros(N), 0.0, e), green)
+        near = working.grid.r < 3 * scales.r_eps
+        coef = np.polyfit(working.grid.r[near] ** (2 - N), dev.values[0][near], 1)[0]
         assert coef == pytest.approx((EPS + e) / (N - 2), rel=0.01)
 
-    def test_deviation_envelope_shape(self, patch, scales):
-        sig = build_sigma_eps(patch, scales, RigidParams.zeros(N))
-        c0, c1 = sig.info["sigma_shape_constants"]
-        assert c0 < 5.0 and c1 < 10.0
-
-    def test_norm_precondition(self, patch, scales):
-        big = RigidParams(np.zeros(N), np.zeros(N), 5.0 * scales.r_eps**2, 0.0)
-        with pytest.raises(PreconditionError):
-            build_sigma_eps(patch, scales, big)
+    def test_deviation_envelope_shape(self, working, scales, green):
+        """|grad^k w| <= c r^{-k} (r_eps r + eps r^{2-n}) with c of order one."""
+        dev = rigid_deviation_rows(working, scales, RigidParams.zeros(N), green)
+        r = working.grid.r
+        env = scales.r_eps * r + scales.eps * r ** (2 - N)
+        w0 = np.abs(dev.values[0]) + np.abs(dev.values[1 : 1 + N]).sum(axis=0)
+        w1 = np.abs(working.grid.D @ dev.values[0]) / r
+        assert np.max(w0 / env) < 5.0 and np.max(w1 / (env / r)) < 10.0
 
 
 class TestAnnulusMixed:
-    def test_zero_source(self, spectrum, patch, scales):
-        from minsurflab.neck import solve_annulus_mixed
+    """solve_mixed about the flat graph on the annulus [r, r0]."""
 
-        f = BandField.zeros(spectrum, patch.grid)
-        w = solve_annulus_mixed(patch, f, scales.r_eps, -7.0 / 3.0)
+    @staticmethod
+    def solve(spectrum, f, r):
+        return solve_mixed(graph_operator(flat_patch(spectrum, R0, m=f.grid.m, r_in=r)), f)
+
+    def test_zero_source(self, spectrum, scales):
+        f = BandField.zeros(spectrum, RadialGrid(scales.r_eps, R0, 150))
+        w = self.solve(spectrum, f, scales.r_eps)
         assert np.max(np.abs(w.values)) == 0.0
 
-    def test_radial_closed_form_oracle(self, spectrum, patch, scales):
+    def test_radial_closed_form_oracle(self, spectrum, scales):
         """u = 0, radial source: exact quadrature solution of the regular-
         selection problem to 1e-8."""
-        from minsurflab.neck import solve_annulus_mixed
-
         r_in = scales.r_eps
         grid = RadialGrid(r_in, R0, 160)
-        base = flat_patch(spectrum, R0, m=160, r_in=r_in)
         f = BandField.zeros(spectrum, grid)
 
         def source(r):
             return np.exp(-0.5 * ((np.log(r) - np.log(0.01)) / 0.8) ** 2)
 
         f.values[0] = source(grid.r)
-        w = solve_annulus_mixed(base, f, r_in, -7.0 / 3.0)
+        w = self.solve(spectrum, f, r_in)
 
         def inner_integral(sigma):
             val, _ = quad(lambda tau: tau ** (N - 1) * source(tau), r_in, sigma,
@@ -233,9 +239,7 @@ class TestAnnulusMixed:
         err = np.max(np.abs(w.values[0] - exact)) / np.max(np.abs(exact))
         assert err < 1e-8
 
-    def test_bound_constant_stable_in_inner_radius(self, spectrum, patch, scales):
-        from minsurflab.neck import solve_annulus_mixed
-
+    def test_bound_constant_stable_in_inner_radius(self, spectrum, scales):
         nu = -7.0 / 3.0
         ratios = []
         for r in (scales.r_eps / 2, scales.r_eps, 2 * scales.r_eps):
@@ -244,17 +248,10 @@ class TestAnnulusMixed:
             f.values[N + 1] = (grid.r / r) ** (nu - 2) * np.exp(
                 -0.5 * ((np.log(grid.r / r)) / 1.0) ** 2
             )
-            w = solve_annulus_mixed(patch, f, r, nu)
+            w = self.solve(spectrum, f, r)
             ratios.append(weighted_norm(w, 2, 0.5, nu) / weighted_norm(f, 0, 0.5, nu - 2))
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() <= 2.0
-
-    def test_rejects_bad_weight(self, spectrum, patch, scales):
-        from minsurflab.neck import solve_annulus_mixed
-
-        f = BandField.zeros(spectrum, patch.grid)
-        with pytest.raises(PreconditionError):
-            solve_annulus_mixed(patch, f, scales.r_eps, -0.5)
 
 
 class TestPoisson:

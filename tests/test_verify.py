@@ -12,7 +12,6 @@ from minsurflab.verify import (
     chord_arc,
     delta_stability,
     graphical_radius,
-    harnack_ratios,
     plane_sample_graph,
     second_fund,
     separation_check,
