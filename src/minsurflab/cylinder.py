@@ -10,7 +10,7 @@ band-diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class BandField:
     grid: object
     values: np.ndarray
     pole: np.ndarray = None
-    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -38,10 +38,9 @@ from .outer import (
     assemble_outer,
     cauchy_U_eps,
     find_site,
-    interior_ball_solve,
     nondegeneracy_check,
     psi_infinity,
-    site_exterior_solve,
+    simple_cauchy_outer,
     solve_outer_nonlinear,
 )
 from .profile import ProfileTable, Scales, compute_scales, profile_values
@@ -184,15 +183,11 @@ class SimpleMaps:
         spec = ctx.spectrum
         n = spec.n
         self.n = n
-        # ring multipliers of U_0 per band: response of r0 d_r (w0 - wt0)
-        mult = np.zeros(spec.L + 1)
-        for ell in range(spec.L + 1):
-            h = _unit_band_field(spec, ell)
-            w0 = site_exterior_solve(ctx.surface, h)
-            wt0 = interior_ball_solve(ctx.surface, h)
-            resp = w0.d_trace(0) - wt0.d_trace(-1)
-            mult[ell] = _band_coefficient(resp, ell)
-        self.u0_mult = mult
+        # ring multipliers of U_0 per band: its response to 1 in each band's
+        # first row, exact because the solves are row-wise
+        unit = SphereField(spec, np.r_[1.0, 1.0, np.zeros(n - 1)], np.ones(spec.L - 1))
+        resp = simple_cauchy_outer(ctx.surface, unit)
+        self.u0_mult = np.concatenate([resp.low[:2], resp.zonal])
 
     def U0(self, h_I: SphereField) -> SphereField:
         return h_I.band_multiply(self.u0_mult)
@@ -234,22 +229,6 @@ class SimpleMaps:
         h_II = project_high(mid_slope).band_multiply(1.0 / denom)
         h_II = project_high(h_II)
         return BoundaryTriple(h_I, RigidParams(T, R, float(d), float(e)), h_II)
-
-
-def _unit_band_field(spec: BandSpectrum, ell: int) -> SphereField:
-    if ell == 0:
-        return SphereField.constant(spec, 1.0)
-    if ell == 1:
-        return SphereField.linear(spec, np.eye(spec.n)[0])
-    return SphereField.zonal_band(spec, ell, 1.0)
-
-
-def _band_coefficient(f: SphereField, ell: int) -> float:
-    if ell == 0:
-        return float(f.low[0])
-    if ell == 1:
-        return float(f.low[1])
-    return float(f.zonal[ell - 2])
 
 
 def _project_model_range(c_0, c_eps):

@@ -9,6 +9,12 @@ multipoles, so the exterior problem on [r0, R_site] with per-band decaying
 Robin closure represents the global solve up to couplings far below the
 working ball; the global band structure of the core enters only the
 nondegeneracy check.
+
+The outer Cauchy map U_eps (cauchy_U_eps) is the ring slope of the solved
+outer piece against the neck's.  Its simple model U_0 (simple_cauchy_outer)
+is the ring slope of the linear site-exterior solve minus that of the linear
+interior-ball solve with the same ring data; both are radial band solves
+(radial.solve_rows), so U_0 is a multiplier per band.
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ from .catenoid import (
     grid_profile,
     picard,
 )
-from .cylinder import BandField, UniformGrid, row_bands, rows_from_collocation
-from .neck import GraphPatch, NeckPiece, graph_residual, mean_curvature_graph
+from .cylinder import BandField, UniformGrid, rows_from_collocation
+from .neck import GraphPatch, NeckPiece, graph_operator, graph_residual, mean_curvature_graph
 from .profile import ProfileTable, Scales, profile_values
-from .radial import BandOperator, RadialGrid
+from .radial import RadialGrid, decaying, regular, solve_rows
 from .spectral import BandSpectrum, SphereField, angular_grid
 
 
@@ -199,8 +205,8 @@ def _band_matrix_conjugated(n: int, ell: int, s: np.ndarray, delta: float) -> np
 def nondegeneracy_check(
     surface: OuterSurface,
     delta: float,
+    m: int,
     extra_fields: list | None = None,
-    m: int = 800,
     threshold: float = 1e-6,
 ) -> float:
     """Normalized smallest singular value of the core operator on the
@@ -344,6 +350,7 @@ def assemble_outer(
     h_e, _ = end.height_profile(n, R_amb_e.ravel())
     u_e = end.orientation * h_e.reshape(R_amb_e.shape) - float(end.orientation * h_site[0])
     ext_field = BandField(spec, ext_grid, rows_from_collocation(u_e, pole, g), pole=pole)
+    exterior = GraphPatch(n=n, r0=R_out / 2.0, grid=ext_grid, u=ext_field)
     surface.site = {
         "end": end,
         "patch": patch,
@@ -351,55 +358,13 @@ def assemble_outer(
         "center_xy": xy,
         "height": float(end.plane_height + end.orientation * h_site[0]),
         "r_site": r_site,
-        "exterior_grid": ext_grid,
-        "exterior_u": ext_field,
+        "exterior": exterior,
         "r0": r0,
     }
     return surface, patch
 
 
 # -- site-exterior solves --------------------------------------------------------------
-
-
-def _exterior_operator(surface: OuterSurface) -> BandOperator:
-    site = surface.site
-    grid = site["exterior_grid"]
-    ub = site["exterior_u"]
-    slope = (grid.D @ ub.values[0]) / grid.r
-    return BandOperator(surface.spectrum, grid, slope)
-
-
-def _solve_exterior_band(op: BandOperator, ell: int, f: np.ndarray, ring_value: float, n: int):
-    A = op.matrix_scaled(ell).copy()
-    rhs = np.asarray(f, dtype=float) * op.row_scale
-    A[0, :] = 0.0
-    A[0, 0] = 1.0
-    rhs[0] = ring_value
-    # decaying-multipole closure at the outer truncation
-    A[-1, :] = op.grid.D[-1]
-    A[-1, -1] -= float(2 - n - ell)
-    rhs[-1] = 0.0
-    return np.linalg.solve(A, rhs)
-
-
-def site_exterior_solve(
-    surface: OuterSurface, h_I: SphereField, f: BandField | None = None
-) -> BandField:
-    """Linear exterior solve with full Dirichlet ring data."""
-    site = surface.site
-    if site is None:
-        raise PreconditionError("no active gluing site")
-    op = _exterior_operator(surface)
-    grid = site["exterior_grid"]
-    spec = surface.spectrum
-    n = surface.n
-    bands = row_bands(spec)
-    ring = np.concatenate([h_I.low, h_I.zonal])
-    out = np.zeros((spec.row_count(), grid.m))
-    for i, ell in enumerate(bands):
-        src = np.zeros(grid.m) if f is None else f.values[i]
-        out[i] = _solve_exterior_band(op, int(ell), src, float(ring[i]), n)
-    return BandField(spec, grid, out, pole=site["pole"])
 
 
 def solve_outer_nonlinear(surface: OuterSurface, h_I: SphereField, tol: float) -> OuterSurface:
@@ -413,21 +378,23 @@ def solve_outer_nonlinear(surface: OuterSurface, h_I: SphereField, tol: float) -
     if site is None:
         raise PreconditionError("no active gluing site")
     spec = surface.spectrum
-    n = surface.n
-    grid = site["exterior_grid"]
+    base_patch = site["exterior"]
+    grid, base = base_patch.grid, base_patch.u
     g = angular_grid(spec)
-    op = _exterior_operator(surface)
-    base = site["exterior_u"]
-    base_patch = GraphPatch(n=n, r0=grid.r_out / 2.0, grid=grid, u=base)
+    op = graph_operator(base_patch)
     H_base_vals = mean_curvature_graph(base_patch)
+
+    def exterior_solve(f: BandField | None) -> BandField:
+        # Dirichlet data h_I at the ring, decaying multipoles at the truncation
+        return BandField(spec, grid, solve_rows(op, f, h_I, decaying), pole=site["pole"])
 
     def update(w: BandField) -> BandField:
         H_vals = mean_curvature_graph(base_patch, w=w)
         lam_w = op.apply(w)
         q = BandField(spec, grid, lam_w.values - rows_from_collocation(H_vals - H_base_vals, w.pole, g), w.pole)
-        return site_exterior_solve(surface, h_I, f=q)
+        return exterior_solve(q)
 
-    w = site_exterior_solve(surface, h_I)
+    w = exterior_solve(None)
     it = 0
     if h_I.holder_norm() != 0.0:
         w, it, _ = picard(update, w, 1e-9, 1e-300, 30, stage="outer")
@@ -444,31 +411,20 @@ def solve_outer_nonlinear(surface: OuterSurface, h_I: SphereField, tol: float) -
     return surface
 
 
-def interior_ball_solve(surface: OuterSurface, h_I: SphereField) -> BandField:
-    """Model interior solve on the site ball with Dirichlet ring data."""
+def simple_cauchy_outer(surface: OuterSurface, h_I: SphereField) -> SphereField:
+    """U_0: the ring slope r0 d_r of the linear site-exterior solve minus that
+    of the linear interior-ball solve on [1e-3 r0, r0], both about the
+    site's radial background with Dirichlet data h_I at the ring."""
     site = surface.site
-    patch = site["patch"]
+    if site is None:
+        raise PreconditionError("no active gluing site")
     spec = surface.spectrum
-    r0 = site["r0"]
-    grid = RadialGrid(1e-3 * r0, r0, patch.grid.m)
-    Pm = patch.grid.interp_matrix(grid.r)
-    slope = (patch.grid.D @ patch.u.values[0]) / patch.grid.r
-    op = BandOperator(spec, grid, Pm @ slope)
-    bands = row_bands(spec)
-    ring = np.concatenate([h_I.low, h_I.zonal])
-    out = np.zeros((spec.row_count(), grid.m))
-    for i, ell in enumerate(bands):
-        A = op.matrix_scaled(int(ell)).copy()
-        rhs = np.zeros(grid.m)
-        A[-1, :] = 0.0
-        A[-1, -1] = 1.0
-        rhs[-1] = float(ring[i])
-        # regularity at the puncture-free center: w_rho = l w
-        A[0, :] = op.grid.D[0]
-        A[0, 0] -= float(ell)
-        rhs[0] = 0.0
-        out[i] = np.linalg.solve(A, rhs)
-    return BandField(spec, grid, out, pole=site["pole"])
+    exterior, patch = site["exterior"], site["patch"]
+    ball = RadialGrid(1e-3 * site["r0"], site["r0"], patch.grid.m)
+    w0 = solve_rows(graph_operator(exterior), None, h_I, decaying)
+    wt0 = solve_rows(graph_operator(patch, ball), None, regular, h_I)
+    return (BandField(spec, exterior.grid, w0, site["pole"]).d_trace(0)
+            - BandField(spec, ball, wt0, site["pole"]).d_trace(-1))
 
 
 def cauchy_U_eps(surface: OuterSurface, neck: NeckPiece) -> SphereField:

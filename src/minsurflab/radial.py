@@ -1,4 +1,4 @@
-"""Band-spectral radial solvers on annuli and punctured balls.
+"""Band-spectral radial solves on annuli and punctured balls.
 
 Fields over a polar domain are stored as band rows on a Chebyshev grid in
 rho = log r, where the graph operators are band-diagonal for a radially
@@ -7,10 +7,22 @@ profile b(r) acts on band l as
 
     Lambda_l w = e^{-n rho} d_rho[ e^{(n-2) rho} w_rho / W^3 ] - lam_l e^{-2 rho} w / W,
 
-with W = sqrt(1 + b'(r)^2).  Bands l >= 2 take Dirichlet data at the inner
-ring; bands l <= 1 take the regular-selection Robin row w_rho = l w, which
-pins the flat-model regular behavior r^l and keeps the solve uniformly
-bounded as the inner radius shrinks.
+with W = sqrt(1 + b'(r)^2).  Every radial problem of the glue is one
+row-wise solve of Lambda_l w = f (solve_rows) with one condition per ring:
+
+- Dirichlet data from a SphereField;
+- the regular selection w_rho = l w, which pins the flat-model regular
+  solution r^l and keeps the solve uniformly bounded as the inner radius
+  shrinks;
+- the decaying multipole w_rho = (2 - n - l) w, the flat-model exterior
+  solution r^{2-n-l}.
+
+The neck annulus (solve_mixed) takes the regular selection on bands l <= 1
+and zero Dirichlet data on bands l >= 2 at its inner ring, and Dirichlet
+data at its outer ring.  The site exterior takes Dirichlet data at its
+inner ring and the decaying multipole at its outer truncation.  The
+interior ball takes the regular selection at its inner ring and Dirichlet
+data at its outer ring.
 """
 
 from __future__ import annotations
@@ -105,41 +117,60 @@ class BandOperator:
         return BandField(self.spectrum, self.grid, out, w.pole)
 
 
-def solve_band_mixed(op: BandOperator, ell: int, f: np.ndarray, outer_value: float) -> np.ndarray:
-    """Single-band mixed solve of Lambda_l w = f: Dirichlet data outer_value
-    at the outer ring; at the inner ring zero Dirichlet data (bands l >= 2)
-    or the regular-selection Robin row w_rho = l w (bands l <= 1)."""
-    A = op.matrix_scaled(ell).copy()
-    rhs = np.array(f, dtype=float) * op.row_scale
-    A[-1, :] = 0.0
-    A[-1, -1] = 1.0
-    rhs[-1] = outer_value
-    if ell >= 2:
-        A[0, :] = 0.0
-        A[0, 0] = 1.0
-    else:
-        A[0, :] = op.grid.D[0]
-        A[0, 0] -= float(ell)
-    rhs[0] = 0.0
-    return np.linalg.solve(A, rhs)
+def regular(spec: BandSpectrum) -> list:
+    """Robin exponent p = l of the regular selection w_rho = l w, by row."""
+    return list(row_bands(spec))
+
+
+def decaying(spec: BandSpectrum) -> list:
+    """Robin exponent p = 2 - n - l of the decaying multipole, by row."""
+    return list(2 - spec.n - row_bands(spec))
+
+
+def regular_low(spec: BandSpectrum) -> list:
+    """The regular selection on bands l <= 1; None, zero Dirichlet data,
+    on bands l >= 2."""
+    return [ell if ell <= 1 else None for ell in row_bands(spec)]
+
+
+def solve_rows(op: BandOperator, f: BandField | None, inner, outer) -> np.ndarray:
+    """Rows of the band-wise solve of Lambda_l w = f, None meaning f = 0.
+
+    inner and outer are the conditions at the first and the last node:
+    Dirichlet data (a SphereField, None meaning zero data), or a rule
+    (regular, decaying, regular_low) giving each row's Robin exponent p of
+    w_rho = p w, None meaning zero Dirichlet data.
+    """
+    spec = op.spectrum
+    rows = spec.row_count()
+    rings = []
+    for k, cond in ((0, inner), (-1, outer)):
+        if callable(cond):
+            rings.append((k, cond(spec), np.zeros(rows)))
+        else:
+            data = np.zeros(rows) if cond is None else np.concatenate([cond.low, cond.zonal])
+            rings.append((k, [None] * rows, data))
+    out = np.empty((rows, op.grid.m))
+    for i, ell in enumerate(row_bands(spec)):
+        A = op.matrix_scaled(int(ell)).copy()
+        rhs = np.zeros(op.grid.m) if f is None else f.values[i] * op.row_scale
+        for k, robin, data in rings:
+            if robin[i] is None:
+                A[k, :] = 0.0
+                A[k, k] = 1.0
+            else:
+                A[k, :] = op.grid.D[k]
+                A[k, k] -= float(robin[i])
+            rhs[k] = data[i]
+        out[i] = np.linalg.solve(A, rhs)
+    return out
 
 
 def solve_mixed(op: BandOperator, f: BandField, outer: SphereField | None = None) -> BandField:
-    """Row-wise mixed solve.
-
-    Bands l >= 2 take zero Dirichlet data at the inner ring, bands l <= 1
-    the regular-selection row; outer supplies Dirichlet data for every band
-    at the outer ring, None meaning zero data.
-    """
-    spec = f.spectrum
-    bands = row_bands(spec)
-    out = np.empty_like(f.values)
-    outer_cols = np.zeros(spec.row_count())
-    if outer is not None:
-        outer_cols = np.concatenate([outer.low, outer.zonal])
-    for i, ell in enumerate(bands):
-        out[i] = solve_band_mixed(op, int(ell), f.values[i], float(outer_cols[i]))
-    return BandField(spec, f.grid, out, f.pole)
+    """The neck annulus solve: the regular selection on bands l <= 1 and
+    zero Dirichlet data on bands l >= 2 at the inner ring, Dirichlet data
+    outer (None meaning zero) at the outer ring."""
+    return BandField(f.spectrum, f.grid, solve_rows(op, f, regular_low, outer), f.pole)
 
 
 def weighted_norm(w: BandField, k: int, alpha: float, nu: float) -> float:

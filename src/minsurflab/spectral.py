@@ -203,18 +203,6 @@ class SphereField:
         )
 
     @classmethod
-    def constant(cls, spectrum: BandSpectrum, value: float) -> "SphereField":
-        f = cls.zeros(spectrum)
-        f.low[0] = value
-        return f
-
-    @classmethod
-    def linear(cls, spectrum: BandSpectrum, vector) -> "SphereField":
-        f = cls.zeros(spectrum)
-        f.low[1:] = np.asarray(vector, dtype=float)
-        return f
-
-    @classmethod
     def zonal_band(cls, spectrum: BandSpectrum, ell: int, coeff: float) -> "SphereField":
         """coeff Z_ell about the default pole e_1."""
         if ell < 2 or ell > spectrum.L:
@@ -225,8 +213,6 @@ class SphereField:
 
     def copy(self) -> "SphereField":
         return SphereField(self.spectrum, self.low.copy(), self.zonal.copy(), self.pole.copy())
-
-    # -- band coefficient access ----------------------------------------------
 
     # -- evaluation -------------------------------------------------------------
 

@@ -61,7 +61,8 @@ class TestBuild:
             build_catenoid_piece(profile, EPS, h, kappa, TOL)
 
     def test_low_mode_data_rejected(self, spectrum, profile):
-        h = SphereField.constant(spectrum, 1e-9)
+        h = SphereField.zeros(spectrum)
+        h.low[0] = 1e-9
         with pytest.raises(PreconditionError, match="low-mode"):
             build_catenoid_piece(profile, EPS, h, 1.0, TOL)
 

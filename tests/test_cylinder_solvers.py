@@ -243,7 +243,8 @@ class TestSolvePS:
         assert tr.zonal[3] == pytest.approx(-0.4, abs=1e-12)
 
     def test_rejects_low_modes(self, spectrum):
-        g = SphereField.constant(spectrum, 1.0)
+        g = SphereField.zeros(spectrum)
+        g.low[0] = 1.0
         with pytest.raises(PreconditionError):
             solve_PS(g, -1.0, -2.0)
 

@@ -17,6 +17,7 @@ from minsurflab.gluing import (
 from minsurflab.neck import RigidParams
 from minsurflab.outer import seed_catenoid
 from minsurflab.spectral import SphereField, project_high, project_low
+from radial_reference import u0_multipliers
 
 N = 3
 EPS = 1e-6
@@ -103,6 +104,10 @@ class TestSimpleMaps:
                 ).norm(sc)
             )
             assert gap <= 1e-10 * max(t.norm(sc), 1e-300)
+
+    def test_u0_multipliers_match_the_per_band_loop(self, ctx, maps):
+        # one call on 1 in each band's first row against one call per band
+        assert np.array_equal(maps.u0_mult, u0_multipliers(ctx.surface))
 
     def test_invert_rejects_out_of_range(self, ctx, maps):
         sc = ctx.scales

@@ -9,6 +9,7 @@ from minsurflab.neck import (
     axial_collocation,
     build_neck_piece,
     cauchy_T,
+    default_nu,
     flat_patch,
     graph_operator,
     green_function,
@@ -20,7 +21,7 @@ from minsurflab.neck import (
 from minsurflab.profile import compute_scales, profile_values
 from minsurflab.cylinder import BandField
 from minsurflab.radial import RadialGrid, solve_mixed, weighted_norm
-from minsurflab.spectral import SphereField, project_high
+from minsurflab.spectral import SphereField, apply_Dtheta, project_high
 
 N = 3
 EPS = 1e-6
@@ -257,14 +258,14 @@ class TestAnnulusMixed:
 class TestPoisson:
     def test_zero_data(self, spectrum, scales):
         p = flat_patch(spectrum, R0, m=150, r_in=scales.r_eps)
-        w = poisson_neck(p, scales, SphereField.zeros(spectrum))
+        w = poisson_neck(p, scales, SphereField.zeros(spectrum), kappa=1.0)
         assert np.max(np.abs(w.values)) == 0.0
 
     def test_flat_harmonic_identity_without_cutoff(self, spectrum, scales):
         p = flat_patch(spectrum, R0, m=150, r_in=scales.r_eps)
         h = SphereField.zonal_band(spectrum, 2, 1.0)
         h = h * (0.3 * scales.r_eps**2 / h.holder_norm())
-        w = poisson_neck(p, scales, h, cutoff=False)
+        w = poisson_neck(p, scales, h, kappa=1.0, cutoff=False)
         a = (2 - N) / 2.0 - 2.5
         expect = h.zonal[0] * (p.grid.r / scales.r_eps) ** a
         assert np.max(np.abs(w.values[N + 1] - expect)) < 1e-8 * np.max(np.abs(expect))
@@ -273,32 +274,39 @@ class TestPoisson:
         p = flat_patch(spectrum, R0, m=150, r_in=scales.r_eps)
         h = SphereField.zonal_band(spectrum, 2, 1.0) + SphereField.zonal_band(spectrum, 4, -0.5)
         h = h * (0.3 * scales.r_eps**2 / h.holder_norm())
-        w = poisson_neck(p, scales, h)
+        w = poisson_neck(p, scales, h, kappa=1.0)
         tr = project_high(w.trace(0))
         assert np.allclose(tr.zonal, h.zonal, rtol=1e-10, atol=1e-22)
 
     def test_slope_defect_shrinks_with_eps(self, spectrum, profile):
+        nu = default_nu(N)
         vals = []
         for eps in (1e-4, 1e-6):
             sc = compute_scales(profile, eps)
             p = flat_patch(spectrum, R0, m=150, r_in=sc.r_eps)
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.3 * sc.r_eps**2 / h.holder_norm())
-            w = poisson_neck(p, sc, h)
-            vals.append(w.info["trace_defect_scaled"])
+            w = poisson_neck(p, sc, h, kappa=1.0)
+            # slope-trace defect against the flat multiplier (Prop-7.2 shape)
+            model = apply_Dtheta(h) * (-1.0) - (N - 2.0) * h
+            defect = (project_high(w.d_trace(0)) - model).holder_norm()
+            r_eps = p.grid.r_in
+            vals.append(defect / (h.holder_norm() * (r_eps ** (N + nu) + r_eps ** (2.0 / 3.0))))
         # defect / (|h| (r^{n+nu} + r^{2/3})) stays bounded as eps shrinks
         assert max(vals) < 10.0
 
     def test_rejects_low_modes(self, spectrum, scales):
         p = flat_patch(spectrum, R0, m=150, r_in=scales.r_eps)
+        h = SphereField.zeros(spectrum)
+        h.low[0] = 1e-9
         with pytest.raises(PreconditionError):
-            poisson_neck(p, scales, SphereField.constant(spectrum, 1e-9))
+            poisson_neck(p, scales, h, kappa=1.0)
 
 
 class TestNeckPiece:
     def test_zero_data_ball(self, spectrum, patch, scales):
         h0 = SphereField.zeros(spectrum)
-        piece = build_neck_piece(patch, scales, RigidParams.zeros(N), h0, h0, tol=5e-3)
+        piece = build_neck_piece(patch, scales, RigidParams.zeros(N), h0, h0, tol=5e-3, kappa=1.0)
         assert piece.residual_rel <= 5e-3
         v_norm = piece.info["v_weighted_norm"]
         # correction stays within a factor 10 of the contraction ball shape
@@ -308,7 +316,7 @@ class TestNeckPiece:
         h0 = SphereField.zeros(spectrum)
         hI = SphereField.zonal_band(spectrum, 2, 1.0)
         hI = hI * (0.1 * scales.r_eps**2 / hI.holder_norm())
-        piece = build_neck_piece(patch, scales, RigidParams.zeros(N), hI, h0, tol=5e-3)
+        piece = build_neck_piece(patch, scales, RigidParams.zeros(N), hI, h0, tol=5e-3, kappa=1.0)
         outer_val = piece.cauchy_outer[0]
         # u0 = 0 here: outer trace equals h_I by construction
         assert np.max(np.abs(outer_val.zonal - hI.zonal)) < 1e-12 * max(1e-30, np.max(np.abs(hI.zonal)))
@@ -338,6 +346,6 @@ class TestCauchyT:
         h0 = SphereField.zeros(spectrum)
         h2 = SphereField.zonal_band(spectrum, 2, 1.0)
         h2 = h2 * (0.3 * scales.r_eps**2 / h2.holder_norm())
-        piece = build_neck_piece(patch, scales, RigidParams.zeros(N), h0, h2, tol=5e-3)
+        piece = build_neck_piece(patch, scales, RigidParams.zeros(N), h0, h2, tol=5e-3, kappa=1.0)
         te, t0 = cauchy_T(piece)
         assert piece.info["cauchy_gap_over_reps2"] < 20.0

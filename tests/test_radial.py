@@ -1,10 +1,14 @@
-"""Property test of the row-wise mixed solve radial.solve_mixed.
+"""Property tests of the row-wise band solve radial.solve_rows.
 
-Each drawn problem is checked against the equations the solve is meant to
-satisfy: the band operator at every interior node, the outer Dirichlet
-data, zero inner data for bands l >= 2 and the regular-selection row
-w_rho = l w at the inner ring for bands l <= 1.  Every residual is measured
-against the size of the terms it balances, to the relative tolerance RTOL.
+Each drawn problem is solved with the ring conditions of one of the three
+radial problems: the neck annulus (solve_mixed), the site exterior and the
+interior ball.  The solution is checked against the equations it is meant
+to satisfy: the band operator at every interior node, Dirichlet data, the
+regular selection w_rho = l w and the decaying multipole
+w_rho = (2 - n - l) w at the rings that take them.  Every residual is
+measured against the size of the terms it balances, to the relative
+tolerance RTOL.  A second test requires the rows to equal, bit for bit,
+the three band solves that solve_rows replaced (tests/radial_reference.py).
 """
 
 from functools import lru_cache
@@ -13,20 +17,36 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from minsurflab.cylinder import BandField, row_bands
-from minsurflab.radial import BandOperator, RadialGrid, solve_mixed
+from minsurflab.radial import (
+    BandOperator,
+    RadialGrid,
+    decaying,
+    regular,
+    regular_low,
+    solve_mixed,
+    solve_rows,
+)
 from minsurflab.spectral import SphereField, band_spectrum
+from radial_reference import band_exterior, band_interior, band_mixed
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 RTOL = 1e-9
 
 spectra = lru_cache(maxsize=None)(band_spectrum)
 
+# (inner, outer) conditions of each radial problem with ring data h
+PROBLEMS = {
+    "annulus": lambda h: (regular_low, h),
+    "exterior": lambda h: (h, decaying),
+    "ball": lambda h: (regular, h),
+}
+
 
 @st.composite
-def mixed_problems(draw):
-    """(operator, source, outer data): n 3-5, L 2-6, 12 to 80 Chebyshev
+def band_problems(draw):
+    """(operator, source, ring data): n 3-5, L 2-6, 12 to 80 Chebyshev
     nodes, r_out in [0.05, 3], r_out / r_in up to 1e5, a radial background
-    of slope up to 2, and sources and outer data over six decades."""
+    of slope up to 2, and sources and ring data over six decades."""
     spec = spectra(draw(st.integers(3, 5)), draw(st.integers(2, 6)))
     m = draw(st.integers(12, 80))
     r_out = draw(st.floats(0.05, 3.0))
@@ -37,30 +57,64 @@ def mixed_problems(draw):
     op = BandOperator(spec, grid, slope)
     rows = spec.row_count()
     f = BandField(spec, grid, rng.normal(size=(rows, m)) * 10.0 ** rng.uniform(-3.0, 3.0))
-    outer = SphereField(spec, rng.normal(size=spec.n + 1), rng.normal(size=spec.L - 1))
-    return op, f, outer * 10.0 ** rng.uniform(-3.0, 3.0)
+    data = SphereField(spec, rng.normal(size=spec.n + 1), rng.normal(size=spec.L - 1))
+    return op, f, data * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+def expected_rings(kind, spec, data):
+    """Per ring (node index, Robin exponent of each row with nan where the
+    row takes Dirichlet data, Dirichlet data of each row)."""
+    bands = row_bands(spec).astype(float)
+    cols = np.concatenate([data.low, data.zonal])
+    none = np.full(bands.size, np.nan)
+    zero = np.zeros(bands.size)
+    if kind == "annulus":
+        inner = (np.where(bands <= 1, bands, np.nan), zero)
+        outer = (none, cols)
+    elif kind == "exterior":
+        inner = (none, cols)
+        outer = (2.0 - spec.n - bands, zero)
+    else:
+        inner = (bands, zero)
+        outer = (none, cols)
+    return [(0, *inner), (-1, *outer)]
 
 
 @PROPERTY
-@given(mixed_problems())
-def test_solution_satisfies_the_mixed_problem(problem):
-    op, f, outer = problem
-    w = solve_mixed(op, f, outer)
-    grid = op.grid
-    bands = row_bands(f.spectrum)
+@given(band_problems(), st.sampled_from(sorted(PROBLEMS)))
+def test_solution_satisfies_the_mixed_problem(problem, kind):
+    op, f, data = problem
+    spec, grid = f.spectrum, op.grid
+    w = BandField(spec, grid, solve_rows(op, f, *PROBLEMS[kind](data)))
+    bands = row_bands(spec)
     # interior collocation rows: Lambda_l w = f, against |Lambda_l| |w| + |f|
     residual = op.apply(w).values - f.values
     for i, ell in enumerate(bands):
         terms = np.abs(op.matrix(int(ell))) @ np.abs(w.values[i]) + np.abs(f.values[i])
         assert np.all(np.abs(residual[i, 1:-1]) <= RTOL * terms[1:-1])
     scale = np.max(np.abs(w.values), axis=1)
-    # outer Dirichlet data for every band
-    data = np.concatenate([outer.low, outer.zonal])
-    assert np.all(np.abs(w.values[:, -1] - data) <= RTOL * scale)
-    high = bands >= 2
-    # zero inner data for bands l >= 2
-    assert np.all(np.abs(w.values[high, 0]) <= RTOL * scale[high])
-    # regular selection w_rho = l w at the inner ring for bands l <= 1
-    d_rho = w.values[~high] @ grid.D[0]
-    row_terms = np.abs(w.values[~high]) @ np.abs(grid.D[0]) + bands[~high] * np.abs(w.values[~high, 0])
-    assert np.all(np.abs(d_rho - bands[~high] * w.values[~high, 0]) <= RTOL * row_terms)
+    for k, p, values in expected_rings(kind, spec, data):
+        dirichlet = np.isnan(p)
+        assert np.all(
+            np.abs(w.values[dirichlet, k] - values[dirichlet]) <= RTOL * scale[dirichlet]
+        )
+        # Robin rows w_rho = p w at the ring
+        robin = ~dirichlet
+        d_rho = w.values[robin] @ grid.D[k]
+        row_terms = np.abs(w.values[robin]) @ np.abs(grid.D[k]) + np.abs(p[robin] * w.values[robin, k])
+        assert np.all(np.abs(d_rho - p[robin] * w.values[robin, k]) <= RTOL * row_terms)
+
+
+@PROPERTY
+@given(band_problems())
+def test_rows_equal_the_reference_band_solves(problem):
+    op, f, data = problem
+    spec = f.spectrum
+    cols = np.concatenate([data.low, data.zonal])
+    bands = [int(ell) for ell in row_bands(spec)]
+    annulus = [band_mixed(op, ell, f.values[i], float(cols[i])) for i, ell in enumerate(bands)]
+    exterior = [band_exterior(op, ell, f.values[i], float(cols[i]), spec.n) for i, ell in enumerate(bands)]
+    ball = [band_interior(op, ell, float(cols[i])) for i, ell in enumerate(bands)]
+    assert np.array_equal(solve_mixed(op, f, data).values, np.array(annulus))
+    assert np.array_equal(solve_rows(op, f, data, decaying), np.array(exterior))
+    assert np.array_equal(solve_rows(op, None, regular, data), np.array(ball))
