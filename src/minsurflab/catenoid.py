@@ -29,10 +29,12 @@ from .cylinder import (
     collocation_from_rows,
     homogeneous_pair,
     norm_exp,
+    row_bands,
     rows_from_collocation,
     solve_band_decaying_kernel,
     solve_band_dirichlet_robin,
 )
+from .diffops import fd_derivative
 from .geometry import uniform_surface
 from .profile import ProfileTable, Scales, compute_scales, profile_values
 from .spectral import SphereField, angular_grid, apply_Dtheta, project_low
@@ -157,18 +159,12 @@ def apply_Lcal(w: BandField, profile: ProfileTable) -> BandField:
         raise GridError("profile dimension does not match the field spectrum")
     _check_profile_covers(profile, w.grid.s)
     data = grid_profile(profile.n, w.grid.s)
-    h = w.grid.step
     spec = w.spectrum
     c2 = ((spec.n - 2) / 2.0) ** 2
-    from .cylinder import row_bands
-
     bands = row_bands(spec)
     out = np.empty_like(w.values)
     v = w.values
-    d2 = np.empty_like(v)
-    d2[:, 1:-1] = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / h**2
-    d2[:, 0] = (2 * v[:, 0] - 5 * v[:, 1] + 4 * v[:, 2] - v[:, 3]) / h**2
-    d2[:, -1] = (2 * v[:, -1] - 5 * v[:, -2] + 4 * v[:, -3] - v[:, -4]) / h**2
+    d2 = fd_derivative(v, w.grid.step, 1, 2, 2)
     for i, ell in enumerate(bands):
         out[i] = d2[i] + (-(spec.lam[ell] + c2) + data["pot"]) * v[i]
     return BandField(spec, w.grid, out, w.pole)
@@ -193,8 +189,6 @@ def solve_GS(f: BandField, S: float, delta: float) -> BandField:
     data = grid_profile(n, grid.s)
     h = grid.step
     c2 = ((n - 2) / 2.0) ** 2
-    from .cylinder import row_bands
-
     bands = row_bands(spec)
     out = np.empty_like(f.values)
     for i, ell in enumerate(bands):
@@ -215,18 +209,12 @@ def _piece_grid(S: float) -> np.ndarray:
     return S + PIECE_STEP * np.arange(int(round(PIECE_SPAN / PIECE_STEP)) + 1)
 
 
-def solve_PS(
-    g_II: SphereField,
-    S: float,
-    delta: float,
-    s_grid: np.ndarray | None = None,
-) -> BandField:
+def solve_PS(g_II: SphereField, S: float, delta: float, s_grid: np.ndarray) -> BandField:
     """Decaying solution with prescribed high-mode trace at the cut.
 
     Built as the explicit flat decaying extension w0 of the trace data plus
-    a correction solve against the potential term.  g_II must have no
-    low-mode content.  The grid is s_grid, by default the catenoid piece's
-    grid S + PIECE_STEP k over [S, S + PIECE_SPAN].
+    a correction solve against the potential term, on the uniform grid
+    s_grid starting at S.  g_II must have no low-mode content.
     """
     spec = g_II.spectrum
     n = spec.n
@@ -234,8 +222,6 @@ def solve_PS(
         raise PreconditionError("solve_PS requires data without low-mode content")
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
-    if s_grid is None:
-        s_grid = _piece_grid(S)
     grid = UniformGrid(s_grid)
     w0 = BandField.zeros(spec, grid, pole=g_II.pole)
     decay = np.exp(-np.outer(spec.gamma[2:], grid.s - S))
@@ -291,19 +277,12 @@ class _NeckGeometry:
         self.dphi = data["dphi"]
         self.psi = data["psi"]
         self.dpsi = data["dpsi"]
-        self.pot = data["pot"]
         chi = smooth_step(s - s[0])
-        self.chi = chi
         conj = self.phi ** ((2 - n) / 2.0)
         self.alpha_theta = conj * chi * self.dpsi / self.phi
         self.alpha_vert = conj * ((1.0 - chi) - chi * self.dphi / self.phi)
         self.conj = conj
         self.mfac = self.phi ** ((n + 2) / 2.0)
-
-    def transition_defect(self) -> float:
-        """Measured sup |N_eps . N_0 - 1| over the ramp region."""
-        ndotn = (1.0 - self.chi) * (-self.dphi / self.phi) + self.chi
-        return float(np.max(np.abs(ndotn - 1.0)))
 
     def surface_points(self, w_hat_vals: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -344,7 +323,7 @@ def build_catenoid_piece(
     h_II: SphereField,
     kappa: float,
     tol: float,
-    delta: float | None = None,
+    delta: float,
     max_iter: int = 40,
 ) -> CatenoidPiece:
     """Solve the perturbed-catenoid problem with high-mode boundary data.
@@ -356,8 +335,6 @@ def build_catenoid_piece(
     """
     n = profile.n
     spec = h_II.spectrum
-    if delta is None:
-        delta = default_delta(n)
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
     scales = compute_scales(profile, eps)
@@ -428,18 +405,12 @@ def build_catenoid_piece(
         info={
             "contractions": contractions,
             "contraction_median": contraction_median(contractions),
-            "transition_defect": geo.transition_defect(),
-            "transition_bound": float(np.exp((2 * n - 2) * s_eps)),
             # weighted norms measured on the window where the admissible decay
             # makes the supremum provably attained; the far tail is pure
             # homogeneous decay plus roundoff.  The k=0 norm is the honest
             # smallness measure when the correction is discretization noise.
             "v_norm": norm_exp(_restrict(v, s_eps + 8.0), 2, 0.5, delta),
             "v_norm_sup": norm_exp(_restrict(v, s_eps + 8.0), 0, 0.5, delta),
-            "ball_radius_unit": float(
-                np.exp(((3 * n - 2) / 2.0 - delta) * s_eps) * scales.r_eps**2
-            ),
-            "delta": delta,
         },
     )
 

@@ -32,6 +32,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass
 class RunConfig:
     """Validated run parameters; every weight sits in its admissible window."""
@@ -52,6 +60,23 @@ class RunConfig:
     out_dir: str = "out"
 
     def validate(self) -> "RunConfig":
+        for name in ("n", "K", "L"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name}={getattr(self, name)!r} must be an integer")
+        for name in ("eps", "s_max", "s_step", "tol_solver", "tol_verify", "kappa", "seed_scale"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name}={getattr(self, name)!r} must be a number")
+        for name in ("tol_match", "delta"):
+            value = getattr(self, name)
+            if value is not None and not _is_number(value):
+                raise ConfigError(f"{name}={value!r} must be a number or null")
+        schedule = self.eps_schedule
+        if schedule is not None and not (
+            isinstance(schedule, list) and all(_is_number(e) for e in schedule)
+        ):
+            raise ConfigError(f"eps_schedule={schedule!r} must be null or a list of numbers")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir={self.out_dir!r} must be a string")
         n = self.n
         if n < 3:
             raise ConfigError(f"n={n} must be >= 3")
@@ -79,6 +104,8 @@ class RunConfig:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} holds {type(raw).__name__}, not a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         bad = set(raw) - known
         if bad:

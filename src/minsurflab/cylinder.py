@@ -106,11 +106,11 @@ class BandField:
         n = self.spectrum.n
         return SphereField(self.spectrum, col[: n + 1].copy(), col[n + 1 :].copy(), self.pole)
 
-    def trace(self, index: int = 0) -> SphereField:
+    def trace(self, index: int) -> SphereField:
         """SphereField of the coefficient column at node `index`."""
         return self._sphere(self.values[:, index])
 
-    def d_trace(self, index: int = 0) -> SphereField:
+    def d_trace(self, index: int) -> SphereField:
         """SphereField of the grid derivative of the rows at node `index`
         (d/ds on a UniformGrid, r d/dr = d/d rho on a RadialGrid)."""
         return self._sphere(self.grid.d_rows(self.values, index))

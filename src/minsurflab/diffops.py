@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def fd_derivative(F: np.ndarray, h: float, axis: int, deriv: int, order: int = 2) -> np.ndarray:
+def fd_derivative(F: np.ndarray, h: float, axis: int, deriv: int, order: int) -> np.ndarray:
     """Finite-difference derivative along an axis of a uniform grid.
 
     Interior stencils are centered; boundary nodes use one-sided stencils of

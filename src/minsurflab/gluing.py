@@ -108,14 +108,10 @@ class GlueContext:
 
 
 def prepare_glue(
-    surface: OuterSurface,
-    eps: float,
-    kappa: float = 16.0,
-    tol_piece: float = 5e-3,
-    delta: float | None = None,
+    surface: OuterSurface, eps: float, kappa: float, tol_piece: float, delta: float
 ) -> GlueContext:
     """Select a site on the top end and freeze the glue inputs; delta is the
-    catenoid piece's weight, by default default_delta(n)."""
+    catenoid piece's weight."""
     scales = compute_scales(surface.profile, eps)
     site = find_site(surface, scales)
     r0 = min(max(180.0 * scales.r_eps, 1e-3 * site["r_site"]), site["r_site"] / 10.0)
@@ -135,7 +131,7 @@ def prepare_glue(
         green=green,
         kappa=kappa,
         tol_piece=tol_piece,
-        delta=default_delta(surface.spectrum.n) if delta is None else delta,
+        delta=delta,
     )
 
 
@@ -251,18 +247,17 @@ class GluedSurface:
     triple: BoundaryTriple
     mismatch_norm: float
     ends: list
-    eps_history: list
     neck_boxes: list
     certificates: dict = field(default_factory=dict)
     info: dict = field(default_factory=dict)
 
 
-def fixed_point_glue(ctx: GlueContext, tol_match: float | None = None) -> tuple:
+def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> tuple:
     """Damped Picard iteration on the model-preconditioned mismatch.
 
     Starts undamped; a step that does not cut the mismatch below 0.9 times
     the last one damps harder and restarts from the best point.  Terminates
-    when the mismatch norm falls under the matching tolerance (default
+    when the mismatch norm falls under the matching tolerance (None meaning
     1e-8 r_eps^{2-n}) and fails after 30 evaluations; returns (triple,
     GluedSurface).
     """
@@ -328,15 +323,11 @@ def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
     plane_height = ring_height + eps_len * (psi_inf - psi_cut)
     end = EndModel(
         a=eps_len,
-        S0=s_eps + 12.0,
         w=cat.w,
         orientation=+1,
         axis_center=np.concatenate([site["center_xy"] + t.A.T, [ring_height - eps_len * psi_cut]]),
         plane_height=float(plane_height),
-        psi_inf=psi_inf,
     )
-    old_end: EndModel = site["end"]
-    old_end.excised.append((site["center_xy"].copy(), site["r0"]))
     surf.ends.append(end)
     surf.frozen_charts.append({"kind": "neck_annulus", "piece": neck, "site": dict(site)})
     surf.frozen_charts.append({"kind": "catenoid", "piece": cat, "site": dict(site),
@@ -365,7 +356,6 @@ def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
         triple=t,
         mismatch_norm=mis_norm,
         ends=ends,
-        eps_history=[sc.eps],
         neck_boxes=[box],
         info={"history": history, "ring_height": ring_height,
               "site": {k: site[k] for k in ("r_site", "height", "r0")}},
@@ -402,7 +392,6 @@ def glue_end(
     ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece, delta=delta)
     t, glued = fixed_point_glue(ctx, tol_match=tol_match)
     if prev is not None:
-        glued.eps_history = prev.eps_history + glued.eps_history
         glued.neck_boxes = prev.neck_boxes + glued.neck_boxes
     else:
         seed_box = _seed_neck_box(surface)
@@ -492,7 +481,7 @@ def default_schedule(K: int, eps0: float) -> list:
 def stack_tower(
     K: int,
     seed: OuterSurface,
-    schedule: list | None = None,
+    schedule: list | None,
     kappa: float = 16.0,
     tol_piece: float = 5e-3,
     tol_match: float | None = None,
@@ -500,6 +489,7 @@ def stack_tower(
 ) -> tuple:
     """Stack K glues on the seed; returns (GluedSurface | seed, TowerReport).
 
+    schedule None means default_schedule(K - 1, recorded_eps0(kappa)).
     tol_match and delta reach every level's glue_end.
     """
     from .catenoid import recorded_eps0

@@ -27,7 +27,6 @@ from .spectral import (
     apply_Dtheta,
     project_high,
     project_low,
-    sphere_area,
 )
 
 
@@ -102,14 +101,13 @@ class RigidParams:
 
 @dataclass
 class GreenTable:
-    """Radial Green's-function profile of the linearized graph operator."""
+    """Radial Green's-function profile of the linearized graph operator: its
+    values on grid and, for n = 3, its additive constant a0 (0.0 otherwise)."""
 
     n: int
     grid: RadialGrid
     values: np.ndarray
     a0: float
-    flux: float
-    fit_exponents: dict
 
     def at(self, r: np.ndarray) -> np.ndarray:
         return self.grid.interp_matrix(r) @ self.values
@@ -173,7 +171,7 @@ def green_function(patch: GraphPatch, rho_in: float) -> GreenTable:
     """Annulus approximation of the operator's Green's function.
 
     Solves the radial Dirichlet problem with r^{2-n} data on the inner ring
-    and zero on the outer boundary; for n = 3 the additive constant is
+    and zero on the outer boundary; for n = 3 the additive constant a0 is
     fitted from the mid-range profile.
     """
     n = patch.n
@@ -195,39 +193,20 @@ def green_function(patch: GraphPatch, rho_in: float) -> GreenTable:
     rhs[-1] = 0.0
     gam = np.linalg.solve(A, rhs)
 
-    # conserved flux of the divergence-form operator, per unit sphere volume
-    dgam = (grid.D @ gam) / grid.r
-    W = op.W
-    flux_profile = grid.r ** (n - 1) * dgam / W**3 * sphere_area(n)
-    flux = float(flux_profile[2])
-
-    # the inner truncation adds a small extra r^{2-n} multiple (relative size
-    # (rho_in/r0)^{n-2}); include it in the fit basis so the additive
-    # constant and the asymptotic defect are read off cleanly
-    r = grid.r
-    base = r ** (2 - n)
-    mid = (r > 6 * rho_in) & (r < r0 / 3)
     a0 = 0.0
-    sing_extra = 0.0
     if n == 3:
+        # the inner truncation adds a small extra r^{2-n} multiple (relative
+        # size (rho_in/r0)^{n-2}); include it in the fit basis so the
+        # additive constant is read off cleanly
+        r = grid.r
+        base = r ** (2 - n)
+        mid = (r > 6 * rho_in) & (r < r0 / 3)
         X = np.stack(
             [np.ones(mid.sum()), base[mid], r[mid] * np.log(1 / r[mid]), r[mid]], axis=1
         )
         coef, *_ = np.linalg.lstsq(X, (gam - base)[mid], rcond=None)
         a0 = float(coef[0])
-        sing_extra = float(coef[1])
-    else:
-        X = base[mid][:, None]
-        coef, *_ = np.linalg.lstsq(X, (gam - base)[mid], rcond=None)
-        sing_extra = float(coef[0])
-    defect = gam - (1.0 + sing_extra) * base - a0
-    fit = {}
-    if mid.sum() > 4:
-        for k, prof in ((0, defect), (1, grid.D @ defect / r)):
-            y = np.abs(prof[mid]) + 1e-300
-            slope = np.polyfit(np.log(r[mid]), np.log(y), 1)[0]
-            fit[k] = float(slope)
-    return GreenTable(n=n, grid=grid, values=gam, a0=a0, flux=flux, fit_exponents=fit)
+    return GreenTable(n=n, grid=grid, values=gam, a0=a0)
 
 
 # -- the opened-neck background -----------------------------------------------------
@@ -323,7 +302,6 @@ class NeckPiece:
 
     scales: Scales
     rigid: RigidParams
-    h_I: SphereField
     h_II: SphereField
     V: BandField  # total height over the reference plane (unshifted)
     residual: float
@@ -354,7 +332,6 @@ def build_neck_piece(
     """
     n = patch.n
     spec = patch.spectrum
-    nu = default_nu(n)
     triple_norm = h_I.holder_norm() + A.norm(scales) + h_II.holder_norm()
     if triple_norm > kappa * scales.r_eps**2 * (1 + 1e-9):
         raise PreconditionError(
@@ -421,7 +398,6 @@ def build_neck_piece(
     return NeckPiece(
         scales=scales,
         rigid=A,
-        h_I=h_I,
         h_II=h_II,
         V=V,
         residual=sup_H,
@@ -432,13 +408,12 @@ def build_neck_piece(
         info={
             "contractions": contractions,
             "contraction_median": contraction_median(contractions),
-            "v_weighted_norm": weighted_norm(v, 2, 0.5, nu),
-            "ball_radius": float(scales.r_eps ** (10.0 / 3.0 - nu)),
+            "v_weighted_norm": weighted_norm(v, 2, 0.5, default_nu(n)),
         },
     )
 
 
-def rigid_ring_data(A: RigidParams, r0: float, spectrum, pole=None) -> SphereField:
+def rigid_ring_data(A: RigidParams, r0: float, spectrum, pole) -> SphereField:
     """The rigid parameters' outer-ring content d + r0 R.theta."""
     f = SphereField.zeros(spectrum, pole)
     f.low[0] = A.d

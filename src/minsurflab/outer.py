@@ -32,7 +32,8 @@ from .catenoid import (
     grid_profile,
     picard,
 )
-from .cylinder import BandField, UniformGrid, rows_from_collocation
+from .cylinder import BandField, rows_from_collocation
+from .diffops import fd_derivative
 from .neck import GraphPatch, NeckPiece, graph_operator, graph_residual, mean_curvature_graph
 from .profile import ProfileTable, Scales, profile_values
 from .radial import RadialGrid, decaying, regular, solve_rows
@@ -79,13 +80,10 @@ class EndModel:
     """A planar-asymptotic end in the scaled catenoid band representation."""
 
     a: float  # end scale (neck units of its generating catenoid)
-    S0: float  # start parameter of the end chart
     w: BandField | None  # decaying perturbation rows (may be None)
     orientation: int  # +1 opens upward, -1 downward
     axis_center: np.ndarray  # ambient (n+1,) point on the end's axis
     plane_height: float  # ambient height of the asymptotic plane
-    psi_inf: float
-    excised: list = field(default_factory=list)  # (center_xy, radius) holes
 
     def height_profile(self, n: int, R: np.ndarray):
         """Height over the asymptotic plane and its radial slope at radii R
@@ -119,8 +117,6 @@ class OuterSurface:
     spectrum: BandSpectrum
     core_scale: float
     core_center: np.ndarray  # ambient (n+1,)
-    core_span: float  # core chart covers |s| <= core_span
-    core_w: BandField
     ends: list
     frozen_charts: list = field(default_factory=list)
     site: dict | None = None
@@ -139,20 +135,16 @@ CORE_SPAN = 8.0
 CORE_STEP = 8e-3
 
 
-def seed_catenoid(profile: ProfileTable, spectrum: BandSpectrum, scale: float = 1.0) -> OuterSurface:
+def seed_catenoid(profile: ProfileTable, spectrum: BandSpectrum, scale: float) -> OuterSurface:
     """The exact catenoid with two planar ends as the tower seed, centered
     at the origin."""
     n = profile.n
-    m = int(round(2 * CORE_SPAN / CORE_STEP))
-    s = -CORE_SPAN + CORE_STEP * np.arange(m + 1)
-    core_w = BandField.zeros(spectrum, UniformGrid(s))
     psi_inf = psi_infinity(profile)
     ends = [
         EndModel(
-            a=scale, S0=CORE_SPAN - 2.0, w=None, orientation=orientation,
+            a=scale, w=None, orientation=orientation,
             axis_center=np.zeros(n + 1),
             plane_height=float(orientation * scale * psi_inf),
-            psi_inf=psi_inf,
         )
         for orientation in (+1, -1)
     ]
@@ -161,8 +153,6 @@ def seed_catenoid(profile: ProfileTable, spectrum: BandSpectrum, scale: float = 
         spectrum=spectrum,
         core_scale=scale,
         core_center=np.zeros(n + 1),
-        core_span=CORE_SPAN,
-        core_w=core_w,
         ends=ends,
     )
 
@@ -214,8 +204,7 @@ def nondegeneracy_check(
     n = surface.n
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
-    span = surface.core_span
-    s = np.linspace(-span, span, m)
+    s = np.linspace(-CORE_SPAN, CORE_SPAN, m)
     mu = delta * np.sqrt(s * s + 1.0)
     weight = np.exp(mu)
     worst = np.inf
@@ -241,7 +230,7 @@ def nondegeneracy_check(
             sv = np.linalg.svd(A, compute_uv=False)
         worst = min(worst, sv[-1] / opscale)
     if extra_fields:
-        s_f = np.linspace(-span, span, 4 * m)
+        s_f = np.linspace(-CORE_SPAN, CORE_SPAN, 4 * m)
         data = grid_profile(n, s_f)
         c2 = ((n - 2) / 2.0) ** 2
         h = s_f[1] - s_f[0]
@@ -249,8 +238,7 @@ def nondegeneracy_check(
             vals = prof_fn(s_f)
             lam = ell * (ell + n - 2.0)
             vpot = -(lam + c2) + data["pot"]
-            res = np.empty_like(vals)
-            res[1:-1] = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h**2 + vpot[1:-1] * vals[1:-1]
+            res = fd_derivative(vals, h, 0, 2, 2) + vpot * vals
             num = np.linalg.norm(res[1:-1]) / max(np.linalg.norm(vals[1:-1]), 1e-300)
             scale = np.abs(vpot).max()
             worst = min(worst, num / scale)
@@ -371,8 +359,8 @@ def solve_outer_nonlinear(surface: OuterSurface, h_I: SphereField, tol: float) -
     """Minimal perturbation of the outer piece with ring data h_I.
 
     Site-exterior Picard iteration on the mean-curvature defect; far planes
-    are untouched by construction and their drift is re-measured.  The
-    perturbed field is stored on the active site as 'w_hI'.
+    are untouched by construction.  The perturbed field is stored on the
+    active site as 'w_hI', its Picard iteration count as 'outer_iterations'.
     """
     site = surface.site
     if site is None:
@@ -403,11 +391,7 @@ def solve_outer_nonlinear(surface: OuterSurface, h_I: SphereField, tol: float) -
     if res_rel > tol:
         raise ResidualError(f"outer residual {res_rel:.3e} exceeds tol={tol:.3e}")
     site["w_hI"] = w
-    site["outer_residual_rel"] = res_rel
     site["outer_iterations"] = it
-    # plane drift: the perturbation decays by construction; report its far tail
-    tail = float(np.max(np.abs(w.values[:, -1])))
-    site["plane_drift"] = tail
     return surface
 
 

@@ -34,26 +34,6 @@ from .diffops import bary_interp_matrix, cheb_nodes_matrix
 from .spectral import BandSpectrum, SphereField
 
 
-def clencurt_weights(x: np.ndarray) -> np.ndarray:
-    """Clenshaw-Curtis quadrature weights for Chebyshev points on [a, b]."""
-    m = x.size
-    N = m - 1
-    theta = np.pi * np.arange(m) / N
-    w = np.zeros(m)
-    v = np.ones(N - 1)
-    if N % 2 == 0:
-        w[0] = w[-1] = 1.0 / (N**2 - 1)
-        for k in range(1, N // 2):
-            v -= 2.0 * np.cos(2 * k * theta[1:-1]) / (4 * k**2 - 1)
-        v -= np.cos(N * theta[1:-1]) / (N**2 - 1)
-    else:
-        w[0] = w[-1] = 1.0 / N**2
-        for k in range(1, (N - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2 * k * theta[1:-1]) / (4 * k**2 - 1)
-    w[1:-1] = 2.0 * v / N
-    return w[::-1] * (x[-1] - x[0]) / 2.0
-
-
 class RadialGrid:
     """Chebyshev collocation in log r on [r_in, r_out]."""
 
@@ -61,12 +41,10 @@ class RadialGrid:
         if not (0 < r_in < r_out):
             raise GridError("need 0 < r_in < r_out")
         self.rho, self.D = cheb_nodes_matrix(m, np.log(r_in), np.log(r_out))
-        self.D2 = self.D @ self.D
         self.r = np.exp(self.rho)
         self.r_in = r_in
         self.r_out = r_out
         self.m = m
-        self.quad_rho = clencurt_weights(self.rho)
         self.nodes = self.rho
 
     def d_rows(self, values: np.ndarray, index: int) -> np.ndarray:
@@ -80,15 +58,12 @@ class RadialGrid:
 class BandOperator:
     """Band-diagonal linearized graph operator about a radial background."""
 
-    def __init__(self, spectrum: BandSpectrum, grid: RadialGrid, db_dr: np.ndarray | None = None):
+    def __init__(self, spectrum: BandSpectrum, grid: RadialGrid, db_dr: np.ndarray):
         self.spectrum = spectrum
         self.grid = grid
         n = spectrum.n
         rho, D = grid.rho, grid.D
-        if db_dr is None:
-            db_dr = np.zeros(grid.m)
         W = np.sqrt(1.0 + db_dr**2)
-        self.W = W
         front = np.exp(-n * rho)
         mid = np.exp((n - 2) * rho) / W**3
         # scaled form e^{n rho} Lambda keeps the collocation matrix

@@ -23,29 +23,14 @@ def sphere_area(n: int) -> float:
     return 2.0 * np.pi ** (n / 2.0) / gamma_fn(n / 2.0)
 
 
-def band_multiplicity(n: int, ell: int) -> int:
-    """Dimension of the degree-ell spherical-harmonic space on S^{n-1}.
-
-    dim H_l = C(n+l-1, l) - C(n+l-3, l-2).
-    """
-    from math import comb
-
-    if ell == 0:
-        return 1
-    hi = comb(n + ell - 1, ell)
-    lo = comb(n + ell - 3, ell - 2) if ell >= 2 else 0
-    return hi - lo
-
-
 @dataclass(frozen=True)
 class BandSpectrum:
-    """Eigenvalues, indicial roots, and multiplicities of bands 0..L."""
+    """Eigenvalues and indicial roots of bands 0..L."""
 
     n: int
     L: int
     lam: np.ndarray
     gamma: np.ndarray
-    mult: np.ndarray
 
     def row_count(self) -> int:
         """Number of coefficient rows: 1 (l=0) + n (l=1) + (L-1) zonal."""
@@ -65,8 +50,7 @@ def band_spectrum(n: int, L: int) -> BandSpectrum:
     ells = np.arange(L + 1)
     lam = ells * (ells + n - 2.0)
     gam = np.sqrt(lam + ((n - 2.0) / 2.0) ** 2)
-    mult = np.array([band_multiplicity(n, int(l)) for l in ells])
-    return BandSpectrum(n=n, L=L, lam=lam, gamma=gam, mult=mult)
+    return BandSpectrum(n=n, L=L, lam=lam, gamma=gam)
 
 
 def zonal_eval(n: int, ell: int, t: np.ndarray) -> np.ndarray:
@@ -76,21 +60,14 @@ def zonal_eval(n: int, ell: int, t: np.ndarray) -> np.ndarray:
     return eval_gegenbauer(ell, alpha, t) / eval_gegenbauer(ell, alpha, 1.0)
 
 
-def zonal_eval_deriv(n: int, ell: int, t: np.ndarray, order: int = 1) -> np.ndarray:
-    """d^k/dt^k of Z_l(t), via d/dt C_l^a = 2a C_{l-1}^{a+1}."""
+def zonal_eval_deriv(n: int, ell: int, t: np.ndarray) -> np.ndarray:
+    """d/dt of Z_l(t), via d/dt C_l^a = 2a C_{l-1}^{a+1}."""
     alpha = (n - 2) / 2.0
     t = np.asarray(t, dtype=float)
+    if ell == 0:
+        return np.zeros_like(t)
     norm = eval_gegenbauer(ell, alpha, 1.0)
-    coef = 1.0
-    a = alpha
-    m = ell
-    for _ in range(order):
-        if m == 0:
-            return np.zeros_like(t)
-        coef *= 2.0 * a
-        a += 1.0
-        m -= 1
-    return coef * eval_gegenbauer(m, a, t) / norm
+    return 2.0 * alpha * eval_gegenbauer(ell - 1, alpha + 1.0, t) / norm
 
 
 class ZonalGrid:
@@ -113,17 +90,10 @@ class ZonalGrid:
         self.sinb = np.sin(self.beta)
         self.w = (np.pi / m) * self.sinb ** (n - 2)
         self.Z = np.array([zonal_eval(n, l, self.t) for l in range(L + 1)])
-        self.Zp = np.array([zonal_eval_deriv(n, l, self.t, 1) for l in range(L + 1)])
-        self.Zpp = np.array([zonal_eval_deriv(n, l, self.t, 2) for l in range(L + 1)])
+        self.Zp = np.array([zonal_eval_deriv(n, l, self.t) for l in range(L + 1)])
         # weighted least-squares projector: exact on band-limited samples
         gram = (self.Z * self.w) @ self.Z.T
         self._proj = np.linalg.solve(gram, self.Z * self.w)
-        from numpy.polynomial.legendre import leggauss
-
-        tq, wq = leggauss(8 * (L + 2))
-        mq = (1 - tq**2) ** ((n - 3) / 2.0)
-        Zq = np.array([zonal_eval(n, l, tq) for l in range(L + 1)])
-        self.band_norm = (Zq * Zq * mq) @ wq  # exact <Z_l, Z_l> in the t-measure
 
     def to_bands(self, values: np.ndarray) -> np.ndarray:
         """Zonal band coefficients 0..L from values on the beta nodes.
@@ -216,7 +186,7 @@ class SphereField:
 
     # -- evaluation -------------------------------------------------------------
 
-    def eval_meridian(self, t: np.ndarray, transverse: float | np.ndarray = 0.0):
+    def eval_meridian(self, t: np.ndarray, transverse: float | np.ndarray):
         """Evaluate along the meridian theta(t) = t q + sqrt(1-t^2) m.
 
         transverse is the component low[1:] . m of the linear band along the

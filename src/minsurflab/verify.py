@@ -18,6 +18,7 @@ import numpy as np
 
 from .cylinder import axial_collocation
 from .geometry import graph_orbit_points, matrix_surface, uniform_surface
+from .outer import CORE_SPAN, CORE_STEP
 from .profile import profile_values
 from .spectral import angular_grid, sphere_area
 
@@ -35,7 +36,6 @@ class ChartSampleGraph:
 
     points: np.ndarray  # (N, n+1) ambient coordinates
     edges: tuple  # (rows, cols, lengths)
-    provenance: np.ndarray  # chart id per point
 
     def shortest_paths(self, source: int) -> np.ndarray:
         from scipy.sparse import coo_matrix
@@ -98,7 +98,7 @@ def plane_sample_graph(n: int, extent: float) -> ChartSampleGraph:
     rows, cols, w = _grid_edges(shape, pts)
     r2, c2, w2 = _wrap_edges(shape, pts)
     edges = (np.concatenate([rows, r2]), np.concatenate([cols, c2]), np.concatenate([w, w2]))
-    return ChartSampleGraph(pts, edges, np.zeros(pts.shape[0], dtype=int))
+    return ChartSampleGraph(pts, edges)
 
 
 def _orbit_points_cloud(n, xq, rho, xv, omega):
@@ -118,7 +118,7 @@ def _orbit_points_cloud(n, xq, rho, xv, omega):
     return pts.reshape(-1, n + 1)
 
 
-def catenoid_sample_graph(n: int, scale: float = 1.0, s_window: float = 3.0) -> ChartSampleGraph:
+def catenoid_sample_graph(n: int, scale: float, s_window: float) -> ChartSampleGraph:
     """Sampled catenoid across its neck, centered at the origin: 90 profile
     nodes, 20 colatitudes and 40 orbit angles."""
     m_s, m_b = 90, 20
@@ -135,7 +135,7 @@ def catenoid_sample_graph(n: int, scale: float = 1.0, s_window: float = 3.0) -> 
     rows, cols, w = _grid_edges(shape, pts)
     r2, c2, w2 = _wrap_edges(shape, pts)
     edges = (np.concatenate([rows, r2]), np.concatenate([cols, c2]), np.concatenate([w, w2]))
-    return ChartSampleGraph(pts, edges, np.zeros(pts.shape[0], dtype=int))
+    return ChartSampleGraph(pts, edges)
 
 
 # -- residual and curvature oracles -----------------------------------------------------
@@ -144,7 +144,8 @@ def catenoid_sample_graph(n: int, scale: float = 1.0, s_window: float = 3.0) -> 
 def mc_residual(surface) -> dict:
     """Independent mean-curvature oracle over all charts.
 
-    The core chart is resampled on an offset, refined grid and
+    The core chart, the seed catenoid on the uniform grid of step CORE_STEP
+    over |s| <= CORE_SPAN, is resampled on an offset, refined grid and
     differentiated with 4th-order stencils; the neck and catenoid pieces run
     the same kind of oracle when they are built, and their stored values are
     reported here.  Residuals are reported raw and relative to the chart's
@@ -154,23 +155,13 @@ def mc_residual(surface) -> dict:
     outer = getattr(surface, "outer", surface)
     n = outer.n
     g = angular_grid(outer.spectrum)
-    # core catenoid chart (plus its stored perturbation, normally zero)
-    s = outer.core_w.grid.s
+    s = -CORE_SPAN + CORE_STEP * np.arange(int(round(2 * CORE_SPAN / CORE_STEP)) + 1)
     sf = np.linspace(s[0] + 0.05, s[-1] - 0.05, 2 * s.size)
     sf = sf + 0.37 * (sf[1] - sf[0])
     sf = sf[sf <= s[-1] - 0.05]
-    phi, dphi, psi, dpsi = profile_values(n, sf)
-    if np.any(outer.core_w.values):
-        from scipy.interpolate import CubicSpline
-
-        rows = CubicSpline(s, outer.core_w.values, axis=1)(sf)
-        conj = phi ** ((2 - n) / 2.0)
-        w0 = rows[0] * conj
-        F = phi[:, None] + (w0 * dpsi / phi)[:, None] * np.ones((1, g.t.size))
-        G = psi[:, None] + (w0 * (-dphi / phi))[:, None] * np.ones((1, g.t.size))
-    else:
-        F = phi[:, None] * np.ones((1, g.t.size))
-        G = psi[:, None] * np.ones((1, g.t.size))
+    phi, _, psi, _ = profile_values(n, sf)
+    F = phi[:, None] * np.ones((1, g.t.size))
+    G = psi[:, None] * np.ones((1, g.t.size))
     P = np.stack([F * g.t[None, :], F * g.sinb[None, :], G])
     H = uniform_surface(P, g, sf[1] - sf[0], order=4).mean_curvature(n)
     A_sup = float(np.max(np.sqrt(n * (n - 1)) * phi ** (-n) / outer.core_scale))
@@ -200,7 +191,7 @@ def second_fund(surface) -> dict:
     n = outer.n
     boxes = getattr(surface, "neck_boxes", [])
     samples = []  # (point, |A|)
-    s = np.linspace(-outer.core_span, outer.core_span, 400)
+    s = np.linspace(-CORE_SPAN, CORE_SPAN, 400)
     phi, dphi, psi, dpsi = profile_values(n, s)
     A_prof = np.sqrt(n * (n - 1.0)) * phi ** (-n) / outer.core_scale
     e0 = np.eye(n)[0]
@@ -491,7 +482,7 @@ def delta_stability(
     A2: np.ndarray,
     n: int,
     delta: float,
-    domain_id: str = "chart",
+    domain_id: str,
 ) -> StabilityReport:
     """Minimum discrete Rayleigh quotient of the delta-stability form.
 

@@ -34,7 +34,7 @@ from minsurflab.outer import (
     simple_cauchy_outer,
     solve_outer_nonlinear,
 )
-from minsurflab.catenoid import build_catenoid_piece, cauchy_maps_catenoid, solve_GS
+from minsurflab.catenoid import build_catenoid_piece, cauchy_maps_catenoid, default_delta, solve_GS
 from minsurflab.profile import compute_scales, solve_profile
 from minsurflab.radial import solve_mixed, weighted_norm
 from minsurflab.spectral import SphereField, band_spectrum
@@ -66,7 +66,7 @@ def glued(spectrum, profile):
 @pytest.fixture(scope="module")
 def tower(spectrum, profile):
     surf = seed_catenoid(profile, spectrum, scale=0.3)
-    return stack_tower(4, surf)
+    return stack_tower(4, surf, None)
 
 
 class TestAcceptance:
@@ -155,7 +155,7 @@ class TestAcceptance:
             sc = compute_scales(profile, eps)
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
-            piece = build_catenoid_piece(profile, eps, h, 1.0, TOL_SOLVER)
+            piece = build_catenoid_piece(profile, eps, h, 1.0, TOL_SOLVER, default_delta(3))
             cauchy_maps_catenoid(piece)
             ratios.append(piece.info["cauchy_gap_over_reps2"])
         ok = max(ratios) <= 12.0 and max(ratios) / min(ratios) <= 2.0

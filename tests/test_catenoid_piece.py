@@ -9,8 +9,10 @@ from minsurflab.catenoid import (
     _NeckGeometry,
     build_catenoid_piece,
     cauchy_maps_catenoid,
+    default_delta,
     grid_profile,
     simple_cauchy_catenoid,
+    smooth_step,
 )
 from minsurflab.cylinder import axial_collocation
 from minsurflab.profile import compute_scales
@@ -19,11 +21,12 @@ from minsurflab.spectral import SphereField, ZonalGrid, project_high
 N = 3
 EPS = 1e-6
 TOL = 5e-3
+DELTA = default_delta(N)
 
 
 @pytest.fixture(scope="module")
 def piece_zero(spectrum, profile):
-    return build_catenoid_piece(profile, EPS, SphereField.zeros(spectrum), 1.0, TOL)
+    return build_catenoid_piece(profile, EPS, SphereField.zeros(spectrum), 1.0, TOL, DELTA)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +34,7 @@ def piece_zonal(spectrum, profile):
     sc = compute_scales(profile, EPS)
     h = SphereField.zonal_band(spectrum, 2, 1.0)
     h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
-    return build_catenoid_piece(profile, EPS, h, 1.0, TOL)
+    return build_catenoid_piece(profile, EPS, h, 1.0, TOL, DELTA)
 
 
 class TestBuild:
@@ -41,9 +44,12 @@ class TestBuild:
         # the correction follows the contraction-ball shape: the ratio to
         # e^{((3n-2)/2 - delta) s_eps} r_eps^2 is stable across eps and stays
         # under the frozen measured constant of the surrogate norms.
-        ratios = [piece_zero.info["v_norm_sup"] / piece_zero.info["ball_radius_unit"]]
-        other = build_catenoid_piece(profile, 1e-5, SphereField.zeros(spectrum), 1.0, TOL)
-        ratios.append(other.info["v_norm_sup"] / other.info["ball_radius_unit"])
+        other = build_catenoid_piece(profile, 1e-5, SphereField.zeros(spectrum), 1.0, TOL, DELTA)
+        ratios = []
+        for piece in (piece_zero, other):
+            sc = piece.scales
+            ball = np.exp(((3 * N - 2) / 2.0 - DELTA) * sc.s_eps) * sc.r_eps**2
+            ratios.append(piece.info["v_norm_sup"] / ball)
         assert max(ratios) <= 400.0
         assert max(ratios) / min(ratios) <= 6.0
 
@@ -58,33 +64,39 @@ class TestBuild:
         h = SphereField.zonal_band(spectrum, 2, 1.0)
         h = h * (2.0 * kappa * sc.r_eps**2 / h.holder_norm())
         with pytest.raises(PreconditionError, match="kappa"):
-            build_catenoid_piece(profile, EPS, h, kappa, TOL)
+            build_catenoid_piece(profile, EPS, h, kappa, TOL, DELTA)
 
     def test_low_mode_data_rejected(self, spectrum, profile):
         h = SphereField.zeros(spectrum)
         h.low[0] = 1e-9
         with pytest.raises(PreconditionError, match="low-mode"):
-            build_catenoid_piece(profile, EPS, h, 1.0, TOL)
+            build_catenoid_piece(profile, EPS, h, 1.0, TOL, DELTA)
 
     def test_eps_threshold_rejected(self, spectrum, profile):
         with pytest.raises(PreconditionError, match="threshold"):
-            build_catenoid_piece(profile, 0.5, SphereField.zeros(spectrum), 1.0, TOL)
+            build_catenoid_piece(profile, 0.5, SphereField.zeros(spectrum), 1.0, TOL, DELTA)
 
     def test_unconverged_solve_raises_at_the_requested_eps(self, spectrum, profile, caplog):
         # one iteration can never settle: the solve must fail at the eps it
         # was asked for, not retry silently at another scale
         with caplog.at_level(logging.WARNING):
             with pytest.raises(ContractionError) as excinfo:
-                build_catenoid_piece(profile, EPS, SphereField.zeros(spectrum), 1.0, TOL, max_iter=1)
+                build_catenoid_piece(
+                    profile, EPS, SphereField.zeros(spectrum), 1.0, TOL, DELTA, max_iter=1
+                )
         assert f"eps={EPS:.3e}" in str(excinfo.value)
         assert "update norms" in str(excinfo.value)
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_transition_field_bound(self, piece_zero):
-        # |N_eps . N_0 - 1| <= c e^{(2n-2) s_eps}, c measured modest
-        defect = piece_zero.info["transition_defect"]
-        bound = piece_zero.info["transition_bound"]
-        assert defect <= 10.0 * bound
+        # |N_eps . N_0 - 1| <= c e^{(2n-2) s_eps} over the ramp of the
+        # transition field, c measured modest
+        s = piece_zero.w.grid.s
+        data = grid_profile(N, s)
+        chi = smooth_step(s - s[0])
+        ndotn = (1.0 - chi) * (-data["dphi"] / data["phi"]) + chi
+        defect = np.max(np.abs(ndotn - 1.0))
+        assert defect <= 10.0 * np.exp((2 * N - 2) * piece_zero.scales.s_eps)
 
     def test_high_mode_trace_reproduced_exactly(self, piece_zonal, profile):
         sc = piece_zonal.scales
@@ -104,7 +116,7 @@ class TestBuild:
         horiz = np.hypot(P[0, 0], P[1, 0]) * sc.eps_len
         assert np.max(np.abs(horiz - sc.r_eps)) < 1e-14 * sc.r_eps
         height = P[2, 0] * sc.eps_len - sc.eps_len * geo.psi[0]
-        expect = piece_zonal.h_II.eval_meridian(zgrid.t)
+        expect = piece_zonal.h_II.eval_meridian(zgrid.t, 0.0)
         low_trace = (piece_zonal.w.trace(0) * float(geo.conj[0])).low
         assert np.max(np.abs(height - expect)) <= np.abs(low_trace).sum() + 1e-12 * sc.r_eps**2
 
@@ -139,7 +151,7 @@ class TestCauchyMaps:
             sc = compute_scales(profile, eps)
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
-            piece = build_catenoid_piece(profile, eps, h, 1.0, TOL)
+            piece = build_catenoid_piece(profile, eps, h, 1.0, TOL, DELTA)
             cauchy_maps_catenoid(piece)
             ratios.append(piece.info["cauchy_gap_over_reps2"])
         assert max(ratios) < 20.0

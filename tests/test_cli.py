@@ -54,6 +54,30 @@ class TestConfig:
         assert rc == EXIT_CONFIG
         assert "unknown config fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document, message", [
+        ("5", "not a JSON object"),
+        ("null", "not a JSON object"),
+        ('["n"]', "not a JSON object"),
+        ('{"n": "3"}', "n='3' must be an integer"),
+        ('{"n": true}', "n=True must be an integer"),
+        ('{"K": 2.5}', "K=2.5 must be an integer"),
+        ('{"L": 3.7}', "L=3.7 must be an integer"),
+        ('{"eps": "1e-6"}', "eps='1e-6' must be a number"),
+        ('{"kappa": false}', "kappa=False must be a number"),
+        ('{"delta": "-2"}', "delta='-2' must be a number or null"),
+        ('{"eps_schedule": 1e-7}', "eps_schedule=1e-07 must be null or a list of numbers"),
+        ('{"eps_schedule": [1e-7, "1e-9"]}', "must be null or a list of numbers"),
+        ('{"out_dir": 5}', "out_dir=5 must be a string"),
+    ])
+    def test_malformed_config_is_refused(self, tmp_path, capsys, document, message):
+        p = tmp_path / "cfg.json"
+        p.write_text(document)
+        rc = main(["profile", "--config", str(p), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 def _numbers(doc) -> list:
     """Every int or float leaf of a JSON document."""
@@ -101,7 +125,8 @@ class TestRun:
         expected = []
         for chart, g, near, radii in (
             ("plane", plane_sample_graph(3, extent=10.0), np.zeros(4), (2.0, 4.0, 6.0)),
-            ("catenoid", catenoid_sample_graph(3), np.eye(4)[0], (2.0, 4.0, 8.0)),
+            ("catenoid", catenoid_sample_graph(3, scale=1.0, s_window=3.0), np.eye(4)[0],
+             (2.0, 4.0, 8.0)),
         ):
             center = int(np.argmin(np.linalg.norm(g.points - near, axis=1)))
             for R in radii:

@@ -231,7 +231,7 @@ class TestSolveGS:
 class TestSolvePS:
     def test_zero_data(self, spectrum):
         g = SphereField.zeros(spectrum)
-        w = solve_PS(g, -1.0, -2.0)
+        w = solve_PS(g, -1.0, -2.0, make_grid())
         assert np.max(np.abs(w.values)) == 0.0
 
     def test_trace_identity(self, spectrum):
@@ -246,7 +246,7 @@ class TestSolvePS:
         g = SphereField.zeros(spectrum)
         g.low[0] = 1.0
         with pytest.raises(PreconditionError):
-            solve_PS(g, -1.0, -2.0)
+            solve_PS(g, -1.0, -2.0, make_grid())
 
     def test_bound_stable_in_S(self, spectrum):
         vals = []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minsurflab import gluing
-from minsurflab.catenoid import PreconditionError
+from minsurflab.catenoid import PreconditionError, default_delta
 from minsurflab.gluing import (
     BoundaryTriple,
     GlueError,
@@ -21,12 +21,14 @@ from radial_reference import u0_multipliers
 
 N = 3
 EPS = 1e-6
+# the kappa, tol_piece and delta that glue_end passes by default
+GLUE = {"kappa": 16.0, "tol_piece": 5e-3, "delta": default_delta(N)}
 
 
 @pytest.fixture(scope="module")
 def ctx(spectrum, profile):
     surf = seed_catenoid(profile, spectrum, scale=1.0)
-    return prepare_glue(surf, EPS)
+    return prepare_glue(surf, EPS, **GLUE)
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +134,7 @@ class TestConglomerate:
         norms = []
         for eps in (1e-5, 1e-6):
             surf = seed_catenoid(profile, spectrum, scale=1.0)
-            c = prepare_glue(surf, eps)
+            c = prepare_glue(surf, eps, **GLUE)
             t = BoundaryTriple.zeros(spectrum, pole=c.patch.u.pole)
             norms.append(triple_norm(conglomerate_C(t, c)[0]))
         assert norms[1] < norms[0]
@@ -184,7 +186,7 @@ class TestTower:
 
     def test_trivial_tower_is_seed(self, spectrum, profile):
         surf = seed_catenoid(profile, spectrum, scale=0.3)
-        out, report = stack_tower(1, surf)
+        out, report = stack_tower(1, surf, None)
         assert out is surf
         assert len(report.plane_heights) == 2
 
@@ -195,7 +197,7 @@ class TestTower:
         monkeypatch.setattr(gluing, "glue_end", fail)
         surf = seed_catenoid(profile, spectrum, scale=0.3)
         with pytest.raises(GlueError, match="level 2") as failed:
-            stack_tower(2, surf)
+            stack_tower(2, surf, None)
         report = failed.value.report
         assert report.levels == [{"aborted": "no admissible gluing site"}]
         assert len(report.plane_heights) == 2

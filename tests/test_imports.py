@@ -12,14 +12,26 @@
   body, and each parameter with a default must be passed, by keyword or by
   position, in at least one call of a function or attribute of that name in
   a package module or in ``bench/*.py``.  Calls from the tests do not count.
+- Attributes: each attribute a package class assigns, an annotated field in
+  its body or a ``self.x = ...`` in one of its methods, must be read by name
+  (an attribute in a load context, or a ``getattr(obj, "x", ...)`` with a
+  constant name) in a package module or in ``bench/*.py``.  State only the
+  tests read is computed by the tests from the public outputs instead.
+- Defaults: each parameter with a default must be left out by at least one
+  call in a package module or in ``bench/*.py``; a default that every such
+  call overrides is reached from the tests alone, and the parameter is
+  required instead.
+- Calls are matched by the name called, the function's or the attribute's,
+  except that calls on the receiver ``np`` are NumPy's and never match.
 - Allow-lists: ``ALLOWED`` and ``PARAMS_ALLOWED`` hold test seams only, each
   with the reason it stays: a definition or parameter the pipeline does not
   use but a test needs to reach a failure path or inject a case.  An entry
   that the checks no longer flag is stale, and every entry must be used by
   the tests: a definition read by name, a parameter passed by some call.
+  The attribute and default checks have no allow-list: nothing needs one.
 
-The package's ``__init__.py`` re-exports names and is skipped by both
-checks: as a reader it would make the definitions check vacuous.
+The package's ``__init__.py`` re-exports names and is skipped by every
+check: as a reader it would make the definitions check vacuous.
 """
 
 import ast
@@ -146,12 +158,16 @@ def _passes(call, name: str, position) -> bool:
 
 def _calls_by_name(trees) -> dict:
     """{name called: [ast.Call]} over trees; a call is named by its function
-    or by its attribute."""
+    or by its attribute.  Calls on the receiver ``np`` are NumPy's and are
+    skipped: ``np.zeros(...)`` is no call of ``SphereField.zeros``."""
     calls = {}
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                        and func.value.id == "np":
+                    continue
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(called, []).append(node)
     return calls
@@ -182,6 +198,75 @@ def parameter_problems(modules: dict, callers: dict) -> dict:
     return out
 
 
+def _attributes_assigned(tree) -> list:
+    """(qualified name, attribute) of each attribute a class of the module
+    assigns: an annotated field in the class body, or ``self.x = ...`` in
+    one of its methods."""
+    out = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = [stmt.target.id for stmt in cls.body
+                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            for node in ast.walk(method):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    names.append(node.attr)
+        out += [(f"{cls.name}.{name}", name) for name in dict.fromkeys(names)]
+    return out
+
+
+def _attributes_read(tree) -> set:
+    """Attribute names loaded anywhere in tree, and the constant names of
+    ``getattr(obj, "x", ...)`` calls."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+            read.add(node.args[1].value)
+    return read
+
+
+def unread_attributes(modules: dict, readers: dict) -> list:
+    """'module.Class.attribute' of each attribute a class in modules ({name:
+    source}) assigns that no module and no reader ({name: source}) reads by
+    name."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    read = set().union(*(_attributes_read(t) for t in trees.values()),
+                       *(_attributes_read(ast.parse(src)) for src in readers.values()))
+    return sorted(f"{mod}.{qual}" for mod, tree in trees.items()
+                  for qual, name in _attributes_assigned(tree) if name not in read)
+
+
+def always_passed_defaults(modules: dict, callers: dict) -> list:
+    """'module.function(parameter)' of each defaulted parameter of a
+    function or method in modules ({name: source}) that no call in modules
+    or callers ({name: source}) leaves out: its default is reached only
+    from elsewhere.  Calls are matched as in parameter_problems; a call with
+    ``**kwargs`` counts as passing every parameter, one with ``*args`` every
+    positional one."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    calls = _calls_by_name([*trees.values(), *(ast.parse(src) for src in callers.values())])
+    out = []
+    for mod, tree in trees.items():
+        for qual, name, node in _definitions(tree, all_methods=True):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            called = qual.split(".")[0] if name == "__init__" else name
+            for param, position, defaulted in _parameters(qual, node):
+                if defaulted and all(
+                    _passes(call, param, position) for call in calls.get(called, [])
+                ):
+                    out.append(f"{mod}.{qual}({param})")
+    return sorted(out)
+
+
 def allow_list_unused(allowed, params_allowed, modules: dict, tests: dict) -> list:
     """Allow-list entries that the tests ({name: source}) do not use: a
     definition no test reads by name, or a parameter of a function in
@@ -204,18 +289,18 @@ def allow_list_unused(allowed, params_allowed, modules: dict, tests: dict) -> li
     return sorted(unused)
 
 
+def _package_and_bench() -> tuple:
+    """({module: source} of the package, {bench/file: source})."""
+    return ({p.stem: p.read_text() for p in MODULES},
+            {f"bench/{p.name}": p.read_text() for p in BENCH})
+
+
 def _package_unreferenced() -> list:
-    return unreferenced_definitions(
-        {p.stem: p.read_text() for p in MODULES},
-        {f"bench/{p.name}": p.read_text() for p in BENCH},
-    )
+    return unreferenced_definitions(*_package_and_bench())
 
 
 def _package_parameter_problems() -> dict:
-    return parameter_problems(
-        {p.stem: p.read_text() for p in MODULES},
-        {f"bench/{p.name}": p.read_text() for p in BENCH},
-    )
+    return parameter_problems(*_package_and_bench())
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -297,6 +382,77 @@ def test_the_check_sees_an_unread_or_unset_parameter():
     assert allow_list_problems(list(found), ["a.f(z)", "a.f(y)"]) == (
         ["a.Box.grow(by)", "a.Box.make(size)", "a.g(unused)"], ["a.f(y)"]
     )
+    # a call on the receiver np is NumPy's, whatever its name
+    assert parameter_problems(modules, {"bench": "np.f(0, z=3)\nnp.grow(by=2)\n"}) == found
+
+
+def test_every_attribute_is_read():
+    assert BENCH, "bench/*.py not found next to tests/"
+    assert unread_attributes(*_package_and_bench()) == []
+
+
+def test_the_check_sees_an_unread_attribute():
+    modules = {
+        "a": (
+            "from dataclasses import dataclass\n\n"
+            "@dataclass\n"
+            "class Piece:\n"
+            "    value: float\n"
+            "    history: list\n"
+            "    info: dict\n\n"
+            "class Grid:\n"
+            "    def __init__(self, m):\n"
+            "        self.m = m\n"
+            "        self.nodes = m + 1\n"
+            "        self._cache = {}\n\n"
+            "    def size(self):\n"
+            "        self.count = 1\n"
+            "        return self.m\n"
+        ),
+        "b": "def caller(piece, grid):\n    return piece.value, grid.size(), getattr(piece, 'info', {})\n",
+    }
+    # a field, a self.x = ... in __init__ or in any other method; getattr
+    # with a constant name and a read through self both count
+    assert unread_attributes(modules, {}) == [
+        "a.Grid._cache", "a.Grid.count", "a.Grid.nodes", "a.Piece.history",
+    ]
+    # a read in a reader module counts; a write elsewhere does not
+    readers = {"bench": "grid.nodes\npiece.history = []\n"}
+    assert unread_attributes(modules, readers) == ["a.Grid._cache", "a.Grid.count", "a.Piece.history"]
+
+
+def test_every_default_is_left_out_by_some_call():
+    assert BENCH, "bench/*.py not found next to tests/"
+    assert always_passed_defaults(*_package_and_bench()) == []
+
+
+def test_the_check_sees_a_default_every_call_passes():
+    modules = {
+        "a": (
+            "def f(x, y=1, *, z=2):\n    return x + y + z\n\n"
+            "def unused(x=0):\n    return x\n\n"
+            "class Box:\n"
+            "    def __init__(self, size=0):\n        self.size = size\n\n"
+            "    def grow(self, by=1):\n        return self.size + by\n"
+        ),
+        "b": (
+            "from .a import Box, f\n\n"
+            "def caller(box, args):\n"
+            "    return f(1, 2, z=3), f(0, y=2, z=3), Box(1), box.grow(), f(*args, z=3)\n"
+        ),
+    }
+    # a default no call leaves out is found, one that no call reaches too;
+    # *args counts as passing every positional parameter
+    assert always_passed_defaults(modules, {}) == [
+        "a.Box.__init__(size)", "a.f(y)", "a.f(z)", "a.unused(x)",
+    ]
+    # a call in a reader module that leaves a default out counts
+    readers = {"bench": "f(4)\nBox()\nunused()\n"}
+    assert always_passed_defaults(modules, readers) == []
+    # a call on the receiver np is NumPy's, whatever its name
+    assert always_passed_defaults(modules, {"bench": "np.f(4)\nnp.Box()\n"}) == [
+        "a.Box.__init__(size)", "a.f(y)", "a.f(z)", "a.unused(x)",
+    ]
 
 
 def test_allow_list_entries_are_used_by_the_tests():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from minsurflab.catenoid import ContractionError, PreconditionError, grid_profile
+from minsurflab.neck import graph_residual
 from minsurflab.outer import (
     cauchy_U_eps,
     find_site,
@@ -57,7 +58,7 @@ class TestAssemble:
         # (A.3): the C^2 size of the site graph stays below 1
         grid, u = patch.grid, patch.u.values
         c2 = (np.max(np.abs(u)) + np.max(np.abs(u @ grid.D.T / grid.r))
-              + np.max(np.abs(u @ grid.D2.T / grid.r**2)))
+              + np.max(np.abs(u @ (grid.D @ grid.D).T / grid.r**2)))
         assert c2 <= 1.0
         # (A.1): grid covers [r_eps/8, r0] inside [r0/2, 2 r0]
         assert patch.grid.r_out == pytest.approx(patch.r0)
@@ -93,8 +94,11 @@ class TestOuterNonlinear:
     def test_zero_data_identity(self, sited, spectrum):
         surf, patch, sc = sited
         surf = solve_outer_nonlinear(surf, SphereField.zeros(spectrum), tol=5e-3)
-        assert np.max(np.abs(surf.site["w_hI"].values)) == 0.0
-        assert surf.site["outer_residual_rel"] < 5e-3
+        w = surf.site["w_hI"]
+        assert np.max(np.abs(w.values)) == 0.0
+        exterior = surf.site["exterior"]
+        _, res_rel = graph_residual(exterior.with_height(exterior.grid, exterior.u + w))
+        assert res_rel < 5e-3
 
     def test_linear_response_scaling(self, sited, spectrum):
         surf, patch, sc = sited
@@ -116,7 +120,8 @@ class TestOuterNonlinear:
         surf = solve_outer_nonlinear(surf, h, tol=5e-3)
         after = sorted(e.plane_height for e in surf.ends)
         assert np.max(np.abs(np.array(before) - np.array(after))) < 1e-8
-        assert surf.site["plane_drift"] < 1e-8
+        # the perturbation decays by construction: its far tail is small
+        assert np.max(np.abs(surf.site["w_hI"].values[:, -1])) < 1e-8
 
 
 class TestCauchyU:

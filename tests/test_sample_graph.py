@@ -21,7 +21,7 @@ PROPERTY = settings(max_examples=24, deadline=None, derandomize=True, database=N
 # periodic, the other two end in boundary nodes
 GRAPHS = {
     "plane": (lambda n, size: plane_sample_graph(n, extent=4.0 * size), (60, 20, 48)),
-    "catenoid": (lambda n, size: catenoid_sample_graph(n, scale=size), (90, 20, 40)),
+    "catenoid": (lambda n, size: catenoid_sample_graph(n, scale=size, s_window=3.0), (90, 20, 40)),
 }
 
 
@@ -95,7 +95,7 @@ class TestGridEdges:
     def test_build_peak_memory_bounded_by_edges(self):
         tracemalloc.start()
         try:
-            g = catenoid_sample_graph(3)
+            g = catenoid_sample_graph(3, scale=1.0, s_window=3.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

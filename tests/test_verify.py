@@ -191,14 +191,14 @@ class TestDeltaStability:
         P = np.stack([F * g.t[None, :], F * g.sinb[None, :],
                       psi[:, None] * np.ones((1, g.t.size))])
         A2 = (N * (N - 1.0) * phi ** (-2 * N))[:, None] * np.ones((1, g.t.size))
-        q = [delta_stability(P, A2, N, d).min_quotient for d in (0.0, 0.25, 0.5)]
+        q = [delta_stability(P, A2, N, d, "catenoid").min_quotient for d in (0.0, 0.25, 0.5)]
         # raising delta weakens the negative potential: quotient nondecreasing
         assert q[0] <= q[1] <= q[2]
 
     def test_reproducible_given_seed(self, spectrum):
         P, A2 = self._flat_disk(spectrum)
-        a = delta_stability(P, A2, N, 0.4)
-        b = delta_stability(P, A2, N, 0.4)
+        a = delta_stability(P, A2, N, 0.4, "disk")
+        b = delta_stability(P, A2, N, 0.4, "disk")
         assert a.min_quotient == b.min_quotient
 
 
