@@ -36,7 +36,7 @@ from .cylinder import (
 )
 from .diffops import fd_derivative
 from .geometry import uniform_surface
-from .profile import ProfileTable, Scales, compute_scales, profile_values
+from .profile import ProfileTable, Scales, profile_values
 from .spectral import SphereField, angular_grid, apply_Dtheta, project_low
 
 
@@ -285,9 +285,12 @@ class _NeckGeometry:
         self.mfac = self.phi ** ((n + 2) / 2.0)
 
     def surface_points(self, w_hat_vals: np.ndarray) -> np.ndarray:
+        """Ambient points (3, m, Nb) of the perturbed surface on the first m
+        grid rows, m the number of rows of w_hat_vals."""
+        m = w_hat_vals.shape[0]
         g = self.grid
-        F = self.phi[:, None] + w_hat_vals * self.alpha_theta[:, None]
-        G = self.psi[:, None] + w_hat_vals * self.alpha_vert[:, None]
+        F = self.phi[:m, None] + w_hat_vals * self.alpha_theta[:m, None]
+        G = self.psi[:m, None] + w_hat_vals * self.alpha_vert[:m, None]
         return np.stack([F * g.t[None, :], F * g.sinb[None, :], G])
 
     def conjugated_mc(self, w: BandField) -> np.ndarray:
@@ -299,11 +302,8 @@ class _NeckGeometry:
         """
         keep = self.s <= self.s[0] + DEFECT_SPAN
         m = int(np.sum(keep)) + 4
-        w_hat = collocation_from_rows(w.values[:, :m], w.pole, self.grid) / self.eps_len
         g = self.grid
-        F = self.phi[:m, None] + w_hat * self.alpha_theta[:m, None]
-        G = self.psi[:m, None] + w_hat * self.alpha_vert[:m, None]
-        P = np.stack([F * g.t[None, :], F * g.sinb[None, :], G])
+        P = self.surface_points(collocation_from_rows(w.values[:, :m], w.pole, g) / self.eps_len)
         h = float(self.s[1] - self.s[0])
         H = uniform_surface(P, g, h).mean_curvature(self.n)
         out = np.zeros((self.s.size, g.t.size))
@@ -319,7 +319,7 @@ def recorded_eps0(kappa: float) -> float:
 
 def build_catenoid_piece(
     profile: ProfileTable,
-    eps: float,
+    scales: Scales,
     h_II: SphereField,
     kappa: float,
     tol: float,
@@ -331,13 +331,15 @@ def build_catenoid_piece(
     Fixed point of v -> G_S(Qbar(wtilde + v)) where Qbar is evaluated
     numerically as the difference between the linear operator and the
     conjugated mean curvature of the realized transition-field surface.
-    tol bounds the oracle mean-curvature residual at unit neck scale.
+    scales is compute_scales(profile, eps) at the glue's eps, which the
+    caller already holds; tol bounds the oracle mean-curvature residual at
+    unit neck scale.
     """
     n = profile.n
+    eps = scales.eps
     spec = h_II.spectrum
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
-    scales = compute_scales(profile, eps)
     if project_low(h_II).holder_norm() > 1e-12 * max(1.0, h_II.holder_norm()):
         raise PreconditionError("h_II must have no low-mode content")
     h_norm = h_II.holder_norm()

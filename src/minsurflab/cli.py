@@ -171,7 +171,7 @@ def cmd_catenoid_piece(cfg: RunConfig, out: Path) -> int:
     sc = compute_scales(prof, cfg.eps)
     h = SphereField.zonal_band(spec, 2, 1.0)
     h = h * (0.3 * sc.r_eps**2 / h.holder_norm())
-    piece = build_catenoid_piece(prof, cfg.eps, h, cfg.kappa, cfg.tol_solver, delta=cfg.delta)
+    piece = build_catenoid_piece(prof, sc, h, cfg.kappa, cfg.tol_solver, delta=cfg.delta)
     cauchy_maps_catenoid(piece)
     _export_rows("s", piece.w.grid.s, piece.w.values, out / "catenoid_piece.csv")
     dump_json(
@@ -360,10 +360,11 @@ def run(subcommand: str, config: RunConfig) -> int:
     write_manifest(config, out)
     from .catenoid import ContractionError, PreconditionError, ResidualError
     from .gluing import GlueError
+    from .profile import ProfileError, ScaleError
 
     try:
         rc = COMMANDS[subcommand](config, out)
-    except (ConfigError, PreconditionError) as exc:
+    except (ConfigError, PreconditionError, ProfileError, ScaleError) as exc:
         log.error("config/precondition error: %s", exc)
         return EXIT_CONFIG
     except (ContractionError, ResidualError, GlueError) as exc:

@@ -113,14 +113,13 @@ def prepare_glue(
     """Select a site on the top end and freeze the glue inputs; delta is the
     catenoid piece's weight."""
     scales = compute_scales(surface.profile, eps)
-    site = find_site(surface, scales)
-    r0 = min(max(180.0 * scales.r_eps, 1e-3 * site["r_site"]), site["r_site"] / 10.0)
+    r_site, center_xy = find_site(surface, scales)
+    r0 = min(max(180.0 * scales.r_eps, 1e-3 * r_site), r_site / 10.0)
     if r0 < 60.0 * scales.r_eps:
         raise PreconditionError(
             f"r0={r0:.3e} leaves no room above r_eps={scales.r_eps:.3e}"
         )
-    p = np.concatenate([site["center_xy"], [site["height"]]])
-    surface, patch = assemble_outer(surface, r0, p, scales)
+    patch = assemble_outer(surface, r0, center_xy, scales)
     green = green_function(patch, scales.r_eps / 4.0)
     return GlueContext(
         profile=surface.profile,
@@ -145,9 +144,7 @@ def conglomerate_C(t: BoundaryTriple, ctx: GlueContext):
     Zero mismatch means the three pieces form a C^1 matched minimal surface.
     """
     sc = ctx.scales
-    cat = build_catenoid_piece(
-        ctx.profile, sc.eps, t.h_II, ctx.kappa, ctx.tol_piece, delta=ctx.delta
-    )
+    cat = build_catenoid_piece(ctx.profile, sc, t.h_II, ctx.kappa, ctx.tol_piece, delta=ctx.delta)
     # the vertical-shift parameter acts as the relative offset of the
     # catenoid piece (lowering it by d raises the middle slot by d, the
     # model's response); inside the shared-ring-data formulation a middle
@@ -317,8 +314,7 @@ def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
     shift = sc.eps * sc.r_eps ** (2 - n) / (n - 2)
     ring_height = site["height"] + shift
     eps_len = sc.eps_len
-    s_eps = sc.s_eps
-    phi_cut, _, psi_cut, _ = (float(v[0]) for v in profile_values(n, np.array([s_eps])))
+    psi_cut = sc.psi_cut
     psi_inf = psi_infinity(ctx.profile)
     plane_height = ring_height + eps_len * (psi_inf - psi_cut)
     end = EndModel(
@@ -524,7 +520,7 @@ def stack_tower(
         surface = glued.outer
         levels.append({"k": k + 2, "eps": eps,
                        "mismatch": glued.mismatch_norm,
-                       "triple_norm": glued.triple.norm(compute_scales(seed.profile, eps))})
+                       "triple_norm": glued.triple.norm(glued.catenoid_piece.scales)})
         certificates.append(glued.certificates["embeddedness"])
     report = _tower_report(surface, glued, levels, certificates)
     return (glued if glued is not None else surface), report

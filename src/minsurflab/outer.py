@@ -252,7 +252,7 @@ def nondegeneracy_check(
 # -- gluing site --------------------------------------------------------------------
 
 
-def find_site(surface: OuterSurface, scales: Scales) -> dict:
+def find_site(surface: OuterSurface, scales: Scales) -> tuple:
     """March outward along the top end to the first admissible gluing site.
 
     Beyond the hard bound |grad u| <= r_eps, the site tilt is pushed below
@@ -261,6 +261,8 @@ def find_site(surface: OuterSurface, scales: Scales) -> dict:
     never needs a rotation of the glued pieces, and the new end stays
     parallel to the old plane.  The site sits a factor 1.3 beyond the first
     radius that passes, and beyond 1.3 times three times the last site.
+    Returns (r_site, center_xy): the site's distance from the end's axis
+    and its horizontal position, r_site along the first axis from the axis.
     """
     margin = 1.3
     n = surface.n
@@ -268,7 +270,7 @@ def find_site(surface: OuterSurface, scales: Scales) -> dict:
     r_min_prev = surface.info.get("last_site_radius", 0.0)
     r_cap = 0.98 * end.a * np.exp(_end_splines(n)["logphi_max"])
     R = np.geomspace(max(2.0 * end.a, 1e-6), r_cap / margin, 600)
-    h_prof, g_prof = end.height_profile(n, R)
+    _, g_prof = end.height_profile(n, R)
     tilt_cap = min(scales.r_eps, 0.5 * scales.r_eps**2 / (180.0 * scales.r_eps))
     ok = np.abs(g_prof) < tilt_cap
     ok &= R > margin * max(r_min_prev * 3.0, 2.0 * end.a)
@@ -278,17 +280,9 @@ def find_site(surface: OuterSurface, scales: Scales) -> dict:
             "no admissible gluing site: end gradient never drops below the tilt cap"
         )
     r_site = float(R[idx] * margin)
-    h_site, _ = end.height_profile(n, np.array([r_site]))
     direction = np.zeros(n)
     direction[0] = 1.0
-    center_xy = end.axis_center[:n] + r_site * direction
-    return {
-        "end": end,
-        "r_site": r_site,
-        "center_xy": center_xy,
-        "height": float(end.plane_height + end.orientation * h_site[0]),
-        "pole": direction,
-    }
+    return r_site, end.axis_center[:n] + r_site * direction
 
 
 # Chebyshev nodes of the site patch and of the site exterior
@@ -298,18 +292,19 @@ M_RADIAL = 150
 def assemble_outer(
     surface: OuterSurface,
     r0: float,
-    p: np.ndarray,
+    center_xy: np.ndarray,
     scales: Scales,
-) -> tuple:
-    """Split off the compact site patch around the ambient point p.
+) -> GraphPatch:
+    """Split off the compact site patch around the horizontal position
+    center_xy on the top end.
 
-    p must lie on the top end with |grad u| <= r_eps over the site plane
-    (the end's asymptotic plane); returns (surface with active site, patch)
-    with the patch rebased so u(0) = 0.
+    The site must have |grad u| <= r_eps over the end's asymptotic plane.
+    Sets surface.site (patch, site exterior, pole, center_xy, height,
+    r_site, r0) and returns the patch, rebased so u(0) = 0.
     """
     n = surface.n
     end = surface.top_end()
-    xy = np.asarray(p, dtype=float)[:n]
+    xy = np.asarray(center_xy, dtype=float)
     r_site = float(np.linalg.norm(xy - end.axis_center[:n]))
     h_site, g_site = end.height_profile(n, np.array([r_site]))
     if abs(g_site[0]) > scales.r_eps:
@@ -321,26 +316,22 @@ def assemble_outer(
     pole = (xy - end.axis_center[:n]) / r_site
     spec = surface.spectrum
     g = angular_grid(spec)
+
+    def site_field(grid: RadialGrid) -> BandField:
+        # the end's height about the site on the grid's rings, rebased so u(0) = 0
+        R_amb = np.sqrt(
+            r_site**2 + grid.r[:, None] ** 2 + 2 * r_site * grid.r[:, None] * g.t[None, :]
+        )
+        h_prof, _ = end.height_profile(n, R_amb.ravel())
+        u_vals = end.orientation * h_prof.reshape(R_amb.shape) - float(end.orientation * h_site[0])
+        return BandField(spec, grid, rows_from_collocation(u_vals, pole, g), pole=pole)
+
     grid = RadialGrid(scales.r_eps / 8.0, r0, M_RADIAL)
-    R_amb = np.sqrt(
-        r_site**2 + grid.r[:, None] ** 2 + 2 * r_site * grid.r[:, None] * g.t[None, :]
-    )
-    h_prof, _ = end.height_profile(n, R_amb.ravel())
-    u_vals = end.orientation * h_prof.reshape(R_amb.shape) - float(end.orientation * h_site[0])
-    # rebase so u(0) = 0: subtract the interpolated center value
-    u_field = BandField(spec, grid, rows_from_collocation(u_vals, pole, g), pole=pole)
-    patch = GraphPatch(n=n, r0=r0, grid=grid, u=u_field)
+    patch = GraphPatch(n=n, r0=r0, grid=grid, u=site_field(grid))
     R_out = 0.45 * r_site
     ext_grid = RadialGrid(r0, R_out, M_RADIAL)
-    R_amb_e = np.sqrt(
-        r_site**2 + ext_grid.r[:, None] ** 2 + 2 * r_site * ext_grid.r[:, None] * g.t[None, :]
-    )
-    h_e, _ = end.height_profile(n, R_amb_e.ravel())
-    u_e = end.orientation * h_e.reshape(R_amb_e.shape) - float(end.orientation * h_site[0])
-    ext_field = BandField(spec, ext_grid, rows_from_collocation(u_e, pole, g), pole=pole)
-    exterior = GraphPatch(n=n, r0=R_out / 2.0, grid=ext_grid, u=ext_field)
+    exterior = GraphPatch(n=n, r0=R_out / 2.0, grid=ext_grid, u=site_field(ext_grid))
     surface.site = {
-        "end": end,
         "patch": patch,
         "pole": pole,
         "center_xy": xy,
@@ -349,7 +340,7 @@ def assemble_outer(
         "exterior": exterior,
         "r0": r0,
     }
-    return surface, patch
+    return patch
 
 
 # -- site-exterior solves --------------------------------------------------------------

@@ -187,12 +187,15 @@ def solve_profile(n: int, s_max: float, step: float, max_substep: float = 1e-3) 
 
 @dataclass(frozen=True)
 class Scales:
-    """Gluing parameter and the induced cut-off and neck-radius scales."""
+    """Gluing parameter, the induced cut-off and neck-radius scales, and the
+    profile height psi(s_eps) at the cut, taken from the one profile
+    integration that gives r_eps."""
 
     n: int
     eps: float
     s_eps: float
     r_eps: float
+    psi_cut: float
 
     @property
     def eps_len(self) -> float:
@@ -201,7 +204,8 @@ class Scales:
 
 
 def compute_scales(profile: ProfileTable, eps: float) -> Scales:
-    """s_eps = log(eps) / ((n-1)(3n-2)) and r_eps = eps^(1/(n-1)) phi(s_eps)."""
+    """s_eps = log(eps) / ((n-1)(3n-2)), r_eps = eps^(1/(n-1)) phi(s_eps) and
+    psi_cut = psi(s_eps)."""
     n = profile.n
     if not (0.0 < eps < 1.0):
         raise ScaleError(f"eps={eps} must lie in (0, 1)")
@@ -212,6 +216,6 @@ def compute_scales(profile: ProfileTable, eps: float) -> Scales:
             f"|s_eps|={need:.4f} exceeds the profile grid s_max={profile.s_max:.4f}; "
             f"rebuild the profile with s_max >= {need * 1.05:.4f}"
         )
-    phi_cut = profile_values(n, np.array([s_eps]))[0][0]
-    r_eps = eps ** (1.0 / (n - 1)) * float(phi_cut)
-    return Scales(n=n, eps=float(eps), s_eps=float(s_eps), r_eps=r_eps)
+    phi_cut, _, psi_cut, _ = profile_values(n, np.array([s_eps]))
+    r_eps = eps ** (1.0 / (n - 1)) * float(phi_cut[0])
+    return Scales(n=n, eps=float(eps), s_eps=float(s_eps), r_eps=r_eps, psi_cut=float(psi_cut[0]))

@@ -75,13 +75,30 @@ def _grid_edges(shape, pts_flat):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(w)
 
 
-def _wrap_edges(shape, pts_flat):
-    """Extra edges closing the periodic meridian axis (the last one)."""
-    idx = np.arange(np.prod(shape)).reshape(shape)
-    src = idx[:, :, -1].ravel()
-    dst = idx[:, :, 0].ravel()
-    w = np.linalg.norm(pts_flat[src] - pts_flat[dst], axis=1)
-    return src, dst, w
+def _orbit_graph(n: int, xq, rho, xv, n_orbit: int) -> ChartSampleGraph:
+    """Sample graph of an orbit chart over sampled meridians.
+
+    The meridian coordinates (xq, rho, xv), each (Na, Nb), are lifted to
+    ambient R^{n+1} at n_orbit equally spaced angles of the orbit S^{n-2},
+    sampled along a fixed 2-plane of the transverse block; intrinsic
+    distances within the sampled submanifold upper-bound nothing but
+    faithfully measure the zonal charts we build.  The edges are the grid
+    edges plus those closing the periodic orbit axis.
+    """
+    omega = np.linspace(0, 2 * np.pi, n_orbit, endpoint=False)
+    shape = xq.shape + (n_orbit,)
+    pts = np.zeros(shape + (n + 1,))
+    pts[..., 0] = xq[..., None]
+    pts[..., 1] = rho[..., None] * np.cos(omega)[None, None, :]
+    pts[..., 2] = rho[..., None] * np.sin(omega)[None, None, :]
+    pts[..., n] = xv[..., None]
+    pts = pts.reshape(-1, n + 1)
+    rows, cols, w = _grid_edges(shape, pts)
+    idx = np.arange(pts.shape[0]).reshape(shape)
+    src, dst = idx[:, :, -1].ravel(), idx[:, :, 0].ravel()
+    w_wrap = np.linalg.norm(pts[src] - pts[dst], axis=1)
+    edges = (np.concatenate([rows, src]), np.concatenate([cols, dst]), np.concatenate([w, w_wrap]))
+    return ChartSampleGraph(pts, edges)
 
 
 def plane_sample_graph(n: int, extent: float) -> ChartSampleGraph:
@@ -90,32 +107,8 @@ def plane_sample_graph(n: int, extent: float) -> ChartSampleGraph:
     m_r = 60
     r = np.linspace(extent * 1e-3, extent, m_r)
     beta = np.linspace(0.12, np.pi - 0.12, 20)
-    omega = np.linspace(0, 2 * np.pi, 48, endpoint=False)
-    pts = _orbit_points_cloud(n, r[:, None] * np.cos(beta)[None, :],
-                              r[:, None] * np.sin(beta)[None, :],
-                              np.zeros((m_r, beta.size)), omega)
-    shape = (m_r, beta.size, omega.size)
-    rows, cols, w = _grid_edges(shape, pts)
-    r2, c2, w2 = _wrap_edges(shape, pts)
-    edges = (np.concatenate([rows, r2]), np.concatenate([cols, c2]), np.concatenate([w, w2]))
-    return ChartSampleGraph(pts, edges)
-
-
-def _orbit_points_cloud(n, xq, rho, xv, omega):
-    """Lift orbit coordinates to ambient R^{n+1} over sampled meridians.
-
-    The orbit S^{n-2} is sampled along a fixed 2-plane of the transverse
-    block; intrinsic distances within the sampled submanifold upper-bound
-    nothing but faithfully measure the zonal charts we build.
-    """
-    Na, Nb = xq.shape
-    No = omega.size
-    pts = np.zeros((Na, Nb, No, n + 1))
-    pts[..., 0] = xq[..., None]
-    pts[..., 1] = rho[..., None] * np.cos(omega)[None, None, :]
-    pts[..., 2] = rho[..., None] * np.sin(omega)[None, None, :]
-    pts[..., n] = xv[..., None]
-    return pts.reshape(-1, n + 1)
+    return _orbit_graph(n, r[:, None] * np.cos(beta)[None, :], r[:, None] * np.sin(beta)[None, :],
+                        np.zeros((m_r, beta.size)), 48)
 
 
 def catenoid_sample_graph(n: int, scale: float, s_window: float) -> ChartSampleGraph:
@@ -125,17 +118,9 @@ def catenoid_sample_graph(n: int, scale: float, s_window: float) -> ChartSampleG
     s = np.linspace(-s_window, s_window, m_s)
     phi, dphi, psi, dpsi = profile_values(n, s)
     beta = np.linspace(0.12, np.pi - 0.12, m_b)
-    omega = np.linspace(0, 2 * np.pi, 40, endpoint=False)
     F = scale * phi[:, None] * np.ones((1, m_b))
-    xq = F * np.cos(beta)[None, :]
-    rho = F * np.sin(beta)[None, :]
     xv = scale * psi[:, None] * np.ones((1, m_b))
-    pts = _orbit_points_cloud(n, xq, rho, xv, omega)
-    shape = (m_s, m_b, omega.size)
-    rows, cols, w = _grid_edges(shape, pts)
-    r2, c2, w2 = _wrap_edges(shape, pts)
-    edges = (np.concatenate([rows, r2]), np.concatenate([cols, c2]), np.concatenate([w, w2]))
-    return ChartSampleGraph(pts, edges)
+    return _orbit_graph(n, F * np.cos(beta)[None, :], F * np.sin(beta)[None, :], xv, 40)
 
 
 # -- residual and curvature oracles -----------------------------------------------------
@@ -211,11 +196,10 @@ def second_fund(surface) -> dict:
             phication = profile_values(n, sgrid)
             phis, _, psis, _ = phication
             Avals = np.sqrt(n * (n - 1.0)) * phis ** (-n) / sc.eps_len
-            psic = profile_values(n, np.array([sc.s_eps]))[2][0]
             for j in range(sgrid.size):
                 pt = np.concatenate(
                     [site["center_xy"] + np.eye(n)[0][: n] * sc.eps_len * phis[j],
-                     [ring_h + sc.eps_len * (psis[j] - psic)]]
+                     [ring_h + sc.eps_len * (psis[j] - sc.psi_cut)]]
                 )
                 samples.append((pt, float(Avals[j])))
         elif fc["kind"] == "neck_annulus":
@@ -357,15 +341,14 @@ def chord_arc(graph: ChartSampleGraph, x_index: int, R: float) -> dict:
     # component = points reachable without leaving the extrinsic ball: prune
     # by re-running restricted shortest paths
     sub = np.where(inside)[0]
-    index = np.full(pts.shape[0], -1)  # point -> its position in sub
+    # point -> its position in sub, as int32: coo_matrix indexes a graph of
+    # this size with int32, so the ball's edge arrays are used without a copy
+    index = np.full(pts.shape[0], -1, dtype=np.int32)
     index[sub] = np.arange(sub.size)
     rows, cols, w = graph.edges
     keep = inside[rows] & inside[cols]
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    m = coo_matrix((w[keep], (index[rows[keep]], index[cols[keep]])), shape=(sub.size, sub.size))
-    dist_in = dijkstra(m, directed=False, indices=index[x_index])
+    ball = ChartSampleGraph(pts[sub], (index[rows[keep]], index[cols[keep]], w[keep]))
+    dist_in = ball.shortest_paths(index[x_index])
     finite = np.isfinite(dist_in)
     rho = float(np.max(dist_in[finite]))
     boundary_touch = bool(R > 0.97 * np.max(d_ext))
@@ -434,13 +417,10 @@ class StabilityReport:
     stable: bool
 
 
-def _stability_forms(P: np.ndarray, n: int):
-    """The stiffness form and the area weights of an orbit chart.
-
-    Hat functions on the structured (a, b) grid, flat-index ordering; the
-    rotational volume rho^{n-2} |S^{n-2}| weights each cell.
-    """
-    Na, Nb = P.shape[1], P.shape[2]
+def _first_form(P: np.ndarray, n: int):
+    """(E, F, G, det, vol) of an orbit chart P (3, Na, Nb): the first
+    fundamental form from centred differences, its determinant clipped
+    away from 0, and the rotational volume factor sqrt(det) rho^{n-2}."""
     Pa = np.gradient(P, axis=1)
     Pb = np.gradient(P, axis=2)
     E = np.einsum("kij,kij->ij", Pa, Pa)
@@ -448,8 +428,18 @@ def _stability_forms(P: np.ndarray, n: int):
     G = np.einsum("kij,kij->ij", Pb, Pb)
     det = np.clip(E * G - F * F, 1e-300, None)
     rho = np.clip(P[1], 1e-12, None)
-    ring = sphere_area(n - 1)
-    dA = np.sqrt(det) * rho ** (n - 2) * ring
+    return E, F, G, det, np.sqrt(det) * rho ** (n - 2)
+
+
+def _stability_forms(P: np.ndarray, n: int):
+    """The stiffness form and the area weights of an orbit chart.
+
+    Hat functions on the structured (a, b) grid, flat-index ordering; the
+    rotational volume rho^{n-2} |S^{n-2}| weights each cell.
+    """
+    Na, Nb = P.shape[1], P.shape[2]
+    E, F, G, det, vol = _first_form(P, n)
+    dA = vol * sphere_area(n - 1)
 
     # difference matrices for the gradient energy (desk-sized, dense)
     Da = np.zeros((Na, Na))
@@ -565,15 +555,7 @@ def separation_check(P1: np.ndarray, u: np.ndarray, A2: np.ndarray, n: int) -> d
     interior suprema of the defect (defect_sup) and of q (max_q), and
     whether q <= 1 there (precondition_ok).
     """
-    Na, Nb = u.shape
-    Pa = np.gradient(P1, axis=1)
-    Pb = np.gradient(P1, axis=2)
-    E = np.einsum("kij,kij->ij", Pa, Pa)
-    F = np.einsum("kij,kij->ij", Pa, Pb)
-    G = np.einsum("kij,kij->ij", Pb, Pb)
-    det = np.clip(E * G - F * F, 1e-300, None)
-    rho = np.clip(P1[1], 1e-12, None)
-    vol = np.sqrt(det) * rho ** (n - 2)
+    E, F, G, det, vol = _first_form(P1, n)
 
     def d_a(f):
         return np.gradient(f, axis=0)

@@ -155,7 +155,7 @@ class TestAcceptance:
             sc = compute_scales(profile, eps)
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
-            piece = build_catenoid_piece(profile, eps, h, 1.0, TOL_SOLVER, default_delta(3))
+            piece = build_catenoid_piece(profile, sc, h, 1.0, TOL_SOLVER, default_delta(3))
             cauchy_maps_catenoid(piece)
             ratios.append(piece.info["cauchy_gap_over_reps2"])
         ok = max(ratios) <= 12.0 and max(ratios) / min(ratios) <= 2.0
@@ -198,9 +198,8 @@ class TestAcceptance:
         for eps in (1e-5, 1e-6, 1e-7, 1e-8):
             sc = compute_scales(profile, eps)
             surf = seed_catenoid(profile, spectrum, scale=1.0)
-            site = find_site(surf, sc)
-            p = np.concatenate([site["center_xy"], [site["height"]]])
-            surf, patch = assemble_outer(surf, R0, p, sc)
+            _, center_xy = find_site(surf, sc)
+            patch = assemble_outer(surf, R0, center_xy, sc)
             h0 = SphereField.zeros(spectrum)
             piece = build_neck_piece(patch, sc, RigidParams.zeros(N), h0, h0, tol=TOL_SOLVER, kappa=1.0)
             surf = solve_outer_nonlinear(surf, h0, tol=TOL_SOLVER)
@@ -214,12 +213,9 @@ class TestAcceptance:
         surf = seed_catenoid(profile, spectrum, scale=1.0)
         end = surf.top_end()
         Rs = np.geomspace(2, 1e4, 2000)
-        h_, g_ = end.height_profile(N, Rs)
+        _, g_ = end.height_profile(N, Rs)
         idx = int(np.argmin(np.abs(np.abs(g_) - 0.7 * sc.r_eps)))
-        p = np.concatenate([
-            end.axis_center[:N] + Rs[idx] * np.eye(N)[0], [end.plane_height + h_[idx]]
-        ])
-        surf, patch = assemble_outer(surf, R0, p, sc)
+        patch = assemble_outer(surf, R0, end.axis_center[:N] + Rs[idx] * np.eye(N)[0], sc)
 
         def gap_field(amp):
             h = SphereField.zonal_band(spectrum, 2, 1.0)

@@ -26,7 +26,9 @@ DELTA = default_delta(N)
 
 @pytest.fixture(scope="module")
 def piece_zero(spectrum, profile):
-    return build_catenoid_piece(profile, EPS, SphereField.zeros(spectrum), 1.0, TOL, DELTA)
+    return build_catenoid_piece(
+        profile, compute_scales(profile, EPS), SphereField.zeros(spectrum), 1.0, TOL, DELTA
+    )
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +36,7 @@ def piece_zonal(spectrum, profile):
     sc = compute_scales(profile, EPS)
     h = SphereField.zonal_band(spectrum, 2, 1.0)
     h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
-    return build_catenoid_piece(profile, EPS, h, 1.0, TOL, DELTA)
+    return build_catenoid_piece(profile, sc, h, 1.0, TOL, DELTA)
 
 
 class TestBuild:
@@ -44,7 +46,9 @@ class TestBuild:
         # the correction follows the contraction-ball shape: the ratio to
         # e^{((3n-2)/2 - delta) s_eps} r_eps^2 is stable across eps and stays
         # under the frozen measured constant of the surrogate norms.
-        other = build_catenoid_piece(profile, 1e-5, SphereField.zeros(spectrum), 1.0, TOL, DELTA)
+        other = build_catenoid_piece(
+            profile, compute_scales(profile, 1e-5), SphereField.zeros(spectrum), 1.0, TOL, DELTA
+        )
         ratios = []
         for piece in (piece_zero, other):
             sc = piece.scales
@@ -64,17 +68,19 @@ class TestBuild:
         h = SphereField.zonal_band(spectrum, 2, 1.0)
         h = h * (2.0 * kappa * sc.r_eps**2 / h.holder_norm())
         with pytest.raises(PreconditionError, match="kappa"):
-            build_catenoid_piece(profile, EPS, h, kappa, TOL, DELTA)
+            build_catenoid_piece(profile, sc, h, kappa, TOL, DELTA)
 
     def test_low_mode_data_rejected(self, spectrum, profile):
         h = SphereField.zeros(spectrum)
         h.low[0] = 1e-9
         with pytest.raises(PreconditionError, match="low-mode"):
-            build_catenoid_piece(profile, EPS, h, 1.0, TOL, DELTA)
+            build_catenoid_piece(profile, compute_scales(profile, EPS), h, 1.0, TOL, DELTA)
 
     def test_eps_threshold_rejected(self, spectrum, profile):
         with pytest.raises(PreconditionError, match="threshold"):
-            build_catenoid_piece(profile, 0.5, SphereField.zeros(spectrum), 1.0, TOL, DELTA)
+            build_catenoid_piece(
+                profile, compute_scales(profile, 0.5), SphereField.zeros(spectrum), 1.0, TOL, DELTA
+            )
 
     def test_unconverged_solve_raises_at_the_requested_eps(self, spectrum, profile, caplog):
         # one iteration can never settle: the solve must fail at the eps it
@@ -82,7 +88,8 @@ class TestBuild:
         with caplog.at_level(logging.WARNING):
             with pytest.raises(ContractionError) as excinfo:
                 build_catenoid_piece(
-                    profile, EPS, SphereField.zeros(spectrum), 1.0, TOL, DELTA, max_iter=1
+                    profile, compute_scales(profile, EPS), SphereField.zeros(spectrum), 1.0, TOL,
+                    DELTA, max_iter=1,
                 )
         assert f"eps={EPS:.3e}" in str(excinfo.value)
         assert "update norms" in str(excinfo.value)
@@ -151,7 +158,7 @@ class TestCauchyMaps:
             sc = compute_scales(profile, eps)
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
-            piece = build_catenoid_piece(profile, eps, h, 1.0, TOL, DELTA)
+            piece = build_catenoid_piece(profile, sc, h, 1.0, TOL, DELTA)
             cauchy_maps_catenoid(piece)
             ratios.append(piece.info["cauchy_gap_over_reps2"])
         assert max(ratios) < 20.0

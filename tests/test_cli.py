@@ -1,10 +1,15 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from graph_reference import chord_arc_dict_remap
 
+import minsurflab
 from minsurflab import gluing
 from minsurflab.catenoid import ContractionError, PreconditionError
 from minsurflab.cli import (
@@ -134,6 +139,37 @@ class TestRun:
                 del rep["component_size"]
                 expected.append({"chart": chart, "R": R, **rep})
         assert rows == expected
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("profile", {"s_step": -1}, "s_max and step must be positive"),
+        ("profile", {"s_max": 2.0}, "asymptotic fit defect"),
+        ("catenoid-piece", {"eps": 1e-100}, "exceeds the profile grid"),
+    ])
+    def test_refused_profile_or_scales_exit_with_config_code(
+        self, tmp_path, caplog, command, config, message
+    ):
+        # validate accepts these; the profile or compute_scales refuses them
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        with caplog.at_level(logging.ERROR):
+            rc = main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert message in caplog.text
+
+    def test_module_entry_point_runs_with_runtime_warnings_as_errors(self, tmp_path):
+        # the package __init__ imports no submodule, so -m finds no
+        # minsurflab.cli in sys.modules before it runs the module
+        src = str(Path(minsurflab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "minsurflab.cli", "profile",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (out / "profile_summary.json").exists()
 
     def test_tower_forwards_delta_and_tol_match(self, tmp_path, monkeypatch):
         seen = []

@@ -28,10 +28,8 @@ def surface(spectrum, profile):
 def sited(spectrum, profile):
     surf = seed_catenoid(profile, spectrum, scale=1.0)
     sc = compute_scales(profile, EPS)
-    site = find_site(surf, sc)
-    p = np.concatenate([site["center_xy"], [site["height"]]])
-    r0 = 180.0 * sc.r_eps
-    surf, patch = assemble_outer(surf, r0, p, sc)
+    _, center_xy = find_site(surf, sc)
+    patch = assemble_outer(surf, 180.0 * sc.r_eps, center_xy, sc)
     return surf, patch, sc
 
 
@@ -43,15 +41,15 @@ class TestAssemble:
 
     def test_far_site_gradient_below_r_eps(self, sited):
         surf, patch, sc = sited
-        _, grad = surf.site["end"].height_profile(N, np.array([surf.site["r_site"]]))
+        _, grad = surf.top_end().height_profile(N, np.array([surf.site["r_site"]]))
         assert abs(grad[0]) <= sc.r_eps
         assert patch.u.values[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_neck_site_rejected(self, surface, profile):
         sc = compute_scales(profile, EPS)
-        p = np.array([1.2, 0.0, 0.0, 0.0])  # essentially at the seed waist
+        center_xy = np.array([1.2, 0.0, 0.0])  # essentially at the seed waist
         with pytest.raises(PreconditionError, match="site rejected|range"):
-            assemble_outer(surface, 0.35, p, sc)
+            assemble_outer(surface, 0.35, center_xy, sc)
 
     def test_assumption_records(self, sited):
         surf, patch, sc = sited
@@ -148,9 +146,8 @@ class TestCauchyU:
     def test_requires_nonlinear_solve_first(self, spectrum, profile):
         surf = seed_catenoid(profile, spectrum, scale=1.0)
         sc = compute_scales(profile, EPS)
-        site = find_site(surf, sc)
-        p = np.concatenate([site["center_xy"], [site["height"]]])
-        surf, patch = assemble_outer(surf, 180 * sc.r_eps, p, sc)
+        _, center_xy = find_site(surf, sc)
+        patch = assemble_outer(surf, 180 * sc.r_eps, center_xy, sc)
         from minsurflab.neck import RigidParams, build_neck_piece
 
         h0 = SphereField.zeros(spectrum)

@@ -160,6 +160,11 @@ class TestComputeScales:
         phi_cut = profile_values(3, np.array([sc.s_eps]))[0][0]
         assert sc.eps_len * phi_cut == sc.r_eps
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-7, 1e-10])
+    def test_psi_cut_is_the_profile_height_at_the_cut(self, profile, eps):
+        sc = compute_scales(profile, eps)
+        assert sc.psi_cut == profile_values(3, np.array([sc.s_eps]))[2][0]
+
 
 class TestNormExp:
     def _field(self, spectrum, fn, S=-1.0, h=5e-3, m=900):
