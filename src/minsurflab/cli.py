@@ -249,7 +249,7 @@ def cmd_glue(cfg: RunConfig, out: Path) -> int:
     dump_json(
         {
             "eps": cfg.eps,
-            "ends": len(glued.ends),
+            "ends": len(glued.outer.ends),
             "mismatch": glued.mismatch_norm,
             "history": glued.info["history"],
             "plane_heights": sorted(e.plane_height for e in glued.outer.ends),

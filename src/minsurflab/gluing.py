@@ -11,7 +11,7 @@ mismatch drives the true mismatch to the matching tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .neck import (
 )
 from .outer import (
     EndModel,
+    GlueLevel,
     OuterSurface,
     assemble_outer,
     cauchy_U_eps,
@@ -236,15 +237,14 @@ def _project_model_range(c_0, c_eps):
 
 @dataclass
 class GluedSurface:
-    """Assembled glue: outer surface, neck and catenoid charts, certificates."""
+    """Assembled glue: the outer surface with the new level recorded, this
+    glue's neck and catenoid pieces, and its certificates."""
 
     outer: OuterSurface
     neck_piece: NeckPiece
     catenoid_piece: CatenoidPiece
     triple: BoundaryTriple
     mismatch_norm: float
-    ends: list
-    neck_boxes: list
     certificates: dict = field(default_factory=dict)
     info: dict = field(default_factory=dict)
 
@@ -304,7 +304,9 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> tuple:
 
 
 def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
-    """Place the catenoid chart at the ring frame and append the new end."""
+    """Place the catenoid chart at the ring frame and record the new end,
+    its level and its neck box on the context's surface; the first level
+    also records the seed's neck box."""
     sc = ctx.scales
     n = ctx.spectrum.n
     surf = ctx.surface
@@ -324,12 +326,6 @@ def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
         axis_center=np.concatenate([site["center_xy"] + t.A.T, [ring_height - eps_len * psi_cut]]),
         plane_height=float(plane_height),
     )
-    surf.ends.append(end)
-    surf.frozen_charts.append({"kind": "neck_annulus", "piece": neck, "site": dict(site)})
-    surf.frozen_charts.append({"kind": "catenoid", "piece": cat, "site": dict(site),
-                               "ring_height": ring_height})
-    surf.info["last_site_radius"] = site["r_site"]
-
     # neck box: |A| < 1 outside; the box contains the full scaled waist
     phi_star = (np.sqrt(n * (n - 1.0)) / eps_len) ** (1.0 / n)
     s_star = float(np.log(2 * phi_star))
@@ -344,19 +340,21 @@ def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
                     float(max(z_hi, ring_height) + 0.2 * eps_len * phi_star)),
         "c_j": 1.1 * np.sqrt(n * (n - 1.0)) / eps_len,
     }
-    ends = list(surf.ends)
-    glued = GluedSurface(
+    if not surf.glue_levels:
+        surf.neck_boxes.append(_seed_neck_box(surf))
+    surf.neck_boxes.append(box)
+    surf.glue_levels.append(GlueLevel(neck, cat, site["center_xy"], site["height"],
+                                      site["r_site"], ring_height))
+    surf.ends.append(end)
+    return GluedSurface(
         outer=surf,
         neck_piece=neck,
         catenoid_piece=cat,
         triple=t,
         mismatch_norm=mis_norm,
-        ends=ends,
-        neck_boxes=[box],
         info={"history": history, "ring_height": ring_height,
               "site": {k: site[k] for k in ("r_site", "height", "r0")}},
     )
-    return glued
 
 
 def glue_end(
@@ -366,12 +364,14 @@ def glue_end(
     tol_piece: float = 5e-3,
     tol_match: float | None = None,
     delta: float | None = None,
-    prev: GluedSurface | None = None,
 ) -> GluedSurface:
     """Glue one half-catenoid to the top end of the surface.
 
-    Refuses eps above the certified threshold, checks nondegeneracy first,
-    and carries the embeddedness certificate of the verify module.
+    Refuses eps above the certified threshold and carries the embeddedness
+    certificate of the verify module.  Works on a copy: the input surface
+    is never changed, and the result's outer surface is it plus one level.
+    The nondegeneracy check and the seed's neck box run only on a surface
+    with no levels yet, so a tower glued with one delta checks once.
     """
     from .catenoid import recorded_eps0
     from .verify import embeddedness
@@ -383,15 +383,13 @@ def glue_end(
         )
     if delta is None:
         delta = default_delta(surface.spectrum.n)
-    nondegeneracy_check(surface, delta, m=400)
+    surface = replace(surface, ends=list(surface.ends), glue_levels=list(surface.glue_levels),
+                      neck_boxes=list(surface.neck_boxes))
+    if not surface.glue_levels:
+        nondegeneracy_check(surface, delta, m=400)
     # the catenoid piece solves at the weight the nondegeneracy check used
     ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece, delta=delta)
     t, glued = fixed_point_glue(ctx, tol_match=tol_match)
-    if prev is not None:
-        glued.neck_boxes = prev.neck_boxes + glued.neck_boxes
-    else:
-        seed_box = _seed_neck_box(surface)
-        glued.neck_boxes = [seed_box] + glued.neck_boxes
     glued.certificates["new_end_tilt"] = _new_end_tilt(glued)
     cert = embeddedness(glued)
     glued.certificates["embeddedness"] = cert
@@ -486,7 +484,8 @@ def stack_tower(
     """Stack K glues on the seed; returns (GluedSurface | seed, TowerReport).
 
     schedule None means default_schedule(K - 1, recorded_eps0(kappa)).
-    tol_match and delta reach every level's glue_end.
+    tol_match and delta reach every level's glue_end.  The seed is never
+    changed: a failed level's partial report holds the levels before it.
     """
     from .catenoid import recorded_eps0
 
@@ -510,10 +509,8 @@ def stack_tower(
     for k in range(K - 1):
         eps = schedule[k]
         try:
-            glued = glue_end(
-                surface, eps, kappa=kappa, tol_piece=tol_piece, tol_match=tol_match,
-                delta=delta, prev=glued,
-            )
+            glued = glue_end(surface, eps, kappa=kappa, tol_piece=tol_piece,
+                             tol_match=tol_match, delta=delta)
         except Exception as exc:  # the partial report rides on the error
             report = _tower_report(surface, glued, levels, certificates, partial=str(exc))
             raise GlueError(f"tower aborted at level {k + 2}: {exc}", report) from exc
@@ -534,24 +531,16 @@ def _tower_report(surface, glued, levels, certificates, partial=None):
     eps_list = [lv["eps"] for lv in levels]
     slab = (min(heights), max(heights))
     slab_bound = 1.0 + float(np.sum(eps_list))
-    ratios = [seps[i + 1] / seps[i] for i in range(len(seps) - 1)] if len(seps) > 1 else []
-    curvature_outside = np.nan
-    boxes = glued.neck_boxes if glued is not None else []
-    if glued is not None:
-        prof = second_fund(glued)
-        curvature_outside = prof["outside_sup"]
-        boxes = prof["boxes"]
-    report = TowerReport(
-        levels=levels,
+    ratios = [seps[i + 1] / seps[i] for i in range(len(seps) - 1)]
+    prof = second_fund(glued) if glued is not None else {"outside_sup": np.nan, "boxes": []}
+    return TowerReport(
+        levels=levels + ([{"aborted": partial}] if partial else []),
         plane_heights=heights,
         separations=seps,
         slab=slab,
         slab_bound=slab_bound,
-        curvature_outside=float(curvature_outside),
-        boxes=boxes,
+        curvature_outside=float(prof["outside_sup"]),
+        boxes=prof["boxes"],
         certificates=certificates,
         improperness_ratios=ratios,
     )
-    if partial:
-        report.levels = levels + [{"aborted": partial}]
-    return report

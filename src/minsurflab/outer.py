@@ -2,13 +2,14 @@
 solvers.
 
 The outer surface carries a core cylinder chart (the seed catenoid), a list
-of planar-asymptotic ends in the catenoid band representation, and frozen
-charts from earlier gluings.  Ring-data solves are localized at the active
-gluing site: responses to data on the small ring decay like exterior
-multipoles, so the exterior problem on [r0, R_site] with per-band decaying
-Robin closure represents the global solve up to couplings far below the
-working ball; the global band structure of the core enters only the
-nondegeneracy check.
+of planar-asymptotic ends in the catenoid band representation, one
+GlueLevel record per earlier gluing and the neck boxes.  Ring-data solves
+are localized at the active gluing site: responses to data on the small
+ring decay like exterior multipoles, so the exterior problem on
+[r0, R_site] with per-band decaying Robin closure represents the global
+solve up to couplings far below the working ball; the global band
+structure of the core enters only the nondegeneracy check, which a tower
+runs once, on its seed.
 
 The outer Cauchy map U_eps (cauchy_U_eps) is the ring slope of the solved
 outer piece against the neck's.  Its simple model U_0 (simple_cauchy_outer)
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catenoid import (
+    CatenoidPiece,
     ContractionError,
     PreconditionError,
     ResidualError,
@@ -110,17 +112,30 @@ class EndModel:
 
 
 @dataclass
+class GlueLevel:
+    """One glued level: its neck and catenoid pieces and where they sit."""
+
+    neck_piece: NeckPiece
+    catenoid_piece: CatenoidPiece
+    center_xy: np.ndarray  # horizontal position of the site
+    height: float  # ambient height of the site on the end glued to
+    r_site: float  # the site's distance from that end's axis
+    ring_height: float  # ambient height of the catenoid ring frame
+
+
+@dataclass
 class OuterSurface:
-    """Core cylinder chart, ends, and frozen glue charts."""
+    """Core cylinder chart, ends, one GlueLevel per glue (oldest first) and
+    the neck boxes, the seed's first: a tower's whole cumulative state."""
 
     profile: ProfileTable
     spectrum: BandSpectrum
     core_scale: float
     core_center: np.ndarray  # ambient (n+1,)
     ends: list
-    frozen_charts: list = field(default_factory=list)
+    glue_levels: list = field(default_factory=list)
+    neck_boxes: list = field(default_factory=list)
     site: dict | None = None
-    info: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -160,12 +175,6 @@ def seed_catenoid(profile: ProfileTable, spectrum: BandSpectrum, scale: float) -
 # -- nondegeneracy ------------------------------------------------------------------
 
 
-def _homogeneous_profiles(n: int, ell: int, s: np.ndarray):
-    """Discrete growing/decaying homogeneous band solutions on the end."""
-    up, um, _ = band_pair(n, s, ell)
-    return up / np.max(np.abs(up)), um
-
-
 def _band_matrix_conjugated(n: int, ell: int, s: np.ndarray, delta: float) -> np.ndarray:
     """Dense band operator conjugated by the two-ended decay weight.
 
@@ -200,7 +209,10 @@ def nondegeneracy_check(
     threshold: float = 1e-6,
 ) -> float:
     """Normalized smallest singular value of the core operator on the
-    decaying space, minimized over bands; raises if below threshold."""
+    decaying space, minimized over bands; raises if below threshold.
+
+    Reads only n and L from the surface, so the check of a tower's seed
+    holds for every level glued onto it."""
     n = surface.n
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
@@ -217,7 +229,7 @@ def nondegeneracy_check(
             # content decaying at only the indicial rate gamma_l < |delta| is
             # outside the admissible space yet invisible to local rows on a
             # truncated cylinder; quotient the end-decaying homogeneous pair
-            up, um = _homogeneous_profiles(n, ell, s)
+            um = band_pair(n, s, ell)[1]
             slow = np.stack([um / weight, um[::-1] / weight], axis=1)
             slow[0, :] = 0.0
             slow[-1, :] = 0.0
@@ -260,14 +272,15 @@ def find_site(surface: OuterSurface, scales: Scales) -> tuple:
     below the matching tolerance at the inner ring; the fixed point then
     never needs a rotation of the glued pieces, and the new end stays
     parallel to the old plane.  The site sits a factor 1.3 beyond the first
-    radius that passes, and beyond 1.3 times three times the last site.
+    radius that passes, and beyond 1.3 times three times the last glued
+    level's site radius.
     Returns (r_site, center_xy): the site's distance from the end's axis
     and its horizontal position, r_site along the first axis from the axis.
     """
     margin = 1.3
     n = surface.n
     end = surface.top_end()
-    r_min_prev = surface.info.get("last_site_radius", 0.0)
+    r_min_prev = surface.glue_levels[-1].r_site if surface.glue_levels else 0.0
     r_cap = 0.98 * end.a * np.exp(_end_splines(n)["logphi_max"])
     R = np.geomspace(max(2.0 * end.a, 1e-6), r_cap / margin, 600)
     _, g_prof = end.height_profile(n, R)

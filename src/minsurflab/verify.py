@@ -126,18 +126,18 @@ def catenoid_sample_graph(n: int, scale: float, s_window: float) -> ChartSampleG
 # -- residual and curvature oracles -----------------------------------------------------
 
 
-def mc_residual(surface) -> dict:
-    """Independent mean-curvature oracle over all charts.
+def mc_residual(glued) -> dict:
+    """Independent mean-curvature oracle over all charts of a glued surface.
 
     The core chart, the seed catenoid on the uniform grid of step CORE_STEP
     over |s| <= CORE_SPAN, is resampled on an offset, refined grid and
-    differentiated with 4th-order stencils; the neck and catenoid pieces run
-    the same kind of oracle when they are built, and their stored values are
-    reported here.  Residuals are reported raw and relative to the chart's
-    curvature scale.
+    differentiated with 4th-order stencils; the neck and catenoid pieces of
+    every level of glued.outer run the same kind of oracle when they are
+    built, and their stored values are reported here, level by level.
+    Residuals are reported raw and relative to the chart's curvature scale.
     """
     out = {}
-    outer = getattr(surface, "outer", surface)
+    outer = glued.outer
     n = outer.n
     g = angular_grid(outer.spectrum)
     s = -CORE_SPAN + CORE_STEP * np.arange(int(round(2 * CORE_SPAN / CORE_STEP)) + 1)
@@ -154,88 +154,53 @@ def mc_residual(surface) -> dict:
         "sup_H": float(np.max(np.abs(H[3:-3])) / outer.core_scale),
         "rel": float(np.max(np.abs(H[3:-3])) / outer.core_scale / A_sup),
     }
-    for fc in getattr(outer, "frozen_charts", []):
-        piece = fc["piece"]
-        if fc["kind"] == "neck_annulus":
-            out.setdefault("neck", []).append({"sup_H": piece.residual, "rel": piece.residual_rel})
-        elif fc["kind"] == "catenoid":
-            res = piece.residual  # unit-neck oracle value stored at build
-            out.setdefault("catenoid", []).append(
-                {"sup_H_unit": res, "rel": res / np.sqrt(n * (n - 1.0))}
-            )
-    rels = [out["core"]["rel"]]
-    for key in ("neck", "catenoid"):
-        rels += [c["rel"] for c in out.get(key, [])]
+    levels = outer.glue_levels
+    out["neck"] = [{"sup_H": lv.neck_piece.residual, "rel": lv.neck_piece.residual_rel}
+                   for lv in levels]
+    # the catenoid piece stores its unit-neck oracle value at build
+    out["catenoid"] = [{"sup_H_unit": lv.catenoid_piece.residual,
+                        "rel": lv.catenoid_piece.residual / np.sqrt(n * (n - 1.0))}
+                       for lv in levels]
+    rels = [out["core"]["rel"]] + [c["rel"] for c in out["neck"] + out["catenoid"]]
     out["max_rel"] = float(np.max(rels))
     return out
 
 
-def second_fund(surface) -> dict:
-    """|A| profile: per-box suprema and the outside-boxes supremum."""
-    outer = getattr(surface, "outer", surface)
+def second_fund(glued) -> dict:
+    """|A| profile of a glued surface: per-box suprema and the outside-boxes
+    supremum, over the core chart and the neck and catenoid pieces of every
+    level of glued.outer, against its neck boxes."""
+    outer = glued.outer
     n = outer.n
-    boxes = getattr(surface, "neck_boxes", [])
-    samples = []  # (point, |A|)
     s = np.linspace(-CORE_SPAN, CORE_SPAN, 400)
-    phi, dphi, psi, dpsi = profile_values(n, s)
-    A_prof = np.sqrt(n * (n - 1.0)) * phi ** (-n) / outer.core_scale
+    phi, _, psi, _ = profile_values(n, s)
     e0 = np.eye(n)[0]
-    for k in range(s.size):
-        pt = np.concatenate(
-            [outer.core_center[:n] + e0 * outer.core_scale * phi[k],
-             [outer.core_center[-1] + outer.core_scale * psi[k]]]
-        )
-        samples.append((pt, float(A_prof[k])))
-    for fc in getattr(outer, "frozen_charts", []):
-        piece = fc["piece"]
-        if fc["kind"] == "catenoid":
-            sc = piece.scales
-            ring_h = fc["ring_height"]
-            site = fc["site"]
-            sgrid = np.linspace(sc.s_eps, sc.s_eps + 12.0, 300)
-            phication = profile_values(n, sgrid)
-            phis, _, psis, _ = phication
-            Avals = np.sqrt(n * (n - 1.0)) * phis ** (-n) / sc.eps_len
-            for j in range(sgrid.size):
-                pt = np.concatenate(
-                    [site["center_xy"] + np.eye(n)[0][: n] * sc.eps_len * phis[j],
-                     [ring_h + sc.eps_len * (psis[j] - sc.psi_cut)]]
-                )
-                samples.append((pt, float(Avals[j])))
-        elif fc["kind"] == "neck_annulus":
-            V = piece.V
-            g = angular_grid(V.spectrum)
-            P = graph_orbit_points(V.grid.r, g, axial_collocation(V, g))
-            A2 = np.sqrt(matrix_surface(P, g, V.grid.D).second_fundamental_sq(n))
-            site = fc["site"]
-            for i in range(0, V.grid.m, 4):
-                pt = np.concatenate(
-                    [site["center_xy"] + np.eye(n)[0][: n] * V.grid.r[i],
-                     [site["height"] + V.values[0, i]]]
-                )
-                samples.append((pt, float(np.max(A2[i]))))
-    outside = 0.0
-    per_box = [0.0] * len(boxes)
-    for pt, Ai in samples:
-        inside = False
-        for b_idx, b in enumerate(boxes):
-            if _in_box(pt, b, n):
-                per_box[b_idx] = max(per_box[b_idx], Ai)
-                inside = True
-        if not inside:
-            outside = max(outside, Ai)
-    boxes_out = []
-    for b_idx, b in enumerate(boxes):
-        bb = dict(b)
-        bb["sup_A"] = per_box[b_idx]
-        boxes_out.append(bb)
-    return {"outside_sup": outside, "boxes": boxes_out}
-
-
-def _in_box(pt, box, n) -> bool:
-    dxy = np.max(np.abs(pt[:n] - box["center_xy"]))
-    z0, z1 = box["z_range"]
-    return dxy <= box["halfwidth"] and z0 <= pt[n] <= z1
+    # sample points (horizontal, height) and |A|: the core, then each level's pieces
+    xy = [outer.core_center[:n] + e0 * outer.core_scale * phi[:, None]]
+    z = [outer.core_center[-1] + outer.core_scale * psi]
+    A = [np.sqrt(n * (n - 1.0)) * phi ** (-n) / outer.core_scale]
+    for level in outer.glue_levels:
+        V = level.neck_piece.V
+        g = angular_grid(V.spectrum)
+        P = graph_orbit_points(V.grid.r, g, axial_collocation(V, g))
+        A2 = np.sqrt(matrix_surface(P, g, V.grid.D).second_fundamental_sq(n))
+        xy.append(level.center_xy + e0 * V.grid.r[::4, None])
+        z.append(level.height + V.values[0, ::4])
+        A.append(np.max(A2[::4], axis=1))
+        sc = level.catenoid_piece.scales
+        phis, _, psis, _ = profile_values(n, np.linspace(sc.s_eps, sc.s_eps + 12.0, 300))
+        xy.append(level.center_xy + e0 * sc.eps_len * phis[:, None])
+        z.append(level.ring_height + sc.eps_len * (psis - sc.psi_cut))
+        A.append(np.sqrt(n * (n - 1.0)) * phis ** (-n) / sc.eps_len)
+    xy, z, A = np.concatenate(xy), np.concatenate(z), np.concatenate(A)
+    inside = np.array([
+        (np.max(np.abs(xy - b["center_xy"]), axis=1) <= b["halfwidth"])
+        & (b["z_range"][0] <= z) & (z <= b["z_range"][1])
+        for b in outer.neck_boxes
+    ])
+    return {"outside_sup": float(np.max(A[~inside.any(axis=0)], initial=0.0)),
+            "boxes": [dict(b, sup_A=float(np.max(A[m], initial=0.0)))
+                      for b, m in zip(outer.neck_boxes, inside)]}
 
 
 # -- embeddedness ------------------------------------------------------------------------
@@ -253,8 +218,9 @@ def sheet_separation_report(pts: np.ndarray, lower: np.ndarray, upper: np.ndarra
 def embeddedness(glued) -> dict:
     """Certificate: separation positivity, box disjointness, overlap scan.
 
-    The new sheet sits at glued.info["ring_height"].  Violations return a
-    witness; they are data, not exceptions.
+    The new sheet sits at glued.info["ring_height"]; the boxes are all of
+    glued.outer's neck boxes and the planes all of its ends, the new one
+    included.  Violations return a witness; they are data, not exceptions.
     """
     outer = glued.outer
     n = outer.n
@@ -281,7 +247,7 @@ def embeddedness(glued) -> dict:
         lower[outside] = end.plane_height + end.orientation * h_prof
     pts = np.stack([radii, np.zeros_like(radii), np.full_like(radii, ring_h)], axis=1)
     rep = sheet_separation_report(pts, lower, upper)
-    boxes = getattr(glued, "neck_boxes", [])
+    boxes = outer.neck_boxes
     disjoint = True
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):

@@ -26,3 +26,13 @@ def zgrid(spectrum):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture(scope="session")
+def glued_surface(spectrum, profile):
+    """The n=3, eps=1e-6 glue on the scale-1 seed; glue_end never changes
+    its input, so the tests share one."""
+    from minsurflab.gluing import glue_end
+    from minsurflab.outer import seed_catenoid
+
+    return glue_end(seed_catenoid(profile, spectrum, scale=1.0), 1e-6)

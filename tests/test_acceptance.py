@@ -17,7 +17,7 @@ from minsurflab.cylinder import (
     norm_exp,
     solve_band_dirichlet_robin,
 )
-from minsurflab.gluing import glue_end, stack_tower
+from minsurflab.gluing import stack_tower
 from minsurflab.neck import (
     RigidParams,
     build_neck_piece,
@@ -58,9 +58,8 @@ def verdict(name: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def glued(spectrum, profile):
-    surf = seed_catenoid(profile, spectrum, scale=1.0)
-    return glue_end(surf, 1e-6)
+def glued(glued_surface):
+    return glued_surface
 
 
 @pytest.fixture(scope="module")

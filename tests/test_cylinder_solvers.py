@@ -19,7 +19,6 @@ from minsurflab.cylinder import (
     solve_band_decaying_kernel,
     solve_band_dirichlet_robin,
 )
-from minsurflab.outer import _homogeneous_profiles
 from minsurflab.spectral import SphereField
 
 N = 3
@@ -143,9 +142,6 @@ class TestBandPair:
         s = make_grid(S=-1.5)
         for ell in (0, 1):
             up, um, _ = band_pair(N, s, ell)
-            up_o, um_o = _homogeneous_profiles(N, ell, s)
-            assert um_o is um
-            assert np.array_equal(up_o, up / np.max(np.abs(up)))
             vpot = -(spectrum.lam[ell] + ((N - 2) / 2.0) ** 2) + grid_profile(N, s)["pot"]
             up_d, um_d, _ = homogeneous_pair(vpot, s[1] - s[0], spectrum.gamma[ell])
             assert np.array_equal(up, up_d) and np.array_equal(um, um_d)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minsurflab import gluing
+from minsurflab import gluing, verify
 from minsurflab.catenoid import PreconditionError, default_delta
 from minsurflab.gluing import (
     BoundaryTriple,
@@ -150,7 +150,7 @@ class TestGlue:
         surf = seed_catenoid(profile, spectrum, scale=1.0)
         before = sorted(e.plane_height for e in surf.ends)
         glued = glue_end(surf, EPS)
-        assert len(glued.ends) == 3
+        assert len(glued.outer.ends) == 3
         sc = glued.catenoid_piece.scales
         assert glued.mismatch_norm <= 1e-8 * sc.r_eps ** (2 - N)
         after = sorted(e.plane_height for e in glued.outer.ends)
@@ -206,3 +206,52 @@ class TestTower:
         surf = seed_catenoid(profile, spectrum, scale=0.3)
         with pytest.raises(PreconditionError, match="bound"):
             stack_tower(3, surf, schedule=[1e-4, 1e-4])
+
+
+def refuse_embeddedness(glued):
+    return {"embedded": False, "min_separation": -1.0, "witness": [0.0, 0.0, 0.0]}
+
+
+class TestGlueKeepsItsInput:
+    def test_nondegeneracy_check_runs_once_per_seed(self, spectrum, profile, glued_surface,
+                                                    monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        checked = []
+        monkeypatch.setattr(gluing, "nondegeneracy_check",
+                            lambda surface, *args, **kwargs: checked.append(surface))
+        monkeypatch.setattr(gluing, "prepare_glue", stop)
+        with pytest.raises(Stop):
+            glue_end(seed_catenoid(profile, spectrum, scale=1.0), EPS)
+        assert len(checked) == 1
+        # a surface with a level was checked as the seed it grew from
+        assert len(glued_surface.outer.glue_levels) == 1
+        with pytest.raises(Stop):
+            glue_end(glued_surface.outer, EPS)
+        assert len(checked) == 1
+
+    def test_refused_glue_leaves_the_seed(self, spectrum, profile, monkeypatch):
+        monkeypatch.setattr(verify, "embeddedness", refuse_embeddedness)
+        surf = seed_catenoid(profile, spectrum, scale=1.0)
+        ends = list(surf.ends)
+        with pytest.raises(GlueError, match="embeddedness failed"):
+            glue_end(surf, EPS)
+        assert len(surf.ends) == 2 and all(a is b for a, b in zip(surf.ends, ends))
+        assert surf.glue_levels == [] and surf.neck_boxes == []
+        assert surf.site is None
+
+    def test_refused_level_keeps_a_consistent_report(self, spectrum, profile, monkeypatch):
+        monkeypatch.setattr(verify, "embeddedness", refuse_embeddedness)
+        surf = seed_catenoid(profile, spectrum, scale=1.0)
+        with pytest.raises(GlueError, match="level 2") as failed:
+            stack_tower(2, surf, schedule=[EPS])
+        report = failed.value.report
+        # the refused level's plane is not in the report
+        assert len(report.plane_heights) == 2
+        assert report.plane_heights == sorted(e.plane_height for e in surf.ends)
+        assert report.boxes == []
+        assert len(surf.ends) == 2 and surf.glue_levels == []

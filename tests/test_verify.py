@@ -4,8 +4,10 @@ import logging
 import numpy as np
 import pytest
 
+from minsurflab.cylinder import axial_collocation
 from minsurflab.geometry import graph_orbit_points, matrix_surface
 from minsurflab.neck import angular_grid, flat_patch
+from minsurflab.outer import CORE_SPAN
 from minsurflab.profile import profile_values
 from minsurflab.verify import (
     catenoid_sample_graph,
@@ -29,6 +31,48 @@ def catenoid_orbit_chart(scale=1.0, window=2.5, m=140, spectrum=None):
     P = np.stack([F * g.t[None, :], F * g.sinb[None, :],
                   scale * psi[:, None] * np.ones((1, g.t.size))])
     return P, s, phi
+
+
+def reference_second_fund(glued):
+    """(outside_sup, per-box sup_A) of second_fund, one sample at a time."""
+    outer = glued.outer
+    n = outer.n
+    e0 = np.eye(n)[0]
+    samples = []
+    s = np.linspace(-CORE_SPAN, CORE_SPAN, 400)
+    phi, _, psi, _ = profile_values(n, s)
+    A_prof = np.sqrt(n * (n - 1.0)) * phi ** (-n) / outer.core_scale
+    for k in range(s.size):
+        pt = np.concatenate([outer.core_center[:n] + e0 * outer.core_scale * phi[k],
+                             [outer.core_center[-1] + outer.core_scale * psi[k]]])
+        samples.append((pt, float(A_prof[k])))
+    for level in outer.glue_levels:
+        V = level.neck_piece.V
+        g = angular_grid(V.spectrum)
+        P = graph_orbit_points(V.grid.r, g, axial_collocation(V, g))
+        A2 = np.sqrt(matrix_surface(P, g, V.grid.D).second_fundamental_sq(n))
+        for i in range(0, V.grid.m, 4):
+            pt = np.concatenate([level.center_xy + e0 * V.grid.r[i], [level.height + V.values[0, i]]])
+            samples.append((pt, float(np.max(A2[i]))))
+        sc = level.catenoid_piece.scales
+        phis, _, psis, _ = profile_values(n, np.linspace(sc.s_eps, sc.s_eps + 12.0, 300))
+        Avals = np.sqrt(n * (n - 1.0)) * phis ** (-n) / sc.eps_len
+        for j in range(phis.size):
+            pt = np.concatenate([level.center_xy + e0 * sc.eps_len * phis[j],
+                                 [level.ring_height + sc.eps_len * (psis[j] - sc.psi_cut)]])
+            samples.append((pt, float(Avals[j])))
+    boxes = outer.neck_boxes
+    outside, per_box = 0.0, [0.0] * len(boxes)
+    for pt, Ai in samples:
+        inside = False
+        for b_idx, b in enumerate(boxes):
+            z0, z1 = b["z_range"]
+            if np.max(np.abs(pt[:n] - b["center_xy"])) <= b["halfwidth"] and z0 <= pt[n] <= z1:
+                per_box[b_idx] = max(per_box[b_idx], Ai)
+                inside = True
+        if not inside:
+            outside = max(outside, Ai)
+    return outside, per_box
 
 
 class TestSecondFund:
@@ -59,14 +103,11 @@ class TestSecondFund:
         assert prof["outside_sup"] < 1.0
         assert all(b["sup_A"] >= 0 for b in prof["boxes"])
 
-
-@pytest.fixture(scope="session")
-def glued_surface(spectrum, profile):
-    from minsurflab.gluing import glue_end
-    from minsurflab.outer import seed_catenoid
-
-    surf = seed_catenoid(profile, spectrum, scale=1.0)
-    return glue_end(surf, 1e-6)
+    def test_matches_the_per_sample_reference(self, glued_surface):
+        prof = second_fund(glued_surface)
+        outside, per_box = reference_second_fund(glued_surface)
+        assert prof["outside_sup"] == outside
+        assert [b["sup_A"] for b in prof["boxes"]] == per_box
 
 
 class TestEmbeddedness:
