@@ -84,6 +84,10 @@ class RunConfig:
             raise ConfigError(f"eps={self.eps} must lie in (0, 1)")
         if self.L < 2:
             raise ConfigError(f"L={self.L} must be >= 2")
+        for name in ("seed_scale", "kappa", "tol_solver", "tol_verify", "tol_match"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name}={value} must be > 0")
         if self.delta is None:
             self.delta = default_delta(n)
         if not admissible_delta(n, self.delta):

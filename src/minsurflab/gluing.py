@@ -24,7 +24,6 @@ from .catenoid import (
     simple_cauchy_catenoid,
 )
 from .neck import (
-    GraphPatch,
     GreenTable,
     NeckPiece,
     RigidParams,
@@ -36,6 +35,7 @@ from .outer import (
     EndModel,
     GlueLevel,
     OuterSurface,
+    Site,
     assemble_outer,
     cauchy_U_eps,
     find_site,
@@ -44,7 +44,7 @@ from .outer import (
     simple_cauchy_outer,
     solve_outer_nonlinear,
 )
-from .profile import ProfileTable, Scales, compute_scales, profile_values
+from .profile import Scales, compute_scales, profile_values
 from .spectral import BandSpectrum, SphereField, project_high, project_low
 
 
@@ -95,12 +95,10 @@ class BoundaryTriple:
 
 @dataclass
 class GlueContext:
-    """Frozen inputs of one glue: site, scales, grids, and tolerances."""
+    """Frozen inputs of one glue: surface, site, scales, grids, tolerances."""
 
-    profile: ProfileTable
-    spectrum: BandSpectrum
     surface: OuterSurface
-    patch: GraphPatch
+    site: Site
     scales: Scales
     green: GreenTable
     kappa: float
@@ -120,13 +118,11 @@ def prepare_glue(
         raise PreconditionError(
             f"r0={r0:.3e} leaves no room above r_eps={scales.r_eps:.3e}"
         )
-    patch = assemble_outer(surface, r0, center_xy, scales)
-    green = green_function(patch, scales.r_eps / 4.0)
+    site = assemble_outer(surface, r0, center_xy, scales)
+    green = green_function(site.patch, scales.r_eps / 4.0)
     return GlueContext(
-        profile=surface.profile,
-        spectrum=surface.spectrum,
         surface=surface,
-        patch=patch,
+        site=site,
         scales=scales,
         green=green,
         kappa=kappa,
@@ -140,29 +136,30 @@ def prepare_glue(
 
 def conglomerate_C(t: BoundaryTriple, ctx: GlueContext):
     """The mismatch triple (outer slope gap, inner value gap, inner slope gap)
-    and the pieces it was measured on, {"catenoid", "neck", "outer"}.
+    and the pieces it was measured on, {"catenoid", "neck"}.
 
     Zero mismatch means the three pieces form a C^1 matched minimal surface.
     """
     sc = ctx.scales
-    cat = build_catenoid_piece(ctx.profile, sc, t.h_II, ctx.kappa, ctx.tol_piece, delta=ctx.delta)
+    cat = build_catenoid_piece(ctx.surface.profile, sc, t.h_II, ctx.kappa, ctx.tol_piece,
+                               delta=ctx.delta)
     # the vertical-shift parameter acts as the relative offset of the
     # catenoid piece (lowering it by d raises the middle slot by d, the
     # model's response); inside the shared-ring-data formulation a middle
     # side shift would be cancelled at the inner ring by its own outer lift
     A_neck = RigidParams(t.A.T.copy(), t.A.R.copy(), 0.0, t.A.e)
     neck = build_neck_piece(
-        ctx.patch, sc, A_neck, t.h_I, t.h_II, ctx.tol_piece, kappa=ctx.kappa, green=ctx.green
+        ctx.site.patch, sc, A_neck, t.h_I, t.h_II, ctx.tol_piece, kappa=ctx.kappa, green=ctx.green
     )
-    surf = solve_outer_nonlinear(ctx.surface, t.h_I, ctx.tol_piece)
-    u_eps = cauchy_U_eps(surf, neck)
+    w = solve_outer_nonlinear(ctx.site, t.h_I, ctx.tol_piece)
+    u_eps = cauchy_U_eps(w, neck)
     s_val = cat.cauchy[0].copy()
     s_val.low[0] -= t.A.d
     s_eps = (s_val, cat.cauchy[1])
     t_eps = neck.cauchy_inner
     mid_val = t_eps[0] - s_eps[0]
     mid_slope = t_eps[1] - s_eps[1]
-    return (u_eps, mid_val, mid_slope), {"catenoid": cat, "neck": neck, "outer": surf}
+    return (u_eps, mid_val, mid_slope), {"catenoid": cat, "neck": neck}
 
 
 def triple_norm(mismatch) -> float:
@@ -174,13 +171,13 @@ class SimpleMaps:
 
     def __init__(self, ctx: GlueContext):
         self.ctx = ctx
-        spec = ctx.spectrum
+        spec = ctx.surface.spectrum
         n = spec.n
         self.n = n
         # ring multipliers of U_0 per band: its response to 1 in each band's
         # first row, exact because the solves are row-wise
         unit = SphereField(spec, np.r_[1.0, 1.0, np.zeros(n - 1)], np.ones(spec.L - 1))
-        resp = simple_cauchy_outer(ctx.surface, unit)
+        resp = simple_cauchy_outer(ctx.site, unit)
         self.u0_mult = np.concatenate([resp.low[:2], resp.zonal])
 
     def U0(self, h_I: SphereField) -> SphereField:
@@ -198,7 +195,7 @@ class SimpleMaps:
         ctx = self.ctx
         sc = ctx.scales
         n = self.n
-        spec = ctx.spectrum
+        spec = ctx.surface.spectrum
         ring, mid_val, mid_slope = rhs
         hi_val = project_high(mid_val)
         if hi_val.holder_norm() > 1e-8 * max(1.0, mid_val.holder_norm()):
@@ -249,23 +246,22 @@ class GluedSurface:
     info: dict = field(default_factory=dict)
 
 
-def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> tuple:
+def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
     """Damped Picard iteration on the model-preconditioned mismatch.
 
     Starts undamped; a step that does not cut the mismatch below 0.9 times
     the last one damps harder and restarts from the best point.  Terminates
     when the mismatch norm falls under the matching tolerance (None meaning
-    1e-8 r_eps^{2-n}) and fails after 30 evaluations; returns (triple,
-    GluedSurface).
+    1e-8 r_eps^{2-n}) and fails after 30 evaluations.
     """
     max_iter = 30
     theta = 1.0
     sc = ctx.scales
-    spec = ctx.spectrum
+    spec = ctx.surface.spectrum
     if tol_match is None:
         tol_match = 1e-8 * sc.r_eps ** (2 - spec.n)
     maps = SimpleMaps(ctx)
-    t = BoundaryTriple.zeros(spec, pole=ctx.patch.u.pole)
+    t = BoundaryTriple.zeros(spec, pole=ctx.site.pole)
     history = []
     ball = ctx.kappa * sc.r_eps**2
     best = None
@@ -298,9 +294,8 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> tuple:
             f"matching iteration exhausted {max_iter} iterations; trajectory "
             f"{['%.2e' % v for v in history]}"
         )
-    mis_norm, t, pieces, mismatch = best
-    glued = assemble_glued_surface(ctx, t, pieces, mis_norm, history)
-    return t, glued
+    mis_norm, t, pieces, _ = best
+    return assemble_glued_surface(ctx, t, pieces, mis_norm, history)
 
 
 def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
@@ -308,22 +303,22 @@ def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
     its level and its neck box on the context's surface; the first level
     also records the seed's neck box."""
     sc = ctx.scales
-    n = ctx.spectrum.n
     surf = ctx.surface
-    site = surf.site
+    n = surf.n
+    site = ctx.site
     cat: CatenoidPiece = pieces["catenoid"]
     neck: NeckPiece = pieces["neck"]
     shift = sc.eps * sc.r_eps ** (2 - n) / (n - 2)
-    ring_height = site["height"] + shift
+    ring_height = site.height + shift
     eps_len = sc.eps_len
     psi_cut = sc.psi_cut
-    psi_inf = psi_infinity(ctx.profile)
+    psi_inf = psi_infinity(surf.profile)
     plane_height = ring_height + eps_len * (psi_inf - psi_cut)
     end = EndModel(
         a=eps_len,
         w=cat.w,
         orientation=+1,
-        axis_center=np.concatenate([site["center_xy"] + t.A.T, [ring_height - eps_len * psi_cut]]),
+        axis_center=np.concatenate([site.center_xy + t.A.T, [ring_height - eps_len * psi_cut]]),
         plane_height=float(plane_height),
     )
     # neck box: |A| < 1 outside; the box contains the full scaled waist
@@ -334,8 +329,8 @@ def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
     z_lo = ring_height - eps_len * (psi_cut + float(psis[0]))
     z_hi = ring_height + eps_len * (float(psis[0]) - psi_cut)
     box = {
-        "center_xy": site["center_xy"].copy(),
-        "halfwidth": float(max(half_w, site["r0"])),
+        "center_xy": site.center_xy.copy(),
+        "halfwidth": float(max(half_w, site.r0)),
         "z_range": (float(min(z_lo, ring_height) - 0.2 * eps_len * phi_star),
                     float(max(z_hi, ring_height) + 0.2 * eps_len * phi_star)),
         "c_j": 1.1 * np.sqrt(n * (n - 1.0)) / eps_len,
@@ -343,8 +338,7 @@ def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
     if not surf.glue_levels:
         surf.neck_boxes.append(_seed_neck_box(surf))
     surf.neck_boxes.append(box)
-    surf.glue_levels.append(GlueLevel(neck, cat, site["center_xy"], site["height"],
-                                      site["r_site"], ring_height))
+    surf.glue_levels.append(GlueLevel(neck, cat, site, ring_height))
     surf.ends.append(end)
     return GluedSurface(
         outer=surf,
@@ -353,7 +347,7 @@ def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
         triple=t,
         mismatch_norm=mis_norm,
         info={"history": history, "ring_height": ring_height,
-              "site": {k: site[k] for k in ("r_site", "height", "r0")}},
+              "site": {"height": site.height}},
     )
 
 
@@ -389,7 +383,7 @@ def glue_end(
         nondegeneracy_check(surface, delta, m=400)
     # the catenoid piece solves at the weight the nondegeneracy check used
     ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece, delta=delta)
-    t, glued = fixed_point_glue(ctx, tol_match=tol_match)
+    glued = fixed_point_glue(ctx, tol_match=tol_match)
     glued.certificates["new_end_tilt"] = _new_end_tilt(glued)
     cert = embeddedness(glued)
     glued.certificates["embeddedness"] = cert

@@ -3,19 +3,21 @@ solvers.
 
 The outer surface carries a core cylinder chart (the seed catenoid), a list
 of planar-asymptotic ends in the catenoid band representation, one
-GlueLevel record per earlier gluing and the neck boxes.  Ring-data solves
-are localized at the active gluing site: responses to data on the small
-ring decay like exterior multipoles, so the exterior problem on
+GlueLevel record per earlier gluing and the neck boxes.  A glue works at
+one Site on the top end, which assemble_outer returns without changing the
+surface.  Ring-data solves are localized at the site: responses to data on
+the small ring decay like exterior multipoles, so the exterior problem on
 [r0, R_site] with per-band decaying Robin closure represents the global
 solve up to couplings far below the working ball; the global band
 structure of the core enters only the nondegeneracy check, which a tower
 runs once, on its seed.
 
 The outer Cauchy map U_eps (cauchy_U_eps) is the ring slope of the solved
-outer piece against the neck's.  Its simple model U_0 (simple_cauchy_outer)
-is the ring slope of the linear site-exterior solve minus that of the linear
-interior-ball solve with the same ring data; both are radial band solves
-(radial.solve_rows), so U_0 is a multiplier per band.
+outer field (solve_outer_nonlinear) against the neck's.  Its simple model
+U_0 (simple_cauchy_outer) is the ring slope of the linear site-exterior
+solve minus that of the linear interior-ball solve with the same ring data;
+both are radial band solves (radial.solve_rows), so U_0 is a multiplier per
+band.
 """
 
 from __future__ import annotations
@@ -111,15 +113,27 @@ class EndModel:
         return h, g
 
 
+@dataclass(frozen=True)
+class Site:
+    """A gluing site on the top end: the compact patch about it, the site
+    exterior, and where it sits."""
+
+    patch: GraphPatch  # the end about the site on [r_eps/8, r0], u(0) = 0
+    exterior: GraphPatch  # the end about the site on [r0, 0.45 r_site]
+    pole: np.ndarray  # unit direction from the end's axis to the site
+    center_xy: np.ndarray  # horizontal position of the site
+    height: float  # ambient height of the site on the end glued to
+    r_site: float  # the site's distance from that end's axis
+    r0: float  # radius of the ring between the patch and the exterior
+
+
 @dataclass
 class GlueLevel:
     """One glued level: its neck and catenoid pieces and where they sit."""
 
     neck_piece: NeckPiece
     catenoid_piece: CatenoidPiece
-    center_xy: np.ndarray  # horizontal position of the site
-    height: float  # ambient height of the site on the end glued to
-    r_site: float  # the site's distance from that end's axis
+    site: Site
     ring_height: float  # ambient height of the catenoid ring frame
 
 
@@ -135,7 +149,6 @@ class OuterSurface:
     ends: list
     glue_levels: list = field(default_factory=list)
     neck_boxes: list = field(default_factory=list)
-    site: dict | None = None
 
     @property
     def n(self) -> int:
@@ -280,7 +293,7 @@ def find_site(surface: OuterSurface, scales: Scales) -> tuple:
     margin = 1.3
     n = surface.n
     end = surface.top_end()
-    r_min_prev = surface.glue_levels[-1].r_site if surface.glue_levels else 0.0
+    r_min_prev = surface.glue_levels[-1].site.r_site if surface.glue_levels else 0.0
     r_cap = 0.98 * end.a * np.exp(_end_splines(n)["logphi_max"])
     R = np.geomspace(max(2.0 * end.a, 1e-6), r_cap / margin, 600)
     _, g_prof = end.height_profile(n, R)
@@ -307,13 +320,11 @@ def assemble_outer(
     r0: float,
     center_xy: np.ndarray,
     scales: Scales,
-) -> GraphPatch:
-    """Split off the compact site patch around the horizontal position
-    center_xy on the top end.
+) -> Site:
+    """The Site at the horizontal position center_xy on the top end, its
+    patch and exterior rebased so u(0) = 0; the surface is not changed.
 
     The site must have |grad u| <= r_eps over the end's asymptotic plane.
-    Sets surface.site (patch, site exterior, pole, center_xy, height,
-    r_site, r0) and returns the patch, rebased so u(0) = 0.
     """
     n = surface.n
     end = surface.top_end()
@@ -344,41 +355,29 @@ def assemble_outer(
     R_out = 0.45 * r_site
     ext_grid = RadialGrid(r0, R_out, M_RADIAL)
     exterior = GraphPatch(n=n, r0=R_out / 2.0, grid=ext_grid, u=site_field(ext_grid))
-    surface.site = {
-        "patch": patch,
-        "pole": pole,
-        "center_xy": xy,
-        "height": float(end.plane_height + end.orientation * h_site[0]),
-        "r_site": r_site,
-        "exterior": exterior,
-        "r0": r0,
-    }
-    return patch
+    height = float(end.plane_height + end.orientation * h_site[0])
+    return Site(patch, exterior, pole, xy, height, r_site, r0)
 
 
 # -- site-exterior solves --------------------------------------------------------------
 
 
-def solve_outer_nonlinear(surface: OuterSurface, h_I: SphereField, tol: float) -> OuterSurface:
-    """Minimal perturbation of the outer piece with ring data h_I.
+def solve_outer_nonlinear(site: Site, h_I: SphereField, tol: float) -> BandField:
+    """Minimal perturbation w of the site exterior with ring data h_I.
 
     Site-exterior Picard iteration on the mean-curvature defect; far planes
-    are untouched by construction.  The perturbed field is stored on the
-    active site as 'w_hI', its Picard iteration count as 'outer_iterations'.
+    are untouched by construction.
     """
-    site = surface.site
-    if site is None:
-        raise PreconditionError("no active gluing site")
-    spec = surface.spectrum
-    base_patch = site["exterior"]
+    base_patch = site.exterior
     grid, base = base_patch.grid, base_patch.u
+    spec = base_patch.spectrum
     g = angular_grid(spec)
     op = graph_operator(base_patch)
     H_base_vals = mean_curvature_graph(base_patch)
 
     def exterior_solve(f: BandField | None) -> BandField:
         # Dirichlet data h_I at the ring, decaying multipoles at the truncation
-        return BandField(spec, grid, solve_rows(op, f, h_I, decaying), pole=site["pole"])
+        return BandField(spec, grid, solve_rows(op, f, h_I, decaying), pole=site.pole)
 
     def update(w: BandField) -> BandField:
         H_vals = mean_curvature_graph(base_patch, w=w)
@@ -387,39 +386,30 @@ def solve_outer_nonlinear(surface: OuterSurface, h_I: SphereField, tol: float) -
         return exterior_solve(q)
 
     w = exterior_solve(None)
-    it = 0
     if h_I.holder_norm() != 0.0:
-        w, it, _ = picard(update, w, 1e-9, 1e-300, 30, stage="outer")
+        w, _, _ = picard(update, w, 1e-9, 1e-300, 30, stage="outer")
 
     _, res_rel = graph_residual(base_patch.with_height(grid, base + w))
     if res_rel > tol:
         raise ResidualError(f"outer residual {res_rel:.3e} exceeds tol={tol:.3e}")
-    site["w_hI"] = w
-    site["outer_iterations"] = it
-    return surface
+    return w
 
 
-def simple_cauchy_outer(surface: OuterSurface, h_I: SphereField) -> SphereField:
+def simple_cauchy_outer(site: Site, h_I: SphereField) -> SphereField:
     """U_0: the ring slope r0 d_r of the linear site-exterior solve minus that
     of the linear interior-ball solve on [1e-3 r0, r0], both about the
     site's radial background with Dirichlet data h_I at the ring."""
-    site = surface.site
-    if site is None:
-        raise PreconditionError("no active gluing site")
-    spec = surface.spectrum
-    exterior, patch = site["exterior"], site["patch"]
-    ball = RadialGrid(1e-3 * site["r0"], site["r0"], patch.grid.m)
+    exterior, patch = site.exterior, site.patch
+    spec = exterior.spectrum
+    ball = RadialGrid(1e-3 * site.r0, site.r0, patch.grid.m)
     w0 = solve_rows(graph_operator(exterior), None, h_I, decaying)
     wt0 = solve_rows(graph_operator(patch, ball), None, regular, h_I)
-    return (BandField(spec, exterior.grid, w0, site["pole"]).d_trace(0)
-            - BandField(spec, ball, wt0, site["pole"]).d_trace(-1))
+    return (BandField(spec, exterior.grid, w0, site.pole).d_trace(0)
+            - BandField(spec, ball, wt0, site.pole).d_trace(-1))
 
 
-def cauchy_U_eps(surface: OuterSurface, neck: NeckPiece) -> SphereField:
-    """Solved outer Cauchy data on the ring (derivative slot): the outer
-    piece's perturbation slope minus the neck piece's outer deviation slope."""
-    site = surface.site
-    if site is None or "w_hI" not in site:
-        raise PreconditionError("solve_outer_nonlinear must run before cauchy_U_eps")
-    return site["w_hI"].d_trace(0) - neck.cauchy_outer[1]
-
+def cauchy_U_eps(w: BandField, neck: NeckPiece) -> SphereField:
+    """Solved outer Cauchy data on the ring (derivative slot): the slope of
+    the outer perturbation w from solve_outer_nonlinear minus the neck
+    piece's outer deviation slope."""
+    return w.d_trace(0) - neck.cauchy_outer[1]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,13 +144,18 @@ def solve_profile(n: int, s_max: float, step: float, max_substep: float = 1e-3) 
     """Integrate the profile on the symmetric uniform grid [-s_max, s_max].
 
     Raises ProfileError (carrying the worst node) if the first-integral
-    residual exceeds FIRST_INTEGRAL_TOL anywhere, which signals a step that
-    is too coarse.
+    residual exceeds FIRST_INTEGRAL_TOL anywhere or is not finite, which
+    signals a step that is too coarse, and before any allocation if phi
+    may overflow on [0, s_max].
     """
     if n < 3:
         raise ProfileError(f"n={n} must be >= 3")
     if s_max <= 0 or step <= 0:
         raise ProfileError("s_max and step must be positive")
+    # the first integral gives phi <= e^s
+    s_limit = math.log(sys.float_info.max)
+    if not s_max < s_limit:
+        raise ProfileError(f"s_max={s_max} must be below {s_limit:.2f}, where phi overflows")
     m = int(round(s_max / step))
     if abs(m * step - s_max) > 1e-12 * max(1.0, s_max):
         m = int(np.ceil(s_max / step))
@@ -164,7 +170,7 @@ def solve_profile(n: int, s_max: float, step: float, max_substep: float = 1e-3) 
 
     residual = np.abs((dphi / phi) ** 2 + phi ** (2 - 2 * n) - 1.0)
     worst = int(np.argmax(residual))
-    if residual[worst] > FIRST_INTEGRAL_TOL:
+    if not residual[worst] <= FIRST_INTEGRAL_TOL:
         raise ProfileError(
             f"first-integral residual {residual[worst]:.3e} at s={s[worst]:.6f} "
             f"exceeds {FIRST_INTEGRAL_TOL:.0e}; reduce the step"
@@ -177,7 +183,7 @@ def solve_profile(n: int, s_max: float, step: float, max_substep: float = 1e-3) 
 
     fit = np.abs(np.exp(-s_pos) * phi_p / A - 1.0)
     late = s_pos >= 0.8 * s_pos[-1]
-    if np.max(fit[late]) > 1e-4:
+    if not np.max(fit[late]) <= 1e-4:
         raise ProfileError(
             f"asymptotic fit defect {np.max(fit[late]):.3e} on the last fifth of the grid; "
             "increase s_max"

@@ -184,12 +184,12 @@ def second_fund(glued) -> dict:
         g = angular_grid(V.spectrum)
         P = graph_orbit_points(V.grid.r, g, axial_collocation(V, g))
         A2 = np.sqrt(matrix_surface(P, g, V.grid.D).second_fundamental_sq(n))
-        xy.append(level.center_xy + e0 * V.grid.r[::4, None])
-        z.append(level.height + V.values[0, ::4])
+        xy.append(level.site.center_xy + e0 * V.grid.r[::4, None])
+        z.append(level.site.height + V.values[0, ::4])
         A.append(np.max(A2[::4], axis=1))
         sc = level.catenoid_piece.scales
         phis, _, psis, _ = profile_values(n, np.linspace(sc.s_eps, sc.s_eps + 12.0, 300))
-        xy.append(level.center_xy + e0 * sc.eps_len * phis[:, None])
+        xy.append(level.site.center_xy + e0 * sc.eps_len * phis[:, None])
         z.append(level.ring_height + sc.eps_len * (psis - sc.psi_cut))
         A.append(np.sqrt(n * (n - 1.0)) * phis ** (-n) / sc.eps_len)
     xy, z, A = np.concatenate(xy), np.concatenate(z), np.concatenate(A)
@@ -218,31 +218,30 @@ def sheet_separation_report(pts: np.ndarray, lower: np.ndarray, upper: np.ndarra
 def embeddedness(glued) -> dict:
     """Certificate: separation positivity, box disjointness, overlap scan.
 
-    The new sheet sits at glued.info["ring_height"]; the boxes are all of
-    glued.outer's neck boxes and the planes all of its ends, the new one
-    included.  Violations return a witness; they are data, not exceptions.
+    The new sheet is the newest level of glued.outer; the boxes are all of
+    its neck boxes and the planes all of its ends, the new one included.
+    Violations return a witness; they are data, not exceptions.
     """
     outer = glued.outer
     n = outer.n
-    cat = glued.catenoid_piece
-    neck = glued.neck_piece
-    sc = cat.scales
-    site = glued.info["site"]
-    ring_h = glued.info["ring_height"]
-    r0 = site["r0"]
+    level = outer.glue_levels[-1]
+    neck = level.neck_piece
+    sc = level.catenoid_piece.scales
+    site = level.site
+    ring_h = level.ring_height
     # probe radii across the neck chart and out into the old sheet
-    radii = np.geomspace(2.0 * sc.r_eps, min(0.4 * site["r_site"], 50 * r0), 120)
+    radii = np.geomspace(2.0 * sc.r_eps, min(0.4 * site.r_site, 50 * site.r0), 120)
     sp = _upper_branch_height(n, sc, radii)  # catenoid upper sheet over ring frame
     upper = ring_h + sp
     lower = np.empty_like(radii)
     inside = radii <= neck.V.grid.r_out
     if np.any(inside):
         interp = neck.V.grid.interp_matrix(radii[inside])
-        lower[inside] = site["height"] + interp @ neck.V.values[0]
+        lower[inside] = site.height + interp @ neck.V.values[0]
     outside = ~inside
     if np.any(outside):
-        end = _site_end(outer, site)
-        rr = np.sqrt(site["r_site"] ** 2 + radii[outside] ** 2)
+        end = _site_end(outer, level)
+        rr = np.sqrt(site.r_site**2 + radii[outside] ** 2)
         h_prof, _ = end.height_profile(n, rr)
         lower[outside] = end.plane_height + end.orientation * h_prof
     pts = np.stack([radii, np.zeros_like(radii), np.full_like(radii, ring_h)], axis=1)
@@ -285,9 +284,9 @@ def _upper_branch_height(n, sc, radii):
     return sc.eps_len * (psi - (-psic))
 
 
-def _site_end(outer, site):
-    # the site lives on the highest end at or below the recorded site height
-    cands = [e for e in outer.ends if e.plane_height <= site["height"] + 1e-9]
+def _site_end(outer, level):
+    # the level's site lives on the highest end at or below the site's height
+    cands = [e for e in outer.ends if e.plane_height <= level.site.height + 1e-9]
     return max(cands, key=lambda e: e.plane_height)
 
 

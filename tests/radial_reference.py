@@ -59,19 +59,18 @@ def band_interior(op, ell, ring_value):
     return np.linalg.solve(A, rhs)
 
 
-def u0_multipliers(surface):
-    """U_0 multiplier of each band l: the l-coefficient of the ring slope
-    difference of the exterior and interior-ball solves with unit band-l
-    ring data, each solve on its own operator build."""
-    site = surface.site
-    spec = surface.spectrum
+def u0_multipliers(site):
+    """U_0 multiplier of each band l at a Site: the l-coefficient of the ring
+    slope difference of the exterior and interior-ball solves with unit
+    band-l ring data, each solve on its own operator build."""
+    spec = site.exterior.spectrum
     n = spec.n
     bands = row_bands(spec)
-    ext_grid = site["exterior"].grid
-    ub = site["exterior"].u
+    ext_grid = site.exterior.grid
+    ub = site.exterior.u
     ext_op = BandOperator(spec, ext_grid, (ext_grid.D @ ub.values[0]) / ext_grid.r)
-    patch = site["patch"]
-    ball = RadialGrid(1e-3 * site["r0"], site["r0"], patch.grid.m)
+    patch = site.patch
+    ball = RadialGrid(1e-3 * site.r0, site.r0, patch.grid.m)
     slope = (patch.grid.D @ patch.u.values[0]) / patch.grid.r
     ball_op = BandOperator(spec, ball, patch.grid.interp_matrix(ball.r) @ slope)
     first_row = {0: 0, 1: 1, **{ell: n - 1 + ell for ell in range(2, spec.L + 1)}}

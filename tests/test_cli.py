@@ -73,6 +73,12 @@ class TestConfig:
         ('{"eps_schedule": 1e-7}', "eps_schedule=1e-07 must be null or a list of numbers"),
         ('{"eps_schedule": [1e-7, "1e-9"]}', "must be null or a list of numbers"),
         ('{"out_dir": 5}', "out_dir=5 must be a string"),
+        ('{"seed_scale": 0}', "seed_scale=0 must be > 0"),
+        ('{"kappa": 0}', "kappa=0 must be > 0"),
+        ('{"kappa": -1}', "kappa=-1 must be > 0"),
+        ('{"tol_solver": -1}', "tol_solver=-1 must be > 0"),
+        ('{"tol_verify": 0}', "tol_verify=0 must be > 0"),
+        ('{"tol_match": 0}', "tol_match=0 must be > 0"),
     ])
     def test_malformed_config_is_refused(self, tmp_path, capsys, document, message):
         p = tmp_path / "cfg.json"
@@ -144,6 +150,7 @@ class TestRun:
         ("profile", {"s_step": -1}, "s_max and step must be positive"),
         ("profile", {"s_max": 2.0}, "asymptotic fit defect"),
         ("catenoid-piece", {"eps": 1e-100}, "exceeds the profile grid"),
+        ("profile", {"s_max": 720}, "where phi overflows"),
     ])
     def test_refused_profile_or_scales_exit_with_config_code(
         self, tmp_path, caplog, command, config, message

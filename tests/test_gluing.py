@@ -37,7 +37,7 @@ def maps(ctx):
 
 
 def random_triple(ctx, rng, scale=0.3):
-    spec = ctx.spectrum
+    spec = ctx.surface.spectrum
     sc = ctx.scales
     b = scale * sc.r_eps**2
     h_I = SphereField(spec, rng.normal(size=N + 1), rng.normal(size=spec.L - 1))
@@ -54,15 +54,15 @@ def random_triple(ctx, rng, scale=0.3):
 
 
 class TestSimpleMaps:
-    def test_zero_triple_maps_to_zero(self, ctx, maps):
-        t = BoundaryTriple.zeros(ctx.spectrum)
+    def test_zero_triple_maps_to_zero(self, spectrum, maps):
+        t = BoundaryTriple.zeros(spectrum)
         out = maps.C0(t)
         assert triple_norm(out) == 0.0
 
-    def test_pure_vertical_shift_hits_middle_value_slot(self, ctx, maps):
+    def test_pure_vertical_shift_hits_middle_value_slot(self, ctx, spectrum, maps):
         sc = ctx.scales
         d = 0.3 * sc.r_eps**2
-        t = BoundaryTriple.zeros(ctx.spectrum)
+        t = BoundaryTriple.zeros(spectrum)
         t.A = RigidParams(np.zeros(N), np.zeros(N), d, 0.0)
         ring, val, slope = maps.C0(t)
         assert ring.holder_norm() == 0.0
@@ -70,25 +70,25 @@ class TestSimpleMaps:
         assert project_high(val).holder_norm() == 0.0
         assert slope.holder_norm() == 0.0
 
-    def test_block_decoupling_exact(self, ctx, maps):
+    def test_block_decoupling_exact(self, ctx, spectrum, maps):
         sc = ctx.scales
         b = sc.r_eps**2
         # h_I only -> first slot only
-        t = BoundaryTriple.zeros(ctx.spectrum)
-        t.h_I = SphereField.zonal_band(ctx.spectrum, 3, b)
+        t = BoundaryTriple.zeros(spectrum)
+        t.h_I = SphereField.zonal_band(spectrum, 3, b)
         ring, val, slope = maps.C0(t)
         assert ring.holder_norm() > 0
         assert val.holder_norm() <= 1e-10 * ring.holder_norm()
         assert slope.holder_norm() <= 1e-10 * ring.holder_norm()
         # rigid parameters only -> low-mode middle slots only
-        t = BoundaryTriple.zeros(ctx.spectrum)
+        t = BoundaryTriple.zeros(spectrum)
         t.A = RigidParams(np.zeros(N), np.zeros(N), 0.2 * b, 0.1 * b * sc.r_eps ** (N - 2))
         ring, val, slope = maps.C0(t)
         assert ring.holder_norm() == 0.0
         assert project_high(val).holder_norm() <= 1e-10 * val.holder_norm()
         # h_II only -> high-mode slots (value slot keeps h_II itself)
-        t = BoundaryTriple.zeros(ctx.spectrum)
-        t.h_II = SphereField.zonal_band(ctx.spectrum, 2, b)
+        t = BoundaryTriple.zeros(spectrum)
+        t.h_II = SphereField.zonal_band(spectrum, 2, b)
         ring, val, slope = maps.C0(t)
         assert ring.holder_norm() == 0.0
         assert project_low(slope).holder_norm() <= 1e-10 * slope.holder_norm()
@@ -109,19 +109,19 @@ class TestSimpleMaps:
 
     def test_u0_multipliers_match_the_per_band_loop(self, ctx, maps):
         # one call on 1 in each band's first row against one call per band
-        assert np.array_equal(maps.u0_mult, u0_multipliers(ctx.surface))
+        assert np.array_equal(maps.u0_mult, u0_multipliers(ctx.site))
 
-    def test_invert_rejects_out_of_range(self, ctx, maps):
+    def test_invert_rejects_out_of_range(self, ctx, spectrum, maps):
         sc = ctx.scales
-        bad_val = SphereField.zonal_band(ctx.spectrum, 2, sc.r_eps**2)
-        rhs = (SphereField.zeros(ctx.spectrum), bad_val, SphereField.zeros(ctx.spectrum))
+        bad_val = SphereField.zonal_band(spectrum, 2, sc.r_eps**2)
+        rhs = (SphereField.zeros(spectrum), bad_val, SphereField.zeros(spectrum))
         with pytest.raises(PreconditionError, match="range"):
             maps.invert(rhs)
 
 
 class TestConglomerate:
-    def test_components_assemble_from_piece_maps(self, ctx):
-        t = BoundaryTriple.zeros(ctx.spectrum, pole=ctx.patch.u.pole)
+    def test_components_assemble_from_piece_maps(self, ctx, spectrum):
+        t = BoundaryTriple.zeros(spectrum, pole=ctx.site.pole)
         mismatch, pieces = conglomerate_C(t, ctx)
         cat = pieces["catenoid"]
         neck = pieces["neck"]
@@ -135,7 +135,7 @@ class TestConglomerate:
         for eps in (1e-5, 1e-6):
             surf = seed_catenoid(profile, spectrum, scale=1.0)
             c = prepare_glue(surf, eps, **GLUE)
-            t = BoundaryTriple.zeros(spectrum, pole=c.patch.u.pole)
+            t = BoundaryTriple.zeros(spectrum, pole=c.site.pole)
             norms.append(triple_norm(conglomerate_C(t, c)[0]))
         assert norms[1] < norms[0]
 
@@ -242,7 +242,6 @@ class TestGlueKeepsItsInput:
             glue_end(surf, EPS)
         assert len(surf.ends) == 2 and all(a is b for a, b in zip(surf.ends, ends))
         assert surf.glue_levels == [] and surf.neck_boxes == []
-        assert surf.site is None
 
     def test_refused_level_keeps_a_consistent_report(self, spectrum, profile, monkeypatch):
         monkeypatch.setattr(verify, "embeddedness", refuse_embeddedness)

@@ -48,7 +48,7 @@ def profile_nodes(draw):
     """1-600 strictly increasing nodes in [0, 26] and a substep; the first
     node is 0 or positive, the gaps lie below and above the substep, and in
     some draws the nodes fill [first, 26)."""
-    max_substep = draw(st.sampled_from([1e-3, 5e-4]))
+    max_substep = draw(st.sampled_from([1e-2, 1e-3]))
     first = draw(st.one_of(st.just(0.0), st.floats(1e-6, 13.0)))
     count = draw(st.integers(1, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -89,6 +89,28 @@ class TestSolveProfile:
     def test_coarse_step_raises_with_worst_node(self):
         with pytest.raises(ProfileError, match="residual"):
             solve_profile(3, 12.0, 0.75, max_substep=0.75)
+
+    @pytest.mark.parametrize("s_max", [720.0, 1e9, np.inf, np.nan])
+    def test_rejects_a_span_where_phi_overflows(self, s_max):
+        # phi <= e^s: refused before the grid is allocated
+        with pytest.raises(ProfileError, match="overflows"):
+            solve_profile(3, s_max, 8e-3)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_residual_raises(self, monkeypatch):
+        from minsurflab import profile as profile_module
+
+        exact = profile_module.integrate_profile
+
+        def overflowed(n, s_nodes, max_substep):
+            # phi and phi' past the float range at the last node, as at s_max = 720
+            out = exact(n, s_nodes, max_substep)
+            out[-1, :2] = np.inf
+            return out
+
+        monkeypatch.setattr(profile_module, "integrate_profile", overflowed)
+        with pytest.raises(ProfileError, match="residual nan"):
+            solve_profile(3, 12.0, 8e-3)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ProfileError):

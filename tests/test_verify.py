@@ -52,13 +52,14 @@ def reference_second_fund(glued):
         P = graph_orbit_points(V.grid.r, g, axial_collocation(V, g))
         A2 = np.sqrt(matrix_surface(P, g, V.grid.D).second_fundamental_sq(n))
         for i in range(0, V.grid.m, 4):
-            pt = np.concatenate([level.center_xy + e0 * V.grid.r[i], [level.height + V.values[0, i]]])
+            pt = np.concatenate([level.site.center_xy + e0 * V.grid.r[i],
+                                 [level.site.height + V.values[0, i]]])
             samples.append((pt, float(np.max(A2[i]))))
         sc = level.catenoid_piece.scales
         phis, _, psis, _ = profile_values(n, np.linspace(sc.s_eps, sc.s_eps + 12.0, 300))
         Avals = np.sqrt(n * (n - 1.0)) * phis ** (-n) / sc.eps_len
         for j in range(phis.size):
-            pt = np.concatenate([level.center_xy + e0 * sc.eps_len * phis[j],
+            pt = np.concatenate([level.site.center_xy + e0 * sc.eps_len * phis[j],
                                  [level.ring_height + sc.eps_len * (psis[j] - sc.psi_cut)]])
             samples.append((pt, float(Avals[j])))
     boxes = outer.neck_boxes
@@ -124,9 +125,11 @@ class TestEmbeddedness:
         cert = embeddedness(glued_surface)
         assert cert["embedded"]
         # lower the new sheet through the old one
-        info = dict(glued_surface.info)
-        info["ring_height"] -= 2.0 * cert["min_separation"]
-        shifted = embeddedness(dataclasses.replace(glued_surface, info=info))
+        outer = glued_surface.outer
+        level = outer.glue_levels[-1]
+        lowered = dataclasses.replace(level, ring_height=level.ring_height - 2.0 * cert["min_separation"])
+        outer = dataclasses.replace(outer, glue_levels=outer.glue_levels[:-1] + [lowered])
+        shifted = embeddedness(dataclasses.replace(glued_surface, outer=outer))
         assert not shifted["embedded"]
         assert "witness" in shifted
 
