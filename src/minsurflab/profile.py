@@ -144,9 +144,9 @@ def solve_profile(n: int, s_max: float, step: float, max_substep: float = 1e-3) 
     """Integrate the profile on the symmetric uniform grid [-s_max, s_max].
 
     Raises ProfileError (carrying the worst node) if the first-integral
-    residual exceeds FIRST_INTEGRAL_TOL anywhere or is not finite, which
-    signals a step that is too coarse, and before any allocation if phi
-    may overflow on [0, s_max].
+    residual exceeds FIRST_INTEGRAL_TOL anywhere, which signals a step that
+    is too coarse, or is not finite; and, before allocating, if phi can
+    overflow on [0, s_max].
     """
     if n < 3:
         raise ProfileError(f"n={n} must be >= 3")
