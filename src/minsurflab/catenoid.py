@@ -17,7 +17,7 @@ graph of the prescribed high-mode data over the cut sphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .cylinder import (
     axial_collocation,
     collocation_from_rows,
     homogeneous_pair,
-    norm_exp,
     row_bands,
     rows_from_collocation,
     solve_band_decaying_kernel,
@@ -243,15 +242,19 @@ def smooth_step(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CatenoidPiece:
-    """Converged perturbed catenoid with its cut-ring Cauchy data."""
+    """Converged perturbed catenoid with its cut-ring Cauchy data: the field
+    w = wt + v, where wt is the decaying extension of the boundary data and
+    v the Picard correction, and the iteration count and contraction
+    factors of the Picard loop that found v."""
 
     scales: Scales
     w: BandField
+    v: BandField
     h_II: SphereField
     residual: float  # oracle sup |H| at unit neck scale
     cauchy: tuple  # (value trace, scaled radial slope trace) as SphereFields
     iterations: int
-    info: dict = field(default_factory=dict)
+    contractions: list
 
 
 # length of the window above the cut on which the nonlinear defect is evaluated
@@ -297,18 +300,18 @@ class _NeckGeometry:
         """Collocation values of the conjugated mean-curvature functional.
 
         Sign fixed so the linearization at w = 0 is the cylinder operator.
-        Evaluated on the near window s <= S + DEFECT_SPAN (plus a stencil
-        margin); callers combine it with the linear operator there only.
+        Written on the k rows of the near window s <= S + DEFECT_SPAN from
+        the surface on k + 4 rows (a stencil margin), zero beyond; callers
+        combine it with the linear operator there only.
         """
-        keep = self.s <= self.s[0] + DEFECT_SPAN
-        m = int(np.sum(keep)) + 4
+        k = int(np.sum(self.s <= self.s[0] + DEFECT_SPAN))
+        m = k + 4
         g = self.grid
         P = self.surface_points(collocation_from_rows(w.values[:, :m], w.pole, g) / self.eps_len)
         h = float(self.s[1] - self.s[0])
         H = uniform_surface(P, g, h).mean_curvature(self.n)
         out = np.zeros((self.s.size, g.t.size))
-        out[: m - 2] = -self.eps_len * self.mfac[: m - 2, None] * H[: m - 2]
-        out[np.sum(keep) :] = 0.0
+        out[:k] = -self.eps_len * self.mfac[:k, None] * H[:k]
         return out
 
 
@@ -400,26 +403,13 @@ def build_catenoid_piece(
     return CatenoidPiece(
         scales=scales,
         w=w,
+        v=v,
         h_II=h_II,
         residual=res_unit,
         cauchy=cauchy,
         iterations=it,
-        info={
-            "contractions": contractions,
-            "contraction_median": contraction_median(contractions),
-            # weighted norms measured on the window where the admissible decay
-            # makes the supremum provably attained; the far tail is pure
-            # homogeneous decay plus roundoff.  The k=0 norm is the honest
-            # smallness measure when the correction is discretization noise.
-            "v_norm": norm_exp(_restrict(v, s_eps + 8.0), 2, 0.5, delta),
-            "v_norm_sup": norm_exp(_restrict(v, s_eps + 8.0), 0, 0.5, delta),
-        },
+        contractions=contractions,
     )
-
-
-def _restrict(w: BandField, s_top: float) -> BandField:
-    keep = w.grid.s <= s_top + 1e-12
-    return BandField(w.spectrum, UniformGrid(w.grid.s[keep]), w.values[:, keep], w.pole)
 
 
 def _oracle_residual(n, spec, grid, scales, w) -> float:
@@ -469,11 +459,11 @@ def pair_norm(pair) -> float:
     return pair[0].holder_norm() + pair[1].holder_norm()
 
 
-def cauchy_maps_catenoid(piece: CatenoidPiece):
-    """Solved and simple Cauchy maps, with their measured gap in info."""
+def cauchy_maps_catenoid(piece: CatenoidPiece) -> tuple:
+    """(solved pair, simple pair, gap): the piece's solved Cauchy data, the
+    closed-form simple data for its scales and h_II, and the pair_norm of
+    their difference.  The piece is not changed."""
     s_eps_pair = piece.cauchy
     s0_pair = simple_cauchy_catenoid(piece.scales, piece.h_II)
     gap = pair_norm((s_eps_pair[0] - s0_pair[0], s_eps_pair[1] - s0_pair[1]))
-    piece.info["cauchy_gap"] = gap
-    piece.info["cauchy_gap_over_reps2"] = gap / piece.scales.r_eps**2
-    return s_eps_pair, s0_pair
+    return s_eps_pair, s0_pair, gap

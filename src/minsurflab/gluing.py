@@ -93,7 +93,7 @@ class BoundaryTriple:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlueContext:
     """Frozen inputs of one glue: surface, site, scales, grids, tolerances."""
 
@@ -134,9 +134,10 @@ def prepare_glue(
 # -- conglomerate maps ------------------------------------------------------------
 
 
-def conglomerate_C(t: BoundaryTriple, ctx: GlueContext):
-    """The mismatch triple (outer slope gap, inner value gap, inner slope gap)
-    and the pieces it was measured on, {"catenoid", "neck"}.
+def conglomerate_C(t: BoundaryTriple, ctx: GlueContext) -> tuple:
+    """(mismatch, catenoid piece, neck piece): the mismatch triple (outer
+    slope gap, inner value gap, inner slope gap) and the two pieces it was
+    measured on.
 
     Zero mismatch means the three pieces form a C^1 matched minimal surface.
     """
@@ -159,7 +160,7 @@ def conglomerate_C(t: BoundaryTriple, ctx: GlueContext):
     t_eps = neck.cauchy_inner
     mid_val = t_eps[0] - s_eps[0]
     mid_slope = t_eps[1] - s_eps[1]
-    return (u_eps, mid_val, mid_slope), {"catenoid": cat, "neck": neck}
+    return (u_eps, mid_val, mid_slope), cat, neck
 
 
 def triple_norm(mismatch) -> float:
@@ -267,18 +268,18 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
     best = None
     prev_norm = None
     for it in range(1, max_iter + 1):
-        mismatch, pieces = conglomerate_C(t, ctx)
+        mismatch, cat, neck = conglomerate_C(t, ctx)
         mis_norm = triple_norm(mismatch)
         history.append(mis_norm)
         if best is None or mis_norm < best[0]:
-            best = (mis_norm, t, pieces, mismatch)
+            best = (mis_norm, t, cat, neck, mismatch)
         if mis_norm <= tol_match:
             break
         if prev_norm is not None and mis_norm > 0.9 * prev_norm:
             # overshooting mode: damp harder and restart from the best point
             theta = max(0.25, 0.6 * theta)
             t = best[1]
-            mismatch = best[3]
+            mismatch = best[4]
         prev_norm = mis_norm
         c_0 = maps.C0(t)
         rhs = _project_model_range(c_0, mismatch)
@@ -294,11 +295,12 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
             f"matching iteration exhausted {max_iter} iterations; trajectory "
             f"{['%.2e' % v for v in history]}"
         )
-    mis_norm, t, pieces, _ = best
-    return assemble_glued_surface(ctx, t, pieces, mis_norm, history)
+    mis_norm, t, cat, neck, _ = best
+    return assemble_glued_surface(ctx, t, cat, neck, mis_norm, history)
 
 
-def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
+def assemble_glued_surface(ctx, t, cat: CatenoidPiece, neck: NeckPiece, mis_norm,
+                           history) -> GluedSurface:
     """Place the catenoid chart at the ring frame and record the new end,
     its level and its neck box on the context's surface; the first level
     also records the seed's neck box."""
@@ -306,8 +308,6 @@ def assemble_glued_surface(ctx, t, pieces, mis_norm, history) -> GluedSurface:
     surf = ctx.surface
     n = surf.n
     site = ctx.site
-    cat: CatenoidPiece = pieces["catenoid"]
-    neck: NeckPiece = pieces["neck"]
     shift = sc.eps * sc.r_eps ** (2 - n) / (n - 2)
     ring_height = site.height + shift
     eps_len = sc.eps_len

@@ -12,15 +12,15 @@ reference plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .catenoid import PreconditionError, ResidualError, contraction_median, picard, smooth_step
+from .catenoid import PreconditionError, ResidualError, picard, smooth_step
 from .cylinder import BandField, axial_collocation, rows_from_collocation
 from .geometry import graph_orbit_points, matrix_surface, uniform_surface
 from .profile import Scales
-from .radial import BandOperator, RadialGrid, solve_mixed, weighted_norm
+from .radial import BandOperator, RadialGrid, solve_mixed
 from .spectral import (
     SphereField,
     angular_grid,
@@ -253,10 +253,6 @@ def _opened_backdrop(
 # -- annulus solvers -----------------------------------------------------------------
 
 
-def default_nu(n: int) -> float:
-    return -7.0 / 3.0 if n == 3 else -n + 0.5
-
-
 def poisson_neck(
     patch: GraphPatch,
     scales: Scales,
@@ -298,7 +294,8 @@ def poisson_neck(
 
 @dataclass
 class NeckPiece:
-    """Converged opened-neck graph with inner and outer Cauchy data."""
+    """Converged opened-neck graph: its height, oracle residuals, inner
+    Cauchy data, outer deviation slope and Picard iteration count."""
 
     scales: Scales
     rigid: RigidParams
@@ -307,9 +304,8 @@ class NeckPiece:
     residual: float
     residual_rel: float
     cauchy_inner: tuple  # ring-frame (value, r_eps d_r) SphereField pair
-    cauchy_outer: tuple  # (value trace, r0 d_r of the deviation) at r0
+    outer_slope: SphereField  # r0 d_r of the deviation from the base graph at r0
     iterations: int
-    info: dict = field(default_factory=dict)
 
 
 def build_neck_piece(
@@ -327,8 +323,7 @@ def build_neck_piece(
     Boundary structure: high modes of the full height match h_II on the
     inner ring, the deviation from the base graph matches h_I on the outer
     ring, and the rigid parameters supply the inner low modes.  tol bounds
-    the oracle residual relative to the chart curvature scale; the
-    correction is measured at the weight default_nu(n).
+    the oracle residual relative to the chart curvature scale.
     """
     n = patch.n
     spec = patch.spectrum
@@ -375,7 +370,7 @@ def build_neck_piece(
         return solve_mixed(op, qbar)
 
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
-    v, it, contractions = picard(
+    v, it, _ = picard(
         update, BandField.zeros(spec, grid, pole=h_II.pole), 1e-8, floor, 40,
         stage=f"neck (eps={scales.eps:.3e})",
     )
@@ -392,8 +387,6 @@ def build_neck_piece(
     inner_val = V.trace(0)
     inner_val.low[0] -= shift
     inner_slope = V.d_trace(0)
-    outer_val = V.trace(-1)
-    outer_slope = (V - base.u).d_trace(-1)
 
     return NeckPiece(
         scales=scales,
@@ -403,13 +396,8 @@ def build_neck_piece(
         residual=sup_H,
         residual_rel=res_rel,
         cauchy_inner=(inner_val, inner_slope),
-        cauchy_outer=(outer_val, outer_slope),
+        outer_slope=(V - base.u).d_trace(-1),
         iterations=it,
-        info={
-            "contractions": contractions,
-            "contraction_median": contraction_median(contractions),
-            "v_weighted_norm": weighted_norm(v, 2, 0.5, default_nu(n)),
-        },
     )
 
 
@@ -439,11 +427,12 @@ def simple_cauchy_neck(scales: Scales, A: RigidParams, h_II: SphereField):
     return value, slope
 
 
-def cauchy_T(piece: NeckPiece):
-    """Solved and simple inner Cauchy maps with their measured gap."""
+def cauchy_T(piece: NeckPiece) -> tuple:
+    """(solved pair, simple pair, gap): the piece's inner Cauchy data, the
+    closed-form simple data for its scales, rigid parameters and h_II, and
+    the summed Hoelder norms of their difference.  The piece is not
+    changed."""
     t_eps = piece.cauchy_inner
     t0 = simple_cauchy_neck(piece.scales, piece.rigid, piece.h_II)
     gap = (t_eps[0] - t0[0]).holder_norm() + (t_eps[1] - t0[1]).holder_norm()
-    piece.info["cauchy_gap"] = gap
-    piece.info["cauchy_gap_over_reps2"] = gap / piece.scales.r_eps**2
-    return t_eps, t0
+    return t_eps, t0, gap

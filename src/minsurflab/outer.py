@@ -37,7 +37,6 @@ from .catenoid import (
     picard,
 )
 from .cylinder import BandField, rows_from_collocation
-from .diffops import fd_derivative
 from .neck import GraphPatch, NeckPiece, graph_operator, graph_residual, mean_curvature_graph
 from .profile import ProfileTable, Scales, profile_values
 from .radial import RadialGrid, decaying, regular, solve_rows
@@ -214,15 +213,10 @@ def _band_matrix_conjugated(n: int, ell: int, s: np.ndarray, delta: float) -> np
     return A
 
 
-def nondegeneracy_check(
-    surface: OuterSurface,
-    delta: float,
-    m: int,
-    extra_fields: list | None = None,
-    threshold: float = 1e-6,
-) -> float:
-    """Normalized smallest singular value of the core operator on the
-    decaying space, minimized over bands; raises if below threshold.
+def nondegeneracy_check(surface: OuterSurface, delta: float, m: int) -> float:
+    """The normalized smallest singular value of the core operator on the
+    decaying space, minimized over bands, on m nodes; raises
+    ContractionError when it is below 1e-6.
 
     Reads only n and L from the surface, so the check of a tower's seed
     holds for every level glued onto it."""
@@ -254,20 +248,7 @@ def nondegeneracy_check(
         else:
             sv = np.linalg.svd(A, compute_uv=False)
         worst = min(worst, sv[-1] / opscale)
-    if extra_fields:
-        s_f = np.linspace(-CORE_SPAN, CORE_SPAN, 4 * m)
-        data = grid_profile(n, s_f)
-        c2 = ((n - 2) / 2.0) ** 2
-        h = s_f[1] - s_f[0]
-        for ell, prof_fn in extra_fields:
-            vals = prof_fn(s_f)
-            lam = ell * (ell + n - 2.0)
-            vpot = -(lam + c2) + data["pot"]
-            res = fd_derivative(vals, h, 0, 2, 2) + vpot * vals
-            num = np.linalg.norm(res[1:-1]) / max(np.linalg.norm(vals[1:-1]), 1e-300)
-            scale = np.abs(vpot).max()
-            worst = min(worst, num / scale)
-    if worst < threshold:
+    if worst < 1e-6:
         raise ContractionError(
             f"outer surface degenerate: normalized sigma_min = {worst:.3e}"
         )
@@ -412,4 +393,4 @@ def cauchy_U_eps(w: BandField, neck: NeckPiece) -> SphereField:
     """Solved outer Cauchy data on the ring (derivative slot): the slope of
     the outer perturbation w from solve_outer_nonlinear minus the neck
     piece's outer deviation slope."""
-    return w.d_trace(0) - neck.cauchy_outer[1]
+    return w.d_trace(0) - neck.outer_slope

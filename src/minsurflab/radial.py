@@ -147,37 +147,3 @@ def solve_mixed(op: BandOperator, f: BandField, outer: SphereField | None = None
     outer (None meaning zero) at the outer ring."""
     return BandField(f.spectrum, f.grid, solve_rows(op, f, regular_low, outer), f.pole)
 
-
-def weighted_norm(w: BandField, k: int, alpha: float, nu: float) -> float:
-    """Surrogate of the power-weighted Hoelder norm sup r^{-nu} [w]_{k,a,[r,2r]}.
-
-    Dyadic windows [r, 2r] over the grid; derivative factors r^j d^j/dr^j
-    realized as d/d rho powers, plus a Hoelder quotient of the top
-    derivative in rho over adjacent nodes.  Raises ValueError on non-finite
-    values.
-    """
-    if not np.all(np.isfinite(w.values)):
-        raise ValueError("weighted_norm of a field with non-finite values")
-    grid = w.grid
-    rho = grid.rho
-    vals = [w.values]
-    for _ in range(k):
-        vals.append(vals[-1] @ grid.D.T)
-    quot = np.zeros_like(vals[k])
-    d = np.abs(np.diff(rho))
-    q = np.abs(np.diff(vals[k], axis=1)) / d**alpha
-    quot[:, :-1] = q
-    best = 0.0
-    for i0 in range(grid.m):
-        upper = rho[i0] + np.log(2.0)
-        i1 = int(np.searchsorted(rho, upper, side="right"))
-        i1 = max(i1, i0 + 2)
-        i1 = min(i1, grid.m)
-        window = 0.0
-        for v in vals:
-            window += float(np.max(np.abs(v[:, i0:i1])))
-        window += float(np.max(quot[:, i0 : max(i0 + 1, i1 - 1)]))
-        best = max(best, float(np.exp(-nu * rho[i0])) * window)
-        if i1 == grid.m:
-            break
-    return best

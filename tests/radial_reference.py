@@ -1,10 +1,15 @@
-"""Reference copies of the three band solves that radial.solve_rows replaced.
+"""Reference copies of the three band solves that radial.solve_rows replaced,
+and the power-weighted norm the tests measure radial fields in.
 
 Each solves one band of Lambda_l w = f on the row-scaled matrix with its own
 ring rows: the neck annulus, the site exterior and the interior ball.
 u0_multipliers reads the U_0 multipliers one band at a time from unit ring
 data, as SimpleMaps did before it read them in one call.  The tests require
 the shared solve to reproduce these bit for bit.
+
+weighted_norm and default_nu measure solutions and the neck's Picard
+correction at the weight of the paper's annulus estimates; no pipeline
+code reads them.
 """
 
 import numpy as np
@@ -86,3 +91,43 @@ def u0_multipliers(site):
         resp = w0 @ ext_grid.D[0] - wt0 @ ball.D[-1]
         mult[ell] = resp[first_row[ell]]
     return mult
+
+
+def default_nu(n: int) -> float:
+    """The annulus weight nu the neck's correction is measured at."""
+    return -7.0 / 3.0 if n == 3 else -n + 0.5
+
+
+def weighted_norm(w, k: int, alpha: float, nu: float) -> float:
+    """Surrogate of the power-weighted Hoelder norm sup r^{-nu} [w]_{k,a,[r,2r]}.
+
+    Dyadic windows [r, 2r] over the grid; derivative factors r^j d^j/dr^j
+    realized as d/d rho powers, plus a Hoelder quotient of the top
+    derivative in rho over adjacent nodes.  Raises ValueError on non-finite
+    values.
+    """
+    if not np.all(np.isfinite(w.values)):
+        raise ValueError("weighted_norm of a field with non-finite values")
+    grid = w.grid
+    rho = grid.rho
+    vals = [w.values]
+    for _ in range(k):
+        vals.append(vals[-1] @ grid.D.T)
+    quot = np.zeros_like(vals[k])
+    d = np.abs(np.diff(rho))
+    q = np.abs(np.diff(vals[k], axis=1)) / d**alpha
+    quot[:, :-1] = q
+    best = 0.0
+    for i0 in range(grid.m):
+        upper = rho[i0] + np.log(2.0)
+        i1 = int(np.searchsorted(rho, upper, side="right"))
+        i1 = max(i1, i0 + 2)
+        i1 = min(i1, grid.m)
+        window = 0.0
+        for v in vals:
+            window += float(np.max(np.abs(v[:, i0:i1])))
+        window += float(np.max(quot[:, i0 : max(i0 + 1, i1 - 1)]))
+        best = max(best, float(np.exp(-nu * rho[i0])) * window)
+        if i1 == grid.m:
+            break
+    return best

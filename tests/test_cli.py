@@ -99,6 +99,21 @@ def _numbers(doc) -> list:
     return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
 
 
+# the exact keys of each command's summary; the piece commands are the
+# only readers of the pieces' diagnostics (contraction median, correction
+# norm, Cauchy gaps), which are computed where the summary is written
+SUMMARY_KEYS = {
+    "catenoid_summary.json": {
+        "eps", "s_eps", "r_eps", "residual_unit", "iterations", "contraction_median",
+        "cauchy_gap", "cauchy_gap_over_reps2", "v_norm",
+    },
+    "neck_summary.json": {
+        "eps", "r_eps", "r0", "residual_rel", "iterations", "cauchy_gap", "cauchy_gap_over_reps2",
+    },
+    "verify_report.json": {"mc_residual", "curvature_outside_boxes", "boxes", "embeddedness"},
+}
+
+
 class TestRun:
     @pytest.mark.parametrize("command, summary", [
         ("catenoid-piece", "catenoid_summary.json"),
@@ -108,6 +123,7 @@ class TestRun:
     def test_command_smoke(self, tmp_path, command, summary):
         assert main([command, "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads((tmp_path / summary).read_text())
+        assert set(report) == SUMMARY_KEYS[summary]
         numbers = _numbers(report)
         assert numbers and np.all(np.isfinite(numbers))
         if command == "verify":

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,9 +124,7 @@ class TestSimpleMaps:
 class TestConglomerate:
     def test_components_assemble_from_piece_maps(self, ctx, spectrum):
         t = BoundaryTriple.zeros(spectrum, pole=ctx.site.pole)
-        mismatch, pieces = conglomerate_C(t, ctx)
-        cat = pieces["catenoid"]
-        neck = pieces["neck"]
+        mismatch, cat, neck = conglomerate_C(t, ctx)
         val = neck.cauchy_inner[0] - cat.cauchy[0]
         assert np.allclose(val.zonal, mismatch[1].zonal, atol=1e-18)
         slope = neck.cauchy_inner[1] - cat.cauchy[1]
@@ -213,6 +213,10 @@ def refuse_embeddedness(glued):
 
 
 class TestGlueKeepsItsInput:
+    def test_glue_context_is_frozen(self, ctx):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.delta = -1.9
+
     def test_nondegeneracy_check_runs_once_per_seed(self, spectrum, profile, glued_surface,
                                                     monkeypatch):
         class Stop(Exception):

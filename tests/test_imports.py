@@ -21,6 +21,13 @@
   call in a package module or in ``bench/*.py``; a default that every such
   call overrides is reached from the tests alone, and the parameter is
   required instead.
+- Keys: each constant key that package code stores into a ``dict`` field of
+  a package class, as a key of a dict literal passed as that field to the
+  class's constructor (by keyword or by position) or as
+  ``obj.field["key"] = ...``, must be read as ``["key"]`` or
+  ``.get("key")`` in a package module or in ``bench/*.py``.  String keys
+  slip past the attribute check, so a diagnostic only the tests read is
+  computed by the tests instead of being stored.
 - Calls are matched by the name called, the function's or the attribute's,
   except that calls on the receiver ``np`` are NumPy's and never match.
 - Allow-lists: ``ALLOWED`` and ``PARAMS_ALLOWED`` hold test seams only, each
@@ -28,7 +35,8 @@
   use but a test needs to reach a failure path or inject a case.  An entry
   that the checks no longer flag is stale, and every entry must be used by
   the tests: a definition read by name, a parameter passed by some call.
-  The attribute and default checks have no allow-list: nothing needs one.
+  The attribute, default and keys checks have no allow-list: nothing needs
+  one.
 
 The package's ``__init__.py`` holds only the package docstring and
 ``__version__``; the imports check covers it too, so a re-export it does
@@ -54,8 +62,6 @@ PARAMS_ALLOWED = {
     "catenoid.build_catenoid_piece(max_iter)": "a test caps the iterations to reach the non-convergence failure",
     "cli.main(argv)": "the CLI tests run commands in process; the console script passes none",
     "neck.poisson_neck(cutoff)": "cutoff=False keeps the bare power law, which a test checks is exact when flat",
-    "outer.nondegeneracy_check(extra_fields)": "a test injects a Jacobi field to show the check detects kernel",
-    "outer.nondegeneracy_check(threshold)": "the injection test measures the kernel instead of being refused",
     "profile.solve_profile(max_substep)": "a test forces a coarse substep to reach the first-integral refusal",
 }
 
@@ -243,6 +249,80 @@ def unread_attributes(modules: dict, readers: dict) -> list:
                   for qual, name in _attributes_assigned(tree) if name not in read)
 
 
+def _dict_fields(tree) -> dict:
+    """{class name: [(field, position of the field)]} of the fields a class
+    of the module annotates as ``dict`` or ``dict[...]``; the position is
+    the field's place among the annotated fields, its constructor slot."""
+    out = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        fields = [stmt for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        for position, stmt in enumerate(fields):
+            ann = stmt.annotation.value if isinstance(stmt.annotation, ast.Subscript) \
+                else stmt.annotation
+            if isinstance(ann, ast.Name) and ann.id == "dict":
+                out.setdefault(cls.name, []).append((stmt.target.id, position))
+    return out
+
+
+def _constant_keys(node) -> list:
+    """The string constant keys of a dict literal node; none for any other node."""
+    if not isinstance(node, ast.Dict):
+        return []
+    return [k.value for k in node.keys if isinstance(k, ast.Constant) and isinstance(k.value, str)]
+
+
+def _keys_read(tree) -> set:
+    """String constants read as ``x["key"]`` or ``x.get("key", ...)`` in tree."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args):
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            read.add(key.value)
+    return read
+
+
+def unread_keys(modules: dict, readers: dict) -> list:
+    """'module.Class.field["key"]' of each constant key that code in modules
+    ({name: source}) stores into a dict field of a class in modules, through
+    a dict literal passed as that field to the constructor or through
+    ``obj.field["key"] = ...``, and that no module and no reader ({name:
+    source}) reads as ``["key"]`` or ``.get("key")``.  Constructor calls are
+    matched by the class name called, stores by the field name."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    read = set().union(*(_keys_read(t) for t in trees.values()),
+                       *(_keys_read(ast.parse(src)) for src in readers.values()))
+    owners, fields = {}, {}
+    for mod, tree in trees.items():
+        for cls, dict_fields in _dict_fields(tree).items():
+            owners[cls], fields[cls] = f"{mod}.{cls}", dict_fields
+    by_field = {name: cls for cls, dict_fields in fields.items() for name, _ in dict_fields}
+    stored = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                for name, position in fields.get(called, []):
+                    values = [k.value for k in node.keywords if k.arg == name]
+                    if position < len(node.args):
+                        values.append(node.args[position])
+                    stored.update((called, name, key) for v in values for key in _constant_keys(v))
+            elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Attribute) and node.value.attr in by_field
+                  and isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str)):
+                stored.add((by_field[node.value.attr], node.value.attr, node.slice.value))
+    return sorted(f'{owners[cls]}.{name}["{key}"]' for cls, name, key in stored if key not in read)
+
+
 def always_passed_defaults(modules: dict, callers: dict) -> list:
     """'module.function(parameter)' of each defaulted parameter of a
     function or method in modules ({name: source}) that no call in modules
@@ -418,6 +498,42 @@ def test_the_check_sees_an_unread_attribute():
     # a read in a reader module counts; a write elsewhere does not
     readers = {"bench": "grid.nodes\npiece.history = []\n"}
     assert unread_attributes(modules, readers) == ["a.Grid._cache", "a.Grid.count", "a.Piece.history"]
+
+
+def test_every_stored_key_is_read():
+    assert BENCH, "bench/*.py not found next to tests/"
+    assert unread_keys(*_package_and_bench()) == []
+
+
+def test_the_check_sees_an_unread_key():
+    modules = {
+        "a": (
+            "from dataclasses import dataclass, field\n\n"
+            "@dataclass\n"
+            "class Piece:\n"
+            "    value: float\n"
+            "    info: dict\n"
+            "    notes: dict[str, float] = field(default_factory=dict)\n\n"
+            "def build():\n"
+            "    p = Piece(1.0, {'kept': 1, 'dropped': 2}, notes={'seen': 3, 'unseen': 4})\n"
+            "    p.info['late'] = 5\n"
+            "    p.notes['read_late'] = 6\n"
+            "    return p, {'plain': 7}\n"
+        ),
+        "b": "def caller(p):\n    return p.info['kept'], p.notes.get('seen'), p.notes.get('read_late')\n",
+    }
+    # a key of a literal passed by position or keyword, and a subscript
+    # store; a dict literal that is no field's value is not checked
+    assert unread_keys(modules, {}) == [
+        'a.Piece.info["dropped"]', 'a.Piece.info["late"]', 'a.Piece.notes["unseen"]',
+    ]
+    # a read in a reader module counts, as a subscript or through get
+    readers = {"bench": "x['dropped']\ny.get('late', None)\n"}
+    assert unread_keys(modules, readers) == ['a.Piece.notes["unseen"]']
+    # a store is no read
+    assert unread_keys(modules, {"bench": "x['unseen'] = 1\n"}) == [
+        'a.Piece.info["dropped"]', 'a.Piece.info["late"]', 'a.Piece.notes["unseen"]',
+    ]
 
 
 def test_every_default_is_left_out_by_some_call():

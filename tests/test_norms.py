@@ -1,7 +1,9 @@
 """Property tests of the weighted norms norm_exp and weighted_norm.
 
 norm_exp is checked for equality against the window-by-window loop it
-replaced, kept here as the reference.
+replaced, kept here as the reference.  weighted_norm is a test reference
+(tests/radial_reference.py) that the neck and acceptance tests measure
+radial fields in; no pipeline code reads it.
 """
 
 from functools import lru_cache
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minsurflab.cylinder import BandField, UniformGrid, norm_exp
-from minsurflab.radial import RadialGrid, weighted_norm
+from minsurflab.radial import RadialGrid
+from radial_reference import weighted_norm
 from minsurflab.spectral import band_spectrum
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
