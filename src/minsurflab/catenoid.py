@@ -25,10 +25,8 @@ from .cylinder import (
     BandField,
     GridError,
     UniformGrid,
-    axial_collocation,
     collocation_from_rows,
     homogeneous_pair,
-    row_bands,
     rows_from_collocation,
     solve_band_decaying_kernel,
     solve_band_dirichlet_robin,
@@ -160,13 +158,12 @@ def apply_Lcal(w: BandField, profile: ProfileTable) -> BandField:
     data = grid_profile(profile.n, w.grid.s)
     spec = w.spectrum
     c2 = ((spec.n - 2) / 2.0) ** 2
-    bands = row_bands(spec)
     out = np.empty_like(w.values)
     v = w.values
     d2 = fd_derivative(v, w.grid.step, 1, 2, 2)
-    for i, ell in enumerate(bands):
-        out[i] = d2[i] + (-(spec.lam[ell] + c2) + data["pot"]) * v[i]
-    return BandField(spec, w.grid, out, w.pole)
+    for ell in range(spec.L + 1):
+        out[ell] = d2[ell] + (-(spec.lam[ell] + c2) + data["pot"]) * v[ell]
+    return BandField(spec, w.grid, out)
 
 
 def solve_GS(f: BandField, S: float, delta: float) -> BandField:
@@ -188,15 +185,14 @@ def solve_GS(f: BandField, S: float, delta: float) -> BandField:
     data = grid_profile(n, grid.s)
     h = grid.step
     c2 = ((n - 2) / 2.0) ** 2
-    bands = row_bands(spec)
     out = np.empty_like(f.values)
-    for i, ell in enumerate(bands):
+    for ell in range(spec.L + 1):
         if ell >= 2:
             vpot = -(spec.lam[ell] + c2) + data["pot"]
-            out[i] = solve_band_dirichlet_robin(vpot, h, f.values[i], 0.0, spec.gamma[ell])
+            out[ell] = solve_band_dirichlet_robin(vpot, h, f.values[ell], 0.0, spec.gamma[ell])
         else:
-            out[i] = solve_band_decaying_kernel(band_pair(n, grid.s, ell), h, f.values[i])
-    return BandField(spec, grid, out, f.pole)
+            out[ell] = solve_band_decaying_kernel(band_pair(n, grid.s, ell), h, f.values[ell])
+    return BandField(spec, grid, out)
 
 
 # the catenoid piece's s-grid: step and length above the cut
@@ -222,9 +218,9 @@ def solve_PS(g_II: SphereField, S: float, delta: float, s_grid: np.ndarray) -> B
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
     grid = UniformGrid(s_grid)
-    w0 = BandField.zeros(spec, grid, pole=g_II.pole)
+    w0 = BandField.zeros(spec, grid)
     decay = np.exp(-np.outer(spec.gamma[2:], grid.s - S))
-    w0.values[n + 1 :] = g_II.zonal[:, None] * decay
+    w0.values[2:] = g_II.c[2:, None] * decay
     data = grid_profile(n, grid.s)
     rhs = w0.copy()
     rhs.values = -data["pot"][None, :] * w0.values
@@ -307,7 +303,7 @@ class _NeckGeometry:
         k = int(np.sum(self.s <= self.s[0] + DEFECT_SPAN))
         m = k + 4
         g = self.grid
-        P = self.surface_points(collocation_from_rows(w.values[:, :m], w.pole, g) / self.eps_len)
+        P = self.surface_points(collocation_from_rows(w.values[:, :m], g) / self.eps_len)
         h = float(self.s[1] - self.s[0])
         H = uniform_surface(P, g, h).mean_curvature(self.n)
         out = np.zeros((self.s.size, g.t.size))
@@ -373,10 +369,10 @@ def build_catenoid_piece(
         mc = geo.conjugated_mc(w)
         qbar = lcal_w.copy()
         qbar.values = (
-            lcal_w.values - rows_from_collocation(mc, h_II.pole, grid)
+            lcal_w.values - rows_from_collocation(mc, grid)
         ) * mask[None, :]
         v_new = solve_GS(qbar, s_eps, delta)
-        gvar = np.max(np.abs(axial_collocation(v_new + wt, grid))) * np.max(
+        gvar = np.max(np.abs(collocation_from_rows((v_new + wt).values, grid))) * np.max(
             geo.phi ** (-n / 2.0)
         ) / scales.eps_len
         if gvar > guard:
@@ -387,13 +383,13 @@ def build_catenoid_piece(
 
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
     v, it, contractions = picard(
-        update, BandField.zeros(spec, wt.grid, pole=h_II.pole), 1e-7, floor, max_iter,
+        update, BandField.zeros(spec, wt.grid), 1e-7, floor, max_iter,
         stage=f"catenoid (eps={eps:.3e})",
     )
     w = wt + v
 
     # independent oracle: offset, refined grid, 4th-order stencils
-    res_unit = _oracle_residual(n, spec, grid, scales, w)
+    res_unit = _oracle_residual(n, grid, scales, w)
     if res_unit > tol:
         raise ResidualError(
             f"oracle mean-curvature residual {res_unit:.3e} exceeds tol={tol:.3e}"
@@ -412,7 +408,7 @@ def build_catenoid_piece(
     )
 
 
-def _oracle_residual(n, spec, grid, scales, w) -> float:
+def _oracle_residual(n, grid, scales, w) -> float:
     from scipy.interpolate import CubicSpline
 
     s = w.grid.s
@@ -420,9 +416,8 @@ def _oracle_residual(n, spec, grid, scales, w) -> float:
     s_fine = (s[0] + 0.37 * h) + (h / 2.0) * np.arange(2 * (s.size - 4))
     s_fine = s_fine[s_fine <= s[-1] - 2 * h]
     rows_fine = CubicSpline(s, w.values, axis=1)(s_fine)
-    wf = BandField(spec, UniformGrid(s_fine), rows_fine, w.pole)
     geo_f = _NeckGeometry(n, s_fine, grid, scales.eps_len)
-    w_hat = axial_collocation(wf, grid) / scales.eps_len
+    w_hat = collocation_from_rows(rows_fine, grid) / scales.eps_len
     P = geo_f.surface_points(w_hat)
     H = uniform_surface(P, grid, h / 2.0, order=4).mean_curvature(n)
     interior = slice(4, -4)
@@ -436,7 +431,7 @@ def _catenoid_cauchy(geo: _NeckGeometry, scales: Scales, w: BandField):
     slope_rows = conj_w.d_trace(0)
     pref = geo.phi[0] / geo.dphi[0]  # phi'(s_eps) < 0 on the lower branch
     slope = slope_rows * pref
-    slope.low[0] += pref * scales.eps_len * geo.dpsi[0]
+    slope.c[0] += pref * scales.eps_len * geo.dpsi[0]
     return value, slope
 
 
@@ -450,7 +445,7 @@ def simple_cauchy_catenoid(scales: Scales, h_II: SphereField):
     n = scales.n
     value = h_II.copy()
     slope = apply_Dtheta(h_II)
-    slope.low[0] += -scales.eps * scales.r_eps ** (2 - n)
+    slope.c[0] += -scales.eps * scales.r_eps ** (2 - n)
     return value, slope
 
 

@@ -200,11 +200,12 @@ def cmd_catenoid_piece(cfg: RunConfig, out: Path) -> int:
 def _restrict(w: BandField, s_top: float) -> BandField:
     """The band field w on its nodes s <= s_top."""
     keep = w.grid.s <= s_top + 1e-12
-    return BandField(w.spectrum, UniformGrid(w.grid.s[keep]), w.values[:, keep], w.pole)
+    return BandField(w.spectrum, UniformGrid(w.grid.s[keep]), w.values[:, keep])
 
 
 def _export_rows(name: str, x: np.ndarray, values: np.ndarray, path: Path):
-    """CSV of band rows: one line per node x[j], full-precision floats."""
+    """CSV of band rows: a header `name,row0,...,rowL` (column rowl holds
+    band l), then one line per node x[j], full-precision floats."""
     rows = [f"{name}," + ",".join(f"row{i}" for i in range(values.shape[0]))]
     for j in range(x.size):
         rows.append(
@@ -224,7 +225,7 @@ def cmd_neck(cfg: RunConfig, out: Path) -> int:
     r0 = 180.0 * sc.r_eps
     patch = flat_patch(spec, r0, m=150, r_in=sc.r_eps / 4)
     b = sc.r_eps**2
-    A = RigidParams(np.zeros(cfg.n), np.zeros(cfg.n), 0.1 * b, 0.0)
+    A = RigidParams(0.0, 0.0, 0.1 * b, 0.0)
     h2 = SphereField.zonal_band(spec, 2, 1.0)
     h2 = h2 * (0.3 * b / h2.holder_norm())
     h0 = SphereField.zeros(spec)

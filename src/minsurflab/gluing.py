@@ -73,12 +73,8 @@ class BoundaryTriple:
         )
 
     @classmethod
-    def zeros(cls, spectrum: BandSpectrum, pole=None) -> "BoundaryTriple":
-        return cls(
-            SphereField.zeros(spectrum, pole),
-            RigidParams.zeros(spectrum.n),
-            SphereField.zeros(spectrum, pole),
-        )
+    def zeros(cls, spectrum: BandSpectrum) -> "BoundaryTriple":
+        return cls(SphereField.zeros(spectrum), RigidParams.zeros(), SphereField.zeros(spectrum))
 
     def combine(self, other: "BoundaryTriple", a: float, b: float) -> "BoundaryTriple":
         return BoundaryTriple(
@@ -148,14 +144,14 @@ def conglomerate_C(t: BoundaryTriple, ctx: GlueContext) -> tuple:
     # catenoid piece (lowering it by d raises the middle slot by d, the
     # model's response); inside the shared-ring-data formulation a middle
     # side shift would be cancelled at the inner ring by its own outer lift
-    A_neck = RigidParams(t.A.T.copy(), t.A.R.copy(), 0.0, t.A.e)
+    A_neck = RigidParams(t.A.T, t.A.R, 0.0, t.A.e)
     neck = build_neck_piece(
         ctx.site.patch, sc, A_neck, t.h_I, t.h_II, ctx.tol_piece, kappa=ctx.kappa, green=ctx.green
     )
     w = solve_outer_nonlinear(ctx.site, t.h_I, ctx.tol_piece)
     u_eps = cauchy_U_eps(w, neck)
     s_val = cat.cauchy[0].copy()
-    s_val.low[0] -= t.A.d
+    s_val.c[0] -= t.A.d
     s_eps = (s_val, cat.cauchy[1])
     t_eps = neck.cauchy_inner
     mid_val = t_eps[0] - s_eps[0]
@@ -173,13 +169,10 @@ class SimpleMaps:
     def __init__(self, ctx: GlueContext):
         self.ctx = ctx
         spec = ctx.surface.spectrum
-        n = spec.n
-        self.n = n
-        # ring multipliers of U_0 per band: its response to 1 in each band's
-        # first row, exact because the solves are row-wise
-        unit = SphereField(spec, np.r_[1.0, 1.0, np.zeros(n - 1)], np.ones(spec.L - 1))
-        resp = simple_cauchy_outer(ctx.site, unit)
-        self.u0_mult = np.concatenate([resp.low[:2], resp.zonal])
+        self.n = spec.n
+        # ring multipliers of U_0 per band: its response to 1 in every band,
+        # exact because the solves are row-wise
+        self.u0_mult = simple_cauchy_outer(ctx.site, SphereField(spec, np.ones(spec.L + 1))).c
 
     def U0(self, h_I: SphereField) -> SphereField:
         return h_I.band_multiply(self.u0_mult)
@@ -206,13 +199,12 @@ class SimpleMaps:
         h_I = ring.band_multiply(1.0 / self.u0_mult)
         r_eps = sc.r_eps
         # band-0 block: value = e r^{2-n}/(n-2) + d ; slope = -e r^{2-n}
-        e = -mid_slope.low[0] / r_eps ** (2 - n)
-        d = mid_val.low[0] - e * r_eps ** (2 - n) / (n - 2)
+        e = -mid_slope.c[0] / r_eps ** (2 - n)
+        d = mid_val.c[0] - e * r_eps ** (2 - n) / (n - 2)
         # band-1 block: value = r R + eps r^{1-n} T ; slope = r R + (1-n) eps r^{1-n} T
-        vvec = mid_val.low[1:]
-        svec = mid_slope.low[1:]
-        T = (vvec - svec) / (n * sc.eps * r_eps ** (1 - n))
-        R = (vvec - sc.eps * r_eps ** (1 - n) * T) / r_eps
+        val, slope = mid_val.c[1], mid_slope.c[1]
+        T = (val - slope) / (n * sc.eps * r_eps ** (1 - n))
+        R = (val - sc.eps * r_eps ** (1 - n) * T) / r_eps
         # high modes: slope = -((n-2) + 2 D_theta) h_II
         from .spectral import dtheta_multipliers
 
@@ -220,7 +212,7 @@ class SimpleMaps:
         denom = -(n - 2.0) - 2.0 * dmult
         h_II = project_high(mid_slope).band_multiply(1.0 / denom)
         h_II = project_high(h_II)
-        return BoundaryTriple(h_I, RigidParams(T, R, float(d), float(e)), h_II)
+        return BoundaryTriple(h_I, RigidParams(float(T), float(R), float(d), float(e)), h_II)
 
 
 def _project_model_range(c_0, c_eps):
@@ -262,7 +254,7 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
     if tol_match is None:
         tol_match = 1e-8 * sc.r_eps ** (2 - spec.n)
     maps = SimpleMaps(ctx)
-    t = BoundaryTriple.zeros(spec, pole=ctx.site.pole)
+    t = BoundaryTriple.zeros(spec)
     history = []
     ball = ctx.kappa * sc.r_eps**2
     best = None
@@ -314,11 +306,14 @@ def assemble_glued_surface(ctx, t, cat: CatenoidPiece, neck: NeckPiece, mis_norm
     psi_cut = sc.psi_cut
     psi_inf = psi_infinity(surf.profile)
     plane_height = ring_height + eps_len * (psi_inf - psi_cut)
+    # the new end's axis: the site moved by the axial translation T
+    axis_center = np.append(site.center_xy, ring_height - eps_len * psi_cut)
+    axis_center[0] += t.A.T
     end = EndModel(
         a=eps_len,
         w=cat.w,
         orientation=+1,
-        axis_center=np.concatenate([site.center_xy + t.A.T, [ring_height - eps_len * psi_cut]]),
+        axis_center=axis_center,
         plane_height=float(plane_height),
     )
     # neck box: |A| < 1 outside; the box contains the full scaled waist
@@ -406,7 +401,7 @@ def _new_end_tilt(glued: GluedSurface) -> float:
     phi, dphi = data["phi"], data["dphi"]
     conj = phi ** ((2 - n) / 2.0)
     far = w.grid.s >= w.grid.s[0] + 6.0
-    b1 = np.abs(w.values[1 : 1 + n][:, far]).sum(axis=0)
+    b1 = np.abs(w.values[1][far])
     slope = b1 * conj[far] * np.abs(dphi[far]) / phi[far] / (cat.scales.eps_len * phi[far])
     return float(np.max(slope)) if np.any(far) else 0.0
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catenoid import PreconditionError, ResidualError, picard, smooth_step
-from .cylinder import BandField, axial_collocation, rows_from_collocation
+from .catenoid import PreconditionError, ResidualError, pair_norm, picard, smooth_step
+from .cylinder import BandField, collocation_from_rows, rows_from_collocation
 from .geometry import graph_orbit_points, matrix_surface, uniform_surface
 from .profile import Scales
 from .radial import BandOperator, RadialGrid, solve_mixed
@@ -62,7 +62,7 @@ class GraphPatch:
     def resample(self, grid: RadialGrid) -> "GraphPatch":
         # flat continuation below the stored inner truncation
         P = self.grid.interp_matrix(np.clip(grid.r, self.grid.r_in, self.grid.r_out))
-        return self.with_height(grid, BandField(self.spectrum, grid, self.u.values @ P.T, self.u.pole))
+        return self.with_height(grid, BandField(self.spectrum, grid, self.u.values @ P.T))
 
 
 def flat_patch(spectrum, r0: float, m: int, r_in: float) -> GraphPatch:
@@ -74,23 +74,27 @@ def flat_patch(spectrum, r0: float, m: int, r_in: float) -> GraphPatch:
 
 @dataclass
 class RigidParams:
-    """Rigid-motion and Green's-coefficient parameters of the neck piece."""
+    """Rigid-motion and Green's-coefficient parameters of the neck piece.
 
-    T: np.ndarray
-    R: np.ndarray
+    The glue is zonal about the axis e_1 from the end's axis to the site,
+    so the translation T and the rotation R are axial: T moves the neck
+    along e_1, and R tilts it by the linear height R x_1."""
+
+    T: float
+    R: float
     d: float
     e: float
 
     @classmethod
-    def zeros(cls, n: int) -> "RigidParams":
-        return cls(np.zeros(n), np.zeros(n), 0.0, 0.0)
+    def zeros(cls) -> "RigidParams":
+        return cls(0.0, 0.0, 0.0, 0.0)
 
     def norm(self, scales: Scales) -> float:
         """eps r_eps^{1-n}|T| + r_eps|R| + |d| + r_eps^{2-n}|e|."""
         n, r_eps, eps = scales.n, scales.r_eps, scales.eps
         val = (
-            eps * r_eps ** (1 - n) * float(np.linalg.norm(self.T))
-            + r_eps * float(np.linalg.norm(self.R))
+            eps * r_eps ** (1 - n) * abs(self.T)
+            + r_eps * abs(self.R)
             + abs(self.d)
             + r_eps ** (2 - n) * abs(self.e)
         )
@@ -131,7 +135,7 @@ def mean_curvature_graph(patch: GraphPatch, w: BandField | None = None, oracle: 
     grid = patch.grid
     g = angular_grid(patch.spectrum)
     total = patch.u if w is None else patch.u + w
-    vals = axial_collocation(total, g)
+    vals = collocation_from_rows(total.values, g)
     if not oracle:
         P = graph_orbit_points(grid.r, g, vals)
         return matrix_surface(P, g, grid.D).mean_curvature(patch.n)
@@ -149,7 +153,7 @@ def graph_residual(patch: GraphPatch) -> tuple:
     curvature scale max(sup|A|, 1/r_out)."""
     g = angular_grid(patch.spectrum)
     sup_H = float(np.max(np.abs(mean_curvature_graph(patch, oracle=True)[3:-3])))
-    P = graph_orbit_points(patch.grid.r, g, axial_collocation(patch.u, g))
+    P = graph_orbit_points(patch.grid.r, g, collocation_from_rows(patch.u.values, g))
     A2 = matrix_surface(P, g, patch.grid.D).second_fundamental_sq(patch.n)
     return sup_H, sup_H / max(float(np.sqrt(np.max(A2))), 1.0 / patch.grid.r_out)
 
@@ -219,21 +223,21 @@ def rigid_deviation_rows(
 
     Closed-form family: Green's term with coefficient (eps + e)/(n - 2)
     (shifted by its additive constant when n = 3), vertical shift d, the
-    rotation's linear height R.x, and the translation's first-order effect
-    through the Green's-function gradient.  The quadratic rigid-motion
-    remainders are below the working ball |A| <= kappa r_eps^2.
+    rotation's linear height R x_1, and the translation's first-order effect
+    through the Green's-function gradient, both on the axial band-1 row.
+    The quadratic rigid-motion remainders are below the working ball
+    |A| <= kappa r_eps^2.
     """
     n = patch.n
     spec = patch.spectrum
     grid = patch.grid
-    out = BandField.zeros(spec, grid, pole=patch.u.pole)
+    out = BandField.zeros(spec, grid)
     coef = (scales.eps + A.e) / (n - 2)
     gam = green.at(grid.r)
     dgam = green.deriv_at(grid.r)
     a0 = green.a0 if n == 3 else 0.0
     out.values[0] = coef * (gam - a0) + A.d
-    for i in range(n):
-        out.values[1 + i] = grid.r * A.R[i] - coef * dgam * A.T[i]
+    out.values[1] = grid.r * A.R - coef * dgam * A.T
     return out
 
 
@@ -275,14 +279,12 @@ def poisson_neck(
         raise PreconditionError("|h_II| exceeds kappa r_eps^2")
     grid = patch.grid
     r_eps = grid.r_in
-    w0 = BandField.zeros(spec, grid, pole=h_II.pole)
+    w0 = BandField.zeros(spec, grid)
     lam_arg = (2 * patch.r0 - 8 * grid.r) / patch.r0
     ramp = smooth_step(lam_arg) if cutoff else np.ones(grid.m)
     for k in range(2, spec.L + 1):
         a = (2 - n) / 2.0 - spec.gamma[k]
-        w0.values[n - 1 + k + 0] = (
-            h_II.zonal[k - 2] * (grid.r / r_eps) ** a * ramp
-        )
+        w0.values[k] = h_II.c[k] * (grid.r / r_eps) ** a * ramp
     op = graph_operator(patch)
     defect = op.apply(w0)
     corr = solve_mixed(op, defect)
@@ -341,18 +343,18 @@ def build_neck_piece(
     op = graph_operator(back_patch)
     g = angular_grid(spec)
 
-    # Dirichlet lift: deviation-above-base equals h_I + d + r0 R.theta at the
+    # Dirichlet lift: deviation-above-base equals h_I + d + r0 R t at the
     # outer ring.  The vertical-shift and rotation content must survive at
     # the ring: subtracting it here would extend it back inward along the
     # regular harmonic profiles and cancel those degrees of freedom at the
     # inner ring exactly.  The outer piece receives the same ring data, so
     # the 0th-order interface match still holds by construction.
-    outer_data = h_I + rigid_ring_data(A, patch.r0, h_II.spectrum, h_II.pole) - dev.trace(-1)
-    w_h = solve_mixed(op, BandField.zeros(spec, grid, pole=h_II.pole), outer=outer_data)
+    outer_data = h_I + rigid_ring_data(A, patch.r0, h_II.spectrum) - dev.trace(-1)
+    w_h = solve_mixed(op, BandField.zeros(spec, grid), outer=outer_data)
 
     # mean curvature of the backdrop graph
     H_base_vals = mean_curvature_graph(back_patch)
-    H_base = BandField(spec, grid, rows_from_collocation(H_base_vals, backdrop.pole, g), h_II.pole)
+    H_base = BandField(spec, grid, rows_from_collocation(H_base_vals, g))
     gamma_H = solve_mixed(op, H_base)
 
     inner_gap = project_high(h_II - (backdrop + w_h).trace(0))
@@ -362,16 +364,16 @@ def build_neck_piece(
     def update(v: BandField) -> BandField:
         w = wt + v
         H_vals = mean_curvature_graph(back_patch, w=w)
-        q_vals = rows_from_collocation(H_vals - H_base_vals, w.pole, g)
+        q_vals = rows_from_collocation(H_vals - H_base_vals, g)
         lam_w = op.apply(w)
-        qbar = BandField(spec, grid, lam_w.values - q_vals, h_II.pole)
+        qbar = BandField(spec, grid, lam_w.values - q_vals)
         qbar.values[:, 0] = 0.0
         qbar.values[:, -1] = 0.0
         return solve_mixed(op, qbar)
 
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
     v, it, _ = picard(
-        update, BandField.zeros(spec, grid, pole=h_II.pole), 1e-8, floor, 40,
+        update, BandField.zeros(spec, grid), 1e-8, floor, 40,
         stage=f"neck (eps={scales.eps:.3e})",
     )
 
@@ -385,7 +387,7 @@ def build_neck_piece(
 
     shift = scales.eps * scales.r_eps ** (2 - n) / (n - 2)
     inner_val = V.trace(0)
-    inner_val.low[0] -= shift
+    inner_val.c[0] -= shift
     inner_slope = V.d_trace(0)
 
     return NeckPiece(
@@ -401,38 +403,36 @@ def build_neck_piece(
     )
 
 
-def rigid_ring_data(A: RigidParams, r0: float, spectrum, pole) -> SphereField:
-    """The rigid parameters' outer-ring content d + r0 R.theta."""
-    f = SphereField.zeros(spectrum, pole)
-    f.low[0] = A.d
-    f.low[1:] = r0 * A.R
+def rigid_ring_data(A: RigidParams, r0: float, spectrum) -> SphereField:
+    """The rigid parameters' outer-ring content d + r0 R t."""
+    f = SphereField.zeros(spectrum)
+    f.c[0] = A.d
+    f.c[1] = r0 * A.R
     return f
 
 
 def simple_cauchy_neck(scales: Scales, A: RigidParams, h_II: SphereField):
     """Closed-form simple Cauchy data of the opened neck at the inner ring.
 
-    Uses w0_A(r theta) = e r^{2-n}/(n-2) + d + r R.theta + eps r^{1-n} T.theta;
+    Uses w0_A(r theta) = e r^{2-n}/(n-2) + d + r R t + eps r^{1-n} T t;
     the high-mode slope multiplier is the flat power law, expressed through
     apply_Dtheta as -(n-2) - D_theta.
     """
     n = scales.n
     r_eps = scales.r_eps
     value = h_II.copy()
-    value.low[0] += A.e / (n - 2) * r_eps ** (2 - n) + A.d
-    value.low[1:] += r_eps * A.R + scales.eps * r_eps ** (1 - n) * A.T
+    value.c[0] += A.e / (n - 2) * r_eps ** (2 - n) + A.d
+    value.c[1] += r_eps * A.R + scales.eps * r_eps ** (1 - n) * A.T
     slope = apply_Dtheta(h_II) * (-1.0) - (n - 2.0) * h_II
-    slope.low[0] += -scales.eps * r_eps ** (2 - n) - A.e * r_eps ** (2 - n)
-    slope.low[1:] += r_eps * A.R + (1 - n) * scales.eps * r_eps ** (1 - n) * A.T
+    slope.c[0] += -scales.eps * r_eps ** (2 - n) - A.e * r_eps ** (2 - n)
+    slope.c[1] += r_eps * A.R + (1 - n) * scales.eps * r_eps ** (1 - n) * A.T
     return value, slope
 
 
 def cauchy_T(piece: NeckPiece) -> tuple:
     """(solved pair, simple pair, gap): the piece's inner Cauchy data, the
     closed-form simple data for its scales, rigid parameters and h_II, and
-    the summed Hoelder norms of their difference.  The piece is not
-    changed."""
+    the pair_norm of their difference.  The piece is not changed."""
     t_eps = piece.cauchy_inner
     t0 = simple_cauchy_neck(piece.scales, piece.rigid, piece.h_II)
-    gap = (t_eps[0] - t0[0]).holder_norm() + (t_eps[1] - t0[1]).holder_norm()
-    return t_eps, t0, gap
+    return t_eps, t0, pair_norm((t_eps[0] - t0[0], t_eps[1] - t0[1]))

@@ -119,8 +119,7 @@ class Site:
 
     patch: GraphPatch  # the end about the site on [r_eps/8, r0], u(0) = 0
     exterior: GraphPatch  # the end about the site on [r0, 0.45 r_site]
-    pole: np.ndarray  # unit direction from the end's axis to the site
-    center_xy: np.ndarray  # horizontal position of the site
+    center_xy: np.ndarray  # horizontal position of the site, on e_1 from the end's axis
     height: float  # ambient height of the site on the end glued to
     r_site: float  # the site's distance from that end's axis
     r0: float  # radius of the ring between the patch and the exterior
@@ -204,10 +203,10 @@ def _band_matrix_conjugated(n: int, ell: int, s: np.ndarray, delta: float) -> np
     mu_pp = delta * (1.0 / np.sqrt(s * s + 1.0) - s * s / (s * s + 1.0) ** 1.5)
     vpot = -(lam + c2) + data["pot"] + mu_pp + mu_p**2
     A = np.zeros((m, m))
-    for i in range(1, m - 1):
-        A[i, i - 1] = 1.0 / h**2 - mu_p[i] / h
-        A[i, i] = -2.0 / h**2 + vpot[i]
-        A[i, i + 1] = 1.0 / h**2 + mu_p[i] / h
+    i = np.arange(1, m - 1)
+    A[i, i - 1] = 1.0 / h**2 - mu_p[1:-1] / h
+    A[i, i] = -2.0 / h**2 + vpot[1:-1]
+    A[i, i + 1] = 1.0 / h**2 + mu_p[1:-1] / h
     A[0, 0] = 1.0
     A[m - 1, m - 1] = 1.0
     return A
@@ -240,10 +239,8 @@ def nondegeneracy_check(surface: OuterSurface, delta: float, m: int) -> float:
             slow = np.stack([um / weight, um[::-1] / weight], axis=1)
             slow[0, :] = 0.0
             slow[-1, :] = 0.0
-            q, _ = np.linalg.qr(slow)
-            comp = np.eye(m) - q @ q.T
-            u2, sv2, _ = np.linalg.svd(comp)
-            Q = u2[:, : m - q.shape[1]]
+            # orthonormal basis of the complement of the pair's span
+            Q = np.linalg.qr(slow, mode="complete")[0][:, slow.shape[1]:]
             sv = np.linalg.svd(A @ Q, compute_uv=False)
         else:
             sv = np.linalg.svd(A, compute_uv=False)
@@ -318,7 +315,6 @@ def assemble_outer(
         )
     if 4 * r0 > 0.5 * r_site:
         raise PreconditionError("r0 too large for the site radius")
-    pole = (xy - end.axis_center[:n]) / r_site
     spec = surface.spectrum
     g = angular_grid(spec)
 
@@ -329,7 +325,7 @@ def assemble_outer(
         )
         h_prof, _ = end.height_profile(n, R_amb.ravel())
         u_vals = end.orientation * h_prof.reshape(R_amb.shape) - float(end.orientation * h_site[0])
-        return BandField(spec, grid, rows_from_collocation(u_vals, pole, g), pole=pole)
+        return BandField(spec, grid, rows_from_collocation(u_vals, g))
 
     grid = RadialGrid(scales.r_eps / 8.0, r0, M_RADIAL)
     patch = GraphPatch(n=n, r0=r0, grid=grid, u=site_field(grid))
@@ -337,7 +333,7 @@ def assemble_outer(
     ext_grid = RadialGrid(r0, R_out, M_RADIAL)
     exterior = GraphPatch(n=n, r0=R_out / 2.0, grid=ext_grid, u=site_field(ext_grid))
     height = float(end.plane_height + end.orientation * h_site[0])
-    return Site(patch, exterior, pole, xy, height, r_site, r0)
+    return Site(patch, exterior, xy, height, r_site, r0)
 
 
 # -- site-exterior solves --------------------------------------------------------------
@@ -358,12 +354,12 @@ def solve_outer_nonlinear(site: Site, h_I: SphereField, tol: float) -> BandField
 
     def exterior_solve(f: BandField | None) -> BandField:
         # Dirichlet data h_I at the ring, decaying multipoles at the truncation
-        return BandField(spec, grid, solve_rows(op, f, h_I, decaying), pole=site.pole)
+        return BandField(spec, grid, solve_rows(op, f, h_I, decaying))
 
     def update(w: BandField) -> BandField:
         H_vals = mean_curvature_graph(base_patch, w=w)
         lam_w = op.apply(w)
-        q = BandField(spec, grid, lam_w.values - rows_from_collocation(H_vals - H_base_vals, w.pole, g), w.pole)
+        q = BandField(spec, grid, lam_w.values - rows_from_collocation(H_vals - H_base_vals, g))
         return exterior_solve(q)
 
     w = exterior_solve(None)
@@ -385,8 +381,8 @@ def simple_cauchy_outer(site: Site, h_I: SphereField) -> SphereField:
     ball = RadialGrid(1e-3 * site.r0, site.r0, patch.grid.m)
     w0 = solve_rows(graph_operator(exterior), None, h_I, decaying)
     wt0 = solve_rows(graph_operator(patch, ball), None, regular, h_I)
-    return (BandField(spec, exterior.grid, w0, site.pole).d_trace(0)
-            - BandField(spec, ball, wt0, site.pole).d_trace(-1))
+    return (BandField(spec, exterior.grid, w0).d_trace(0)
+            - BandField(spec, ball, wt0).d_trace(-1))
 
 
 def cauchy_U_eps(w: BandField, neck: NeckPiece) -> SphereField:

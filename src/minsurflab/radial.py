@@ -1,21 +1,23 @@
 """Band-spectral radial solves on annuli and punctured balls.
 
 Fields over a polar domain are stored as band rows on a Chebyshev grid in
-rho = log r, where the graph operators are band-diagonal for a radially
-symmetric background.  The linearized graph operator about a radial height
-profile b(r) acts on band l as
+rho = log r, row l holding band l, where the graph operators are
+band-diagonal for a radially symmetric background.  The linearized graph
+operator about a radial height profile b(r) acts on band l as
 
     Lambda_l w = e^{-n rho} d_rho[ e^{(n-2) rho} w_rho / W^3 ] - lam_l e^{-2 rho} w / W,
 
 with W = sqrt(1 + b'(r)^2).  Every radial problem of the glue is one
 row-wise solve of Lambda_l w = f (solve_rows) with one condition per ring:
 
-- Dirichlet data from a SphereField;
-- the regular selection w_rho = l w, which pins the flat-model regular
-  solution r^l and keeps the solve uniformly bounded as the inner radius
-  shrinks;
-- the decaying multipole w_rho = (2 - n - l) w, the flat-model exterior
-  solution r^{2-n-l}.
+- Dirichlet data from a SphereField, entry l on row l;
+- a rule giving each band l a Robin exponent p of w_rho = p w, or None for
+  zero Dirichlet data: the regular selection p = l (regular), which pins
+  the flat-model regular solution r^l and keeps the solve uniformly
+  bounded as the inner radius shrinks; the decaying multipole
+  p = 2 - n - l (decaying), the flat-model exterior solution r^{2-n-l};
+  or the regular selection on bands l <= 1 and zero data on l >= 2
+  (regular_low).
 
 The neck annulus (solve_mixed) takes the regular selection on bands l <= 1
 and zero Dirichlet data on bands l >= 2 at its inner ring, and Dirichlet
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cylinder import BandField, GridError, row_bands
+from .cylinder import BandField, GridError
 from .diffops import bary_interp_matrix, cheb_nodes_matrix
 from .spectral import BandSpectrum, SphereField
 
@@ -85,27 +87,26 @@ class BandOperator:
         return np.diag(self._front) @ self.matrix_scaled(ell)
 
     def apply(self, w: BandField) -> BandField:
-        bands = row_bands(self.spectrum)
         out = np.empty_like(w.values)
-        for i, ell in enumerate(bands):
-            out[i] = self._front * (self.matrix_scaled(ell) @ w.values[i])
-        return BandField(self.spectrum, self.grid, out, w.pole)
+        for ell in range(self.spectrum.L + 1):
+            out[ell] = self._front * (self.matrix_scaled(ell) @ w.values[ell])
+        return BandField(self.spectrum, self.grid, out)
 
 
 def regular(spec: BandSpectrum) -> list:
-    """Robin exponent p = l of the regular selection w_rho = l w, by row."""
-    return list(row_bands(spec))
+    """Robin exponent p = l of the regular selection w_rho = l w, by band."""
+    return list(range(spec.L + 1))
 
 
 def decaying(spec: BandSpectrum) -> list:
-    """Robin exponent p = 2 - n - l of the decaying multipole, by row."""
-    return list(2 - spec.n - row_bands(spec))
+    """Robin exponent p = 2 - n - l of the decaying multipole, by band."""
+    return [2 - spec.n - ell for ell in range(spec.L + 1)]
 
 
 def regular_low(spec: BandSpectrum) -> list:
     """The regular selection on bands l <= 1; None, zero Dirichlet data,
     on bands l >= 2."""
-    return [ell if ell <= 1 else None for ell in row_bands(spec)]
+    return [ell if ell <= 1 else None for ell in range(spec.L + 1)]
 
 
 def solve_rows(op: BandOperator, f: BandField | None, inner, outer) -> np.ndarray:
@@ -113,31 +114,30 @@ def solve_rows(op: BandOperator, f: BandField | None, inner, outer) -> np.ndarra
 
     inner and outer are the conditions at the first and the last node:
     Dirichlet data (a SphereField, None meaning zero data), or a rule
-    (regular, decaying, regular_low) giving each row's Robin exponent p of
+    (regular, decaying, regular_low) giving each band's Robin exponent p of
     w_rho = p w, None meaning zero Dirichlet data.
     """
     spec = op.spectrum
-    rows = spec.row_count()
+    rows = spec.L + 1
     rings = []
     for k, cond in ((0, inner), (-1, outer)):
         if callable(cond):
             rings.append((k, cond(spec), np.zeros(rows)))
         else:
-            data = np.zeros(rows) if cond is None else np.concatenate([cond.low, cond.zonal])
-            rings.append((k, [None] * rows, data))
+            rings.append((k, [None] * rows, np.zeros(rows) if cond is None else cond.c))
     out = np.empty((rows, op.grid.m))
-    for i, ell in enumerate(row_bands(spec)):
-        A = op.matrix_scaled(int(ell)).copy()
-        rhs = np.zeros(op.grid.m) if f is None else f.values[i] * op.row_scale
+    for ell in range(rows):
+        A = op.matrix_scaled(ell).copy()
+        rhs = np.zeros(op.grid.m) if f is None else f.values[ell] * op.row_scale
         for k, robin, data in rings:
-            if robin[i] is None:
+            if robin[ell] is None:
                 A[k, :] = 0.0
                 A[k, k] = 1.0
             else:
                 A[k, :] = op.grid.D[k]
-                A[k, k] -= float(robin[i])
-            rhs[k] = data[i]
-        out[i] = np.linalg.solve(A, rhs)
+                A[k, k] -= float(robin[ell])
+            rhs[k] = data[ell]
+        out[ell] = np.linalg.solve(A, rhs)
     return out
 
 
@@ -145,5 +145,5 @@ def solve_mixed(op: BandOperator, f: BandField, outer: SphereField | None = None
     """The neck annulus solve: the regular selection on bands l <= 1 and
     zero Dirichlet data on bands l >= 2 at the inner ring, Dirichlet data
     outer (None meaning zero) at the outer ring."""
-    return BandField(f.spectrum, f.grid, solve_rows(op, f, regular_low, outer), f.pole)
+    return BandField(f.spectrum, f.grid, solve_rows(op, f, regular_low, outer))
 

@@ -1,14 +1,15 @@
 """Eigenstructure of the sphere Laplacian and band projections.
 
-Fields on S^{n-1} are stored band-wise: full coefficients for the constant
-and linear bands (l = 0, 1), a single zonal coefficient per band for l >= 2,
-taken about a configurable pole direction.  The zonal basis function of band
-l is the Gegenbauer polynomial C_l^{(n-2)/2} normalized to 1 at the pole.
+Every glue is zonal about the first coordinate axis e_1, so fields on
+S^{n-1} are stored with one zonal coefficient per band: entry l of a
+SphereField is the coefficient of band l, and the zonal basis function Z_l
+is the Gegenbauer polynomial C_l^{(n-2)/2} in t = e_1 . theta, normalized
+to Z_l(1) = 1 (Z_0 = 1, Z_1 = t).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_gegenbauer, gamma as gamma_fn
@@ -31,10 +32,6 @@ class BandSpectrum:
     L: int
     lam: np.ndarray
     gamma: np.ndarray
-
-    def row_count(self) -> int:
-        """Number of coefficient rows: 1 (l=0) + n (l=1) + (L-1) zonal."""
-        return 1 + self.n + (self.L - 1)
 
 
 def band_spectrum(n: int, L: int) -> BandSpectrum:
@@ -76,7 +73,8 @@ class ZonalGrid:
     Uses the uniform midpoint grid beta_j = (j + 1/2) pi / m, on which every
     chart component of a band-limited zonal surface is a trigonometric
     polynomial: midpoint quadrature and Fourier differentiation are then
-    exact, and the pole degeneracies of the orbit coordinates are avoided.
+    exact, and the degeneracies of the orbit coordinates at beta = 0 and pi
+    are avoided.
     """
 
     def __init__(self, n: int, L: int, n_nodes: int):
@@ -106,7 +104,7 @@ class ZonalGrid:
     def d_beta(self, values: np.ndarray, parity: float | np.ndarray, deriv: int = 1) -> np.ndarray:
         """Exact trig differentiation d/d beta along the last axis.
 
-        parity +1 extends the sample evenly across the poles, -1 oddly;
+        parity +1 extends the sample evenly across beta = 0 and pi, -1 oddly;
         chart components are even (heights, axial parts) or odd (rho).
         parity may also be an array of +-1 that broadcasts against values,
         e.g. shape (3, 1, 1) for the three components of one orbit chart
@@ -130,104 +128,58 @@ class ZonalGrid:
 
 @dataclass
 class SphereField:
-    """Band-limited function on S^{n-1}.
-
-    low holds the 1 + n coefficients of the constant and linear bands
-    (f contains low[0] + low[1:] . theta); zonal[k] is the coefficient of
-    Z_{k+2}(pole . theta) for k = 0..L-2.
-    """
+    """Band-limited zonal function on S^{n-1}: f = sum_l c[l] Z_l, so c[0]
+    is the constant, c[1] the axial linear coefficient and c[l] the
+    coefficient of Z_l, l = 0..L."""
 
     spectrum: BandSpectrum
-    low: np.ndarray
-    zonal: np.ndarray
-    pole: np.ndarray = field(default=None)
+    c: np.ndarray
 
     def __post_init__(self):
-        n, L = self.spectrum.n, self.spectrum.L
-        self.low = np.asarray(self.low, dtype=float)
-        self.zonal = np.asarray(self.zonal, dtype=float)
-        if self.low.shape != (n + 1,):
-            raise SpectralError(f"low coefficients must have shape ({n + 1},)")
-        if self.zonal.shape != (L - 1,):
-            raise SpectralError(f"zonal coefficients must have shape ({L - 1},)")
-        if self.pole is None:
-            pole = np.zeros(n)
-            pole[0] = 1.0
-            self.pole = pole
-        else:
-            self.pole = np.asarray(self.pole, dtype=float)
-            nrm = np.linalg.norm(self.pole)
-            if not np.isfinite(nrm) or nrm == 0.0:
-                raise SpectralError("pole direction must be a nonzero vector")
-            self.pole = self.pole / nrm
+        self.c = np.asarray(self.c, dtype=float)
+        if self.c.shape != (self.spectrum.L + 1,):
+            raise SpectralError(f"coefficients must have shape ({self.spectrum.L + 1},)")
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zeros(cls, spectrum: BandSpectrum, pole=None) -> "SphereField":
-        return cls(
-            spectrum,
-            np.zeros(spectrum.n + 1),
-            np.zeros(spectrum.L - 1),
-            pole=pole,
-        )
+    def zeros(cls, spectrum: BandSpectrum) -> "SphereField":
+        return cls(spectrum, np.zeros(spectrum.L + 1))
 
     @classmethod
     def zonal_band(cls, spectrum: BandSpectrum, ell: int, coeff: float) -> "SphereField":
-        """coeff Z_ell about the default pole e_1."""
+        """coeff Z_ell."""
         if ell < 2 or ell > spectrum.L:
             raise SpectralError(f"zonal_band requires 2 <= ell <= L, got {ell}")
         f = cls.zeros(spectrum)
-        f.zonal[ell - 2] = coeff
+        f.c[ell] = coeff
         return f
 
     def copy(self) -> "SphereField":
-        return SphereField(self.spectrum, self.low.copy(), self.zonal.copy(), self.pole.copy())
-
-    # -- evaluation -------------------------------------------------------------
-
-    def eval_meridian(self, t: np.ndarray, transverse: float | np.ndarray):
-        """Evaluate along the meridian theta(t) = t q + sqrt(1-t^2) m.
-
-        transverse is the component low[1:] . m of the linear band along the
-        meridian normal m; the zonal part depends on t only.
-        """
-        t = np.asarray(t, dtype=float)
-        axial = float(self.low[1:] @ self.pole)
-        vals = self.low[0] + axial * t + np.sqrt(np.clip(1 - t * t, 0, None)) * transverse
-        n = self.spectrum.n
-        for k, c in enumerate(self.zonal):
-            if c != 0.0:
-                vals = vals + c * zonal_eval(n, k + 2, t)
-        return vals
+        return SphereField(self.spectrum, self.c.copy())
 
     # -- algebra ------------------------------------------------------------------
 
     def _check_compatible(self, other: "SphereField"):
         if self.spectrum.n != other.spectrum.n or self.spectrum.L != other.spectrum.L:
             raise SpectralError("sphere fields live on different spectra")
-        if not np.allclose(self.pole, other.pole, atol=1e-14):
-            raise SpectralError("sphere fields have different poles")
 
     def __add__(self, other: "SphereField") -> "SphereField":
         self._check_compatible(other)
-        return SphereField(self.spectrum, self.low + other.low, self.zonal + other.zonal, self.pole)
+        return SphereField(self.spectrum, self.c + other.c)
 
     def __sub__(self, other: "SphereField") -> "SphereField":
         self._check_compatible(other)
-        return SphereField(self.spectrum, self.low - other.low, self.zonal - other.zonal, self.pole)
+        return SphereField(self.spectrum, self.c - other.c)
 
     def __mul__(self, a: float) -> "SphereField":
-        return SphereField(self.spectrum, a * self.low, a * self.zonal, self.pole)
+        return SphereField(self.spectrum, a * self.c)
 
     __rmul__ = __mul__
 
     def band_multiply(self, multipliers: np.ndarray) -> "SphereField":
         """Apply a per-band multiplier m_l (length L+1)."""
-        low = self.low.copy()
-        low[0] *= multipliers[0]
-        low[1:] *= multipliers[1]
-        return SphereField(self.spectrum, low, self.zonal * multipliers[2:], self.pole)
+        return SphereField(self.spectrum, self.c * multipliers)
 
     # -- norms ---------------------------------------------------------------------
 
@@ -237,32 +189,27 @@ class SphereField:
         spec = self.spectrum
         grid = angular_grid(spec)
         t = grid.t
-        a = self.low[1:]
-        q = self.pole
-        a_perp = a - (a @ q) * q
-        pa = np.linalg.norm(a_perp)
-        total = 0.0
-        for sgn in (1.0, -1.0):
-            f = self.eval_meridian(t, transverse=sgn * pa)
-            # zonal derivative g'(t); |grad f|^2 = |P a|^2 + 2 g' (a.q - (a.th)(q.th)) + g'^2 (1-t^2)
-            gp = np.zeros_like(t)
-            for k, c in enumerate(self.zonal):
-                if c != 0.0:
-                    gp += c * grid.Zp[k + 2]
-            a_dot_th = (a @ q) * t + sgn * pa * np.sqrt(np.clip(1 - t * t, 0, None))
-            pa2 = float(a @ a) - a_dot_th**2
-            grad2 = np.clip(pa2, 0, None) + 2 * gp * ((a @ q) - a_dot_th * t) + gp * gp * (1 - t * t)
-            lap = -spec.lam[1] * a_dot_th
-            for k, c in enumerate(self.zonal):
-                if c != 0.0:
-                    lap = lap - spec.lam[k + 2] * c * grid.Z[k + 2]
-            arc = np.abs(np.arccos(np.clip(t[1:], -1, 1)) - np.arccos(np.clip(t[:-1], -1, 1)))
-            quot = np.abs(np.diff(lap)) / np.maximum(arc, 1e-300) ** 0.5
-            total = max(
-                total,
-                float(np.max(np.abs(f)) + np.max(np.sqrt(np.clip(grad2, 0, None))) + np.max(np.abs(lap)) + (np.max(quot) if len(quot) else 0.0)),
-            )
-        return total
+        a = self.c[1]
+        f = self.c[0] + a * t
+        # zonal derivative g'(t); |grad f|^2 = |a|^2 - (a t)^2 + 2 g' (a - (a t) t) + g'^2 (1-t^2)
+        gp = np.zeros_like(t)
+        for ell in range(2, spec.L + 1):
+            if self.c[ell] != 0.0:
+                f = f + self.c[ell] * grid.Z[ell]
+                gp += self.c[ell] * grid.Zp[ell]
+        a_dot_th = a * t
+        pa2 = a * a - a_dot_th**2
+        grad2 = np.clip(pa2, 0, None) + 2 * gp * (a - a_dot_th * t) + gp * gp * (1 - t * t)
+        lap = -spec.lam[1] * a_dot_th
+        for ell in range(2, spec.L + 1):
+            if self.c[ell] != 0.0:
+                lap = lap - spec.lam[ell] * self.c[ell] * grid.Z[ell]
+        arc = np.abs(np.arccos(np.clip(t[1:], -1, 1)) - np.arccos(np.clip(t[:-1], -1, 1)))
+        quot = np.abs(np.diff(lap)) / np.maximum(arc, 1e-300) ** 0.5
+        return float(
+            np.max(np.abs(f)) + np.max(np.sqrt(np.clip(grad2, 0, None))) + np.max(np.abs(lap))
+            + (np.max(quot) if len(quot) else 0.0)
+        )
 
 
 _ANGULAR_GRIDS: dict = {}
@@ -282,12 +229,16 @@ def angular_grid(spectrum: BandSpectrum) -> ZonalGrid:
 
 def project_low(f: SphereField) -> SphereField:
     """Keep only the constant and linear bands (l = 0, 1)."""
-    return SphereField(f.spectrum, f.low.copy(), np.zeros_like(f.zonal), f.pole)
+    c = f.c.copy()
+    c[2:] = 0.0
+    return SphereField(f.spectrum, c)
 
 
 def project_high(f: SphereField) -> SphereField:
     """Zero the constant and linear bands; keep l >= 2."""
-    return SphereField(f.spectrum, np.zeros_like(f.low), f.zonal.copy(), f.pole)
+    c = f.c.copy()
+    c[:2] = 0.0
+    return SphereField(f.spectrum, c)
 
 
 def dtheta_multipliers(spectrum: BandSpectrum) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import axial_collocation
+from .cylinder import collocation_from_rows
 from .geometry import graph_orbit_points, matrix_surface, uniform_surface
 from .outer import CORE_SPAN, CORE_STEP
 from .profile import profile_values
@@ -182,7 +182,7 @@ def second_fund(glued) -> dict:
     for level in outer.glue_levels:
         V = level.neck_piece.V
         g = angular_grid(V.spectrum)
-        P = graph_orbit_points(V.grid.r, g, axial_collocation(V, g))
+        P = graph_orbit_points(V.grid.r, g, collocation_from_rows(V.values, g))
         A2 = np.sqrt(matrix_surface(P, g, V.grid.D).second_fundamental_sq(n))
         xy.append(level.site.center_xy + e0 * V.grid.r[::4, None])
         z.append(level.site.height + V.values[0, ::4])

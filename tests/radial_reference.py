@@ -14,7 +14,6 @@ code reads them.
 
 import numpy as np
 
-from minsurflab.cylinder import row_bands
 from minsurflab.radial import BandOperator, RadialGrid
 
 
@@ -70,7 +69,9 @@ def u0_multipliers(site):
     band-l ring data, each solve on its own operator build."""
     spec = site.exterior.spectrum
     n = spec.n
-    bands = row_bands(spec)
+    # the row layout SimpleMaps read them in: band 0, band 1 on n rows,
+    # bands 2..L
+    bands = np.concatenate([[0], np.full(n, 1), np.arange(2, spec.L + 1)])
     ext_grid = site.exterior.grid
     ub = site.exterior.u
     ext_op = BandOperator(spec, ext_grid, (ext_grid.D @ ub.values[0]) / ext_grid.r)
@@ -81,7 +82,7 @@ def u0_multipliers(site):
     first_row = {0: 0, 1: 1, **{ell: n - 1 + ell for ell in range(2, spec.L + 1)}}
     mult = np.zeros(spec.L + 1)
     for ell in range(spec.L + 1):
-        ring = np.zeros(spec.row_count())
+        ring = np.zeros(bands.size)
         ring[first_row[ell]] = 1.0
         w0 = np.array([
             band_exterior(ext_op, int(b), np.zeros(ext_grid.m), float(ring[i]), n)

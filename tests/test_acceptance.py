@@ -128,7 +128,7 @@ class TestAcceptance:
         for S in (-1.0, -2.0, -3.0):
             sS = S + h * np.arange(int(14.0 / h) + 1)
             fS = BandField.zeros(spectrum, UniformGrid(sS))
-            fS.values[N + 1] = np.exp(-2.0 * (sS - S)) * np.exp(-0.5 * ((sS - S - 1.0) / 0.3) ** 2)
+            fS.values[2] = np.exp(-2.0 * (sS - S)) * np.exp(-0.5 * ((sS - S - 1.0) / 0.3) ** 2)
             wS = solve_GS(fS, S, -2.0)
             gs_ratios.append(norm_exp(wS, 2, 0.5, -2.0) / norm_exp(fS, 0, 0.5, -2.0))
         gs_spread = max(gs_ratios) / min(gs_ratios)
@@ -138,7 +138,7 @@ class TestAcceptance:
             patch_r = flat_patch(spectrum, r_out, m=150, r_in=r)
             grid = patch_r.grid
             fr = BandField.zeros(spectrum, grid)
-            fr.values[N + 1] = (grid.r / r) ** (nu - 2) * np.exp(-0.5 * (np.log(grid.r / r)) ** 2)
+            fr.values[2] = (grid.r / r) ** (nu - 2) * np.exp(-0.5 * (np.log(grid.r / r)) ** 2)
             wr = solve_mixed(graph_operator(patch_r), fr)
             ann_ratios.append(weighted_norm(wr, 2, 0.5, nu) / weighted_norm(fr, 0, 0.5, nu - 2))
         ann_spread = max(ann_ratios) / min(ann_ratios)
@@ -170,8 +170,8 @@ class TestAcceptance:
             patch = flat_patch(spectrum, 0.35, m=150, r_in=sc.r_eps / 4)
             b = sc.r_eps**2
             A = RigidParams(
-                T=0.1 * b * sc.r_eps ** (N - 1) / sc.eps * np.array([0.86, -0.43, 0.29]),
-                R=np.zeros(N),
+                T=0.1 * b * sc.r_eps ** (N - 1) / sc.eps * 0.86,
+                R=0.0,
                 d=0.1 * b, e=0.1 * b * sc.r_eps ** (N - 2),
             )
             h2 = SphereField.zonal_band(spectrum, 2, 1.0) + SphereField.zonal_band(spectrum, 4, 0.5)
@@ -200,7 +200,7 @@ class TestAcceptance:
             _, center_xy = find_site(surf, sc)
             site = assemble_outer(surf, R0, center_xy, sc)
             h0 = SphereField.zeros(spectrum)
-            piece = build_neck_piece(site.patch, sc, RigidParams.zeros(N), h0, h0, tol=TOL_SOLVER, kappa=1.0)
+            piece = build_neck_piece(site.patch, sc, RigidParams.zeros(), h0, h0, tol=TOL_SOLVER, kappa=1.0)
             gap = cauchy_gap(site, h0, piece).holder_norm()
             ratios.append(gap / sc.r_eps ** (N - 2.0 / 3.0))
         sweep_ok = max(ratios) <= 8.0 and max(ratios) / min(ratios) <= 2.0
@@ -219,7 +219,7 @@ class TestAcceptance:
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (amp / h.holder_norm()) if amp else SphereField.zeros(spectrum)
             piece = build_neck_piece(
-                site.patch, sc, RigidParams.zeros(N), h, SphereField.zeros(spectrum),
+                site.patch, sc, RigidParams.zeros(), h, SphereField.zeros(spectrum),
                 tol=TOL_SOLVER, kappa=1e9,
             )
             return cauchy_gap(site, h, piece)

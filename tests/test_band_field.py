@@ -47,7 +47,7 @@ class TestAlgebra:
 
     def test_rejects_shape(self, spectrum):
         with pytest.raises(GridError, match="shape"):
-            BandField(spectrum, uniform(), np.zeros((spectrum.row_count(), 49)))
+            BandField(spectrum, uniform(), np.zeros((spectrum.L + 1, 49)))
 
 
 class TestDerivativeTrace:
@@ -56,7 +56,7 @@ class TestDerivativeTrace:
         f = BandField.zeros(spectrum, g)
         f.values[:] = (g.s**2)[None, :]  # the 2nd-order stencil is exact on quadratics
         slope = f.d_trace(0)
-        assert slope.low == pytest.approx(np.full(spectrum.n + 1, 2 * g.S), abs=1e-12)
+        assert slope.c == pytest.approx(np.full(spectrum.L + 1, 2 * g.S), abs=1e-12)
         with pytest.raises(GridError):
             f.d_trace(g.m - 2)
 
@@ -66,4 +66,4 @@ class TestDerivativeTrace:
         f.values[:] = (g.rho**3)[None, :]
         for index in (0, -1):
             slope = f.d_trace(index)
-            assert slope.zonal == pytest.approx(3 * g.rho[index] ** 2, rel=1e-10)
+            assert slope.c[2:] == pytest.approx(3 * g.rho[index] ** 2, rel=1e-10)

@@ -16,7 +16,7 @@ from minsurflab.catenoid import (
     smooth_step,
 )
 from minsurflab.cli import _restrict
-from minsurflab.cylinder import axial_collocation, norm_exp
+from minsurflab.cylinder import collocation_from_rows, norm_exp
 from minsurflab.profile import compute_scales
 from minsurflab.spectral import SphereField, ZonalGrid, project_high
 
@@ -77,7 +77,7 @@ class TestBuild:
 
     def test_low_mode_data_rejected(self, spectrum, profile):
         h = SphereField.zeros(spectrum)
-        h.low[0] = 1e-9
+        h.c[0] = 1e-9
         with pytest.raises(PreconditionError, match="low-mode"):
             build_catenoid_piece(profile, compute_scales(profile, EPS), h, 1.0, TOL, DELTA)
 
@@ -113,23 +113,24 @@ class TestBuild:
     def test_high_mode_trace_reproduced_exactly(self, piece_zonal, profile):
         sc = piece_zonal.scales
         data = grid_profile(N, piece_zonal.w.grid.s)
-        g_expect = piece_zonal.h_II.zonal * data["phi"][0] ** ((N - 2) / 2.0)
+        g_expect = piece_zonal.h_II.c[2:] * data["phi"][0] ** ((N - 2) / 2.0)
         tr = piece_zonal.w.trace(0)
-        assert np.allclose(tr.zonal, g_expect, rtol=1e-12, atol=1e-18)
+        assert np.allclose(tr.c[2:], g_expect, rtol=1e-12, atol=1e-18)
 
     def test_boundary_is_graph_of_data_over_cut_sphere(self, piece_zonal, zgrid):
         """Sampled boundary points sit at (r_eps theta, h_II(theta)) up to the
         solve's low-mode trace, which is itself recorded and small."""
         sc = piece_zonal.scales
         geo = _NeckGeometry(N, piece_zonal.w.grid.s, zgrid, sc.eps_len)
-        w_hat = axial_collocation(piece_zonal.w, zgrid) / sc.eps_len
+        w_hat = collocation_from_rows(piece_zonal.w.values, zgrid) / sc.eps_len
         P = geo.surface_points(w_hat)
         # boundary ring: at s_eps the transition field is exactly vertical
         horiz = np.hypot(P[0, 0], P[1, 0]) * sc.eps_len
         assert np.max(np.abs(horiz - sc.r_eps)) < 1e-14 * sc.r_eps
         height = P[2, 0] * sc.eps_len - sc.eps_len * geo.psi[0]
-        expect = piece_zonal.h_II.eval_meridian(zgrid.t, 0.0)
-        low_trace = (piece_zonal.w.trace(0) * float(geo.conj[0])).low
+        c = piece_zonal.h_II.c
+        expect = c[0] + c[1] * zgrid.t + c[2:] @ zgrid.Z[2:]
+        low_trace = (piece_zonal.w.trace(0) * float(geo.conj[0])).c[:2]
         assert np.max(np.abs(height - expect)) <= np.abs(low_trace).sum() + 1e-12 * sc.r_eps**2
 
     def test_oracle_residual_factor_two(self, piece_zonal):
@@ -143,7 +144,7 @@ class TestCauchyMaps:
         sc = compute_scales(profile, EPS)
         val, slope = simple_cauchy_catenoid(sc, SphereField.zeros(spectrum))
         assert val.holder_norm() == 0.0
-        assert slope.low[0] == pytest.approx(-sc.eps * sc.r_eps ** (2 - N), rel=1e-14)
+        assert slope.c[0] == pytest.approx(-sc.eps * sc.r_eps ** (2 - N), rel=1e-14)
         assert project_high(slope).holder_norm() == 0.0
 
     def test_simple_slope_affine_with_dtheta_multiplier(self, spectrum, profile):
@@ -154,8 +155,8 @@ class TestCauchyMaps:
         val, slope = simple_cauchy_catenoid(sc, h)
         base_val, base_slope = simple_cauchy_catenoid(sc, SphereField.zeros(spectrum))
         dv = slope - base_slope
-        assert np.allclose(dv.zonal, apply_Dtheta(h).zonal, rtol=1e-14)
-        assert np.allclose(val.zonal, h.zonal)
+        assert np.allclose(dv.c[2:], apply_Dtheta(h).c[2:], rtol=1e-14)
+        assert np.allclose(val.c[2:], h.c[2:])
 
     def test_gap_bounded_at_two_eps(self, spectrum, profile):
         ratios = []
@@ -174,5 +175,5 @@ class TestCauchyMaps:
         # value slot: pure low-mode trace of size O(r_eps^2)
         assert se[0].holder_norm() < 20 * sc.r_eps**2
         # slope slot tends to -eps r_eps^{2-n}
-        rel = abs(se[1].low[0] - s0[1].low[0]) / abs(s0[1].low[0])
+        rel = abs(se[1].c[0] - s0[1].c[0]) / abs(s0[1].c[0])
         assert rel < 0.1

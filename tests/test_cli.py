@@ -113,6 +113,13 @@ SUMMARY_KEYS = {
     "verify_report.json": {"mc_residual", "curvature_outside_boxes", "boxes", "embeddedness"},
 }
 
+# the band-row CSV each piece command writes, and its header: the node
+# coordinate, then one column per band l = 0..L (default L = 8)
+BAND_CSV = {
+    "catenoid-piece": ("catenoid_piece.csv", "s," + ",".join(f"row{l}" for l in range(9))),
+    "neck": ("neck_piece.csv", "r," + ",".join(f"row{l}" for l in range(9))),
+}
+
 
 class TestRun:
     @pytest.mark.parametrize("command, summary", [
@@ -128,6 +135,11 @@ class TestRun:
         assert numbers and np.all(np.isfinite(numbers))
         if command == "verify":
             assert report["mc_residual"]["max_rel"] <= 2 * RunConfig().tol_verify
+        if command in BAND_CSV:
+            name, header = BAND_CSV[command]
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == header
+            assert all(len(line.split(",")) == RunConfig().L + 2 for line in lines[1:])
 
     def test_profile_smoke_with_summary(self, tmp_path):
         cfg = RunConfig(out_dir=str(tmp_path / "run")).validate()

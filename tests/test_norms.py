@@ -66,10 +66,10 @@ def cylinder_fields(draw, m_max=800):
     m = draw(st.integers(4, m_max))
     s = draw(st.floats(-3.0, 3.0)) + h * np.arange(m)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vals = rng.normal(size=(spec.row_count(), m))
+    vals = rng.normal(size=(spec.L + 1, m))
     if draw(st.booleans()):
         vals = vals.cumsum(axis=1)
-    vals *= np.exp(rng.uniform(-3.0, 3.0, size=(spec.row_count(), 1)))
+    vals *= np.exp(rng.uniform(-3.0, 3.0, size=(spec.L + 1, 1)))
     return BandField(spec, UniformGrid(s), vals)
 
 
@@ -92,7 +92,7 @@ class TestNormExpAgainstLoop:
     def test_coarse_grid_shorter_than_one_window(self, spectrum):
         # four nodes with windows of 2, 3 and 4 steps: two windows, one, and one cut short
         for h in (0.6, 0.3, 0.25):
-            w = BandField(spectrum, UniformGrid(h * np.arange(4)), np.arange(spectrum.row_count() * 4.0).reshape(-1, 4))
+            w = BandField(spectrum, UniformGrid(h * np.arange(4)), np.arange((spectrum.L + 1) * 4.0).reshape(-1, 4))
             for k in (0, 1, 2):
                 assert norm_exp(w, k, 0.5, -2.0) == norm_exp_loop(w, k, 0.5, -2.0)
 
@@ -131,8 +131,8 @@ def radial_fields(draw):
     r_in = draw(st.floats(1e-3, 1.0))
     grid = RadialGrid(r_in, r_in * draw(st.floats(1.5, 100.0)), draw(st.integers(8, 40)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vals = rng.normal(size=(spec.row_count(), grid.m))
-    vals *= np.exp(rng.uniform(-3.0, 3.0, size=(spec.row_count(), 1)))
+    vals = rng.normal(size=(spec.L + 1, grid.m))
+    vals *= np.exp(rng.uniform(-3.0, 3.0, size=(spec.L + 1, 1)))
     return BandField(spec, grid, vals)
 
 
@@ -158,7 +158,7 @@ class TestWeightedNormProperties:
 
 def _spoiled(spectrum, x, how):
     """Smooth band rows over the nodes x, made non-finite as `how` says."""
-    values = np.sin(np.outer(np.arange(1, spectrum.row_count() + 1), x))
+    values = np.sin(np.outer(np.arange(1, spectrum.L + 2), x))
     if how == "all_nan":
         values[:] = np.nan
     elif how == "one_nan":
@@ -182,7 +182,7 @@ class TestNonFinite:
 
     def test_norm_exp_raises_when_the_weight_overflows(self, spectrum):
         s = 700.0 + 0.05 * np.arange(100)
-        w = BandField(spectrum, UniformGrid(s), np.ones((spectrum.row_count(), s.size)))
+        w = BandField(spectrum, UniformGrid(s), np.ones((spectrum.L + 1, s.size)))
         assert np.isfinite(norm_exp(w, 0, 0.5, -1.0))
         with pytest.raises(ValueError, match=r"delta=-1\.05, largest window start s=703\.95"):
             norm_exp(w, 0, 0.5, -1.05)

@@ -162,7 +162,7 @@ class TestCauchyU:
         surf, site, sc = sited
         h1 = SphereField.zonal_band(spectrum, 2, 1.0) * (0.3 * sc.r_eps**2)
         h2 = SphereField.zeros(spectrum)
-        h2.low[0] = 0.2 * sc.r_eps**2
+        h2.c[0] = 0.2 * sc.r_eps**2
         lhs = simple_cauchy_outer(site, h1 + h2)
         rhs = simple_cauchy_outer(site, h1) + simple_cauchy_outer(site, h2)
         scale = max(lhs.holder_norm(), 1e-300)
@@ -173,7 +173,7 @@ class TestCauchyU:
 
         surf, site, sc = sited
         h0 = SphereField.zeros(spectrum)
-        piece = build_neck_piece(site.patch, sc, RigidParams.zeros(N), h0, h0, tol=5e-3, kappa=1.0)
+        piece = build_neck_piece(site.patch, sc, RigidParams.zeros(), h0, h0, tol=5e-3, kappa=1.0)
         w = solve_outer_nonlinear(site, h0, tol=5e-3)
         gap = (cauchy_U_eps(w, piece) - simple_cauchy_outer(site, h0)).holder_norm()
         assert gap / sc.r_eps ** (N - 2.0 / 3.0) < 50.0

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from minsurflab.cylinder import BandField, row_bands
+from minsurflab.cylinder import BandField
 from minsurflab.radial import (
     BandOperator,
     RadialGrid,
@@ -55,17 +55,17 @@ def band_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     slope = draw(st.floats(0.0, 2.0)) * rng.uniform(-1.0, 1.0) * grid.r / r_out
     op = BandOperator(spec, grid, slope)
-    rows = spec.row_count()
+    rows = spec.L + 1
     f = BandField(spec, grid, rng.normal(size=(rows, m)) * 10.0 ** rng.uniform(-3.0, 3.0))
-    data = SphereField(spec, rng.normal(size=spec.n + 1), rng.normal(size=spec.L - 1))
+    data = SphereField(spec, rng.normal(size=rows))
     return op, f, data * 10.0 ** rng.uniform(-3.0, 3.0)
 
 
 def expected_rings(kind, spec, data):
     """Per ring (node index, Robin exponent of each row with nan where the
     row takes Dirichlet data, Dirichlet data of each row)."""
-    bands = row_bands(spec).astype(float)
-    cols = np.concatenate([data.low, data.zonal])
+    bands = np.arange(spec.L + 1.0)
+    cols = data.c
     none = np.full(bands.size, np.nan)
     zero = np.zeros(bands.size)
     if kind == "annulus":
@@ -86,11 +86,11 @@ def test_solution_satisfies_the_mixed_problem(problem, kind):
     op, f, data = problem
     spec, grid = f.spectrum, op.grid
     w = BandField(spec, grid, solve_rows(op, f, *PROBLEMS[kind](data)))
-    bands = row_bands(spec)
+    bands = range(spec.L + 1)
     # interior collocation rows: Lambda_l w = f, against |Lambda_l| |w| + |f|
     residual = op.apply(w).values - f.values
     for i, ell in enumerate(bands):
-        terms = np.abs(op.matrix(int(ell))) @ np.abs(w.values[i]) + np.abs(f.values[i])
+        terms = np.abs(op.matrix(ell)) @ np.abs(w.values[i]) + np.abs(f.values[i])
         assert np.all(np.abs(residual[i, 1:-1]) <= RTOL * terms[1:-1])
     scale = np.max(np.abs(w.values), axis=1)
     for k, p, values in expected_rings(kind, spec, data):
@@ -110,8 +110,8 @@ def test_solution_satisfies_the_mixed_problem(problem, kind):
 def test_rows_equal_the_reference_band_solves(problem):
     op, f, data = problem
     spec = f.spectrum
-    cols = np.concatenate([data.low, data.zonal])
-    bands = [int(ell) for ell in row_bands(spec)]
+    cols = data.c
+    bands = range(spec.L + 1)
     annulus = [band_mixed(op, ell, f.values[i], float(cols[i])) for i, ell in enumerate(bands)]
     exterior = [band_exterior(op, ell, f.values[i], float(cols[i]), spec.n) for i, ell in enumerate(bands)]
     ball = [band_interior(op, ell, float(cols[i])) for i, ell in enumerate(bands)]

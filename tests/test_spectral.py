@@ -79,32 +79,32 @@ class TestBandSpectrum:
 class TestProjections:
     def test_constant_field_has_no_high_content(self, spectrum):
         f = SphereField.zeros(spectrum)
-        f.low[0] = 2.5
+        f.c[0] = 2.5
         assert project_high(f).holder_norm() == 0.0
 
     def test_coordinate_field_is_low(self, spectrum):
         f = SphereField.zeros(spectrum)
-        f.low[1:] = [1.0, 0.0, 0.0]
+        f.c[1] = 1.0
         assert project_high(f).holder_norm() == 0.0
         lo = project_low(f)
-        assert np.allclose(lo.low, f.low)
+        assert np.allclose(lo.c[:2], f.c[:2])
 
     def test_zonal_band_two_is_high(self, spectrum):
         f = SphereField.zonal_band(spectrum, 2, 1.0)
         hi = project_high(f)
-        assert np.allclose(hi.zonal, f.zonal)
+        assert np.allclose(hi.c[2:], f.c[2:])
         assert project_low(f).holder_norm() == 0.0
 
     def test_projections_sum_to_identity(self, spectrum, rng):
-        f = SphereField(spectrum, rng.normal(size=4), rng.normal(size=7))
+        f = SphereField(spectrum, rng.normal(size=spectrum.L + 1))
         s = project_low(f) + project_high(f)
-        assert np.allclose(s.low, f.low)
-        assert np.allclose(s.zonal, f.zonal)
+        assert np.allclose(s.c[:2], f.c[:2])
+        assert np.allclose(s.c[2:], f.c[2:])
 
     def test_idempotent_and_annihilating(self, spectrum, rng):
-        f = SphereField(spectrum, rng.normal(size=4), rng.normal(size=7))
+        f = SphereField(spectrum, rng.normal(size=spectrum.L + 1))
         twice = project_low(project_low(f))
-        assert np.allclose(twice.low, project_low(f).low)
+        assert np.allclose(twice.c[:2], project_low(f).c[:2])
         zero = project_high(project_low(f))
         assert zero.holder_norm() == 0.0
 
@@ -112,22 +112,22 @@ class TestProjections:
 class TestDtheta:
     def test_constant_maps_to_zero(self, spectrum):
         f = SphereField.zeros(spectrum)
-        f.low[0] = 3.0
+        f.c[0] = 3.0
         assert apply_Dtheta(f).holder_norm() == 0.0
 
     def test_band_two_multiplier(self, spectrum):
         f = SphereField.zonal_band(spectrum, 2, 1.0)
         out = apply_Dtheta(f)
-        assert out.zonal[0] == pytest.approx(2.0, abs=1e-14)  # 2.5 - 0.5
+        assert out.c[2] == pytest.approx(2.0, abs=1e-14)  # 2.5 - 0.5
 
     def test_linearity_to_roundoff(self, spectrum, rng):
-        f = SphereField(spectrum, rng.normal(size=4), rng.normal(size=7))
-        g = SphereField(spectrum, rng.normal(size=4), rng.normal(size=7))
+        f = SphereField(spectrum, rng.normal(size=spectrum.L + 1))
+        g = SphereField(spectrum, rng.normal(size=spectrum.L + 1))
         a, b = 1.7, -0.3
         lhs = apply_Dtheta(a * f + b * g)
         rhs = a * apply_Dtheta(f) + b * apply_Dtheta(g)
-        assert np.allclose(lhs.low, rhs.low, atol=1e-14)
-        assert np.allclose(lhs.zonal, rhs.zonal, atol=1e-14)
+        assert np.allclose(lhs.c[:2], rhs.c[:2], atol=1e-14)
+        assert np.allclose(lhs.c[2:], rhs.c[2:], atol=1e-14)
 
     def test_decaying_extension_traces(self, spectrum, profile):
         """The flat decaying band extension is annihilated by the flat
@@ -141,13 +141,13 @@ class TestDtheta:
         for ell in (2, 4, 8):
             gam = spectrum.gamma[ell]
             w = BandField.zeros(spectrum, UniformGrid(s))
-            w.values[n - 1 + ell] = np.exp(-gam * (s - S))
+            w.values[ell] = np.exp(-gam * (s - S))
             prof_vals = np.exp(-gam * (s - S))
             d2 = (prof_vals[2:] - 2 * prof_vals[1:-1] + prof_vals[:-2]) / h**2
             flat = d2 - (spectrum.lam[ell] + ((n - 2) / 2.0) ** 2) * prof_vals[1:-1]
             assert np.max(np.abs(flat)) < 5e-4 * gam**4  # grid tolerance
             f = SphereField.zonal_band(spectrum, ell, 1.0)
-            slope = -(n - 2) / 2.0 * f.zonal[ell - 2] - apply_Dtheta(f).zonal[ell - 2]
+            slope = -(n - 2) / 2.0 * f.c[ell] - apply_Dtheta(f).c[ell]
             assert slope == pytest.approx(-gam, abs=1e-14)
 
 
@@ -192,15 +192,13 @@ class TestTransformsAndSerialization:
             zgrid.d_beta(np.ones(zgrid.t.size), +1, deriv=3)
 
     def test_eval_reproduced_by_band_expansion(self, spectrum, zgrid, rng):
-        f = SphereField(spectrum, rng.normal(size=4), rng.normal(size=7))
-        # coefficients along the pole meridian: [a0, a.q, zonal_2..L]
-        axial = np.concatenate([[f.low[0], f.low[1:] @ f.pole], f.zonal])
-        vals = axial @ zgrid.Z
-        direct = f.eval_meridian(zgrid.t, 0.0)
+        f = SphereField(spectrum, rng.normal(size=spectrum.L + 1))
+        vals = f.c @ zgrid.Z
+        direct = f.c[0] + f.c[1] * zgrid.t + f.c[2:] @ zgrid.Z[2:]
         assert np.max(np.abs(vals - direct)) < 1e-12
 
     def test_norm_properties(self, spectrum, rng):
-        f = SphereField(spectrum, rng.normal(size=4), rng.normal(size=7))
-        g = SphereField(spectrum, rng.normal(size=4), rng.normal(size=7))
+        f = SphereField(spectrum, rng.normal(size=spectrum.L + 1))
+        g = SphereField(spectrum, rng.normal(size=spectrum.L + 1))
         assert (2.5 * f).holder_norm() == pytest.approx(2.5 * f.holder_norm(), rel=1e-12)
         assert (f + g).holder_norm() <= f.holder_norm() + g.holder_norm() + 1e-12

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from minsurflab.cylinder import axial_collocation
+from minsurflab.cylinder import collocation_from_rows
 from minsurflab.geometry import graph_orbit_points, matrix_surface
 from minsurflab.neck import angular_grid, flat_patch
 from minsurflab.outer import CORE_SPAN
@@ -49,7 +49,7 @@ def reference_second_fund(glued):
     for level in outer.glue_levels:
         V = level.neck_piece.V
         g = angular_grid(V.spectrum)
-        P = graph_orbit_points(V.grid.r, g, axial_collocation(V, g))
+        P = graph_orbit_points(V.grid.r, g, collocation_from_rows(V.values, g))
         A2 = np.sqrt(matrix_surface(P, g, V.grid.D).second_fundamental_sq(n))
         for i in range(0, V.grid.m, 4):
             pt = np.concatenate([level.site.center_xy + e0 * V.grid.r[i],
