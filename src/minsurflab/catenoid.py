@@ -222,8 +222,7 @@ def solve_PS(g_II: SphereField, S: float, delta: float, s_grid: np.ndarray) -> B
     decay = np.exp(-np.outer(spec.gamma[2:], grid.s - S))
     w0.values[2:] = g_II.c[2:, None] * decay
     data = grid_profile(n, grid.s)
-    rhs = w0.copy()
-    rhs.values = -data["pot"][None, :] * w0.values
+    rhs = BandField(spec, grid, -data["pot"][None, :] * w0.values)
     return w0 + solve_GS(rhs, S, delta)
 
 
@@ -367,10 +366,8 @@ def build_catenoid_piece(
         w = wt + v
         lcal_w = apply_Lcal(w, profile)
         mc = geo.conjugated_mc(w)
-        qbar = lcal_w.copy()
-        qbar.values = (
-            lcal_w.values - rows_from_collocation(mc, grid)
-        ) * mask[None, :]
+        qbar = BandField(spec, lcal_w.grid,
+                         (lcal_w.values - rows_from_collocation(mc, grid)) * mask[None, :])
         v_new = solve_GS(qbar, s_eps, delta)
         gvar = np.max(np.abs(collocation_from_rows((v_new + wt).values, grid))) * np.max(
             geo.phi ** (-n / 2.0)
@@ -426,9 +423,7 @@ def _oracle_residual(n, grid, scales, w) -> float:
 
 def _catenoid_cauchy(geo: _NeckGeometry, scales: Scales, w: BandField):
     value = w.trace(0) * float(geo.conj[0])
-    conj_w = w.copy()
-    conj_w.values = geo.conj[None, :] * w.values
-    slope_rows = conj_w.d_trace(0)
+    slope_rows = BandField(w.spectrum, w.grid, geo.conj[None, :] * w.values).d_trace(0)
     pref = geo.phi[0] / geo.dphi[0]  # phi'(s_eps) < 0 on the lower branch
     slope = slope_rows * pref
     slope.c[0] += pref * scales.eps_len * geo.dpsi[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import BandSpectrum, SphereField, ZonalGrid
 
@@ -137,10 +138,10 @@ def norm_exp(w: BandField, k: int, alpha: float, delta: float) -> float:
     the quotient window is one node shorter.
 
     A maximum over rows and nodes may be taken in either order, so each term
-    is reduced to its column maximum over rows first and then to a running
-    maximum over the window starts: O(rows * m), and bit-identical to
-    slicing every window.  Raises ValueError on non-finite values and on a
-    non-finite norm (the weight overflows when -delta s exceeds about 709.78).
+    is reduced to its column maximum over rows first and then to the maximum
+    of each window of that column, bit-identical to slicing every window.
+    Raises ValueError on non-finite values and on a non-finite norm (the
+    weight overflows when -delta s exceeds about 709.78).
     """
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
@@ -175,8 +176,8 @@ def norm_exp(w: BandField, k: int, alpha: float, delta: float) -> float:
         terms.append(qcol[: max(1, m - 1)].max(keepdims=True))
     else:
         starts = s[: m - win]
-        terms = [_forward_max(c, win + 1, starts.size) for c in cols]
-        terms.append(_forward_max(qcol, win, starts.size))
+        terms = [sliding_window_view(c, win + 1)[: starts.size].max(axis=1) for c in cols]
+        terms.append(sliding_window_view(qcol, win)[: starts.size].max(axis=1))
     # added in one fixed order: 0.0 + values (+ first and second
     # derivative) + quotient
     window_val = 0.0
@@ -191,21 +192,6 @@ def norm_exp(w: BandField, k: int, alpha: float, delta: float) -> float:
             "exceeds about 709.78"
         )
     return best
-
-
-def _forward_max(col: np.ndarray, size: int, count: int) -> np.ndarray:
-    """max(col[i : i + size]) for i = 0..count-1; every window lies inside col.
-
-    Running maxima forward and backward within blocks of `size` nodes (van
-    Herk, Gil & Werman): a window spans at most two blocks, so its maximum
-    is the backward maximum at its start and the forward one at its end.
-    """
-    blocks = np.full(-(-col.size // size) * size, -np.inf)
-    blocks[: col.size] = col
-    blocks = blocks.reshape(-1, size)
-    fwd = np.maximum.accumulate(blocks, axis=1).ravel()
-    bwd = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(bwd[:count], fwd[size - 1 : size - 1 + count])
 
 
 # -- band two-point solvers ------------------------------------------------------

@@ -34,6 +34,7 @@ from .neck import (
 from .outer import (
     EndModel,
     GlueLevel,
+    NeckBox,
     OuterSurface,
     Site,
     assemble_outer,
@@ -293,9 +294,9 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
 
 def assemble_glued_surface(ctx, t, cat: CatenoidPiece, neck: NeckPiece, mis_norm,
                            history) -> GluedSurface:
-    """Place the catenoid chart at the ring frame and record the new end,
-    its level and its neck box on the context's surface; the first level
-    also records the seed's neck box."""
+    """Place the catenoid chart at the ring frame and record the new level,
+    with its end and its neck box, on the context's surface; the first
+    level also records the seed's neck box."""
     sc = ctx.scales
     surf = ctx.surface
     n = surf.n
@@ -323,18 +324,16 @@ def assemble_glued_surface(ctx, t, cat: CatenoidPiece, neck: NeckPiece, mis_norm
     half_w = 1.6 * eps_len * phi_star
     z_lo = ring_height - eps_len * (psi_cut + float(psis[0]))
     z_hi = ring_height + eps_len * (float(psis[0]) - psi_cut)
-    box = {
-        "center_xy": site.center_xy.copy(),
-        "halfwidth": float(max(half_w, site.r0)),
-        "z_range": (float(min(z_lo, ring_height) - 0.2 * eps_len * phi_star),
-                    float(max(z_hi, ring_height) + 0.2 * eps_len * phi_star)),
-        "c_j": 1.1 * np.sqrt(n * (n - 1.0)) / eps_len,
-    }
-    if not surf.glue_levels:
-        surf.neck_boxes.append(_seed_neck_box(surf))
-    surf.neck_boxes.append(box)
-    surf.glue_levels.append(GlueLevel(neck, cat, site, ring_height))
-    surf.ends.append(end)
+    box = NeckBox(
+        center_xy=site.center_xy.copy(),
+        halfwidth=float(max(half_w, site.r0)),
+        z_range=(float(min(z_lo, ring_height) - 0.2 * eps_len * phi_star),
+                 float(max(z_hi, ring_height) + 0.2 * eps_len * phi_star)),
+        c_j=1.1 * np.sqrt(n * (n - 1.0)) / eps_len,
+    )
+    if surf.seed_box is None:
+        surf.seed_box = _seed_neck_box(surf)
+    surf.glue_levels.append(GlueLevel(neck, cat, site, ring_height, end, box))
     return GluedSurface(
         outer=surf,
         neck_piece=neck,
@@ -372,8 +371,7 @@ def glue_end(
         )
     if delta is None:
         delta = default_delta(surface.spectrum.n)
-    surface = replace(surface, ends=list(surface.ends), glue_levels=list(surface.glue_levels),
-                      neck_boxes=list(surface.neck_boxes))
+    surface = replace(surface, glue_levels=list(surface.glue_levels))
     if not surface.glue_levels:
         nondegeneracy_check(surface, delta, m=400)
     # the catenoid piece solves at the weight the nondegeneracy check used
@@ -406,7 +404,7 @@ def _new_end_tilt(glued: GluedSurface) -> float:
     return float(np.max(slope)) if np.any(far) else 0.0
 
 
-def _seed_neck_box(surface: OuterSurface) -> dict:
+def _seed_neck_box(surface: OuterSurface) -> NeckBox:
     n = surface.n
     a = surface.core_scale
     phi_star = (np.sqrt(n * (n - 1.0)) / a) ** (1.0 / n)
@@ -417,13 +415,13 @@ def _seed_neck_box(surface: OuterSurface) -> dict:
         lambda s: profile_values(n, np.array([abs(s)]))[0][0] - phi_star, 1e-6, 10.0
     )
     psis = profile_values(n, np.array([s_star]))[2][0]
-    return {
-        "center_xy": surface.core_center[:n].copy(),
-        "halfwidth": float(1.3 * a * phi_star),
-        "z_range": (float(surface.core_center[-1] - 1.2 * a * psis),
-                    float(surface.core_center[-1] + 1.2 * a * psis)),
-        "c_j": 1.1 * np.sqrt(n * (n - 1.0)) / a,
-    }
+    return NeckBox(
+        center_xy=surface.core_center[:n].copy(),
+        halfwidth=float(1.3 * a * phi_star),
+        z_range=(float(surface.core_center[-1] - 1.2 * a * psis),
+                 float(surface.core_center[-1] + 1.2 * a * psis)),
+        c_j=1.1 * np.sqrt(n * (n - 1.0)) / a,
+    )
 
 
 @dataclass
@@ -446,11 +444,7 @@ class TowerReport:
             "slab": list(self.slab),
             "slab_bound": self.slab_bound,
             "curvature_outside_boxes": self.curvature_outside,
-            "boxes": [
-                {k: (list(v) if isinstance(v, tuple) else (list(v) if isinstance(v, np.ndarray) else v))
-                 for k, v in b.items()}
-                for b in self.boxes
-            ],
+            "boxes": self.boxes,
             "certificates": self.certificates,
             "improperness_ratios": self.improperness_ratios,
         }

@@ -366,10 +366,7 @@ def build_neck_piece(
         H_vals = mean_curvature_graph(back_patch, w=w)
         q_vals = rows_from_collocation(H_vals - H_base_vals, g)
         lam_w = op.apply(w)
-        qbar = BandField(spec, grid, lam_w.values - q_vals)
-        qbar.values[:, 0] = 0.0
-        qbar.values[:, -1] = 0.0
-        return solve_mixed(op, qbar)
+        return solve_mixed(op, BandField(spec, grid, lam_w.values - q_vals))
 
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
     v, it, _ = picard(

@@ -1,11 +1,12 @@
 """The noncompact outer surface: ends, the nondegeneracy check, and site
 solvers.
 
-The outer surface carries a core cylinder chart (the seed catenoid), a list
-of planar-asymptotic ends in the catenoid band representation, one
-GlueLevel record per earlier gluing and the neck boxes.  A glue works at
-one Site on the top end, which assemble_outer returns without changing the
-surface.  Ring-data solves are localized at the site: responses to data on
+The outer surface carries a core cylinder chart (the seed catenoid), its two
+planar-asymptotic ends in the catenoid band representation, and one
+GlueLevel per earlier gluing, the only record of what that glue added: its
+pieces, its site, its new end and its NeckBox.  A glue works at one Site on
+the top end, which assemble_outer returns with that end, without changing
+the surface.  Ring-data solves are localized at the site: responses to data on
 the small ring decay like exterior multipoles, so the exterior problem on
 [r0, R_site] with per-band decaying Robin closure represents the global
 solve up to couplings far below the working ball; the global band
@@ -113,9 +114,36 @@ class EndModel:
 
 
 @dataclass(frozen=True)
+class NeckBox:
+    """A box about a neck, a sup-norm square horizontally times a height
+    interval: outside every box |A| < 1, inside it |A| <= c_j."""
+
+    center_xy: np.ndarray  # horizontal center
+    halfwidth: float  # horizontal half-width, in the sup norm
+    z_range: tuple  # (lowest, highest) ambient height
+    c_j: float  # curvature bound inside the box
+
+    def contains(self, xy: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Whether each point (xy[i], z[i]) lies in the box."""
+        return ((np.max(np.abs(xy - self.center_xy), axis=1) <= self.halfwidth)
+                & (self.z_range[0] <= z) & (z <= self.z_range[1]))
+
+    def meets(self, other: "NeckBox") -> bool:
+        """Whether the two closed boxes intersect."""
+        return bool(np.max(np.abs(self.center_xy - other.center_xy))
+                    <= self.halfwidth + other.halfwidth
+                    and self.z_range[1] >= other.z_range[0]
+                    and other.z_range[1] >= self.z_range[0])
+
+    def to_dict(self) -> dict:
+        return {"center_xy": self.center_xy, "halfwidth": self.halfwidth,
+                "z_range": self.z_range, "c_j": self.c_j}
+
+
+@dataclass(frozen=True)
 class Site:
-    """A gluing site on the top end: the compact patch about it, the site
-    exterior, and where it sits."""
+    """A gluing site: the end it was cut from, the compact patch about it,
+    the site exterior, and where it sits."""
 
     patch: GraphPatch  # the end about the site on [r_eps/8, r0], u(0) = 0
     exterior: GraphPatch  # the end about the site on [r0, 0.45 r_site]
@@ -123,34 +151,50 @@ class Site:
     height: float  # ambient height of the site on the end glued to
     r_site: float  # the site's distance from that end's axis
     r0: float  # radius of the ring between the patch and the exterior
+    end: EndModel  # the end the site was cut from
 
 
 @dataclass
 class GlueLevel:
-    """One glued level: its neck and catenoid pieces and where they sit."""
+    """One glued level, all its glue added: the neck and catenoid pieces,
+    the site they sit on, the new end and the neck box with its c_j."""
 
     neck_piece: NeckPiece
     catenoid_piece: CatenoidPiece
     site: Site
     ring_height: float  # ambient height of the catenoid ring frame
+    new_end: EndModel
+    box: NeckBox
 
 
 @dataclass
 class OuterSurface:
-    """Core cylinder chart, ends, one GlueLevel per glue (oldest first) and
-    the neck boxes, the seed's first: a tower's whole cumulative state."""
+    """Core cylinder chart, the seed's two ends, one GlueLevel per glue
+    (oldest first) and the seed's neck box, which the first glue records: a
+    tower's whole cumulative state, from which ends and neck_boxes read."""
 
     profile: ProfileTable
     spectrum: BandSpectrum
     core_scale: float
     core_center: np.ndarray  # ambient (n+1,)
-    ends: list
+    seed_ends: list
     glue_levels: list = field(default_factory=list)
-    neck_boxes: list = field(default_factory=list)
+    seed_box: NeckBox | None = None
 
     @property
     def n(self) -> int:
         return self.profile.n
+
+    @property
+    def ends(self) -> list:
+        return self.seed_ends + [lv.new_end for lv in self.glue_levels]
+
+    @property
+    def neck_boxes(self) -> list:
+        """The seed's box and each level's; none on an unglued surface."""
+        if not self.glue_levels:
+            return []
+        return [self.seed_box] + [lv.box for lv in self.glue_levels]
 
     def top_end(self) -> EndModel:
         return max(self.ends, key=lambda e: e.plane_height)
@@ -179,7 +223,7 @@ def seed_catenoid(profile: ProfileTable, spectrum: BandSpectrum, scale: float) -
         spectrum=spectrum,
         core_scale=scale,
         core_center=np.zeros(n + 1),
-        ends=ends,
+        seed_ends=ends,
     )
 
 
@@ -300,7 +344,8 @@ def assemble_outer(
     scales: Scales,
 ) -> Site:
     """The Site at the horizontal position center_xy on the top end, its
-    patch and exterior rebased so u(0) = 0; the surface is not changed.
+    patch and exterior rebased so u(0) = 0, which records that end; the
+    surface is not changed.
 
     The site must have |grad u| <= r_eps over the end's asymptotic plane.
     """
@@ -333,7 +378,7 @@ def assemble_outer(
     ext_grid = RadialGrid(r0, R_out, M_RADIAL)
     exterior = GraphPatch(n=n, r0=R_out / 2.0, grid=ext_grid, u=site_field(ext_grid))
     height = float(end.plane_height + end.orientation * h_site[0])
-    return Site(patch, exterior, xy, height, r_site, r0)
+    return Site(patch, exterior, xy, height, r_site, r0, end)
 
 
 # -- site-exterior solves --------------------------------------------------------------

@@ -193,13 +193,9 @@ def second_fund(glued) -> dict:
         z.append(level.ring_height + sc.eps_len * (psis - sc.psi_cut))
         A.append(np.sqrt(n * (n - 1.0)) * phis ** (-n) / sc.eps_len)
     xy, z, A = np.concatenate(xy), np.concatenate(z), np.concatenate(A)
-    inside = np.array([
-        (np.max(np.abs(xy - b["center_xy"]), axis=1) <= b["halfwidth"])
-        & (b["z_range"][0] <= z) & (z <= b["z_range"][1])
-        for b in outer.neck_boxes
-    ])
+    inside = np.array([b.contains(xy, z) for b in outer.neck_boxes])
     return {"outside_sup": float(np.max(A[~inside.any(axis=0)], initial=0.0)),
-            "boxes": [dict(b, sup_A=float(np.max(A[m], initial=0.0)))
+            "boxes": [dict(b.to_dict(), sup_A=float(np.max(A[m], initial=0.0)))
                       for b, m in zip(outer.neck_boxes, inside)]}
 
 
@@ -218,8 +214,9 @@ def sheet_separation_report(pts: np.ndarray, lower: np.ndarray, upper: np.ndarra
 def embeddedness(glued) -> dict:
     """Certificate: separation positivity, box disjointness, overlap scan.
 
-    The new sheet is the newest level of glued.outer; the boxes are all of
-    its neck boxes and the planes all of its ends, the new one included.
+    The new sheet is the newest level of glued.outer, and the old sheet
+    under it is the end its site was cut from (site.end); the boxes are all
+    of its neck boxes and the planes all of its ends, the new one included.
     Violations return a witness; they are data, not exceptions.
     """
     outer = glued.outer
@@ -240,24 +237,14 @@ def embeddedness(glued) -> dict:
         lower[inside] = site.height + interp @ neck.V.values[0]
     outside = ~inside
     if np.any(outside):
-        end = _site_end(outer, level)
+        end = site.end
         rr = np.sqrt(site.r_site**2 + radii[outside] ** 2)
         h_prof, _ = end.height_profile(n, rr)
         lower[outside] = end.plane_height + end.orientation * h_prof
     pts = np.stack([radii, np.zeros_like(radii), np.full_like(radii, ring_h)], axis=1)
     rep = sheet_separation_report(pts, lower, upper)
     boxes = outer.neck_boxes
-    disjoint = True
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            bi, bj = boxes[i], boxes[j]
-            if (
-                np.max(np.abs(bi["center_xy"] - bj["center_xy"]))
-                <= bi["halfwidth"] + bj["halfwidth"]
-                and bi["z_range"][1] >= bj["z_range"][0]
-                and bj["z_range"][1] >= bi["z_range"][0]
-            ):
-                disjoint = False
+    disjoint = not any(a.meets(b) for i, a in enumerate(boxes) for b in boxes[i + 1:])
     # overlap scan: old sheets above/below the new end plane
     heights = sorted(e.plane_height for e in outer.ends)
     gaps = np.diff(heights)
@@ -282,12 +269,6 @@ def _upper_branch_height(n, sc, radii):
     psi = sp["psi"](s)
     psic = sp["psi"](abs(sc.s_eps))
     return sc.eps_len * (psi - (-psic))
-
-
-def _site_end(outer, level):
-    # the level's site lives on the highest end at or below the site's height
-    cands = [e for e in outer.ends if e.plane_height <= level.site.height + 1e-9]
-    return max(cands, key=lambda e: e.plane_height)
 
 
 # -- chord-arc and graphical radius -------------------------------------------------------

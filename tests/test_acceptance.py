@@ -281,6 +281,19 @@ class TestAcceptance:
             f"sup|A| outside boxes {report.curvature_outside:.3f} < 1",
         )
 
+    def test_A7_tower_report_json(self, tower, tmp_path):
+        from minsurflab.cli import dump_json
+
+        _, report = tower
+        path = tmp_path / "tower_report.json"
+        dump_json(report.to_dict(), path)
+        boxes = json.loads(path.read_text())["boxes"]
+        # the seed's box and one per glued level
+        assert len(boxes) == len(report.levels) + 1
+        for box in boxes:
+            assert set(box) == {"c_j", "center_xy", "halfwidth", "sup_A", "z_range"}
+            assert len(box["center_xy"]) == N and len(box["z_range"]) == 2
+
     def test_A8_section_two_checks(self, spectrum, profile, glued):
         from minsurflab.geometry import graph_orbit_points
         from minsurflab.neck import angular_grid

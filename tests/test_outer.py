@@ -6,6 +6,7 @@ from minsurflab.diffops import fd_derivative
 from minsurflab.neck import graph_residual
 from minsurflab.outer import (
     CORE_SPAN,
+    NeckBox,
     cauchy_U_eps,
     find_site,
     nondegeneracy_check,
@@ -73,6 +74,30 @@ class TestAssemble:
         assert c2 <= 1.0
         # (A.1): grid covers [r_eps/8, r0] inside [r0/2, 2 r0]
         assert patch.grid.r_out == pytest.approx(patch.r0)
+
+
+def unit_box(x: float, z: float) -> NeckBox:
+    """Half-width 1 about (x, 0, 0) and heights z +- 0.5."""
+    return NeckBox(center_xy=np.array([x, 0.0, 0.0]), halfwidth=1.0,
+                   z_range=(z - 0.5, z + 0.5), c_j=2.0)
+
+
+class TestNeckBox:
+    def test_meets_overlapping_boxes_only(self):
+        box = unit_box(0.0, 0.0)
+        # unit_box(2.0, 1.0) touches it at a corner
+        for other in (unit_box(1.5, 0.25), unit_box(2.0, 1.0), box):
+            assert box.meets(other) and other.meets(box)
+        # apart horizontally, then in height
+        for other in (unit_box(2.5, 0.0), unit_box(0.0, 1.5)):
+            assert not box.meets(other) and not other.meets(box)
+
+    def test_contains(self):
+        box = unit_box(0.0, 0.0)
+        xy = np.array([[0.5, -1.0, 0.2], [1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, -1.0]])
+        z = np.array([0.0, 0.0, 0.75, -0.5])
+        assert box.contains(xy, z).tolist() == [True, False, False, True]
+        assert not unit_box(3.0, 0.0).contains(xy, z).any()
 
 
 def jacobi_quotient(n: int, ell: int, field, m: int) -> float:

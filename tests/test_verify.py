@@ -67,8 +67,8 @@ def reference_second_fund(glued):
     for pt, Ai in samples:
         inside = False
         for b_idx, b in enumerate(boxes):
-            z0, z1 = b["z_range"]
-            if np.max(np.abs(pt[:n] - b["center_xy"])) <= b["halfwidth"] and z0 <= pt[n] <= z1:
+            z0, z1 = b.z_range
+            if np.max(np.abs(pt[:n] - b.center_xy)) <= b.halfwidth and z0 <= pt[n] <= z1:
                 per_box[b_idx] = max(per_box[b_idx], Ai)
                 inside = True
         if not inside:
@@ -132,6 +132,44 @@ class TestEmbeddedness:
         shifted = embeddedness(dataclasses.replace(glued_surface, outer=outer))
         assert not shifted["embedded"]
         assert "witness" in shifted
+
+    def test_reads_the_end_its_site_was_cut_from(self, glued_surface, monkeypatch):
+        """A site below its end's plane still has its old sheet read from
+        that end, not from the highest end below the site."""
+        from minsurflab.outer import EndModel
+        from minsurflab.verify import embeddedness
+
+        outer = glued_surface.outer
+        end = outer.ends[0]
+        level = outer.glue_levels[-1]
+        site = dataclasses.replace(level.site, height=end.plane_height - 0.05)
+        level = dataclasses.replace(level, site=site)
+        outer = dataclasses.replace(outer, glue_levels=outer.glue_levels[:-1] + [level])
+        read = []
+        height_profile = EndModel.height_profile
+
+        def spy(self, n, R):
+            read.append(self)
+            return height_profile(self, n, R)
+
+        monkeypatch.setattr(EndModel, "height_profile", spy)
+        embeddedness(dataclasses.replace(glued_surface, outer=outer))
+        assert read and all(e is end for e in read)
+
+    def test_overlapping_boxes_are_not_embedded(self, glued_surface):
+        from minsurflab.verify import embeddedness
+
+        outer = glued_surface.outer
+        level = outer.glue_levels[-1]
+        # the level's box moved onto the seed's
+        box = dataclasses.replace(level.box, center_xy=outer.seed_box.center_xy,
+                                  z_range=outer.seed_box.z_range)
+        level = dataclasses.replace(level, box=box)
+        outer = dataclasses.replace(outer, glue_levels=outer.glue_levels[:-1] + [level])
+        cert = embeddedness(dataclasses.replace(glued_surface, outer=outer))
+        assert cert["boxes_disjoint"] is False
+        assert cert["embedded"] is False
+        assert cert["min_separation"] > 0
 
     def test_glued_certificate_contents(self, glued_surface):
         cert = glued_surface.certificates["embeddedness"]
@@ -300,7 +338,7 @@ class TestSeparationCheck:
     def test_harnack_ratio_bounded_on_glue_sheets(self, spectrum, glued_surface):
         """Separation of the two sheets near the newest neck: the measured
         Harnack ratio on concentric balls is stable under radius halving."""
-        from minsurflab.verify import _site_end, _upper_branch_height
+        from minsurflab.verify import _upper_branch_height
 
         glued = glued_surface
         outer = glued.outer
