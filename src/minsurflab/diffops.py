@@ -31,11 +31,12 @@ def fd_derivative(F: np.ndarray, h: float, axis: int, deriv: int, order: int) ->
         if m < 6:
             raise ValueError("order-4 stencils need at least 6 nodes")
         out[2:-2] = (F[:-4] - 8 * F[1:-3] + 8 * F[3:-1] - F[4:]) / (12 * h)
-        c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-        out[0] = sum(c[k] * F[k] for k in range(5))
-        out[1] = sum(np.array([-3.0, -10.0, 18.0, -6.0, 1.0])[k] / (12 * h) * F[k] for k in range(5))
-        out[-1] = -sum(c[k] * F[-1 - k] for k in range(5))
-        out[-2] = -sum(np.array([-3.0, -10.0, 18.0, -6.0, 1.0])[k] / (12 * h) * F[-1 - k] for k in range(5))
+        c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
+        c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h)
+        out[0] = sum(c0[k] * F[k] for k in range(5))
+        out[1] = sum(c1[k] * F[k] for k in range(5))
+        out[-1] = -sum(c0[k] * F[-1 - k] for k in range(5))
+        out[-2] = -sum(c1[k] * F[-1 - k] for k in range(5))
     elif deriv == 2 and order == 4:
         if m < 7:
             raise ValueError("order-4 second derivatives need at least 7 nodes")

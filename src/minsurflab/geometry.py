@@ -20,11 +20,13 @@ engine's only discretization error is the profile-direction truncation.
 The profile-direction derivatives are taken once over all rows, since their
 stencils (or collocation matrix) couple neighbouring rows.  Everything else
 is row-local, so the angular derivatives, the forms and the curvatures are
-evaluated over blocks of BLOCK rows: one batched d_beta call per derivative
-and block covers all three components, and the temporaries stay the size of
-one block rather than of the whole chart.  Each row's FFT and each
-elementwise form is independent of the batch it is computed in, so the
-blocked result is bit-identical to a whole-chart evaluation.
+evaluated over blocks of BLOCK rows, and the temporaries stay the size of
+one block rather than of the whole chart.  A block takes two batched d_beta
+calls, each over all three components: one forward FFT of P gives P_b and
+P_bb, one of P_a gives P_ab, and each derivative takes one inverse FFT.
+Each row's FFT and each elementwise form is independent of the batch it is
+computed in, so the blocked result is bit-identical to a whole-chart
+evaluation with one d_beta call per component and derivative.
 """
 
 from __future__ import annotations
@@ -40,6 +42,17 @@ BLOCK = 128
 # parities of (x_q, rho, x_v) under reflection through the pole axis, shaped
 # to broadcast over a (3, rows, Nb) block
 _ORBIT_PARITY = np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over axis 0, stored component-last as np.cross(a, b, axis=0)
+    stores it: the layout fixes the order in which einsum sums over the
+    components, and with it the last bits of the forms."""
+    out = np.empty(a.shape[1:] + (3,))
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[i], b[j], out=out[..., c])
+        out[..., c] -= a[j] * b[i]
+    return out.transpose(2, 0, 1)
 
 
 class OrbitSurface:
@@ -71,13 +84,12 @@ class OrbitSurface:
 
     def fundamental_forms(self, P, Pa, Paa):
         """E, F, G, L, M, NN and the unit normal of the rows of one block."""
-        Pb = self.grid.d_beta(P, _ORBIT_PARITY)
+        Pb, Pbb = self.grid.d_beta(P, _ORBIT_PARITY, (1, 2))
         Pab = self.grid.d_beta(Pa, _ORBIT_PARITY)
-        Pbb = self.grid.d_beta(P, _ORBIT_PARITY, 2)
         E = np.einsum("kij,kij->ij", Pa, Pa)
         F = np.einsum("kij,kij->ij", Pa, Pb)
         G = np.einsum("kij,kij->ij", Pb, Pb)
-        Nvec = np.cross(Pa, Pb, axis=0)
+        Nvec = _cross(Pa, Pb)
         norm = np.sqrt(np.einsum("kij,kij->ij", Nvec, Nvec))
         Nvec = Nvec / norm
         L = np.einsum("kij,kij->ij", Paa, Nvec)

@@ -256,21 +256,66 @@ def _band_matrix_conjugated(n: int, ell: int, s: np.ndarray, delta: float) -> np
     return A
 
 
+def _sigma_min_tridiagonal(A: np.ndarray) -> float:
+    """Smallest singular value of a tridiagonal A.
+
+    The singular values of A are the nonnegative eigenvalues of the
+    Golub-Kahan matrix [[0, A], [A^T, 0]].  Interleaving it (row i of A to
+    index 2i, column j to 2j+1) makes it a symmetric band of half-width 3,
+    whose eigenvalue m (counting from 0, ascending) is sigma_min.
+    """
+    from scipy.linalg import eigvals_banded
+
+    m = A.shape[0]
+    i = np.arange(m)
+    # lower band storage: entry (r, c), r >= c, at [r - c, c]
+    ab = np.zeros((4, 2 * m))
+    ab[1, 2 * i] = A[i, i]
+    ab[1, 2 * i[1:] - 1] = A[i[1:], i[1:] - 1]
+    ab[3, 2 * i[:-1]] = A[i[:-1], i[:-1] + 1]
+    return float(eigvals_banded(ab, lower=True, select="i", select_range=(m, m))[0])
+
+
+# (n, L, delta, m) -> normalized sigma_min of the nondegeneracy check
+_NONDEGENERACY: dict = {}
+
+
 def nondegeneracy_check(surface: OuterSurface, delta: float, m: int) -> float:
     """The normalized smallest singular value of the core operator on the
     decaying space, minimized over bands, on m nodes; raises
     ContractionError when it is below 1e-6.
 
     Reads only n and L from the surface, so the check of a tower's seed
-    holds for every level glued onto it."""
+    holds for every level glued onto it, and its value is computed once per
+    (n, L, delta, m) and kept in _NONDEGENERACY; a cached value below the
+    threshold raises again on every call.  A band with gamma_l >= |delta|
+    is the tridiagonal _band_matrix_conjugated, whose sigma_min is one
+    eigenvalue of its Golub-Kahan band matrix; the quotient bands
+    (gamma_l < |delta|) take a dense SVD.
+    """
     n = surface.n
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
+    L = surface.spectrum.L
+    key = (n, L, delta, m)
+    if key not in _NONDEGENERACY:
+        _NONDEGENERACY[key] = _smallest_singular_value(n, L, delta, m)
+    worst = _NONDEGENERACY[key]
+    if worst < 1e-6:
+        raise ContractionError(
+            f"outer surface degenerate: normalized sigma_min = {worst:.3e}"
+        )
+    return worst
+
+
+def _smallest_singular_value(n: int, L: int, delta: float, m: int) -> float:
+    """The normalized sigma_min of nondegeneracy_check, minimized over
+    bands 0..L."""
     s = np.linspace(-CORE_SPAN, CORE_SPAN, m)
     mu = delta * np.sqrt(s * s + 1.0)
     weight = np.exp(mu)
     worst = np.inf
-    for ell in range(0, surface.spectrum.L + 1):
+    for ell in range(0, L + 1):
         A = _band_matrix_conjugated(n, ell, s, delta)
         lam = ell * (ell + n - 2.0)
         gam = np.sqrt(lam + ((n - 2) / 2.0) ** 2)
@@ -285,14 +330,10 @@ def nondegeneracy_check(surface: OuterSurface, delta: float, m: int) -> float:
             slow[-1, :] = 0.0
             # orthonormal basis of the complement of the pair's span
             Q = np.linalg.qr(slow, mode="complete")[0][:, slow.shape[1]:]
-            sv = np.linalg.svd(A @ Q, compute_uv=False)
+            sigma = np.linalg.svd(A @ Q, compute_uv=False)[-1]
         else:
-            sv = np.linalg.svd(A, compute_uv=False)
-        worst = min(worst, sv[-1] / opscale)
-    if worst < 1e-6:
-        raise ContractionError(
-            f"outer surface degenerate: normalized sigma_min = {worst:.3e}"
-        )
+            sigma = _sigma_min_tridiagonal(A)
+        worst = min(worst, sigma / opscale)
     return float(worst)
 
 

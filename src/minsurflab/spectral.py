@@ -92,6 +92,11 @@ class ZonalGrid:
         # weighted least-squares projector: exact on band-limited samples
         gram = (self.Z * self.w) @ self.Z.T
         self._proj = np.linalg.solve(gram, self.Z * self.w)
+        # d_beta's spectral multipliers for wavenumbers 0..m of the 2m-point
+        # even/odd extension
+        k = np.fft.rfftfreq(2 * m) * 2 * m
+        self._ik = 1j * k
+        self._minus_k2 = -(k**2)
 
     def to_bands(self, values: np.ndarray) -> np.ndarray:
         """Zonal band coefficients 0..L from values on the beta nodes.
@@ -101,29 +106,38 @@ class ZonalGrid:
         """
         return np.asarray(values) @ self._proj.T
 
-    def d_beta(self, values: np.ndarray, parity: float | np.ndarray, deriv: int = 1) -> np.ndarray:
-        """Exact trig differentiation d/d beta along the last axis.
+    def d_beta(self, values: np.ndarray, parity: float | np.ndarray,
+               deriv: int | tuple = 1) -> np.ndarray | tuple:
+        """Exact trig differentiation d/d beta along the last axis, which
+        holds the samples on the grid's beta nodes.
 
         parity +1 extends the sample evenly across beta = 0 and pi, -1 oddly;
         chart components are even (heights, axial parts) or odd (rho).
         parity may also be an array of +-1 that broadcasts against values,
         e.g. shape (3, 1, 1) for the three components of one orbit chart
         block; each row's result is the same as with its scalar parity.
+        deriv is 1, 2 or a tuple of them: a tuple returns one derivative per
+        entry, each the same as its own call.  A call takes one forward real
+        FFT of the 2m-point extension and one inverse FFT per derivative.
         """
+        orders = (deriv,) if isinstance(deriv, int) else deriv
+        if any(d not in (1, 2) for d in orders):
+            raise SpectralError("deriv must be 1 or 2")
         v = np.asarray(values, dtype=float)
         m = v.shape[-1]
-        ext = np.concatenate([v, parity * v[..., ::-1]], axis=-1)
-        k = np.fft.rfftfreq(2 * m) * 2 * m  # wavenumbers 0..m
+        ext = np.empty(v.shape[:-1] + (2 * m,))
+        ext[..., :m] = v
+        np.multiply(parity, v[..., ::-1], out=ext[..., m:])
         spec = np.fft.rfft(ext, axis=-1)
-        if deriv == 1:
-            spec = spec * (1j * k)
-            spec[..., -1] = 0.0  # Nyquist mode has no odd-derivative sample
-        elif deriv == 2:
-            spec = spec * (-(k**2))
-        else:
-            raise SpectralError("deriv must be 1 or 2")
-        out = np.fft.irfft(spec, n=2 * m, axis=-1)
-        return out[..., :m]
+        out = []
+        for d in orders:
+            if d == 1:
+                spec_d = spec * self._ik
+                spec_d[..., -1] = 0.0  # Nyquist mode has no odd-derivative sample
+            else:
+                spec_d = spec * self._minus_k2
+            out.append(np.fft.irfft(spec_d, n=2 * m, axis=-1)[..., :m])
+        return out[0] if isinstance(deriv, int) else tuple(out)
 
 
 @dataclass

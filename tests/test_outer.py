@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from minsurflab.catenoid import ContractionError, PreconditionError, grid_profile
+from minsurflab import outer
+from minsurflab.catenoid import ContractionError, PreconditionError, default_delta, grid_profile
 from minsurflab.diffops import fd_derivative
 from minsurflab.neck import graph_residual
 from minsurflab.outer import (
@@ -16,7 +17,7 @@ from minsurflab.outer import (
     solve_outer_nonlinear,
 )
 from minsurflab.profile import compute_scales
-from minsurflab.spectral import SphereField
+from minsurflab.spectral import SphereField, band_spectrum
 
 N = 3
 EPS = 1e-6
@@ -136,6 +137,72 @@ class TestNondegeneracy:
     def test_rejects_bad_delta(self, surface):
         with pytest.raises(PreconditionError):
             nondegeneracy_check(surface, -1.0, m=400)
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """A cold check cache, and the bands each build of a band matrix is
+        for."""
+        monkeypatch.setattr(outer, "_NONDEGENERACY", {})
+        calls = []
+        build = outer._band_matrix_conjugated
+
+        def spy(n, ell, s, delta):
+            calls.append(ell)
+            return build(n, ell, s, delta)
+
+        monkeypatch.setattr(outer, "_band_matrix_conjugated", spy)
+        return calls
+
+    def test_degenerate_band_refused_on_every_call(self, surface, builds, monkeypatch):
+        spy = outer._band_matrix_conjugated
+
+        def zero_column(n, ell, s, delta):
+            A = spy(n, ell, s, delta)
+            if ell == 3:
+                A[:, s.size // 2] = 0.0  # sigma_min = 0
+            return A
+
+        monkeypatch.setattr(outer, "_band_matrix_conjugated", zero_column)
+        with pytest.raises(ContractionError):
+            nondegeneracy_check(surface, -2.0, m=400)
+        assert len(builds) == surface.spectrum.L + 1
+        with pytest.raises(ContractionError):
+            nondegeneracy_check(surface, -2.0, m=400)
+        assert len(builds) == surface.spectrum.L + 1
+
+    def test_computed_once_per_n_L_delta_m(self, spectrum, profile, builds):
+        bands = list(range(spectrum.L + 1))
+        first = nondegeneracy_check(seed_catenoid(profile, spectrum, scale=1.0), -2.0, m=400)
+        assert builds == bands
+        # another seed with the same (n, L, delta, m) builds no band matrix
+        other = seed_catenoid(profile, spectrum, scale=0.3)
+        assert nondegeneracy_check(other, -2.0, m=400) == first
+        assert builds == bands
+        nondegeneracy_check(other, -2.0, m=300)
+        assert builds == bands + bands
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_banded_sigma_min_matches_dense_svd(self, n):
+        delta = default_delta(n)
+        spec = band_spectrum(n, 8)
+        tridiagonal = spec.gamma >= abs(delta)
+        assert tridiagonal.sum() == 7
+        for m in (400, 800):
+            s = np.linspace(-CORE_SPAN, CORE_SPAN, m)
+            for ell in np.flatnonzero(tridiagonal):
+                A = outer._band_matrix_conjugated(n, int(ell), s, delta)
+                dense = np.linalg.svd(A, compute_uv=False)[-1]
+                gap = abs(outer._sigma_min_tridiagonal(A) - dense)
+                assert gap <= 1e-12 * np.linalg.norm(A, 2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_value_matches_dense_check(self, n, monkeypatch):
+        delta = default_delta(n)
+        banded = outer._smallest_singular_value(n, 8, delta, 400)
+        monkeypatch.setattr(outer, "_sigma_min_tridiagonal",
+                            lambda A: np.linalg.svd(A, compute_uv=False)[-1])
+        dense = outer._smallest_singular_value(n, 8, delta, 400)
+        assert banded == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 class TestOuterNonlinear:

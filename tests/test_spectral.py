@@ -187,9 +187,33 @@ class TestTransformsAndSerialization:
             for i, p in enumerate((+1, -1, +1)):
                 assert np.array_equal(batched[i], zgrid.d_beta(block[i], p, deriv))
 
+    @pytest.mark.parametrize("parity", [-1, np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)])
+    def test_beta_derivative_pair_matches_single_calls(self, zgrid, rng, parity):
+        block = rng.normal(size=(3, 5, zgrid.t.size))
+        first, second = zgrid.d_beta(block, parity, (1, 2))
+        assert np.array_equal(first, zgrid.d_beta(block, parity))
+        assert np.array_equal(second, zgrid.d_beta(block, parity, 2))
+
+    @pytest.mark.parametrize("parity", [1, -1, np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)])
+    def test_beta_derivative_matches_concatenated_extension(self, zgrid, rng, parity):
+        """The reference builds the even/odd extension with np.concatenate
+        and its multipliers on every call."""
+        block = rng.normal(size=(3, 5, zgrid.t.size))
+        m = zgrid.t.size
+        spec = np.fft.rfft(np.concatenate([block, parity * block[..., ::-1]], axis=-1), axis=-1)
+        k = np.fft.rfftfreq(2 * m) * 2 * m
+        first = spec * (1j * k)
+        first[..., -1] = 0.0
+        second = spec * (-(k**2))
+        for deriv, ref in ((1, first), (2, second)):
+            expect = np.fft.irfft(ref, n=2 * m, axis=-1)[..., :m]
+            assert np.array_equal(zgrid.d_beta(block, parity, deriv), expect)
+
     def test_beta_derivative_rejects_third_order(self, zgrid):
         with pytest.raises(SpectralError):
             zgrid.d_beta(np.ones(zgrid.t.size), +1, deriv=3)
+        with pytest.raises(SpectralError):
+            zgrid.d_beta(np.ones(zgrid.t.size), +1, deriv=(1, 3))
 
     def test_eval_reproduced_by_band_expansion(self, spectrum, zgrid, rng):
         f = SphereField(spectrum, rng.normal(size=spectrum.L + 1))
