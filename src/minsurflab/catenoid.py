@@ -31,7 +31,7 @@ from .cylinder import (
     solve_band_decaying_kernel,
     solve_band_dirichlet_robin,
 )
-from .diffops import fd_derivative
+from .diffops import NotAKnotSpline, fd_derivative
 from .geometry import uniform_surface
 from .profile import ProfileTable, Scales, profile_values
 from .spectral import SphereField, angular_grid, apply_Dtheta, project_low
@@ -406,13 +406,14 @@ def build_catenoid_piece(
 
 
 def _oracle_residual(n, grid, scales, w) -> float:
-    from scipy.interpolate import CubicSpline
-
+    """Largest mean curvature of the piece on an offset grid at half the
+    step: the band rows are resampled there by a not-a-knot spline
+    (diffops.NotAKnotSpline) and the surface is differenced at order 4."""
     s = w.grid.s
     h = w.grid.step
     s_fine = (s[0] + 0.37 * h) + (h / 2.0) * np.arange(2 * (s.size - 4))
     s_fine = s_fine[s_fine <= s[-1] - 2 * h]
-    rows_fine = CubicSpline(s, w.values, axis=1)(s_fine)
+    rows_fine = NotAKnotSpline(s, w.values)(s_fine)
     geo_f = _NeckGeometry(n, s_fine, grid, scales.eps_len)
     w_hat = collocation_from_rows(rows_fine, grid) / scales.eps_len
     P = geo_f.surface_points(w_hat)

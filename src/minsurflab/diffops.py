@@ -1,8 +1,9 @@
 """Differentiation operators shared by the solvers and their oracles.
 
 Uniform-grid finite differences at orders 2 and 4, Chebyshev collocation
-nodes with differentiation matrices, and barycentric differentiation on
-arbitrary node sets (used for the Gauss colatitude grid).
+nodes with differentiation matrices, barycentric differentiation on
+arbitrary node sets (used for the Gauss colatitude grid), and the
+not-a-knot cubic spline that resamples profile tables and band rows.
 """
 
 from __future__ import annotations
@@ -89,13 +90,83 @@ def bary_interp_matrix(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     w = bary_weights(x)
-    P = np.zeros((xi.size, x.size))
-    for i, p in enumerate(xi):
-        d = p - x
-        hit = np.where(np.abs(d) < 1e-14)[0]
-        if hit.size:
-            P[i, hit[0]] = 1.0
-        else:
-            q = w / d
-            P[i] = q / q.sum()
+    d = xi[:, None] - x[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = w / d
+        P = q / q.sum(axis=1)[:, None]
+    # a point within 1e-14 of a node takes that node's value: the first such
+    # node's one-hot row
+    near = np.abs(d) < 1e-14
+    hit = near.any(axis=1)
+    P[hit] = 0.0
+    P[hit, near[hit].argmax(axis=1)] = 1.0
     return P
+
+
+class NotAKnotSpline:
+    """Not-a-knot cubic spline through (x, y), interpolating along y's last
+    axis; calling it at points xi returns y.shape[:-1] + xi.shape values.
+
+    The construction repeats scipy 1.17.1's ``CubicSpline(x, y, axis=-1)``
+    step by step, with the same banded solve, and the evaluation repeats
+    ``PPoly``'s interval rule and summation order, so the values are the
+    same bits.  Points outside [x[0], x[-1]] extrapolate the end pieces.
+    """
+
+    def __init__(self, x, y):
+        from scipy.linalg import solve_banded
+
+        x = np.asarray(x, dtype=float)
+        y = np.moveaxis(np.asarray(y, dtype=float), -1, 0)
+        if x.ndim != 1 or x.size < 4 or y.shape[0] != x.size:
+            raise ValueError("a not-a-knot spline needs at least 4 knots, one per value")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("spline knots and values must be finite")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("spline knots must be strictly increasing")
+        n = x.size
+        dxr = dx.reshape([dx.shape[0]] + [1] * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+
+        # slopes s at the knots: the tridiagonal system in band storage
+        A = np.zeros((3, n))
+        b = np.empty((n,) + y.shape[1:])
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+        d = x[2] - x[0]
+        A[1, 0] = dx[1]
+        A[0, 1] = d
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        A[1, -1] = dx[-2]
+        A[-1, -2] = d
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
+                         overwrite_b=True, check_finite=False).reshape(b.shape)
+
+        # Hermite coefficients per piece, highest power first
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        self.x = x
+        self.c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+    def __call__(self, xi) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float)
+        x, c = self.x, self.c
+        flat = xi.ravel()
+        # piece i holds x[i] <= xi < x[i+1]; the last piece also takes x[-1]
+        i = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, x.size - 2)
+        s = (flat - x[i]).reshape(flat.shape + (1,) * (c.ndim - 2))
+        # Horner's rule the way PPoly sums it: powers of s built up in z
+        res = 0.0
+        z = 1.0
+        for k in (3, 2, 1, 0):
+            res = res + c[k, i] * z
+            if k:
+                z = z * s
+        trail = c.shape[2:]
+        res = res.reshape(xi.shape + trail)
+        return np.moveaxis(res, tuple(range(xi.ndim, res.ndim)), tuple(range(len(trail))))

@@ -405,13 +405,15 @@ def _new_end_tilt(glued: GluedSurface) -> float:
 
 
 def _seed_neck_box(surface: OuterSurface) -> NeckBox:
+    """Box around the seed's neck: half-width 1.3 a phi_star and height
+    1.2 a psi(s_star) on either side of the core, where phi_star =
+    max((sqrt(n(n-1))/a)^(1/n), 1.05) and phi(s_star) = phi_star is solved
+    by _brentq, the in-package port of Brent's method."""
     n = surface.n
     a = surface.core_scale
     phi_star = (np.sqrt(n * (n - 1.0)) / a) ** (1.0 / n)
     phi_star = max(phi_star, 1.05)
-    from scipy.optimize import brentq
-
-    s_star = brentq(
+    s_star = _brentq(
         lambda s: profile_values(n, np.array([abs(s)]))[0][0] - phi_star, 1e-6, 10.0
     )
     psis = profile_values(n, np.array([s_star]))[2][0]
@@ -422,6 +424,82 @@ def _seed_neck_box(surface: OuterSurface) -> NeckBox:
                  float(surface.core_center[-1] + 1.2 * a * psis)),
         c_j=1.1 * np.sqrt(n * (n - 1.0)) / a,
     )
+
+
+# Brent's tolerances and iteration cap: scipy.optimize.brentq's defaults
+BRENT_XTOL = 2e-12
+BRENT_RTOL = 4 * float(np.finfo(float).eps)
+BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f between xa and xb by Brent's method (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973).
+
+    A line-for-line port of scipy's C ``brentq`` on Python floats with its
+    default tolerances, so it returns the same bits.  Like scipy it raises
+    ValueError when f(xa) and f(xb) have one sign or f returns NaN, and
+    RuntimeError when BRENT_MAXITER iterations do not converge.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if np.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # both values are nonzero and not NaN, so x < 0 is their sign bit
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        # the tolerance is 2 delta
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # divided as in C: a denominator that underflows to zero gives
+            # an infinity or NaN, and the step then bisects
+            with np.errstate(all="ignore"):
+                if xpre == xblk:
+                    # interpolate
+                    stry = float(-fcur * (xcur - xpre) / np.float64(fcur - fpre))
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / np.float64(xpre - xcur)
+                    dblk = (fblk - fcur) / np.float64(xblk - xcur)
+                    stry = float(-fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {BRENT_MAXITER} iterations")
 
 
 @dataclass

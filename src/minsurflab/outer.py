@@ -38,6 +38,7 @@ from .catenoid import (
     picard,
 )
 from .cylinder import BandField, rows_from_collocation
+from .diffops import NotAKnotSpline
 from .neck import GraphPatch, NeckPiece, graph_operator, graph_residual, mean_curvature_graph
 from .profile import ProfileTable, Scales, profile_values
 from .radial import RadialGrid, decaying, regular, solve_rows
@@ -59,20 +60,18 @@ _END_SPLINES: dict = {}
 
 
 def _end_splines(n: int):
-    """Cached splines s(log phi), psi(s), dpsi/dphi slope data for ends,
-    tabulated on s in [0, 26]."""
+    """Cached not-a-knot splines (diffops.NotAKnotSpline) s(log phi),
+    psi(s), dpsi/dphi slope data for ends, tabulated on s in [0, 26]."""
     if n not in _END_SPLINES:
-        from scipy.interpolate import CubicSpline
-
         s = np.linspace(0.0, 26.0, 9000)
         phi, dphi, psi, dpsi = profile_values(n, s)
         psi_inf_val = psi[-1] + phi[-1] ** (2 - n) / (n - 2)
         _END_SPLINES[n] = {
-            "s_of_logphi": CubicSpline(np.log(phi[1:]), s[1:]),
-            "phi": CubicSpline(s, phi),
-            "dphi": CubicSpline(s, dphi),
-            "psi": CubicSpline(s, psi),
-            "dpsi": CubicSpline(s, dpsi),
+            "s_of_logphi": NotAKnotSpline(np.log(phi[1:]), s[1:]),
+            "phi": NotAKnotSpline(s, phi),
+            "dphi": NotAKnotSpline(s, dphi),
+            "psi": NotAKnotSpline(s, psi),
+            "dpsi": NotAKnotSpline(s, dpsi),
             "psi_inf": psi_inf_val,
             "logphi_max": float(np.log(phi[-1])),
         }
