@@ -18,6 +18,7 @@ graph of the prescribed high-mode data over the cut sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -282,13 +283,14 @@ class _NeckGeometry:
         self.conj = conj
         self.mfac = self.phi ** ((n + 2) / 2.0)
 
-    def surface_points(self, w_hat_vals: np.ndarray) -> np.ndarray:
-        """Ambient points (3, m, Nb) of the perturbed surface on the first m
-        grid rows, m the number of rows of w_hat_vals."""
-        m = w_hat_vals.shape[0]
+    def surface_points(self, w_hat_vals: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Ambient points (3, hi - lo, Nb) of the perturbed surface on the
+        grid rows lo:hi, from the rows lo:hi of w_hat_vals."""
         g = self.grid
-        F = self.phi[:m, None] + w_hat_vals * self.alpha_theta[:m, None]
-        G = self.psi[:m, None] + w_hat_vals * self.alpha_vert[:m, None]
+        rows = slice(lo, hi)
+        w = w_hat_vals[rows]
+        F = self.phi[rows, None] + w * self.alpha_theta[rows, None]
+        G = self.psi[rows, None] + w * self.alpha_vert[rows, None]
         return np.stack([F * g.t[None, :], F * g.sinb[None, :], G])
 
     def conjugated_mc(self, w: BandField) -> np.ndarray:
@@ -297,14 +299,16 @@ class _NeckGeometry:
         Sign fixed so the linearization at w = 0 is the cylinder operator.
         Written on the k rows of the near window s <= S + DEFECT_SPAN from
         the surface on k + 4 rows (a stencil margin), zero beyond; callers
-        combine it with the linear operator there only.
+        combine it with the linear operator there only.  The surface points
+        are built block by block as the curvature engine walks them.
         """
         k = int(np.sum(self.s <= self.s[0] + DEFECT_SPAN))
         m = k + 4
         g = self.grid
-        P = self.surface_points(collocation_from_rows(w.values[:, :m], g) / self.eps_len)
+        w_hat = collocation_from_rows(w.values[:, :m], g) / self.eps_len
+        points = partial(self.surface_points, w_hat)
         h = float(self.s[1] - self.s[0])
-        H = uniform_surface(P, g, h).mean_curvature(self.n)
+        H = uniform_surface(points, g, h, rows=m).mean_curvature(self.n)
         out = np.zeros((self.s.size, g.t.size))
         out[:k] = -self.eps_len * self.mfac[:k, None] * H[:k]
         return out
@@ -408,7 +412,10 @@ def build_catenoid_piece(
 def _oracle_residual(n, grid, scales, w) -> float:
     """Largest mean curvature of the piece on an offset grid at half the
     step: the band rows are resampled there by a not-a-knot spline
-    (diffops.NotAKnotSpline) and the surface is differenced at order 4."""
+    (diffops.NotAKnotSpline) and the surface is differenced at order 4.
+    The resampled rows and their collocation values are taken whole; the
+    surface points are built block by block as the curvature engine walks
+    the grid, so the oracle never holds the whole surface."""
     s = w.grid.s
     h = w.grid.step
     s_fine = (s[0] + 0.37 * h) + (h / 2.0) * np.arange(2 * (s.size - 4))
@@ -416,8 +423,8 @@ def _oracle_residual(n, grid, scales, w) -> float:
     rows_fine = NotAKnotSpline(s, w.values)(s_fine)
     geo_f = _NeckGeometry(n, s_fine, grid, scales.eps_len)
     w_hat = collocation_from_rows(rows_fine, grid) / scales.eps_len
-    P = geo_f.surface_points(w_hat)
-    H = uniform_surface(P, grid, h / 2.0, order=4).mean_curvature(n)
+    points = partial(geo_f.surface_points, w_hat)
+    H = uniform_surface(points, grid, h / 2.0, order=4, rows=s_fine.size).mean_curvature(n)
     interior = slice(4, -4)
     return float(np.max(np.abs(H[interior])))
 

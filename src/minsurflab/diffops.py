@@ -10,6 +10,26 @@ from __future__ import annotations
 
 import numpy as np
 
+# order-4 one-sided stencils of the first two rows, times 12 h (first
+# derivative) or 12 h^2 (second); the last two rows take them mirrored
+_D1_ORDER4_ENDS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                            [-3.0, -10.0, 18.0, -6.0, 1.0]])
+_D2_ORDER4_ENDS = np.array([[45.0, -154.0, 214.0, -156.0, 61.0, -10.0],
+                            [10.0, -15.0, -4.0, 14.0, -6.0, 1.0]])
+
+
+def _order4_ends(F: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The one-sided rows of both ends at once: [r, 0] is sum_k C[r, k] F[k]
+    and [r, 1] is sum_k C[r, k] F[-1 - k], each summed term by term from 0
+    in k, the order sum() takes."""
+    K = C.shape[1]
+    rows = np.stack((F[:K], F[:-K - 1:-1]), axis=1)
+    C = C.reshape(C.shape + (1,) * F.ndim)
+    acc = 0
+    for k in range(K):
+        acc = acc + C[:, k] * rows[k]
+    return acc
+
 
 def fd_derivative(F: np.ndarray, h: float, axis: int, deriv: int, order: int) -> np.ndarray:
     """Finite-difference derivative along an axis of a uniform grid.
@@ -32,22 +52,16 @@ def fd_derivative(F: np.ndarray, h: float, axis: int, deriv: int, order: int) ->
         if m < 6:
             raise ValueError("order-4 stencils need at least 6 nodes")
         out[2:-2] = (F[:-4] - 8 * F[1:-3] + 8 * F[3:-1] - F[4:]) / (12 * h)
-        c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-        c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h)
-        out[0] = sum(c0[k] * F[k] for k in range(5))
-        out[1] = sum(c1[k] * F[k] for k in range(5))
-        out[-1] = -sum(c0[k] * F[-1 - k] for k in range(5))
-        out[-2] = -sum(c1[k] * F[-1 - k] for k in range(5))
+        ends = _order4_ends(F, _D1_ORDER4_ENDS / (12 * h))
+        out[:2] = ends[:, 0]
+        out[:-3:-1] = -ends[:, 1]
     elif deriv == 2 and order == 4:
         if m < 7:
             raise ValueError("order-4 second derivatives need at least 7 nodes")
         out[2:-2] = (-F[:-4] + 16 * F[1:-3] - 30 * F[2:-2] + 16 * F[3:-1] - F[4:]) / (12 * h**2)
-        c0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / (12 * h**2)
-        c1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / (12 * h**2)
-        out[0] = sum(c0[k] * F[k] for k in range(6))
-        out[1] = sum(c1[k] * F[k] for k in range(6))
-        out[-1] = sum(c0[k] * F[-1 - k] for k in range(6))
-        out[-2] = sum(c1[k] * F[-1 - k] for k in range(6))
+        ends = _order4_ends(F, _D2_ORDER4_ENDS / (12 * h**2))
+        out[:2] = ends[:, 0]
+        out[:-3:-1] = ends[:, 1]
     else:
         raise ValueError(f"unsupported deriv={deriv}, order={order}")
     return np.moveaxis(out, 0, axis)

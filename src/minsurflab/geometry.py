@@ -17,27 +17,37 @@ Angular derivatives are exact (trig differentiation in the colatitude on
 the ZonalGrid); the profile direction uses finite differences, so the
 engine's only discretization error is the profile-direction truncation.
 
-The profile-direction derivatives are taken once over all rows, since their
-stencils (or collocation matrix) couple neighbouring rows.  Everything else
-is row-local, so the angular derivatives, the forms and the curvatures are
-evaluated over blocks of BLOCK rows, and the temporaries stay the size of
-one block rather than of the whole chart.  A block takes two batched d_beta
-calls, each over all three components: one forward FFT of P gives P_b and
-P_bb, one of P_a gives P_ab, and each derivative takes one inverse FFT.
-Each row's FFT and each elementwise form is independent of the batch it is
-computed in, so the blocked result is bit-identical to a whole-chart
-evaluation with one d_beta call per component and derivative.
+The engine walks a chart in blocks of BLOCK rows, so its temporaries stay
+the size of one block rather than of the whole chart.  A uniform-grid chart
+is differenced block by block: each block fetches its own rows plus a halo
+as wide as the stencil reaches (widened at the chart's ends to the fewest
+rows a one-sided stencil takes) and makes one fd_derivative call per
+derivative order over all three components, so neither P_a nor P_aa is held
+for the whole chart.  Such a chart may be given as a row function
+points(lo, hi), so that not even P is held whole.  A dense-collocation chart
+(D1 @ F couples every row) takes P_a and P_aa once over all rows and walks
+their blocks.  A block then takes two batched d_beta calls, each over all
+three components: one forward FFT of P gives P_b and P_bb, one of P_a gives
+P_ab, and each derivative takes one inverse FFT.  Each row's stencil, FFT
+and elementwise form is independent of the block it is computed in, so the
+blocked result is bit-identical to a whole-chart evaluation with one d_beta
+call per component and derivative.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from .diffops import fd_derivative
 from .spectral import ZonalGrid
 
-# rows per block of the angular derivatives and forms
+# rows per block of the derivatives, forms and curvatures
 BLOCK = 128
+
+# fewest rows fd_derivative's one-sided stencils take, by order
+_FD_LEAST = {2: 4, 4: 7}
 
 # parities of (x_q, rho, x_v) under reflection through the pole axis, shaped
 # to broadcast over a (3, rows, Nb) block
@@ -55,32 +65,59 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-class OrbitSurface:
-    """2-parameter orbit generator P(a, beta) -> (x_q, rho, x_v).
+def _chart(P, grid: ZonalGrid) -> np.ndarray:
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 3 or P.shape[0] != 3 or P.shape[2] != grid.t.size:
+        raise ValueError("P must have shape (3, Na, len(grid.beta))")
+    return P
 
-    P has shape (3, Na, Nb) with the beta axis last, sampled on grid.beta.
-    d_a / d_aa differentiate along the first parameter; solver and oracle
-    paths pass different stencils, keeping verification independent.  They
-    are applied once to the whole chart; the beta derivatives, the forms and
-    the curvatures follow block by block over BLOCK rows.
+
+def _fd_blocks(points, rows: int, h: float, order: int):
+    """(rows, P, P_a, P_aa) per block of a uniform-grid chart, each block
+    differenced on its own rows plus a halo of order // 2 rows, widened at
+    the chart's ends to the _FD_LEAST rows a one-sided stencil takes: every
+    row then meets the stencil it meets in the whole chart."""
+    reach, least = order // 2, _FD_LEAST[order]
+    for lo in range(0, rows, BLOCK):
+        hi = min(lo + BLOCK, rows)
+        a, b = max(0, lo - reach), min(rows, hi + reach)
+        a, b = min(a, max(0, b - least)), max(b, min(rows, a + least))
+        W = points(a, b)
+        cut = slice(lo - a, hi - a)
+        yield (slice(lo, hi), W[:, cut], fd_derivative(W, h, -2, 1, order)[:, cut],
+               fd_derivative(W, h, -2, 2, order)[:, cut])
+
+
+def _matrix_blocks(P: np.ndarray, D1: np.ndarray, DD: np.ndarray):
+    """(rows, P, P_a, P_aa) per block of a collocation chart, P_a and P_aa
+    taken once over all rows."""
+    Pa = np.stack([D1 @ P[i] for i in range(3)])
+    Paa = np.stack([DD @ P[i] for i in range(3)])
+    for lo in range(0, P.shape[1], BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        yield rows, P[:, rows], Pa[:, rows], Paa[:, rows]
+
+
+class OrbitSurface:
+    """2-parameter orbit generator P(a, beta) -> (x_q, rho, x_v) on `rows`
+    values of a and the beta nodes of grid.
+
+    walk() yields (rows, P, P_a, P_aa) for each block of BLOCK rows, the
+    first-parameter derivatives taken by the chart's own stencil or matrix;
+    solver and oracle paths pass different ones, keeping verification
+    independent.  uniform_surface and matrix_surface build the walk; the
+    beta derivatives, the forms and the curvatures follow block by block.
     """
 
-    def __init__(self, P, grid: ZonalGrid, d_a, d_aa):
-        self.P = np.asarray(P, dtype=float)
-        if self.P.shape[0] != 3 or self.P.shape[2] != grid.t.size:
-            raise ValueError("P must have shape (3, Na, len(grid.beta))")
+    def __init__(self, rows: int, grid: ZonalGrid, walk):
+        self.rows = rows
         self.grid = grid
-        self.d_a = d_a
-        self.d_aa = d_aa
+        self.walk = walk
 
     def _blocks(self):
-        """Yield (rows, forms of those rows) over blocks of BLOCK rows."""
-        P = self.P
-        Pa = np.stack([self.d_a(P[i]) for i in range(3)])
-        Paa = np.stack([self.d_aa(P[i]) for i in range(3)])
-        for start in range(0, P.shape[1], BLOCK):
-            rows = slice(start, start + BLOCK)
-            yield rows, self.fundamental_forms(P[:, rows], Pa[:, rows], Paa[:, rows])
+        """Yield (rows, P of those rows, their forms) block by block."""
+        for rows, P, Pa, Paa in self.walk():
+            yield rows, P, self.fundamental_forms(P, Pa, Paa)
 
     def fundamental_forms(self, P, Pa, Paa):
         """E, F, G, L, M, NN and the unit normal of the rows of one block."""
@@ -98,47 +135,53 @@ class OrbitSurface:
         return E, F, G, L, M, NN, Nvec
 
     def mean_curvature(self, n: int) -> np.ndarray:
-        H = np.empty(self.P.shape[1:])
-        for rows, (E, F, G, L, M, NN, Nvec) in self._blocks():
+        H = np.empty((self.rows, self.grid.t.size))
+        for rows, P, (E, F, G, L, M, NN, Nvec) in self._blocks():
             det = E * G - F * F
             h2 = (G * L - 2 * F * M + E * NN) / det
-            H[rows] = h2 - (n - 2) * Nvec[1] / self.P[1, rows]
+            H[rows] = h2 - (n - 2) * Nvec[1] / P[1]
         return H
 
     def second_fundamental_sq(self, n: int) -> np.ndarray:
         """|A|^2 = kappa_1^2 + kappa_2^2 + (n - 2) kappa_rot^2."""
-        A2 = np.empty(self.P.shape[1:])
-        for rows, (E, F, G, L, M, NN, Nvec) in self._blocks():
+        A2 = np.empty((self.rows, self.grid.t.size))
+        for rows, P, (E, F, G, L, M, NN, Nvec) in self._blocks():
             det = E * G - F * F
             tr = (G * L - 2 * F * M + E * NN) / det
             dt = (L * NN - M * M) / det
             disc = np.clip(tr * tr - 4 * dt, 0.0, None)
             k1 = 0.5 * (tr + np.sqrt(disc))
             k2 = 0.5 * (tr - np.sqrt(disc))
-            krot = -Nvec[1] / self.P[1, rows]
+            krot = -Nvec[1] / P[1]
             A2[rows] = k1 * k1 + k2 * k2 + (n - 2) * krot * krot
         return A2
 
 
-def uniform_surface(P, grid: ZonalGrid, h: float, order: int = 2) -> OrbitSurface:
-    """OrbitSurface whose first parameter lives on a uniform grid."""
-    return OrbitSurface(
-        P,
-        grid,
-        d_a=lambda F: fd_derivative(F, h, 0, 1, order),
-        d_aa=lambda F: fd_derivative(F, h, 0, 2, order),
-    )
+def _array_rows(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    return P[:, lo:hi]
+
+
+def uniform_surface(P, grid: ZonalGrid, h: float, order: int = 2,
+                    rows: int | None = None) -> OrbitSurface:
+    """OrbitSurface whose first parameter lives on a uniform grid of step h,
+    differenced by fd_derivative's stencils of the given order block by block.
+
+    P is the chart as an array (3, Na, len(grid.beta)), or as a row function
+    points(lo, hi) that returns the chart's rows lo:hi, with Na given as rows;
+    a row function is called once per block, so the whole chart is never
+    held.
+    """
+    if not callable(P):
+        P = _chart(P, grid)
+        rows = P.shape[1]
+        P = partial(_array_rows, P)
+    return OrbitSurface(rows, grid, partial(_fd_blocks, P, rows, h, order))
 
 
 def matrix_surface(P, grid: ZonalGrid, D1: np.ndarray) -> OrbitSurface:
     """OrbitSurface differentiated by a dense collocation matrix (axis 0)."""
-    DD = D1 @ D1
-    return OrbitSurface(
-        P,
-        grid,
-        d_a=lambda F: D1 @ F,
-        d_aa=lambda F: DD @ F,
-    )
+    P = _chart(P, grid)
+    return OrbitSurface(P.shape[1], grid, partial(_matrix_blocks, P, D1, D1 @ D1))
 
 
 def graph_orbit_points(r: np.ndarray, grid: ZonalGrid, height: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -126,12 +127,20 @@ def catenoid_sample_graph(n: int, scale: float, s_window: float) -> ChartSampleG
 # -- residual and curvature oracles -----------------------------------------------------
 
 
+def _profile_chart_rows(phi, psi, grid, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of the orbit chart of the profile curve (phi, psi)."""
+    F = phi[lo:hi, None] * np.ones((1, grid.t.size))
+    G = psi[lo:hi, None] * np.ones((1, grid.t.size))
+    return np.stack([F * grid.t[None, :], F * grid.sinb[None, :], G])
+
+
 def mc_residual(glued) -> dict:
     """Independent mean-curvature oracle over all charts of a glued surface.
 
     The core chart, the seed catenoid on the uniform grid of step CORE_STEP
     over |s| <= CORE_SPAN, is resampled on an offset, refined grid and
-    differentiated with 4th-order stencils; the neck and catenoid pieces of
+    differentiated with 4th-order stencils, its chart built block by block
+    as the curvature engine walks it; the neck and catenoid pieces of
     every level of glued.outer run the same kind of oracle when they are
     built, and their stored values are reported here, level by level.
     Residuals are reported raw and relative to the chart's curvature scale.
@@ -145,10 +154,8 @@ def mc_residual(glued) -> dict:
     sf = sf + 0.37 * (sf[1] - sf[0])
     sf = sf[sf <= s[-1] - 0.05]
     phi, _, psi, _ = profile_values(n, sf)
-    F = phi[:, None] * np.ones((1, g.t.size))
-    G = psi[:, None] * np.ones((1, g.t.size))
-    P = np.stack([F * g.t[None, :], F * g.sinb[None, :], G])
-    H = uniform_surface(P, g, sf[1] - sf[0], order=4).mean_curvature(n)
+    core = partial(_profile_chart_rows, phi, psi, g)
+    H = uniform_surface(core, g, sf[1] - sf[0], order=4, rows=sf.size).mean_curvature(n)
     A_sup = float(np.max(np.sqrt(n * (n - 1)) * phi ** (-n) / outer.core_scale))
     out["core"] = {
         "sup_H": float(np.max(np.abs(H[3:-3])) / outer.core_scale),

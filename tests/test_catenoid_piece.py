@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from minsurflab.catenoid import (
     ContractionError,
     PreconditionError,
     _NeckGeometry,
+    _oracle_residual,
     build_catenoid_piece,
     cauchy_maps_catenoid,
     contraction_median,
@@ -123,7 +125,7 @@ class TestBuild:
         sc = piece_zonal.scales
         geo = _NeckGeometry(N, piece_zonal.w.grid.s, zgrid, sc.eps_len)
         w_hat = collocation_from_rows(piece_zonal.w.values, zgrid) / sc.eps_len
-        P = geo.surface_points(w_hat)
+        P = geo.surface_points(w_hat, 0, w_hat.shape[0])
         # boundary ring: at s_eps the transition field is exactly vertical
         horiz = np.hypot(P[0, 0], P[1, 0]) * sc.eps_len
         assert np.max(np.abs(horiz - sc.r_eps)) < 1e-14 * sc.r_eps
@@ -137,6 +139,21 @@ class TestBuild:
         # the independent-stencil oracle already produced piece.residual;
         # the builder enforces residual <= tol, acceptance wants 2 tol slack
         assert piece_zonal.residual <= 2 * TOL
+
+    def test_oracle_streams_its_surface(self, piece_zonal, zgrid):
+        # the oracle's offset grid has about 6000 rows; built block by block
+        # its surface never exists whole, and its peak is the resampled
+        # collocation values, the output and one block's temporaries (it
+        # was 31.7 MB with the whole surface and its derivatives held)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            res = _oracle_residual(N, zgrid, piece_zonal.scales, piece_zonal.w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res == piece_zonal.residual
+        assert peak <= 10 * 2**20
 
 
 class TestCauchyMaps:

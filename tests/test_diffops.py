@@ -1,9 +1,10 @@
 """diffops against reference forms.
 
 - fd_derivative: the order-4 first-derivative boundary rows once built their
-  coefficient vector anew for every term of each sum; reference_fd_derivative
-  keeps that form, and fd_derivative must give the same bits at both orders
-  and both derivatives.
+  coefficient vector anew for every term of each sum, and every order-4
+  boundary row was its own sum() over the terms; reference_fd_derivative
+  keeps that form, and fd_derivative, which sums the four boundary rows at
+  once, must give the same bits at both orders and both derivatives.
 - bary_interp_matrix: reference_bary_interp_matrix is its former per-point
   loop, and the vectorised matrix must give the same bits.
 - NotAKnotSpline: scipy's CubicSpline is the reference it ports, and the
@@ -60,18 +61,23 @@ class TestFdDerivative:
     @given(
         rows=st.integers(7, 40),
         cols=st.integers(1, 6),
-        axis=st.sampled_from([0, 1]),
+        axis=st.sampled_from([0, 1, -2]),
         h=st.floats(1e-3, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_reference(self, rows, cols, axis, h, seed):
+        # axis -2 is the curvature engine's call: the rows of all three
+        # components of a chart block at once
         F = np.random.default_rng(seed).standard_normal((rows, cols))
         if axis == 1:
             F = F.T
+        elif axis == -2:
+            F = np.random.default_rng(seed).standard_normal((3, rows, cols))
         for order in (2, 4):
             for deriv in (1, 2):
-                assert np.array_equal(fd_derivative(F, h, axis, deriv, order),
-                                      reference_fd_derivative(F, h, axis, deriv, order))
+                got = fd_derivative(F, h, axis, deriv, order)
+                want = reference_fd_derivative(F, h, axis, deriv, order)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def reference_bary_interp_matrix(x, xi):

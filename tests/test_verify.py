@@ -1,19 +1,21 @@
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from minsurflab.cylinder import collocation_from_rows
-from minsurflab.geometry import graph_orbit_points, matrix_surface
+from minsurflab.geometry import graph_orbit_points, matrix_surface, uniform_surface
 from minsurflab.neck import angular_grid, flat_patch
-from minsurflab.outer import CORE_SPAN
+from minsurflab.outer import CORE_SPAN, CORE_STEP
 from minsurflab.profile import profile_values
 from minsurflab.verify import (
     catenoid_sample_graph,
     chord_arc,
     delta_stability,
     graphical_radius,
+    mc_residual,
     plane_sample_graph,
     second_fund,
     separation_check,
@@ -76,14 +78,39 @@ def reference_second_fund(glued):
     return outside, per_box
 
 
+class TestMcResidual:
+    def test_core_chart_streams_bit_identically(self, glued_surface):
+        # the core chart is built block by block as the engine walks it; its
+        # residual is the one of the whole chart, and the oracle's peak is
+        # the output and one block's temporaries (22.2 MB with the whole
+        # chart and its derivatives held)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            core = mc_residual(glued_surface)["core"]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        outer = glued_surface.outer
+        g = angular_grid(outer.spectrum)
+        s = -CORE_SPAN + CORE_STEP * np.arange(int(round(2 * CORE_SPAN / CORE_STEP)) + 1)
+        sf = np.linspace(s[0] + 0.05, s[-1] - 0.05, 2 * s.size)
+        sf = sf + 0.37 * (sf[1] - sf[0])
+        sf = sf[sf <= s[-1] - 0.05]
+        phi, _, psi, _ = profile_values(N, sf)
+        F = phi[:, None] * np.ones((1, g.t.size))
+        P = np.stack([F * g.t[None, :], F * g.sinb[None, :], psi[:, None] * np.ones((1, g.t.size))])
+        H = uniform_surface(P, g, sf[1] - sf[0], order=4).mean_curvature(N)
+        assert core["sup_H"] == float(np.max(np.abs(H[3:-3])) / outer.core_scale)
+
+
 class TestSecondFund:
     def test_catenoid_profile_against_revolution_oracle(self, spectrum):
         """|A| from chart second derivatives vs the profile formula
         sqrt(n(n-1)) phi^{-n} for the unit-neck catenoid."""
         g = angular_grid(spectrum)
         P, s, phi = catenoid_orbit_chart(spectrum=spectrum, m=600)
-        from minsurflab.geometry import uniform_surface
-
         surf = uniform_surface(P, g, s[1] - s[0], order=4)
         A = np.sqrt(surf.second_fundamental_sq(N))
         exact = np.sqrt(N * (N - 1.0)) * phi ** (-N)
@@ -94,8 +121,6 @@ class TestSecondFund:
         g = angular_grid(spectrum)
         r = np.linspace(0.5, 2.0, 80)
         P = graph_orbit_points(r, g, np.zeros((80, g.t.size)))
-        from minsurflab.geometry import uniform_surface
-
         A2 = uniform_surface(P, g, r[1] - r[0], order=2).second_fundamental_sq(N)
         assert np.max(np.abs(A2)) < 1e-16
 
