@@ -35,7 +35,7 @@ from .cylinder import (
 from .diffops import NotAKnotSpline, fd_derivative
 from .geometry import uniform_surface
 from .profile import ProfileTable, Scales, profile_values
-from .spectral import SphereField, angular_grid, apply_Dtheta, project_low
+from .spectral import SphereField, ZonalGrid, angular_grid, apply_Dtheta, project_low
 
 
 class PreconditionError(ValueError):

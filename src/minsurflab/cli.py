@@ -217,12 +217,13 @@ def _export_rows(name: str, x: np.ndarray, values: np.ndarray, path: Path):
 
 def cmd_neck(cfg: RunConfig, out: Path) -> int:
     from .neck import RigidParams, build_neck_piece, cauchy_T, flat_patch
+    from .outer import R0_OVER_R_EPS
     from .profile import compute_scales
     from .spectral import SphereField
 
     spec, prof = _context(cfg)
     sc = compute_scales(prof, cfg.eps)
-    r0 = 180.0 * sc.r_eps
+    r0 = R0_OVER_R_EPS * sc.r_eps
     patch = flat_patch(spec, r0, m=150, r_in=sc.r_eps / 4)
     b = sc.r_eps**2
     A = RigidParams(0.0, 0.0, 0.1 * b, 0.0)

@@ -36,6 +36,7 @@ from .outer import (
     GlueLevel,
     NeckBox,
     OuterSurface,
+    R0_OVER_R_EPS,
     Site,
     assemble_outer,
     cauchy_U_eps,
@@ -110,7 +111,7 @@ def prepare_glue(
     catenoid piece's weight."""
     scales = compute_scales(surface.profile, eps)
     r_site, center_xy = find_site(surface, scales)
-    r0 = min(max(180.0 * scales.r_eps, 1e-3 * r_site), r_site / 10.0)
+    r0 = min(max(R0_OVER_R_EPS * scales.r_eps, 1e-3 * r_site), r_site / 10.0)
     if r0 < 60.0 * scales.r_eps:
         raise PreconditionError(
             f"r0={r0:.3e} leaves no room above r_eps={scales.r_eps:.3e}"
@@ -246,7 +247,8 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
     Starts undamped; a step that does not cut the mismatch below 0.9 times
     the last one damps harder and restarts from the best point.  Terminates
     when the mismatch norm falls under the matching tolerance (None meaning
-    1e-8 r_eps^{2-n}) and fails after 30 evaluations.
+    1e-8 r_eps^{2-n}), with the glue of that last evaluation, and fails
+    after 30 evaluations.
     """
     max_iter = 30
     theta = 1.0
@@ -258,22 +260,20 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
     t = BoundaryTriple.zeros(spec)
     history = []
     ball = ctx.kappa * sc.r_eps**2
-    best = None
-    prev_norm = None
+    best = None  # (norm, triple, mismatch) of the least mismatch so far
     for it in range(1, max_iter + 1):
         mismatch, cat, neck = conglomerate_C(t, ctx)
         mis_norm = triple_norm(mismatch)
         history.append(mis_norm)
         if best is None or mis_norm < best[0]:
-            best = (mis_norm, t, cat, neck, mismatch)
+            best = (mis_norm, t, mismatch)
         if mis_norm <= tol_match:
+            # every earlier evaluation was above tol_match, so this is the best
             break
-        if prev_norm is not None and mis_norm > 0.9 * prev_norm:
+        if len(history) > 1 and mis_norm > 0.9 * history[-2]:
             # overshooting mode: damp harder and restart from the best point
             theta = max(0.25, 0.6 * theta)
-            t = best[1]
-            mismatch = best[4]
-        prev_norm = mis_norm
+            _, t, mismatch = best
         c_0 = maps.C0(t)
         rhs = _project_model_range(c_0, mismatch)
         t_new = maps.invert(rhs)
@@ -288,7 +288,6 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
             f"matching iteration exhausted {max_iter} iterations; trajectory "
             f"{['%.2e' % v for v in history]}"
         )
-    mis_norm, t, cat, neck, _ = best
     return assemble_glued_surface(ctx, t, cat, neck, mis_norm, history)
 
 

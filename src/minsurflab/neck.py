@@ -1,6 +1,8 @@
 """Graph mean curvature, the neck-opening perturbation, and annulus solves.
 
-The compact site patch is a graph over its reference plane.  Opening the
+A graph patch is a height BandField over a RadialGrid: row l holds band l
+of the height over the reference plane, and the patch's outer radius r0 is
+its grid's r_out.  The compact site patch is such a graph.  Opening the
 neck adds a multiple of the operator's Green's function; rigid parameters
 (translation, rotation, vertical shift, Green's-coefficient shift) restore
 the low-mode degrees of freedom that boundary data cannot supply.  The
@@ -18,7 +20,7 @@ import numpy as np
 
 from .catenoid import PreconditionError, ResidualError, pair_norm, picard, smooth_step
 from .cylinder import BandField, collocation_from_rows, rows_from_collocation
-from .geometry import graph_orbit_points, matrix_surface, uniform_surface
+from .geometry import OrbitSurface, graph_orbit_points, matrix_surface, uniform_surface
 from .profile import Scales
 from .radial import BandOperator, RadialGrid, solve_mixed
 from .spectral import (
@@ -30,46 +32,16 @@ from .spectral import (
 )
 
 
-@dataclass
-class GraphPatch:
-    """Height graph over a polar grid on a ball or annulus.
-
-    u holds band rows of the height over the reference plane; the domain
-    radii satisfy (A.1).
-    """
-
-    n: int
-    r0: float
-    grid: RadialGrid
-    u: BandField
-
-    def __post_init__(self):
-        if not (self.grid.r_out <= 2 * self.r0 + 1e-12 and self.r0 / 2 <= self.grid.r_out + 1e-12):
-            raise ValueError("(A.1): domain radii must satisfy B_{r0/2} within domain within B_{2 r0}")
-
-    @property
-    def spectrum(self):
-        return self.u.spectrum
-
-    def radial_slope(self) -> np.ndarray:
-        """d/dr of the radialized background on the grid."""
-        return (self.grid.D @ self.u.values[0]) / self.grid.r
-
-    def with_height(self, grid: RadialGrid, u: BandField) -> "GraphPatch":
-        """The graph of u over grid, with this patch's radius."""
-        return GraphPatch(self.n, self.r0, grid, u)
-
-    def resample(self, grid: RadialGrid) -> "GraphPatch":
-        # flat continuation below the stored inner truncation
-        P = self.grid.interp_matrix(np.clip(grid.r, self.grid.r_in, self.grid.r_out))
-        return self.with_height(grid, BandField(self.spectrum, grid, self.u.values @ P.T))
+def resample(u: BandField, grid: RadialGrid) -> BandField:
+    """The graph patch u on grid, continued flat below its inner truncation."""
+    P = u.grid.interp_matrix(np.clip(grid.r, u.grid.r_in, u.grid.r_out))
+    return BandField(u.spectrum, grid, u.values @ P.T)
 
 
-def flat_patch(spectrum, r0: float, m: int, r_in: float) -> GraphPatch:
+def flat_patch(spectrum, r0: float, m: int, r_in: float) -> BandField:
     """Zero-height patch on m nodes over [r_in, r0], the model background
     for tests and seeds."""
-    grid = RadialGrid(r_in, r0, m)
-    return GraphPatch(spectrum.n, r0, grid, BandField.zeros(spectrum, grid))
+    return BandField.zeros(spectrum, RadialGrid(r_in, r0, m))
 
 
 @dataclass
@@ -108,7 +80,6 @@ class GreenTable:
     """Radial Green's-function profile of the linearized graph operator: its
     values on grid and, for n = 3, its additive constant a0 (0.0 otherwise)."""
 
-    n: int
     grid: RadialGrid
     values: np.ndarray
     a0: float
@@ -125,65 +96,76 @@ class GreenTable:
 # -- collocation machinery --------------------------------------------------------
 
 
-def mean_curvature_graph(patch: GraphPatch, w: BandField | None = None, oracle: bool = False):
-    """Mean curvature values of the patch graph (plus optional extra height).
+def graph_surface(u: BandField) -> OrbitSurface:
+    """The orbit chart of the graph of u, differentiated along the radius by
+    its grid's collocation matrix."""
+    g = angular_grid(u.spectrum)
+    P = graph_orbit_points(u.grid.r, g, collocation_from_rows(u.values, g))
+    return matrix_surface(P, g, u.grid.D)
 
-    Returns collocation values on the (rho, beta) grid.  With oracle=True
-    the evaluation resamples to an offset uniform log-radial grid and uses
-    4th-order stencils, structurally independent of the solver path.
+
+def mean_curvature_graph(u: BandField) -> np.ndarray:
+    """Mean curvature of the graph of u on its (rho, beta) collocation grid."""
+    return graph_surface(u).mean_curvature(u.spectrum.n)
+
+
+def graph_residual(u: BandField) -> tuple:
+    """Oracle sup|H| of the graph of u, raw and relative to the chart
+    curvature scale max(sup|A|, 1/r_out).
+
+    The oracle resamples the graph to an offset uniform log-radial grid and
+    uses 4th-order stencils, structurally independent of the solver path.
     """
-    grid = patch.grid
-    g = angular_grid(patch.spectrum)
-    total = patch.u if w is None else patch.u + w
-    vals = collocation_from_rows(total.values, g)
-    if not oracle:
-        P = graph_orbit_points(grid.r, g, vals)
-        return matrix_surface(P, g, grid.D).mean_curvature(patch.n)
-    m_f = 2 * grid.m
-    rho_f = np.linspace(grid.rho[0], grid.rho[-1], m_f + 1)
+    grid = u.grid
+    g = angular_grid(u.spectrum)
+    n = u.spectrum.n
+    rho_f = np.linspace(grid.rho[0], grid.rho[-1], 2 * grid.m + 1)
     rho_f = rho_f[:-1] + 0.37 * (rho_f[1] - rho_f[0])
-    Pmat = patch.grid.interp_matrix(np.exp(rho_f))
-    vals_f = Pmat @ vals
+    vals_f = grid.interp_matrix(np.exp(rho_f)) @ collocation_from_rows(u.values, g)
     P = graph_orbit_points(np.exp(rho_f), g, vals_f)
-    return uniform_surface(P, g, rho_f[1] - rho_f[0], order=4).mean_curvature(patch.n)
+    H = uniform_surface(P, g, rho_f[1] - rho_f[0], order=4).mean_curvature(n)
+    sup_H = float(np.max(np.abs(H[3:-3])))
+    A2 = graph_surface(u).second_fundamental_sq(n)
+    return sup_H, sup_H / max(float(np.sqrt(np.max(A2))), 1.0 / grid.r_out)
 
 
-def graph_residual(patch: GraphPatch) -> tuple:
-    """Oracle sup|H| of the patch graph, raw and relative to the chart
-    curvature scale max(sup|A|, 1/r_out)."""
-    g = angular_grid(patch.spectrum)
-    sup_H = float(np.max(np.abs(mean_curvature_graph(patch, oracle=True)[3:-3])))
-    P = graph_orbit_points(patch.grid.r, g, collocation_from_rows(patch.u.values, g))
-    A2 = matrix_surface(P, g, patch.grid.D).second_fundamental_sq(patch.n)
-    return sup_H, sup_H / max(float(np.sqrt(np.max(A2))), 1.0 / patch.grid.r_out)
-
-
-def graph_operator(patch: GraphPatch, grid: RadialGrid | None = None) -> BandOperator:
-    """Band-diagonal linearization about the radialized background, on the
-    patch's grid or on grid.  On another grid the background slope is
-    interpolated inside the patch's radii and continues flat beyond them."""
+def graph_operator(u: BandField, grid: RadialGrid | None = None) -> BandOperator:
+    """Band-diagonal linearization about the radialized graph u, on u's grid
+    or on grid.  On another grid the background slope is interpolated
+    inside u's radii and continues flat beyond them."""
+    slope = (u.grid.D @ u.values[0]) / u.grid.r
     if grid is None:
-        return BandOperator(patch.spectrum, patch.grid, patch.radial_slope())
-    P = patch.grid.interp_matrix(np.clip(grid.r, patch.grid.r_in, patch.grid.r_out))
-    return BandOperator(patch.spectrum, grid, P @ patch.radial_slope())
+        return BandOperator(u.spectrum, u.grid, slope)
+    P = u.grid.interp_matrix(np.clip(grid.r, u.grid.r_in, u.grid.r_out))
+    return BandOperator(u.spectrum, grid, P @ slope)
+
+
+def graph_defect(op: BandOperator, base: BandField, H_base: np.ndarray, w: BandField) -> BandField:
+    """Band rows of op w - (H(base + w) - H_base): the part of the mean
+    curvature of base + w that the linearization op about base leaves out,
+    the right-hand side of a Picard step."""
+    H = mean_curvature_graph(base + w)
+    q = rows_from_collocation(H - H_base, angular_grid(base.spectrum))
+    return BandField(base.spectrum, base.grid, op.apply(w).values - q)
 
 
 # -- Green's function ---------------------------------------------------------------
 
 
-def green_function(patch: GraphPatch, rho_in: float) -> GreenTable:
-    """Annulus approximation of the operator's Green's function.
+def green_function(u: BandField, rho_in: float) -> GreenTable:
+    """Annulus approximation of the operator's Green's function about the
+    graph patch u, on [rho_in, r0] with r0 = u.grid.r_out.
 
     Solves the radial Dirichlet problem with r^{2-n} data on the inner ring
     and zero on the outer boundary; for n = 3 the additive constant a0 is
     fitted from the mid-range profile.
     """
-    n = patch.n
-    r0 = patch.grid.r_out
+    n = u.spectrum.n
+    r0 = u.grid.r_out
     if not (0.0 < rho_in <= 0.26 * r0):
         raise PreconditionError(f"rho_in={rho_in} too large for r0={r0}")
-    grid = RadialGrid(rho_in, r0, patch.grid.m)
-    op = graph_operator(patch, grid)
+    grid = RadialGrid(rho_in, r0, u.grid.m)
+    op = graph_operator(u, grid)
     # band 0 with Dirichlet rows on the unscaled matrix, not solve_rows:
     # the row-scaled system changes gamma_0 in its last digits, which moves
     # the glue's outputs by up to 3e-7 relative (seed-0 bench, verify)
@@ -210,16 +192,17 @@ def green_function(patch: GraphPatch, rho_in: float) -> GreenTable:
         )
         coef, *_ = np.linalg.lstsq(X, (gam - base)[mid], rcond=None)
         a0 = float(coef[0])
-    return GreenTable(n=n, grid=grid, values=gam, a0=a0)
+    return GreenTable(grid=grid, values=gam, a0=a0)
 
 
 # -- the opened-neck background -----------------------------------------------------
 
 
 def rigid_deviation_rows(
-    patch: GraphPatch, scales: Scales, A: RigidParams, green: GreenTable
+    u: BandField, scales: Scales, A: RigidParams, green: GreenTable
 ) -> BandField:
-    """Band rows of the neck-opening deviation w_{eps, A} over the patch.
+    """Band rows of the neck-opening deviation w_{eps, A} on the grid of the
+    graph patch u.
 
     Closed-form family: Green's term with coefficient (eps + e)/(n - 2)
     (shifted by its additive constant when n = 3), vertical shift d, the
@@ -228,64 +211,62 @@ def rigid_deviation_rows(
     The quadratic rigid-motion remainders are below the working ball
     |A| <= kappa r_eps^2.
     """
-    n = patch.n
-    spec = patch.spectrum
-    grid = patch.grid
-    out = BandField.zeros(spec, grid)
-    coef = (scales.eps + A.e) / (n - 2)
+    grid = u.grid
+    out = BandField.zeros(u.spectrum, grid)
+    coef = (scales.eps + A.e) / (u.spectrum.n - 2)
     gam = green.at(grid.r)
     dgam = green.deriv_at(grid.r)
-    a0 = green.a0 if n == 3 else 0.0
-    out.values[0] = coef * (gam - a0) + A.d
+    out.values[0] = coef * (gam - green.a0) + A.d
     out.values[1] = grid.r * A.R - coef * dgam * A.T
     return out
 
 
 def _opened_backdrop(
-    patch: GraphPatch, scales: Scales, A: RigidParams, green: GreenTable | None,
+    u: BandField, scales: Scales, A: RigidParams, green: GreenTable | None,
     r_in: float, r_out: float,
 ) -> tuple:
-    """(patch resampled onto [r_in, r_out], the rows w_{eps, A} there, the
-    graph of their sum): the opened neck's backdrop."""
+    """(the graph patch u resampled onto [r_in, r_out], the rows w_{eps, A}
+    there, their sum): the opened neck's backdrop."""
     if green is None:
-        green = green_function(patch, scales.r_eps / 4.0)
-    base = patch.resample(RadialGrid(r_in, r_out, patch.grid.m))
+        green = green_function(u, scales.r_eps / 4.0)
+    base = resample(u, RadialGrid(r_in, r_out, u.grid.m))
     dev = rigid_deviation_rows(base, scales, A, green)
-    return base, dev, patch.with_height(base.grid, base.u + dev)
+    return base, dev, base + dev
 
 
 # -- annulus solvers -----------------------------------------------------------------
 
 
 def poisson_neck(
-    patch: GraphPatch,
+    u: BandField,
     scales: Scales,
     h_II: SphereField,
     kappa: float,
     cutoff: bool = True,
 ) -> BandField:
-    """High-mode Poisson operator at the inner ring of the opened neck.
+    """High-mode Poisson operator at the inner ring of the opened neck, the
+    graph patch u on [r_eps, r0].
 
     w0 carries each band along its flat-harmonic power law, cut off away
     from the ring (cutoff=False keeps the bare power law); the annulus
     solve removes the resulting defect without touching the prescribed
     high-mode trace.
     """
-    n = patch.n
-    spec = patch.spectrum
+    n = u.spectrum.n
+    spec = u.spectrum
     if project_low(h_II).holder_norm() > 1e-12 * max(1.0, h_II.holder_norm()):
         raise PreconditionError("poisson_neck requires high-mode data")
     if h_II.holder_norm() > kappa * scales.r_eps**2 * (1 + 1e-9):
         raise PreconditionError("|h_II| exceeds kappa r_eps^2")
-    grid = patch.grid
-    r_eps = grid.r_in
+    grid = u.grid
+    r_eps, r0 = grid.r_in, grid.r_out
     w0 = BandField.zeros(spec, grid)
-    lam_arg = (2 * patch.r0 - 8 * grid.r) / patch.r0
+    lam_arg = (2 * r0 - 8 * grid.r) / r0
     ramp = smooth_step(lam_arg) if cutoff else np.ones(grid.m)
     for k in range(2, spec.L + 1):
         a = (2 - n) / 2.0 - spec.gamma[k]
         w0.values[k] = h_II.c[k] * (grid.r / r_eps) ** a * ramp
-    op = graph_operator(patch)
+    op = graph_operator(u)
     defect = op.apply(w0)
     corr = solve_mixed(op, defect)
     return w0 - corr
@@ -311,7 +292,7 @@ class NeckPiece:
 
 
 def build_neck_piece(
-    patch: GraphPatch,
+    u: BandField,
     scales: Scales,
     A: RigidParams,
     h_I: SphereField,
@@ -320,15 +301,17 @@ def build_neck_piece(
     kappa: float,
     green: GreenTable | None = None,
 ) -> NeckPiece:
-    """Solve the opened-neck minimal-graph problem on [r_eps, r0].
+    """Solve the opened-neck minimal-graph problem on [r_eps, r0] over the
+    graph patch u, r0 = u.grid.r_out.
 
     Boundary structure: high modes of the full height match h_II on the
     inner ring, the deviation from the base graph matches h_I on the outer
     ring, and the rigid parameters supply the inner low modes.  tol bounds
     the oracle residual relative to the chart curvature scale.
     """
-    n = patch.n
-    spec = patch.spectrum
+    n = u.spectrum.n
+    spec = u.spectrum
+    r0 = u.grid.r_out
     triple_norm = h_I.holder_norm() + A.norm(scales) + h_II.holder_norm()
     if triple_norm > kappa * scales.r_eps**2 * (1 + 1e-9):
         raise PreconditionError(
@@ -337,10 +320,9 @@ def build_neck_piece(
     if project_low(h_II).holder_norm() > 1e-12 * max(1.0, h_II.holder_norm()):
         raise PreconditionError("h_II must be high-mode data")
 
-    base, dev, back_patch = _opened_backdrop(patch, scales, A, green, scales.r_eps, patch.r0)
-    grid = back_patch.grid
-    backdrop = back_patch.u  # u0 + w_{eps,A} rows
-    op = graph_operator(back_patch)
+    base, dev, backdrop = _opened_backdrop(u, scales, A, green, scales.r_eps, r0)
+    grid = backdrop.grid
+    op = graph_operator(backdrop)
     g = angular_grid(spec)
 
     # Dirichlet lift: deviation-above-base equals h_I + d + r0 R t at the
@@ -349,24 +331,20 @@ def build_neck_piece(
     # regular harmonic profiles and cancel those degrees of freedom at the
     # inner ring exactly.  The outer piece receives the same ring data, so
     # the 0th-order interface match still holds by construction.
-    outer_data = h_I + rigid_ring_data(A, patch.r0, h_II.spectrum) - dev.trace(-1)
+    outer_data = h_I + rigid_ring_data(A, r0, h_II.spectrum) - dev.trace(-1)
     w_h = solve_mixed(op, BandField.zeros(spec, grid), outer=outer_data)
 
     # mean curvature of the backdrop graph
-    H_base_vals = mean_curvature_graph(back_patch)
+    H_base_vals = mean_curvature_graph(backdrop)
     H_base = BandField(spec, grid, rows_from_collocation(H_base_vals, g))
     gamma_H = solve_mixed(op, H_base)
 
     inner_gap = project_high(h_II - (backdrop + w_h).trace(0))
-    w_pi = poisson_neck(back_patch, scales, inner_gap, kappa=10 * kappa + 1e3)
+    w_pi = poisson_neck(backdrop, scales, inner_gap, kappa=10 * kappa + 1e3)
     wt = w_h + w_pi - gamma_H
 
     def update(v: BandField) -> BandField:
-        w = wt + v
-        H_vals = mean_curvature_graph(back_patch, w=w)
-        q_vals = rows_from_collocation(H_vals - H_base_vals, g)
-        lam_w = op.apply(w)
-        return solve_mixed(op, BandField(spec, grid, lam_w.values - q_vals))
+        return solve_mixed(op, graph_defect(op, backdrop, H_base_vals, wt + v))
 
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
     v, it, _ = picard(
@@ -376,7 +354,7 @@ def build_neck_piece(
 
     w = wt + v
     V = backdrop + w
-    sup_H, res_rel = graph_residual(patch.with_height(grid, V))
+    sup_H, res_rel = graph_residual(V)
     if res_rel > tol:
         raise ResidualError(
             f"neck oracle residual {res_rel:.3e} (relative to curvature scale) exceeds tol={tol:.3e}"
@@ -395,7 +373,7 @@ def build_neck_piece(
         residual=sup_H,
         residual_rel=res_rel,
         cauchy_inner=(inner_val, inner_slope),
-        outer_slope=(V - base.u).d_trace(-1),
+        outer_slope=(V - base).d_trace(-1),
         iterations=it,
     )
 

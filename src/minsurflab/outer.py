@@ -6,12 +6,14 @@ planar-asymptotic ends in the catenoid band representation, and one
 GlueLevel per earlier gluing, the only record of what that glue added: its
 pieces, its site, its new end and its NeckBox.  A glue works at one Site on
 the top end, which assemble_outer returns with that end, without changing
-the surface.  Ring-data solves are localized at the site: responses to data on
-the small ring decay like exterior multipoles, so the exterior problem on
-[r0, R_site] with per-band decaying Robin closure represents the global
-solve up to couplings far below the working ball; the global band
-structure of the core enters only the nondegeneracy check, which a tower
-runs once, on its seed.
+the surface.  The site's patch and exterior are graph patches, as in the
+neck module: the end's height about the site as a BandField on a RadialGrid,
+whose r_out is the patch's outer radius.  Ring-data solves are localized at
+the site: responses to data on the small ring decay like exterior
+multipoles, so the exterior problem on [r0, R_site] with per-band decaying
+Robin closure represents the global solve up to couplings far below the
+working ball; the global band structure of the core enters only the
+nondegeneracy check, which a tower runs once, on its seed.
 
 The outer Cauchy map U_eps (cauchy_U_eps) is the ring slope of the solved
 outer field (solve_outer_nonlinear) against the neck's.  Its simple model
@@ -39,7 +41,7 @@ from .catenoid import (
 )
 from .cylinder import BandField, rows_from_collocation
 from .diffops import NotAKnotSpline
-from .neck import GraphPatch, NeckPiece, graph_operator, graph_residual, mean_curvature_graph
+from .neck import NeckPiece, graph_defect, graph_operator, graph_residual, mean_curvature_graph
 from .profile import ProfileTable, Scales, profile_values
 from .radial import RadialGrid, decaying, regular, solve_rows
 from .spectral import BandSpectrum, SphereField, angular_grid
@@ -142,10 +144,12 @@ class NeckBox:
 @dataclass(frozen=True)
 class Site:
     """A gluing site: the end it was cut from, the compact patch about it,
-    the site exterior, and where it sits."""
+    the site exterior, and where it sits.  The patch and the exterior are
+    graph patches: the end's height over its plane about the site, as a
+    BandField on a RadialGrid whose r_out is the patch's outer radius."""
 
-    patch: GraphPatch  # the end about the site on [r_eps/8, r0], u(0) = 0
-    exterior: GraphPatch  # the end about the site on [r0, 0.45 r_site]
+    patch: BandField  # the end about the site on [r_eps/8, r0], u(0) = 0
+    exterior: BandField  # the end about the site on [r0, 0.45 r_site]
     center_xy: np.ndarray  # horizontal position of the site, on e_1 from the end's axis
     height: float  # ambient height of the site on the end glued to
     r_site: float  # the site's distance from that end's axis
@@ -338,17 +342,23 @@ def _smallest_singular_value(n: int, L: int, delta: float, m: int) -> float:
 
 # -- gluing site --------------------------------------------------------------------
 
+# r0 / r_eps of the ring between a site's patch and exterior that find_site's
+# tilt cap and the neck command assume; the least r0 prepare_glue picks
+R0_OVER_R_EPS = 180.0
+
 
 def find_site(surface: OuterSurface, scales: Scales) -> tuple:
     """March outward along the top end to the first admissible gluing site.
 
     Beyond the hard bound |grad u| <= r_eps, the site tilt is pushed below
-    r_eps^2 / r0 (r0 = 180 r_eps) so the reference-plane tilt contributes
-    below the matching tolerance at the inner ring; the fixed point then
-    never needs a rotation of the glued pieces, and the new end stays
-    parallel to the old plane.  The site sits a factor 1.3 beyond the first
-    radius that passes, and beyond 1.3 times three times the last glued
-    level's site radius.
+    r_eps^2 / (2 r0) (r0 = R0_OVER_R_EPS r_eps) so the reference-plane tilt
+    contributes below the matching tolerance at the inner ring; the fixed
+    point then never needs a rotation of the glued pieces, and the new end
+    stays parallel to the old plane.  prepare_glue may pick a larger r0,
+    max(R0_OVER_R_EPS r_eps, 1e-3 r_site) capped at r_site / 10, and the
+    tilt then adds up to r0 times the cap at the ring (ROADMAP item 2(c)).
+    The site sits a factor 1.3 beyond the first radius that passes, and
+    beyond 1.3 times three times the last glued level's site radius.
     Returns (r_site, center_xy): the site's distance from the end's axis
     and its horizontal position, r_site along the first axis from the axis.
     """
@@ -359,7 +369,7 @@ def find_site(surface: OuterSurface, scales: Scales) -> tuple:
     r_cap = 0.98 * end.a * np.exp(_end_splines(n)["logphi_max"])
     R = np.geomspace(max(2.0 * end.a, 1e-6), r_cap / margin, 600)
     _, g_prof = end.height_profile(n, R)
-    tilt_cap = min(scales.r_eps, 0.5 * scales.r_eps**2 / (180.0 * scales.r_eps))
+    tilt_cap = min(scales.r_eps, 0.5 * scales.r_eps**2 / (R0_OVER_R_EPS * scales.r_eps))
     ok = np.abs(g_prof) < tilt_cap
     ok &= R > margin * max(r_min_prev * 3.0, 2.0 * end.a)
     idx = np.argmax(ok)
@@ -412,11 +422,8 @@ def assemble_outer(
         u_vals = end.orientation * h_prof.reshape(R_amb.shape) - float(end.orientation * h_site[0])
         return BandField(spec, grid, rows_from_collocation(u_vals, g))
 
-    grid = RadialGrid(scales.r_eps / 8.0, r0, M_RADIAL)
-    patch = GraphPatch(n=n, r0=r0, grid=grid, u=site_field(grid))
-    R_out = 0.45 * r_site
-    ext_grid = RadialGrid(r0, R_out, M_RADIAL)
-    exterior = GraphPatch(n=n, r0=R_out / 2.0, grid=ext_grid, u=site_field(ext_grid))
+    patch = site_field(RadialGrid(scales.r_eps / 8.0, r0, M_RADIAL))
+    exterior = site_field(RadialGrid(r0, 0.45 * r_site, M_RADIAL))
     height = float(end.plane_height + end.orientation * h_site[0])
     return Site(patch, exterior, xy, height, r_site, r0, end)
 
@@ -430,28 +437,22 @@ def solve_outer_nonlinear(site: Site, h_I: SphereField, tol: float) -> BandField
     Site-exterior Picard iteration on the mean-curvature defect; far planes
     are untouched by construction.
     """
-    base_patch = site.exterior
-    grid, base = base_patch.grid, base_patch.u
-    spec = base_patch.spectrum
-    g = angular_grid(spec)
-    op = graph_operator(base_patch)
-    H_base_vals = mean_curvature_graph(base_patch)
+    base = site.exterior
+    op = graph_operator(base)
+    H_base_vals = mean_curvature_graph(base)
 
     def exterior_solve(f: BandField | None) -> BandField:
         # Dirichlet data h_I at the ring, decaying multipoles at the truncation
-        return BandField(spec, grid, solve_rows(op, f, h_I, decaying))
+        return BandField(base.spectrum, base.grid, solve_rows(op, f, h_I, decaying))
 
     def update(w: BandField) -> BandField:
-        H_vals = mean_curvature_graph(base_patch, w=w)
-        lam_w = op.apply(w)
-        q = BandField(spec, grid, lam_w.values - rows_from_collocation(H_vals - H_base_vals, g))
-        return exterior_solve(q)
+        return exterior_solve(graph_defect(op, base, H_base_vals, w))
 
     w = exterior_solve(None)
     if h_I.holder_norm() != 0.0:
         w, _, _ = picard(update, w, 1e-9, 1e-300, 30, stage="outer")
 
-    _, res_rel = graph_residual(base_patch.with_height(grid, base + w))
+    _, res_rel = graph_residual(base + w)
     if res_rel > tol:
         raise ResidualError(f"outer residual {res_rel:.3e} exceeds tol={tol:.3e}")
     return w

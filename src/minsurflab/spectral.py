@@ -80,8 +80,6 @@ class ZonalGrid:
     def __init__(self, n: int, L: int, n_nodes: int):
         if n_nodes < 2 * L + n:
             n_nodes = 2 * L + n
-        self.n = n
-        self.L = L
         m = n_nodes
         self.beta = (np.arange(m) + 0.5) * np.pi / m
         self.t = np.cos(self.beta)  # descending in beta

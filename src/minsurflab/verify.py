@@ -17,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .cylinder import collocation_from_rows
-from .geometry import graph_orbit_points, matrix_surface, uniform_surface
+from .geometry import uniform_surface
+from .neck import graph_surface
 from .outer import CORE_SPAN, CORE_STEP
 from .profile import profile_values
 from .spectral import angular_grid, sphere_area
@@ -188,9 +188,7 @@ def second_fund(glued) -> dict:
     A = [np.sqrt(n * (n - 1.0)) * phi ** (-n) / outer.core_scale]
     for level in outer.glue_levels:
         V = level.neck_piece.V
-        g = angular_grid(V.spectrum)
-        P = graph_orbit_points(V.grid.r, g, collocation_from_rows(V.values, g))
-        A2 = np.sqrt(matrix_surface(P, g, V.grid.D).second_fundamental_sq(n))
+        A2 = np.sqrt(graph_surface(V).second_fundamental_sq(n))
         xy.append(level.site.center_xy + e0 * V.grid.r[::4, None])
         z.append(level.site.height + V.values[0, ::4])
         A.append(np.max(A2[::4], axis=1))
@@ -394,25 +392,14 @@ def _stability_forms(P: np.ndarray, n: int):
     E, F, G, det, vol = _first_form(P, n)
     dA = vol * sphere_area(n - 1)
 
-    # difference matrices for the gradient energy (desk-sized, dense)
-    Da = np.zeros((Na, Na))
-    for i in range(1, Na - 1):
-        Da[i, i - 1], Da[i, i + 1] = -0.5, 0.5
-    Da[0, 0], Da[0, 1] = -1.0, 1.0
-    Da[-1, -2], Da[-1, -1] = -1.0, 1.0
-    Db = np.zeros((Nb, Nb))
-    for j in range(1, Nb - 1):
-        Db[j, j - 1], Db[j, j + 1] = -0.5, 0.5
-    Db[0, 0], Db[0, 1] = -1.0, 1.0
-    Db[-1, -2], Db[-1, -1] = -1.0, 1.0
-
     def apply_grad_energy(vecs):
-        """Q(phi) = int |grad phi|^2 dA for columns of vecs."""
+        """Q(phi) = int |grad phi|^2 dA for columns of vecs, with the centred
+        differences of _first_form."""
         out = np.empty(vecs.shape[1])
         for c in range(vecs.shape[1]):
             phi = vecs[:, c].reshape(Na, Nb)
-            pa = Da @ phi
-            pb = phi @ Db.T
+            pa = np.gradient(phi, axis=0)
+            pb = np.gradient(phi, axis=1)
             grad2 = (G * pa**2 - 2 * F * pa * pb + E * pb**2) / det
             out[c] = np.sum(grad2 * dA)
         return out

@@ -73,11 +73,10 @@ def u0_multipliers(site):
     # bands 2..L
     bands = np.concatenate([[0], np.full(n, 1), np.arange(2, spec.L + 1)])
     ext_grid = site.exterior.grid
-    ub = site.exterior.u
-    ext_op = BandOperator(spec, ext_grid, (ext_grid.D @ ub.values[0]) / ext_grid.r)
+    ext_op = BandOperator(spec, ext_grid, (ext_grid.D @ site.exterior.values[0]) / ext_grid.r)
     patch = site.patch
     ball = RadialGrid(1e-3 * site.r0, site.r0, patch.grid.m)
-    slope = (patch.grid.D @ patch.u.values[0]) / patch.grid.r
+    slope = (patch.grid.D @ patch.values[0]) / patch.grid.r
     ball_op = BandOperator(spec, ball, patch.grid.interp_matrix(ball.r) @ slope)
     first_row = {0: 0, 1: 1, **{ell: n - 1 + ell for ell in range(2, spec.L + 1)}}
     mult = np.zeros(spec.L + 1)

@@ -148,6 +148,64 @@ class TestConglomerate:
         assert norms[1] < norms[0]
 
 
+class TestFixedPointGlue:
+    def test_restart_and_return_with_a_mismatch_that_grows_once(self, ctx, maps, spectrum,
+                                                                monkeypatch):
+        """A scripted conglomerate_C whose mismatch norms run 8, 4, 6, 2, 0.5
+        units against a tolerance of 1 unit: the third evaluation grows, so
+        the damped step restarts from the second (the best so far), and the
+        fifth meets the tolerance and is the glue returned."""
+        unit = 1e-3 * ctx.scales.r_eps**2
+        ring = SphereField.zonal_band(spectrum, 2, 1.0)
+        ring = ring * (unit / ring.holder_norm())
+        zero = SphereField.zeros(spectrum)
+        evaluations = []  # (triple, mismatch, catenoid token, neck token)
+
+        def scripted_C(t, c):
+            k = len(evaluations)
+            mismatch = (ring * (8.0, 4.0, 6.0, 2.0, 0.5)[k], zero.copy(), zero.copy())
+            evaluations.append((t, mismatch, f"cat{k}", f"neck{k}"))
+            return mismatch, f"cat{k}", f"neck{k}"
+
+        C0_at, matched_to = [], []  # per step: the triple C0 takes, the mismatch
+        project = gluing._project_model_range
+
+        def recording_range(c_0, c_eps):
+            matched_to.append(c_eps)
+            return project(c_0, c_eps)
+
+        class RecordingMaps(SimpleMaps):
+            def C0(self, t):
+                C0_at.append(t)
+                return super().C0(t)
+
+        def capture(c, t, cat, neck, mis_norm, history):
+            return t, cat, neck, mis_norm, history
+
+        monkeypatch.setattr(gluing, "conglomerate_C", scripted_C)
+        monkeypatch.setattr(gluing, "SimpleMaps", RecordingMaps)
+        monkeypatch.setattr(gluing, "_project_model_range", recording_range)
+        monkeypatch.setattr(gluing, "assemble_glued_surface", capture)
+        t, cat, neck, mis_norm, history = gluing.fixed_point_glue(ctx, tol_match=1.0 * unit)
+
+        assert len(evaluations) == 5 and len(C0_at) == len(matched_to) == 4
+        # the first two steps and the one after the restart continue from
+        # the last evaluation; the restart continues from the best one
+        for k in (0, 1, 3):
+            assert C0_at[k] is evaluations[k][0] and matched_to[k] is evaluations[k][1]
+        assert C0_at[2] is evaluations[1][0] and matched_to[2] is evaluations[1][1]
+        # ... with the step damped to theta = 0.6
+        best_t, best_mismatch = evaluations[1][0:2]
+        step = maps.invert(project(maps.C0(best_t), best_mismatch))
+        restarted = best_t.combine(step, 1.0 - 0.6, 0.6)
+        assert np.array_equal(evaluations[3][0].h_I.c, restarted.h_I.c)
+        # the glue returned is the last evaluation's
+        assert t is evaluations[-1][0] and (cat, neck) == ("cat4", "neck4")
+        assert mis_norm == triple_norm(evaluations[-1][1])
+        assert mis_norm == history[-1] == min(history)
+        assert history == [triple_norm(e[1]) for e in evaluations]
+
+
 class TestGlue:
     def test_refuses_eps_above_certified(self, spectrum, profile):
         surf = seed_catenoid(profile, spectrum, scale=1.0)

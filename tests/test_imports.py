@@ -44,6 +44,10 @@ not read fails there.
 """
 
 import ast
+import importlib
+import inspect
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -591,3 +595,57 @@ def test_the_check_sees_an_allow_list_entry_the_tests_do_not_use():
     assert allow_list_unused(allowed, params, modules, tests) == ["a.Box.size(unit)", "a.g"]
     tests["u"] = "g()\nBox().size(unit=2)\n"
     assert allow_list_unused(allowed, params, modules, tests) == []
+
+
+def unresolved_hints(module) -> list:
+    """Qualified names of the functions, classes and methods defined in
+    module whose annotations typing.get_type_hints cannot resolve, with the
+    error it raises: an annotation that names a type its module does not
+    bind passes at run time under ``from __future__ import annotations``
+    and fails only when something asks for the hints."""
+    found = []
+
+    def check(qual, obj):
+        try:
+            typing.get_type_hints(obj)
+        except Exception as exc:  # NameError for an unbound name, or other
+            found.append(f"{qual}: {type(exc).__name__}: {exc}")
+
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            check(f"{module.__name__}.{name}", obj)
+        elif inspect.isclass(obj):
+            check(f"{module.__name__}.{name}", obj)
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    check(f"{module.__name__}.{name}.{attr}", member)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_type_hints_resolve(path):
+    name = "minsurflab" if path.stem == "__init__" else f"minsurflab.{path.stem}"
+    assert unresolved_hints(importlib.import_module(name)) == []
+
+
+def test_the_check_sees_an_unresolved_hint():
+    module = types.ModuleType("sketch")
+    exec(
+        "from __future__ import annotations\n\n"
+        "def f(x: int) -> Missing:\n    return x\n\n"
+        "class Box:\n"
+        "    size: float\n\n"
+        "    def grow(self, by: Absent) -> Box:\n        return self\n\n"
+        "    @property\n"
+        "    def area(self) -> float:\n        return self.size\n",
+        module.__dict__,
+    )
+    assert [entry.split(":")[0] for entry in unresolved_hints(module)] == [
+        "sketch.f", "sketch.Box.grow",
+    ]

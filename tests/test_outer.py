@@ -47,7 +47,7 @@ class TestAssemble:
         surf, site, sc = sited
         _, grad = surf.top_end().height_profile(N, np.array([site.r_site]))
         assert abs(grad[0]) <= sc.r_eps
-        assert site.patch.u.values[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert site.patch.values[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_leaves_the_surface_unchanged(self, spectrum, profile):
         surf = seed_catenoid(profile, spectrum, scale=1.0)
@@ -69,12 +69,12 @@ class TestAssemble:
         surf, site, sc = sited
         patch = site.patch
         # (A.3): the C^2 size of the site graph stays below 1
-        grid, u = patch.grid, patch.u.values
+        grid, u = patch.grid, patch.values
         c2 = (np.max(np.abs(u)) + np.max(np.abs(u @ grid.D.T / grid.r))
               + np.max(np.abs(u @ (grid.D @ grid.D).T / grid.r**2)))
         assert c2 <= 1.0
-        # (A.1): grid covers [r_eps/8, r0] inside [r0/2, 2 r0]
-        assert patch.grid.r_out == pytest.approx(patch.r0)
+        # the patch's outer radius is the site's ring radius r0
+        assert patch.grid.r_out == site.r0
 
 
 def unit_box(x: float, z: float) -> NeckBox:
@@ -210,8 +210,7 @@ class TestOuterNonlinear:
         surf, site, sc = sited
         w = solve_outer_nonlinear(site, SphereField.zeros(spectrum), tol=5e-3)
         assert np.max(np.abs(w.values)) == 0.0
-        exterior = site.exterior
-        _, res_rel = graph_residual(exterior.with_height(exterior.grid, exterior.u + w))
+        _, res_rel = graph_residual(site.exterior + w)
         assert res_rel < 5e-3
 
     def test_linear_response_scaling(self, sited, spectrum):
