@@ -145,9 +145,10 @@ def band_pair(n: int, s: np.ndarray, ell: int):
 
 def _check_profile_covers(profile: ProfileTable, s: np.ndarray):
     if s[0] < profile.s[0] - 1e-9 or s[-1] > profile.s[-1] + 1e-9:
-        raise GridError(
+        raise PreconditionError(
             f"grid [{s[0]:.3f}, {s[-1]:.3f}] exceeds the profile table range "
-            f"[{profile.s[0]:.3f}, {profile.s[-1]:.3f}]"
+            f"[{profile.s[0]:.3f}, {profile.s[-1]:.3f}]; rebuild the profile with "
+            f"s_max >= {max(-s[0], s[-1]):.3f}"
         )
 
 
@@ -167,7 +168,7 @@ def apply_Lcal(w: BandField, profile: ProfileTable) -> BandField:
     return BandField(spec, w.grid, out)
 
 
-def solve_GS(f: BandField, S: float, delta: float) -> BandField:
+def solve_GS(f: BandField, delta: float) -> BandField:
     """Right inverse of the cylinder operator with high-mode zero trace.
 
     Bands l >= 2: Dirichlet 0 at the cut, decaying Robin at the far
@@ -181,8 +182,6 @@ def solve_GS(f: BandField, S: float, delta: float) -> BandField:
             f"delta={delta} outside the admissible interval (-(n+2)/2, -n/2)"
         )
     grid = f.grid
-    if abs(grid.S - S) > 1e-9:
-        raise GridError(f"field starts at s={grid.S}, not at the requested S={S}")
     data = grid_profile(n, grid.s)
     h = grid.step
     c2 = ((n - 2) / 2.0) ** 2
@@ -205,12 +204,12 @@ def _piece_grid(S: float) -> np.ndarray:
     return S + PIECE_STEP * np.arange(int(round(PIECE_SPAN / PIECE_STEP)) + 1)
 
 
-def solve_PS(g_II: SphereField, S: float, delta: float, s_grid: np.ndarray) -> BandField:
+def solve_PS(g_II: SphereField, delta: float, s_grid: np.ndarray) -> BandField:
     """Decaying solution with prescribed high-mode trace at the cut.
 
     Built as the explicit flat decaying extension w0 of the trace data plus
     a correction solve against the potential term, on the uniform grid
-    s_grid starting at S.  g_II must have no low-mode content.
+    s_grid, whose first node is the cut.  g_II must have no low-mode content.
     """
     spec = g_II.spectrum
     n = spec.n
@@ -220,11 +219,11 @@ def solve_PS(g_II: SphereField, S: float, delta: float, s_grid: np.ndarray) -> B
         raise PreconditionError(f"delta={delta} outside the admissible interval")
     grid = UniformGrid(s_grid)
     w0 = BandField.zeros(spec, grid)
-    decay = np.exp(-np.outer(spec.gamma[2:], grid.s - S))
+    decay = np.exp(-np.outer(spec.gamma[2:], grid.s - s_grid[0]))
     w0.values[2:] = g_II.c[2:, None] * decay
     data = grid_profile(n, grid.s)
     rhs = BandField(spec, grid, -data["pot"][None, :] * w0.values)
-    return w0 + solve_GS(rhs, S, delta)
+    return w0 + solve_GS(rhs, delta)
 
 
 # -- nonlinear catenoid piece ----------------------------------------------------
@@ -361,7 +360,7 @@ def build_catenoid_piece(
     geo = _NeckGeometry(n, s_grid, grid, scales.eps_len)
 
     g_II = h_II * (geo.phi[0] ** ((n - 2) / 2.0))
-    wt = solve_PS(g_II, s_eps, delta, s_grid=s_grid)
+    wt = solve_PS(g_II, delta, s_grid=s_grid)
 
     guard = 0.2  # smallness guard on the cubic-regime variable
     mask = (s_grid <= s_eps + DEFECT_SPAN).astype(float)
@@ -372,7 +371,7 @@ def build_catenoid_piece(
         mc = geo.conjugated_mc(w)
         qbar = BandField(spec, lcal_w.grid,
                          (lcal_w.values - rows_from_collocation(mc, grid)) * mask[None, :])
-        v_new = solve_GS(qbar, s_eps, delta)
+        v_new = solve_GS(qbar, delta)
         gvar = np.max(np.abs(collocation_from_rows((v_new + wt).values, grid))) * np.max(
             geo.phi ** (-n / 2.0)
         ) / scales.eps_len

@@ -36,7 +36,6 @@ class UniformGrid:
         self.nodes = s
         self.m = s.size
         self.step = float(s[1] - s[0])
-        self.S = float(s[0])
 
     def d_rows(self, values: np.ndarray, index: int) -> np.ndarray:
         """d/ds of the rows at a node by the forward one-sided 2nd-order

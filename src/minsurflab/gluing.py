@@ -319,13 +319,13 @@ def assemble_glued_surface(ctx, t, cat: CatenoidPiece, neck: NeckPiece, mis_norm
     # neck box: |A| < 1 outside; the box contains the full scaled waist
     phi_star = (np.sqrt(n * (n - 1.0)) / eps_len) ** (1.0 / n)
     s_star = float(np.log(2 * phi_star))
-    phis, _, psis, _ = (np.asarray(v) for v in profile_values(n, np.array([s_star])))
+    psi_star = float(profile_values(n, np.array([s_star]))[2][0])
     half_w = 1.6 * eps_len * phi_star
-    z_lo = ring_height - eps_len * (psi_cut + float(psis[0]))
-    z_hi = ring_height + eps_len * (float(psis[0]) - psi_cut)
+    z_lo = ring_height - eps_len * (psi_cut + psi_star)
+    z_hi = ring_height + eps_len * (psi_star - psi_cut)
     box = NeckBox(
         center_xy=site.center_xy.copy(),
-        halfwidth=float(max(half_w, site.r0)),
+        halfwidth=float(max(half_w, site.patch.grid.r_out)),
         z_range=(float(min(z_lo, ring_height) - 0.2 * eps_len * phi_star),
                  float(max(z_hi, ring_height) + 0.2 * eps_len * phi_star)),
         c_j=1.1 * np.sqrt(n * (n - 1.0)) / eps_len,
@@ -406,15 +406,14 @@ def _new_end_tilt(glued: GluedSurface) -> float:
 def _seed_neck_box(surface: OuterSurface) -> NeckBox:
     """Box around the seed's neck: half-width 1.3 a phi_star and height
     1.2 a psi(s_star) on either side of the core, where phi_star =
-    max((sqrt(n(n-1))/a)^(1/n), 1.05) and phi(s_star) = phi_star is solved
-    by _brentq, the in-package port of Brent's method."""
+    max((sqrt(n(n-1))/a)^(1/n), 1.05) and s_star solves phi(s_star) =
+    phi_star through the closed form phi(s) = cosh((n-1) s)^(1/(n-1)):
+    s_star = arccosh(phi_star^(n-1)) / (n-1)."""
     n = surface.n
     a = surface.core_scale
     phi_star = (np.sqrt(n * (n - 1.0)) / a) ** (1.0 / n)
     phi_star = max(phi_star, 1.05)
-    s_star = _brentq(
-        lambda s: profile_values(n, np.array([abs(s)]))[0][0] - phi_star, 1e-6, 10.0
-    )
+    s_star = float(np.arccosh(phi_star ** (n - 1)) / (n - 1))
     psis = profile_values(n, np.array([s_star]))[2][0]
     return NeckBox(
         center_xy=surface.core_center[:n].copy(),
@@ -423,82 +422,6 @@ def _seed_neck_box(surface: OuterSurface) -> NeckBox:
                  float(surface.core_center[-1] + 1.2 * a * psis)),
         c_j=1.1 * np.sqrt(n * (n - 1.0)) / a,
     )
-
-
-# Brent's tolerances and iteration cap: scipy.optimize.brentq's defaults
-BRENT_XTOL = 2e-12
-BRENT_RTOL = 4 * float(np.finfo(float).eps)
-BRENT_MAXITER = 100
-
-
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of f between xa and xb by Brent's method (R. P. Brent,
-    Algorithms for Minimization without Derivatives, 1973).
-
-    A line-for-line port of scipy's C ``brentq`` on Python floats with its
-    default tolerances, so it returns the same bits.  Like scipy it raises
-    ValueError when f(xa) and f(xb) have one sign or f returns NaN, and
-    RuntimeError when BRENT_MAXITER iterations do not converge.
-    """
-
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if np.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    # both values are nonzero and not NaN, so x < 0 is their sign bit
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        # the tolerance is 2 delta
-        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            # divided as in C: a denominator that underflows to zero gives
-            # an infinity or NaN, and the step then bisects
-            with np.errstate(all="ignore"):
-                if xpre == xblk:
-                    # interpolate
-                    stry = float(-fcur * (xcur - xpre) / np.float64(fcur - fpre))
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / np.float64(xpre - xcur)
-                    dblk = (fblk - fcur) / np.float64(xblk - xcur)
-                    stry = float(-fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {BRENT_MAXITER} iterations")
 
 
 @dataclass
@@ -527,9 +450,14 @@ class TowerReport:
         }
 
 
+def _schedule_bound(k: int, eps0: float) -> float:
+    """The bound eps_{k+1} must stay strictly below: min(2^-(k+1), eps0^(k+1))."""
+    return min(2.0 ** -(k + 1), eps0 ** (k + 1))
+
+
 def default_schedule(K: int, eps0: float) -> list:
     """eps_k strictly below min(2^{-k}, eps0^k)."""
-    return [0.9 * min(2.0 ** -(k + 1), eps0 ** (k + 1)) for k in range(K)]
+    return [0.9 * _schedule_bound(k, eps0) for k in range(K)]
 
 
 def stack_tower(
@@ -557,7 +485,7 @@ def stack_tower(
     if len(schedule) < K - 1:
         raise PreconditionError("schedule shorter than the tower")
     for k, e in enumerate(schedule[: K - 1]):
-        bound = min(2.0 ** -(k + 1), eps0 ** (k + 1))
+        bound = _schedule_bound(k, eps0)
         if not (0 < e < bound):
             raise PreconditionError(
                 f"schedule eps_{k + 1}={e:.3e} violates the bound {bound:.3e}"

@@ -153,7 +153,6 @@ class Site:
     center_xy: np.ndarray  # horizontal position of the site, on e_1 from the end's axis
     height: float  # ambient height of the site on the end glued to
     r_site: float  # the site's distance from that end's axis
-    r0: float  # radius of the ring between the patch and the exterior
     end: EndModel  # the end the site was cut from
 
 
@@ -425,7 +424,7 @@ def assemble_outer(
     patch = site_field(RadialGrid(scales.r_eps / 8.0, r0, M_RADIAL))
     exterior = site_field(RadialGrid(r0, 0.45 * r_site, M_RADIAL))
     height = float(end.plane_height + end.orientation * h_site[0])
-    return Site(patch, exterior, xy, height, r_site, r0, end)
+    return Site(patch, exterior, xy, height, r_site, end)
 
 
 # -- site-exterior solves --------------------------------------------------------------
@@ -464,7 +463,8 @@ def simple_cauchy_outer(site: Site, h_I: SphereField) -> SphereField:
     site's radial background with Dirichlet data h_I at the ring."""
     exterior, patch = site.exterior, site.patch
     spec = exterior.spectrum
-    ball = RadialGrid(1e-3 * site.r0, site.r0, patch.grid.m)
+    r0 = patch.grid.r_out
+    ball = RadialGrid(1e-3 * r0, r0, patch.grid.m)
     w0 = solve_rows(graph_operator(exterior), None, h_I, decaying)
     wt0 = solve_rows(graph_operator(patch, ball), None, regular, h_I)
     return (BandField(spec, exterior.grid, w0).d_trace(0)

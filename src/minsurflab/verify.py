@@ -232,7 +232,7 @@ def embeddedness(glued) -> dict:
     site = level.site
     ring_h = level.ring_height
     # probe radii across the neck chart and out into the old sheet
-    radii = np.geomspace(2.0 * sc.r_eps, min(0.4 * site.r_site, 50 * site.r0), 120)
+    radii = np.geomspace(2.0 * sc.r_eps, min(0.4 * site.r_site, 50 * site.patch.grid.r_out), 120)
     sp = _upper_branch_height(n, sc, radii)  # catenoid upper sheet over ring frame
     upper = ring_h + sp
     lower = np.empty_like(radii)

@@ -75,7 +75,8 @@ def u0_multipliers(site):
     ext_grid = site.exterior.grid
     ext_op = BandOperator(spec, ext_grid, (ext_grid.D @ site.exterior.values[0]) / ext_grid.r)
     patch = site.patch
-    ball = RadialGrid(1e-3 * site.r0, site.r0, patch.grid.m)
+    r0 = patch.grid.r_out
+    ball = RadialGrid(1e-3 * r0, r0, patch.grid.m)
     slope = (patch.grid.D @ patch.values[0]) / patch.grid.r
     ball_op = BandOperator(spec, ball, patch.grid.interp_matrix(ball.r) @ slope)
     first_row = {0: 0, 1: 1, **{ell: n - 1 + ell for ell in range(2, spec.L + 1)}}

@@ -129,7 +129,7 @@ class TestAcceptance:
             sS = S + h * np.arange(int(14.0 / h) + 1)
             fS = BandField.zeros(spectrum, UniformGrid(sS))
             fS.values[2] = np.exp(-2.0 * (sS - S)) * np.exp(-0.5 * ((sS - S - 1.0) / 0.3) ** 2)
-            wS = solve_GS(fS, S, -2.0)
+            wS = solve_GS(fS, -2.0)
             gs_ratios.append(norm_exp(wS, 2, 0.5, -2.0) / norm_exp(fS, 0, 0.5, -2.0))
         gs_spread = max(gs_ratios) / min(gs_ratios)
         ann_ratios = []

@@ -23,7 +23,7 @@ class TestUniformGrid:
 
     def test_exposes_the_grid(self):
         g = uniform()
-        assert (g.m, g.S) == (50, -1.0)
+        assert (g.m, g.s[0]) == (50, -1.0)
         assert g.step == pytest.approx(0.01, rel=1e-12)
 
 
@@ -56,7 +56,7 @@ class TestDerivativeTrace:
         f = BandField.zeros(spectrum, g)
         f.values[:] = (g.s**2)[None, :]  # the 2nd-order stencil is exact on quadratics
         slope = f.d_trace(0)
-        assert slope.c == pytest.approx(np.full(spectrum.L + 1, 2 * g.S), abs=1e-12)
+        assert slope.c == pytest.approx(np.full(spectrum.L + 1, 2 * g.s[0]), abs=1e-12)
         with pytest.raises(GridError):
             f.d_trace(g.m - 2)
 

@@ -179,11 +179,17 @@ class TestRun:
         ("profile", {"s_max": 2.0}, "asymptotic fit defect"),
         ("catenoid-piece", {"eps": 1e-100}, "exceeds the profile grid"),
         ("profile", {"s_max": 720}, "where phi overflows"),
+        # a profile span too short for the catenoid piece's grid above the cut
+        ("catenoid-piece", {"s_max": 12}, "rebuild the profile with s_max >= 14.013"),
+        ("glue", {"s_max": 12}, "rebuild the profile with s_max >= 14.013"),
+        ("verify", {"s_max": 12}, "rebuild the profile with s_max >= 14.013"),
+        ("tower", {"s_max": 12}, "rebuild the profile with s_max >= 14.416"),
     ])
     def test_refused_profile_or_scales_exit_with_config_code(
         self, tmp_path, caplog, command, config, message
     ):
-        # validate accepts these; the profile or compute_scales refuses them
+        # validate accepts these; the profile, compute_scales or the
+        # catenoid piece refuses them
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(config))
         with caplog.at_level(logging.ERROR):

@@ -96,9 +96,7 @@ class TestApplyLcal:
     def test_grid_mismatch_rejected(self, spectrum, profile):
         s = 10.0 + H * np.arange(3000)  # runs past the profile table
         w = BandField.zeros(spectrum, UniformGrid(s))
-        from minsurflab.cylinder import GridError
-
-        with pytest.raises(GridError):
+        with pytest.raises(PreconditionError, match=r"s_max >= 24\.995"):
             apply_Lcal(w, profile)
 
 
@@ -125,7 +123,7 @@ class TestBandPair:
                 pair = homogeneous_pair(vpot, h, gam)
                 direct[i] = solve_band_decaying_kernel(pair, h, f.values[i])
         for _ in range(2):  # cold, then warm cache
-            w = solve_GS(f, s[0], -2.0)
+            w = solve_GS(f, -2.0)
             assert np.array_equal(w.values, direct)
 
     def test_cached_arrays_read_only(self):
@@ -150,7 +148,7 @@ class TestSolveGS:
     def test_zero_source(self, spectrum):
         s = make_grid()
         f = BandField.zeros(spectrum, UniformGrid(s))
-        w = solve_GS(f, s[0], -2.0)
+        w = solve_GS(f, -2.0)
         assert np.max(np.abs(w.values)) == 0.0
 
     def test_dense_oracle_band_two(self, spectrum, profile):
@@ -171,7 +169,7 @@ class TestSolveGS:
         f.values[0] = bump(s, s[0] + 0.8)
         f.values[1] = bump(s, s[0] + 1.2)
         f.values[2] = bump(s, s[0] + 0.5)
-        w = solve_GS(f, s[0], -2.0)
+        w = solve_GS(f, -2.0)
         r = apply_Lcal(w, profile)
         err = np.abs(r.values - f.values)[:, 1:-1]
         assert np.max(err) < 1e-8 * np.max(np.abs(f.values))
@@ -180,7 +178,7 @@ class TestSolveGS:
         s = make_grid()
         f = BandField.zeros(spectrum, UniformGrid(s))
         f.values[2:] = bump(s, s[0] + 1.0)
-        w = solve_GS(f, s[0], -2.0)
+        w = solve_GS(f, -2.0)
         assert np.max(np.abs(w.values[2:, 0])) < 1e-12
 
     def test_bound_ratio_stable_in_S(self, spectrum):
@@ -189,7 +187,7 @@ class TestSolveGS:
             s = make_grid(S=S)
             f = BandField.zeros(spectrum, UniformGrid(s))
             f.values[2] = bump(s, S + 1.0)
-            w = solve_GS(f, S, -2.0)
+            w = solve_GS(f, -2.0)
             ratios.append(norm_exp(w, 2, 0.5, -2.0) / norm_exp(f, 0, 0.5, -2.0))
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() <= 2.0
@@ -198,7 +196,7 @@ class TestSolveGS:
         s = make_grid()
         f = BandField.zeros(spectrum, UniformGrid(s))
         with pytest.raises(PreconditionError):
-            solve_GS(f, s[0], -1.0)
+            solve_GS(f, -1.0)
 
     def test_flat_region_matches_continuum_kernel(self, spectrum):
         """Low-band solve against the closed-form truncated sinh-kernel
@@ -215,7 +213,7 @@ class TestSolveGS:
             s = 10.0 + h * np.arange(int(5.0 / h) + 1)
             f = BandField.zeros(spectrum, UniformGrid(s))
             f.values[0] = np.exp(delta * s)
-            w = solve_GS(f, s[0], delta)
+            w = solve_GS(f, delta)
             ex = exact(s, s[-1])
             # agreement at the window scale; the residual potential
             # phi^{2-2n} ~ 4e-16 sets the floor of the comparison
@@ -226,13 +224,13 @@ class TestSolveGS:
 class TestSolvePS:
     def test_zero_data(self, spectrum):
         g = SphereField.zeros(spectrum)
-        w = solve_PS(g, -1.0, -2.0, make_grid())
+        w = solve_PS(g, -2.0, make_grid())
         assert np.max(np.abs(w.values)) == 0.0
 
     def test_trace_identity(self, spectrum):
         g = SphereField.zonal_band(spectrum, 2, 1.0) + SphereField.zonal_band(spectrum, 5, -0.4)
         s = make_grid()
-        w = solve_PS(g, s[0], -2.0, s_grid=s)
+        w = solve_PS(g, -2.0, s_grid=s)
         tr = w.trace(0)
         assert tr.c[2] == pytest.approx(1.0, abs=1e-12)
         assert tr.c[5] == pytest.approx(-0.4, abs=1e-12)
@@ -241,14 +239,14 @@ class TestSolvePS:
         g = SphereField.zeros(spectrum)
         g.c[0] = 1.0
         with pytest.raises(PreconditionError):
-            solve_PS(g, -1.0, -2.0, make_grid())
+            solve_PS(g, -2.0, make_grid())
 
     def test_bound_stable_in_S(self, spectrum):
         vals = []
         for S in (-1.0, -2.0, -3.0):
             g = SphereField.zonal_band(spectrum, 2, 1.0)
             s = make_grid(S=S)
-            w = solve_PS(g, S, -2.0, s_grid=s)
+            w = solve_PS(g, -2.0, s_grid=s)
             vals.append(norm_exp(w, 2, 0.5, -2.0) / (np.exp(2.0 * S) * g.holder_norm()))
         vals = np.array(vals)
         assert vals.max() / vals.min() <= 2.0

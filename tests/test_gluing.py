@@ -7,8 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
 
 from minsurflab import gluing, verify
 from minsurflab.catenoid import PreconditionError, default_delta
@@ -326,83 +324,21 @@ class TestGlueKeepsItsInput:
         assert len(surf.ends) == 2 and surf.glue_levels == []
 
 
-# functions with a root at r, scaled by k: smooth, steep, flat at the root,
-# and tiny enough that the extrapolation's denominator underflows; the sine
-# has more roots, so some of its brackets hold no sign change
-ROOT_FAMILIES = {
-    "linear": lambda r, k: lambda x: k * (x - r),
-    "tanh": lambda r, k: lambda x: np.tanh(k * (x - r)),
-    "cubic": lambda r, k: lambda x: k * ((x - r) ** 3 + 1e-3 * (x - r)),
-    "exp": lambda r, k: lambda x: np.expm1(x - r) * k,
-    "tiny": lambda r, k: lambda x: 1e-200 * k * (x - r),
-    "sine": lambda r, k: lambda x: np.sin(x - r) + 0.01 * k * (x - r),
-}
-
-
-def recorded(f, calls):
-    def g(x):
-        calls.append(x)
-        return f(x)
-    return g
-
-
-def outcome(solve, f, a, b):
-    """The root, or the kind of error, and the points f was called at."""
-    calls = []
-    try:
-        return solve(recorded(f, calls), a, b), calls
-    except (ValueError, RuntimeError) as err:
-        return type(err), calls
-
-
-class TestBrent:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(
-        family=st.sampled_from(sorted(ROOT_FAMILIES)),
-        root=st.floats(-5.0, 5.0),
-        k=st.floats(0.1, 10.0),
-        below=st.floats(1e-3, 6.0),
-        above=st.floats(1e-3, 6.0),
-        flip=st.booleans(),
-    )
-    def test_equals_scipy_brentq(self, family, root, k, below, above, flip):
-        f = ROOT_FAMILIES[family](root, k)
-        a, b = root - below, root + above
-        if flip:
-            a, b = b, a
-        # the same root or error, from the same points in the same order
-        assert outcome(gluing._brentq, f, a, b) == outcome(brentq, f, a, b)
-
-    def test_seed_box_is_the_one_scipy_gives(self, spectrum, profile):
-        surf = seed_catenoid(profile, spectrum, scale=0.3)
-        phi_star = max((np.sqrt(N * (N - 1.0)) / 0.3) ** (1.0 / N), 1.05)
-        s_star = brentq(lambda s: profile_values(N, np.array([abs(s)]))[0][0] - phi_star,
-                        1e-6, 10.0)
-        psis = profile_values(N, np.array([s_star]))[2][0]
+class TestSeedBox:
+    @pytest.mark.parametrize("scale", [0.3, 3.0])
+    def test_waist_from_the_closed_form(self, spectrum, profile, scale):
+        # at scale 0.3 the waist phi_star is (sqrt(6)/0.3)^(1/3) = 2.01; at
+        # 3.0 it is 0.93, so the 1.05 clamp applies
+        surf = seed_catenoid(profile, spectrum, scale=scale)
+        raw = (np.sqrt(N * (N - 1.0)) / scale) ** (1.0 / N)
+        assert (raw > 1.05) == (scale == 0.3)
+        phi_star = max(raw, 1.05)
+        s_star = np.arccosh(phi_star ** (N - 1)) / (N - 1)
+        phis, _, psis, _ = profile_values(N, np.array([s_star]))
+        assert abs(phis[0] / phi_star - 1.0) <= 1e-12
         box = gluing._seed_neck_box(surf)
-        assert box.z_range == (float(-1.2 * 0.3 * psis), float(1.2 * 0.3 * psis))
-
-    @pytest.mark.parametrize("f, message", [
-        (lambda x: x * x + 1.0, "different signs"),
-        (lambda x: 1e-200, "different signs"),
-        (lambda x: np.nan if x > 0.5 else x - 0.7, "NaN"),
-    ], ids=["no sign change", "tiny, one sign", "NaN inside"])
-    def test_refuses_like_scipy(self, f, message):
-        with pytest.raises(ValueError, match=message):
-            gluing._brentq(f, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            brentq(f, 0.0, 1.0)
-
-    def test_gives_up_after_maxiter_like_scipy(self):
-        # on a step every step bisects, and halving 1e300 to 2e-12 takes ~1040
-        step = lambda x: 1.0 if x > 1.0 / 3.0 else -1.0  # noqa: E731
-        calls = []
-        with pytest.raises(RuntimeError, match="100 iterations"):
-            gluing._brentq(recorded(step, calls), -1e300, 1e300)
-        assert gluing.BRENT_MAXITER == 100
-        assert len(calls) == 2 + gluing.BRENT_MAXITER
-        with pytest.raises(RuntimeError):
-            brentq(step, -1e300, 1e300)
+        assert box.z_range == (float(-1.2 * scale * psis[0]), float(1.2 * scale * psis[0]))
+        assert box.halfwidth == float(1.3 * scale * phi_star)
 
 
 GLUE_PATH_IMPORTS = """
@@ -424,7 +360,7 @@ print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy."
 
 
 def test_glue_path_loads_no_interpolate_optimize_sparse_or_spatial():
-    """The end splines, the seed box's root and a catenoid piece's oracle
+    """The end splines, the seed box and a catenoid piece's oracle
     run in a fresh interpreter without scipy's interpolate, optimize,
     sparse or spatial packages (each costs memory and import time)."""
     src = str(Path(gluing.__file__).resolve().parents[1])

@@ -73,8 +73,8 @@ class TestAssemble:
         c2 = (np.max(np.abs(u)) + np.max(np.abs(u @ grid.D.T / grid.r))
               + np.max(np.abs(u @ (grid.D @ grid.D).T / grid.r**2)))
         assert c2 <= 1.0
-        # the patch's outer radius is the site's ring radius r0
-        assert patch.grid.r_out == site.r0
+        # the patch ends where the exterior begins, at the ring radius r0
+        assert patch.grid.r_out == site.exterior.grid.r_in
 
 
 def unit_box(x: float, z: float) -> NeckBox:

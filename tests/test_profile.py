@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import beta, betainc
 
 from minsurflab.cylinder import BandField, UniformGrid, norm_exp
+from minsurflab.outer import _end_splines, psi_infinity
 from minsurflab.profile import (
     ProfileError,
     ScaleError,
@@ -134,11 +136,11 @@ class TestIntegrateProfile:
 
     def test_rejects_unsorted_nodes(self):
         with pytest.raises(ProfileError, match="strictly increasing"):
-            integrate_profile(3, np.array([0.0, 0.5, 0.5]))
+            integrate_profile(3, np.array([0.0, 0.5, 0.5]), 1e-3)
 
     def test_rejects_negative_nodes(self):
         with pytest.raises(ProfileError, match="nonnegative"):
-            integrate_profile(3, np.array([-0.1, 0.5]))
+            integrate_profile(3, np.array([-0.1, 0.5]), 1e-3)
 
 
 class TestComputeScales:
@@ -186,6 +188,49 @@ class TestComputeScales:
     def test_psi_cut_is_the_profile_height_at_the_cut(self, profile, eps):
         sc = compute_scales(profile, eps)
         assert sc.psi_cut == profile_values(3, np.array([sc.s_eps]))[2][0]
+
+
+# relative bound against the closed forms; the largest measured defect is
+# 1.9e-12 (psi at n=7, in units of psi_inf)
+CLOSED_FORM_TOL = 1e-11
+
+
+@pytest.fixture(scope="module", params=[3, 4, 5, 6, 7])
+def table(request):
+    return solve_profile(request.param, 16.0, 8e-3)
+
+
+class TestClosedForms:
+    """x = phi^(n-1) solves x' = (n-1) sqrt(x^2 - 1), so the profile and
+    its limits have closed forms to check the integrator against."""
+
+    @staticmethod
+    def _psi_inf(n):
+        a = (n - 2) / (2 * (n - 1))
+        return beta(a, 0.5) / (2 * (n - 1))
+
+    def test_phi(self, table):
+        k = table.n - 1
+        exact = np.cosh(k * table.s) ** (1.0 / k)
+        assert np.max(np.abs(table.phi / exact - 1.0)) <= CLOSED_FORM_TOL
+
+    def test_asymptotic_constant(self, table):
+        exact = 2.0 ** (-1.0 / (table.n - 1))
+        assert abs(table.A_asym / exact - 1.0) <= CLOSED_FORM_TOL
+
+    def test_psi(self, table):
+        # psi(s) = B(a, 1/2) (1 - I_{sech^2((n-1)s)}(a, 1/2)) / (2(n-1)); psi is
+        # odd, so the defect is measured in units of its limit psi_inf
+        n, k = table.n, table.n - 1
+        a = (n - 2) / (2 * k)
+        sech2 = 1.0 / np.cosh(k * table.s) ** 2
+        exact = np.sign(table.s) * beta(a, 0.5) * (1.0 - betainc(a, 0.5, sech2)) / (2 * k)
+        assert np.max(np.abs(table.psi - exact)) <= CLOSED_FORM_TOL * self._psi_inf(n)
+
+    def test_psi_infinity(self, table):
+        exact = self._psi_inf(table.n)
+        assert abs(psi_infinity(table) / exact - 1.0) <= CLOSED_FORM_TOL
+        assert abs(_end_splines(table.n)["psi_inf"] / exact - 1.0) <= CLOSED_FORM_TOL
 
 
 class TestNormExp:
