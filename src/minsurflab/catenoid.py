@@ -24,7 +24,6 @@ import numpy as np
 
 from .cylinder import (
     BandField,
-    GridError,
     UniformGrid,
     collocation_from_rows,
     homogeneous_pair,
@@ -61,9 +60,10 @@ def picard(step, v0, tol: float, floor: float, max_iter: int, *, stage: str):
     stops when the update is at most tol * scale, or when it stalls: at most
     1e-5 * scale and more than half the previous update.  Returns
     (v, iterations, contraction factors).  Exceptions raised by step
-    propagate; an iteration that has not settled after max_iter steps
-    raises ContractionError naming the stage, the median contraction and
-    the update-norm history.
+    propagate.  An update whose norm or scale is not finite raises
+    ContractionError at once, naming the stage, the iteration and the
+    update-norm history; so does an iteration that has not settled after
+    max_iter steps, naming the median contraction instead.
     """
     v = v0
     history = []
@@ -72,6 +72,11 @@ def picard(step, v0, tol: float, floor: float, max_iter: int, *, stage: str):
         v_new = step(v)
         dnorm = float(np.max(np.abs(v_new.values - v.values)))
         scale = max(float(np.max(np.abs(v_new.values))), floor)
+        if not (np.isfinite(dnorm) and np.isfinite(scale)):
+            raise ContractionError(
+                f"{stage} iteration {it} gave a non-finite update (norm {dnorm:.2e}, "
+                f"scale {scale:.2e}); update norms {['%.2e' % d for d in history + [dnorm]]}"
+            )
         if history and history[-1] > 0:
             contractions.append(dnorm / history[-1])
         stalled = bool(history) and dnorm <= 1e-5 * scale and dnorm > 0.5 * history[-1]
@@ -152,13 +157,10 @@ def _check_profile_covers(profile: ProfileTable, s: np.ndarray):
         )
 
 
-def apply_Lcal(w: BandField, profile: ProfileTable) -> BandField:
+def apply_Lcal(w: BandField) -> BandField:
     """Apply the conjugated cylinder operator row by row (2nd order)."""
-    if profile.n != w.spectrum.n:
-        raise GridError("profile dimension does not match the field spectrum")
-    _check_profile_covers(profile, w.grid.s)
-    data = grid_profile(profile.n, w.grid.s)
     spec = w.spectrum
+    data = grid_profile(spec.n, w.grid.s)
     c2 = ((spec.n - 2) / 2.0) ** 2
     out = np.empty_like(w.values)
     v = w.values
@@ -296,10 +298,10 @@ class _NeckGeometry:
         """Collocation values of the conjugated mean-curvature functional.
 
         Sign fixed so the linearization at w = 0 is the cylinder operator.
-        Written on the k rows of the near window s <= S + DEFECT_SPAN from
-        the surface on k + 4 rows (a stencil margin), zero beyond; callers
-        combine it with the linear operator there only.  The surface points
-        are built block by block as the curvature engine walks them.
+        Returns the k rows of the near window s <= S + DEFECT_SPAN only,
+        computed from the surface on k + 4 rows (a stencil margin); callers
+        combine it with the linear operator on those rows.  The surface
+        points are built block by block as the curvature engine walks them.
         """
         k = int(np.sum(self.s <= self.s[0] + DEFECT_SPAN))
         m = k + 4
@@ -308,9 +310,7 @@ class _NeckGeometry:
         points = partial(self.surface_points, w_hat)
         h = float(self.s[1] - self.s[0])
         H = uniform_surface(points, g, h, rows=m).mean_curvature(self.n)
-        out = np.zeros((self.s.size, g.t.size))
-        out[:k] = -self.eps_len * self.mfac[:k, None] * H[:k]
-        return out
+        return -self.eps_len * self.mfac[:k, None] * H[:k]
 
 
 def recorded_eps0(kappa: float) -> float:
@@ -363,18 +363,18 @@ def build_catenoid_piece(
     wt = solve_PS(g_II, delta, s_grid=s_grid)
 
     guard = 0.2  # smallness guard on the cubic-regime variable
-    mask = (s_grid <= s_eps + DEFECT_SPAN).astype(float)
+    guard_weight = np.max(geo.phi ** (-n / 2.0))
 
     def update(v: BandField) -> BandField:
+        # Qbar lives on the defect window's k rows and is zero beyond them
         w = wt + v
-        lcal_w = apply_Lcal(w, profile)
         mc = geo.conjugated_mc(w)
-        qbar = BandField(spec, lcal_w.grid,
-                         (lcal_w.values - rows_from_collocation(mc, grid)) * mask[None, :])
+        k = mc.shape[0]
+        qbar = BandField.zeros(spec, w.grid)
+        qbar.values[:, :k] = apply_Lcal(w).values[:, :k] - rows_from_collocation(mc, grid)
         v_new = solve_GS(qbar, delta)
-        gvar = np.max(np.abs(collocation_from_rows((v_new + wt).values, grid))) * np.max(
-            geo.phi ** (-n / 2.0)
-        ) / scales.eps_len
+        gvar = np.max(np.abs(collocation_from_rows((v_new + wt).values, grid))) * guard_weight \
+            / scales.eps_len
         if gvar > guard:
             raise ContractionError(
                 f"cubic-regime guard tripped: |phi^(-n/2) eps^(-1/(n-1)) w| = {gvar:.3e}"
@@ -390,7 +390,7 @@ def build_catenoid_piece(
 
     # independent oracle: offset, refined grid, 4th-order stencils
     res_unit = _oracle_residual(n, grid, scales, w)
-    if res_unit > tol:
+    if not res_unit <= tol:
         raise ResidualError(
             f"oracle mean-curvature residual {res_unit:.3e} exceeds tol={tol:.3e}"
         )

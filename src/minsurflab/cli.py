@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -64,7 +65,8 @@ class RunConfig:
         for name in ("n", "K", "L"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name}={getattr(self, name)!r} must be an integer")
-        for name in ("eps", "s_max", "s_step", "tol_solver", "tol_verify", "kappa", "seed_scale"):
+        numbers = ("eps", "s_max", "s_step", "tol_solver", "tol_verify", "kappa", "seed_scale")
+        for name in numbers:
             if not _is_number(getattr(self, name)):
                 raise ConfigError(f"{name}={getattr(self, name)!r} must be a number")
         for name in ("tol_match", "delta"):
@@ -78,6 +80,14 @@ class RunConfig:
             raise ConfigError(f"eps_schedule={schedule!r} must be null or a list of numbers")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir={self.out_dir!r} must be a string")
+        # json reads NaN, Infinity and -Infinity; an int is always finite
+        for name in numbers + ("tol_match", "delta"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name}={value!r} must be finite")
+        for e in schedule or ():
+            if isinstance(e, float) and not math.isfinite(e):
+                raise ConfigError(f"schedule entry {e!r} must be finite")
         n = self.n
         if n < 3:
             raise ConfigError(f"n={n} must be >= 3")
@@ -126,7 +136,8 @@ def dump_json(obj, path: Path):
             return o.tolist()
         raise TypeError(f"not serializable: {type(o)}")
 
-    path.write_text(json.dumps(obj, indent=1, sort_keys=True, default=default) + "\n")
+    path.write_text(json.dumps(obj, indent=1, sort_keys=True, default=default,
+                               allow_nan=False) + "\n")
 
 
 def write_manifest(cfg: RunConfig, out: Path):

@@ -3,10 +3,11 @@
 A glue matches three solves along two interface rings: the perturbed
 catenoid below the inner ring, the opened-neck annulus between the rings,
 and the outer piece beyond the outer ring.  The mismatch map collects the
-outer slope gap and the inner Cauchy-data gap; its simple model is block
-diagonal over (ring data, rigid parameters, high modes) and explicitly
-invertible, and the damped Picard iteration on the model-preconditioned
-mismatch drives the true mismatch to the matching tolerance.
+outer slope gap and the inner Cauchy-data gap.  Its simple model C_0
+(model_C0) is block diagonal over (ring data, rigid parameters, high
+modes), and model_invert is its exact inverse on the model's range; the
+damped Picard iteration on the model-preconditioned mismatch
+C_0(t) - C_eps(t) drives the true mismatch to the matching tolerance.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .outer import (
     solve_outer_nonlinear,
 )
 from .profile import Scales, compute_scales, profile_values
-from .spectral import BandSpectrum, SphereField, project_high, project_low
+from .spectral import BandSpectrum, SphereField, dtheta_multipliers, project_high
 
 
 class GlueError(RuntimeError):
@@ -102,6 +103,7 @@ class GlueContext:
     kappa: float
     tol_piece: float
     delta: float
+    u0_mult: np.ndarray  # U_0's ring multiplier per band
 
 
 def prepare_glue(
@@ -118,6 +120,9 @@ def prepare_glue(
         )
     site = assemble_outer(surface, r0, center_xy, scales)
     green = green_function(site.patch, scales.r_eps / 4.0)
+    # U_0's response to 1 in every band, exact because the solves are row-wise
+    spec = surface.spectrum
+    u0_mult = simple_cauchy_outer(site, SphereField(spec, np.ones(spec.L + 1))).c
     return GlueContext(
         surface=surface,
         site=site,
@@ -126,6 +131,7 @@ def prepare_glue(
         kappa=kappa,
         tol_piece=tol_piece,
         delta=delta,
+        u0_mult=u0_mult,
     )
 
 
@@ -165,66 +171,42 @@ def triple_norm(mismatch) -> float:
     return mismatch[0].holder_norm() + mismatch[1].holder_norm() + mismatch[2].holder_norm()
 
 
-class SimpleMaps:
-    """Band-diagonal model maps and their exact inverse."""
-
-    def __init__(self, ctx: GlueContext):
-        self.ctx = ctx
-        spec = ctx.surface.spectrum
-        self.n = spec.n
-        # ring multipliers of U_0 per band: its response to 1 in every band,
-        # exact because the solves are row-wise
-        self.u0_mult = simple_cauchy_outer(ctx.site, SphereField(spec, np.ones(spec.L + 1))).c
-
-    def U0(self, h_I: SphereField) -> SphereField:
-        return h_I.band_multiply(self.u0_mult)
-
-    def C0(self, t: BoundaryTriple):
-        sc = self.ctx.scales
-        s0 = simple_cauchy_catenoid(sc, t.h_II)
-        t0 = simple_cauchy_neck(sc, t.A, t.h_II)
-        return (self.U0(t.h_I), t0[0] - s0[0], t0[1] - s0[1])
-
-    def invert(self, rhs) -> BoundaryTriple:
-        """Exact inverse of the block model; the middle slot must carry low
-        modes only (the model's range)."""
-        ctx = self.ctx
-        sc = ctx.scales
-        n = self.n
-        spec = ctx.surface.spectrum
-        ring, mid_val, mid_slope = rhs
-        hi_val = project_high(mid_val)
-        if hi_val.holder_norm() > 1e-8 * max(1.0, mid_val.holder_norm()):
-            raise PreconditionError(
-                "middle value slot carries high modes outside the model range"
-            )
-        h_I = ring.band_multiply(1.0 / self.u0_mult)
-        r_eps = sc.r_eps
-        # band-0 block: value = e r^{2-n}/(n-2) + d ; slope = -e r^{2-n}
-        e = -mid_slope.c[0] / r_eps ** (2 - n)
-        d = mid_val.c[0] - e * r_eps ** (2 - n) / (n - 2)
-        # band-1 block: value = r R + eps r^{1-n} T ; slope = r R + (1-n) eps r^{1-n} T
-        val, slope = mid_val.c[1], mid_slope.c[1]
-        T = (val - slope) / (n * sc.eps * r_eps ** (1 - n))
-        R = (val - sc.eps * r_eps ** (1 - n) * T) / r_eps
-        # high modes: slope = -((n-2) + 2 D_theta) h_II
-        from .spectral import dtheta_multipliers
-
-        dmult = dtheta_multipliers(spec)
-        denom = -(n - 2.0) - 2.0 * dmult
-        h_II = project_high(mid_slope).band_multiply(1.0 / denom)
-        h_II = project_high(h_II)
-        return BoundaryTriple(h_I, RigidParams(float(T), float(R), float(d), float(e)), h_II)
+def model_C0(t: BoundaryTriple, ctx: GlueContext) -> tuple:
+    """The block model C_0 at t: (U_0 h_I, middle value gap, middle slope
+    gap) from the closed-form simple Cauchy data of the three pieces."""
+    sc = ctx.scales
+    s0 = simple_cauchy_catenoid(sc, t.h_II)
+    t0 = simple_cauchy_neck(sc, t.A, t.h_II)
+    return (t.h_I.band_multiply(ctx.u0_mult), t0[0] - s0[0], t0[1] - s0[1])
 
 
-def _project_model_range(c_0, c_eps):
-    """Difference C0 - C_eps with the middle value slot's high modes dropped
-    (they cancel identically in exact matching; discretization crumbs are
-    outside the model's range)."""
-    ring = c_0[0] - c_eps[0]
-    mid_val = project_low(c_0[1] - c_eps[1])
-    mid_slope = c_0[2] - c_eps[2]
-    return ring, mid_val, mid_slope
+def model_invert(rhs, ctx: GlueContext) -> BoundaryTriple:
+    """Exact inverse of the block model on its range.
+
+    Only bands 0 and 1 of the middle value slot are read.  Above band 1
+    the model's value slot is zero, since the catenoid and the neck both
+    take h_II as their value trace there; the high modes that C_0 - C_eps
+    carries in that slot lie outside the model's range, and h_II is read
+    from the slope slot instead.
+    """
+    sc = ctx.scales
+    spec = ctx.surface.spectrum
+    n = spec.n
+    ring, mid_val, mid_slope = rhs
+    h_I = ring.band_multiply(1.0 / ctx.u0_mult)
+    r_eps = sc.r_eps
+    # band-0 block: value = e r^{2-n}/(n-2) + d ; slope = -e r^{2-n}
+    e = -mid_slope.c[0] / r_eps ** (2 - n)
+    d = mid_val.c[0] - e * r_eps ** (2 - n) / (n - 2)
+    # band-1 block: value = r R + eps r^{1-n} T ; slope = r R + (1-n) eps r^{1-n} T
+    val, slope = mid_val.c[1], mid_slope.c[1]
+    T = (val - slope) / (n * sc.eps * r_eps ** (1 - n))
+    R = (val - sc.eps * r_eps ** (1 - n) * T) / r_eps
+    # high modes: slope = -((n-2) + 2 D_theta) h_II
+    denom = -(n - 2.0) - 2.0 * dtheta_multipliers(spec)
+    h_II = project_high(mid_slope).band_multiply(1.0 / denom)
+    h_II = project_high(h_II)
+    return BoundaryTriple(h_I, RigidParams(float(T), float(R), float(d), float(e)), h_II)
 
 
 @dataclass
@@ -256,7 +238,6 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
     spec = ctx.surface.spectrum
     if tol_match is None:
         tol_match = 1e-8 * sc.r_eps ** (2 - spec.n)
-    maps = SimpleMaps(ctx)
     t = BoundaryTriple.zeros(spec)
     history = []
     ball = ctx.kappa * sc.r_eps**2
@@ -274,9 +255,8 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
             # overshooting mode: damp harder and restart from the best point
             theta = max(0.25, 0.6 * theta)
             _, t, mismatch = best
-        c_0 = maps.C0(t)
-        rhs = _project_model_range(c_0, mismatch)
-        t_new = maps.invert(rhs)
+        c_0 = model_C0(t, ctx)
+        t_new = model_invert(tuple(a - b for a, b in zip(c_0, mismatch)), ctx)
         t = t.combine(t_new, 1.0 - theta, theta)
         if t.norm(sc) > ball * (1 + 1e-6):
             raise GlueError(
@@ -431,7 +411,7 @@ class TowerReport:
     separations: list
     slab: tuple
     slab_bound: float
-    curvature_outside: float
+    curvature_outside: float | None  # None when no level is glued
     boxes: list
     certificates: list
     improperness_ratios: list
@@ -520,14 +500,14 @@ def _tower_report(surface, glued, levels, certificates, partial=None):
     slab = (min(heights), max(heights))
     slab_bound = 1.0 + float(np.sum(eps_list))
     ratios = [seps[i + 1] / seps[i] for i in range(len(seps) - 1)]
-    prof = second_fund(glued) if glued is not None else {"outside_sup": np.nan, "boxes": []}
+    prof = second_fund(glued) if glued is not None else {"outside_sup": None, "boxes": []}
     return TowerReport(
         levels=levels + ([{"aborted": partial}] if partial else []),
         plane_heights=heights,
         separations=seps,
         slab=slab,
         slab_bound=slab_bound,
-        curvature_outside=float(prof["outside_sup"]),
+        curvature_outside=prof["outside_sup"],
         boxes=prof["boxes"],
         certificates=certificates,
         improperness_ratios=ratios,

@@ -355,7 +355,7 @@ def build_neck_piece(
     w = wt + v
     V = backdrop + w
     sup_H, res_rel = graph_residual(V)
-    if res_rel > tol:
+    if not res_rel <= tol:
         raise ResidualError(
             f"neck oracle residual {res_rel:.3e} (relative to curvature scale) exceeds tol={tol:.3e}"
         )

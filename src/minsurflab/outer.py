@@ -452,7 +452,7 @@ def solve_outer_nonlinear(site: Site, h_I: SphereField, tol: float) -> BandField
         w, _, _ = picard(update, w, 1e-9, 1e-300, 30, stage="outer")
 
     _, res_rel = graph_residual(base + w)
-    if res_rel > tol:
+    if not res_rel <= tol:
         raise ResidualError(f"outer residual {res_rel:.3e} exceeds tol={tol:.3e}")
     return w
 

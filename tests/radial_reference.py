@@ -4,7 +4,7 @@ and the power-weighted norm the tests measure radial fields in.
 Each solves one band of Lambda_l w = f on the row-scaled matrix with its own
 ring rows: the neck annulus, the site exterior and the interior ball.
 u0_multipliers reads the U_0 multipliers one band at a time from unit ring
-data, as SimpleMaps did before it read them in one call.  The tests require
+data, as the glue did before prepare_glue read them in one call.  The tests require
 the shared solve to reproduce these bit for bit.
 
 weighted_norm and default_nu measure solutions and the neck's Picard
@@ -69,7 +69,7 @@ def u0_multipliers(site):
     band-l ring data, each solve on its own operator build."""
     spec = site.exterior.spectrum
     n = spec.n
-    # the row layout SimpleMaps read them in: band 0, band 1 on n rows,
+    # the row layout the glue once read them in: band 0, band 1 on n rows,
     # bands 2..L
     bands = np.concatenate([[0], np.full(n, 1), np.arange(2, spec.L + 1)])
     ext_grid = site.exterior.grid

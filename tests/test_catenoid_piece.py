@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from minsurflab import catenoid
 from minsurflab.catenoid import (
     ContractionError,
     PreconditionError,
+    ResidualError,
     _NeckGeometry,
     _oracle_residual,
     build_catenoid_piece,
@@ -19,7 +21,7 @@ from minsurflab.catenoid import (
 )
 from minsurflab.cli import _restrict
 from minsurflab.cylinder import collocation_from_rows, norm_exp
-from minsurflab.profile import compute_scales
+from minsurflab.profile import compute_scales, solve_profile
 from minsurflab.spectral import SphereField, ZonalGrid, project_high
 
 N = 3
@@ -101,6 +103,20 @@ class TestBuild:
         assert f"eps={EPS:.3e}" in str(excinfo.value)
         assert "update norms" in str(excinfo.value)
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_grid_mismatch_rejected(self, spectrum):
+        # the piece's grid [s_eps, s_eps + 15] runs past a table cut at 12
+        short = solve_profile(N, 12.0, 8e-3)
+        with pytest.raises(PreconditionError, match=r"s_max >= 14\.013"):
+            build_catenoid_piece(short, compute_scales(short, EPS), SphereField.zeros(spectrum),
+                                 1.0, TOL, DELTA)
+
+    def test_nan_oracle_residual_is_refused(self, spectrum, profile, monkeypatch):
+        # a NaN compares False with the tolerance either way round
+        monkeypatch.setattr(catenoid, "_oracle_residual", lambda *args: float("nan"))
+        with pytest.raises(ResidualError, match="nan"):
+            build_catenoid_piece(profile, compute_scales(profile, EPS),
+                                 SphereField.zeros(spectrum), 1.0, TOL, DELTA)
 
     def test_transition_field_bound(self, piece_zero):
         # |N_eps . N_0 - 1| <= c e^{(2n-2) s_eps} over the ramp of the

@@ -18,6 +18,7 @@ from minsurflab.cli import (
     EXIT_SOLVER,
     ConfigError,
     RunConfig,
+    dump_json,
     main,
     run,
 )
@@ -79,6 +80,13 @@ class TestConfig:
         ('{"tol_solver": -1}', "tol_solver=-1 must be > 0"),
         ('{"tol_verify": 0}', "tol_verify=0 must be > 0"),
         ('{"tol_match": 0}', "tol_match=0 must be > 0"),
+        # json reads NaN, Infinity and -Infinity; none is a usable number
+        ('{"s_step": NaN}', "s_step=nan must be finite"),
+        ('{"seed_scale": Infinity}', "seed_scale=inf must be finite"),
+        ('{"s_max": -Infinity}', "s_max=-inf must be finite"),
+        ('{"delta": NaN}', "delta=nan must be finite"),
+        ('{"tol_match": Infinity}', "tol_match=inf must be finite"),
+        ('{"eps_schedule": [1e-7, NaN]}', "schedule entry nan must be finite"),
     ])
     def test_malformed_config_is_refused(self, tmp_path, capsys, document, message):
         p = tmp_path / "cfg.json"
@@ -233,6 +241,26 @@ class TestRun:
         assert run("tower", cfg) == EXIT_CONFIG
         report = json.loads((tmp_path / "tower" / "tower_report.json").read_text())
         assert report["levels"] == [{"aborted": "no admissible gluing site"}]
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_tower_report_without_a_glued_level_is_strict_json(self, tmp_path, monkeypatch, K):
+        # K=1 glues nothing, and K=2 here refuses its only level
+        def fail(*args, **kwargs):
+            raise PreconditionError("no admissible gluing site")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        monkeypatch.setattr(gluing, "glue_end", fail)
+        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=K).validate()
+        assert run("tower", cfg) == (EXIT_OK if K == 1 else EXIT_CONFIG)
+        text = (tmp_path / "tower" / "tower_report.json").read_text()
+        report = json.loads(text, parse_constant=refuse)
+        assert report["curvature_outside_boxes"] is None
+
+    def test_report_with_a_non_finite_number_is_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            dump_json({"x": float("nan")}, tmp_path / "r.json")
 
     def test_unsettled_tower_level_exits_with_solver_code(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

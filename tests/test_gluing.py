@@ -13,10 +13,11 @@ from minsurflab.catenoid import PreconditionError, default_delta
 from minsurflab.gluing import (
     BoundaryTriple,
     GlueError,
-    SimpleMaps,
     conglomerate_C,
     default_schedule,
     glue_end,
+    model_C0,
+    model_invert,
     prepare_glue,
     stack_tower,
     triple_norm,
@@ -39,11 +40,6 @@ def ctx(spectrum, profile):
     return prepare_glue(surf, EPS, **GLUE)
 
 
-@pytest.fixture(scope="module")
-def maps(ctx):
-    return SimpleMaps(ctx)
-
-
 def random_triple(ctx, rng, scale=0.3):
     spec = ctx.surface.spectrum
     sc = ctx.scales
@@ -62,50 +58,50 @@ def random_triple(ctx, rng, scale=0.3):
 
 
 class TestSimpleMaps:
-    def test_zero_triple_maps_to_zero(self, spectrum, maps):
+    def test_zero_triple_maps_to_zero(self, ctx, spectrum):
         t = BoundaryTriple.zeros(spectrum)
-        out = maps.C0(t)
+        out = model_C0(t, ctx)
         assert triple_norm(out) == 0.0
 
-    def test_pure_vertical_shift_hits_middle_value_slot(self, ctx, spectrum, maps):
+    def test_pure_vertical_shift_hits_middle_value_slot(self, ctx, spectrum):
         sc = ctx.scales
         d = 0.3 * sc.r_eps**2
         t = BoundaryTriple.zeros(spectrum)
         t.A = RigidParams(0.0, 0.0, d, 0.0)
-        ring, val, slope = maps.C0(t)
+        ring, val, slope = model_C0(t, ctx)
         assert ring.holder_norm() == 0.0
         assert val.c[0] == pytest.approx(d, rel=1e-14)
         assert project_high(val).holder_norm() == 0.0
         assert slope.holder_norm() == 0.0
 
-    def test_block_decoupling_exact(self, ctx, spectrum, maps):
+    def test_block_decoupling_exact(self, ctx, spectrum):
         sc = ctx.scales
         b = sc.r_eps**2
         # h_I only -> first slot only
         t = BoundaryTriple.zeros(spectrum)
         t.h_I = SphereField.zonal_band(spectrum, 3, b)
-        ring, val, slope = maps.C0(t)
+        ring, val, slope = model_C0(t, ctx)
         assert ring.holder_norm() > 0
         assert val.holder_norm() <= 1e-10 * ring.holder_norm()
         assert slope.holder_norm() <= 1e-10 * ring.holder_norm()
         # rigid parameters only -> low-mode middle slots only
         t = BoundaryTriple.zeros(spectrum)
         t.A = RigidParams(0.0, 0.0, 0.2 * b, 0.1 * b * sc.r_eps ** (N - 2))
-        ring, val, slope = maps.C0(t)
+        ring, val, slope = model_C0(t, ctx)
         assert ring.holder_norm() == 0.0
         assert project_high(val).holder_norm() <= 1e-10 * val.holder_norm()
         # h_II only -> high-mode slots (value slot keeps h_II itself)
         t = BoundaryTriple.zeros(spectrum)
         t.h_II = SphereField.zonal_band(spectrum, 2, b)
-        ring, val, slope = maps.C0(t)
+        ring, val, slope = model_C0(t, ctx)
         assert ring.holder_norm() == 0.0
         assert project_low(slope).holder_norm() <= 1e-10 * slope.holder_norm()
 
-    def test_round_trip_identity(self, ctx, maps, rng):
+    def test_round_trip_identity(self, ctx, rng):
         sc = ctx.scales
         for _ in range(4):
             t = random_triple(ctx, rng)
-            rt = maps.invert(maps.C0(t))
+            rt = model_invert(model_C0(t, ctx), ctx)
             gap = (
                 (rt.h_I - t.h_I).holder_norm()
                 + (rt.h_II - t.h_II).holder_norm()
@@ -115,16 +111,22 @@ class TestSimpleMaps:
             )
             assert gap <= 1e-10 * max(t.norm(sc), 1e-300)
 
-    def test_u0_multipliers_match_the_per_band_loop(self, ctx, maps):
+    def test_u0_multipliers_match_the_per_band_loop(self, ctx):
         # one call on 1 in each band's first row against one call per band
-        assert np.array_equal(maps.u0_mult, u0_multipliers(ctx.site))
+        assert np.array_equal(ctx.u0_mult, u0_multipliers(ctx.site))
 
-    def test_invert_rejects_out_of_range(self, ctx, spectrum, maps):
-        sc = ctx.scales
-        bad_val = SphereField.zonal_band(spectrum, 2, sc.r_eps**2)
-        rhs = (SphereField.zeros(spectrum), bad_val, SphereField.zeros(spectrum))
-        with pytest.raises(PreconditionError, match="range"):
-            maps.invert(rhs)
+    def test_invert_reads_only_the_low_modes_of_the_value_slot(self, ctx, spectrum, rng):
+        # high modes in the middle value slot lie outside the model's range
+        # and leave the inverse unchanged, bit for bit
+        ring, val, slope = model_C0(random_triple(ctx, rng), ctx)
+        high = SphereField.zonal_band(spectrum, 2, 1.0) + SphereField.zonal_band(spectrum, 5, -2.0)
+        noisy = val + high * (0.5 * ctx.scales.r_eps**2 / high.holder_norm())
+        assert project_high(noisy).holder_norm() > 0.0
+        plain = model_invert((ring, val, slope), ctx)
+        t = model_invert((ring, noisy, slope), ctx)
+        assert np.array_equal(t.h_I.c, plain.h_I.c)
+        assert np.array_equal(t.h_II.c, plain.h_II.c)
+        assert dataclasses.astuple(t.A) == dataclasses.astuple(plain.A)
 
 
 class TestConglomerate:
@@ -147,7 +149,7 @@ class TestConglomerate:
 
 
 class TestFixedPointGlue:
-    def test_restart_and_return_with_a_mismatch_that_grows_once(self, ctx, maps, spectrum,
+    def test_restart_and_return_with_a_mismatch_that_grows_once(self, ctx, spectrum,
                                                                 monkeypatch):
         """A scripted conglomerate_C whose mismatch norms run 8, 4, 6, 2, 0.5
         units against a tolerance of 1 unit: the third evaluation grows, so
@@ -165,36 +167,42 @@ class TestFixedPointGlue:
             evaluations.append((t, mismatch, f"cat{k}", f"neck{k}"))
             return mismatch, f"cat{k}", f"neck{k}"
 
-        C0_at, matched_to = [], []  # per step: the triple C0 takes, the mismatch
-        project = gluing._project_model_range
+        C0_at, inverted = [], []  # per step: the triple C0 takes, the rhs inverted
 
-        def recording_range(c_0, c_eps):
-            matched_to.append(c_eps)
-            return project(c_0, c_eps)
+        def recording_C0(t, c):
+            C0_at.append(t)
+            return model_C0(t, c)
 
-        class RecordingMaps(SimpleMaps):
-            def C0(self, t):
-                C0_at.append(t)
-                return super().C0(t)
+        def recording_invert(rhs, c):
+            inverted.append(rhs)
+            return model_invert(rhs, c)
 
         def capture(c, t, cat, neck, mis_norm, history):
             return t, cat, neck, mis_norm, history
 
         monkeypatch.setattr(gluing, "conglomerate_C", scripted_C)
-        monkeypatch.setattr(gluing, "SimpleMaps", RecordingMaps)
-        monkeypatch.setattr(gluing, "_project_model_range", recording_range)
+        monkeypatch.setattr(gluing, "model_C0", recording_C0)
+        monkeypatch.setattr(gluing, "model_invert", recording_invert)
         monkeypatch.setattr(gluing, "assemble_glued_surface", capture)
         t, cat, neck, mis_norm, history = gluing.fixed_point_glue(ctx, tol_match=1.0 * unit)
 
-        assert len(evaluations) == 5 and len(C0_at) == len(matched_to) == 4
+        assert len(evaluations) == 5 and len(C0_at) == len(inverted) == 4
+
+        def matched_to(k, mismatch):
+            # the k-th step inverts C0 at its triple minus this mismatch, slot by slot
+            c_0 = model_C0(C0_at[k], ctx)
+            return all(np.array_equal(r.c, (a - b).c)
+                       for r, a, b in zip(inverted[k], c_0, mismatch))
+
         # the first two steps and the one after the restart continue from
         # the last evaluation; the restart continues from the best one
         for k in (0, 1, 3):
-            assert C0_at[k] is evaluations[k][0] and matched_to[k] is evaluations[k][1]
-        assert C0_at[2] is evaluations[1][0] and matched_to[2] is evaluations[1][1]
+            assert C0_at[k] is evaluations[k][0] and matched_to(k, evaluations[k][1])
+        assert C0_at[2] is evaluations[1][0] and matched_to(2, evaluations[1][1])
         # ... with the step damped to theta = 0.6
         best_t, best_mismatch = evaluations[1][0:2]
-        step = maps.invert(project(maps.C0(best_t), best_mismatch))
+        c_0 = model_C0(best_t, ctx)
+        step = model_invert(tuple(a - b for a, b in zip(c_0, best_mismatch)), ctx)
         restarted = best_t.combine(step, 1.0 - 0.6, 0.6)
         assert np.array_equal(evaluations[3][0].h_I.c, restarted.h_I.c)
         # the glue returned is the last evaluation's
@@ -253,6 +261,8 @@ class TestTower:
         out, report = stack_tower(1, surf, None)
         assert out is surf
         assert len(report.plane_heights) == 2
+        # no glued surface, so no curvature to report
+        assert report.curvature_outside is None
 
     def test_failed_level_keeps_partial_report(self, spectrum, profile, monkeypatch):
         def fail(*args, **kwargs):
@@ -265,6 +275,7 @@ class TestTower:
         report = failed.value.report
         assert report.levels == [{"aborted": "no admissible gluing site"}]
         assert len(report.plane_heights) == 2
+        assert report.curvature_outside is None
 
     def test_schedule_violation_rejected(self, spectrum, profile):
         surf = seed_catenoid(profile, spectrum, scale=0.3)

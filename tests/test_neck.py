@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from minsurflab import neck
-from minsurflab.catenoid import PreconditionError, picard
+from minsurflab.catenoid import PreconditionError, ResidualError, picard
 from minsurflab.neck import (
     RigidParams,
     angular_grid,
@@ -367,6 +367,13 @@ class TestNeckPiece:
         big = RigidParams(0.0, 0.0, 3.0 * scales.r_eps**2, 0.0)
         with pytest.raises(PreconditionError):
             build_neck_piece(patch, scales, big, h0, h0, tol=5e-3, kappa=1.0)
+
+    def test_nan_oracle_residual_is_refused(self, spectrum, patch, scales, monkeypatch):
+        # a NaN compares False with the tolerance either way round
+        monkeypatch.setattr(neck, "graph_residual", lambda V: (float("nan"), float("nan")))
+        h0 = SphereField.zeros(spectrum)
+        with pytest.raises(ResidualError, match="nan"):
+            build_neck_piece(patch, scales, RigidParams.zeros(), h0, h0, tol=5e-3, kappa=1.0)
 
 
 class TestCauchyT:

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from minsurflab import outer
-from minsurflab.catenoid import ContractionError, PreconditionError, default_delta, grid_profile
+from minsurflab.catenoid import (
+    ContractionError,
+    PreconditionError,
+    ResidualError,
+    default_delta,
+    grid_profile,
+)
 from minsurflab.diffops import fd_derivative
 from minsurflab.neck import graph_residual
 from minsurflab.outer import (
@@ -246,6 +252,13 @@ class TestOuterNonlinear:
         assert w2 is not w1 and not np.shares_memory(w1.values, w2.values)
         assert np.array_equal(w1.values, kept)
         assert not np.array_equal(w2.values, kept)
+
+    def test_nan_residual_is_refused(self, sited, spectrum, monkeypatch):
+        # a NaN compares False with the tolerance either way round
+        surf, site, sc = sited
+        monkeypatch.setattr(outer, "graph_residual", lambda u: (float("nan"), float("nan")))
+        with pytest.raises(ResidualError, match="nan"):
+            solve_outer_nonlinear(site, SphereField.zeros(spectrum), tol=5e-3)
 
 
 class TestCauchyU:

@@ -80,3 +80,28 @@ def test_floor_sets_the_scale_of_a_vanishing_iterate():
         picard(lambda v: field(0.1 * v.values), field([1.0]), 1e-6, 1e-300, 12, stage="x")
     _, it, _ = picard(lambda v: field(0.1 * v.values), field([1.0]), 1e-6, 1.0, 12, stage="x")
     assert it == 7  # update 0.9e-6 <= 1e-6 at the 7th step, 0.9e-5 at the 6th
+
+
+def test_infinite_update_is_refused_not_accepted():
+    # a finite step and then [inf, 2]: the update inf is not <= tol * inf,
+    # and the iterate must not come back as converged
+    steps = iter([[1.0, 2.0], [np.inf, 2.0]])
+    with pytest.raises(ContractionError) as excinfo:
+        picard(lambda v: field(next(steps)), field([0.0, 0.0]), 1e-8, 1e-300, 40, stage="blowup")
+    msg = str(excinfo.value)
+    assert "blowup" in msg and "iteration 2" in msg
+    assert "['2.00e+00', 'inf']" in msg
+
+
+def test_nan_update_stops_at_once():
+    calls = []
+
+    def step(v):
+        calls.append(1)
+        return field([np.nan])
+
+    with pytest.raises(ContractionError) as excinfo:
+        picard(step, field([0.0]), 1e-8, 1e-300, 40, stage="nan")
+    msg = str(excinfo.value)
+    assert len(calls) == 1
+    assert "nan iteration 1" in msg and "['nan']" in msg
