@@ -33,47 +33,73 @@ DELTA1 = {3: 3.0 / 8.0, 4: 2.0 / 3.0, 5: 21.0 / 22.0}  # 1 - stability windows
 
 @dataclass
 class ChartSampleGraph:
-    """Sampled chart points with chordal-length edges for intrinsic distances."""
+    """Sampled chart points with chordal-length edges for intrinsic distances.
+
+    The adjacency is one canonical CSR matrix (N, N), built once: int32
+    indices, sorted columns, and every edge stored once, in the row of the
+    node it leaves.  Shortest paths read it as undirected.
+    """
 
     points: np.ndarray  # (N, n+1) ambient coordinates
-    edges: tuple  # (rows, cols, lengths)
+    adjacency: object  # scipy.sparse.csr_matrix of edge lengths
 
     def shortest_paths(self, source: int) -> np.ndarray:
-        from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import dijkstra
 
-        N = self.points.shape[0]
-        r, c, w = self.edges
-        m = coo_matrix((w, (r, c)), shape=(N, N))
-        return dijkstra(m, directed=False, indices=source)
+        return dijkstra(self.adjacency, directed=False, indices=source)
 
 
-def _grid_edges(shape, pts_flat):
-    """Neighbor + knight-move edges on a structured (i, j, k) grid; the
-    two-ring moves keep the graph-metric distortion under ~3 percent."""
-    idx = np.arange(np.prod(shape)).reshape(shape)
-    pts = pts_flat.reshape(tuple(shape) + (-1,))
-    rows, cols, w = [], [], []
-    moves = [
-        (1, 0, 0), (0, 1, 0), (0, 0, 1),
-        (1, 1, 0), (1, -1, 0), (0, 1, 1), (0, 1, -1), (1, 0, 1), (1, 0, -1),
-        (1, 2, 0), (2, 1, 0), (1, -2, 0), (2, -1, 0),
-        (0, 1, 2), (0, 2, 1), (0, 1, -2), (0, 2, -1),
-    ]
+# neighbor and knight moves on an (i, j, k) grid; the two-ring moves keep the
+# graph-metric distortion under ~3 percent
+GRID_MOVES = (
+    (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    (1, 1, 0), (1, -1, 0), (0, 1, 1), (0, 1, -1), (1, 0, 1), (1, 0, -1),
+    (1, 2, 0), (2, 1, 0), (1, -2, 0), (2, -1, 0),
+    (0, 1, 2), (0, 2, 1), (0, 1, -2), (0, 2, -1),
+)
+
+
+def _orbit_adjacency(shape, pts_flat):
+    """CSR adjacency of an (i, j, k) grid whose k axis is periodic: the grid
+    moves, plus the wrap from the last k to the first, each edge weighted by
+    its chordal length.
+
+    The CSR arrays are filled straight from the moves.  A node's neighbours
+    are its flat index plus each move's flat offset, so filling the moves
+    in the order of their offsets leaves every row's columns sorted.
+    """
+    from scipy.sparse import csr_matrix
+
+    N = int(np.prod(shape))
+    pts = pts_flat.reshape(shape + (-1,))
+    idx = np.arange(N, dtype=np.int32).reshape(shape)
+    strides = (shape[1] * shape[2], shape[2], 1)
+    moves = sorted(GRID_MOVES + ((0, 0, 1 - shape[2]),),
+                   key=lambda move: sum(d * s for d, s in zip(move, strides)))
+    cuts = []  # each move's (source, target) slices of the grid
     for move in moves:
-        src_slices = []
-        dst_slices = []
+        src, dst = [], []
         for d, extent in zip(move, shape):
             lo = max(0, -d)
             hi = max(lo, extent - max(0, d))
-            src_slices.append(slice(lo, hi))
-            dst_slices.append(slice(lo + d, hi + d))
-        src, dst = tuple(src_slices), tuple(dst_slices)
-        rows.append(idx[src].ravel())
-        cols.append(idx[dst].ravel())
+            src.append(slice(lo, hi))
+            dst.append(slice(lo + d, hi + d))
+        cuts.append((tuple(src), tuple(dst)))
+    degree = np.zeros(shape, dtype=np.int32)
+    for src, _ in cuts:
+        degree[src] += 1
+    indptr = np.zeros(N + 1, dtype=np.int32)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    free = indptr[:-1].reshape(shape).copy()  # each row's next free slot
+    for src, dst in cuts:
+        at = free[src].ravel()
+        indices[at] = idx[dst].ravel()
         # each move's lengths from its own slices: temporaries of one move only
-        w.append(np.linalg.norm((pts[src] - pts[dst]).reshape(-1, pts.shape[-1]), axis=1))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(w)
+        data[at] = np.linalg.norm((pts[src] - pts[dst]).reshape(-1, pts.shape[-1]), axis=1)
+        free[src] += 1
+    return csr_matrix((data, indices, indptr), shape=(N, N))
 
 
 def _orbit_graph(n: int, xq, rho, xv, n_orbit: int) -> ChartSampleGraph:
@@ -83,8 +109,9 @@ def _orbit_graph(n: int, xq, rho, xv, n_orbit: int) -> ChartSampleGraph:
     ambient R^{n+1} at n_orbit equally spaced angles of the orbit S^{n-2},
     sampled along a fixed 2-plane of the transverse block; intrinsic
     distances within the sampled submanifold upper-bound nothing but
-    faithfully measure the zonal charts we build.  The edges are the grid
-    edges plus those closing the periodic orbit axis.
+    faithfully measure the zonal charts we build.  The nodes are numbered
+    in C order of the (Na, Nb, n_orbit) grid, and the edges are the grid
+    moves plus those closing the periodic orbit axis, in one CSR adjacency.
     """
     omega = np.linspace(0, 2 * np.pi, n_orbit, endpoint=False)
     shape = xq.shape + (n_orbit,)
@@ -94,12 +121,7 @@ def _orbit_graph(n: int, xq, rho, xv, n_orbit: int) -> ChartSampleGraph:
     pts[..., 2] = rho[..., None] * np.sin(omega)[None, None, :]
     pts[..., n] = xv[..., None]
     pts = pts.reshape(-1, n + 1)
-    rows, cols, w = _grid_edges(shape, pts)
-    idx = np.arange(pts.shape[0]).reshape(shape)
-    src, dst = idx[:, :, -1].ravel(), idx[:, :, 0].ravel()
-    w_wrap = np.linalg.norm(pts[src] - pts[dst], axis=1)
-    edges = (np.concatenate([rows, src]), np.concatenate([cols, dst]), np.concatenate([w, w_wrap]))
-    return ChartSampleGraph(pts, edges)
+    return ChartSampleGraph(pts, _orbit_adjacency(shape, pts))
 
 
 def plane_sample_graph(n: int, extent: float) -> ChartSampleGraph:
@@ -283,23 +305,19 @@ def chord_arc(graph: ChartSampleGraph, x_index: int, R: float) -> dict:
     """Extrinsic-ball component radius measured intrinsically.
 
     rho is the maximal graph distance from x within the connected component
-    of the extrinsic R-ball; c_fit = rho / R^n.
+    of the extrinsic R-ball; c_fit = rho / R^n.  The component is what
+    shortest paths from x reach over the edges with both ends in the ball:
+    the ball's rows and columns of the graph's adjacency, its nodes
+    renumbered in order.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     pts = graph.points
     n = pts.shape[1] - 1
     d_ext = np.linalg.norm(pts - pts[x_index], axis=1)
     inside = d_ext <= R
-    # component = points reachable without leaving the extrinsic ball: prune
-    # by re-running restricted shortest paths
-    sub = np.where(inside)[0]
-    # point -> its position in sub, as int32: coo_matrix indexes a graph of
-    # this size with int32, so the ball's edge arrays are used without a copy
-    index = np.full(pts.shape[0], -1, dtype=np.int32)
-    index[sub] = np.arange(sub.size)
-    rows, cols, w = graph.edges
-    keep = inside[rows] & inside[cols]
-    ball = ChartSampleGraph(pts[sub], (index[rows[keep]], index[cols[keep]], w[keep]))
-    dist_in = ball.shortest_paths(index[x_index])
+    ball = graph.adjacency[inside][:, inside]
+    dist_in = dijkstra(ball, directed=False, indices=np.count_nonzero(inside[:x_index]))
     finite = np.isfinite(dist_in)
     rho = float(np.max(dist_in[finite]))
     boundary_touch = bool(R > 0.97 * np.max(d_ext))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from graph_reference import chord_arc_dict_remap
+from graph_reference import CATENOID_SHAPE, PLANE_SHAPE, chord_arc_dict_remap, orbit_edges
 
 import minsurflab
 from minsurflab import gluing
@@ -170,14 +170,15 @@ class TestRun:
         assert main(["chordarc", "--out", str(tmp_path)]) == EXIT_OK
         rows = json.loads((tmp_path / "chordarc_report.json").read_text())["measurements"]
         expected = []
-        for chart, g, near, radii in (
-            ("plane", plane_sample_graph(3, extent=10.0), np.zeros(4), (2.0, 4.0, 6.0)),
-            ("catenoid", catenoid_sample_graph(3, scale=1.0, s_window=3.0), np.eye(4)[0],
-             (2.0, 4.0, 8.0)),
+        for chart, g, shape, near, radii in (
+            ("plane", plane_sample_graph(3, extent=10.0), PLANE_SHAPE, np.zeros(4), (2.0, 4.0, 6.0)),
+            ("catenoid", catenoid_sample_graph(3, scale=1.0, s_window=3.0), CATENOID_SHAPE,
+             np.eye(4)[0], (2.0, 4.0, 8.0)),
         ):
             center = int(np.argmin(np.linalg.norm(g.points - near, axis=1)))
+            edges = orbit_edges(shape, g.points)
             for R in radii:
-                rep = chord_arc_dict_remap(g, center, R)
+                rep = chord_arc_dict_remap(g.points, edges, center, R)
                 del rep["component_size"]
                 expected.append({"chart": chart, "R": R, **rep})
         assert rows == expected

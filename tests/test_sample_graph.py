@@ -1,36 +1,57 @@
-"""The sample-graph oracles on index arrays.
+"""The sample-graph oracles on one CSR adjacency.
 
-chord_arc and _grid_edges are checked for equality against the dict remap
-and the whole-edge-list gather they replaced (tests/graph_reference.py),
-and the peak memory of a graph build is bounded by a small multiple of its
-edge arrays.
+The built adjacency, chord_arc and graphical_radius are checked for
+equality against references that take their edges node by node from the
+grid (tests/graph_reference.py), and the peak memory of a graph build and
+of the heaviest chord_arc query is bounded by a small multiple of the
+adjacency's arrays.
 """
 
 import tracemalloc
 from functools import lru_cache
 
 import numpy as np
-from graph_reference import chord_arc_dict_remap, grid_edges_node_by_node
+import pytest
+from graph_reference import (
+    CATENOID_SHAPE,
+    PLANE_SHAPE,
+    chord_arc_dict_remap,
+    graphical_radius_coo,
+    orbit_edges,
+)
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import coo_matrix
 
-from minsurflab.verify import _grid_edges, catenoid_sample_graph, chord_arc, plane_sample_graph
+from minsurflab.verify import (
+    _orbit_adjacency,
+    catenoid_sample_graph,
+    chord_arc,
+    graphical_radius,
+    plane_sample_graph,
+)
 
 PROPERTY = settings(max_examples=24, deadline=None, derandomize=True, database=None)
 
 # (graph, its (profile, colatitude, orbit) grid shape); the orbit axis is
 # periodic, the other two end in boundary nodes
 GRAPHS = {
-    "plane": (lambda n, size: plane_sample_graph(n, extent=4.0 * size), (60, 20, 48)),
-    "catenoid": (lambda n, size: catenoid_sample_graph(n, scale=size, s_window=3.0), (90, 20, 40)),
+    "plane": (lambda n, size: plane_sample_graph(n, extent=4.0 * size), PLANE_SHAPE),
+    "catenoid": (lambda n, size: catenoid_sample_graph(n, scale=size, s_window=3.0), CATENOID_SHAPE),
 }
+
+
+def adjacency_bytes(graph):
+    A = graph.adjacency
+    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
 
 @lru_cache(maxsize=1)
 def sample_graph(kind, n, size):
+    """The graph and its reference edges."""
     build, shape = GRAPHS[kind]
     g = build(n, size)
     assert g.points.shape[0] == np.prod(shape)
-    return g
+    return g, orbit_edges(shape, g.points)
 
 
 @st.composite
@@ -53,7 +74,7 @@ class TestChordArc:
         data=st.data(),
     )
     def test_equals_dict_remap_reference(self, kind, n, size, data):
-        g = sample_graph(kind, n, size)
+        g, edges = sample_graph(kind, n, size)
         x = data.draw(graph_points(kind))
         d_ext = np.linalg.norm(g.points - g.points[x], axis=1)
         where = data.draw(st.sampled_from(["below spacing", "ball", "ball", "past window"]))
@@ -64,7 +85,7 @@ class TestChordArc:
         else:
             R = data.draw(st.floats(1.0, 1.5)) * float(d_ext.max())
         rep = chord_arc(g, x, R)
-        assert rep == chord_arc_dict_remap(g, x, R)
+        assert rep == chord_arc_dict_remap(g.points, edges, x, R)
         if where == "below spacing":
             assert rep["component_size"] == 1 and rep["rho"] == 0.0
         if where == "past window":
@@ -85,12 +106,14 @@ class TestGridEdges:
     @example(shape=(3, 2, 1), n=5, seed=2)
     @example(shape=(1, 2, 2), n=3, seed=3)
     def test_equals_node_by_node_reference(self, shape, n, seed):
-        pts = np.random.default_rng(seed).normal(size=(int(np.prod(shape)), n + 1))
-        rows, cols, w = _grid_edges(shape, pts)
-        ref_rows, ref_cols, ref_w = grid_edges_node_by_node(shape, pts)
-        assert np.array_equal(rows, ref_rows)
-        assert np.array_equal(cols, ref_cols)
-        assert np.array_equal(w, ref_w)
+        N = int(np.prod(shape))
+        pts = np.random.default_rng(seed).normal(size=(N, n + 1))
+        A = _orbit_adjacency(shape, pts)
+        rows, cols, w = orbit_edges(shape, pts)
+        ref = coo_matrix((w, (rows, cols)), shape=(N, N)).tocsr()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(A, name).dtype == getattr(ref, name).dtype
+            assert np.array_equal(getattr(A, name), getattr(ref, name))
 
     def test_build_peak_memory_bounded_by_edges(self):
         tracemalloc.start()
@@ -99,6 +122,32 @@ class TestGridEdges:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the points, the edge arrays and one move's temporaries; gathering
-        # the lengths over the whole edge list peaks at about 4x
-        assert peak <= 3 * sum(a.nbytes for a in g.edges)
+        # the points, the CSR arrays and one move's temporaries, about 1.8x
+        # the adjacency; an edge list converted to CSR peaked at about 4x
+        assert peak <= 3 * adjacency_bytes(g)
+
+
+class TestQueries:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", sorted(GRAPHS))
+    def test_graphical_radius_equals_edge_list_reference(self, kind, n):
+        g, edges = sample_graph(kind, n, 1.0)
+        near = np.zeros(n + 1) if kind == "plane" else np.eye(n + 1)[0]
+        x = int(np.argmin(np.linalg.norm(g.points - near, axis=1)))
+        C_A = float(np.sqrt(n * (n - 1.0)))
+        assert graphical_radius(g, x, C_A) == graphical_radius_coo(g.points, edges, x, C_A)
+
+    def test_chord_arc_peak_memory_bounded_by_adjacency(self):
+        # the verify workload's heaviest query: the ball holds most nodes
+        g = catenoid_sample_graph(3, scale=1.0, s_window=3.0)
+        x = int(np.argmin(np.linalg.norm(g.points - np.eye(4)[0], axis=1)))
+        tracemalloc.start()
+        try:
+            chord_arc(g, x, 8.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the ball's row and column cuts of the CSR arrays, then dijkstra's
+        # transpose of the ball, about 1.7x the adjacency; the ball's edge
+        # list and its conversion to CSR peaked at about 3x
+        assert peak <= 2 * adjacency_bytes(g)
