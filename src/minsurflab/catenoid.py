@@ -34,7 +34,7 @@ from .cylinder import (
 from .diffops import NotAKnotSpline, fd_derivative
 from .geometry import uniform_surface
 from .profile import ProfileTable, Scales, profile_values
-from .spectral import SphereField, ZonalGrid, angular_grid, apply_Dtheta, project_low
+from .spectral import SphereField, ZonalGrid, angular_grid, apply_Dtheta, has_low_modes
 
 
 class PreconditionError(ValueError):
@@ -215,7 +215,7 @@ def solve_PS(g_II: SphereField, delta: float, s_grid: np.ndarray) -> BandField:
     """
     spec = g_II.spectrum
     n = spec.n
-    if project_low(g_II).holder_norm() > 1e-12 * max(1.0, g_II.holder_norm()):
+    if has_low_modes(g_II):
         raise PreconditionError("solve_PS requires data without low-mode content")
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
@@ -240,13 +240,12 @@ def smooth_step(x: np.ndarray) -> np.ndarray:
 @dataclass
 class CatenoidPiece:
     """Converged perturbed catenoid with its cut-ring Cauchy data: the field
-    w = wt + v, where wt is the decaying extension of the boundary data and
-    v the Picard correction, and the iteration count and contraction
-    factors of the Picard loop that found v."""
+    w, the decaying extension of the boundary data plus the Picard
+    correction, and the iteration count and contraction factors of the
+    Picard loop that found the correction."""
 
     scales: Scales
     w: BandField
-    v: BandField
     h_II: SphereField
     residual: float  # oracle sup |H| at unit neck scale
     cauchy: tuple  # (value trace, scaled radial slope trace) as SphereFields
@@ -341,7 +340,7 @@ def build_catenoid_piece(
     spec = h_II.spectrum
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
-    if project_low(h_II).holder_norm() > 1e-12 * max(1.0, h_II.holder_norm()):
+    if has_low_modes(h_II):
         raise PreconditionError("h_II must have no low-mode content")
     h_norm = h_II.holder_norm()
     if h_norm > kappa * scales.r_eps**2 * (1 + 1e-9):
@@ -399,7 +398,6 @@ def build_catenoid_piece(
     return CatenoidPiece(
         scales=scales,
         w=w,
-        v=v,
         h_II=h_II,
         residual=res_unit,
         cauchy=cauchy,

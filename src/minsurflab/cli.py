@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .catenoid import admissible_delta, default_delta
-from .cylinder import BandField, UniformGrid, norm_exp
 from .verify import DELTA1
 
 log = logging.getLogger(__name__)
@@ -198,20 +197,10 @@ def cmd_catenoid_piece(cfg: RunConfig, out: Path) -> int:
             "contraction_median": contraction_median(piece.contractions),
             "cauchy_gap": gap,
             "cauchy_gap_over_reps2": gap / sc.r_eps**2,
-            # measured on the window where the admissible decay makes the
-            # supremum provably attained; the far tail is pure homogeneous
-            # decay plus roundoff
-            "v_norm": norm_exp(_restrict(piece.v, sc.s_eps + 8.0), 2, 0.5, cfg.delta),
         },
         out / "catenoid_summary.json",
     )
     return EXIT_OK
-
-
-def _restrict(w: BandField, s_top: float) -> BandField:
-    """The band field w on its nodes s <= s_top."""
-    keep = w.grid.s <= s_top + 1e-12
-    return BandField(w.spectrum, UniformGrid(w.grid.s[keep]), w.values[:, keep])
 
 
 def _export_rows(name: str, x: np.ndarray, values: np.ndarray, path: Path):
@@ -244,6 +233,9 @@ def cmd_neck(cfg: RunConfig, out: Path) -> int:
     piece = build_neck_piece(patch, sc, A, h0, h2, cfg.tol_solver, kappa=cfg.kappa)
     _, _, gap = cauchy_T(piece)
     _export_rows("r", piece.V.grid.r, piece.V.values, out / "neck_piece.csv")
+    # the gap in units of the glue's working ball kappa r_eps^2; a gap
+    # outside the ball exits like a failed certificate
+    over_ball = gap / (cfg.kappa * b)
     dump_json(
         {
             "eps": sc.eps, "r_eps": sc.r_eps, "r0": r0,
@@ -251,10 +243,11 @@ def cmd_neck(cfg: RunConfig, out: Path) -> int:
             "iterations": piece.iterations,
             "cauchy_gap": gap,
             "cauchy_gap_over_reps2": gap / sc.r_eps**2,
+            "cauchy_gap_over_ball": over_ball,
         },
         out / "neck_summary.json",
     )
-    return EXIT_OK
+    return EXIT_OK if over_ball <= 1.0 else EXIT_CERTIFICATE
 
 
 def _seed_surface(cfg: RunConfig):

@@ -1,4 +1,4 @@
-"""Band-coefficient fields on 1-D grids and their weighted norms.
+"""Band-coefficient fields on 1-D grids and the band two-point solvers.
 
 A BandField stores one real value per band and grid node: row l holds the
 zonal coefficient of band l, l = 0..L, in the SphereField layout (row 0 the
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import BandSpectrum, SphereField, ZonalGrid
 
@@ -123,74 +122,6 @@ def collocation_from_rows(rows: np.ndarray, grid: ZonalGrid) -> np.ndarray:
 def rows_from_collocation(vals: np.ndarray, grid: ZonalGrid) -> np.ndarray:
     """Collocation values on (node, beta) -> band rows on (band, node)."""
     return grid.to_bands(vals).T
-
-
-def norm_exp(w: BandField, k: int, alpha: float, delta: float) -> float:
-    """Discrete surrogate of the exponentially weighted Hoelder norm.
-
-    Supremum over unit s-windows of e^{-delta s} times the sum of maxima of
-    finite-difference derivatives up to order k plus a pairwise Hoelder
-    quotient of the k-th derivative over node pairs at distance in
-    [step, 3*step].  The weight uses the window start.  Windows
-    [i0, min(m, i0+win+1)), win = max(2, round(1/step)), start at every node,
-    and the sweep ends at the first window that reaches the end of the grid;
-    the quotient window is one node shorter.
-
-    A maximum over rows and nodes may be taken in either order, so each term
-    is reduced to its column maximum over rows first and then to the maximum
-    of each window of that column, bit-identical to slicing every window.
-    Raises ValueError on non-finite values and on a non-finite norm (the
-    weight overflows when -delta s exceeds about 709.78).
-    """
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1, or 2")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    s = w.grid.s
-    h = w.grid.step
-    vals = w.values
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("norm_exp of a field with non-finite values")
-    derivs = [vals]
-    cur = vals
-    for _ in range(k):
-        d = np.gradient(cur, h, axis=1)
-        derivs.append(d)
-        cur = d
-    win = max(2, int(round(1.0 / h)))
-    top = derivs[k]
-    # pairwise quotients at index offsets 1..3 (distances h..3h)
-    quot = np.zeros_like(top)
-    for off in (1, 2, 3):
-        if top.shape[1] > off:
-            q = np.abs(top[:, off:] - top[:, :-off]) / (off * h) ** alpha
-            quot[:, : q.shape[1]] = np.maximum(quot[:, : q.shape[1]], q)
-    m = s.size
-    cols = [np.max(np.abs(d), axis=0) for d in derivs]
-    qcol = np.max(quot, axis=0)
-    if win + 1 > m:
-        # a single window, cut short by the end of the grid
-        starts = s[:1]
-        terms = [c.max(keepdims=True) for c in cols]
-        terms.append(qcol[: max(1, m - 1)].max(keepdims=True))
-    else:
-        starts = s[: m - win]
-        terms = [sliding_window_view(c, win + 1)[: starts.size].max(axis=1) for c in cols]
-        terms.append(sliding_window_view(qcol, win)[: starts.size].max(axis=1))
-    # added in one fixed order: 0.0 + values (+ first and second
-    # derivative) + quotient
-    window_val = 0.0
-    for t in terms:
-        window_val = window_val + t
-    with np.errstate(over="ignore", invalid="ignore"):
-        best = float(np.max(np.exp(-delta * starts) * window_val))
-    if not np.isfinite(best):
-        raise ValueError(
-            f"norm_exp is not finite for delta={delta}, largest window start "
-            f"s={float(starts[-1])}; the weight e^(-delta s) overflows once -delta s "
-            "exceeds about 709.78"
-        )
-    return best
 
 
 # -- band two-point solvers ------------------------------------------------------

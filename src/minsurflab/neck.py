@@ -23,13 +23,7 @@ from .cylinder import BandField, collocation_from_rows, rows_from_collocation
 from .geometry import OrbitSurface, graph_orbit_points, matrix_surface, uniform_surface
 from .profile import Scales
 from .radial import BandOperator, RadialGrid, solve_mixed
-from .spectral import (
-    SphereField,
-    angular_grid,
-    apply_Dtheta,
-    project_high,
-    project_low,
-)
+from .spectral import SphereField, angular_grid, apply_Dtheta, has_low_modes, project_high
 
 
 def resample(u: BandField, grid: RadialGrid) -> BandField:
@@ -242,27 +236,24 @@ def poisson_neck(
     scales: Scales,
     h_II: SphereField,
     kappa: float,
-    cutoff: bool = True,
 ) -> BandField:
     """High-mode Poisson operator at the inner ring of the opened neck, the
     graph patch u on [r_eps, r0].
 
     w0 carries each band along its flat-harmonic power law, cut off away
-    from the ring (cutoff=False keeps the bare power law); the annulus
-    solve removes the resulting defect without touching the prescribed
-    high-mode trace.
+    from the ring; the annulus solve removes the resulting defect without
+    touching the prescribed high-mode trace.
     """
     n = u.spectrum.n
     spec = u.spectrum
-    if project_low(h_II).holder_norm() > 1e-12 * max(1.0, h_II.holder_norm()):
+    if has_low_modes(h_II):
         raise PreconditionError("poisson_neck requires high-mode data")
     if h_II.holder_norm() > kappa * scales.r_eps**2 * (1 + 1e-9):
         raise PreconditionError("|h_II| exceeds kappa r_eps^2")
     grid = u.grid
     r_eps, r0 = grid.r_in, grid.r_out
     w0 = BandField.zeros(spec, grid)
-    lam_arg = (2 * r0 - 8 * grid.r) / r0
-    ramp = smooth_step(lam_arg) if cutoff else np.ones(grid.m)
+    ramp = smooth_step((2 * r0 - 8 * grid.r) / r0)
     for k in range(2, spec.L + 1):
         a = (2 - n) / 2.0 - spec.gamma[k]
         w0.values[k] = h_II.c[k] * (grid.r / r_eps) ** a * ramp
@@ -317,7 +308,7 @@ def build_neck_piece(
         raise PreconditionError(
             f"|(h_I, A, h_II)| = {triple_norm:.3e} exceeds kappa r_eps^2 = {kappa * scales.r_eps ** 2:.3e}"
         )
-    if project_low(h_II).holder_norm() > 1e-12 * max(1.0, h_II.holder_norm()):
+    if has_low_modes(h_II):
         raise PreconditionError("h_II must be high-mode data")
 
     base, dev, backdrop = _opened_backdrop(u, scales, A, green, scales.r_eps, r0)

@@ -448,7 +448,7 @@ def solve_outer_nonlinear(site: Site, h_I: SphereField, tol: float) -> BandField
         return exterior_solve(graph_defect(op, base, H_base_vals, w))
 
     w = exterior_solve(None)
-    if h_I.holder_norm() != 0.0:
+    if np.any(h_I.c):
         w, _, _ = picard(update, w, 1e-9, 1e-300, 30, stage="outer")
 
     _, res_rel = graph_residual(base + w)

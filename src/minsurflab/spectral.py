@@ -43,7 +43,7 @@ def band_spectrum(n: int, L: int) -> BandSpectrum:
     if n < 3:
         raise SpectralError(f"ambient-minus-one dimension n={n} must be >= 3")
     if L < 2:
-        raise SpectralError(f"band cutoff L={L} must be >= 2")
+        raise SpectralError(f"band limit L={L} must be >= 2")
     ells = np.arange(L + 1)
     lam = ells * (ells + n - 2.0)
     gam = np.sqrt(lam + ((n - 2.0) / 2.0) ** 2)
@@ -197,7 +197,13 @@ class SphereField:
 
     def holder_norm(self) -> float:
         """Surrogate C^{2,1/2} norm: sup |f| + sup |grad f| + sup |Lap f|
-        plus an adjacent-node Hoelder quotient of Lap f along the meridian."""
+        plus a Hoelder quotient of Lap f along the meridian.
+
+        The quotient compares adjacent nodes only, so for a smooth field it
+        is about |(Lap f)'| arc^{1/2} and falls like m^(-1/2) as the grid's m
+        nodes are refined (ROADMAP item 12): it is not the C^{0,1/2}
+        seminorm it stands for.  The bench's mismatch_r2_max, the glue's
+        matching tolerance and its working ball all read this norm."""
         spec = self.spectrum
         grid = angular_grid(spec)
         t = grid.t
@@ -236,14 +242,7 @@ def angular_grid(spectrum: BandSpectrum) -> ZonalGrid:
     return _ANGULAR_GRIDS[key]
 
 
-# -- the three spec operations -------------------------------------------------
-
-
-def project_low(f: SphereField) -> SphereField:
-    """Keep only the constant and linear bands (l = 0, 1)."""
-    c = f.c.copy()
-    c[2:] = 0.0
-    return SphereField(f.spectrum, c)
+# -- band projections and the boundary operator --------------------------------
 
 
 def project_high(f: SphereField) -> SphereField:
@@ -251,6 +250,14 @@ def project_high(f: SphereField) -> SphereField:
     c = f.c.copy()
     c[:2] = 0.0
     return SphereField(f.spectrum, c)
+
+
+def has_low_modes(f: SphereField) -> bool:
+    """Whether the constant and linear coefficients of f exceed roundoff:
+    |c_0| + |c_1| above 1e-12 max(1, sum_l |c_l|).  The coefficient sum
+    bounds sup |f|, since |Z_l| <= 1 on the sphere."""
+    c = np.abs(f.c)
+    return c[0] + c[1] > 1e-12 * max(1.0, float(c.sum()))
 
 
 def dtheta_multipliers(spectrum: BandSpectrum) -> np.ndarray:

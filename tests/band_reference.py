@@ -1,8 +1,13 @@
-"""Reference copies the band code is checked against.
+"""Reference copies the band code is checked against, and the weighted
+norm the tests measure cylinder fields in.
 
 dense_band_dirichlet_robin: the tests compare
 cylinder.solve_band_dirichlet_robin against this dense factorization of the
 same discrete rows.
+
+norm_exp: the exponentially weighted Hoelder norm of a band field on a
+UniformGrid, window by window.  The solver tests state their bounds in it;
+no pipeline code reads it.
 
 holder_norm: SphereField.holder_norm as it was when a field carried a pole
 direction and all n components of its linear band.  It takes the maximum of
@@ -33,6 +38,47 @@ def dense_band_dirichlet_robin(
     A[m - 1, m - 2] = 2.0 / h**2
     A[m - 1, m - 1] = (-2.0 - 2.0 * h * g) / h**2 + vpot[m - 1]
     return np.linalg.solve(A, rhs)
+
+
+def norm_exp(w, k: int, alpha: float, delta: float) -> float:
+    """Discrete surrogate of the exponentially weighted C^{k,alpha} norm.
+
+    Supremum over unit s-windows [i0, min(m, i0 + win + 1)),
+    win = max(2, round(1/step)), of e^{-delta s_i0} times the sum of the
+    maxima of the finite-difference derivatives of orders 0..k and of a
+    Hoelder quotient of the k-th derivative over node pairs at distance
+    step to 3 step; the quotient window is one node shorter.  Windows start
+    at every node, and the sweep ends at the first window that reaches the
+    end of the grid.  Refuses non-finite values, which the running maximum
+    would skip.
+    """
+    vals = w.values
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("norm_exp of a field with non-finite values")
+    s = w.grid.s
+    h = w.grid.step
+    derivs = [vals]
+    for _ in range(k):
+        derivs.append(np.gradient(derivs[-1], h, axis=1))
+    win = max(2, int(round(1.0 / h)))
+    top = derivs[k]
+    quot = np.zeros_like(top)
+    for off in (1, 2, 3):
+        if top.shape[1] > off:
+            q = np.abs(top[:, off:] - top[:, :-off]) / (off * h) ** alpha
+            quot[:, : q.shape[1]] = np.maximum(quot[:, : q.shape[1]], q)
+    best = 0.0
+    for i0 in range(s.size):
+        i1 = min(s.size, i0 + win + 1)
+        window_val = 0.0
+        for d in derivs:
+            window_val += float(np.max(np.abs(d[:, i0:i1])))
+        window_val += float(np.max(quot[:, i0 : max(i0 + 1, i1 - 1)]))
+        with np.errstate(over="ignore"):
+            best = max(best, float(np.exp(-delta * s[i0])) * window_val)
+        if i1 == s.size:
+            break
+    return best
 
 
 def _eval_meridian(spec, low, zonal, pole, t, transverse):

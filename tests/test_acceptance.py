@@ -9,13 +9,12 @@ import json
 import numpy as np
 import pytest
 
-from band_reference import dense_band_dirichlet_robin
+from band_reference import dense_band_dirichlet_robin, norm_exp
 from radial_reference import weighted_norm
 from minsurflab.catenoid import grid_profile
 from minsurflab.cylinder import (
     BandField,
     UniformGrid,
-    norm_exp,
     solve_band_dirichlet_robin,
 )
 from minsurflab.gluing import stack_tower

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from band_reference import holder_norm as reference_holder_norm
 from minsurflab.cylinder import BandField, UniformGrid, collocation_from_rows, rows_from_collocation
-from minsurflab.spectral import SphereField, angular_grid, band_spectrum, project_high, project_low
+from minsurflab.spectral import SphereField, angular_grid, band_spectrum, project_high
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -54,9 +54,8 @@ def test_holder_norm_equals_the_pole_reference(drawn):
 @PROPERTY
 @given(fields(count=2), st.floats(-1e3, 1e3))
 def test_algebra_is_exact(drawn, a):
-    spec, f, g = drawn
-    assert np.array_equal((project_low(f) + project_high(f)).c, f.c)
-    assert np.array_equal(project_low(f).c[2:], np.zeros(spec.L - 1))
+    _, f, g = drawn
+    assert np.array_equal(project_high(f).c[2:], f.c[2:])
     assert np.array_equal(project_high(f).c[:2], np.zeros(2))
     mult = g.c + 1.5
     assert np.array_equal(f.band_multiply(mult).c, f.c * mult)

@@ -13,6 +13,7 @@ import minsurflab
 from minsurflab import gluing
 from minsurflab.catenoid import ContractionError, PreconditionError
 from minsurflab.cli import (
+    EXIT_CERTIFICATE,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
@@ -108,15 +109,16 @@ def _numbers(doc) -> list:
 
 
 # the exact keys of each command's summary; the piece commands are the
-# only readers of the pieces' diagnostics (contraction median, correction
-# norm, Cauchy gaps), which are computed where the summary is written
+# only readers of the pieces' diagnostics (contraction median, Cauchy
+# gaps), which are computed where the summary is written
 SUMMARY_KEYS = {
     "catenoid_summary.json": {
         "eps", "s_eps", "r_eps", "residual_unit", "iterations", "contraction_median",
-        "cauchy_gap", "cauchy_gap_over_reps2", "v_norm",
+        "cauchy_gap", "cauchy_gap_over_reps2",
     },
     "neck_summary.json": {
         "eps", "r_eps", "r0", "residual_rel", "iterations", "cauchy_gap", "cauchy_gap_over_reps2",
+        "cauchy_gap_over_ball",
     },
     "verify_report.json": {"mc_residual", "curvature_outside_boxes", "boxes", "embeddedness"},
 }
@@ -148,6 +150,22 @@ class TestRun:
             lines = (tmp_path / name).read_text().splitlines()
             assert lines[0] == header
             assert all(len(line.split(",")) == RunConfig().L + 2 for line in lines[1:])
+
+    @pytest.mark.parametrize("n, expected_rc", [(3, EXIT_OK), (6, EXIT_CERTIFICATE)])
+    def test_neck_gap_is_stated_against_the_working_ball(self, tmp_path, n, expected_rc):
+        # n=6 leaves r0 = 12 on a unit-scale problem; its gap is 2.3e11
+        # r_eps^2, far outside the ball, and the command must not exit 0
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"n": n}))
+        assert main(["neck", "--config", str(p), "--out", str(tmp_path / "o")]) == expected_rc
+        summary = json.loads((tmp_path / "o" / "neck_summary.json").read_text())
+        ratio = summary["cauchy_gap_over_ball"]
+        ball = RunConfig().kappa * summary["r_eps"] ** 2
+        assert ratio == pytest.approx(summary["cauchy_gap"] / ball, rel=1e-12)
+        if n == 3:
+            assert ratio == pytest.approx(0.31, abs=0.02)
+        else:
+            assert ratio > 1e9
 
     def test_profile_smoke_with_summary(self, tmp_path):
         cfg = RunConfig(out_dir=str(tmp_path / "run")).validate()

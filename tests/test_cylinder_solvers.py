@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from band_reference import dense_band_dirichlet_robin
+from band_reference import dense_band_dirichlet_robin, norm_exp
 from minsurflab.catenoid import (
     PreconditionError,
     apply_Lcal,
@@ -14,7 +14,6 @@ from minsurflab.cylinder import (
     BandField,
     UniformGrid,
     homogeneous_pair,
-    norm_exp,
     solve_band_decaying_kernel,
     solve_band_dirichlet_robin,
 )

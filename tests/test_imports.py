@@ -65,7 +65,6 @@ ALLOWED = {}
 PARAMS_ALLOWED = {
     "catenoid.build_catenoid_piece(max_iter)": "a test caps the iterations to reach the non-convergence failure",
     "cli.main(argv)": "the CLI tests run commands in process; the console script passes none",
-    "neck.poisson_neck(cutoff)": "cutoff=False keeps the bare power law, which a test checks is exact when flat",
     "profile.solve_profile(max_substep)": "a test forces a coarse substep to reach the first-integral refusal",
 }
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta, betainc
 
-from minsurflab.cylinder import BandField, UniformGrid, norm_exp
+from band_reference import norm_exp
+from minsurflab.cylinder import BandField, UniformGrid
 from minsurflab.outer import _end_splines, psi_infinity
 from minsurflab.profile import (
     ProfileError,
@@ -234,6 +235,8 @@ class TestClosedForms:
 
 
 class TestNormExp:
+    """The reference norm the cylinder solver tests state their bounds in."""
+
     def _field(self, spectrum, fn, S=-1.0, h=5e-3, m=900):
         s = S + h * np.arange(m)
         w = BandField.zeros(spectrum, UniformGrid(s))

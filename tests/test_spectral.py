@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from minsurflab import spectral
 from minsurflab.spectral import (
     SphereField,
     SpectralError,
     ZonalGrid,
     apply_Dtheta,
     band_spectrum,
+    has_low_modes,
     project_high,
-    project_low,
     zonal_eval,
 )
 
@@ -86,27 +87,37 @@ class TestProjections:
         f = SphereField.zeros(spectrum)
         f.c[1] = 1.0
         assert project_high(f).holder_norm() == 0.0
-        lo = project_low(f)
-        assert np.allclose(lo.c[:2], f.c[:2])
+        assert has_low_modes(f)
 
     def test_zonal_band_two_is_high(self, spectrum):
         f = SphereField.zonal_band(spectrum, 2, 1.0)
         hi = project_high(f)
         assert np.allclose(hi.c[2:], f.c[2:])
-        assert project_low(f).holder_norm() == 0.0
+        assert not has_low_modes(f)
 
     def test_projections_sum_to_identity(self, spectrum, rng):
         f = SphereField(spectrum, rng.normal(size=spectrum.L + 1))
-        s = project_low(f) + project_high(f)
-        assert np.allclose(s.c[:2], f.c[:2])
-        assert np.allclose(s.c[2:], f.c[2:])
+        low = f - project_high(f)
+        assert np.array_equal(low.c[:2], f.c[:2])
+        assert np.all(low.c[2:] == 0.0)
 
     def test_idempotent_and_annihilating(self, spectrum, rng):
         f = SphereField(spectrum, rng.normal(size=spectrum.L + 1))
-        twice = project_low(project_low(f))
-        assert np.allclose(twice.c[:2], project_low(f).c[:2])
-        zero = project_high(project_low(f))
+        twice = project_high(project_high(f))
+        assert np.array_equal(twice.c, project_high(f).c)
+        zero = project_high(f - project_high(f))
         assert zero.holder_norm() == 0.0
+
+    def test_low_mode_check_is_relative_to_the_coefficients(self, spectrum):
+        assert not has_low_modes(SphereField.zeros(spectrum))
+        f = SphereField.zonal_band(spectrum, 2, 1e6)
+        f.c[0] = 1e-7  # below 1e-12 of the coefficient sum: roundoff
+        assert not has_low_modes(f)
+        f.c[1] = -1e-5
+        assert has_low_modes(f)
+        g = SphereField.zeros(spectrum)
+        g.c[0] = 1e-11  # a small field is measured against 1
+        assert has_low_modes(g)
 
 
 class TestDtheta:
@@ -226,3 +237,18 @@ class TestTransformsAndSerialization:
         g = SphereField(spectrum, rng.normal(size=spectrum.L + 1))
         assert (2.5 * f).holder_norm() == pytest.approx(2.5 * f.holder_norm(), rel=1e-12)
         assert (f + g).holder_norm() <= f.holder_norm() + g.holder_norm() + 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: adjacent-node quotient falls like m^(-1/2)")
+    def test_norm_converges_as_the_grid_doubles(self, spectrum, monkeypatch):
+        # bands 2 and 8 and three random fields, normed on the default
+        # m = 48 grid and then on m = 96; a norm of the field, not of its
+        # grid, moves by less than 1%
+        n, L = spectrum.n, spectrum.L
+        fields = [SphereField.zonal_band(spectrum, 2, 1.0), SphereField.zonal_band(spectrum, 8, 1.0)]
+        fields += [SphereField(spectrum, np.random.default_rng(seed).normal(size=L + 1))
+                   for seed in range(3)]
+        coarse = np.array([f.holder_norm() for f in fields])
+        assert spectral.angular_grid(spectrum).t.size == 48
+        monkeypatch.setitem(spectral._ANGULAR_GRIDS, (n, L), ZonalGrid(n, L, 96))
+        fine = np.array([f.holder_norm() for f in fields])
+        assert np.all(np.abs(fine / coarse - 1.0) < 0.01), fine / coarse - 1.0
