@@ -151,34 +151,18 @@ class TestRun:
             assert lines[0] == header
             assert all(len(line.split(",")) == RunConfig().L + 2 for line in lines[1:])
 
-    @pytest.mark.parametrize("n, expected_rc", [(3, EXIT_OK), (6, EXIT_CERTIFICATE)])
-    def test_neck_gap_is_stated_against_the_working_ball(self, tmp_path, n, expected_rc):
-        # n=6 leaves r0 = 12 on a unit-scale problem; its gap is 2.3e11
-        # r_eps^2, far outside the ball, and the command must not exit 0.
-        # Its first updates grow about 1000-fold per step, so whether the
-        # iteration settles rests on rounding: with one BLAS thread it
-        # settles after 8 iterations, with two it does not settle in 40
-        # (exit 3).  The command runs with one BLAS thread, as in CI.
+    @pytest.mark.parametrize("kappa, expected_rc", [(16.0, EXIT_OK), (1.0, EXIT_CERTIFICATE)])
+    def test_neck_gap_is_stated_against_the_working_ball(self, tmp_path, kappa, expected_rc):
+        # at n=3 the neck settles in 3 iterations with a Cauchy gap of 4.87
+        # r_eps^2: inside the default ball 16 r_eps^2, outside a ball of
+        # r_eps^2, where the command must not exit 0
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"n": n}))
-        src = str(Path(minsurflab.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1",
-                   OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "minsurflab.cli", "neck", "--config", str(p),
-             "--out", str(tmp_path / "o")],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == expected_rc, proc.stderr
+        p.write_text(json.dumps({"kappa": kappa}))
+        assert main(["neck", "--config", str(p), "--out", str(tmp_path / "o")]) == expected_rc
         summary = json.loads((tmp_path / "o" / "neck_summary.json").read_text())
         ratio = summary["cauchy_gap_over_ball"]
-        ball = RunConfig().kappa * summary["r_eps"] ** 2
-        assert ratio == pytest.approx(summary["cauchy_gap"] / ball, rel=1e-12)
-        if n == 3:
-            assert ratio == pytest.approx(0.31, abs=0.02)
-        else:
-            assert ratio > 1e9
+        assert ratio == pytest.approx(summary["cauchy_gap"] / (kappa * summary["r_eps"] ** 2), rel=1e-12)
+        assert ratio == pytest.approx(4.87 / kappa, rel=0.02)
 
     def test_profile_smoke_with_summary(self, tmp_path):
         cfg = RunConfig(out_dir=str(tmp_path / "run")).validate()
