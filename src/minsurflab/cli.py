@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -140,6 +141,8 @@ def dump_json(obj, path: Path):
 
 
 def write_manifest(cfg: RunConfig, out: Path):
+    import scipy
+
     manifest = {
         "version": __version__,
         "config": asdict(cfg),
@@ -147,6 +150,13 @@ def write_manifest(cfg: RunConfig, out: Path):
             "delta1": DELTA1,
             "s_eps_rule": "log(eps)/((n-1)(3n-2))",
             "r_eps_rule": "eps^(1/(n-1)) * phi(s_eps)",
+        },
+        "environment": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            # the BLAS and OpenMP pool sizes, which a run's last bits follow
+            "threads": {k: os.environ.get(k) for k in (
+                "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
         },
     }
     dump_json(manifest, out / "manifest.json")
@@ -216,21 +226,21 @@ def _export_rows(name: str, x: np.ndarray, values: np.ndarray, path: Path):
 
 
 def cmd_neck(cfg: RunConfig, out: Path) -> int:
-    from .neck import RigidParams, build_neck_piece, cauchy_T, flat_patch
-    from .outer import R0_OVER_R_EPS
-    from .profile import compute_scales
+    from .gluing import prepare_glue
+    from .neck import RigidParams, build_neck_piece, cauchy_T
     from .spectral import SphereField
 
-    spec, prof = _context(cfg)
-    sc = compute_scales(prof, cfg.eps)
-    r0 = R0_OVER_R_EPS * sc.r_eps
-    patch = flat_patch(spec, r0, m=150, r_in=sc.r_eps / 4)
+    # the glue's own site patch, r0 and Green's function, so the command
+    # refuses what glue refuses
+    ctx = prepare_glue(_seed_surface(cfg), cfg.eps, cfg.kappa, cfg.tol_solver, cfg.delta)
+    spec, sc, patch = ctx.surface.spectrum, ctx.scales, ctx.site.patch
     b = sc.r_eps**2
     A = RigidParams(0.0, 0.0, 0.1 * b, 0.0)
     h2 = SphereField.zonal_band(spec, 2, 1.0)
     h2 = h2 * (0.3 * b / h2.holder_norm())
     h0 = SphereField.zeros(spec)
-    piece = build_neck_piece(patch, sc, A, h0, h2, cfg.tol_solver, kappa=cfg.kappa)
+    piece = build_neck_piece(patch, sc, A, h0, h2, cfg.tol_solver, kappa=cfg.kappa,
+                             green=ctx.green)
     _, _, gap = cauchy_T(piece)
     _export_rows("r", piece.V.grid.r, piece.V.values, out / "neck_piece.csv")
     # the gap in units of the glue's working ball kappa r_eps^2; a gap
@@ -238,7 +248,7 @@ def cmd_neck(cfg: RunConfig, out: Path) -> int:
     over_ball = gap / (cfg.kappa * b)
     dump_json(
         {
-            "eps": sc.eps, "r_eps": sc.r_eps, "r0": r0,
+            "eps": sc.eps, "r_eps": sc.r_eps, "r0": patch.grid.r_out,
             "residual_rel": piece.residual_rel,
             "iterations": piece.iterations,
             "cauchy_gap": gap,

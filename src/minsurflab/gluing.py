@@ -22,6 +22,7 @@ from .catenoid import (
     build_catenoid_piece,
     default_delta,
     grid_profile,
+    recorded_eps0,
     simple_cauchy_catenoid,
 )
 from .neck import (
@@ -37,7 +38,6 @@ from .outer import (
     GlueLevel,
     NeckBox,
     OuterSurface,
-    R0_OVER_R_EPS,
     Site,
     assemble_outer,
     cauchy_U_eps,
@@ -110,14 +110,15 @@ def prepare_glue(
     surface: OuterSurface, eps: float, kappa: float, tol_piece: float, delta: float
 ) -> GlueContext:
     """Select a site on the top end and freeze the glue inputs; delta is the
-    catenoid piece's weight."""
-    scales = compute_scales(surface.profile, eps)
-    r_site, center_xy = find_site(surface, scales)
-    r0 = min(max(R0_OVER_R_EPS * scales.r_eps, 1e-3 * r_site), r_site / 10.0)
-    if r0 < 60.0 * scales.r_eps:
+    catenoid piece's weight.  Refuses eps above the certified threshold and
+    a site that leaves no room for the neck."""
+    limit = recorded_eps0(kappa)
+    if eps > limit:
         raise PreconditionError(
-            f"r0={r0:.3e} leaves no room above r_eps={scales.r_eps:.3e}"
+            f"eps={eps:.3e} above the certified threshold {limit:.3e}"
         )
+    scales = compute_scales(surface.profile, eps)
+    center_xy, r0 = find_site(surface, scales)
     site = assemble_outer(surface, r0, center_xy, scales)
     green = green_function(site.patch, scales.r_eps / 4.0)
     # U_0's response to 1 in every band, exact because the solves are row-wise
@@ -334,20 +335,14 @@ def glue_end(
 ) -> GluedSurface:
     """Glue one half-catenoid to the top end of the surface.
 
-    Refuses eps above the certified threshold and carries the embeddedness
+    Refuses what prepare_glue refuses and carries the embeddedness
     certificate of the verify module.  Works on a copy: the input surface
     is never changed, and the result's outer surface is it plus one level.
     The nondegeneracy check and the seed's neck box run only on a surface
     with no levels yet, so a tower glued with one delta checks once.
     """
-    from .catenoid import recorded_eps0
     from .verify import embeddedness
 
-    limit = recorded_eps0(kappa)
-    if eps > limit:
-        raise PreconditionError(
-            f"eps={eps:.3e} above the certified threshold {limit:.3e}"
-        )
     if delta is None:
         delta = default_delta(surface.spectrum.n)
     surface = replace(surface, glue_levels=list(surface.glue_levels))
@@ -455,8 +450,6 @@ def stack_tower(
     tol_match and delta reach every level's glue_end.  The seed is never
     changed: a failed level's partial report holds the levels before it.
     """
-    from .catenoid import recorded_eps0
-
     if K < 1:
         raise PreconditionError("K must be >= 1")
     eps0 = recorded_eps0(kappa)

@@ -32,12 +32,6 @@ def resample(u: BandField, grid: RadialGrid) -> BandField:
     return BandField(u.spectrum, grid, u.values @ P.T)
 
 
-def flat_patch(spectrum, r0: float, m: int, r_in: float) -> BandField:
-    """Zero-height patch on m nodes over [r_in, r0], the model background
-    for tests and seeds."""
-    return BandField.zeros(spectrum, RadialGrid(r_in, r0, m))
-
-
 @dataclass
 class RigidParams:
     """Rigid-motion and Green's-coefficient parameters of the neck piece.
@@ -215,19 +209,6 @@ def rigid_deviation_rows(
     return out
 
 
-def _opened_backdrop(
-    u: BandField, scales: Scales, A: RigidParams, green: GreenTable | None,
-    r_in: float, r_out: float,
-) -> tuple:
-    """(the graph patch u resampled onto [r_in, r_out], the rows w_{eps, A}
-    there, their sum): the opened neck's backdrop."""
-    if green is None:
-        green = green_function(u, scales.r_eps / 4.0)
-    base = resample(u, RadialGrid(r_in, r_out, u.grid.m))
-    dev = rigid_deviation_rows(base, scales, A, green)
-    return base, dev, base + dev
-
-
 # -- annulus solvers -----------------------------------------------------------------
 
 
@@ -290,10 +271,11 @@ def build_neck_piece(
     h_II: SphereField,
     tol: float,
     kappa: float,
-    green: GreenTable | None = None,
+    green: GreenTable,
 ) -> NeckPiece:
     """Solve the opened-neck minimal-graph problem on [r_eps, r0] over the
-    graph patch u, r0 = u.grid.r_out.
+    graph patch u, r0 = u.grid.r_out, opened along green, the Green's
+    function about u (green_function(u, r_eps / 4) on the glue's path).
 
     Boundary structure: high modes of the full height match h_II on the
     inner ring, the deviation from the base graph matches h_I on the outer
@@ -311,7 +293,11 @@ def build_neck_piece(
     if has_low_modes(h_II):
         raise PreconditionError("h_II must be high-mode data")
 
-    base, dev, backdrop = _opened_backdrop(u, scales, A, green, scales.r_eps, r0)
+    # the opened neck's backdrop: the patch resampled onto [r_eps, r0] plus
+    # the rows w_{eps, A} there
+    base = resample(u, RadialGrid(scales.r_eps, r0, u.grid.m))
+    dev = rigid_deviation_rows(base, scales, A, green)
+    backdrop = base + dev
     grid = backdrop.grid
     op = graph_operator(backdrop)
     g = angular_grid(spec)

@@ -341,25 +341,26 @@ def _smallest_singular_value(n: int, L: int, delta: float, m: int) -> float:
 
 # -- gluing site --------------------------------------------------------------------
 
-# r0 / r_eps of the ring between a site's patch and exterior that find_site's
-# tilt cap and the neck command assume; the least r0 prepare_glue picks
+# the least r0 / r_eps that find_site picks for the ring between a site's
+# patch and its exterior, and the r0 its tilt cap assumes
 R0_OVER_R_EPS = 180.0
 
 
 def find_site(surface: OuterSurface, scales: Scales) -> tuple:
-    """March outward along the top end to the first admissible gluing site.
+    """March outward along the top end to the first admissible gluing site,
+    and pick the radius r0 of its ring.
 
     Beyond the hard bound |grad u| <= r_eps, the site tilt is pushed below
     r_eps^2 / (2 r0) (r0 = R0_OVER_R_EPS r_eps) so the reference-plane tilt
     contributes below the matching tolerance at the inner ring; the fixed
     point then never needs a rotation of the glued pieces, and the new end
-    stays parallel to the old plane.  prepare_glue may pick a larger r0,
-    max(R0_OVER_R_EPS r_eps, 1e-3 r_site) capped at r_site / 10, and the
-    tilt then adds up to r0 times the cap at the ring (ROADMAP item 2(c)).
-    The site sits a factor 1.3 beyond the first radius that passes, and
-    beyond 1.3 times three times the last glued level's site radius.
-    Returns (r_site, center_xy): the site's distance from the end's axis
-    and its horizontal position, r_site along the first axis from the axis.
+    stays parallel to the old plane.  The site sits a factor 1.3 beyond the
+    first radius that passes, and beyond 1.3 times three times the last
+    glued level's site radius, r_site from the end's axis along the first
+    axis.  Returns (center_xy, r0), with r0 = max(R0_OVER_R_EPS r_eps,
+    1e-3 r_site) capped at r_site / 10; the tilt then adds up to r0 times
+    the cap at the ring (ROADMAP item 2(c)).  An r0 below 60 r_eps leaves
+    no room for the neck and is refused.
     """
     margin = 1.3
     n = surface.n
@@ -377,9 +378,10 @@ def find_site(surface: OuterSurface, scales: Scales) -> tuple:
             "no admissible gluing site: end gradient never drops below the tilt cap"
         )
     r_site = float(R[idx] * margin)
-    direction = np.zeros(n)
-    direction[0] = 1.0
-    return r_site, end.axis_center[:n] + r_site * direction
+    r0 = min(max(R0_OVER_R_EPS * scales.r_eps, 1e-3 * r_site), r_site / 10.0)
+    if r0 < 60.0 * scales.r_eps:
+        raise PreconditionError(f"r0={r0:.3e} leaves no room above r_eps={scales.r_eps:.3e}")
+    return end.axis_center[:n] + r_site * np.eye(n)[0], r0
 
 
 # Chebyshev nodes of the site patch and of the site exterior

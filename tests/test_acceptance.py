@@ -22,8 +22,8 @@ from minsurflab.neck import (
     RigidParams,
     build_neck_piece,
     cauchy_T,
-    flat_patch,
     graph_operator,
+    green_function,
 )
 from minsurflab.outer import (
     _end_splines,
@@ -36,7 +36,7 @@ from minsurflab.outer import (
 )
 from minsurflab.catenoid import build_catenoid_piece, cauchy_maps_catenoid, default_delta, solve_GS
 from minsurflab.profile import compute_scales, solve_profile
-from minsurflab.radial import solve_mixed
+from minsurflab.radial import RadialGrid, solve_mixed
 from minsurflab.spectral import SphereField, band_spectrum
 from minsurflab.verify import (
     chord_arc,
@@ -102,7 +102,7 @@ class TestAcceptance:
 
         sc = compute_scales(profile, 1e-6)
         r_in, r_out = sc.r_eps, 0.35
-        patch = flat_patch(spectrum, r_out, m=160, r_in=r_in)
+        patch = BandField.zeros(spectrum, RadialGrid(r_in, r_out, 160))
         f2 = BandField.zeros(spectrum, patch.grid)
 
         def source(r):
@@ -134,7 +134,7 @@ class TestAcceptance:
         ann_ratios = []
         nu = -7.0 / 3.0
         for r in (sc.r_eps / 2, sc.r_eps, 2 * sc.r_eps):
-            patch_r = flat_patch(spectrum, r_out, m=150, r_in=r)
+            patch_r = BandField.zeros(spectrum, RadialGrid(r, r_out, 150))
             grid = patch_r.grid
             fr = BandField.zeros(spectrum, grid)
             fr.values[2] = (grid.r / r) ** (nu - 2) * np.exp(-0.5 * (np.log(grid.r / r)) ** 2)
@@ -166,7 +166,7 @@ class TestAcceptance:
         ratios = []
         for eps in (1e-4, 1e-5, 1e-6, 1e-7):
             sc = compute_scales(profile, eps)
-            patch = flat_patch(spectrum, 0.35, m=150, r_in=sc.r_eps / 4)
+            patch = BandField.zeros(spectrum, RadialGrid(sc.r_eps / 4, 0.35, 150))
             b = sc.r_eps**2
             A = RigidParams(
                 T=0.1 * b * sc.r_eps ** (N - 1) / sc.eps * 0.86,
@@ -177,7 +177,8 @@ class TestAcceptance:
             h2 = h2 * (0.3 * b / h2.holder_norm())
             hI = SphereField.zonal_band(spectrum, 2, 1.0)
             hI = hI * (0.1 * b / hI.holder_norm())
-            piece = build_neck_piece(patch, sc, A, hI, h2, tol=TOL_SOLVER, kappa=1.0)
+            piece = build_neck_piece(patch, sc, A, hI, h2, tol=TOL_SOLVER, kappa=1.0,
+                                     green=green_function(patch, sc.r_eps / 4))
             ratios.append(cauchy_T(piece)[2] / sc.r_eps**2)
         ok = max(ratios) <= 12.0 and max(ratios) / min(ratios) <= 2.0
         verdict(
@@ -196,10 +197,11 @@ class TestAcceptance:
         for eps in (1e-5, 1e-6, 1e-7, 1e-8):
             sc = compute_scales(profile, eps)
             surf = seed_catenoid(profile, spectrum, scale=1.0)
-            _, center_xy = find_site(surf, sc)
+            center_xy, _ = find_site(surf, sc)
             site = assemble_outer(surf, R0, center_xy, sc)
             h0 = SphereField.zeros(spectrum)
-            piece = build_neck_piece(site.patch, sc, RigidParams.zeros(), h0, h0, tol=TOL_SOLVER, kappa=1.0)
+            piece = build_neck_piece(site.patch, sc, RigidParams.zeros(), h0, h0, tol=TOL_SOLVER,
+                                     kappa=1.0, green=green_function(site.patch, sc.r_eps / 4))
             gap = cauchy_gap(site, h0, piece).holder_norm()
             ratios.append(gap / sc.r_eps ** (N - 2.0 / 3.0))
         sweep_ok = max(ratios) <= 8.0 and max(ratios) / min(ratios) <= 2.0
@@ -213,13 +215,14 @@ class TestAcceptance:
         _, g_ = end.height_profile(N, Rs)
         idx = int(np.argmin(np.abs(np.abs(g_) - 0.7 * sc.r_eps)))
         site = assemble_outer(surf, R0, end.axis_center[:N] + Rs[idx] * np.eye(N)[0], sc)
+        green = green_function(site.patch, sc.r_eps / 4)
 
         def gap_field(amp):
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (amp / h.holder_norm()) if amp else SphereField.zeros(spectrum)
             piece = build_neck_piece(
                 site.patch, sc, RigidParams.zeros(), h, SphereField.zeros(spectrum),
-                tol=TOL_SOLVER, kappa=1e9,
+                tol=TOL_SOLVER, kappa=1e9, green=green,
             )
             return cauchy_gap(site, h, piece)
 

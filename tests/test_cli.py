@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from graph_reference import CATENOID_SHAPE, PLANE_SHAPE, chord_arc_dict_remap, orbit_edges
 
 import minsurflab
@@ -153,16 +154,23 @@ class TestRun:
 
     @pytest.mark.parametrize("kappa, expected_rc", [(16.0, EXIT_OK), (1.0, EXIT_CERTIFICATE)])
     def test_neck_gap_is_stated_against_the_working_ball(self, tmp_path, kappa, expected_rc):
-        # at n=3 the neck settles in 3 iterations with a Cauchy gap of 4.87
-        # r_eps^2: inside the default ball 16 r_eps^2, outside a ball of
-        # r_eps^2, where the command must not exit 0
+        # at n=3 the neck on the glue's site patch settles in 3 iterations
+        # with a Cauchy gap of 4.89 r_eps^2: inside the default ball 16
+        # r_eps^2, outside a ball of r_eps^2, where the command must not exit 0
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"kappa": kappa}))
         assert main(["neck", "--config", str(p), "--out", str(tmp_path / "o")]) == expected_rc
         summary = json.loads((tmp_path / "o" / "neck_summary.json").read_text())
         ratio = summary["cauchy_gap_over_ball"]
         assert ratio == pytest.approx(summary["cauchy_gap"] / (kappa * summary["r_eps"] ** 2), rel=1e-12)
-        assert ratio == pytest.approx(4.87 / kappa, rel=0.02)
+        assert ratio == pytest.approx(4.89 / kappa, rel=0.02)
+
+    def test_neck_refuses_eps_above_the_certified_threshold(self, tmp_path, caplog):
+        # the threshold check sits in prepare_glue, which the neck runs on
+        with caplog.at_level(logging.ERROR, logger="minsurflab.cli"):
+            assert main(["neck", "--eps", "1e-3", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "above the certified threshold" in caplog.text
+        assert not (tmp_path / "neck_summary.json").exists()
 
     def test_profile_smoke_with_summary(self, tmp_path):
         cfg = RunConfig(out_dir=str(tmp_path / "run")).validate()
@@ -172,6 +180,11 @@ class TestRun:
         assert summary["first_integral_residual"] <= 1e-10
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["constants"]["delta1"]["3"] == pytest.approx(3.0 / 8.0)
+        # the environment a run's last bits depend on
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert set(env["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert all(env["threads"][k] == os.environ.get(k) for k in env["threads"])
 
     def test_deterministic_outputs(self, tmp_path):
         outs = []

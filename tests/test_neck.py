@@ -9,7 +9,6 @@ from minsurflab.neck import (
     angular_grid,
     build_neck_piece,
     cauchy_T,
-    flat_patch,
     graph_operator,
     green_function,
     mean_curvature_graph,
@@ -46,6 +45,11 @@ def clencurt_weights(x: np.ndarray) -> np.ndarray:
             v -= 2.0 * np.cos(2 * k * theta[1:-1]) / (4 * k**2 - 1)
     w[1:-1] = 2.0 * v / N
     return w[::-1] * (x[-1] - x[0]) / 2.0
+
+
+def flat_patch(spectrum, r0: float, m: int, r_in: float) -> BandField:
+    """Zero-height patch on m nodes over [r_in, r0]."""
+    return BandField.zeros(spectrum, RadialGrid(r_in, r0, m))
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +343,7 @@ class TestPoisson:
 
 
 class TestNeckPiece:
-    def test_zero_data_ball(self, spectrum, patch, scales, monkeypatch):
+    def test_zero_data_ball(self, spectrum, patch, green, scales, monkeypatch):
         corrections = []
 
         def recording_picard(*args, **kwargs):
@@ -349,7 +353,7 @@ class TestNeckPiece:
 
         monkeypatch.setattr(neck, "picard", recording_picard)
         h0 = SphereField.zeros(spectrum)
-        piece = build_neck_piece(patch, scales, RigidParams.zeros(), h0, h0, tol=5e-3, kappa=1.0)
+        piece = build_neck_piece(patch, scales, RigidParams.zeros(), h0, h0, tol=5e-3, kappa=1.0, green=green)
         assert piece.residual_rel <= 5e-3
         assert len(corrections) == 1
         v_norm = weighted_norm(corrections[0], 2, 0.5, default_nu(N))
@@ -357,27 +361,27 @@ class TestNeckPiece:
         ball = scales.r_eps ** (10.0 / 3.0 - default_nu(N))
         assert v_norm <= 10.0 * ball * 1e3 or v_norm < 1e-6
 
-    def test_outer_trace_matches_ring_data(self, spectrum, patch, scales):
+    def test_outer_trace_matches_ring_data(self, spectrum, patch, green, scales):
         h0 = SphereField.zeros(spectrum)
         hI = SphereField.zonal_band(spectrum, 2, 1.0)
         hI = hI * (0.1 * scales.r_eps**2 / hI.holder_norm())
-        piece = build_neck_piece(patch, scales, RigidParams.zeros(), hI, h0, tol=5e-3, kappa=1.0)
+        piece = build_neck_piece(patch, scales, RigidParams.zeros(), hI, h0, tol=5e-3, kappa=1.0, green=green)
         outer_val = piece.V.trace(-1)
         # u0 = 0 here: outer trace equals h_I by construction
         assert np.max(np.abs(outer_val.c[2:] - hI.c[2:])) < 1e-12 * max(1e-30, np.max(np.abs(hI.c[2:])))
 
-    def test_triple_norm_precondition(self, spectrum, patch, scales):
+    def test_triple_norm_precondition(self, spectrum, patch, green, scales):
         h0 = SphereField.zeros(spectrum)
         big = RigidParams(0.0, 0.0, 3.0 * scales.r_eps**2, 0.0)
         with pytest.raises(PreconditionError):
-            build_neck_piece(patch, scales, big, h0, h0, tol=5e-3, kappa=1.0)
+            build_neck_piece(patch, scales, big, h0, h0, tol=5e-3, kappa=1.0, green=green)
 
-    def test_nan_oracle_residual_is_refused(self, spectrum, patch, scales, monkeypatch):
+    def test_nan_oracle_residual_is_refused(self, spectrum, patch, green, scales, monkeypatch):
         # a NaN compares False with the tolerance either way round
         monkeypatch.setattr(neck, "graph_residual", lambda V: (float("nan"), float("nan")))
         h0 = SphereField.zeros(spectrum)
         with pytest.raises(ResidualError, match="nan"):
-            build_neck_piece(patch, scales, RigidParams.zeros(), h0, h0, tol=5e-3, kappa=1.0)
+            build_neck_piece(patch, scales, RigidParams.zeros(), h0, h0, tol=5e-3, kappa=1.0, green=green)
 
 
 class TestCauchyT:
@@ -394,9 +398,9 @@ class TestCauchyT:
         base = -EPS * scales.r_eps ** (2 - N)
         assert slope.c[0] - base == pytest.approx(-e * scales.r_eps ** (2 - N), rel=1e-12)
 
-    def test_gap_bounded(self, spectrum, patch, scales):
+    def test_gap_bounded(self, spectrum, patch, green, scales):
         h0 = SphereField.zeros(spectrum)
         h2 = SphereField.zonal_band(spectrum, 2, 1.0)
         h2 = h2 * (0.3 * scales.r_eps**2 / h2.holder_norm())
-        piece = build_neck_piece(patch, scales, RigidParams.zeros(), h0, h2, tol=5e-3, kappa=1.0)
+        piece = build_neck_piece(patch, scales, RigidParams.zeros(), h0, h2, tol=5e-3, kappa=1.0, green=green)
         assert cauchy_T(piece)[2] / scales.r_eps**2 < 20.0

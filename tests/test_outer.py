@@ -22,7 +22,7 @@ from minsurflab.outer import (
     assemble_outer,
     solve_outer_nonlinear,
 )
-from minsurflab.profile import compute_scales
+from minsurflab.profile import compute_scales, solve_profile
 from minsurflab.spectral import SphereField, band_spectrum
 
 N = 3
@@ -38,7 +38,7 @@ def surface(spectrum, profile):
 def sited(spectrum, profile):
     surf = seed_catenoid(profile, spectrum, scale=1.0)
     sc = compute_scales(profile, EPS)
-    _, center_xy = find_site(surf, sc)
+    center_xy, _ = find_site(surf, sc)
     site = assemble_outer(surf, 180.0 * sc.r_eps, center_xy, sc)
     return surf, site, sc
 
@@ -60,7 +60,7 @@ class TestAssemble:
         before = dict(vars(surf))
         ends = list(surf.ends)
         sc = compute_scales(profile, EPS)
-        _, center_xy = find_site(surf, sc)
+        center_xy, _ = find_site(surf, sc)
         assemble_outer(surf, 180.0 * sc.r_eps, center_xy, sc)
         assert vars(surf) == before
         assert surf.ends == ends and surf.glue_levels == [] and surf.neck_boxes == []
@@ -81,6 +81,34 @@ class TestAssemble:
         assert c2 <= 1.0
         # the patch ends where the exterior begins, at the ring radius r0
         assert patch.grid.r_out == site.exterior.grid.r_in
+
+
+class TestFindSite:
+    """find_site picks the ring radius r0 as well as the site."""
+
+    @pytest.mark.parametrize("eps, branch", [(1e-6, "floor"), (1e-9, "site")])
+    def test_r0_follows_the_rule(self, spectrum, profile, eps, branch):
+        # on the scale-0.3 seed, eps=1e-6 takes the floor R0_OVER_R_EPS r_eps
+        # and eps=1e-9 the fraction 1e-3 r_site of the site radius
+        surf = seed_catenoid(profile, spectrum, scale=0.3)
+        sc = compute_scales(profile, eps)
+        center_xy, r0 = find_site(surf, sc)
+        r_site = float(np.linalg.norm(center_xy - surf.top_end().axis_center[:N]))
+        expected = {"floor": outer.R0_OVER_R_EPS * sc.r_eps, "site": 1e-3 * r_site}[branch]
+        assert r0 == pytest.approx(expected, rel=1e-12)
+        assert 60.0 * sc.r_eps <= r0 <= r_site / 10.0
+
+    def test_refuses_a_site_without_room_as_the_glue_does(self):
+        from minsurflab.gluing import glue_end
+
+        n = 5
+        spec, prof = band_spectrum(n, 8), solve_profile(n, 16.0, 8e-3)
+        surf = seed_catenoid(prof, spec, scale=0.3)
+        with pytest.raises(PreconditionError, match="leaves no room above r_eps") as site_exc:
+            find_site(surf, compute_scales(prof, 1e-6))
+        with pytest.raises(PreconditionError) as glue_exc:
+            glue_end(surf, 1e-6)
+        assert str(glue_exc.value) == str(site_exc.value)
 
 
 def unit_box(x: float, z: float) -> NeckBox:
@@ -273,11 +301,12 @@ class TestCauchyU:
         assert (lhs - rhs).holder_norm() < 1e-8 * scale
 
     def test_gap_scaled_by_paper_rate(self, sited, spectrum, profile):
-        from minsurflab.neck import RigidParams, build_neck_piece
+        from minsurflab.neck import RigidParams, build_neck_piece, green_function
 
         surf, site, sc = sited
         h0 = SphereField.zeros(spectrum)
-        piece = build_neck_piece(site.patch, sc, RigidParams.zeros(), h0, h0, tol=5e-3, kappa=1.0)
+        piece = build_neck_piece(site.patch, sc, RigidParams.zeros(), h0, h0, tol=5e-3, kappa=1.0,
+                                 green=green_function(site.patch, sc.r_eps / 4))
         w = solve_outer_nonlinear(site, h0, tol=5e-3)
         gap = (cauchy_U_eps(w, piece) - simple_cauchy_outer(site, h0)).holder_norm()
         assert gap / sc.r_eps ** (N - 2.0 / 3.0) < 50.0

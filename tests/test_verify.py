@@ -7,7 +7,7 @@ import pytest
 
 from minsurflab.cylinder import collocation_from_rows
 from minsurflab.geometry import graph_orbit_points, matrix_surface, uniform_surface
-from minsurflab.neck import angular_grid, flat_patch
+from minsurflab.neck import angular_grid
 from minsurflab.outer import CORE_SPAN, CORE_STEP
 from minsurflab.profile import profile_values
 from minsurflab.verify import (
