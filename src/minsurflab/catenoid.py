@@ -170,19 +170,16 @@ def apply_Lcal(w: BandField) -> BandField:
     return BandField(spec, w.grid, out)
 
 
-def solve_GS(f: BandField, delta: float) -> BandField:
+def solve_GS(f: BandField) -> BandField:
     """Right inverse of the cylinder operator with high-mode zero trace.
 
     Bands l >= 2: Dirichlet 0 at the cut, decaying Robin at the far
     truncation.  Bands l <= 1: double-decaying kernel; no trace may be
-    imposed.
+    imposed.  The solve is the same for every weight admissible_delta admits,
+    which RunConfig.validate, glue_end and nondegeneracy_check check.
     """
     spec = f.spectrum
     n = spec.n
-    if not admissible_delta(n, delta):
-        raise PreconditionError(
-            f"delta={delta} outside the admissible interval (-(n+2)/2, -n/2)"
-        )
     grid = f.grid
     data = grid_profile(n, grid.s)
     h = grid.step
@@ -206,26 +203,26 @@ def _piece_grid(S: float) -> np.ndarray:
     return S + PIECE_STEP * np.arange(int(round(PIECE_SPAN / PIECE_STEP)) + 1)
 
 
-def solve_PS(g_II: SphereField, delta: float, s_grid: np.ndarray) -> BandField:
+def solve_PS(g_II: SphereField, s_grid: np.ndarray) -> BandField:
     """Decaying solution with prescribed high-mode trace at the cut.
 
     Built as the explicit flat decaying extension w0 of the trace data plus
     a correction solve against the potential term, on the uniform grid
     s_grid, whose first node is the cut.  g_II must have no low-mode content.
+    Like solve_GS it is the same for every weight admissible_delta admits,
+    which RunConfig.validate, glue_end and nondegeneracy_check check.
     """
     spec = g_II.spectrum
     n = spec.n
     if has_low_modes(g_II):
         raise PreconditionError("solve_PS requires data without low-mode content")
-    if not admissible_delta(n, delta):
-        raise PreconditionError(f"delta={delta} outside the admissible interval")
     grid = UniformGrid(s_grid)
     w0 = BandField.zeros(spec, grid)
     decay = np.exp(-np.outer(spec.gamma[2:], grid.s - s_grid[0]))
     w0.values[2:] = g_II.c[2:, None] * decay
     data = grid_profile(n, grid.s)
     rhs = BandField(spec, grid, -data["pot"][None, :] * w0.values)
-    return w0 + solve_GS(rhs, delta)
+    return w0 + solve_GS(rhs)
 
 
 # -- nonlinear catenoid piece ----------------------------------------------------
@@ -317,13 +314,20 @@ def recorded_eps0(kappa: float) -> float:
     return 5e-3 / max(1.0, kappa)
 
 
+def in_working_ball(norm: float, kappa: float, scales: Scales) -> bool:
+    """Whether a boundary-data norm lies in the glue's working ball
+    kappa r_eps^2, with a relative slack of 1e-9 for roundoff.  The two
+    pieces refuse data outside it, and the glue stops an iterate that
+    leaves it."""
+    return norm <= kappa * scales.r_eps**2 * (1 + 1e-9)
+
+
 def build_catenoid_piece(
     profile: ProfileTable,
     scales: Scales,
     h_II: SphereField,
     kappa: float,
     tol: float,
-    delta: float,
     max_iter: int = 40,
 ) -> CatenoidPiece:
     """Solve the perturbed-catenoid problem with high-mode boundary data.
@@ -333,17 +337,16 @@ def build_catenoid_piece(
     conjugated mean curvature of the realized transition-field surface.
     scales is compute_scales(profile, eps) at the glue's eps, which the
     caller already holds; tol bounds the oracle mean-curvature residual at
-    unit neck scale.
+    unit neck scale.  The solve is the same for every weight admissible_delta
+    admits, which RunConfig.validate, glue_end and nondegeneracy_check check.
     """
     n = profile.n
     eps = scales.eps
     spec = h_II.spectrum
-    if not admissible_delta(n, delta):
-        raise PreconditionError(f"delta={delta} outside the admissible interval")
     if has_low_modes(h_II):
         raise PreconditionError("h_II must have no low-mode content")
     h_norm = h_II.holder_norm()
-    if h_norm > kappa * scales.r_eps**2 * (1 + 1e-9):
+    if not in_working_ball(h_norm, kappa, scales):
         raise PreconditionError(
             f"|h_II| = {h_norm:.3e} exceeds kappa r_eps^2 = {kappa * scales.r_eps ** 2:.3e}"
         )
@@ -359,7 +362,7 @@ def build_catenoid_piece(
     geo = _NeckGeometry(n, s_grid, grid, scales.eps_len)
 
     g_II = h_II * (geo.phi[0] ** ((n - 2) / 2.0))
-    wt = solve_PS(g_II, delta, s_grid=s_grid)
+    wt = solve_PS(g_II, s_grid=s_grid)
 
     guard = 0.2  # smallness guard on the cubic-regime variable
     guard_weight = np.max(geo.phi ** (-n / 2.0))
@@ -371,7 +374,7 @@ def build_catenoid_piece(
         k = mc.shape[0]
         qbar = BandField.zeros(spec, w.grid)
         qbar.values[:, :k] = apply_Lcal(w).values[:, :k] - rows_from_collocation(mc, grid)
-        v_new = solve_GS(qbar, delta)
+        v_new = solve_GS(qbar)
         gvar = np.max(np.abs(collocation_from_rows((v_new + wt).values, grid))) * guard_weight \
             / scales.eps_len
         if gvar > guard:

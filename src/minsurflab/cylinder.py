@@ -63,9 +63,6 @@ class BandField:
     def zeros(cls, spectrum: BandSpectrum, grid) -> "BandField":
         return cls(spectrum, grid, np.zeros((spectrum.L + 1, grid.m)))
 
-    def copy(self) -> "BandField":
-        return BandField(self.spectrum, self.grid, self.values.copy())
-
     def _check(self, other: "BandField"):
         if self.spectrum is not other.spectrum and (
             self.spectrum.n != other.spectrum.n or self.spectrum.L != other.spectrum.L

@@ -19,9 +19,11 @@ import numpy as np
 from .catenoid import (
     CatenoidPiece,
     PreconditionError,
+    admissible_delta,
     build_catenoid_piece,
     default_delta,
     grid_profile,
+    in_working_ball,
     recorded_eps0,
     simple_cauchy_catenoid,
 )
@@ -102,16 +104,13 @@ class GlueContext:
     green: GreenTable
     kappa: float
     tol_piece: float
-    delta: float
     u0_mult: np.ndarray  # U_0's ring multiplier per band
 
 
-def prepare_glue(
-    surface: OuterSurface, eps: float, kappa: float, tol_piece: float, delta: float
-) -> GlueContext:
-    """Select a site on the top end and freeze the glue inputs; delta is the
-    catenoid piece's weight.  Refuses eps above the certified threshold and
-    a site that leaves no room for the neck."""
+def prepare_glue(surface: OuterSurface, eps: float, kappa: float, tol_piece: float) -> GlueContext:
+    """Select a site on the top end and freeze the glue inputs.  Refuses
+    eps above the certified threshold and a site that leaves no room for
+    the neck."""
     limit = recorded_eps0(kappa)
     if eps > limit:
         raise PreconditionError(
@@ -131,7 +130,6 @@ def prepare_glue(
         green=green,
         kappa=kappa,
         tol_piece=tol_piece,
-        delta=delta,
         u0_mult=u0_mult,
     )
 
@@ -147,8 +145,7 @@ def conglomerate_C(t: BoundaryTriple, ctx: GlueContext) -> tuple:
     Zero mismatch means the three pieces form a C^1 matched minimal surface.
     """
     sc = ctx.scales
-    cat = build_catenoid_piece(ctx.surface.profile, sc, t.h_II, ctx.kappa, ctx.tol_piece,
-                               delta=ctx.delta)
+    cat = build_catenoid_piece(ctx.surface.profile, sc, t.h_II, ctx.kappa, ctx.tol_piece)
     # the vertical-shift parameter acts as the relative offset of the
     # catenoid piece (lowering it by d raises the middle slot by d, the
     # model's response); inside the shared-ring-data formulation a middle
@@ -241,7 +238,6 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
         tol_match = 1e-8 * sc.r_eps ** (2 - spec.n)
     t = BoundaryTriple.zeros(spec)
     history = []
-    ball = ctx.kappa * sc.r_eps**2
     best = None  # (norm, triple, mismatch) of the least mismatch so far
     for it in range(1, max_iter + 1):
         mismatch, cat, neck = conglomerate_C(t, ctx)
@@ -259,9 +255,10 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
         c_0 = model_C0(t, ctx)
         t_new = model_invert(tuple(a - b for a, b in zip(c_0, mismatch)), ctx)
         t = t.combine(t_new, 1.0 - theta, theta)
-        if t.norm(sc) > ball * (1 + 1e-6):
+        if not in_working_ball(t.norm(sc), ctx.kappa, sc):
             raise GlueError(
-                f"iterate escaped the working ball: |t| = {t.norm(sc):.3e} > {ball:.3e}; "
+                f"iterate escaped the working ball: |t| = {t.norm(sc):.3e} > "
+                f"{ctx.kappa * sc.r_eps**2:.3e}; "
                 f"trajectory {['%.2e' % v for v in history]}"
             )
     else:
@@ -335,9 +332,10 @@ def glue_end(
 ) -> GluedSurface:
     """Glue one half-catenoid to the top end of the surface.
 
-    Refuses what prepare_glue refuses and carries the embeddedness
-    certificate of the verify module.  Works on a copy: the input surface
-    is never changed, and the result's outer surface is it plus one level.
+    Refuses a weight delta outside admissible_delta's interval and what
+    prepare_glue refuses, and carries the embeddedness certificate of the
+    verify module.  Works on a copy: the input surface is never changed,
+    and the result's outer surface is it plus one level.
     The nondegeneracy check and the seed's neck box run only on a surface
     with no levels yet, so a tower glued with one delta checks once.
     """
@@ -345,11 +343,12 @@ def glue_end(
 
     if delta is None:
         delta = default_delta(surface.spectrum.n)
+    if not admissible_delta(surface.spectrum.n, delta):
+        raise PreconditionError(f"delta={delta} outside the admissible interval")
     surface = replace(surface, glue_levels=list(surface.glue_levels))
     if not surface.glue_levels:
         nondegeneracy_check(surface, delta, m=400)
-    # the catenoid piece solves at the weight the nondegeneracy check used
-    ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece, delta=delta)
+    ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece)
     glued = fixed_point_glue(ctx, tol_match=tol_match)
     glued.certificates["new_end_tilt"] = _new_end_tilt(glued)
     cert = embeddedness(glued)

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catenoid import PreconditionError, ResidualError, pair_norm, picard, smooth_step
+from .catenoid import (
+    PreconditionError,
+    ResidualError,
+    in_working_ball,
+    pair_norm,
+    picard,
+    smooth_step,
+)
 from .cylinder import BandField, collocation_from_rows, rows_from_collocation
 from .geometry import OrbitSurface, graph_orbit_points, matrix_surface, uniform_surface
 from .profile import Scales
@@ -212,33 +219,25 @@ def rigid_deviation_rows(
 # -- annulus solvers -----------------------------------------------------------------
 
 
-def poisson_neck(
-    u: BandField,
-    scales: Scales,
-    h_II: SphereField,
-    kappa: float,
-) -> BandField:
-    """High-mode Poisson operator at the inner ring of the opened neck, the
-    graph patch u on [r_eps, r0].
+def poisson_neck(op: BandOperator, h_II: SphereField) -> BandField:
+    """High-mode Poisson operator at the inner ring of the opened neck, for
+    op the linearization about the neck's graph on [r_eps, r0].
 
     w0 carries each band along its flat-harmonic power law, cut off away
     from the ring; the annulus solve removes the resulting defect without
     touching the prescribed high-mode trace.
     """
-    n = u.spectrum.n
-    spec = u.spectrum
+    spec = op.spectrum
+    n = spec.n
     if has_low_modes(h_II):
         raise PreconditionError("poisson_neck requires high-mode data")
-    if h_II.holder_norm() > kappa * scales.r_eps**2 * (1 + 1e-9):
-        raise PreconditionError("|h_II| exceeds kappa r_eps^2")
-    grid = u.grid
+    grid = op.grid
     r_eps, r0 = grid.r_in, grid.r_out
     w0 = BandField.zeros(spec, grid)
     ramp = smooth_step((2 * r0 - 8 * grid.r) / r0)
     for k in range(2, spec.L + 1):
         a = (2 - n) / 2.0 - spec.gamma[k]
         w0.values[k] = h_II.c[k] * (grid.r / r_eps) ** a * ramp
-    op = graph_operator(u)
     defect = op.apply(w0)
     corr = solve_mixed(op, defect)
     return w0 - corr
@@ -286,7 +285,7 @@ def build_neck_piece(
     spec = u.spectrum
     r0 = u.grid.r_out
     triple_norm = h_I.holder_norm() + A.norm(scales) + h_II.holder_norm()
-    if triple_norm > kappa * scales.r_eps**2 * (1 + 1e-9):
+    if not in_working_ball(triple_norm, kappa, scales):
         raise PreconditionError(
             f"|(h_I, A, h_II)| = {triple_norm:.3e} exceeds kappa r_eps^2 = {kappa * scales.r_eps ** 2:.3e}"
         )
@@ -317,7 +316,7 @@ def build_neck_piece(
     gamma_H = solve_mixed(op, H_base)
 
     inner_gap = project_high(h_II - (backdrop + w_h).trace(0))
-    w_pi = poisson_neck(backdrop, scales, inner_gap, kappa=10 * kappa + 1e3)
+    w_pi = poisson_neck(op, inner_gap)
     wt = w_h + w_pi - gamma_H
 
     def update(v: BandField) -> BandField:

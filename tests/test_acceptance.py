@@ -34,7 +34,7 @@ from minsurflab.outer import (
     simple_cauchy_outer,
     solve_outer_nonlinear,
 )
-from minsurflab.catenoid import build_catenoid_piece, cauchy_maps_catenoid, default_delta, solve_GS
+from minsurflab.catenoid import build_catenoid_piece, cauchy_maps_catenoid, solve_GS
 from minsurflab.profile import compute_scales, solve_profile
 from minsurflab.radial import RadialGrid, solve_mixed
 from minsurflab.spectral import SphereField, band_spectrum
@@ -128,7 +128,7 @@ class TestAcceptance:
             sS = S + h * np.arange(int(14.0 / h) + 1)
             fS = BandField.zeros(spectrum, UniformGrid(sS))
             fS.values[2] = np.exp(-2.0 * (sS - S)) * np.exp(-0.5 * ((sS - S - 1.0) / 0.3) ** 2)
-            wS = solve_GS(fS, -2.0)
+            wS = solve_GS(fS)
             gs_ratios.append(norm_exp(wS, 2, 0.5, -2.0) / norm_exp(fS, 0, 0.5, -2.0))
         gs_spread = max(gs_ratios) / min(gs_ratios)
         ann_ratios = []
@@ -154,7 +154,7 @@ class TestAcceptance:
             sc = compute_scales(profile, eps)
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
-            piece = build_catenoid_piece(profile, sc, h, 1.0, TOL_SOLVER, default_delta(3))
+            piece = build_catenoid_piece(profile, sc, h, 1.0, TOL_SOLVER)
             ratios.append(cauchy_maps_catenoid(piece)[2] / sc.r_eps**2)
         ok = max(ratios) <= 12.0 and max(ratios) / min(ratios) <= 2.0
         verdict(

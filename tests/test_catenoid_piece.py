@@ -33,7 +33,7 @@ DELTA = default_delta(N)
 @pytest.fixture(scope="module")
 def piece_zero(spectrum, profile):
     return build_catenoid_piece(
-        profile, compute_scales(profile, EPS), SphereField.zeros(spectrum), 1.0, TOL, DELTA
+        profile, compute_scales(profile, EPS), SphereField.zeros(spectrum), 1.0, TOL
     )
 
 
@@ -42,7 +42,7 @@ def piece_zonal(spectrum, profile):
     sc = compute_scales(profile, EPS)
     h = SphereField.zonal_band(spectrum, 2, 1.0)
     h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
-    return build_catenoid_piece(profile, sc, h, 1.0, TOL, DELTA)
+    return build_catenoid_piece(profile, sc, h, 1.0, TOL)
 
 
 class TestBuild:
@@ -53,7 +53,7 @@ class TestBuild:
         # e^{((3n-2)/2 - delta) s_eps} r_eps^2 is stable across eps and stays
         # under the frozen measured constant of the surrogate norms.
         other = build_catenoid_piece(
-            profile, compute_scales(profile, 1e-5), SphereField.zeros(spectrum), 1.0, TOL, DELTA
+            profile, compute_scales(profile, 1e-5), SphereField.zeros(spectrum), 1.0, TOL
         )
         ratios = []
         for piece in (piece_zero, other):
@@ -83,18 +83,18 @@ class TestBuild:
         h = SphereField.zonal_band(spectrum, 2, 1.0)
         h = h * (2.0 * kappa * sc.r_eps**2 / h.holder_norm())
         with pytest.raises(PreconditionError, match="kappa"):
-            build_catenoid_piece(profile, sc, h, kappa, TOL, DELTA)
+            build_catenoid_piece(profile, sc, h, kappa, TOL)
 
     def test_low_mode_data_rejected(self, spectrum, profile):
         h = SphereField.zeros(spectrum)
         h.c[0] = 1e-9
         with pytest.raises(PreconditionError, match="low-mode"):
-            build_catenoid_piece(profile, compute_scales(profile, EPS), h, 1.0, TOL, DELTA)
+            build_catenoid_piece(profile, compute_scales(profile, EPS), h, 1.0, TOL)
 
     def test_eps_threshold_rejected(self, spectrum, profile):
         with pytest.raises(PreconditionError, match="threshold"):
             build_catenoid_piece(
-                profile, compute_scales(profile, 0.5), SphereField.zeros(spectrum), 1.0, TOL, DELTA
+                profile, compute_scales(profile, 0.5), SphereField.zeros(spectrum), 1.0, TOL
             )
 
     def test_unconverged_solve_raises_at_the_requested_eps(self, spectrum, profile, caplog):
@@ -104,7 +104,7 @@ class TestBuild:
             with pytest.raises(ContractionError) as excinfo:
                 build_catenoid_piece(
                     profile, compute_scales(profile, EPS), SphereField.zeros(spectrum), 1.0, TOL,
-                    DELTA, max_iter=1,
+                    max_iter=1,
                 )
         assert f"eps={EPS:.3e}" in str(excinfo.value)
         assert "update norms" in str(excinfo.value)
@@ -115,14 +115,14 @@ class TestBuild:
         short = solve_profile(N, 12.0, 8e-3)
         with pytest.raises(PreconditionError, match=r"s_max >= 14\.013"):
             build_catenoid_piece(short, compute_scales(short, EPS), SphereField.zeros(spectrum),
-                                 1.0, TOL, DELTA)
+                                 1.0, TOL)
 
     def test_nan_oracle_residual_is_refused(self, spectrum, profile, monkeypatch):
         # a NaN compares False with the tolerance either way round
         monkeypatch.setattr(catenoid, "_oracle_residual", lambda *args: float("nan"))
         with pytest.raises(ResidualError, match="nan"):
             build_catenoid_piece(profile, compute_scales(profile, EPS),
-                                 SphereField.zeros(spectrum), 1.0, TOL, DELTA)
+                                 SphereField.zeros(spectrum), 1.0, TOL)
 
     def test_transition_field_bound(self, piece_zero):
         # |N_eps . N_0 - 1| <= c e^{(2n-2) s_eps} over the ramp of the
@@ -203,7 +203,7 @@ class TestCauchyMaps:
             sc = compute_scales(profile, eps)
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
-            piece = build_catenoid_piece(profile, sc, h, 1.0, TOL, DELTA)
+            piece = build_catenoid_piece(profile, sc, h, 1.0, TOL)
             ratios.append(cauchy_maps_catenoid(piece)[2] / sc.r_eps**2)
         assert max(ratios) < 20.0
         assert max(ratios) / min(ratios) < 1.5

@@ -80,7 +80,8 @@ class TestConfig:
         ('{"kappa": 0}', "kappa=0 must be > 0"),
         ('{"kappa": -1}', "kappa=-1 must be > 0"),
         ('{"tol_solver": -1}', "tol_solver=-1 must be > 0"),
-        ('{"tol_verify": 0}', "tol_verify=0 must be > 0"),
+        # a retired field is refused like any unknown one
+        ('{"tol_verify": 0}', "unknown config fields: ['tol_verify']"),
         ('{"tol_match": 0}', "tol_match=0 must be > 0"),
         # json reads NaN, Infinity and -Infinity; none is a usable number
         ('{"s_step": NaN}', "s_step=nan must be finite"),
@@ -145,7 +146,7 @@ class TestRun:
         numbers = _numbers(report)
         assert numbers and np.all(np.isfinite(numbers))
         if command == "verify":
-            assert report["mc_residual"]["max_rel"] <= 2 * RunConfig().tol_verify
+            assert report["mc_residual"]["max_rel"] <= 2 * RunConfig().tol_solver
         if command in BAND_CSV:
             name, header = BAND_CSV[command]
             lines = (tmp_path / name).read_text().splitlines()

@@ -116,7 +116,7 @@ class TestBandPair:
                 pair = homogeneous_pair(vpot, h, gam)
                 direct[i] = solve_band_decaying_kernel(pair, h, f.values[i])
         for _ in range(2):  # cold, then warm cache
-            w = solve_GS(f, -2.0)
+            w = solve_GS(f)
             assert np.array_equal(w.values, direct)
 
     def test_cached_arrays_read_only(self):
@@ -141,7 +141,7 @@ class TestSolveGS:
     def test_zero_source(self, spectrum):
         s = make_grid()
         f = BandField.zeros(spectrum, UniformGrid(s))
-        w = solve_GS(f, -2.0)
+        w = solve_GS(f)
         assert np.max(np.abs(w.values)) == 0.0
 
     def test_dense_oracle_band_two(self, spectrum, profile):
@@ -162,7 +162,7 @@ class TestSolveGS:
         f.values[0] = bump(s, s[0] + 0.8)
         f.values[1] = bump(s, s[0] + 1.2)
         f.values[2] = bump(s, s[0] + 0.5)
-        w = solve_GS(f, -2.0)
+        w = solve_GS(f)
         r = apply_Lcal(w)
         err = np.abs(r.values - f.values)[:, 1:-1]
         assert np.max(err) < 1e-8 * np.max(np.abs(f.values))
@@ -171,7 +171,7 @@ class TestSolveGS:
         s = make_grid()
         f = BandField.zeros(spectrum, UniformGrid(s))
         f.values[2:] = bump(s, s[0] + 1.0)
-        w = solve_GS(f, -2.0)
+        w = solve_GS(f)
         assert np.max(np.abs(w.values[2:, 0])) < 1e-12
 
     def test_bound_ratio_stable_in_S(self, spectrum):
@@ -180,16 +180,10 @@ class TestSolveGS:
             s = make_grid(S=S)
             f = BandField.zeros(spectrum, UniformGrid(s))
             f.values[2] = bump(s, S + 1.0)
-            w = solve_GS(f, -2.0)
+            w = solve_GS(f)
             ratios.append(norm_exp(w, 2, 0.5, -2.0) / norm_exp(f, 0, 0.5, -2.0))
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() <= 2.0
-
-    def test_rejects_inadmissible_weight(self, spectrum):
-        s = make_grid()
-        f = BandField.zeros(spectrum, UniformGrid(s))
-        with pytest.raises(PreconditionError):
-            solve_GS(f, -1.0)
 
     def test_flat_region_matches_continuum_kernel(self, spectrum):
         """Low-band solve against the closed-form truncated sinh-kernel
@@ -206,7 +200,7 @@ class TestSolveGS:
             s = 10.0 + h * np.arange(int(5.0 / h) + 1)
             f = BandField.zeros(spectrum, UniformGrid(s))
             f.values[0] = np.exp(delta * s)
-            w = solve_GS(f, delta)
+            w = solve_GS(f)
             ex = exact(s, s[-1])
             # agreement at the window scale; the residual potential
             # phi^{2-2n} ~ 4e-16 sets the floor of the comparison
@@ -217,13 +211,13 @@ class TestSolveGS:
 class TestSolvePS:
     def test_zero_data(self, spectrum):
         g = SphereField.zeros(spectrum)
-        w = solve_PS(g, -2.0, make_grid())
+        w = solve_PS(g, make_grid())
         assert np.max(np.abs(w.values)) == 0.0
 
     def test_trace_identity(self, spectrum):
         g = SphereField.zonal_band(spectrum, 2, 1.0) + SphereField.zonal_band(spectrum, 5, -0.4)
         s = make_grid()
-        w = solve_PS(g, -2.0, s_grid=s)
+        w = solve_PS(g, s_grid=s)
         tr = w.trace(0)
         assert tr.c[2] == pytest.approx(1.0, abs=1e-12)
         assert tr.c[5] == pytest.approx(-0.4, abs=1e-12)
@@ -232,14 +226,14 @@ class TestSolvePS:
         g = SphereField.zeros(spectrum)
         g.c[0] = 1.0
         with pytest.raises(PreconditionError):
-            solve_PS(g, -2.0, make_grid())
+            solve_PS(g, make_grid())
 
     def test_bound_stable_in_S(self, spectrum):
         vals = []
         for S in (-1.0, -2.0, -3.0):
             g = SphereField.zonal_band(spectrum, 2, 1.0)
             s = make_grid(S=S)
-            w = solve_PS(g, -2.0, s_grid=s)
+            w = solve_PS(g, s_grid=s)
             vals.append(norm_exp(w, 2, 0.5, -2.0) / (np.exp(2.0 * S) * g.holder_norm()))
         vals = np.array(vals)
         assert vals.max() / vals.min() <= 2.0

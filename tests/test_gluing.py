@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from minsurflab import gluing, verify
-from minsurflab.catenoid import PreconditionError, default_delta
+from minsurflab.catenoid import PreconditionError
 from minsurflab.gluing import (
     BoundaryTriple,
     GlueError,
@@ -30,8 +30,8 @@ from radial_reference import u0_multipliers
 
 N = 3
 EPS = 1e-6
-# the kappa, tol_piece and delta that glue_end passes by default
-GLUE = {"kappa": 16.0, "tol_piece": 5e-3, "delta": default_delta(N)}
+# the kappa and tol_piece that glue_end passes by default
+GLUE = {"kappa": 16.0, "tol_piece": 5e-3}
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,19 @@ class TestFixedPointGlue:
         assert mis_norm == history[-1] == min(history)
         assert history == [triple_norm(e[1]) for e in evaluations]
 
+    def test_step_just_outside_the_ball_stops_the_glue(self, ctx, spectrum, monkeypatch):
+        """A step to |h_II| = kappa r_eps^2 (1 + 1e-7) lies outside the
+        working ball that the pieces accept, so the glue stops it with its
+        trajectory instead of handing it to the catenoid piece."""
+        sc = ctx.scales
+        h_II = SphereField.zonal_band(spectrum, 2, 1.0)
+        h_II = h_II * (ctx.kappa * sc.r_eps**2 * (1 + 1e-7) / h_II.holder_norm())
+        outside = BoundaryTriple(SphereField.zeros(spectrum), RigidParams.zeros(), h_II)
+        monkeypatch.setattr(gluing, "model_invert", lambda rhs, c: outside)
+        with pytest.raises(GlueError, match="escaped the working ball") as failed:
+            gluing.fixed_point_glue(ctx, tol_match=None)
+        assert "trajectory" in str(failed.value)
+
 
 class TestGlue:
     def test_refuses_eps_above_certified(self, spectrum, profile):
@@ -234,18 +247,29 @@ class TestGlue:
         assert glued.certificates["new_end_tilt"] < 1e-6
         assert glued.triple.norm(sc) <= 16 * sc.r_eps**2
 
-    def test_delta_reaches_the_glue_context(self, spectrum, profile, monkeypatch):
+    def test_delta_reaches_the_nondegeneracy_check(self, spectrum, profile, monkeypatch):
         class Reached(Exception):
             pass
 
-        def capture(ctx, **kwargs):
-            raise Reached(ctx.delta)
+        def capture(surface, delta, **kwargs):
+            raise Reached(delta)
 
-        monkeypatch.setattr(gluing, "fixed_point_glue", capture)
+        monkeypatch.setattr(gluing, "nondegeneracy_check", capture)
         surf = seed_catenoid(profile, spectrum, scale=1.0)
         with pytest.raises(Reached) as reached:
             glue_end(surf, EPS, delta=-1.9)
         assert reached.value.args == (-1.9,)
+
+    def test_glued_surface_refuses_an_inadmissible_delta(self, glued_surface, monkeypatch):
+        # a surface with a level skips the nondegeneracy check, so glue_end
+        # itself refuses the weight before any solve runs
+        def stop(*args, **kwargs):
+            raise AssertionError("prepare_glue reached")
+
+        monkeypatch.setattr(gluing, "prepare_glue", stop)
+        assert len(glued_surface.outer.glue_levels) == 1
+        with pytest.raises(PreconditionError, match="delta=-1.0 outside the admissible"):
+            glue_end(glued_surface.outer, EPS, delta=-1.0)
 
 
 class TestTower:
@@ -290,7 +314,7 @@ def refuse_embeddedness(glued):
 class TestGlueKeepsItsInput:
     def test_glue_context_is_frozen(self, ctx):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ctx.delta = -1.9
+            ctx.kappa = 1.0
 
     def test_nondegeneracy_check_runs_once_per_seed(self, spectrum, profile, glued_surface,
                                                     monkeypatch):
@@ -354,7 +378,7 @@ class TestSeedBox:
 
 GLUE_PATH_IMPORTS = """
 import json, sys
-from minsurflab.catenoid import build_catenoid_piece, default_delta
+from minsurflab.catenoid import build_catenoid_piece
 from minsurflab.gluing import _seed_neck_box
 from minsurflab.outer import _end_splines, seed_catenoid
 from minsurflab.profile import compute_scales, solve_profile
@@ -365,7 +389,7 @@ spectrum = band_spectrum(3, 8)
 _end_splines(3)
 _seed_neck_box(seed_catenoid(profile, spectrum, scale=1.0))
 build_catenoid_piece(profile, compute_scales(profile, 1e-6), SphereField.zeros(spectrum),
-                     1.0, 5e-3, default_delta(3))
+                     1.0, 5e-3)
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy."))))
 """
 

@@ -293,7 +293,7 @@ class TestAnnulusMixed:
 class TestPoisson:
     def test_zero_data(self, spectrum, scales):
         p = flat_patch(spectrum, R0, m=150, r_in=scales.r_eps)
-        w = poisson_neck(p, scales, SphereField.zeros(spectrum), kappa=1.0)
+        w = poisson_neck(graph_operator(p), SphereField.zeros(spectrum))
         assert np.max(np.abs(w.values)) == 0.0
 
     def test_flat_harmonic_identity_without_cutoff(self, spectrum, scales):
@@ -313,7 +313,7 @@ class TestPoisson:
         p = flat_patch(spectrum, R0, m=150, r_in=scales.r_eps)
         h = SphereField.zonal_band(spectrum, 2, 1.0) + SphereField.zonal_band(spectrum, 4, -0.5)
         h = h * (0.3 * scales.r_eps**2 / h.holder_norm())
-        w = poisson_neck(p, scales, h, kappa=1.0)
+        w = poisson_neck(graph_operator(p), h)
         tr = project_high(w.trace(0))
         assert np.allclose(tr.c[2:], h.c[2:], rtol=1e-10, atol=1e-22)
 
@@ -325,7 +325,7 @@ class TestPoisson:
             p = flat_patch(spectrum, R0, m=150, r_in=sc.r_eps)
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.3 * sc.r_eps**2 / h.holder_norm())
-            w = poisson_neck(p, sc, h, kappa=1.0)
+            w = poisson_neck(graph_operator(p), h)
             # slope-trace defect against the flat multiplier (Prop-7.2 shape)
             model = apply_Dtheta(h) * (-1.0) - (N - 2.0) * h
             defect = (project_high(w.d_trace(0)) - model).holder_norm()
@@ -339,7 +339,7 @@ class TestPoisson:
         h = SphereField.zeros(spectrum)
         h.c[0] = 1e-9
         with pytest.raises(PreconditionError):
-            poisson_neck(p, scales, h, kappa=1.0)
+            poisson_neck(graph_operator(p), h)
 
 
 class TestNeckPiece:
