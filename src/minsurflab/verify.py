@@ -59,46 +59,80 @@ GRID_MOVES = (
 )
 
 
+# first-axis grid rows per block of the adjacency build: each block's tables
+# take about 0.5 MB per row of the shipped graphs
+GRAPH_BLOCK = 8
+
+
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the rows of v (M, d).
+
+    The squares are summed over the columns in order, the sum that
+    np.linalg.norm(v, axis=1) takes, so every length is the same to the last
+    bit, without the overhead of its reduce along a short axis.
+    """
+    sq = v[:, 0] * v[:, 0]
+    for k in range(1, v.shape[1]):
+        sq += v[:, k] * v[:, k]
+    return np.sqrt(sq, out=sq)
+
+
+def _inside(d, extent: int, at):
+    """Whether a step of d from each position in at stays in range(extent)."""
+    return (at + d >= 0) & (at + d < extent)
+
+
 def _orbit_adjacency(shape, pts_flat):
     """CSR adjacency of an (i, j, k) grid whose k axis is periodic: the grid
     moves, plus the wrap from the last k to the first, each edge weighted by
     its chordal length.
 
-    The CSR arrays are filled straight from the moves.  A node's neighbours
-    are its flat index plus each move's flat offset, so filling the moves
-    in the order of their offsets leaves every row's columns sorted.
+    A node's neighbours are its flat index plus each move's flat offset, so
+    taking the moves in the order of their offsets leaves every row's
+    columns sorted.  The build walks blocks of GRAPH_BLOCK rows along the
+    first axis.  Each block fills a table with one column per move: the
+    neighbour index, the edge length and whether the move stays on the grid.
+    The validity mask then counts the block's row pointers and compacts the
+    table straight into the preallocated CSR arrays, so only one block's
+    tables are held at a time.
     """
     from scipy.sparse import csr_matrix
 
     N = int(np.prod(shape))
-    pts = pts_flat.reshape(shape + (-1,))
-    idx = np.arange(N, dtype=np.int32).reshape(shape)
-    strides = (shape[1] * shape[2], shape[2], 1)
-    moves = sorted(GRID_MOVES + ((0, 0, 1 - shape[2]),),
-                   key=lambda move: sum(d * s for d, s in zip(move, strides)))
-    cuts = []  # each move's (source, target) slices of the grid
-    for move in moves:
-        src, dst = [], []
-        for d, extent in zip(move, shape):
-            lo = max(0, -d)
-            hi = max(lo, extent - max(0, d))
-            src.append(slice(lo, hi))
-            dst.append(slice(lo + d, hi + d))
-        cuts.append((tuple(src), tuple(dst)))
-    degree = np.zeros(shape, dtype=np.int32)
-    for src, _ in cuts:
-        degree[src] += 1
+    S0, S1, S2 = shape
+    row = S1 * S2
+
+    def offset(move):
+        return move[0] * row + move[1] * S2 + move[2]
+
+    moves = sorted(GRID_MOVES + ((0, 0, 1 - S2),), key=offset)
+    offsets = np.array([offset(move) for move in moves], dtype=np.int32)
+    # each move's sources that stay on the grid along the j and k axes (row, moves)
+    inner = np.stack([(_inside(dj, S1, np.arange(S1))[:, None]
+                       & _inside(dk, S2, np.arange(S2))).ravel() for _, dj, dk in moves], axis=1)
+    di = np.array([move[0] for move in moves])
+    # each move's edges: its sources that stay on the grid along every axis
+    nnz = sum(int(np.prod([max(0, e - abs(d)) for d, e in zip(move, shape)])) for move in moves)
     indptr = np.zeros(N + 1, dtype=np.int32)
-    np.cumsum(degree, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    free = indptr[:-1].reshape(shape).copy()  # each row's next free slot
-    for src, dst in cuts:
-        at = free[src].ravel()
-        indices[at] = idx[dst].ravel()
-        # each move's lengths from its own slices: temporaries of one move only
-        data[at] = np.linalg.norm((pts[src] - pts[dst]).reshape(-1, pts.shape[-1]), axis=1)
-        free[src] += 1
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz)
+    for i0 in range(0, S0, GRAPH_BLOCK):
+        i1 = min(i0 + GRAPH_BLOCK, S0)
+        a, b = i0 * row, i1 * row
+        valid = (_inside(di, S0, np.arange(i0, i1)[:, None])[:, None, :] & inner).reshape(b - a, -1)
+        target = np.arange(a, b, dtype=np.int32)[:, None] + offsets
+        length = np.empty((len(moves), b - a))  # by move, so each move writes a contiguous run
+        for m, off in enumerate(offsets.tolist()):
+            lo, hi = max(a, -off), min(b, N - off)
+            if hi > lo:
+                length[m, lo - a:hi - a] = _lengths(pts_flat[lo:hi] - pts_flat[lo + off:hi + off])
+        np.cumsum(np.count_nonzero(valid, axis=1), out=indptr[a + 1:b + 1])
+        indptr[a + 1:b + 1] += indptr[a]
+        at = np.flatnonzero(valid)
+        out = slice(indptr[a], indptr[b])
+        # every position in at is in range, and "clip" takes them without the check
+        np.take(target, at, out=indices[out], mode="clip")
+        np.take(length.T.ravel(), at, out=data[out], mode="clip")
     return csr_matrix((data, indices, indptr), shape=(N, N))
 
 
@@ -314,7 +348,7 @@ def chord_arc(graph: ChartSampleGraph, x_index: int, R: float) -> dict:
 
     pts = graph.points
     n = pts.shape[1] - 1
-    d_ext = np.linalg.norm(pts - pts[x_index], axis=1)
+    d_ext = _lengths(pts - pts[x_index])
     inside = d_ext <= R
     ball = graph.adjacency[inside][:, inside]
     dist_in = dijkstra(ball, directed=False, indices=np.count_nonzero(inside[:x_index]))
@@ -353,8 +387,7 @@ def graphical_radius(graph: ChartSampleGraph, x_index: int, C_A: float) -> dict:
             continue
         Q = pts[ball] - pts[x_index]
         h = Q @ normal
-        tang = Q - np.outer(h, normal)
-        tnorm = np.linalg.norm(tang, axis=1)
+        tnorm = _lengths(Q - np.outer(h, normal))
         mask = tnorm > 1e-9
         slope = np.abs(h[mask]) / tnorm[mask]
         # single-valuedness probe: nearby tangent projections with distant heights
@@ -364,7 +397,7 @@ def graphical_radius(graph: ChartSampleGraph, x_index: int, C_A: float) -> dict:
         else:
             break
     # inclusion factor: extrinsic ball of radius delta R inside intrinsic R/2
-    d_ext = np.linalg.norm(pts - pts[x_index], axis=1)
+    d_ext = _lengths(pts - pts[x_index])
     delta_c = 0.0
     if R_graph > 0:
         R = R_graph
@@ -378,6 +411,11 @@ def graphical_radius(graph: ChartSampleGraph, x_index: int, C_A: float) -> dict:
 
 
 # -- delta-stability ------------------------------------------------------------------------
+
+
+# columns per block of the stability energy; a block holds at most five
+# arrays of STABILITY_BLOCK Na Nb doubles, 276 KB each on a 120 x 48 chart
+STABILITY_BLOCK = 6
 
 
 @dataclass
@@ -412,42 +450,35 @@ def _stability_forms(P: np.ndarray, n: int):
 
     def apply_grad_energy(vecs):
         """Q(phi) = int |grad phi|^2 dA for columns of vecs, with the centred
-        differences of _first_form."""
+        differences of _first_form.
+
+        The columns are taken STABILITY_BLOCK at a time, as one C-ordered
+        (columns, Na, Nb) array; every column's energy is one np.sum over its
+        own contiguous (Na, Nb) slab, the sum a lone column takes.
+        """
         out = np.empty(vecs.shape[1])
-        for c in range(vecs.shape[1]):
-            phi = vecs[:, c].reshape(Na, Nb)
-            pa = np.gradient(phi, axis=0)
-            pb = np.gradient(phi, axis=1)
-            grad2 = (G * pa**2 - 2 * F * pa * pb + E * pb**2) / det
-            out[c] = np.sum(grad2 * dA)
+        for c0 in range(0, vecs.shape[1], STABILITY_BLOCK):
+            cols = vecs[:, c0:c0 + STABILITY_BLOCK]
+            phi = np.ascontiguousarray(cols.T).reshape(-1, Na, Nb)
+            pa = np.gradient(phi, axis=1)
+            pb = np.gradient(phi, axis=2)
+            del phi
+            density = (G * pa**2 - 2 * F * pa * pb + E * pb**2) / det * dA
+            out[c0:c0 + cols.shape[1]] = [np.sum(slab) for slab in density]
         return out
 
     return apply_grad_energy, dA
 
 
-def delta_stability(
-    P: np.ndarray,
-    A2: np.ndarray,
-    n: int,
-    delta: float,
-    domain_id: str,
-) -> StabilityReport:
-    """Minimum discrete Rayleigh quotient of the delta-stability form.
+def _stability_fields(Na: int, Nb: int) -> np.ndarray:
+    """The test family of delta_stability on an (Na, Nb) grid, one field
+    per column of an (Na Nb, n_hat + 40) array in flat-index ordering.
 
-    P is an orbit chart (3, Na, Nb), A2 the squared second fundamental form
-    on the grid.  The test family is the interior hat basis plus 40 further
-    fields: six caps, then random combinations drawn with seed 0; the
-    quotient normalizer is the L^2 mass.  domain_id names the chart in the
-    warning for a delta outside the flatness window.
+    Up to 240 interior hats, evenly spaced in flat index, then six caps,
+    then random smooth fields drawn with seed 0; every field vanishes on
+    the chart's boundary rows and columns.
     """
     n_random = 40
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
-    if n in DELTA1 and delta >= 1.0 - DELTA1[n] + 1e-12:
-        log.warning("%s: delta=%s at n=%d is outside the flatness window", domain_id, delta, n)
-    Na, Nb = P.shape[1], P.shape[2]
-    apply_grad_energy, dA = _stability_forms(P, n)
-    N = Na * Nb
     interior = np.zeros((Na, Nb), dtype=bool)
     interior[2:-2, 2:-2] = True
     ii = np.where(interior.ravel())[0]
@@ -457,15 +488,11 @@ def delta_stability(
     # resolving the smooth directions that carry catenoid-type instability
     n_hat = min(ii.size, 240)
     hat_nodes = ii[np.linspace(0, ii.size - 1, n_hat).astype(int)]
-    vecs = np.zeros((N, n_hat + n_random))
-    for c, node in enumerate(hat_nodes):
-        v = np.zeros(N)
-        v[node] = 1.0
-        i, j = divmod(node, Nb)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                v[(i + di) * Nb + (j + dj)] = max(0.0, 1.0 - 0.5 * (abs(di) + abs(dj)))
-        vecs[:, c] = v
+    vecs = np.zeros((Na * Nb, n_hat + n_random))
+    # each hat is 1 at its node and 1/2 at the four nearest; hat nodes lie two
+    # rows and columns inside the chart
+    steps = np.array([-Nb, -1, 0, 1, Nb])
+    vecs[hat_nodes[:, None] + steps, np.arange(n_hat)[:, None]] = [0.5, 0.5, 1.0, 0.5, 0.5]
     ia = np.arange(Na)[:, None] / (Na - 1.0)
     jb = np.arange(Nb)[None, :] / (Nb - 1.0)
     window = np.sin(np.pi * ia) ** 2 * np.ones_like(jb)
@@ -489,6 +516,30 @@ def delta_stability(
         field_c = field_c * window
         field_c[~interior] = 0.0
         vecs[:, n_hat + c] = field_c.ravel()
+    return vecs
+
+
+def delta_stability(
+    P: np.ndarray,
+    A2: np.ndarray,
+    n: int,
+    delta: float,
+    domain_id: str,
+) -> StabilityReport:
+    """Minimum discrete Rayleigh quotient of the delta-stability form.
+
+    P is an orbit chart (3, Na, Nb), A2 the squared second fundamental form
+    on the grid.  The test family is _stability_fields: the interior hat
+    basis plus 40 further fields, six caps, then random combinations drawn
+    with seed 0; the quotient normalizer is the L^2 mass.  domain_id names
+    the chart in the warning for a delta outside the flatness window.
+    """
+    if not (0.0 <= delta < 1.0):
+        raise ValueError("delta must lie in [0, 1)")
+    if n in DELTA1 and delta >= 1.0 - DELTA1[n] + 1e-12:
+        log.warning("%s: delta=%s at n=%d is outside the flatness window", domain_id, delta, n)
+    apply_grad_energy, dA = _stability_forms(P, n)
+    vecs = _stability_fields(P.shape[1], P.shape[2])
     grad_en = apply_grad_energy(vecs)
     mass_A = np.einsum("nc,n,nc->c", vecs, (dA * A2).ravel(), vecs)
     mass = np.einsum("nc,n,nc->c", vecs, dA.ravel(), vecs)

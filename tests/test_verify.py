@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from stability_reference import delta_stability_loops, fields_by_hat_loop
 
 from minsurflab.cylinder import collocation_from_rows
 from minsurflab.geometry import graph_orbit_points, matrix_surface, uniform_surface
@@ -11,6 +12,8 @@ from minsurflab.neck import angular_grid
 from minsurflab.outer import CORE_SPAN, CORE_STEP
 from minsurflab.profile import profile_values
 from minsurflab.verify import (
+    STABILITY_BLOCK,
+    _stability_fields,
     catenoid_sample_graph,
     chord_arc,
     delta_stability,
@@ -278,26 +281,19 @@ class TestDeltaStability:
             delta_stability(P, A2, N, 0.7, domain_id="disk")
         assert "disk: delta=0.7 at n=3 is outside the flatness window" in caplog.text
 
+    def _catenoid(self, spectrum, window=4.0, m=120):
+        P, _, phi = catenoid_orbit_chart(window=window, m=m, spectrum=spectrum)
+        A2 = (N * (N - 1.0) * phi ** (-2 * N))[:, None] * np.ones((1, P.shape[2]))
+        return P, A2
+
     def test_catenoid_delta_zero_unstable(self, spectrum):
-        g = angular_grid(spectrum)
-        s = np.linspace(-4.0, 4.0, 120)
-        phi, dphi, psi, dpsi = profile_values(N, s)
-        F = phi[:, None] * np.ones((1, g.t.size))
-        P = np.stack([F * g.t[None, :], F * g.sinb[None, :],
-                      psi[:, None] * np.ones((1, g.t.size))])
-        A2 = (N * (N - 1.0) * phi ** (-2 * N))[:, None] * np.ones((1, g.t.size))
+        P, A2 = self._catenoid(spectrum)
         rep = delta_stability(P, A2, N, 0.0, domain_id="catenoid")
         assert not rep.stable
         assert rep.min_quotient < -1e-3
 
     def test_monotone_in_delta(self, spectrum):
-        g = angular_grid(spectrum)
-        s = np.linspace(-2.0, 2.0, 80)
-        phi, dphi, psi, dpsi = profile_values(N, s)
-        F = phi[:, None] * np.ones((1, g.t.size))
-        P = np.stack([F * g.t[None, :], F * g.sinb[None, :],
-                      psi[:, None] * np.ones((1, g.t.size))])
-        A2 = (N * (N - 1.0) * phi ** (-2 * N))[:, None] * np.ones((1, g.t.size))
+        P, A2 = self._catenoid(spectrum, window=2.0, m=80)
         q = [delta_stability(P, A2, N, d, "catenoid").min_quotient for d in (0.0, 0.25, 0.5)]
         # raising delta weakens the negative potential: quotient nondecreasing
         assert q[0] <= q[1] <= q[2]
@@ -308,12 +304,40 @@ class TestDeltaStability:
         b = delta_stability(P, A2, N, 0.4, "disk")
         assert a.min_quotient == b.min_quotient
 
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 48), (20, 13), (48, 48), (70, 48), (120, 48)])
+    def test_fields_equal_the_hat_loop_reference(self, shape):
+        """The hats set by index arithmetic, fewer than 240 of them on the
+        small grids, against the loop over hat nodes, bit for bit."""
+        assert np.array_equal(_stability_fields(*shape), fields_by_hat_loop(*shape))
+
+    @pytest.mark.parametrize("chart", ["disk", "catenoid"])
+    def test_min_quotient_equals_the_column_loop_reference(self, spectrum, chart):
+        """delta_stability against the loops over hat nodes and over
+        columns, bit for bit; a cap or random field holds the minimum on
+        both charts."""
+        P, A2 = self._flat_disk(spectrum) if chart == "disk" else self._catenoid(spectrum)
+        for delta in (0.0, 0.3, 0.6):
+            rep = delta_stability(P, A2, N, delta, domain_id=chart)
+            assert (rep.min_quotient, rep.stable) == delta_stability_loops(P, A2, N, delta)
+
+    def test_peak_memory_bounded_by_the_stability_fields(self, spectrum):
+        P, A2 = self._catenoid(spectrum)
+        tracemalloc.start()
+        try:
+            delta_stability(P, A2, N, 0.0, domain_id="catenoid")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (N, 280) test fields and one block of the energy's columns,
+        # about 1.2x; a block of 32 columns peaked at about 1.7x
+        assert peak <= 1.25 * P.shape[1] * P.shape[2] * 280 * 8
+
     @pytest.mark.parametrize("m", [7, 60, 120])
     def test_gradient_energy_equals_the_difference_matrix_reference(self, spectrum, rng, m):
         """The energy form against dense centred-difference matrices (one-sided
         rows at both ends) applied as Da @ phi and phi @ Db.T, bit for bit,
         on a catenoid chart and on fields with 90 percent zeros and scales
-        1e-8 and 1e8."""
+        1e-8 and 1e8, over several full blocks of columns and a partial one."""
         from minsurflab.spectral import sphere_area
         from minsurflab.verify import _first_form, _stability_forms
 
@@ -331,10 +355,13 @@ class TestDeltaStability:
             return D
 
         Da, Db = difference_matrix(Na), difference_matrix(Nb)
-        vecs = rng.standard_normal((Na * Nb, 6))
-        vecs[:, 2:4] *= rng.random((Na * Nb, 2)) < 0.1
-        vecs[:, 4] *= 1e-8
-        vecs[:, 5] *= 1e8
+        vecs = rng.standard_normal((Na * Nb, 75))
+        assert vecs.shape[1] > 2 * STABILITY_BLOCK and vecs.shape[1] % STABILITY_BLOCK
+        # sparse and scaled columns in the first block and in the partial last one
+        for c in (2, 3, 71, 72):
+            vecs[:, c] *= rng.random(Na * Nb) < 0.1
+        vecs[:, [4, 73]] *= 1e-8
+        vecs[:, [5, 74]] *= 1e8
         expect = np.empty(vecs.shape[1])
         for c in range(vecs.shape[1]):
             phi = vecs[:, c].reshape(Na, Nb)
