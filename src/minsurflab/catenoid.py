@@ -18,7 +18,6 @@ graph of the prescribed high-mode data over the cut sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -280,12 +279,11 @@ class _NeckGeometry:
         self.conj = conj
         self.mfac = self.phi ** ((n + 2) / 2.0)
 
-    def surface_points(self, w_hat_vals: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    def surface_points(self, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Ambient points (3, hi - lo, Nb) of the perturbed surface on the
-        grid rows lo:hi, from the rows lo:hi of w_hat_vals."""
+        grid rows lo:hi, from w, the scaled field's values on those rows."""
         g = self.grid
         rows = slice(lo, hi)
-        w = w_hat_vals[rows]
         F = self.phi[rows, None] + w * self.alpha_theta[rows, None]
         G = self.psi[rows, None] + w * self.alpha_vert[rows, None]
         return np.stack([F * g.t[None, :], F * g.sinb[None, :], G])
@@ -303,7 +301,10 @@ class _NeckGeometry:
         m = k + 4
         g = self.grid
         w_hat = collocation_from_rows(w.values[:, :m], g) / self.eps_len
-        points = partial(self.surface_points, w_hat)
+
+        def points(lo: int, hi: int) -> np.ndarray:
+            return self.surface_points(w_hat[lo:hi], lo, hi)
+
         h = float(self.s[1] - self.s[0])
         H = uniform_surface(points, g, h, rows=m).mean_curvature(self.n)
         return -self.eps_len * self.mfac[:k, None] * H[:k]
@@ -411,22 +412,27 @@ def build_catenoid_piece(
 
 def _oracle_residual(n, grid, scales, w) -> float:
     """Largest mean curvature of the piece on an offset grid at half the
-    step: the band rows are resampled there by a not-a-knot spline
-    (diffops.NotAKnotSpline) and the surface is differenced at order 4.
-    The resampled rows and their collocation values are taken whole; the
-    surface points are built block by block as the curvature engine walks
-    the grid, so the oracle never holds the whole surface."""
+    step, away from its 4 end rows: the band rows are resampled there by a
+    not-a-knot spline (diffops.NotAKnotSpline) and the surface is
+    differenced at order 4.  The oracle's rows are made block by block as
+    the curvature engine walks the grid: each block evaluates the spline at
+    its own nodes only, collocates those rows and builds their points, and
+    sup |H| is taken as a running maximum over the blocks.  Neither the
+    resampled rows, nor their collocation values, nor the surface, nor H
+    is ever held whole."""
     s = w.grid.s
     h = w.grid.step
     s_fine = (s[0] + 0.37 * h) + (h / 2.0) * np.arange(2 * (s.size - 4))
     s_fine = s_fine[s_fine <= s[-1] - 2 * h]
-    rows_fine = NotAKnotSpline(s, w.values)(s_fine)
+    spline = NotAKnotSpline(s, w.values)
     geo_f = _NeckGeometry(n, s_fine, grid, scales.eps_len)
-    w_hat = collocation_from_rows(rows_fine, grid) / scales.eps_len
-    points = partial(geo_f.surface_points, w_hat)
-    H = uniform_surface(points, grid, h / 2.0, order=4, rows=s_fine.size).mean_curvature(n)
-    interior = slice(4, -4)
-    return float(np.max(np.abs(H[interior])))
+
+    def points(lo: int, hi: int) -> np.ndarray:
+        w_hat = collocation_from_rows(spline(s_fine[lo:hi]), grid) / scales.eps_len
+        return geo_f.surface_points(w_hat, lo, hi)
+
+    surface = uniform_surface(points, grid, h / 2.0, order=4, rows=s_fine.size)
+    return surface.max_abs_mean_curvature(n, margin=4)
 
 
 def _catenoid_cauchy(geo: _NeckGeometry, scales: Scales, w: BandField):

@@ -225,6 +225,7 @@ def _export_rows(name: str, x: np.ndarray, values: np.ndarray, path: Path):
 
 
 def cmd_neck(cfg: RunConfig, out: Path) -> int:
+    from .catenoid import contraction_median
     from .gluing import prepare_glue
     from .neck import RigidParams, build_neck_piece, cauchy_T
     from .spectral import SphereField
@@ -250,6 +251,8 @@ def cmd_neck(cfg: RunConfig, out: Path) -> int:
             "eps": sc.eps, "r_eps": sc.r_eps, "r0": patch.grid.r_out,
             "residual_rel": piece.residual_rel,
             "iterations": piece.iterations,
+            "contraction_median": contraction_median(piece.contractions),
+            "last_contraction": piece.contractions[-1] if piece.contractions else None,
             "cauchy_gap": gap,
             "cauchy_gap_over_reps2": gap / sc.r_eps**2,
             "cauchy_gap_over_ball": over_ball,

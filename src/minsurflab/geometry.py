@@ -32,6 +32,11 @@ P_ab, and each derivative takes one inverse FFT.  Each row's stencil, FFT
 and elementwise form is independent of the block it is computed in, so the
 blocked result is bit-identical to a whole-chart evaluation with one d_beta
 call per component and derivative.
+
+mean_curvature and second_fundamental_sq return the whole chart's values.
+The oracles need only sup |H| away from the chart's ends, and
+max_abs_mean_curvature takes it block by block from the same per-block H, so
+an oracle on a row-function chart holds nothing the size of the chart.
 """
 
 from __future__ import annotations
@@ -134,13 +139,35 @@ class OrbitSurface:
         NN = np.einsum("kij,kij->ij", Pbb, Nvec)
         return E, F, G, L, M, NN, Nvec
 
-    def mean_curvature(self, n: int) -> np.ndarray:
-        H = np.empty((self.rows, self.grid.t.size))
+    def _mean_curvature_blocks(self, n: int):
+        """Yield (rows, H of those rows) block by block."""
         for rows, P, (E, F, G, L, M, NN, Nvec) in self._blocks():
             det = E * G - F * F
             h2 = (G * L - 2 * F * M + E * NN) / det
-            H[rows] = h2 - (n - 2) * Nvec[1] / P[1]
+            yield rows, h2 - (n - 2) * Nvec[1] / P[1]
+
+    def mean_curvature(self, n: int) -> np.ndarray:
+        H = np.empty((self.rows, self.grid.t.size))
+        for rows, Hb in self._mean_curvature_blocks(n):
+            H[rows] = Hb
         return H
+
+    def max_abs_mean_curvature(self, n: int, margin: int) -> float:
+        """sup |H| over the rows margin <= i < rows - margin: the bits of
+        np.max(np.abs(H[margin:rows - margin])) without holding H.  Each
+        block gives max(Hb.max(), -Hb.min()) and np.max keeps the running
+        maximum, so a NaN stays NaN.  An empty interior raises ValueError,
+        as np.max does."""
+        lo, hi = margin, self.rows - margin
+        if lo >= hi:
+            raise ValueError(f"no rows inside the margin {margin} of {self.rows} rows")
+        top = -np.inf
+        for rows, Hb in self._mean_curvature_blocks(n):
+            a, b = max(lo, rows.start), min(hi, rows.stop)
+            if a < b:
+                Hb = Hb[a - rows.start:b - rows.start]
+                top = np.max((top, Hb.max(), -Hb.min()))
+        return float(top)
 
     def second_fundamental_sq(self, n: int) -> np.ndarray:
         """|A|^2 = kappa_1^2 + kappa_2^2 + (n - 2) kappa_rot^2."""

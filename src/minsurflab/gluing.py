@@ -445,7 +445,8 @@ def stack_tower(
 ) -> tuple:
     """Stack K glues on the seed; returns (GluedSurface | seed, TowerReport).
 
-    schedule None means default_schedule(K - 1, recorded_eps0(kappa)).
+    schedule holds one eps per glued level, K - 1 in all, each under its
+    bound; None means default_schedule(K - 1, recorded_eps0(kappa)).
     tol_match and delta reach every level's glue_end.  The seed is never
     changed: a failed level's partial report holds the levels before it.
     """
@@ -454,9 +455,11 @@ def stack_tower(
     eps0 = recorded_eps0(kappa)
     if schedule is None:
         schedule = default_schedule(K - 1, eps0)
-    if len(schedule) < K - 1:
-        raise PreconditionError("schedule shorter than the tower")
-    for k, e in enumerate(schedule[: K - 1]):
+    if len(schedule) != K - 1:
+        raise PreconditionError(
+            f"schedule has {len(schedule)} eps; a tower of K={K} glues K - 1 = {K - 1} levels"
+        )
+    for k, e in enumerate(schedule):
         bound = _schedule_bound(k, eps0)
         if not (0 < e < bound):
             raise PreconditionError(

@@ -118,8 +118,8 @@ def graph_residual(u: BandField) -> tuple:
     rho_f = rho_f[:-1] + 0.37 * (rho_f[1] - rho_f[0])
     vals_f = grid.interp_matrix(np.exp(rho_f)) @ collocation_from_rows(u.values, g)
     P = graph_orbit_points(np.exp(rho_f), g, vals_f)
-    H = uniform_surface(P, g, rho_f[1] - rho_f[0], order=4).mean_curvature(n)
-    sup_H = float(np.max(np.abs(H[3:-3])))
+    surface = uniform_surface(P, g, rho_f[1] - rho_f[0], order=4)
+    sup_H = surface.max_abs_mean_curvature(n, margin=3)
     A2 = graph_surface(u).second_fundamental_sq(n)
     return sup_H, sup_H / max(float(np.sqrt(np.max(A2))), 1.0 / grid.r_out)
 
@@ -249,7 +249,8 @@ def poisson_neck(op: BandOperator, h_II: SphereField) -> BandField:
 @dataclass
 class NeckPiece:
     """Converged opened-neck graph: its height, oracle residuals, inner
-    Cauchy data, outer deviation slope and Picard iteration count."""
+    Cauchy data, outer deviation slope, and the iteration count and
+    contraction factors of the Picard loop that found it."""
 
     scales: Scales
     rigid: RigidParams
@@ -260,6 +261,7 @@ class NeckPiece:
     cauchy_inner: tuple  # ring-frame (value, r_eps d_r) SphereField pair
     outer_slope: SphereField  # r0 d_r of the deviation from the base graph at r0
     iterations: int
+    contractions: list
 
 
 def build_neck_piece(
@@ -323,7 +325,7 @@ def build_neck_piece(
         return solve_mixed(op, graph_defect(op, backdrop, H_base_vals, wt + v))
 
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
-    v, it, _ = picard(
+    v, it, contractions = picard(
         update, BandField.zeros(spec, grid), 1e-8, floor, 40,
         stage=f"neck (eps={scales.eps:.3e})",
     )
@@ -351,6 +353,7 @@ def build_neck_piece(
         cauchy_inner=(inner_val, inner_slope),
         outer_slope=(V - base).d_trace(-1),
         iterations=it,
+        contractions=contractions,
     )
 
 

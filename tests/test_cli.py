@@ -119,8 +119,8 @@ SUMMARY_KEYS = {
         "cauchy_gap", "cauchy_gap_over_reps2",
     },
     "neck_summary.json": {
-        "eps", "r_eps", "r0", "residual_rel", "iterations", "cauchy_gap", "cauchy_gap_over_reps2",
-        "cauchy_gap_over_ball",
+        "eps", "r_eps", "r0", "residual_rel", "iterations", "contraction_median",
+        "last_contraction", "cauchy_gap", "cauchy_gap_over_reps2", "cauchy_gap_over_ball",
     },
     "verify_report.json": {"mc_residual", "curvature_outside_boxes", "boxes", "embeddedness"},
 }
@@ -147,6 +147,10 @@ class TestRun:
         assert numbers and np.all(np.isfinite(numbers))
         if command == "verify":
             assert report["mc_residual"]["max_rel"] <= 2 * RunConfig().tol_solver
+        if command == "neck":
+            # the Picard loop's contraction factors, as the catenoid piece reports them
+            for key in ("contraction_median", "last_contraction"):
+                assert isinstance(report[key], float) and np.isfinite(report[key]), key
         if command in BAND_CSV:
             name, header = BAND_CSV[command]
             lines = (tmp_path / name).read_text().splitlines()
@@ -291,6 +295,21 @@ class TestRun:
     def test_report_with_a_non_finite_number_is_refused(self, tmp_path):
         with pytest.raises(ValueError):
             dump_json({"x": float("nan")}, tmp_path / "r.json")
+
+    def test_tower_refuses_a_schedule_longer_than_its_levels(self, tmp_path, monkeypatch,
+                                                             caplog):
+        # K=2 glues one level; 0.9 would never be held to its bound
+        def glued(*args, **kwargs):
+            raise ContractionError("a level was glued")
+
+        monkeypatch.setattr(gluing, "glue_end", glued)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"K": 2, "eps_schedule": [1e-4, 0.9]}))
+        with caplog.at_level(logging.ERROR, logger="minsurflab.cli"):
+            rc = main(["tower", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "schedule has 2 eps; a tower of K=2 glues K - 1 = 1 levels" in caplog.text
+        assert not (tmp_path / "o" / "tower_report.json").exists()
 
     def test_unsettled_tower_level_exits_with_solver_code(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

@@ -4,8 +4,10 @@ mean_curvature and second_fundamental_sq are checked for bit equality
 against the whole-chart evaluation they replaced, kept here as the
 reference: on array charts of every kind, and on uniform-grid charts given
 as row functions, whose blocks are differenced on their own rows plus a
-halo.  The engine's peak memory is bounded by a fraction of the chart's own
-size, and a row-function chart is fetched one block at a time.
+halo.  max_abs_mean_curvature is checked against sup |H| of the same
+reference between the margins.  The engine's peak memory is bounded by a
+fraction of the chart's own size, the reduction's by one block's
+temporaries, and a row-function chart is fetched one block at a time.
 """
 
 import tracemalloc
@@ -152,6 +154,71 @@ class TestBlockedEngine:
         grid = ZonalGrid(3, 8, 48)
         P, h = uniform_chart(2 * BLOCK + tail, grid, np.random.default_rng(tail))
         check_uniform(P, grid, h, order, 3)
+
+    @PROPERTY
+    @given(
+        kind=st.sampled_from(["array", "rows"]),
+        order=st.sampled_from([2, 4]),
+        margin=st.integers(0, 5),
+        Na=st.one_of(ROWS, st.integers(3 * BLOCK + 1, 4 * BLOCK - 1)),
+        n=st.integers(3, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_max_abs_equals_whole_chart_reference(self, kind, order, margin, Na, n, seed):
+        # sup |H| between the margins, block by block, is the whole H's to the bit
+        grid = ZonalGrid(n, 8, 48)
+        P, h = uniform_chart(Na, grid, np.random.default_rng(seed))
+        d_a = lambda F: fd_derivative(F, h, 0, 1, order)  # noqa: E731
+        d_aa = lambda F: fd_derivative(F, h, 0, 2, order)  # noqa: E731
+        H_ref = reference_mean_curvature(P, reference_forms(P, grid, d_a, d_aa), n)
+        chart = P if kind == "array" else RowFunction(P)
+        surf = uniform_surface(chart, grid, h, order=order, rows=Na)
+        interior = H_ref[margin:Na - margin]
+        if interior.size == 0:
+            with pytest.raises(ValueError):
+                surf.max_abs_mean_curvature(n, margin)
+            return
+        assert surf.max_abs_mean_curvature(n, margin) == np.max(np.abs(interior))
+
+    def test_max_abs_on_a_collocation_chart_and_its_edge_cases(self):
+        grid = ZonalGrid(3, 8, 48)
+        r, D1 = cheb_nodes_matrix(BLOCK + 9, 1.0, 2.0)
+        P = smooth_chart(r, grid, np.random.default_rng(3))
+        surf = matrix_surface(P, grid, D1)
+        H = surf.mean_curvature(3)
+        for margin in (0, 1, 9, 10, 64):
+            interior = H[margin:H.shape[0] - margin]
+            assert surf.max_abs_mean_curvature(3, margin) == np.max(np.abs(interior))
+        # an empty interior raises, as np.max of an empty array does
+        for margin in ((BLOCK + 9) // 2 + 1, BLOCK + 9):
+            with pytest.raises(ValueError, match="no rows inside the margin"):
+                surf.max_abs_mean_curvature(3, margin)
+        # a NaN anywhere between the margins is the result, not skipped
+        bad = P.copy()
+        bad[2, BLOCK + 2, 5] = np.nan
+        assert np.isnan(matrix_surface(bad, grid, D1).max_abs_mean_curvature(3, 1))
+
+    def test_max_abs_peak_is_one_block_not_the_chart(self):
+        # the reduction holds no H: its peak is one block's temporaries
+        # (about 61 block-sized arrays, with the FFTs' complex ones), the
+        # same for a row-function chart of 3 blocks and of 48; mean_curvature
+        # on 48 blocks peaks at about 109, H taking 48 of them
+        grid = ZonalGrid(3, 8, 48)
+        block_bytes = BLOCK * grid.t.size * 8
+        peaks = []
+        for blocks in (3, 48):
+            P, h = uniform_chart(blocks * BLOCK, grid, np.random.default_rng(0))
+            surf = uniform_surface(RowFunction(P), grid, h, order=4, rows=blocks * BLOCK)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                surf.max_abs_mean_curvature(3, 4)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + block_bytes
+        assert peaks[1] <= 64 * block_bytes
 
     def test_peak_memory_bounded_by_chart_size(self):
         grid = ZonalGrid(3, 8, 48)

@@ -306,6 +306,19 @@ class TestTower:
         with pytest.raises(PreconditionError, match="bound"):
             stack_tower(3, surf, schedule=[1e-4, 1e-4])
 
+    @pytest.mark.parametrize("schedule", [[], [1e-4, 0.9], [1e-4, 1e-9, 1e-12]])
+    def test_schedule_of_the_wrong_length_rejected(self, spectrum, profile, monkeypatch,
+                                                   schedule):
+        # K=2 glues one level: an entry past the first would never be held
+        # to its bound, so no level is glued at all
+        def glued(*args, **kwargs):
+            raise AssertionError("a level was glued")
+
+        monkeypatch.setattr(gluing, "glue_end", glued)
+        surf = seed_catenoid(profile, spectrum, scale=0.3)
+        with pytest.raises(PreconditionError, match="schedule has .* a tower of K=2 glues"):
+            stack_tower(2, surf, schedule=schedule)
+
 
 def refuse_embeddedness(glued):
     return {"embedded": False, "min_separation": -1.0, "witness": [0.0, 0.0, 0.0]}
