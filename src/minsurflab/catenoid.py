@@ -13,6 +13,10 @@ The nonlinear solve perturbs the truncated scaled catenoid along a
 transition field that is vertical at the cut ring and normal beyond one
 unit up; its fixed point realizes a minimal piece whose boundary is the
 graph of the prescribed high-mode data over the cut sphere.
+
+Every solve here (solve_GS, solve_PS, build_catenoid_piece) is the same for
+every weight delta that admissible_delta admits, so none takes delta; the
+weight is checked by RunConfig.validate, glue_end and nondegeneracy_check.
 """
 
 from __future__ import annotations
@@ -44,13 +48,6 @@ class ContractionError(RuntimeError):
     """Fixed-point iteration failed to contract."""
 
 
-def contraction_median(contractions: list) -> float:
-    """Median of the finite contraction factors without the first and the
-    last (start-up and settling transients); 0.0 when none remain."""
-    tail = [c for c in contractions[1:-1] if np.isfinite(c)]
-    return float(np.median(tail)) if tail else 0.0
-
-
 def picard(step, v0, tol: float, floor: float, max_iter: int, *, stage: str):
     """Iterate v <- step(v) on band-row fields until the update settles.
 
@@ -62,7 +59,7 @@ def picard(step, v0, tol: float, floor: float, max_iter: int, *, stage: str):
     propagate.  An update whose norm or scale is not finite raises
     ContractionError at once, naming the stage, the iteration and the
     update-norm history; so does an iteration that has not settled after
-    max_iter steps, naming the median contraction instead.
+    max_iter steps, naming the last contraction factor too.
     """
     v = v0
     history = []
@@ -83,10 +80,10 @@ def picard(step, v0, tol: float, floor: float, max_iter: int, *, stage: str):
         v = v_new
         if it >= 2 and (dnorm <= tol * scale or stalled):
             return v, it, contractions
+    last = f"{contractions[-1]:.3f}" if contractions else "none"
     raise ContractionError(
         f"{stage} iteration did not converge in {max_iter} iterations "
-        f"(median contraction {contraction_median(contractions):.3f}); "
-        f"update norms {['%.2e' % d for d in history]}"
+        f"(last contraction {last}); update norms {['%.2e' % d for d in history]}"
     )
 
 
@@ -174,8 +171,7 @@ def solve_GS(f: BandField) -> BandField:
 
     Bands l >= 2: Dirichlet 0 at the cut, decaying Robin at the far
     truncation.  Bands l <= 1: double-decaying kernel; no trace may be
-    imposed.  The solve is the same for every weight admissible_delta admits,
-    which RunConfig.validate, glue_end and nondegeneracy_check check.
+    imposed.
     """
     spec = f.spectrum
     n = spec.n
@@ -208,8 +204,6 @@ def solve_PS(g_II: SphereField, s_grid: np.ndarray) -> BandField:
     Built as the explicit flat decaying extension w0 of the trace data plus
     a correction solve against the potential term, on the uniform grid
     s_grid, whose first node is the cut.  g_II must have no low-mode content.
-    Like solve_GS it is the same for every weight admissible_delta admits,
-    which RunConfig.validate, glue_end and nondegeneracy_check check.
     """
     spec = g_II.spectrum
     n = spec.n
@@ -242,7 +236,6 @@ class CatenoidPiece:
 
     scales: Scales
     w: BandField
-    h_II: SphereField
     residual: float  # oracle sup |H| at unit neck scale
     cauchy: tuple  # (value trace, scaled radial slope trace) as SphereFields
     iterations: int
@@ -338,8 +331,7 @@ def build_catenoid_piece(
     conjugated mean curvature of the realized transition-field surface.
     scales is compute_scales(profile, eps) at the glue's eps, which the
     caller already holds; tol bounds the oracle mean-curvature residual at
-    unit neck scale.  The solve is the same for every weight admissible_delta
-    admits, which RunConfig.validate, glue_end and nondegeneracy_check check.
+    unit neck scale.
     """
     n = profile.n
     eps = scales.eps
@@ -402,7 +394,6 @@ def build_catenoid_piece(
     return CatenoidPiece(
         scales=scales,
         w=w,
-        h_II=h_II,
         residual=res_unit,
         cauchy=cauchy,
         iterations=it,
@@ -458,16 +449,7 @@ def simple_cauchy_catenoid(scales: Scales, h_II: SphereField):
     return value, slope
 
 
-def pair_norm(pair) -> float:
-    """Surrogate product norm of a (value, slope) trace pair."""
-    return pair[0].holder_norm() + pair[1].holder_norm()
-
-
-def cauchy_maps_catenoid(piece: CatenoidPiece) -> tuple:
-    """(solved pair, simple pair, gap): the piece's solved Cauchy data, the
-    closed-form simple data for its scales and h_II, and the pair_norm of
-    their difference.  The piece is not changed."""
-    s_eps_pair = piece.cauchy
-    s0_pair = simple_cauchy_catenoid(piece.scales, piece.h_II)
-    gap = pair_norm((s_eps_pair[0] - s0_pair[0], s_eps_pair[1] - s0_pair[1]))
-    return s_eps_pair, s0_pair, gap
+def cauchy_gap(solved: tuple, simple: tuple) -> float:
+    """Gap between a piece's solved (value, slope) Cauchy pair and its
+    closed-form simple pair: the sum of the two slots' Holder norms."""
+    return (solved[0] - simple[0]).holder_norm() + (solved[1] - simple[1]).holder_norm()

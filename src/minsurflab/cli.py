@@ -186,24 +186,30 @@ def cmd_profile(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_catenoid_piece(cfg: RunConfig, out: Path) -> int:
-    from .catenoid import build_catenoid_piece, cauchy_maps_catenoid, contraction_median
-    from .profile import compute_scales
+def _band2_datum(spec, sc):
+    """The piece commands' boundary datum: band 2 scaled to 0.3 r_eps^2."""
     from .spectral import SphereField
+
+    h = SphereField.zonal_band(spec, 2, 1.0)
+    return h * (0.3 * sc.r_eps**2 / h.holder_norm())
+
+
+def cmd_catenoid_piece(cfg: RunConfig, out: Path) -> int:
+    from .catenoid import build_catenoid_piece, cauchy_gap, simple_cauchy_catenoid
+    from .profile import compute_scales
 
     spec, prof = _context(cfg)
     sc = compute_scales(prof, cfg.eps)
-    h = SphereField.zonal_band(spec, 2, 1.0)
-    h = h * (0.3 * sc.r_eps**2 / h.holder_norm())
+    h = _band2_datum(spec, sc)
     piece = build_catenoid_piece(prof, sc, h, cfg.kappa, cfg.tol_solver)
-    _, _, gap = cauchy_maps_catenoid(piece)
+    gap = cauchy_gap(piece.cauchy, simple_cauchy_catenoid(sc, h))
     _export_rows("s", piece.w.grid.s, piece.w.values, out / "catenoid_piece.csv")
     dump_json(
         {
             "eps": sc.eps, "s_eps": sc.s_eps, "r_eps": sc.r_eps,
             "residual_unit": piece.residual,
             "iterations": piece.iterations,
-            "contraction_median": contraction_median(piece.contractions),
+            "last_contraction": piece.contractions[-1] if piece.contractions else None,
             "cauchy_gap": gap,
             "cauchy_gap_over_reps2": gap / sc.r_eps**2,
         },
@@ -225,9 +231,9 @@ def _export_rows(name: str, x: np.ndarray, values: np.ndarray, path: Path):
 
 
 def cmd_neck(cfg: RunConfig, out: Path) -> int:
-    from .catenoid import contraction_median
+    from .catenoid import cauchy_gap
     from .gluing import prepare_glue
-    from .neck import RigidParams, build_neck_piece, cauchy_T
+    from .neck import RigidParams, build_neck_piece, simple_cauchy_neck
     from .spectral import SphereField
 
     # the glue's own site patch, r0 and Green's function, so the command
@@ -236,12 +242,11 @@ def cmd_neck(cfg: RunConfig, out: Path) -> int:
     spec, sc, patch = ctx.surface.spectrum, ctx.scales, ctx.site.patch
     b = sc.r_eps**2
     A = RigidParams(0.0, 0.0, 0.1 * b, 0.0)
-    h2 = SphereField.zonal_band(spec, 2, 1.0)
-    h2 = h2 * (0.3 * b / h2.holder_norm())
+    h2 = _band2_datum(spec, sc)
     h0 = SphereField.zeros(spec)
     piece = build_neck_piece(patch, sc, A, h0, h2, cfg.tol_solver, kappa=cfg.kappa,
                              green=ctx.green)
-    _, _, gap = cauchy_T(piece)
+    gap = cauchy_gap(piece.cauchy_inner, simple_cauchy_neck(sc, A, h2))
     _export_rows("r", piece.V.grid.r, piece.V.values, out / "neck_piece.csv")
     # the gap in units of the glue's working ball kappa r_eps^2; a gap
     # outside the ball exits like a failed certificate
@@ -251,7 +256,6 @@ def cmd_neck(cfg: RunConfig, out: Path) -> int:
             "eps": sc.eps, "r_eps": sc.r_eps, "r0": patch.grid.r_out,
             "residual_rel": piece.residual_rel,
             "iterations": piece.iterations,
-            "contraction_median": contraction_median(piece.contractions),
             "last_contraction": piece.contractions[-1] if piece.contractions else None,
             "cauchy_gap": gap,
             "cauchy_gap_over_reps2": gap / sc.r_eps**2,

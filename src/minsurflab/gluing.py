@@ -12,7 +12,7 @@ C_0(t) - C_eps(t) drives the true mismatch to the matching tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -285,15 +285,9 @@ def assemble_glued_surface(ctx, t, cat: CatenoidPiece, neck: NeckPiece, mis_norm
     psi_inf = psi_infinity(surf.profile)
     plane_height = ring_height + eps_len * (psi_inf - psi_cut)
     # the new end's axis: the site moved by the axial translation T
-    axis_center = np.append(site.center_xy, ring_height - eps_len * psi_cut)
-    axis_center[0] += t.A.T
-    end = EndModel(
-        a=eps_len,
-        w=cat.w,
-        orientation=+1,
-        axis_center=axis_center,
-        plane_height=float(plane_height),
-    )
+    axis_xy = site.center_xy.copy()
+    axis_xy[0] += t.A.T
+    end = EndModel(a=eps_len, w=cat.w, axis_xy=axis_xy, plane_height=float(plane_height))
     # neck box: |A| < 1 outside; the box contains the full scaled waist
     phi_star = (np.sqrt(n * (n - 1.0)) / eps_len) ** (1.0 / n)
     s_star = float(np.log(2 * phi_star))
@@ -378,8 +372,8 @@ def _new_end_tilt(glued: GluedSurface) -> float:
 
 
 def _seed_neck_box(surface: OuterSurface) -> NeckBox:
-    """Box around the seed's neck: half-width 1.3 a phi_star and height
-    1.2 a psi(s_star) on either side of the core, where phi_star =
+    """Box around the seed's neck at the origin: half-width 1.3 a phi_star
+    and height 1.2 a psi(s_star) on either side of the core, where phi_star =
     max((sqrt(n(n-1))/a)^(1/n), 1.05) and s_star solves phi(s_star) =
     phi_star through the closed form phi(s) = cosh((n-1) s)^(1/(n-1)):
     s_star = arccosh(phi_star^(n-1)) / (n-1)."""
@@ -390,10 +384,9 @@ def _seed_neck_box(surface: OuterSurface) -> NeckBox:
     s_star = float(np.arccosh(phi_star ** (n - 1)) / (n - 1))
     psis = profile_values(n, np.array([s_star]))[2][0]
     return NeckBox(
-        center_xy=surface.core_center[:n].copy(),
+        center_xy=np.zeros(n),
         halfwidth=float(1.3 * a * phi_star),
-        z_range=(float(surface.core_center[-1] - 1.2 * a * psis),
-                 float(surface.core_center[-1] + 1.2 * a * psis)),
+        z_range=(float(-1.2 * a * psis), float(1.2 * a * psis)),
         c_j=1.1 * np.sqrt(n * (n - 1.0)) / a,
     )
 
@@ -411,17 +404,10 @@ class TowerReport:
     improperness_ratios: list
 
     def to_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "plane_heights": self.plane_heights,
-            "separations": self.separations,
-            "slab": list(self.slab),
-            "slab_bound": self.slab_bound,
-            "curvature_outside_boxes": self.curvature_outside,
-            "boxes": self.boxes,
-            "certificates": self.certificates,
-            "improperness_ratios": self.improperness_ratios,
-        }
+        """The fields by name, curvature_outside as curvature_outside_boxes."""
+        d = asdict(self)
+        d["curvature_outside_boxes"] = d.pop("curvature_outside")
+        return d
 
 
 def _schedule_bound(k: int, eps0: float) -> float:

@@ -22,7 +22,6 @@ from .catenoid import (
     PreconditionError,
     ResidualError,
     in_working_ball,
-    pair_norm,
     picard,
     smooth_step,
 )
@@ -252,9 +251,6 @@ class NeckPiece:
     Cauchy data, outer deviation slope, and the iteration count and
     contraction factors of the Picard loop that found it."""
 
-    scales: Scales
-    rigid: RigidParams
-    h_II: SphereField
     V: BandField  # total height over the reference plane (unshifted)
     residual: float
     residual_rel: float
@@ -344,9 +340,6 @@ def build_neck_piece(
     inner_slope = V.d_trace(0)
 
     return NeckPiece(
-        scales=scales,
-        rigid=A,
-        h_II=h_II,
         V=V,
         residual=sup_H,
         residual_rel=res_rel,
@@ -381,12 +374,3 @@ def simple_cauchy_neck(scales: Scales, A: RigidParams, h_II: SphereField):
     slope.c[0] += -scales.eps * r_eps ** (2 - n) - A.e * r_eps ** (2 - n)
     slope.c[1] += r_eps * A.R + (1 - n) * scales.eps * r_eps ** (1 - n) * A.T
     return value, slope
-
-
-def cauchy_T(piece: NeckPiece) -> tuple:
-    """(solved pair, simple pair, gap): the piece's inner Cauchy data, the
-    closed-form simple data for its scales, rigid parameters and h_II, and
-    the pair_norm of their difference.  The piece is not changed."""
-    t_eps = piece.cauchy_inner
-    t0 = simple_cauchy_neck(piece.scales, piece.rigid, piece.h_II)
-    return t_eps, t0, pair_norm((t_eps[0] - t0[0], t_eps[1] - t0[1]))

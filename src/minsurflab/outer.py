@@ -1,12 +1,15 @@
 """The noncompact outer surface: ends, the nondegeneracy check, and site
 solvers.
 
-The outer surface carries a core cylinder chart (the seed catenoid), its two
-planar-asymptotic ends in the catenoid band representation, and one
-GlueLevel per earlier gluing, the only record of what that glue added: its
-pieces, its site, its new end and its NeckBox.  A glue works at one Site on
-the top end, which assemble_outer returns with that end, without changing
-the surface.  The site's patch and exterior are graph patches, as in the
+The outer surface carries a core cylinder chart (the seed catenoid, centered
+at the origin), its two planar-asymptotic ends in the catenoid band
+representation, and one GlueLevel per earlier gluing, the only record of
+what that glue added: its pieces, its site, its new end and its NeckBox.  A
+glue works at one Site on the top end, which assemble_outer returns with
+that end, without changing the surface.  The top end always opens upward:
+every glued end does, and the seed's lower end, the only one that opens
+downward, has the lowest plane.  That end enters only through its plane
+height.  The site's patch and exterior are graph patches, as in the
 neck module: the end's height about the site as a BandField on a RadialGrid,
 whose r_out is the patch's outer radius.  Ring-data solves are localized at
 the site: responses to data on the small ring decay like exterior
@@ -82,12 +85,13 @@ def _end_splines(n: int):
 
 @dataclass
 class EndModel:
-    """A planar-asymptotic end in the scaled catenoid band representation."""
+    """A planar-asymptotic end in the scaled catenoid band representation,
+    opening upward from its asymptotic plane.  The seed's lower end opens
+    downward; it is never the top end, so only its plane_height is read."""
 
     a: float  # end scale (neck units of its generating catenoid)
     w: BandField | None  # decaying perturbation rows (may be None)
-    orientation: int  # +1 opens upward, -1 downward
-    axis_center: np.ndarray  # ambient (n+1,) point on the end's axis
+    axis_xy: np.ndarray  # horizontal (n,) position of the end's axis
     plane_height: float  # ambient height of the asymptotic plane
 
     def height_profile(self, n: int, R: np.ndarray):
@@ -178,7 +182,6 @@ class OuterSurface:
     profile: ProfileTable
     spectrum: BandSpectrum
     core_scale: float
-    core_center: np.ndarray  # ambient (n+1,)
     seed_ends: list
     glue_levels: list = field(default_factory=list)
     seed_box: NeckBox | None = None
@@ -210,23 +213,11 @@ CORE_STEP = 8e-3
 def seed_catenoid(profile: ProfileTable, spectrum: BandSpectrum, scale: float) -> OuterSurface:
     """The exact catenoid with two planar ends as the tower seed, centered
     at the origin."""
-    n = profile.n
-    psi_inf = psi_infinity(profile)
-    ends = [
-        EndModel(
-            a=scale, w=None, orientation=orientation,
-            axis_center=np.zeros(n + 1),
-            plane_height=float(orientation * scale * psi_inf),
-        )
-        for orientation in (+1, -1)
-    ]
-    return OuterSurface(
-        profile=profile,
-        spectrum=spectrum,
-        core_scale=scale,
-        core_center=np.zeros(n + 1),
-        seed_ends=ends,
-    )
+    top = scale * psi_infinity(profile)
+    # the upper end, then the lower one, kept for its plane height
+    ends = [EndModel(a=scale, w=None, axis_xy=np.zeros(profile.n), plane_height=float(h))
+            for h in (top, -top)]
+    return OuterSurface(profile=profile, spectrum=spectrum, core_scale=scale, seed_ends=ends)
 
 
 # -- nondegeneracy ------------------------------------------------------------------
@@ -381,7 +372,7 @@ def find_site(surface: OuterSurface, scales: Scales) -> tuple:
     r0 = min(max(R0_OVER_R_EPS * scales.r_eps, 1e-3 * r_site), r_site / 10.0)
     if r0 < 60.0 * scales.r_eps:
         raise PreconditionError(f"r0={r0:.3e} leaves no room above r_eps={scales.r_eps:.3e}")
-    return end.axis_center[:n] + r_site * np.eye(n)[0], r0
+    return end.axis_xy + r_site * np.eye(n)[0], r0
 
 
 # Chebyshev nodes of the site patch and of the site exterior
@@ -403,7 +394,7 @@ def assemble_outer(
     n = surface.n
     end = surface.top_end()
     xy = np.asarray(center_xy, dtype=float)
-    r_site = float(np.linalg.norm(xy - end.axis_center[:n]))
+    r_site = float(np.linalg.norm(xy - end.axis_xy))
     h_site, g_site = end.height_profile(n, np.array([r_site]))
     if abs(g_site[0]) > scales.r_eps:
         raise PreconditionError(
@@ -420,12 +411,12 @@ def assemble_outer(
             r_site**2 + grid.r[:, None] ** 2 + 2 * r_site * grid.r[:, None] * g.t[None, :]
         )
         h_prof, _ = end.height_profile(n, R_amb.ravel())
-        u_vals = end.orientation * h_prof.reshape(R_amb.shape) - float(end.orientation * h_site[0])
+        u_vals = h_prof.reshape(R_amb.shape) - float(h_site[0])
         return BandField(spec, grid, rows_from_collocation(u_vals, g))
 
     patch = site_field(RadialGrid(scales.r_eps / 8.0, r0, M_RADIAL))
     exterior = site_field(RadialGrid(r0, 0.45 * r_site, M_RADIAL))
-    height = float(end.plane_height + end.orientation * h_site[0])
+    height = float(end.plane_height + h_site[0])
     return Site(patch, exterior, xy, height, r_site, end)
 
 

@@ -237,9 +237,10 @@ def second_fund(glued) -> dict:
     s = np.linspace(-CORE_SPAN, CORE_SPAN, 400)
     phi, _, psi, _ = profile_values(n, s)
     e0 = np.eye(n)[0]
-    # sample points (horizontal, height) and |A|: the core, then each level's pieces
-    xy = [outer.core_center[:n] + e0 * outer.core_scale * phi[:, None]]
-    z = [outer.core_center[-1] + outer.core_scale * psi]
+    # sample points (horizontal, height) and |A|: the core about the origin,
+    # then each level's pieces
+    xy = [e0 * outer.core_scale * phi[:, None]]
+    z = [outer.core_scale * psi]
     A = [np.sqrt(n * (n - 1.0)) * phi ** (-n) / outer.core_scale]
     for level in outer.glue_levels:
         V = level.neck_piece.V
@@ -275,7 +276,8 @@ def embeddedness(glued) -> dict:
     """Certificate: separation positivity, box disjointness, overlap scan.
 
     The new sheet is the newest level of glued.outer, and the old sheet
-    under it is the end its site was cut from (site.end); the boxes are all
+    under it is the end its site was cut from (site.end, which opens
+    upward, as the top end always does); the boxes are all
     of its neck boxes and the planes all of its ends, the new one included.
     Violations return a witness; they are data, not exceptions.
     """
@@ -300,7 +302,7 @@ def embeddedness(glued) -> dict:
         end = site.end
         rr = np.sqrt(site.r_site**2 + radii[outside] ** 2)
         h_prof, _ = end.height_profile(n, rr)
-        lower[outside] = end.plane_height + end.orientation * h_prof
+        lower[outside] = end.plane_height + h_prof
     pts = np.stack([radii, np.zeros_like(radii), np.full_like(radii, ring_h)], axis=1)
     rep = sheet_separation_report(pts, lower, upper)
     boxes = outer.neck_boxes

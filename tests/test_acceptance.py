@@ -21,20 +21,21 @@ from minsurflab.gluing import stack_tower
 from minsurflab.neck import (
     RigidParams,
     build_neck_piece,
-    cauchy_T,
     graph_operator,
     green_function,
+    simple_cauchy_neck,
 )
 from minsurflab.outer import (
     _end_splines,
     assemble_outer,
     cauchy_U_eps,
     find_site,
+    psi_infinity,
     seed_catenoid,
     simple_cauchy_outer,
     solve_outer_nonlinear,
 )
-from minsurflab.catenoid import build_catenoid_piece, cauchy_maps_catenoid, solve_GS
+from minsurflab.catenoid import build_catenoid_piece, cauchy_gap, simple_cauchy_catenoid, solve_GS
 from minsurflab.profile import compute_scales, solve_profile
 from minsurflab.radial import RadialGrid, solve_mixed
 from minsurflab.spectral import SphereField, band_spectrum
@@ -155,7 +156,7 @@ class TestAcceptance:
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
             piece = build_catenoid_piece(profile, sc, h, 1.0, TOL_SOLVER)
-            ratios.append(cauchy_maps_catenoid(piece)[2] / sc.r_eps**2)
+            ratios.append(cauchy_gap(piece.cauchy, simple_cauchy_catenoid(sc, h)) / sc.r_eps**2)
         ok = max(ratios) <= 12.0 and max(ratios) / min(ratios) <= 2.0
         verdict(
             "A3", ok,
@@ -179,7 +180,7 @@ class TestAcceptance:
             hI = hI * (0.1 * b / hI.holder_norm())
             piece = build_neck_piece(patch, sc, A, hI, h2, tol=TOL_SOLVER, kappa=1.0,
                                      green=green_function(patch, sc.r_eps / 4))
-            ratios.append(cauchy_T(piece)[2] / sc.r_eps**2)
+            ratios.append(cauchy_gap(piece.cauchy_inner, simple_cauchy_neck(sc, A, h2)) / sc.r_eps**2)
         ok = max(ratios) <= 12.0 and max(ratios) / min(ratios) <= 2.0
         verdict(
             "A4", ok,
@@ -187,7 +188,7 @@ class TestAcceptance:
         )
 
     def test_A5_outer_cauchy_gap(self, spectrum, profile):
-        def cauchy_gap(site, h, neck):
+        def outer_gap(site, h, neck):
             """U_eps - U_0 at the site with the ring data h."""
             w = solve_outer_nonlinear(site, h, tol=TOL_SOLVER)
             return cauchy_U_eps(w, neck) - simple_cauchy_outer(site, h)
@@ -202,7 +203,7 @@ class TestAcceptance:
             h0 = SphereField.zeros(spectrum)
             piece = build_neck_piece(site.patch, sc, RigidParams.zeros(), h0, h0, tol=TOL_SOLVER,
                                      kappa=1.0, green=green_function(site.patch, sc.r_eps / 4))
-            gap = cauchy_gap(site, h0, piece).holder_norm()
+            gap = outer_gap(site, h0, piece).holder_norm()
             ratios.append(gap / sc.r_eps ** (N - 2.0 / 3.0))
         sweep_ok = max(ratios) <= 8.0 and max(ratios) / min(ratios) <= 2.0
 
@@ -214,7 +215,7 @@ class TestAcceptance:
         Rs = np.geomspace(2, 1e4, 2000)
         _, g_ = end.height_profile(N, Rs)
         idx = int(np.argmin(np.abs(np.abs(g_) - 0.7 * sc.r_eps)))
-        site = assemble_outer(surf, R0, end.axis_center[:N] + Rs[idx] * np.eye(N)[0], sc)
+        site = assemble_outer(surf, R0, end.axis_xy + Rs[idx] * np.eye(N)[0], sc)
         green = green_function(site.patch, sc.r_eps / 4)
 
         def gap_field(amp):
@@ -224,7 +225,7 @@ class TestAcceptance:
                 site.patch, sc, RigidParams.zeros(), h, SphereField.zeros(spectrum),
                 tol=TOL_SOLVER, kappa=1e9, green=green,
             )
-            return cauchy_gap(site, h, piece)
+            return outer_gap(site, h, piece)
 
         D0 = gap_field(0.0)
         amp = 1e-3
@@ -282,6 +283,19 @@ class TestAcceptance:
             f"separation ratios {['%.3f' % r for r in ratios]} (geometric decay); "
             f"sup|A| outside boxes {report.curvature_outside:.3f} < 1",
         )
+
+    def test_A7_every_level_glues_onto_the_upward_top_end(self, tower, profile):
+        # each site is cut from the highest end of the surface it was glued
+        # onto, and that end's plane lies above the seed's lower plane, the
+        # one end that opens downward: no glue reads a downward end
+        glued4, _ = tower
+        outer = glued4.outer
+        lower_plane = -outer.core_scale * psi_infinity(profile)
+        assert min(e.plane_height for e in outer.ends) == lower_plane
+        for k, level in enumerate(outer.glue_levels):
+            ends = outer.seed_ends + [lv.new_end for lv in outer.glue_levels[:k]]
+            assert level.site.end is max(ends, key=lambda e: e.plane_height)
+            assert level.site.end.plane_height > lower_plane
 
     def test_A7_tower_report_json(self, tower, tmp_path):
         from minsurflab.cli import dump_json

@@ -12,8 +12,7 @@ from minsurflab.catenoid import (
     _NeckGeometry,
     _oracle_residual,
     build_catenoid_piece,
-    cauchy_maps_catenoid,
-    contraction_median,
+    cauchy_gap,
     default_delta,
     grid_profile,
     simple_cauchy_catenoid,
@@ -39,11 +38,16 @@ def piece_zero(spectrum, profile):
 
 
 @pytest.fixture(scope="module")
-def piece_zonal(spectrum, profile):
+def h_zonal(spectrum, profile):
+    """piece_zonal's boundary data: band 2 at 0.5 r_eps^2."""
     sc = compute_scales(profile, EPS)
     h = SphereField.zonal_band(spectrum, 2, 1.0)
-    h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
-    return build_catenoid_piece(profile, sc, h, 1.0, TOL)
+    return h * (0.5 * sc.r_eps**2 / h.holder_norm())
+
+
+@pytest.fixture(scope="module")
+def piece_zonal(profile, h_zonal):
+    return build_catenoid_piece(profile, compute_scales(profile, EPS), h_zonal, 1.0, TOL)
 
 
 class TestBuild:
@@ -76,7 +80,7 @@ class TestBuild:
     def test_zonal_data_converges_quickly(self, piece_zonal):
         assert piece_zonal.iterations <= 25
         assert piece_zonal.residual <= TOL
-        assert contraction_median(piece_zonal.contractions) <= 0.9
+        assert np.median(piece_zonal.contractions) <= 0.9
 
     def test_norm_precondition_rejected(self, spectrum, profile):
         sc = compute_scales(profile, EPS)
@@ -135,14 +139,13 @@ class TestBuild:
         defect = np.max(np.abs(ndotn - 1.0))
         assert defect <= 10.0 * np.exp((2 * N - 2) * piece_zero.scales.s_eps)
 
-    def test_high_mode_trace_reproduced_exactly(self, piece_zonal, profile):
-        sc = piece_zonal.scales
+    def test_high_mode_trace_reproduced_exactly(self, piece_zonal, h_zonal):
         data = grid_profile(N, piece_zonal.w.grid.s)
-        g_expect = piece_zonal.h_II.c[2:] * data["phi"][0] ** ((N - 2) / 2.0)
+        g_expect = h_zonal.c[2:] * data["phi"][0] ** ((N - 2) / 2.0)
         tr = piece_zonal.w.trace(0)
         assert np.allclose(tr.c[2:], g_expect, rtol=1e-12, atol=1e-18)
 
-    def test_boundary_is_graph_of_data_over_cut_sphere(self, piece_zonal, zgrid):
+    def test_boundary_is_graph_of_data_over_cut_sphere(self, piece_zonal, h_zonal, zgrid):
         """Sampled boundary points sit at (r_eps theta, h_II(theta)) up to the
         solve's low-mode trace, which is itself recorded and small."""
         sc = piece_zonal.scales
@@ -153,7 +156,7 @@ class TestBuild:
         horiz = np.hypot(P[0, 0], P[1, 0]) * sc.eps_len
         assert np.max(np.abs(horiz - sc.r_eps)) < 1e-14 * sc.r_eps
         height = P[2, 0] * sc.eps_len - sc.eps_len * geo.psi[0]
-        c = piece_zonal.h_II.c
+        c = h_zonal.c
         expect = c[0] + c[1] * zgrid.t + c[2:] @ zgrid.Z[2:]
         low_trace = (piece_zonal.w.trace(0) * float(geo.conj[0])).c[:2]
         assert np.max(np.abs(height - expect)) <= np.abs(low_trace).sum() + 1e-12 * sc.r_eps**2
@@ -217,13 +220,14 @@ class TestCauchyMaps:
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
             piece = build_catenoid_piece(profile, sc, h, 1.0, TOL)
-            ratios.append(cauchy_maps_catenoid(piece)[2] / sc.r_eps**2)
+            ratios.append(cauchy_gap(piece.cauchy, simple_cauchy_catenoid(sc, h)) / sc.r_eps**2)
         assert max(ratios) < 20.0
         assert max(ratios) / min(ratios) < 1.5
 
     def test_solved_map_limits_to_simple_at_zero_data(self, piece_zero):
-        se, s0, _ = cauchy_maps_catenoid(piece_zero)
         sc = piece_zero.scales
+        se = piece_zero.cauchy
+        s0 = simple_cauchy_catenoid(sc, SphereField.zeros(piece_zero.w.spectrum))
         # value slot: pure low-mode trace of size O(r_eps^2)
         assert se[0].holder_norm() < 20 * sc.r_eps**2
         # slope slot tends to -eps r_eps^{2-n}

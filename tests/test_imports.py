@@ -15,8 +15,11 @@
 - Attributes: each attribute a package class assigns, an annotated field in
   its body or a ``self.x = ...`` in one of its methods, must be read by name
   (an attribute in a load context, or a ``getattr(obj, "x", ...)`` with a
-  constant name) in a package module or in ``bench/*.py``.  State only the
-  tests read is computed by the tests from the public outputs instead.
+  constant name) in a package module or in ``bench/*.py``.  An annotated
+  field of a class one of whose methods calls ``asdict(self)`` is read
+  there, by the call; a same-named field of another class is not.  State
+  only the tests read is computed by the tests from the public outputs
+  instead.
 - Defaults: each parameter with a default must be left out by at least one
   call in a package module or in ``bench/*.py``; a default that every such
   call overrides is reached from the tests alone, and the parameter is
@@ -241,15 +244,35 @@ def _attributes_read(tree) -> set:
     return read
 
 
+def _fields_read_by_asdict(tree) -> set:
+    """'Class.field' of each annotated field of a class of the module one of
+    whose methods calls ``asdict(self)`` (or ``dataclasses.asdict(self)``),
+    which reads every field of the class."""
+    out = set()
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any(isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "asdict"
+               and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"
+               for method in cls.body if isinstance(method, ast.FunctionDef)
+               for node in ast.walk(method)):
+            out |= {f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    return out
+
+
 def unread_attributes(modules: dict, readers: dict) -> list:
     """'module.Class.attribute' of each attribute a class in modules ({name:
     source}) assigns that no module and no reader ({name: source}) reads by
-    name."""
+    name, and that no asdict(self) in the class's own methods reads."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
     read = set().union(*(_attributes_read(t) for t in trees.values()),
                        *(_attributes_read(ast.parse(src)) for src in readers.values()))
+    by_asdict = {mod: _fields_read_by_asdict(tree) for mod, tree in trees.items()}
     return sorted(f"{mod}.{qual}" for mod, tree in trees.items()
-                  for qual, name in _attributes_assigned(tree) if name not in read)
+                  for qual, name in _attributes_assigned(tree)
+                  if name not in read and qual not in by_asdict[mod])
 
 
 def _dict_fields(tree) -> dict:
@@ -501,6 +524,28 @@ def test_the_check_sees_an_unread_attribute():
     # a read in a reader module counts; a write elsewhere does not
     readers = {"bench": "grid.nodes\npiece.history = []\n"}
     assert unread_attributes(modules, readers) == ["a.Grid._cache", "a.Grid.count", "a.Piece.history"]
+    # asdict(self) in a method reads every field of its own class only: not
+    # a self.x = ... attribute, nor a same-named field of another class, nor
+    # a field of a class whose method passes something else to asdict
+    modules["c"] = (
+        "from dataclasses import asdict, dataclass\n\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    history: list\n"
+        "    slab: tuple\n\n"
+        "    def to_dict(self):\n"
+        "        self.extra = 1\n"
+        "        return asdict(self)\n\n"
+        "@dataclass\n"
+        "class Other:\n"
+        "    slab: tuple\n\n"
+        "    def to_dict(self, report):\n"
+        "        return asdict(report)\n"
+    )
+    assert unread_attributes(modules, {}) == [
+        "a.Grid._cache", "a.Grid.count", "a.Grid.nodes", "a.Piece.history",
+        "c.Other.slab", "c.Report.extra",
+    ]
 
 
 def test_every_stored_key_is_read():

@@ -65,6 +65,13 @@ class TestAssemble:
         assert vars(surf) == before
         assert surf.ends == ends and surf.glue_levels == [] and surf.neck_boxes == []
 
+    def test_site_height_reads_the_top_end_upward(self, sited):
+        # the top end opens upward: the site sits its end's height above the plane
+        surf, site, _ = sited
+        end = site.end
+        assert end is surf.top_end()
+        assert site.height == end.plane_height + end.height_profile(N, [site.r_site])[0][0]
+
     def test_neck_site_rejected(self, surface, profile):
         sc = compute_scales(profile, EPS)
         center_xy = np.array([1.2, 0.0, 0.0])  # essentially at the seed waist
@@ -93,7 +100,7 @@ class TestFindSite:
         surf = seed_catenoid(profile, spectrum, scale=0.3)
         sc = compute_scales(profile, eps)
         center_xy, r0 = find_site(surf, sc)
-        r_site = float(np.linalg.norm(center_xy - surf.top_end().axis_center[:N]))
+        r_site = float(np.linalg.norm(center_xy - surf.top_end().axis_xy))
         expected = {"floor": outer.R0_OVER_R_EPS * sc.r_eps, "site": 1e-3 * r_site}[branch]
         assert r0 == pytest.approx(expected, rel=1e-12)
         assert 60.0 * sc.r_eps <= r0 <= r_site / 10.0

@@ -48,8 +48,8 @@ def reference_second_fund(glued):
     phi, _, psi, _ = profile_values(n, s)
     A_prof = np.sqrt(n * (n - 1.0)) * phi ** (-n) / outer.core_scale
     for k in range(s.size):
-        pt = np.concatenate([outer.core_center[:n] + e0 * outer.core_scale * phi[k],
-                             [outer.core_center[-1] + outer.core_scale * psi[k]]])
+        # the seed's core sits at the origin
+        pt = np.concatenate([e0 * outer.core_scale * phi[k], [outer.core_scale * psi[k]]])
         samples.append((pt, float(A_prof[k])))
     for level in outer.glue_levels:
         V = level.neck_piece.V
