@@ -183,7 +183,7 @@ def solve_GS(f: BandField) -> BandField:
     for ell in range(spec.L + 1):
         if ell >= 2:
             vpot = -(spec.lam[ell] + c2) + data["pot"]
-            out[ell] = solve_band_dirichlet_robin(vpot, h, f.values[ell], 0.0, spec.gamma[ell])
+            out[ell] = solve_band_dirichlet_robin(vpot, h, f.values[ell], spec.gamma[ell])
         else:
             out[ell] = solve_band_decaying_kernel(band_pair(n, grid.s, ell), h, f.values[ell])
     return BandField(spec, grid, out)
@@ -227,7 +227,7 @@ def smooth_step(x: np.ndarray) -> np.ndarray:
     return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatenoidPiece:
     """Converged perturbed catenoid with its cut-ring Cauchy data: the field
     w, the decaying extension of the boundary data plus the Picard

@@ -125,9 +125,9 @@ def rows_from_collocation(vals: np.ndarray, grid: ZonalGrid) -> np.ndarray:
 
 
 def solve_band_dirichlet_robin(
-    vpot: np.ndarray, h: float, f: np.ndarray, left_value: float, robin_gamma: float
+    vpot: np.ndarray, h: float, f: np.ndarray, robin_gamma: float
 ) -> np.ndarray:
-    """Solve w'' + vpot w = f with w(S)=left_value, w' = -robin_gamma w at S_max.
+    """Solve w'' + vpot w = f with w(S) = 0, w' = -robin_gamma w at S_max.
 
     The outgoing Robin condition selects the decaying indicial behavior at
     the truncated far end; eliminated with a ghost node at 2nd order.
@@ -139,7 +139,7 @@ def solve_band_dirichlet_robin(
     rhs = np.array(f, dtype=float)
     ab[1, 0] = 1.0
     ab[0, 1] = 0.0
-    rhs[0] = left_value
+    rhs[0] = 0.0
     ab[0, 2:] = 1.0 / h**2
     ab[1, 1:-1] = -2.0 / h**2 + vpot[1:-1]
     ab[2, :-2] = 1.0 / h**2

@@ -96,7 +96,8 @@ class BoundaryTriple:
 
 @dataclass(frozen=True)
 class GlueContext:
-    """Frozen inputs of one glue: surface, site, scales, grids, tolerances."""
+    """Frozen inputs of one glue: surface, site, scales, grids, tolerances.
+    No glue changes them; its result is a new surface."""
 
     surface: OuterSurface
     site: Site
@@ -207,18 +208,19 @@ def model_invert(rhs, ctx: GlueContext) -> BoundaryTriple:
     return BoundaryTriple(h_I, RigidParams(float(T), float(R), float(d), float(e)), h_II)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GluedSurface:
-    """Assembled glue: the outer surface with the new level recorded, this
-    glue's neck and catenoid pieces, and its certificates."""
+    """Assembled glue: a new outer surface, the glued one plus the new
+    level, this glue's neck and catenoid pieces, and its certificates
+    (none until glue_end adds them)."""
 
     outer: OuterSurface
     neck_piece: NeckPiece
     catenoid_piece: CatenoidPiece
     triple: BoundaryTriple
-    mismatch_norm: float
+    mismatch_norm: float  # the last mismatch of info["history"]
+    info: dict
     certificates: dict = field(default_factory=dict)
-    info: dict = field(default_factory=dict)
 
 
 def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
@@ -266,14 +268,14 @@ def fixed_point_glue(ctx: GlueContext, tol_match: float | None) -> GluedSurface:
             f"matching iteration exhausted {max_iter} iterations; trajectory "
             f"{['%.2e' % v for v in history]}"
         )
-    return assemble_glued_surface(ctx, t, cat, neck, mis_norm, history)
+    return assemble_glued_surface(ctx, t, cat, neck, history)
 
 
-def assemble_glued_surface(ctx, t, cat: CatenoidPiece, neck: NeckPiece, mis_norm,
+def assemble_glued_surface(ctx, t, cat: CatenoidPiece, neck: NeckPiece,
                            history) -> GluedSurface:
-    """Place the catenoid chart at the ring frame and record the new level,
-    with its end and its neck box, on the context's surface; the first
-    level also records the seed's neck box."""
+    """Place the catenoid chart at the ring frame and build the new level,
+    with its end and its neck box; the result's outer surface is the
+    context's surface plus that level, which stays as it was."""
     sc = ctx.scales
     surf = ctx.surface
     n = surf.n
@@ -302,15 +304,13 @@ def assemble_glued_surface(ctx, t, cat: CatenoidPiece, neck: NeckPiece, mis_norm
                  float(max(z_hi, ring_height) + 0.2 * eps_len * phi_star)),
         c_j=1.1 * np.sqrt(n * (n - 1.0)) / eps_len,
     )
-    if surf.seed_box is None:
-        surf.seed_box = _seed_neck_box(surf)
-    surf.glue_levels.append(GlueLevel(neck, cat, site, ring_height, end, box))
+    level = GlueLevel(neck, cat, site, ring_height, end, box)
     return GluedSurface(
-        outer=surf,
+        outer=replace(surf, glue_levels=surf.glue_levels + (level,)),
         neck_piece=neck,
         catenoid_piece=cat,
         triple=t,
-        mismatch_norm=mis_norm,
+        mismatch_norm=history[-1],
         info={"history": history, "ring_height": ring_height,
               "site": {"height": site.height}},
     )
@@ -328,9 +328,8 @@ def glue_end(
 
     Refuses a weight delta outside admissible_delta's interval and what
     prepare_glue refuses, and carries the embeddedness certificate of the
-    verify module.  Works on a copy: the input surface is never changed,
-    and the result's outer surface is it plus one level.
-    The nondegeneracy check and the seed's neck box run only on a surface
+    verify module.  Returns a new surface, the input plus one level; the
+    input is never changed.  The nondegeneracy check runs only on a surface
     with no levels yet, so a tower glued with one delta checks once.
     """
     from .verify import embeddedness
@@ -339,27 +338,24 @@ def glue_end(
         delta = default_delta(surface.spectrum.n)
     if not admissible_delta(surface.spectrum.n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
-    surface = replace(surface, glue_levels=list(surface.glue_levels))
     if not surface.glue_levels:
         nondegeneracy_check(surface, delta, m=400)
     ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece)
     glued = fixed_point_glue(ctx, tol_match=tol_match)
-    glued.certificates["new_end_tilt"] = _new_end_tilt(glued)
+    tilt = _new_end_tilt(glued.catenoid_piece)
     cert = embeddedness(glued)
-    glued.certificates["embeddedness"] = cert
     if not cert["embedded"]:
         raise GlueError(f"embeddedness failed: witness {cert.get('witness')}")
-    return glued
+    return replace(glued, certificates={"new_end_tilt": tilt, "embeddedness": cert})
 
 
-def _new_end_tilt(glued: GluedSurface) -> float:
+def _new_end_tilt(cat: CatenoidPiece) -> float:
     """Tilt of the new end's fitted asymptotic plane against the old plane.
 
     The linear-band content of the catenoid perturbation drives the far
     graph slope b1(s) phi^{(2-n)/2} (-phi'/phi) / (eps_len phi); the tilt is
     its supremum over the far half of the chart.
     """
-    cat = glued.catenoid_piece
     n = cat.scales.n
     w = cat.w
     data = grid_profile(n, w.grid.s)
@@ -371,27 +367,7 @@ def _new_end_tilt(glued: GluedSurface) -> float:
     return float(np.max(slope)) if np.any(far) else 0.0
 
 
-def _seed_neck_box(surface: OuterSurface) -> NeckBox:
-    """Box around the seed's neck at the origin: half-width 1.3 a phi_star
-    and height 1.2 a psi(s_star) on either side of the core, where phi_star =
-    max((sqrt(n(n-1))/a)^(1/n), 1.05) and s_star solves phi(s_star) =
-    phi_star through the closed form phi(s) = cosh((n-1) s)^(1/(n-1)):
-    s_star = arccosh(phi_star^(n-1)) / (n-1)."""
-    n = surface.n
-    a = surface.core_scale
-    phi_star = (np.sqrt(n * (n - 1.0)) / a) ** (1.0 / n)
-    phi_star = max(phi_star, 1.05)
-    s_star = float(np.arccosh(phi_star ** (n - 1)) / (n - 1))
-    psis = profile_values(n, np.array([s_star]))[2][0]
-    return NeckBox(
-        center_xy=np.zeros(n),
-        halfwidth=float(1.3 * a * phi_star),
-        z_range=(float(-1.2 * a * psis), float(1.2 * a * psis)),
-        c_j=1.1 * np.sqrt(n * (n - 1.0)) / a,
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class TowerReport:
     levels: list
     plane_heights: list

@@ -69,7 +69,7 @@ class RigidParams:
         return val
 
 
-@dataclass
+@dataclass(frozen=True)
 class GreenTable:
     """Radial Green's-function profile of the linearized graph operator: its
     values on grid and, for n = 3, its additive constant a0 (0.0 otherwise)."""
@@ -245,7 +245,7 @@ def poisson_neck(op: BandOperator, h_II: SphereField) -> BandField:
 # -- the nonlinear neck solve ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class NeckPiece:
     """Converged opened-neck graph: its height, oracle residuals, inner
     Cauchy data, outer deviation slope, and the iteration count and

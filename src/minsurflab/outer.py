@@ -3,8 +3,10 @@ solvers.
 
 The outer surface carries a core cylinder chart (the seed catenoid, centered
 at the origin), its two planar-asymptotic ends in the catenoid band
-representation, and one GlueLevel per earlier gluing, the only record of
-what that glue added: its pieces, its site, its new end and its NeckBox.  A
+representation, the seed's NeckBox, and one GlueLevel per earlier gluing,
+the only record of what that glue added: its pieces, its site, its new end
+and its NeckBox.  Every record here is frozen: a glue builds a new surface
+with one more level and leaves the one it was glued onto as it was.  A
 glue works at one Site on the top end, which assemble_outer returns with
 that end, without changing the surface.  The top end always opens upward:
 every glued end does, and the seed's lower end, the only one that opens
@@ -28,7 +30,7 @@ band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +85,7 @@ def _end_splines(n: int):
     return _END_SPLINES[n]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EndModel:
     """A planar-asymptotic end in the scaled catenoid band representation,
     opening upward from its asymptotic plane.  The seed's lower end opens
@@ -160,7 +162,7 @@ class Site:
     end: EndModel  # the end the site was cut from
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlueLevel:
     """One glued level, all its glue added: the neck and catenoid pieces,
     the site they sit on, the new end and the neck box with its c_j."""
@@ -173,18 +175,18 @@ class GlueLevel:
     box: NeckBox
 
 
-@dataclass
+@dataclass(frozen=True)
 class OuterSurface:
-    """Core cylinder chart, the seed's two ends, one GlueLevel per glue
-    (oldest first) and the seed's neck box, which the first glue records: a
-    tower's whole cumulative state, from which ends and neck_boxes read."""
+    """Core cylinder chart, the seed's two ends and neck box, and one
+    GlueLevel per glue (oldest first): a tower's whole cumulative state,
+    from which ends and neck_boxes read."""
 
     profile: ProfileTable
     spectrum: BandSpectrum
     core_scale: float
     seed_ends: list
-    glue_levels: list = field(default_factory=list)
-    seed_box: NeckBox | None = None
+    seed_box: NeckBox
+    glue_levels: tuple = ()
 
     @property
     def n(self) -> int:
@@ -211,13 +213,33 @@ CORE_STEP = 8e-3
 
 
 def seed_catenoid(profile: ProfileTable, spectrum: BandSpectrum, scale: float) -> OuterSurface:
-    """The exact catenoid with two planar ends as the tower seed, centered
-    at the origin."""
+    """The exact catenoid with two planar ends and its neck box as the tower
+    seed, centered at the origin."""
+    n = profile.n
     top = scale * psi_infinity(profile)
     # the upper end, then the lower one, kept for its plane height
-    ends = [EndModel(a=scale, w=None, axis_xy=np.zeros(profile.n), plane_height=float(h))
+    ends = [EndModel(a=scale, w=None, axis_xy=np.zeros(n), plane_height=float(h))
             for h in (top, -top)]
-    return OuterSurface(profile=profile, spectrum=spectrum, core_scale=scale, seed_ends=ends)
+    return OuterSurface(profile=profile, spectrum=spectrum, core_scale=scale, seed_ends=ends,
+                        seed_box=_seed_neck_box(n, scale))
+
+
+def _seed_neck_box(n: int, a: float) -> NeckBox:
+    """Box around the seed's neck at the origin: half-width 1.3 a phi_star
+    and height 1.2 a psi(s_star) on either side of the core, where phi_star =
+    max((sqrt(n(n-1))/a)^(1/n), 1.05) and s_star solves phi(s_star) =
+    phi_star through the closed form phi(s) = cosh((n-1) s)^(1/(n-1)):
+    s_star = arccosh(phi_star^(n-1)) / (n-1)."""
+    phi_star = (np.sqrt(n * (n - 1.0)) / a) ** (1.0 / n)
+    phi_star = max(phi_star, 1.05)
+    s_star = float(np.arccosh(phi_star ** (n - 1)) / (n - 1))
+    psis = profile_values(n, np.array([s_star]))[2][0]
+    return NeckBox(
+        center_xy=np.zeros(n),
+        halfwidth=float(1.3 * a * phi_star),
+        z_range=(float(-1.2 * a * psis), float(1.2 * a * psis)),
+        c_j=1.1 * np.sqrt(n * (n - 1.0)) / a,
+    )
 
 
 # -- nondegeneracy ------------------------------------------------------------------

@@ -268,7 +268,7 @@ def sheet_separation_report(pts: np.ndarray, lower: np.ndarray, upper: np.ndarra
     sep = upper - lower
     i = int(np.argmin(sep))
     if np.all(sep > 0):
-        return {"positive": True, "min_separation": float(sep[i]), "argmin": pts[i]}
+        return {"positive": True, "min_separation": float(sep[i])}
     return {"positive": False, "min_separation": float(sep[i]), "witness": pts[i]}
 
 

@@ -94,7 +94,7 @@ class TestAcceptance:
         c2 = ((N - 2) / 2.0) ** 2
         vpot = -(spectrum.lam[2] + c2) + data["pot"]
         f = np.exp(-2.0 * (s - s[0])) * np.exp(-0.5 * ((s + 0.2) / 0.3) ** 2)
-        fast = solve_band_dirichlet_robin(vpot, h, f, 0.0, spectrum.gamma[2])
+        fast = solve_band_dirichlet_robin(vpot, h, f, spectrum.gamma[2])
         dense = dense_band_dirichlet_robin(vpot, h, f, 0.0, spectrum.gamma[2])
         gs_err = float(np.max(np.abs(fast - dense)) / np.max(np.abs(dense)))
 

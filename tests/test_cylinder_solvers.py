@@ -111,7 +111,7 @@ class TestBandPair:
             vpot = -(spectrum.lam[ell] + c2) + data["pot"]
             gam = spectrum.gamma[ell]
             if ell >= 2:
-                direct[i] = solve_band_dirichlet_robin(vpot, h, f.values[i], 0.0, gam)
+                direct[i] = solve_band_dirichlet_robin(vpot, h, f.values[i], gam)
             else:
                 pair = homogeneous_pair(vpot, h, gam)
                 direct[i] = solve_band_decaying_kernel(pair, h, f.values[i])
@@ -152,7 +152,7 @@ class TestSolveGS:
         c2 = ((N - 2) / 2.0) ** 2
         vpot = -(spectrum.lam[ell] + c2) + data["pot"]
         f = bump(s, center=s[0] + 1.0)
-        fast = solve_band_dirichlet_robin(vpot, h, f, 0.0, spectrum.gamma[ell])
+        fast = solve_band_dirichlet_robin(vpot, h, f, spectrum.gamma[ell])
         dense = dense_band_dirichlet_robin(vpot, h, f, 0.0, spectrum.gamma[ell])
         assert np.max(np.abs(fast - dense)) / np.max(np.abs(dense)) < 1e-8
 

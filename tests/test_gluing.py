@@ -177,14 +177,14 @@ class TestFixedPointGlue:
             inverted.append(rhs)
             return model_invert(rhs, c)
 
-        def capture(c, t, cat, neck, mis_norm, history):
-            return t, cat, neck, mis_norm, history
+        def capture(c, t, cat, neck, history):
+            return t, cat, neck, history
 
         monkeypatch.setattr(gluing, "conglomerate_C", scripted_C)
         monkeypatch.setattr(gluing, "model_C0", recording_C0)
         monkeypatch.setattr(gluing, "model_invert", recording_invert)
         monkeypatch.setattr(gluing, "assemble_glued_surface", capture)
-        t, cat, neck, mis_norm, history = gluing.fixed_point_glue(ctx, tol_match=1.0 * unit)
+        t, cat, neck, history = gluing.fixed_point_glue(ctx, tol_match=1.0 * unit)
 
         assert len(evaluations) == 5 and len(C0_at) == len(inverted) == 4
 
@@ -207,8 +207,7 @@ class TestFixedPointGlue:
         assert np.array_equal(evaluations[3][0].h_I.c, restarted.h_I.c)
         # the glue returned is the last evaluation's
         assert t is evaluations[-1][0] and (cat, neck) == ("cat4", "neck4")
-        assert mis_norm == triple_norm(evaluations[-1][1])
-        assert mis_norm == history[-1] == min(history)
+        assert history[-1] == triple_norm(evaluations[-1][1]) == min(history)
         assert history == [triple_norm(e[1]) for e in evaluations]
 
     def test_step_just_outside_the_ball_stops_the_glue(self, ctx, spectrum, monkeypatch):
@@ -329,6 +328,34 @@ class TestGlueKeepsItsInput:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.kappa = 1.0
 
+    def test_glue_records_are_frozen(self, ctx, spectrum, profile, glued_surface):
+        outer = glued_surface.outer
+        level = outer.glue_levels[0]
+        _, report = stack_tower(1, seed_catenoid(profile, spectrum, scale=0.3), None)
+        records = [outer, outer.ends[0], level, glued_surface, level.catenoid_piece,
+                   level.neck_piece, ctx.green, report]
+        for record in records:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, dataclasses.fields(record)[0].name, None)
+
+    def test_a_glue_builds_a_new_surface(self, spectrum, profile):
+        """Two glues from one context change neither the seed, nor the
+        context's surface, nor each other's result: each result holds its
+        own one level over the seed's own neck box."""
+        seed = seed_catenoid(profile, spectrum, scale=1.0)
+        box = seed.seed_box
+        ctx = prepare_glue(seed, EPS, **GLUE)
+        first = gluing.fixed_point_glue(ctx, None)
+        fields = dict(vars(first.outer))
+        level = first.outer.glue_levels[0]
+        second = gluing.fixed_point_glue(ctx, None)
+        assert seed.glue_levels == () and ctx.surface.glue_levels == ()
+        assert len(first.outer.glue_levels) == len(second.outer.glue_levels) == 1
+        assert all(vars(first.outer)[k] is v for k, v in fields.items())
+        assert first.outer.glue_levels[0] is level is not second.outer.glue_levels[0]
+        assert seed.seed_box is box and first.outer.neck_boxes[0] is box
+        assert first.mismatch_norm == first.info["history"][-1]
+
     def test_nondegeneracy_check_runs_once_per_seed(self, spectrum, profile, glued_surface,
                                                     monkeypatch):
         class Stop(Exception):
@@ -357,7 +384,7 @@ class TestGlueKeepsItsInput:
         with pytest.raises(GlueError, match="embeddedness failed"):
             glue_end(surf, EPS)
         assert len(surf.ends) == 2 and all(a is b for a, b in zip(surf.ends, ends))
-        assert surf.glue_levels == [] and surf.neck_boxes == []
+        assert surf.glue_levels == () and surf.neck_boxes == []
 
     def test_refused_level_keeps_a_consistent_report(self, spectrum, profile, monkeypatch):
         monkeypatch.setattr(verify, "embeddedness", refuse_embeddedness)
@@ -369,7 +396,7 @@ class TestGlueKeepsItsInput:
         assert len(report.plane_heights) == 2
         assert report.plane_heights == sorted(e.plane_height for e in surf.ends)
         assert report.boxes == []
-        assert len(surf.ends) == 2 and surf.glue_levels == []
+        assert len(surf.ends) == 2 and surf.glue_levels == ()
 
 
 class TestSeedBox:
@@ -384,7 +411,7 @@ class TestSeedBox:
         s_star = np.arccosh(phi_star ** (N - 1)) / (N - 1)
         phis, _, psis, _ = profile_values(N, np.array([s_star]))
         assert abs(phis[0] / phi_star - 1.0) <= 1e-12
-        box = gluing._seed_neck_box(surf)
+        box = surf.seed_box
         assert box.z_range == (float(-1.2 * scale * psis[0]), float(1.2 * scale * psis[0]))
         assert box.halfwidth == float(1.3 * scale * phi_star)
 
@@ -392,7 +419,6 @@ class TestSeedBox:
 GLUE_PATH_IMPORTS = """
 import json, sys
 from minsurflab.catenoid import build_catenoid_piece
-from minsurflab.gluing import _seed_neck_box
 from minsurflab.outer import _end_splines, seed_catenoid
 from minsurflab.profile import compute_scales, solve_profile
 from minsurflab.spectral import SphereField, band_spectrum
@@ -400,7 +426,7 @@ from minsurflab.spectral import SphereField, band_spectrum
 profile = solve_profile(3, 16.0, 8e-3)
 spectrum = band_spectrum(3, 8)
 _end_splines(3)
-_seed_neck_box(seed_catenoid(profile, spectrum, scale=1.0))
+seed_catenoid(profile, spectrum, scale=1.0).seed_box
 build_catenoid_piece(profile, compute_scales(profile, 1e-6), SphereField.zeros(spectrum),
                      1.0, 5e-3)
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy."))))

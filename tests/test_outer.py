@@ -63,7 +63,7 @@ class TestAssemble:
         center_xy, _ = find_site(surf, sc)
         assemble_outer(surf, 180.0 * sc.r_eps, center_xy, sc)
         assert vars(surf) == before
-        assert surf.ends == ends and surf.glue_levels == [] and surf.neck_boxes == []
+        assert surf.ends == ends and surf.glue_levels == () and surf.neck_boxes == []
 
     def test_site_height_reads_the_top_end_upward(self, sited):
         # the top end opens upward: the site sits its end's height above the plane

@@ -156,7 +156,7 @@ class TestEmbeddedness:
         outer = glued_surface.outer
         level = outer.glue_levels[-1]
         lowered = dataclasses.replace(level, ring_height=level.ring_height - 2.0 * cert["min_separation"])
-        outer = dataclasses.replace(outer, glue_levels=outer.glue_levels[:-1] + [lowered])
+        outer = dataclasses.replace(outer, glue_levels=outer.glue_levels[:-1] + (lowered,))
         shifted = embeddedness(dataclasses.replace(glued_surface, outer=outer))
         assert not shifted["embedded"]
         assert "witness" in shifted
@@ -172,7 +172,7 @@ class TestEmbeddedness:
         level = outer.glue_levels[-1]
         site = dataclasses.replace(level.site, height=end.plane_height - 0.05)
         level = dataclasses.replace(level, site=site)
-        outer = dataclasses.replace(outer, glue_levels=outer.glue_levels[:-1] + [level])
+        outer = dataclasses.replace(outer, glue_levels=outer.glue_levels[:-1] + (level,))
         read = []
         height_profile = EndModel.height_profile
 
@@ -193,7 +193,7 @@ class TestEmbeddedness:
         box = dataclasses.replace(level.box, center_xy=outer.seed_box.center_xy,
                                   z_range=outer.seed_box.z_range)
         level = dataclasses.replace(level, box=box)
-        outer = dataclasses.replace(outer, glue_levels=outer.glue_levels[:-1] + [level])
+        outer = dataclasses.replace(outer, glue_levels=outer.glue_levels[:-1] + (level,))
         cert = embeddedness(dataclasses.replace(glued_surface, outer=outer))
         assert cert["boxes_disjoint"] is False
         assert cert["embedded"] is False
