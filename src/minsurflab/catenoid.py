@@ -16,7 +16,7 @@ graph of the prescribed high-mode data over the cut sphere.
 
 Every solve here (solve_GS, solve_PS, build_catenoid_piece) is the same for
 every weight delta that admissible_delta admits, so none takes delta; the
-weight is checked by RunConfig.validate, glue_end and nondegeneracy_check.
+weight is checked by the CLI's RunConfig and by outer.nondegeneracy_check.
 """
 
 from __future__ import annotations

@@ -3,6 +3,10 @@
 Every run is deterministic given its config: reports are JSON with
 sorted keys, charts are CSV with full-precision floats, and each run
 writes a manifest listing the inputs and the recorded constants.
+
+Exit codes: 0 on success; 2 for a config or precondition refusal; 3 for a
+solver failure, including a glue whose embeddedness certificate fails; 4
+for a certificate outside its bound (the neck's gap, verify's residual).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +46,22 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-@dataclass
+def _number(name: str, value, nullable: bool = False):
+    """Refuse a value that is not a finite number, or None where nullable."""
+    if value is None and nullable:
+        return
+    if not _is_number(value):
+        raise ConfigError(f"{name}={value!r} must be a number" + (" or null" if nullable else ""))
+    # json reads NaN, Infinity and -Infinity; an int is always finite
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name}={value!r} must be finite")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters; every weight sits in its admissible window."""
+    """Run parameters, valid by construction: __post_init__ checks each
+    field once, and every weight sits in its admissible window.  A null
+    delta becomes default_delta(n); dataclasses.replace checks again."""
 
     n: int = 3
     eps: float = 1e-6
@@ -60,57 +77,43 @@ class RunConfig:
     seed_scale: float = 0.3
     out_dir: str = "out"
 
-    def validate(self) -> "RunConfig":
-        for name in ("n", "K", "L"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name}={getattr(self, name)!r} must be an integer")
-        numbers = ("eps", "s_max", "s_step", "tol_solver", "kappa", "seed_scale")
-        for name in numbers:
-            if not _is_number(getattr(self, name)):
-                raise ConfigError(f"{name}={getattr(self, name)!r} must be a number")
-        for name in ("tol_match", "delta"):
+    def __post_init__(self):
+        for name, least in (("n", 3), ("K", 1), ("L", 2)):
             value = getattr(self, name)
-            if value is not None and not _is_number(value):
-                raise ConfigError(f"{name}={value!r} must be a number or null")
+            if not _is_int(value):
+                raise ConfigError(f"{name}={value!r} must be an integer")
+            if value < least:
+                raise ConfigError(f"{name}={value} must be >= {least}")
+        _number("eps", self.eps)
+        if not 0.0 < self.eps < 1.0:
+            raise ConfigError(f"eps={self.eps} must lie in (0, 1)")
         schedule = self.eps_schedule
         if schedule is not None and not (
             isinstance(schedule, list) and all(_is_number(e) for e in schedule)
         ):
             raise ConfigError(f"eps_schedule={schedule!r} must be null or a list of numbers")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir={self.out_dir!r} must be a string")
-        # json reads NaN, Infinity and -Infinity; an int is always finite
-        for name in numbers + ("tol_match", "delta"):
-            value = getattr(self, name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name}={value!r} must be finite")
         for e in schedule or ():
             if isinstance(e, float) and not math.isfinite(e):
                 raise ConfigError(f"schedule entry {e!r} must be finite")
-        n = self.n
-        if n < 3:
-            raise ConfigError(f"n={n} must be >= 3")
-        if not (0.0 < self.eps < 1.0):
-            raise ConfigError(f"eps={self.eps} must lie in (0, 1)")
-        if self.L < 2:
-            raise ConfigError(f"L={self.L} must be >= 2")
-        for name in ("seed_scale", "kappa", "tol_solver", "tol_match"):
+            if not 0.0 < e < 1.0:
+                raise ConfigError(f"schedule entry {e} outside (0, 1)")
+        _number("s_max", self.s_max)
+        _number("s_step", self.s_step)
+        for name in ("tol_solver", "tol_match", "kappa", "seed_scale"):
             value = getattr(self, name)
+            _number(name, value, nullable=name == "tol_match")
             if value is not None and not value > 0:
                 raise ConfigError(f"{name}={value} must be > 0")
+        n = self.n
+        _number("delta", self.delta, nullable=True)
         if self.delta is None:
-            self.delta = default_delta(n)
-        if not admissible_delta(n, self.delta):
+            object.__setattr__(self, "delta", default_delta(n))
+        elif not admissible_delta(n, self.delta):
             raise ConfigError(
                 f"delta={self.delta} outside (-(n+2)/2, -n/2) = ({-(n + 2) / 2}, {-n / 2})"
             )
-        if self.eps_schedule is not None:
-            for e in self.eps_schedule:
-                if not (0.0 < e < 1.0):
-                    raise ConfigError(f"schedule entry {e} outside (0, 1)")
-        if self.K < 1:
-            raise ConfigError("K must be >= 1")
-        return self
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir={self.out_dir!r} must be a string")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -120,11 +123,10 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} holds {type(raw).__name__}, not a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(raw) - known
+        bad = set(raw) - set(cls.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown config fields: {sorted(bad)}")
-        return cls(**raw).validate()
+        return cls(**raw)
 
 
 def dump_json(obj, path: Path):
@@ -295,8 +297,6 @@ def cmd_glue(cfg: RunConfig, out: Path) -> int:
         },
         out / "glue_summary.json",
     )
-    if not cert["embedded"]:
-        return EXIT_CERTIFICATE
     return EXIT_OK
 
 
@@ -318,8 +318,6 @@ def cmd_tower(cfg: RunConfig, out: Path) -> int:
             raise PreconditionError(str(exc)) from exc
         raise
     dump_json(report.to_dict(), out / "tower_report.json")
-    if any(not c.get("embedded", False) for c in report.certificates):
-        return EXIT_CERTIFICATE
     return EXIT_OK
 
 
@@ -342,8 +340,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     }
     dump_json(report, out / "verify_report.json")
     # the glue's oracle sup|H|, relative, is held to twice the piece tolerance
-    ok = res["max_rel"] <= 2 * cfg.tol_solver and glued.certificates["embeddedness"]["embedded"]
-    return EXIT_OK if ok else EXIT_CERTIFICATE
+    return EXIT_OK if res["max_rel"] <= 2 * cfg.tol_solver else EXIT_CERTIFICATE
 
 
 def cmd_chordarc(cfg: RunConfig, out: Path) -> int:
@@ -366,16 +363,13 @@ def cmd_chordarc(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_report(cfg: RunConfig, out: Path) -> int:
-    rc = cmd_profile(cfg, out)
-    rc = max(rc, cmd_glue(cfg, out))
-    rc = max(rc, cmd_chordarc(cfg, out))
-    summary = {}
-    for name in ("profile_summary", "glue_summary", "chordarc_report"):
-        p = out / f"{name}.json"
-        if p.exists():
-            summary[name] = json.loads(p.read_text())
-    dump_json(summary, out / "report.json")
-    return rc
+    # each command writes its file and returns EXIT_OK, or raises
+    for command in (cmd_profile, cmd_glue, cmd_chordarc):
+        command(cfg, out)
+    names = ("profile_summary", "glue_summary", "chordarc_report")
+    dump_json({name: json.loads((out / f"{name}.json").read_text()) for name in names},
+              out / "report.json")
+    return EXIT_OK
 
 
 COMMANDS = {
@@ -418,16 +412,12 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--eps", type=float, default=None)
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.WARNING)
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig().validate()
-        for name in ("out_dir", "eps"):
-            arg = getattr(args, name if name != "out_dir" else "out")
-            if arg is not None:
-                setattr(cfg, name, arg)
-        cfg.validate()
+        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

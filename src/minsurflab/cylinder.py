@@ -80,11 +80,6 @@ class BandField:
         self._check(other)
         return BandField(self.spectrum, self.grid, self.values - other.values)
 
-    def __mul__(self, a: float) -> "BandField":
-        return BandField(self.spectrum, self.grid, a * self.values)
-
-    __rmul__ = __mul__
-
     def trace(self, index: int) -> SphereField:
         """SphereField of the coefficient column at node `index`."""
         return SphereField(self.spectrum, self.values[:, index].copy())

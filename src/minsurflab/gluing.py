@@ -19,7 +19,6 @@ import numpy as np
 from .catenoid import (
     CatenoidPiece,
     PreconditionError,
-    admissible_delta,
     build_catenoid_piece,
     default_delta,
     grid_profile,
@@ -326,20 +325,18 @@ def glue_end(
 ) -> GluedSurface:
     """Glue one half-catenoid to the top end of the surface.
 
-    Refuses a weight delta outside admissible_delta's interval and what
-    prepare_glue refuses, and carries the embeddedness certificate of the
-    verify module.  Returns a new surface, the input plus one level; the
-    input is never changed.  The nondegeneracy check runs only on a surface
-    with no levels yet, so a tower glued with one delta checks once.
+    Refuses an inadmissible weight delta or a degenerate surface through
+    nondegeneracy_check, and what prepare_glue refuses; raises GlueError
+    when the embeddedness certificate of the verify module fails, and
+    carries it otherwise.  Returns a new surface, the input plus one level;
+    the input is never changed.  The check reads only n and L, so on a
+    surface glued from a checked seed it is a cache lookup.
     """
     from .verify import embeddedness
 
     if delta is None:
         delta = default_delta(surface.spectrum.n)
-    if not admissible_delta(surface.spectrum.n, delta):
-        raise PreconditionError(f"delta={delta} outside the admissible interval")
-    if not surface.glue_levels:
-        nondegeneracy_check(surface, delta, m=400)
+    nondegeneracy_check(surface, delta, m=400)
     ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece)
     glued = fixed_point_glue(ctx, tol_match=tol_match)
     tilt = _new_end_tilt(glued.catenoid_piece)

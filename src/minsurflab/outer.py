@@ -30,7 +30,7 @@ band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -143,8 +143,7 @@ class NeckBox:
                     and other.z_range[1] >= self.z_range[0])
 
     def to_dict(self) -> dict:
-        return {"center_xy": self.center_xy, "halfwidth": self.halfwidth,
-                "z_range": self.z_range, "c_j": self.c_j}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,9 @@ _NONDEGENERACY: dict = {}
 def nondegeneracy_check(surface: OuterSurface, delta: float, m: int) -> float:
     """The normalized smallest singular value of the core operator on the
     decaying space, minimized over bands, on m nodes; raises
-    ContractionError when it is below 1e-6.
+    ContractionError when it is below 1e-6.  It is the library's one
+    refusal of a weight delta outside admissible_delta's interval
+    (PreconditionError), which glue_end reaches on every surface.
 
     Reads only n and L from the surface, so the check of a tower's seed
     holds for every level glued onto it, and its value is computed once per

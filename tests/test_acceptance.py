@@ -391,7 +391,7 @@ class TestAcceptance:
 
         payloads = []
         for name in ("run1", "run2"):
-            cfg = RunConfig(out_dir=str(tmp_path / name)).validate()
+            cfg = RunConfig(out_dir=str(tmp_path / name))
             assert run("profile", cfg) == 0
             assert run("chordarc", cfg) == 0
             blob = b""

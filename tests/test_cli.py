@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -11,7 +12,7 @@ import scipy
 from graph_reference import CATENOID_SHAPE, PLANE_SHAPE, chord_arc_dict_remap, orbit_edges
 
 import minsurflab
-from minsurflab import gluing
+from minsurflab import gluing, verify
 from minsurflab.catenoid import ContractionError, PreconditionError
 from minsurflab.cli import (
     EXIT_CERTIFICATE,
@@ -29,16 +30,27 @@ from minsurflab.verify import catenoid_sample_graph, plane_sample_graph
 
 class TestConfig:
     def test_defaults_validate(self):
-        cfg = RunConfig().validate()
+        cfg = RunConfig()
         assert cfg.delta == -2.0
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ConfigError, match="delta"):
-            RunConfig(delta=-1.2).validate()
+            RunConfig(delta=-1.2)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ConfigError, match="eps"):
-            RunConfig(eps=2.0).validate()
+            RunConfig(eps=2.0)
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ConfigError, match="kappa=0 must be > 0"):
+            dataclasses.replace(RunConfig(), kappa=0)
+
+    def test_eps_is_set_by_the_config_alone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["glue", "--eps", "1e-6", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eps" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_config_file_with_unknown_field(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -171,13 +183,35 @@ class TestRun:
 
     def test_neck_refuses_eps_above_the_certified_threshold(self, tmp_path, caplog):
         # the threshold check sits in prepare_glue, which the neck runs on
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"eps": 1e-3}))
         with caplog.at_level(logging.ERROR, logger="minsurflab.cli"):
-            assert main(["neck", "--eps", "1e-3", "--out", str(tmp_path)]) == EXIT_CONFIG
+            assert main(["neck", "--config", str(p), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "above the certified threshold" in caplog.text
         assert not (tmp_path / "neck_summary.json").exists()
 
+    def test_glue_refused_as_not_embedded_exits_with_solver_code(self, tmp_path, monkeypatch,
+                                                                 caplog):
+        # glue_end raises GlueError when the certificate fails, before glue
+        # writes its summary
+        def refuse(glued):
+            return {"embedded": False, "min_separation": -1.0, "witness": [0.0, 0.0, 0.0]}
+
+        monkeypatch.setattr(verify, "embeddedness", refuse)
+        with caplog.at_level(logging.ERROR, logger="minsurflab.cli"):
+            assert run("glue", RunConfig(out_dir=str(tmp_path))) == EXIT_SOLVER
+        assert "embeddedness failed" in caplog.text
+        assert not (tmp_path / "glue_summary.json").exists()
+
+    def test_report_holds_the_three_summaries_as_written(self, tmp_path):
+        assert main(["report", "--out", str(tmp_path)]) == EXIT_OK
+        names = ("profile_summary", "glue_summary", "chordarc_report")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report == {name: json.loads((tmp_path / f"{name}.json").read_text())
+                          for name in names}
+
     def test_profile_smoke_with_summary(self, tmp_path):
-        cfg = RunConfig(out_dir=str(tmp_path / "run")).validate()
+        cfg = RunConfig(out_dir=str(tmp_path / "run"))
         assert run("profile", cfg) == EXIT_OK
         summary = json.loads((tmp_path / "run" / "profile_summary.json").read_text())
         assert "A_asym" in summary
@@ -193,7 +227,7 @@ class TestRun:
     def test_deterministic_outputs(self, tmp_path):
         outs = []
         for name in ("a", "b"):
-            cfg = RunConfig(out_dir=str(tmp_path / name)).validate()
+            cfg = RunConfig(out_dir=str(tmp_path / name))
             run("profile", cfg)
             outs.append((tmp_path / name / "profile_summary.json").read_bytes())
         assert outs[0] == outs[1]
@@ -229,7 +263,7 @@ class TestRun:
     def test_refused_profile_or_scales_exit_with_config_code(
         self, tmp_path, caplog, command, config, message
     ):
-        # validate accepts these; the profile, compute_scales or the
+        # the config accepts these; the profile, compute_scales or the
         # catenoid piece refuses them
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(config))
@@ -261,7 +295,7 @@ class TestRun:
             raise PreconditionError("recorded")
 
         monkeypatch.setattr(gluing, "glue_end", record)
-        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2, delta=-1.9, tol_match=1e-9).validate()
+        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2, delta=-1.9, tol_match=1e-9)
         assert run("tower", cfg) == EXIT_CONFIG
         assert [(kw["delta"], kw["tol_match"]) for kw in seen] == [(-1.9, 1e-9)]
 
@@ -270,7 +304,7 @@ class TestRun:
             raise PreconditionError("no admissible gluing site")
 
         monkeypatch.setattr(gluing, "glue_end", fail)
-        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2).validate()
+        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2)
         assert run("tower", cfg) == EXIT_CONFIG
         report = json.loads((tmp_path / "tower" / "tower_report.json").read_text())
         assert report["levels"] == [{"aborted": "no admissible gluing site"}]
@@ -285,7 +319,7 @@ class TestRun:
             raise ValueError(f"{constant} is not JSON")
 
         monkeypatch.setattr(gluing, "glue_end", fail)
-        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=K).validate()
+        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=K)
         assert run("tower", cfg) == (EXIT_OK if K == 1 else EXIT_CONFIG)
         text = (tmp_path / "tower" / "tower_report.json").read_text()
         report = json.loads(text, parse_constant=refuse)
@@ -315,7 +349,7 @@ class TestRun:
             raise ContractionError("neck iteration not contracting")
 
         monkeypatch.setattr(gluing, "glue_end", fail)
-        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2).validate()
+        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2)
         assert run("tower", cfg) == EXIT_SOLVER
         report = json.loads((tmp_path / "tower" / "tower_report.json").read_text())
         assert report["levels"] == [{"aborted": "neck iteration not contracting"}]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from minsurflab import gluing, verify
+from minsurflab import outer as outer_module
 from minsurflab.catenoid import PreconditionError
 from minsurflab.gluing import (
     BoundaryTriple,
@@ -259,9 +260,19 @@ class TestGlue:
             glue_end(surf, EPS, delta=-1.9)
         assert reached.value.args == (-1.9,)
 
+    def test_seed_refuses_an_inadmissible_delta(self, spectrum, profile, monkeypatch):
+        def stop(*args, **kwargs):
+            raise AssertionError("prepare_glue reached")
+
+        monkeypatch.setattr(gluing, "prepare_glue", stop)
+        surf = seed_catenoid(profile, spectrum, scale=1.0)
+        with pytest.raises(PreconditionError, match="delta=-1.0 outside the admissible"):
+            glue_end(surf, EPS, delta=-1.0)
+
     def test_glued_surface_refuses_an_inadmissible_delta(self, glued_surface, monkeypatch):
-        # a surface with a level skips the nondegeneracy check, so glue_end
-        # itself refuses the weight before any solve runs
+        # glue_end runs the nondegeneracy check on every surface, a surface
+        # with a level too, and the check refuses the weight before any
+        # solve runs
         def stop(*args, **kwargs):
             raise AssertionError("prepare_glue reached")
 
@@ -358,24 +369,35 @@ class TestGlueKeepsItsInput:
 
     def test_nondegeneracy_check_runs_once_per_seed(self, spectrum, profile, glued_surface,
                                                     monkeypatch):
+        """glue_end checks every surface, and the check is computed once per
+        (n, L, delta, m): a surface with a level reads the value of the seed
+        it grew from."""
         class Stop(Exception):
             pass
 
         def stop(*args, **kwargs):
             raise Stop
 
-        checked = []
-        monkeypatch.setattr(gluing, "nondegeneracy_check",
-                            lambda surface, *args, **kwargs: checked.append(surface))
+        # a cold check cache, and the bands each build of a band matrix is for
+        monkeypatch.setattr(outer_module, "_NONDEGENERACY", {})
+        builds = []
+        build = outer_module._band_matrix_conjugated
+
+        def spy(n, ell, s, delta):
+            builds.append(ell)
+            return build(n, ell, s, delta)
+
+        monkeypatch.setattr(outer_module, "_band_matrix_conjugated", spy)
         monkeypatch.setattr(gluing, "prepare_glue", stop)
+        bands = list(range(spectrum.L + 1))
         with pytest.raises(Stop):
             glue_end(seed_catenoid(profile, spectrum, scale=1.0), EPS)
-        assert len(checked) == 1
-        # a surface with a level was checked as the seed it grew from
+        assert builds == bands
         assert len(glued_surface.outer.glue_levels) == 1
         with pytest.raises(Stop):
             glue_end(glued_surface.outer, EPS)
-        assert len(checked) == 1
+        assert builds == bands
+        assert list(outer_module._NONDEGENERACY) == [(N, spectrum.L, -2.0, 400)]
 
     def test_refused_glue_leaves_the_seed(self, spectrum, profile, monkeypatch):
         monkeypatch.setattr(verify, "embeddedness", refuse_embeddedness)

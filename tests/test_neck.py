@@ -126,7 +126,7 @@ class TestLinearizedOp:
         H0 = mean_curvature_graph(p)
         errs = []
         for t in (1e-5, 5e-6):
-            Ht = mean_curvature_graph(p + w * t)
+            Ht = mean_curvature_graph(p + BandField(w.spectrum, w.grid, t * w.values))
             dd = (Ht - H0) / t
             from minsurflab.cylinder import rows_from_collocation
 

@@ -51,7 +51,8 @@ class TestNormExpProperties:
     @PROPERTY
     @given(w=cylinder_fields(), k=orders, delta=deltas, a=scales)
     def test_absolute_homogeneity(self, w, k, delta, a):
-        assert norm_exp(a * w, k, 0.5, delta) == pytest.approx(
+        aw = BandField(w.spectrum, w.grid, a * w.values)
+        assert norm_exp(aw, k, 0.5, delta) == pytest.approx(
             abs(a) * norm_exp(w, k, 0.5, delta), rel=1e-12
         )
 
@@ -83,7 +84,8 @@ class TestWeightedNormProperties:
     @PROPERTY
     @given(w=radial_fields(), k=orders, nu=nus, a=scales)
     def test_absolute_homogeneity(self, w, k, nu, a):
-        assert weighted_norm(a * w, k, 0.5, nu) == pytest.approx(
+        aw = BandField(w.spectrum, w.grid, a * w.values)
+        assert weighted_norm(aw, k, 0.5, nu) == pytest.approx(
             abs(a) * weighted_norm(w, k, 0.5, nu), rel=1e-10
         )
 

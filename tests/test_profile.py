@@ -266,7 +266,8 @@ class TestNormExp:
     def test_absolute_homogeneity_exact(self, spectrum, rng):
         w = self._field(spectrum, lambda s: np.sin(3 * s))
         a = 3.7
-        assert norm_exp(a * w, 1, 0.5, -2.0) == pytest.approx(
+        aw = BandField(w.spectrum, w.grid, a * w.values)
+        assert norm_exp(aw, 1, 0.5, -2.0) == pytest.approx(
             a * norm_exp(w, 1, 0.5, -2.0), rel=1e-14
         )
 
