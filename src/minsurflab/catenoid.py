@@ -22,12 +22,14 @@ weight is checked by the CLI's RunConfig and by outer.nondegeneracy_check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .cylinder import (
     BandField,
     UniformGrid,
+    collocation_bound,
     collocation_from_rows,
     homogeneous_pair,
     rows_from_collocation,
@@ -35,7 +37,7 @@ from .cylinder import (
     solve_band_dirichlet_robin,
 )
 from .diffops import NotAKnotSpline, fd_derivative
-from .geometry import uniform_surface
+from .geometry import BLOCK, BlockBuffers, uniform_surface
 from .profile import ProfileTable, Scales, profile_values
 from .spectral import SphereField, ZonalGrid, angular_grid, apply_Dtheta, has_low_modes
 
@@ -281,14 +283,24 @@ class _NeckGeometry:
         G = self.psi[rows, None] + w * self.alpha_vert[rows, None]
         return np.stack([F * g.t[None, :], F * g.sinb[None, :], G])
 
-    def conjugated_mc(self, w: BandField) -> np.ndarray:
+    def bare_rows(self, w_bound: np.ndarray) -> np.ndarray:
+        """Whether each row's surface points are the bare catenoid's
+        (phi t, phi sin beta, psi), bit for bit, for every scaled field w
+        with |w| <= w_bound on that row: |w alpha_theta| and |w alpha_vert|
+        stay below a quarter of the spacing of the doubles at phi and psi,
+        so surface_points' sums round back to phi and psi."""
+        return ((w_bound * np.abs(self.alpha_theta) < np.spacing(self.phi) / 4)
+                & (w_bound * np.abs(self.alpha_vert) < np.spacing(np.abs(self.psi)) / 4))
+
+    def conjugated_mc(self, w: BandField, buffers: BlockBuffers) -> np.ndarray:
         """Collocation values of the conjugated mean-curvature functional.
 
         Sign fixed so the linearization at w = 0 is the cylinder operator.
         Returns the k rows of the near window s <= S + DEFECT_SPAN only,
         computed from the surface on k + 4 rows (a stencil margin); callers
         combine it with the linear operator on those rows.  The surface
-        points are built block by block as the curvature engine walks them.
+        points are built block by block as the curvature engine walks them,
+        and the forms are written into the caller's buffers.
         """
         k = int(np.sum(self.s <= self.s[0] + DEFECT_SPAN))
         m = k + 4
@@ -299,7 +311,7 @@ class _NeckGeometry:
             return self.surface_points(w_hat[lo:hi], lo, hi)
 
         h = float(self.s[1] - self.s[0])
-        H = uniform_surface(points, g, h, rows=m).mean_curvature(self.n)
+        H = uniform_surface(points, g, h, rows=m, buffers=buffers).mean_curvature(self.n)
         return -self.eps_len * self.mfac[:k, None] * H[:k]
 
 
@@ -332,6 +344,14 @@ def build_catenoid_piece(
     scales is compute_scales(profile, eps) at the glue's eps, which the
     caller already holds; tol bounds the oracle mean-curvature residual at
     unit neck scale.
+
+    Every step checks the cubic-regime guard: the scaled field
+    phi^(-n/2) w / eps_len must stay within 0.2 on the collocation nodes,
+    or the step raises ContractionError with that maximum.  A step whose
+    band rows bound it (cylinder.collocation_bound) below 0.2 (1 - 1e-9)
+    cannot trip it and skips the collocation; any other takes the maximum
+    exactly.  The steps' forms share one BlockBuffers, freed before the
+    oracle runs.
     """
     n = profile.n
     eps = scales.eps
@@ -360,26 +380,29 @@ def build_catenoid_piece(
     guard = 0.2  # smallness guard on the cubic-regime variable
     guard_weight = np.max(geo.phi ** (-n / 2.0))
 
-    def update(v: BandField) -> BandField:
+    def update(v: BandField, buffers: BlockBuffers) -> BandField:
         # Qbar lives on the defect window's k rows and is zero beyond them
         w = wt + v
-        mc = geo.conjugated_mc(w)
+        mc = geo.conjugated_mc(w, buffers)
         k = mc.shape[0]
         qbar = BandField.zeros(spec, w.grid)
         qbar.values[:, :k] = apply_Lcal(w).values[:, :k] - rows_from_collocation(mc, grid)
         v_new = solve_GS(qbar)
-        gvar = np.max(np.abs(collocation_from_rows((v_new + wt).values, grid))) * guard_weight \
-            / scales.eps_len
+        rows = (v_new + wt).values
+        if collocation_bound(rows, grid) * guard_weight / scales.eps_len <= guard * (1 - 1e-9):
+            return v_new
+        gvar = np.max(np.abs(collocation_from_rows(rows, grid))) * guard_weight / scales.eps_len
         if gvar > guard:
             raise ContractionError(
                 f"cubic-regime guard tripped: |phi^(-n/2) eps^(-1/(n-1)) w| = {gvar:.3e}"
             )
         return v_new
 
+    # the buffers die when picard returns, before the oracle makes its own
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
     v, it, contractions = picard(
-        update, BandField.zeros(spec, wt.grid), 1e-7, floor, max_iter,
-        stage=f"catenoid (eps={eps:.3e})",
+        partial(update, buffers=BlockBuffers(grid)), BandField.zeros(spec, wt.grid), 1e-7,
+        floor, max_iter, stage=f"catenoid (eps={eps:.3e})",
     )
     w = wt + v
 
@@ -401,6 +424,17 @@ def build_catenoid_piece(
     )
 
 
+# sup |H| of the bare catenoid's oracle chart, block by block: {(n, m,
+# s_fine[0], step, rows): {first row of a block: the block's peak}}, kept for
+# the blocks past every oracle's last non-bare row
+_BARE_PEAKS: dict = {}
+
+# a row's H reads no row more than 5 below it (geometry's module docstring),
+# so a row _BARE_REACH or more past the last row that is not bare reads bare
+# rows only
+_BARE_REACH = 8
+
+
 def _oracle_residual(n, grid, scales, w) -> float:
     """Largest mean curvature of the piece on an offset grid at half the
     step, away from its 4 end rows: the band rows are resampled there by a
@@ -408,9 +442,20 @@ def _oracle_residual(n, grid, scales, w) -> float:
     differenced at order 4.  The oracle's rows are made block by block as
     the curvature engine walks the grid: each block evaluates the spline at
     its own nodes only, collocates those rows and builds their points, and
-    sup |H| is taken as a running maximum over the blocks.  Neither the
+    sup |H| is taken as a running maximum over the blocks, whose forms are
+    written into one BlockBuffers of the oracle's own.  Neither the
     resampled rows, nor their collocation values, nor the surface, nor H
-    is ever held whole."""
+    is ever held whole.
+
+    Far up the piece w is too small to move a point: a row is bare when
+    sum_l |w_l| / eps_len, which bounds the scaled field over the sphere
+    (|Z_l| <= 1), raised by 1e-6 for rounding, passes
+    _NeckGeometry.bare_rows.  The H of a block that starts _BARE_REACH or
+    more rows past the last row that is not bare reads bare rows only, so
+    it is the bare catenoid's on this grid, bit for bit.  The first oracle on a grid keeps
+    the peaks of those blocks in _BARE_PEAKS; a later one stops its walk at
+    the first kept block past its own last non-bare row and takes the kept
+    peaks of the rest, in the order np.max would have met them."""
     s = w.grid.s
     h = w.grid.step
     s_fine = (s[0] + 0.37 * h) + (h / 2.0) * np.arange(2 * (s.size - 4))
@@ -422,8 +467,27 @@ def _oracle_residual(n, grid, scales, w) -> float:
         w_hat = collocation_from_rows(spline(s_fine[lo:hi]), grid) / scales.eps_len
         return geo_f.surface_points(w_hat, lo, hi)
 
-    surface = uniform_surface(points, grid, h / 2.0, order=4, rows=s_fine.size)
-    return surface.max_abs_mean_curvature(n, margin=4)
+    # the bound is resampled a block at a time, as the walk resamples the rows
+    w_bound = np.concatenate([np.abs(spline(s_fine[lo:lo + BLOCK])).sum(axis=0)
+                              for lo in range(0, s_fine.size, BLOCK)])
+    moved = np.flatnonzero(~geo_f.bare_rows(w_bound * ((1 + 1e-6) / scales.eps_len)))
+    last_moved = int(moved[-1]) if moved.size else -1
+    key = (n, grid.t.size, float(s_fine[0]), h / 2.0, s_fine.size)
+    kept = _BARE_PEAKS.get(key, {})
+    stop = min((r for r in kept if r - last_moved >= _BARE_REACH), default=None)
+    surface = uniform_surface(points, grid, h / 2.0, order=4, rows=s_fine.size,
+                              buffers=BlockBuffers(grid))
+    top, bare = -np.inf, {}
+    for rows, peak in surface.block_peaks(n, margin=4):
+        if rows.start - last_moved >= _BARE_REACH:
+            bare[rows.start] = peak
+        top = np.max((top, peak))
+        if rows.stop == stop:
+            top = np.max((top, *(p for r, p in sorted(kept.items()) if r >= stop)))
+            break
+    if bare:
+        _BARE_PEAKS[key] = {**kept, **bare}
+    return float(top)
 
 
 def _catenoid_cauchy(geo: _NeckGeometry, scales: Scales, w: BandField):

@@ -111,6 +111,18 @@ def collocation_from_rows(rows: np.ndarray, grid: ZonalGrid) -> np.ndarray:
     return vals
 
 
+def collocation_bound(rows: np.ndarray, grid: ZonalGrid) -> float:
+    """An upper bound on max |collocation_from_rows(rows, grid)| read from
+    the band rows alone: the largest over the nodes of sum_l |row_l| times
+    the largest |Z_l| on the beta nodes (|t| for band 1, which
+    collocation_from_rows multiplies by t), raised by a relative 1e-12 for
+    the rounding of both sums.  A NaN row makes it NaN."""
+    zmax = np.max(np.abs(grid.Z), axis=1)
+    zmax[0] = 1.0
+    zmax[1] = np.max(np.abs(grid.t))
+    return float(np.max(zmax @ np.abs(rows))) * (1 + 1e-12)
+
+
 def rows_from_collocation(vals: np.ndarray, grid: ZonalGrid) -> np.ndarray:
     """Collocation values on (node, beta) -> band rows on (band, node)."""
     return grid.to_bands(vals).T

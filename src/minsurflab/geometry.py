@@ -33,10 +33,24 @@ and elementwise form is independent of the block it is computed in, so the
 blocked result is bit-identical to a whole-chart evaluation with one d_beta
 call per component and derivative.
 
+A surface may be given BlockBuffers, which its caller creates and owns:
+the scratch of one block's forms (d_beta's extension and spectra, the beta
+derivatives and the unit normal), written with out= by every block of every
+walk of every surface that shares them.  The catenoid piece's build hands
+one set to the surfaces of all its Picard steps, and its oracle walks with
+one of its own, so no step faults in new pages for them and no set
+outlives the build.  The forms of a block are then views into the buffers,
+valid until the next block; the engine reads them before it asks for the
+next one, and so must any caller of fundamental_forms.  A surface without
+buffers allocates them per block.  Either way the bits are the same.
+
 mean_curvature and second_fundamental_sq return the whole chart's values.
-The oracles need only sup |H| away from the chart's ends, and
-max_abs_mean_curvature takes it block by block from the same per-block H, so
-an oracle on a row-function chart holds nothing the size of the chart.
+The oracles need only sup |H| away from the chart's ends, and block_peaks
+yields it block by block from the same per-block H, so an oracle on a
+row-function chart holds nothing the size of the chart.  A row's H reads
+the chart only on the rows its stencils reach (at most 5 rows away, by the
+order-4 one-sided stencils at the chart's ends), so two charts that agree
+on those rows give it the same bits.
 """
 
 from __future__ import annotations
@@ -59,11 +73,13 @@ _FD_LEAST = {2: 4, 4: 7}
 _ORBIT_PARITY = np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a x b over axis 0, stored component-last as np.cross(a, b, axis=0)
     stores it: the layout fixes the order in which einsum sums over the
-    components, and with it the last bits of the forms."""
-    out = np.empty(a.shape[1:] + (3,))
+    components, and with it the last bits of the forms.  out, if given, is
+    the component-last array, of shape a.shape[1:] + (3,), to write into."""
+    if out is None:
+        out = np.empty(a.shape[1:] + (3,))
     for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.multiply(a[i], b[j], out=out[..., c])
         out[..., c] -= a[j] * b[i]
@@ -103,6 +119,37 @@ def _matrix_blocks(P: np.ndarray, D1: np.ndarray, DD: np.ndarray):
         yield rows, P[:, rows], Pa[:, rows], Paa[:, rows]
 
 
+class BlockBuffers:
+    """Scratch for the forms of one block of at most BLOCK rows on a grid
+    of m beta nodes: d_beta's 2m-point extension and its two spectra, the
+    beta derivatives P_b, P_bb and P_ab (2m points each, the forms reading
+    [..., :m]), and the unit normal, component-last as _cross stores it.
+
+    The arrays are consecutive pieces of one allocation, 1.9 MB at m = 48.
+    glibc serves it by mmap, and freeing it raises glibc's dynamic mmap
+    threshold above it (and the heap's trim threshold to twice that), so
+    the block and step temporaries that follow stay in the heap instead of
+    being returned and faulted in again at every step."""
+
+    def __init__(self, grid: ZonalGrid):
+        m = grid.t.size
+        shapes = ((3, BLOCK, 2 * m), (3, BLOCK, 2 * m + 2), (3, BLOCK, 2 * m + 2),
+                  (3, 3, BLOCK, 2 * m), (BLOCK, m, 3))
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        pieces = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        self.ext, spec, spec_d, self.derivs, self.normal = (
+            piece.reshape(shape) for piece, shape in zip(pieces, shapes))
+        self.spec = spec.view(complex)
+        self.spec_d = spec_d.view(complex)
+
+    def first_rows(self, r: int) -> tuple:
+        """(d_beta's buffers for P_b and P_bb, its buffers for P_ab, the
+        normal's) on the first r rows of a block."""
+        work = (self.ext[:, :r], self.spec[:, :r], self.spec_d[:, :r])
+        Pb, Pbb, Pab = self.derivs[:, :, :r]
+        return work + (Pb, Pbb), work + (Pab,), self.normal[:r]
+
+
 class OrbitSurface:
     """2-parameter orbit generator P(a, beta) -> (x_q, rho, x_v) on `rows`
     values of a and the beta nodes of grid.
@@ -111,13 +158,15 @@ class OrbitSurface:
     first-parameter derivatives taken by the chart's own stencil or matrix;
     solver and oracle paths pass different ones, keeping verification
     independent.  uniform_surface and matrix_surface build the walk; the
-    beta derivatives, the forms and the curvatures follow block by block.
+    beta derivatives, the forms and the curvatures follow block by block,
+    in buffers if the surface is given a BlockBuffers on its grid.
     """
 
-    def __init__(self, rows: int, grid: ZonalGrid, walk):
+    def __init__(self, rows: int, grid: ZonalGrid, walk, buffers: BlockBuffers | None = None):
         self.rows = rows
         self.grid = grid
         self.walk = walk
+        self.buffers = buffers
 
     def _blocks(self):
         """Yield (rows, P of those rows, their forms) block by block."""
@@ -125,15 +174,23 @@ class OrbitSurface:
             yield rows, P, self.fundamental_forms(P, Pa, Paa)
 
     def fundamental_forms(self, P, Pa, Paa):
-        """E, F, G, L, M, NN and the unit normal of the rows of one block."""
-        Pb, Pbb = self.grid.d_beta(P, _ORBIT_PARITY, (1, 2))
-        Pab = self.grid.d_beta(Pa, _ORBIT_PARITY)
+        """E, F, G, L, M, NN and the unit normal of the rows of one block.
+        With buffers the normal is a view into them, valid until the next
+        block."""
+        if self.buffers is None:
+            Pb, Pbb = self.grid.d_beta(P, _ORBIT_PARITY, (1, 2))
+            Pab = self.grid.d_beta(Pa, _ORBIT_PARITY)
+            Nvec = _cross(Pa, Pb)
+        else:
+            into_P, into_Pa, normal = self.buffers.first_rows(P.shape[1])
+            Pb, Pbb = self.grid.d_beta(P, _ORBIT_PARITY, (1, 2), into_P)
+            Pab = self.grid.d_beta(Pa, _ORBIT_PARITY, buffers=into_Pa)
+            Nvec = _cross(Pa, Pb, normal)
         E = np.einsum("kij,kij->ij", Pa, Pa)
         F = np.einsum("kij,kij->ij", Pa, Pb)
         G = np.einsum("kij,kij->ij", Pb, Pb)
-        Nvec = _cross(Pa, Pb)
         norm = np.sqrt(np.einsum("kij,kij->ij", Nvec, Nvec))
-        Nvec = Nvec / norm
+        np.divide(Nvec, norm, out=Nvec)
         L = np.einsum("kij,kij->ij", Paa, Nvec)
         M = np.einsum("kij,kij->ij", Pab, Nvec)
         NN = np.einsum("kij,kij->ij", Pbb, Nvec)
@@ -152,21 +209,27 @@ class OrbitSurface:
             H[rows] = Hb
         return H
 
-    def max_abs_mean_curvature(self, n: int, margin: int) -> float:
-        """sup |H| over the rows margin <= i < rows - margin: the bits of
-        np.max(np.abs(H[margin:rows - margin])) without holding H.  Each
-        block gives max(Hb.max(), -Hb.min()) and np.max keeps the running
-        maximum, so a NaN stays NaN.  An empty interior raises ValueError,
-        as np.max does."""
+    def block_peaks(self, n: int, margin: int):
+        """Yield (rows, sup |H| over those of the block's rows that lie in
+        margin <= i < rows - margin) for each block that has such rows, as
+        np.max((Hb.max(), -Hb.min())), so a NaN in the block is its peak.
+        An empty interior raises ValueError, as np.max does."""
         lo, hi = margin, self.rows - margin
         if lo >= hi:
             raise ValueError(f"no rows inside the margin {margin} of {self.rows} rows")
-        top = -np.inf
         for rows, Hb in self._mean_curvature_blocks(n):
             a, b = max(lo, rows.start), min(hi, rows.stop)
             if a < b:
                 Hb = Hb[a - rows.start:b - rows.start]
-                top = np.max((top, Hb.max(), -Hb.min()))
+                yield rows, np.max((Hb.max(), -Hb.min()))
+
+    def max_abs_mean_curvature(self, n: int, margin: int) -> float:
+        """sup |H| over the rows margin <= i < rows - margin: the bits of
+        np.max(np.abs(H[margin:rows - margin])) without holding H.  np.max
+        keeps the running maximum of the block peaks, so a NaN stays NaN."""
+        top = -np.inf
+        for _, peak in self.block_peaks(n, margin):
+            top = np.max((top, peak))
         return float(top)
 
     def second_fundamental_sq(self, n: int) -> np.ndarray:
@@ -189,20 +252,21 @@ def _array_rows(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def uniform_surface(P, grid: ZonalGrid, h: float, order: int = 2,
-                    rows: int | None = None) -> OrbitSurface:
+                    rows: int | None = None,
+                    buffers: BlockBuffers | None = None) -> OrbitSurface:
     """OrbitSurface whose first parameter lives on a uniform grid of step h,
     differenced by fd_derivative's stencils of the given order block by block.
 
     P is the chart as an array (3, Na, len(grid.beta)), or as a row function
     points(lo, hi) that returns the chart's rows lo:hi, with Na given as rows;
     a row function is called once per block, so the whole chart is never
-    held.
+    held.  buffers, if given, are the caller's BlockBuffers on grid.
     """
     if not callable(P):
         P = _chart(P, grid)
         rows = P.shape[1]
         P = partial(_array_rows, P)
-    return OrbitSurface(rows, grid, partial(_fd_blocks, P, rows, h, order))
+    return OrbitSurface(rows, grid, partial(_fd_blocks, P, rows, h, order), buffers)
 
 
 def matrix_surface(P, grid: ZonalGrid, D1: np.ndarray) -> OrbitSurface:

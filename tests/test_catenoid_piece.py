@@ -1,8 +1,10 @@
 import logging
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minsurflab import catenoid
 from minsurflab.catenoid import (
@@ -20,7 +22,8 @@ from minsurflab.catenoid import (
 )
 from band_reference import norm_exp
 from oracle_reference import oracle_residual_whole
-from minsurflab.cylinder import BandField, UniformGrid, collocation_from_rows
+from minsurflab.cylinder import BandField, UniformGrid, collocation_bound, collocation_from_rows
+from minsurflab.geometry import OrbitSurface
 from minsurflab.profile import compute_scales, solve_profile
 from minsurflab.spectral import SphereField, ZonalGrid, band_spectrum, project_high
 
@@ -192,6 +195,126 @@ class TestBuild:
         piece = build_catenoid_piece(prof, sc, h * (0.3 * sc.r_eps**2 / h.holder_norm()), 1.0, TOL)
         grid = ZonalGrid(n, 8, 48)
         assert piece.residual == oracle_residual_whole(n, grid, sc, piece.w)
+
+
+class TestGuard:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 5),
+        nodes=st.integers(1, 40),
+        exponents=st.lists(st.floats(-300.0, 3.0), min_size=9, max_size=9),
+        aligned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_bound_is_never_below_the_collocation(self, n, nodes, exponents, aligned, seed):
+        # bands of magnitudes 1e-300 to 1e3, mixed signs, some rows zero;
+        # rows of one sign meet the bound at the node nearest the pole, up
+        # to the rounding of the two sums
+        grid = ZonalGrid(n, 8, 48)
+        rng = np.random.default_rng(seed)
+        rows = 10.0 ** np.array(exponents)[:, None] * rng.uniform(-1.0, 1.0, (9, nodes))
+        rows[rng.random(9) < 0.2] = 0.0
+        if aligned:
+            rows = np.abs(rows)
+        assert collocation_bound(rows, grid) >= np.max(np.abs(collocation_from_rows(rows, grid)))
+
+    def test_tripped_guard_raises_the_exact_value(self, monkeypatch):
+        # at n=5, eps 1e-6 the data 0.3 r_eps^2 trips the guard; the message
+        # carries max |w| over the collocation nodes as before the row bound
+        spec, prof = band_spectrum(5, 8), solve_profile(5, 16.0, 8e-3)
+        sc = compute_scales(prof, 1e-6)
+        h = SphereField.zonal_band(spec, 2, 1.0)
+        h = h * (0.3 * sc.r_eps**2 / h.holder_norm())
+        message = r"cubic-regime guard tripped: \|phi\^\(-n/2\) eps\^\(-1/\(n-1\)\) w\| = 5\.840e-01$"
+        with pytest.raises(ContractionError, match=message) as bounded:
+            build_catenoid_piece(prof, sc, h, 1.0, TOL)
+        monkeypatch.setattr(catenoid, "collocation_bound", lambda rows, grid: np.inf)
+        with pytest.raises(ContractionError) as exact:
+            build_catenoid_piece(prof, sc, h, 1.0, TOL)
+        assert str(bounded.value) == str(exact.value)
+
+    def test_row_bound_changes_no_bit(self, spectrum, profile, h_zonal, piece_zonal, monkeypatch):
+        # the guard collocating every step's rows builds the same piece
+        monkeypatch.setattr(catenoid, "collocation_bound", lambda rows, grid: np.inf)
+        exact = build_catenoid_piece(profile, compute_scales(profile, EPS), h_zonal, 1.0, TOL)
+        assert np.array_equal(exact.w.values, piece_zonal.w.values)
+        assert exact.residual == piece_zonal.residual
+        assert exact.iterations == piece_zonal.iterations
+
+
+class TestOracleTail:
+    def test_bare_rows_keep_the_bare_points(self, zgrid, piece_zonal):
+        # a field at the bound of a bare row, of either sign, leaves that
+        # row's points the bare catenoid's bit for bit; the bound sweeps 30
+        # decades over the rows, so the bare ones end where it crosses the
+        # threshold
+        sc = piece_zonal.scales
+        s = piece_zonal.w.grid.s
+        geo = _NeckGeometry(N, s, zgrid, sc.eps_len)
+        bound = np.logspace(-25.0, 5.0, s.size)
+        bare = geo.bare_rows(bound)
+        assert bare[:100].all() and not bare[-100:].any()
+        field = np.broadcast_to(bound[:, None], (s.size, zgrid.t.size))
+        bare_points = geo.surface_points(np.zeros(field.shape), 0, s.size)[:, bare]
+        for sign in (1.0, -1.0):
+            assert np.array_equal(geo.surface_points(sign * field, 0, s.size)[:, bare], bare_points)
+
+    def test_warm_oracles_equal_the_whole_one(self, spectrum, profile, zgrid, monkeypatch):
+        # the first oracle on the grid keeps the bare catenoid's block peaks;
+        # a piece that reaches farther, then one that reaches less far,
+        # stop their walks at the kept blocks and give the whole oracle's bits
+        monkeypatch.setattr(catenoid, "_BARE_PEAKS", {})
+        sc = compute_scales(profile, EPS)
+        h = SphereField.zonal_band(spectrum, 2, 1.0)
+        kept = []
+        for amplitude in (0.1, 0.5, 0.0):
+            piece = build_catenoid_piece(profile, sc, h * (amplitude * sc.r_eps**2 / h.holder_norm()),
+                                         1.0, TOL)
+            assert piece.residual == oracle_residual_whole(N, zgrid, sc, piece.w)
+            (tail,) = catenoid._BARE_PEAKS.values()
+            kept.append(len(tail))
+        # band 2 at 0.5 r_eps^2 moves rows farther up than at 0.1, and zero
+        # data less far: its oracle adds the blocks between
+        assert 0 < kept[0] == kept[1] < kept[2]
+        # a warm oracle walks fewer blocks than a cold one, to the same bits
+        blocks = []
+        forms = OrbitSurface.fundamental_forms
+
+        def counted(self, *args):
+            blocks.append(args[0].shape[1])
+            return forms(self, *args)
+
+        monkeypatch.setattr(OrbitSurface, "fundamental_forms", counted)
+        warm = _oracle_residual(N, zgrid, sc, piece.w)
+        walked = len(blocks)
+        monkeypatch.setattr(catenoid, "_BARE_PEAKS", {})
+        assert _oracle_residual(N, zgrid, sc, piece.w) == warm
+        assert walked + kept[2] == len(blocks) - walked
+
+    def test_nan_in_a_kept_block_is_the_result(self, piece_zonal, zgrid, monkeypatch):
+        monkeypatch.setattr(catenoid, "_BARE_PEAKS", {})
+        sc = piece_zonal.scales
+        assert _oracle_residual(N, zgrid, sc, piece_zonal.w) == piece_zonal.residual
+        (key, tail), = catenoid._BARE_PEAKS.items()
+        catenoid._BARE_PEAKS[key] = {**tail, max(tail): np.float64(np.nan)}
+        assert np.isnan(_oracle_residual(N, zgrid, sc, piece_zonal.w))
+
+    def test_no_block_buffer_outlives_the_build(self, spectrum, profile, h_zonal, monkeypatch):
+        made = []
+
+        class Recorded(catenoid.BlockBuffers):
+            def __init__(self, grid):
+                super().__init__(grid)
+                root = self.ext
+                while root.base is not None:
+                    root = root.base
+                made.append((weakref.ref(self), weakref.ref(root)))
+
+        monkeypatch.setattr(catenoid, "BlockBuffers", Recorded)
+        piece = build_catenoid_piece(profile, compute_scales(profile, EPS), h_zonal, 1.0, TOL)
+        assert piece.residual <= TOL
+        assert len(made) == 2  # the Picard steps' set and the oracle's
+        assert all(buffers() is None and memory() is None for buffers, memory in made)
 
 
 class TestCauchyMaps:

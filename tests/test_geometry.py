@@ -8,8 +8,11 @@ halo.  max_abs_mean_curvature is checked against sup |H| of the same
 reference between the margins.  The engine's peak memory is bounded by a
 fraction of the chart's own size, the reduction's by one block's
 temporaries, and a row-function chart is fetched one block at a time.
+Charts walked through one shared BlockBuffers give the same bits, and a
+row's H does not read rows more than the stencils' reach away.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -17,7 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minsurflab.diffops import cheb_nodes_matrix, fd_derivative
-from minsurflab.geometry import BLOCK, graph_orbit_points, matrix_surface, uniform_surface
+from minsurflab.geometry import (
+    BLOCK,
+    BlockBuffers,
+    graph_orbit_points,
+    matrix_surface,
+    uniform_surface,
+)
 from minsurflab.spectral import ZonalGrid
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -145,6 +154,63 @@ class TestBlockedEngine:
         assert np.array_equal(surf.mean_curvature(n), reference_mean_curvature(P, forms, n))
         assert np.array_equal(surf.second_fundamental_sq(n),
                               reference_second_fundamental_sq(P, forms, n))
+
+    @PROPERTY
+    @given(
+        order=st.sampled_from([2, 4]),
+        sizes=st.tuples(ROWS, ROWS),
+        n=st.integers(3, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_two_charts_through_one_buffer_set(self, order, sizes, n, seed):
+        # a block's forms are views into the buffers until the next block:
+        # two charts walked through one set, one after the other and then
+        # block by block in turn, each give their own whole-chart reference
+        grid = ZonalGrid(n, 8, 48)
+        rng = np.random.default_rng(seed)
+        buffers = BlockBuffers(grid)
+        surfaces, refs = [], []
+        for Na in sizes:
+            P, h = uniform_chart(Na, grid, rng)
+            d_a = lambda F, h=h: fd_derivative(F, h, 0, 1, order)  # noqa: E731
+            d_aa = lambda F, h=h: fd_derivative(F, h, 0, 2, order)  # noqa: E731
+            forms = reference_forms(P, grid, d_a, d_aa)
+            refs.append((reference_mean_curvature(P, forms, n),
+                         reference_second_fundamental_sq(P, forms, n)))
+            surfaces.append(uniform_surface(RowFunction(P), grid, h, order=order, rows=Na,
+                                            buffers=buffers))
+        for surf, (H, A2) in zip(surfaces, refs):
+            assert np.array_equal(surf.mean_curvature(n), H)
+            assert np.array_equal(surf.second_fundamental_sq(n), A2)
+        walks = [surf.block_peaks(n, 0) for surf in surfaces]
+        for pair in itertools.zip_longest(*walks):
+            for got, (H, _) in zip(pair, refs):
+                if got is not None:
+                    rows, peak = got
+                    assert peak == np.max(np.abs(H[rows]))
+
+    @PROPERTY
+    @given(
+        order=st.sampled_from([2, 4]),
+        Na=ROWS,
+        cut=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_past_a_change_keep_their_bits(self, order, Na, cut, seed):
+        # two charts that differ only in rows < p give the same H bits on
+        # every row >= p + 8: the catenoid oracle's cache of the bare
+        # catenoid's block peaks rests on this
+        grid = ZonalGrid(3, 8, 48)
+        rng = np.random.default_rng(seed)
+        P, h = uniform_chart(Na, grid, rng)
+        p = 1 + int(cut * (Na - 1))
+        Q = P.copy()
+        Q[:, :p] *= 1.0 + 1e-3 * rng.standard_normal((3, p, 1))
+        H_P = uniform_surface(P, grid, h, order=order).mean_curvature(3)
+        H_Q = uniform_surface(RowFunction(Q), grid, h, order=order, rows=Na,
+                              buffers=BlockBuffers(grid)).mean_curvature(3)
+        assert np.array_equal(H_P[p + 8:], H_Q[p + 8:])
+        assert not np.array_equal(H_P[:p], H_Q[:p])
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("tail", range(1, 7))

@@ -220,6 +220,27 @@ class TestTransformsAndSerialization:
             expect = np.fft.irfft(ref, n=2 * m, axis=-1)[..., :m]
             assert np.array_equal(zgrid.d_beta(block, parity, deriv), expect)
 
+    @pytest.mark.parametrize("parity", [1, -1, np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)])
+    @pytest.mark.parametrize("deriv", [1, 2, (1, 2)])
+    def test_beta_derivative_into_buffers_matches_allocating_call(self, zgrid, rng, parity, deriv):
+        # the buffers are the first rows of larger ones, as a short block
+        # takes them from BlockBuffers, and hold stale values from a first call
+        block = rng.normal(size=(3, 5, zgrid.t.size))
+        m = zgrid.t.size
+        orders = (deriv,) if isinstance(deriv, int) else deriv
+        ext = np.empty((3, 8, 2 * m))
+        spec = np.empty((3, 8, m + 1), dtype=complex)
+        spec_d = np.empty_like(spec)
+        outs = np.empty((len(orders), 3, 8, 2 * m))
+        buffers = (ext[:, :5], spec[:, :5], spec_d[:, :5], *outs[:, :, :5])
+        zgrid.d_beta(rng.normal(size=block.shape), parity, deriv, buffers)
+        got = zgrid.d_beta(block, parity, deriv, buffers)
+        expect = zgrid.d_beta(block, parity, deriv)
+        for g, e, out in zip((got,) if isinstance(deriv, int) else got,
+                             (expect,) if isinstance(deriv, int) else expect, outs):
+            assert np.array_equal(g, e)
+            assert np.shares_memory(g, out)
+
     def test_beta_derivative_rejects_third_order(self, zgrid):
         with pytest.raises(SpectralError):
             zgrid.d_beta(np.ones(zgrid.t.size), +1, deriv=3)
