@@ -22,7 +22,6 @@ weight is checked by the CLI's RunConfig and by outer.nondegeneracy_check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .cylinder import (
     solve_band_dirichlet_robin,
 )
 from .diffops import NotAKnotSpline, fd_derivative
-from .geometry import BLOCK, BlockBuffers, uniform_surface
+from .geometry import BLOCK, uniform_surface
 from .profile import ProfileTable, Scales, profile_values
 from .spectral import SphereField, ZonalGrid, angular_grid, apply_Dtheta, has_low_modes
 
@@ -292,15 +291,14 @@ class _NeckGeometry:
         return ((w_bound * np.abs(self.alpha_theta) < np.spacing(self.phi) / 4)
                 & (w_bound * np.abs(self.alpha_vert) < np.spacing(np.abs(self.psi)) / 4))
 
-    def conjugated_mc(self, w: BandField, buffers: BlockBuffers) -> np.ndarray:
+    def conjugated_mc(self, w: BandField) -> np.ndarray:
         """Collocation values of the conjugated mean-curvature functional.
 
         Sign fixed so the linearization at w = 0 is the cylinder operator.
         Returns the k rows of the near window s <= S + DEFECT_SPAN only,
         computed from the surface on k + 4 rows (a stencil margin); callers
         combine it with the linear operator on those rows.  The surface
-        points are built block by block as the curvature engine walks them,
-        and the forms are written into the caller's buffers.
+        points are built block by block as the curvature engine walks them.
         """
         k = int(np.sum(self.s <= self.s[0] + DEFECT_SPAN))
         m = k + 4
@@ -311,7 +309,7 @@ class _NeckGeometry:
             return self.surface_points(w_hat[lo:hi], lo, hi)
 
         h = float(self.s[1] - self.s[0])
-        H = uniform_surface(points, g, h, rows=m, buffers=buffers).mean_curvature(self.n)
+        H = uniform_surface(points, g, h, rows=m).mean_curvature(self.n)
         return -self.eps_len * self.mfac[:k, None] * H[:k]
 
 
@@ -350,8 +348,7 @@ def build_catenoid_piece(
     or the step raises ContractionError with that maximum.  A step whose
     band rows bound it (cylinder.collocation_bound) below 0.2 (1 - 1e-9)
     cannot trip it and skips the collocation; any other takes the maximum
-    exactly.  The steps' forms share one BlockBuffers, freed before the
-    oracle runs.
+    exactly.
     """
     n = profile.n
     eps = scales.eps
@@ -380,10 +377,10 @@ def build_catenoid_piece(
     guard = 0.2  # smallness guard on the cubic-regime variable
     guard_weight = np.max(geo.phi ** (-n / 2.0))
 
-    def update(v: BandField, buffers: BlockBuffers) -> BandField:
+    def update(v: BandField) -> BandField:
         # Qbar lives on the defect window's k rows and is zero beyond them
         w = wt + v
-        mc = geo.conjugated_mc(w, buffers)
+        mc = geo.conjugated_mc(w)
         k = mc.shape[0]
         qbar = BandField.zeros(spec, w.grid)
         qbar.values[:, :k] = apply_Lcal(w).values[:, :k] - rows_from_collocation(mc, grid)
@@ -398,11 +395,10 @@ def build_catenoid_piece(
             )
         return v_new
 
-    # the buffers die when picard returns, before the oracle makes its own
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
     v, it, contractions = picard(
-        partial(update, buffers=BlockBuffers(grid)), BandField.zeros(spec, wt.grid), 1e-7,
-        floor, max_iter, stage=f"catenoid (eps={eps:.3e})",
+        update, BandField.zeros(spec, wt.grid), 1e-7, floor, max_iter,
+        stage=f"catenoid (eps={eps:.3e})",
     )
     w = wt + v
 
@@ -442,8 +438,7 @@ def _oracle_residual(n, grid, scales, w) -> float:
     differenced at order 4.  The oracle's rows are made block by block as
     the curvature engine walks the grid: each block evaluates the spline at
     its own nodes only, collocates those rows and builds their points, and
-    sup |H| is taken as a running maximum over the blocks, whose forms are
-    written into one BlockBuffers of the oracle's own.  Neither the
+    sup |H| is taken as a running maximum over the blocks.  Neither the
     resampled rows, nor their collocation values, nor the surface, nor H
     is ever held whole.
 
@@ -475,8 +470,7 @@ def _oracle_residual(n, grid, scales, w) -> float:
     key = (n, grid.t.size, float(s_fine[0]), h / 2.0, s_fine.size)
     kept = _BARE_PEAKS.get(key, {})
     stop = min((r for r in kept if r - last_moved >= _BARE_REACH), default=None)
-    surface = uniform_surface(points, grid, h / 2.0, order=4, rows=s_fine.size,
-                              buffers=BlockBuffers(grid))
+    surface = uniform_surface(points, grid, h / 2.0, order=4, rows=s_fine.size)
     top, bare = -np.inf, {}
     for rows, peak in surface.block_peaks(n, margin=4):
         if rows.start - last_moved >= _BARE_REACH:

@@ -33,16 +33,14 @@ and elementwise form is independent of the block it is computed in, so the
 blocked result is bit-identical to a whole-chart evaluation with one d_beta
 call per component and derivative.
 
-A surface may be given BlockBuffers, which its caller creates and owns:
-the scratch of one block's forms (d_beta's extension and spectra, the beta
-derivatives and the unit normal), written with out= by every block of every
-walk of every surface that shares them.  The catenoid piece's build hands
-one set to the surfaces of all its Picard steps, and its oracle walks with
-one of its own, so no step faults in new pages for them and no set
-outlives the build.  The forms of a block are then views into the buffers,
-valid until the next block; the engine reads them before it asks for the
-next one, and so must any caller of fundamental_forms.  A surface without
-buffers allocates them per block.  Either way the bits are the same.
+Every block's forms are written with out= into the BlockBuffers of its
+grid's size m, the number of beta nodes: one set per m, made by the first
+walk on such a grid and kept in _BUFFERS.  A block's beta derivatives and
+unit normal are then views into the set, valid until the next block of any
+walk on a grid of that size.  The engine reads them before it asks its walk
+for the next block, so walks may interleave block by block and a row
+function may walk a chart of its own; any other caller of fundamental_forms
+must read them as soon.  No code in the package starts a thread.
 
 mean_curvature and second_fundamental_sq return the whole chart's values.
 The oracles need only sup |H| away from the chart's ends, and block_peaks
@@ -73,13 +71,11 @@ _FD_LEAST = {2: 4, 4: 7}
 _ORBIT_PARITY = np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)
 
 
-def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a x b over axis 0, stored component-last as np.cross(a, b, axis=0)
-    stores it: the layout fixes the order in which einsum sums over the
-    components, and with it the last bits of the forms.  out, if given, is
-    the component-last array, of shape a.shape[1:] + (3,), to write into."""
-    if out is None:
-        out = np.empty(a.shape[1:] + (3,))
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a x b over axis 0, written into out component-last, of shape
+    a.shape[1:] + (3,), as np.cross(a, b, axis=0) stores it: the layout
+    fixes the order in which einsum sums over the components, and with it
+    the last bits of the forms."""
     for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.multiply(a[i], b[j], out=out[..., c])
         out[..., c] -= a[j] * b[i]
@@ -124,15 +120,12 @@ class BlockBuffers:
     of m beta nodes: d_beta's 2m-point extension and its two spectra, the
     beta derivatives P_b, P_bb and P_ab (2m points each, the forms reading
     [..., :m]), and the unit normal, component-last as _cross stores it.
-
     The arrays are consecutive pieces of one allocation, 1.9 MB at m = 48.
-    glibc serves it by mmap, and freeing it raises glibc's dynamic mmap
-    threshold above it (and the heap's trim threshold to twice that), so
-    the block and step temporaries that follow stay in the heap instead of
-    being returned and faulted in again at every step."""
 
-    def __init__(self, grid: ZonalGrid):
-        m = grid.t.size
+    _BUFFERS holds one set per m, shared by every walk on a grid of that
+    size: a block's forms stay valid until the next block of any of them."""
+
+    def __init__(self, m: int):
         shapes = ((3, BLOCK, 2 * m), (3, BLOCK, 2 * m + 2), (3, BLOCK, 2 * m + 2),
                   (3, 3, BLOCK, 2 * m), (BLOCK, m, 3))
         sizes = [int(np.prod(shape)) for shape in shapes]
@@ -150,6 +143,10 @@ class BlockBuffers:
         return work + (Pb, Pbb), work + (Pab,), self.normal[:r]
 
 
+# the BlockBuffers of each grid size m, made by the first walk on such a grid
+_BUFFERS: dict = {}
+
+
 class OrbitSurface:
     """2-parameter orbit generator P(a, beta) -> (x_q, rho, x_v) on `rows`
     values of a and the beta nodes of grid.
@@ -159,14 +156,13 @@ class OrbitSurface:
     solver and oracle paths pass different ones, keeping verification
     independent.  uniform_surface and matrix_surface build the walk; the
     beta derivatives, the forms and the curvatures follow block by block,
-    in buffers if the surface is given a BlockBuffers on its grid.
+    in the BlockBuffers of the grid's size.
     """
 
-    def __init__(self, rows: int, grid: ZonalGrid, walk, buffers: BlockBuffers | None = None):
+    def __init__(self, rows: int, grid: ZonalGrid, walk):
         self.rows = rows
         self.grid = grid
         self.walk = walk
-        self.buffers = buffers
 
     def _blocks(self):
         """Yield (rows, P of those rows, their forms) block by block."""
@@ -174,18 +170,16 @@ class OrbitSurface:
             yield rows, P, self.fundamental_forms(P, Pa, Paa)
 
     def fundamental_forms(self, P, Pa, Paa):
-        """E, F, G, L, M, NN and the unit normal of the rows of one block.
-        With buffers the normal is a view into them, valid until the next
-        block."""
-        if self.buffers is None:
-            Pb, Pbb = self.grid.d_beta(P, _ORBIT_PARITY, (1, 2))
-            Pab = self.grid.d_beta(Pa, _ORBIT_PARITY)
-            Nvec = _cross(Pa, Pb)
-        else:
-            into_P, into_Pa, normal = self.buffers.first_rows(P.shape[1])
-            Pb, Pbb = self.grid.d_beta(P, _ORBIT_PARITY, (1, 2), into_P)
-            Pab = self.grid.d_beta(Pa, _ORBIT_PARITY, buffers=into_Pa)
-            Nvec = _cross(Pa, Pb, normal)
+        """E, F, G, L, M, NN and the unit normal of the rows of one block;
+        the normal is a view into _BUFFERS, valid until the next block of
+        any walk on a grid of this size."""
+        m = self.grid.t.size
+        if m not in _BUFFERS:
+            _BUFFERS[m] = BlockBuffers(m)
+        into_P, into_Pa, normal = _BUFFERS[m].first_rows(P.shape[1])
+        Pb, Pbb = self.grid.d_beta(P, _ORBIT_PARITY, (1, 2), buffers=into_P)
+        Pab = self.grid.d_beta(Pa, _ORBIT_PARITY, buffers=into_Pa)
+        Nvec = _cross(Pa, Pb, normal)
         E = np.einsum("kij,kij->ij", Pa, Pa)
         F = np.einsum("kij,kij->ij", Pa, Pb)
         G = np.einsum("kij,kij->ij", Pb, Pb)
@@ -252,21 +246,20 @@ def _array_rows(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def uniform_surface(P, grid: ZonalGrid, h: float, order: int = 2,
-                    rows: int | None = None,
-                    buffers: BlockBuffers | None = None) -> OrbitSurface:
+                    rows: int | None = None) -> OrbitSurface:
     """OrbitSurface whose first parameter lives on a uniform grid of step h,
     differenced by fd_derivative's stencils of the given order block by block.
 
     P is the chart as an array (3, Na, len(grid.beta)), or as a row function
     points(lo, hi) that returns the chart's rows lo:hi, with Na given as rows;
     a row function is called once per block, so the whole chart is never
-    held.  buffers, if given, are the caller's BlockBuffers on grid.
+    held.
     """
     if not callable(P):
         P = _chart(P, grid)
         rows = P.shape[1]
         P = partial(_array_rows, P)
-    return OrbitSurface(rows, grid, partial(_fd_blocks, P, rows, h, order), buffers)
+    return OrbitSurface(rows, grid, partial(_fd_blocks, P, rows, h, order))
 
 
 def matrix_surface(P, grid: ZonalGrid, D1: np.ndarray) -> OrbitSurface:

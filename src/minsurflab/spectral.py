@@ -105,7 +105,7 @@ class ZonalGrid:
         return np.asarray(values) @ self._proj.T
 
     def d_beta(self, values: np.ndarray, parity: float | np.ndarray,
-               deriv: int | tuple = 1, buffers: tuple | None = None) -> np.ndarray | tuple:
+               deriv: int | tuple = 1, *, buffers: tuple) -> np.ndarray | tuple:
         """Exact trig differentiation d/d beta along the last axis, which
         holds the samples on the grid's beta nodes.
 
@@ -118,34 +118,28 @@ class ZonalGrid:
         entry, each the same as its own call.  A call takes one forward real
         FFT of the 2m-point extension and one inverse FFT per derivative.
 
-        buffers, if given, is (ext, spec, spec_d, out_1, ...): the 2m-point
-        extension, its spectrum and the multiplied spectrum (complex, m + 1
+        buffers is (ext, spec, spec_d, out_1, ...): the 2m-point extension,
+        its spectrum and the multiplied spectrum (complex, m + 1
         wavenumbers), and one 2m-point array per derivative, each with the
-        leading shape of values.  The call then writes each of its arrays
-        into them, through the same FFT and multiply calls, so the bits are
-        those of the allocating call; it returns views [..., :m] of the out
-        arrays, valid until they are written again.
+        leading shape of values.  The call writes each of its arrays into
+        them with out= and returns views [..., :m] of the out arrays.
         """
         orders = (deriv,) if isinstance(deriv, int) else deriv
         if any(d not in (1, 2) for d in orders):
             raise SpectralError("deriv must be 1 or 2")
         v = np.asarray(values, dtype=float)
         m = v.shape[-1]
-        if buffers is None:
-            ext, spec, spec_d = np.empty(v.shape[:-1] + (2 * m,)), None, None
-            outs = (None,) * len(orders)
-        else:
-            ext, spec, spec_d, *outs = buffers
+        ext, spec, spec_d, *outs = buffers
         ext[..., :m] = v
         np.multiply(parity, v[..., ::-1], out=ext[..., m:])
-        spec = np.fft.rfft(ext, axis=-1, out=spec)
+        np.fft.rfft(ext, axis=-1, out=spec)
         out = []
         for d, into in zip(orders, outs, strict=True):
             if d == 1:
-                spec_d = np.multiply(spec, self._ik, out=spec_d)
+                np.multiply(spec, self._ik, out=spec_d)
                 spec_d[..., -1] = 0.0  # Nyquist mode has no odd-derivative sample
             else:
-                spec_d = np.multiply(spec, self._minus_k2, out=spec_d)
+                np.multiply(spec, self._minus_k2, out=spec_d)
             out.append(np.fft.irfft(spec_d, n=2 * m, axis=-1, out=into)[..., :m])
         return out[0] if isinstance(deriv, int) else tuple(out)
 

@@ -1,12 +1,11 @@
 import logging
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minsurflab import catenoid
+from minsurflab import catenoid, geometry
 from minsurflab.catenoid import (
     ContractionError,
     PreconditionError,
@@ -299,22 +298,41 @@ class TestOracleTail:
         catenoid._BARE_PEAKS[key] = {**tail, max(tail): np.float64(np.nan)}
         assert np.isnan(_oracle_residual(N, zgrid, sc, piece_zonal.w))
 
-    def test_no_block_buffer_outlives_the_build(self, spectrum, profile, h_zonal, monkeypatch):
+    def test_one_block_buffer_set_per_grid_size(self, spectrum, profile, h_zonal, zgrid,
+                                                monkeypatch):
+        # every walk on a grid of one size writes its forms into one set,
+        # made by the first walk and kept: two catenoid builds, a neck build
+        # and an outer solve make one between them, and a grid of another
+        # size gets its own
+        from minsurflab.neck import RigidParams, build_neck_piece, green_function
+        from minsurflab.outer import assemble_outer, find_site, seed_catenoid, solve_outer_nonlinear
+
         made = []
+        init = geometry.BlockBuffers.__init__
 
-        class Recorded(catenoid.BlockBuffers):
-            def __init__(self, grid):
-                super().__init__(grid)
-                root = self.ext
-                while root.base is not None:
-                    root = root.base
-                made.append((weakref.ref(self), weakref.ref(root)))
+        def recorded(self, m):
+            made.append(m)
+            init(self, m)
 
-        monkeypatch.setattr(catenoid, "BlockBuffers", Recorded)
-        piece = build_catenoid_piece(profile, compute_scales(profile, EPS), h_zonal, 1.0, TOL)
-        assert piece.residual <= TOL
-        assert len(made) == 2  # the Picard steps' set and the oracle's
-        assert all(buffers() is None and memory() is None for buffers, memory in made)
+        monkeypatch.setattr(geometry, "_BUFFERS", {})
+        monkeypatch.setattr(geometry.BlockBuffers, "__init__", recorded)
+        sc = compute_scales(profile, EPS)
+        h0 = SphereField.zeros(spectrum)
+        for h in (h_zonal, h0):
+            assert build_catenoid_piece(profile, sc, h, 1.0, TOL).residual <= TOL
+        surf = seed_catenoid(profile, spectrum, scale=1.0)
+        site = assemble_outer(surf, 180.0 * sc.r_eps, find_site(surf, sc)[0], sc)
+        neck = build_neck_piece(site.patch, sc, RigidParams.zeros(), h0, h0, tol=TOL, kappa=1.0,
+                                green=green_function(site.patch, sc.r_eps / 4))
+        assert neck.residual_rel <= TOL
+        solve_outer_nonlinear(site, h0, tol=TOL)
+        assert made == [zgrid.t.size]
+        other = ZonalGrid(N, 8, zgrid.t.size - 8)
+        r = np.linspace(1.0, 2.0, 20)
+        P = geometry.graph_orbit_points(r, other, np.zeros((r.size, other.t.size)))
+        geometry.uniform_surface(P, other, r[1] - r[0]).mean_curvature(N)
+        assert made == [zgrid.t.size, other.t.size]
+        assert set(geometry._BUFFERS) == set(made)
 
 
 class TestCauchyMaps:
