@@ -154,25 +154,31 @@ def _check_profile_covers(profile: ProfileTable, s: np.ndarray):
         )
 
 
-def apply_Lcal(w: BandField) -> BandField:
-    """Apply the conjugated cylinder operator row by row (2nd order)."""
+def apply_Lcal(w: BandField, k: int) -> np.ndarray:
+    """The conjugated cylinder operator applied row by row (2nd order), on
+    the first k nodes of w's grid: an array of shape (L + 1, k).
+
+    The second difference and the potential term are computed on the
+    first k + 1 nodes only.  Node k - 1 is then an interior stencil node,
+    so the k nodes have the bits of the operator on the whole grid; with
+    k = m they are the whole grid.
+    """
     spec = w.spectrum
-    data = grid_profile(spec.n, w.grid.s)
+    pot = grid_profile(spec.n, w.grid.s)["pot"][: k + 1]
     c2 = ((spec.n - 2) / 2.0) ** 2
-    out = np.empty_like(w.values)
-    v = w.values
-    d2 = fd_derivative(v, w.grid.step, 1, 2, 2)
+    v = w.values[:, : k + 1]
+    out = fd_derivative(v, w.grid.step, 1, 2, 2)
     for ell in range(spec.L + 1):
-        out[ell] = d2[ell] + (-(spec.lam[ell] + c2) + data["pot"]) * v[ell]
-    return BandField(spec, w.grid, out)
+        out[ell] += (-(spec.lam[ell] + c2) + pot) * v[ell]
+    return out[:, :k]
 
 
 def solve_GS(f: BandField) -> BandField:
     """Right inverse of the cylinder operator with high-mode zero trace.
 
     Bands l >= 2: Dirichlet 0 at the cut, decaying Robin at the far
-    truncation.  Bands l <= 1: double-decaying kernel; no trace may be
-    imposed.
+    truncation, one tridiagonal solve each (solve_band_dirichlet_robin).
+    Bands l <= 1: double-decaying kernel; no trace may be imposed.
     """
     spec = f.spectrum
     n = spec.n
@@ -383,7 +389,7 @@ def build_catenoid_piece(
         mc = geo.conjugated_mc(w)
         k = mc.shape[0]
         qbar = BandField.zeros(spec, w.grid)
-        qbar.values[:, :k] = apply_Lcal(w).values[:, :k] - rows_from_collocation(mc, grid)
+        qbar.values[:, :k] = apply_Lcal(w, k) - rows_from_collocation(mc, grid)
         v_new = solve_GS(qbar)
         rows = (v_new + wt).values
         if collocation_bound(rows, grid) * guard_weight / scales.eps_len <= guard * (1 - 1e-9):

@@ -137,24 +137,31 @@ def solve_band_dirichlet_robin(
     """Solve w'' + vpot w = f with w(S) = 0, w' = -robin_gamma w at S_max.
 
     The outgoing Robin condition selects the decaying indicial behavior at
-    the truncated far end; eliminated with a ghost node at 2nd order.
+    the truncated far end; eliminated with a ghost node at 2nd order.  The
+    three diagonals go to LAPACK's dgtsv directly, the routine that scipy's
+    solve_banded((1, 1), ...) runs on them, so the bits are its bits; its
+    failures are kept too: a non-finite potential or f raises ValueError
+    before the solve, and a singular system raises LinAlgError.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     m = vpot.size
-    ab = np.zeros((3, m))
     rhs = np.array(f, dtype=float)
-    ab[1, 0] = 1.0
-    ab[0, 1] = 0.0
     rhs[0] = 0.0
-    ab[0, 2:] = 1.0 / h**2
-    ab[1, 1:-1] = -2.0 / h**2 + vpot[1:-1]
-    ab[2, :-2] = 1.0 / h**2
+    d = -2.0 / h**2 + vpot
+    d[0] = 1.0
     # ghost elimination: w_{m} = w_{m-2} - 2 h g w_{m-1}
-    g = robin_gamma
-    ab[1, -1] = (-2.0 - 2.0 * h * g) / h**2 + vpot[-1]
-    ab[2, -2] = 2.0 / h**2
-    return solve_banded((1, 1), ab, rhs)
+    d[-1] = (-2.0 - 2.0 * h * robin_gamma) / h**2 + vpot[-1]
+    if not (np.isfinite(rhs).all() and np.isfinite(d).all()):
+        raise ValueError("band rows or right-hand side not finite")
+    du = np.full(m - 1, 1.0 / h**2)
+    du[0] = 0.0
+    dl = np.full(m - 1, 1.0 / h**2)
+    dl[-1] = 2.0 / h**2
+    _, _, _, w, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return w
 
 
 def homogeneous_pair(vpot: np.ndarray, h: float, gamma: float):

@@ -32,6 +32,7 @@ from .neck import (
     RigidParams,
     build_neck_piece,
     green_function,
+    mean_curvature_graph,
     simple_cauchy_neck,
 )
 from .outer import (
@@ -95,7 +96,9 @@ class BoundaryTriple:
 
 @dataclass(frozen=True)
 class GlueContext:
-    """Frozen inputs of one glue: surface, site, scales, grids, tolerances.
+    """Frozen inputs of one glue: surface, site, scales, grids, tolerances,
+    and what every evaluation of the glue reads unchanged: the site's
+    Green's function, U_0's multipliers and the exterior's mean curvature.
     No glue changes them; its result is a new surface."""
 
     surface: OuterSurface
@@ -105,6 +108,7 @@ class GlueContext:
     kappa: float
     tol_piece: float
     u0_mult: np.ndarray  # U_0's ring multiplier per band
+    H_exterior: np.ndarray  # mean_curvature_graph(site.exterior), the outer solves' base
 
 
 def prepare_glue(surface: OuterSurface, eps: float, kappa: float, tol_piece: float) -> GlueContext:
@@ -131,6 +135,7 @@ def prepare_glue(surface: OuterSurface, eps: float, kappa: float, tol_piece: flo
         kappa=kappa,
         tol_piece=tol_piece,
         u0_mult=u0_mult,
+        H_exterior=mean_curvature_graph(site.exterior),
     )
 
 
@@ -154,7 +159,7 @@ def conglomerate_C(t: BoundaryTriple, ctx: GlueContext) -> tuple:
     neck = build_neck_piece(
         ctx.site.patch, sc, A_neck, t.h_I, t.h_II, ctx.tol_piece, kappa=ctx.kappa, green=ctx.green
     )
-    w = solve_outer_nonlinear(ctx.site, t.h_I, ctx.tol_piece)
+    w = solve_outer_nonlinear(ctx.site, t.h_I, ctx.tol_piece, ctx.H_exterior)
     u_eps = cauchy_U_eps(w, neck)
     s_val = cat.cauchy[0].copy()
     s_val.c[0] -= t.A.d

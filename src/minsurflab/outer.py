@@ -46,7 +46,7 @@ from .catenoid import (
 )
 from .cylinder import BandField, rows_from_collocation
 from .diffops import NotAKnotSpline
-from .neck import NeckPiece, graph_defect, graph_operator, graph_residual, mean_curvature_graph
+from .neck import NeckPiece, graph_defect, graph_operator, graph_residual
 from .profile import ProfileTable, Scales, profile_values
 from .radial import RadialGrid, decaying, regular, solve_rows
 from .spectral import BandSpectrum, SphereField, angular_grid
@@ -446,22 +446,24 @@ def assemble_outer(
 # -- site-exterior solves --------------------------------------------------------------
 
 
-def solve_outer_nonlinear(site: Site, h_I: SphereField, tol: float) -> BandField:
+def solve_outer_nonlinear(site: Site, h_I: SphereField, tol: float,
+                          H_exterior: np.ndarray) -> BandField:
     """Minimal perturbation w of the site exterior with ring data h_I.
 
     Site-exterior Picard iteration on the mean-curvature defect; far planes
-    are untouched by construction.
+    are untouched by construction.  H_exterior is the mean curvature of the
+    unperturbed exterior, mean_curvature_graph(site.exterior), which a glue
+    computes once for all its solves on the site (GlueContext).
     """
     base = site.exterior
     op = graph_operator(base)
-    H_base_vals = mean_curvature_graph(base)
 
     def exterior_solve(f: BandField | None) -> BandField:
         # Dirichlet data h_I at the ring, decaying multipoles at the truncation
         return BandField(base.spectrum, base.grid, solve_rows(op, f, h_I, decaying))
 
     def update(w: BandField) -> BandField:
-        return exterior_solve(graph_defect(op, base, H_base_vals, w))
+        return exterior_solve(graph_defect(op, base, H_exterior, w))
 
     w = exterior_solve(None)
     if np.any(h_I.c):

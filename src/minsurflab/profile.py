@@ -55,16 +55,19 @@ def integrate_profile(n: int, s_nodes: np.ndarray, max_substep: float):
     The state is three Python floats, so no array is built per stage.  Each
     component sees the IEEE operations of the vector form
     y + h/6 (k1 + 2 k2 + 2 k3 + k4), in that order, with the right-hand
-    side (phi', phi + (n-2) phi^(3-2n), phi^(2-n)).
+    side (phi', phi + (n-2) phi^(3-2n), phi^(2-n)).  Every operand is a
+    float, the integer coefficients and powers included: CPython then takes
+    its float-by-float paths, which round the same as the mixed ones, since
+    an int operand is converted to the same double first.
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     if np.any(np.diff(s_nodes) <= 0):
         raise ProfileError("profile nodes must be strictly increasing")
     if s_nodes[0] < 0:
         raise ProfileError("integrate_profile expects nonnegative nodes; use symmetry")
-    c = n - 2
-    p3 = 3 - 2 * n
-    p2 = 2 - n
+    c = float(n - 2)
+    p3 = float(3 - 2 * n)
+    p2 = float(2 - n)
     phi, dphi, psi = 1.0, 0.0, 0.0
     out = np.empty((len(s_nodes), 3))
     s = 0.0
@@ -91,9 +94,9 @@ def integrate_profile(n: int, s_nodes: np.ndarray, max_substep: float):
                 a4 = dphi + h * b3
                 b4 = x + c * x**p3
                 c4 = x**p2
-                phi = phi + sixth * (((a1 + 2 * a2) + 2 * a3) + a4)
-                dphi = dphi + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
-                psi = psi + sixth * (((c1 + 2 * c2) + 2 * c3) + c4)
+                phi = phi + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+                dphi = dphi + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                psi = psi + sixth * (((c1 + 2.0 * c2) + 2.0 * c3) + c4)
             s = target
         out[i] = (phi, dphi, psi)
     return out

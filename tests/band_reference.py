@@ -5,6 +5,10 @@ dense_band_dirichlet_robin: the tests compare
 cylinder.solve_band_dirichlet_robin against this dense factorization of the
 same discrete rows.
 
+banded_band_dirichlet_robin: the band solve as it was before it called
+LAPACK's dgtsv directly: the rows in scipy's band storage, solved by
+solve_banded.  The direct call must give the same bits and fail alike.
+
 norm_exp: the exponentially weighted Hoelder norm of a band field on a
 UniformGrid, window by window.  The solver tests state their bounds in it;
 no pipeline code reads it.
@@ -17,6 +21,7 @@ bit.
 """
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from minsurflab.spectral import angular_grid, zonal_eval
 
@@ -38,6 +43,26 @@ def dense_band_dirichlet_robin(
     A[m - 1, m - 2] = 2.0 / h**2
     A[m - 1, m - 1] = (-2.0 - 2.0 * h * g) / h**2 + vpot[m - 1]
     return np.linalg.solve(A, rhs)
+
+
+def banded_band_dirichlet_robin(
+    vpot: np.ndarray, h: float, f: np.ndarray, robin_gamma: float
+) -> np.ndarray:
+    """The rows of solve_band_dirichlet_robin in band storage, solved by
+    scipy's solve_banded."""
+    m = vpot.size
+    ab = np.zeros((3, m))
+    rhs = np.array(f, dtype=float)
+    ab[1, 0] = 1.0
+    ab[0, 1] = 0.0
+    rhs[0] = 0.0
+    ab[0, 2:] = 1.0 / h**2
+    ab[1, 1:-1] = -2.0 / h**2 + vpot[1:-1]
+    ab[2, :-2] = 1.0 / h**2
+    g = robin_gamma
+    ab[1, -1] = (-2.0 - 2.0 * h * g) / h**2 + vpot[-1]
+    ab[2, -2] = 2.0 / h**2
+    return solve_banded((1, 1), ab, rhs)
 
 
 def norm_exp(w, k: int, alpha: float, delta: float) -> float:

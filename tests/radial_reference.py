@@ -7,6 +7,10 @@ u0_multipliers reads the U_0 multipliers one band at a time from unit ring
 data, as the glue did before prepare_glue read them in one call.  The tests require
 the shared solve to reproduce these bit for bit.
 
+outer_solve_afresh is outer.solve_outer_nonlinear as it was when every call
+computed the exterior's mean curvature itself, before the glue context
+kept it; a solve through the context must give its bits.
+
 weighted_norm and default_nu measure solutions and the neck's Picard
 correction at the weight of the paper's annulus estimates; no pipeline
 code reads them.
@@ -92,6 +96,31 @@ def u0_multipliers(site):
         resp = w0 @ ext_grid.D[0] - wt0 @ ball.D[-1]
         mult[ell] = resp[first_row[ell]]
     return mult
+
+
+def outer_solve_afresh(site, h_I, tol):
+    """The outer Picard solve with the exterior's curvature computed in the
+    call."""
+    from minsurflab.catenoid import ResidualError, picard
+    from minsurflab.cylinder import BandField
+    from minsurflab.neck import graph_defect, graph_operator, graph_residual, mean_curvature_graph
+    from minsurflab.radial import decaying, solve_rows
+
+    base = site.exterior
+    op = graph_operator(base)
+    H_base_vals = mean_curvature_graph(base)
+
+    def exterior_solve(f):
+        return BandField(base.spectrum, base.grid, solve_rows(op, f, h_I, decaying))
+
+    w = exterior_solve(None)
+    if np.any(h_I.c):
+        w, _, _ = picard(lambda w: exterior_solve(graph_defect(op, base, H_base_vals, w)),
+                         w, 1e-9, 1e-300, 30, stage="outer")
+    _, res_rel = graph_residual(base + w)
+    if not res_rel <= tol:
+        raise ResidualError(f"outer residual {res_rel:.3e} exceeds tol={tol:.3e}")
+    return w
 
 
 def default_nu(n: int) -> float:

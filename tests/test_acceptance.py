@@ -23,6 +23,7 @@ from minsurflab.neck import (
     build_neck_piece,
     graph_operator,
     green_function,
+    mean_curvature_graph,
     simple_cauchy_neck,
 )
 from minsurflab.outer import (
@@ -190,7 +191,7 @@ class TestAcceptance:
     def test_A5_outer_cauchy_gap(self, spectrum, profile):
         def outer_gap(site, h, neck):
             """U_eps - U_0 at the site with the ring data h."""
-            w = solve_outer_nonlinear(site, h, tol=TOL_SOLVER)
+            w = solve_outer_nonlinear(site, h, TOL_SOLVER, mean_curvature_graph(site.exterior))
             return cauchy_U_eps(w, neck) - simple_cauchy_outer(site, h)
 
         R0 = 0.45

@@ -304,7 +304,7 @@ class TestOracleTail:
         # made by the first walk and kept: two catenoid builds, a neck build
         # and an outer solve make one between them, and a grid of another
         # size gets its own
-        from minsurflab.neck import RigidParams, build_neck_piece, green_function
+        from minsurflab.neck import RigidParams, build_neck_piece, green_function, mean_curvature_graph
         from minsurflab.outer import assemble_outer, find_site, seed_catenoid, solve_outer_nonlinear
 
         made = []
@@ -325,7 +325,7 @@ class TestOracleTail:
         neck = build_neck_piece(site.patch, sc, RigidParams.zeros(), h0, h0, tol=TOL, kappa=1.0,
                                 green=green_function(site.patch, sc.r_eps / 4))
         assert neck.residual_rel <= TOL
-        solve_outer_nonlinear(site, h0, tol=TOL)
+        solve_outer_nonlinear(site, h0, TOL, mean_curvature_graph(site.exterior))
         assert made == [zgrid.t.size]
         other = ZonalGrid(N, 8, zgrid.t.size - 8)
         r = np.linspace(1.0, 2.0, 20)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from band_reference import dense_band_dirichlet_robin, norm_exp
+from band_reference import banded_band_dirichlet_robin, dense_band_dirichlet_robin, norm_exp
 from minsurflab.catenoid import (
     PreconditionError,
+    _piece_grid,
     apply_Lcal,
     band_pair,
     grid_profile,
@@ -17,7 +18,8 @@ from minsurflab.cylinder import (
     solve_band_decaying_kernel,
     solve_band_dirichlet_robin,
 )
-from minsurflab.spectral import SphereField
+from minsurflab.diffops import fd_derivative
+from minsurflab.spectral import SphereField, band_spectrum
 
 N = 3
 H = 5e-3
@@ -31,7 +33,31 @@ def bump(s, center, width=0.3, delta=-2.0):
     return np.exp(delta * (s - s[0])) * np.exp(-0.5 * ((s - center) / width) ** 2)
 
 
+def whole_Lcal(w):
+    """The conjugated operator on the whole grid, as apply_Lcal computed it
+    before it stopped at the nodes its caller reads."""
+    spec = w.spectrum
+    data = grid_profile(spec.n, w.grid.s)
+    c2 = ((spec.n - 2) / 2.0) ** 2
+    out = np.empty_like(w.values)
+    d2 = fd_derivative(w.values, w.grid.step, 1, 2, 2)
+    for ell in range(spec.L + 1):
+        out[ell] = d2[ell] + (-(spec.lam[ell] + c2) + data["pot"]) * w.values[ell]
+    return out
+
+
 class TestApplyLcal:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_first_k_nodes_equal_the_whole_grid(self, n, rng):
+        # the catenoid step reads the first 1201 of the piece grid's 3001 nodes
+        spec = band_spectrum(n, 8)
+        s = _piece_grid(-0.4)
+        w = BandField(spec, UniformGrid(s), rng.standard_normal((9, s.size)))
+        whole = whole_Lcal(w)
+        for k in (4, 5, 17, 1201, s.size - 1, s.size):
+            got = apply_Lcal(w, k)
+            assert got.shape == (9, k) and np.array_equal(got, whole[:, :k])
+
     def test_asymptotic_regime_is_flat_operator(self, spectrum):
         # where the potential is below 1e-12 the operator acts as w'' - gamma^2 w
         s = make_grid(S=10.0, span=4.0)
@@ -40,28 +66,28 @@ class TestApplyLcal:
         w = BandField.zeros(spectrum, UniformGrid(s))
         ell = 3
         w.values[ell] = np.sin(2 * (s - 10.0))
-        out = apply_Lcal(w)
+        out = apply_Lcal(w, s.size)
         gam2 = spectrum.gamma[ell] ** 2
         d2 = (w.values[ell][2:] - 2 * w.values[ell][1:-1] + w.values[ell][:-2]) / H**2
         expect = d2 - gam2 * w.values[ell][1:-1]
-        assert np.max(np.abs(out.values[ell][1:-1] - expect)) < 1e-8
+        assert np.max(np.abs(out[ell][1:-1] - expect)) < 1e-8
 
     def test_vertical_translation_jacobi_field(self, spectrum):
         s = make_grid()
         data = grid_profile(N, s)
         w = BandField.zeros(spectrum, UniformGrid(s))
         w.values[0] = -(data["phi"] ** ((N - 4) / 2.0)) * data["dphi"]
-        res = apply_Lcal(w)
+        res = apply_Lcal(w, s.size)
         scale = np.max(np.abs(w.values[0]))
-        assert np.max(np.abs(res.values[0][2:-2])) < 5e-6 * scale
+        assert np.max(np.abs(res[0][2:-2])) < 5e-6 * scale
 
     def test_horizontal_translation_jacobi_field(self, spectrum):
         s = make_grid()
         data = grid_profile(N, s)
         w = BandField.zeros(spectrum, UniformGrid(s))
         w.values[1] = data["phi"] ** (-N / 2.0)
-        res = apply_Lcal(w)
-        assert np.max(np.abs(res.values[1][2:-2])) < 5e-4 * np.max(np.abs(w.values[1]))
+        res = apply_Lcal(w, s.size)
+        assert np.max(np.abs(res[1][2:-2])) < 5e-4 * np.max(np.abs(w.values[1]))
 
     def test_agreement_with_divergence_form_oracle(self, spectrum):
         """Conjugated operator vs the divergence-form original applied by an
@@ -71,7 +97,7 @@ class TestApplyLcal:
             data = grid_profile(N, s)
             w = BandField.zeros(spectrum, UniformGrid(s))
             w.values[2] = np.exp(-0.5 * ((s - 0.2) / 0.5) ** 2)
-            lhs = apply_Lcal(w).values[2]
+            lhs = apply_Lcal(w, s.size)[2]
             phi = data["phi"]
             conj = phi ** ((2 - N) / 2.0)
             u = conj * w.values[2]
@@ -119,6 +145,25 @@ class TestBandPair:
             w = solve_GS(f)
             assert np.array_equal(w.values, direct)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_solve_GS_equals_solve_banded(self, n, rng):
+        # bands l >= 2 through dgtsv: the bits of the band matrix solved by
+        # solve_banded, and the dense factorization's values
+        spec = band_spectrum(n, 8)
+        s = _piece_grid(-0.4)
+        h = s[1] - s[0]
+        f = BandField(spec, UniformGrid(s), rng.standard_normal((9, s.size)))
+        pot = grid_profile(n, s)["pot"]
+        c2 = ((n - 2) / 2.0) ** 2
+        w = solve_GS(f)
+        for ell in range(2, 9):
+            vpot = -(spec.lam[ell] + c2) + pot
+            banded = banded_band_dirichlet_robin(vpot, h, f.values[ell], spec.gamma[ell])
+            assert np.array_equal(w.values[ell], banded)
+        dense = dense_band_dirichlet_robin(-(spec.lam[2] + c2) + pot, h, f.values[2], 0.0,
+                                           spec.gamma[2])
+        assert np.max(np.abs(w.values[2] - dense)) / np.max(np.abs(dense)) < 1e-8
+
     def test_cached_arrays_read_only(self):
         s = make_grid(S=-1.5)
         up, um, _ = band_pair(N, s, 1)
@@ -135,6 +180,45 @@ class TestBandPair:
             vpot = -(spectrum.lam[ell] + ((N - 2) / 2.0) ** 2) + grid_profile(N, s)["pot"]
             up_d, um_d, _ = homogeneous_pair(vpot, s[1] - s[0], spectrum.gamma[ell])
             assert np.array_equal(up, up_d) and np.array_equal(um, um_d)
+
+
+class TestBandSolveFailures:
+    """The direct dgtsv call fails where solve_banded failed."""
+
+    def test_singular_system_raises(self):
+        # h = 1, vpot = (0, 3, 4), no Robin term: rows (1 0 0), (1 1 1) and
+        # (0 2 2), of which the last two are dependent
+        vpot, f = np.array([0.0, 3.0, 4.0]), np.array([0.0, 1.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            banded_band_dirichlet_robin(vpot, 1.0, f, 0.0)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve_band_dirichlet_robin(vpot, 1.0, f, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_raises(self, spectrum, bad):
+        s = make_grid()
+        vpot = -(spectrum.lam[2] + 0.25) + grid_profile(N, s)["pot"]
+        f = bump(s, s[0] + 1.0)
+        f[s.size // 2] = bad
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            banded_band_dirichlet_robin(vpot, H, f, spectrum.gamma[2])
+        with pytest.raises(ValueError, match="not finite"):
+            solve_band_dirichlet_robin(vpot, H, f, spectrum.gamma[2])
+        # solve_GS meets it in the band solve, before any caller sees a step
+        rows = BandField.zeros(spectrum, UniformGrid(s))
+        rows.values[3] = f
+        with pytest.raises(ValueError, match="not finite"):
+            solve_GS(rows)
+
+    def test_non_finite_potential_raises(self, spectrum):
+        s = make_grid()
+        vpot = -(spectrum.lam[2] + 0.25) + grid_profile(N, s)["pot"]
+        vpot[7] = np.nan
+        f = bump(s, s[0] + 1.0)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            banded_band_dirichlet_robin(vpot, H, f, spectrum.gamma[2])
+        with pytest.raises(ValueError, match="not finite"):
+            solve_band_dirichlet_robin(vpot, H, f, spectrum.gamma[2])
 
 
 class TestSolveGS:
@@ -163,8 +247,8 @@ class TestSolveGS:
         f.values[1] = bump(s, s[0] + 1.2)
         f.values[2] = bump(s, s[0] + 0.5)
         w = solve_GS(f)
-        r = apply_Lcal(w)
-        err = np.abs(r.values - f.values)[:, 1:-1]
+        r = apply_Lcal(w, s.size)
+        err = np.abs(r - f.values)[:, 1:-1]
         assert np.max(err) < 1e-8 * np.max(np.abs(f.values))
 
     def test_high_mode_trace_zero(self, spectrum):

@@ -67,7 +67,9 @@ class TestFdDerivative:
     )
     def test_equals_reference(self, rows, cols, axis, h, seed):
         # axis -2 is the curvature engine's call: the rows of all three
-        # components of a chart block at once
+        # components of a chart block at once.  On these arrays swapaxes
+        # gives moveaxis's views, so the result has the reference's strides
+        # too
         F = np.random.default_rng(seed).standard_normal((rows, cols))
         if axis == 1:
             F = F.T
@@ -78,6 +80,7 @@ class TestFdDerivative:
                 got = fd_derivative(F, h, axis, deriv, order)
                 want = reference_fd_derivative(F, h, axis, deriv, order)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert got.strides == want.strides
 
 
 def reference_bary_interp_matrix(x, xi):

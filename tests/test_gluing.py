@@ -23,11 +23,11 @@ from minsurflab.gluing import (
     stack_tower,
     triple_norm,
 )
-from minsurflab.neck import RigidParams
-from minsurflab.outer import seed_catenoid
+from minsurflab.neck import RigidParams, mean_curvature_graph
+from minsurflab.outer import seed_catenoid, solve_outer_nonlinear
 from minsurflab.profile import profile_values
 from minsurflab.spectral import SphereField, project_high
-from radial_reference import u0_multipliers
+from radial_reference import outer_solve_afresh, u0_multipliers
 
 N = 3
 EPS = 1e-6
@@ -338,6 +338,19 @@ class TestGlueKeepsItsInput:
     def test_glue_context_is_frozen(self, ctx):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.kappa = 1.0
+
+    def test_outer_solves_read_the_context_curvature(self, ctx, rng):
+        """The exterior's mean curvature that the context keeps is a fresh
+        computation's, bit for bit; an outer solve through it gives the bits
+        of a solve that computes it itself, for two ring data; and no solve
+        changes it."""
+        assert np.array_equal(ctx.H_exterior, mean_curvature_graph(ctx.site.exterior))
+        kept = ctx.H_exterior.copy()
+        for scale in (0.3, 0.9):
+            h_I = random_triple(ctx, rng, scale).h_I
+            w = solve_outer_nonlinear(ctx.site, h_I, ctx.tol_piece, ctx.H_exterior)
+            assert np.array_equal(w.values, outer_solve_afresh(ctx.site, h_I, ctx.tol_piece).values)
+        assert np.array_equal(ctx.H_exterior, kept)
 
     def test_glue_records_are_frozen(self, ctx, spectrum, profile, glued_surface):
         outer = glued_surface.outer

@@ -10,7 +10,7 @@ from minsurflab.catenoid import (
     grid_profile,
 )
 from minsurflab.diffops import fd_derivative
-from minsurflab.neck import graph_residual
+from minsurflab.neck import graph_residual, mean_curvature_graph
 from minsurflab.outer import (
     CORE_SPAN,
     NeckBox,
@@ -249,7 +249,8 @@ class TestNondegeneracy:
 class TestOuterNonlinear:
     def test_zero_data_identity(self, sited, spectrum):
         surf, site, sc = sited
-        w = solve_outer_nonlinear(site, SphereField.zeros(spectrum), tol=5e-3)
+        w = solve_outer_nonlinear(site, SphereField.zeros(spectrum), 5e-3,
+                                  mean_curvature_graph(site.exterior))
         assert np.max(np.abs(w.values)) == 0.0
         _, res_rel = graph_residual(site.exterior + w)
         assert res_rel < 5e-3
@@ -261,7 +262,7 @@ class TestOuterNonlinear:
         for amp in sizes:
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (amp / h.holder_norm())
-            w = solve_outer_nonlinear(site, h, tol=5e-3)
+            w = solve_outer_nonlinear(site, h, 5e-3, mean_curvature_graph(site.exterior))
             norms.append(np.max(np.abs(w.values)) / amp)
         # response constant stable over a 4x data range
         assert max(norms) / min(norms) < 1.3
@@ -271,7 +272,7 @@ class TestOuterNonlinear:
         before = sorted(e.plane_height for e in surf.ends)
         h = SphereField.zonal_band(spectrum, 2, 1.0)
         h = h * (sc.r_eps**2 / h.holder_norm())
-        w = solve_outer_nonlinear(site, h, tol=5e-3)
+        w = solve_outer_nonlinear(site, h, 5e-3, mean_curvature_graph(site.exterior))
         after = sorted(e.plane_height for e in surf.ends)
         assert np.max(np.abs(np.array(before) - np.array(after))) < 1e-8
         # the perturbation decays by construction: its far tail is small
@@ -281,9 +282,9 @@ class TestOuterNonlinear:
         surf, site, sc = sited
         h = SphereField.zonal_band(spectrum, 2, 1.0)
         h = h * (sc.r_eps**2 / h.holder_norm())
-        w1 = solve_outer_nonlinear(site, h, tol=5e-3)
+        w1 = solve_outer_nonlinear(site, h, 5e-3, mean_curvature_graph(site.exterior))
         kept = w1.values.copy()
-        w2 = solve_outer_nonlinear(site, 2.0 * h, tol=5e-3)
+        w2 = solve_outer_nonlinear(site, 2.0 * h, 5e-3, mean_curvature_graph(site.exterior))
         assert w2 is not w1 and not np.shares_memory(w1.values, w2.values)
         assert np.array_equal(w1.values, kept)
         assert not np.array_equal(w2.values, kept)
@@ -293,7 +294,8 @@ class TestOuterNonlinear:
         surf, site, sc = sited
         monkeypatch.setattr(outer, "graph_residual", lambda u: (float("nan"), float("nan")))
         with pytest.raises(ResidualError, match="nan"):
-            solve_outer_nonlinear(site, SphereField.zeros(spectrum), tol=5e-3)
+            solve_outer_nonlinear(site, SphereField.zeros(spectrum), 5e-3,
+                                  mean_curvature_graph(site.exterior))
 
 
 class TestCauchyU:
@@ -314,6 +316,6 @@ class TestCauchyU:
         h0 = SphereField.zeros(spectrum)
         piece = build_neck_piece(site.patch, sc, RigidParams.zeros(), h0, h0, tol=5e-3, kappa=1.0,
                                  green=green_function(site.patch, sc.r_eps / 4))
-        w = solve_outer_nonlinear(site, h0, tol=5e-3)
+        w = solve_outer_nonlinear(site, h0, 5e-3, mean_curvature_graph(site.exterior))
         gap = (cauchy_U_eps(w, piece) - simple_cauchy_outer(site, h0)).holder_norm()
         assert gap / sc.r_eps ** (N - 2.0 / 3.0) < 50.0

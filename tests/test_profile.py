@@ -125,7 +125,7 @@ class TestSolveProfile:
 
 
 class TestIntegrateProfile:
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     @PROPERTY
     @given(drawn=profile_nodes())
     def test_bit_identical_to_numpy_loop(self, n, drawn):
