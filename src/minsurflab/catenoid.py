@@ -38,7 +38,7 @@ from .cylinder import (
 from .diffops import NotAKnotSpline, fd_derivative
 from .geometry import BLOCK, uniform_surface
 from .profile import ProfileTable, Scales, profile_values
-from .spectral import SphereField, ZonalGrid, angular_grid, apply_Dtheta, has_low_modes
+from .spectral import SphereField, ZonalGrid, angular_grid, apply_Dtheta, gamma_sq, has_low_modes
 
 
 class PreconditionError(ValueError):
@@ -104,17 +104,18 @@ _PROFILE_CACHE: dict = {}
 
 
 def grid_profile(n: int, s: np.ndarray) -> dict:
-    """Profile samples and the conjugated-operator potential on a grid."""
+    """Profile samples, the conjugated-operator potential and the
+    conjugation weight phi^{(2-n)/2} on a grid."""
     key = (n, round(float(s[0]), 12), round(float(s[-1]), 12), s.size)
     if key not in _PROFILE_CACHE:
         phi, dphi, psi, dpsi = profile_values(n, s)
-        pot = n * (3 * n - 2) / 4.0 * phi ** (2 - 2 * n)
         _PROFILE_CACHE[key] = {
             "phi": phi,
             "dphi": dphi,
             "psi": psi,
             "dpsi": dpsi,
-            "pot": pot,
+            "pot": n * (3 * n - 2) / 4.0 * phi ** (2 - 2 * n),
+            "conj": phi ** ((2 - n) / 2.0),
         }
     return _PROFILE_CACHE[key]
 
@@ -125,7 +126,7 @@ _PAIR_CACHE: dict = {}
 def band_pair(n: int, s: np.ndarray, ell: int):
     """Read-only homogeneous pair (u_plus, u_minus, W) of band ell on a grid.
 
-    The band potential -(lam_l + ((n-2)/2)^2) + pot is shared by every row
+    The band potential -gamma_sq(n, l) + pot is shared by every row
     of the band and every solve on the grid, so the pair is computed once.
     The cache is a module-level dict of its own rather than a field of the
     grid_profile entries, so that resetting the module's dicts starts it
@@ -135,10 +136,8 @@ def band_pair(n: int, s: np.ndarray, ell: int):
     h = float(s[1] - s[0])
     key = (n, round(float(s[0]), 12), round(float(s[-1]), 12), s.size, int(ell), h)
     if key not in _PAIR_CACHE:
-        c2 = ((n - 2) / 2.0) ** 2
-        lam = ell * (ell + n - 2.0)
-        vpot = -(lam + c2) + grid_profile(n, s)["pot"]
-        up, um, W = homogeneous_pair(vpot, h, np.sqrt(lam + c2))
+        g2 = gamma_sq(n, ell)
+        up, um, W = homogeneous_pair(-g2 + grid_profile(n, s)["pot"], h, np.sqrt(g2))
         up.flags.writeable = False
         um.flags.writeable = False
         _PAIR_CACHE[key] = (up, um, W)
@@ -165,11 +164,10 @@ def apply_Lcal(w: BandField, k: int) -> np.ndarray:
     """
     spec = w.spectrum
     pot = grid_profile(spec.n, w.grid.s)["pot"][: k + 1]
-    c2 = ((spec.n - 2) / 2.0) ** 2
     v = w.values[:, : k + 1]
     out = fd_derivative(v, w.grid.step, 1, 2, 2)
     for ell in range(spec.L + 1):
-        out[ell] += (-(spec.lam[ell] + c2) + pot) * v[ell]
+        out[ell] += (-gamma_sq(spec.n, ell) + pot) * v[ell]
     return out[:, :k]
 
 
@@ -185,11 +183,10 @@ def solve_GS(f: BandField) -> BandField:
     grid = f.grid
     data = grid_profile(n, grid.s)
     h = grid.step
-    c2 = ((n - 2) / 2.0) ** 2
     out = np.empty_like(f.values)
     for ell in range(spec.L + 1):
         if ell >= 2:
-            vpot = -(spec.lam[ell] + c2) + data["pot"]
+            vpot = -gamma_sq(n, ell) + data["pot"]
             out[ell] = solve_band_dirichlet_robin(vpot, h, f.values[ell], spec.gamma[ell])
         else:
             out[ell] = solve_band_decaying_kernel(band_pair(n, grid.s, ell), h, f.values[ell])
@@ -272,11 +269,10 @@ class _NeckGeometry:
         self.dphi = data["dphi"]
         self.psi = data["psi"]
         self.dpsi = data["dpsi"]
+        self.conj = conj = data["conj"]
         chi = smooth_step(s - s[0])
-        conj = self.phi ** ((2 - n) / 2.0)
         self.alpha_theta = conj * chi * self.dpsi / self.phi
         self.alpha_vert = conj * ((1.0 - chi) - chi * self.dphi / self.phi)
-        self.conj = conj
         self.mfac = self.phi ** ((n + 2) / 2.0)
 
     def surface_points(self, w: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -206,18 +206,22 @@ def cmd_catenoid_piece(cfg: RunConfig, out: Path) -> int:
     piece = build_catenoid_piece(prof, sc, h, cfg.kappa, cfg.tol_solver)
     gap = cauchy_gap(piece.cauchy, simple_cauchy_catenoid(sc, h))
     _export_rows("s", piece.w.grid.s, piece.w.values, out / "catenoid_piece.csv")
-    dump_json(
-        {
-            "eps": sc.eps, "s_eps": sc.s_eps, "r_eps": sc.r_eps,
-            "residual_unit": piece.residual,
-            "iterations": piece.iterations,
-            "last_contraction": piece.contractions[-1] if piece.contractions else None,
-            "cauchy_gap": gap,
-            "cauchy_gap_over_reps2": gap / sc.r_eps**2,
-        },
-        out / "catenoid_summary.json",
-    )
+    dump_json(_piece_summary(sc, piece, gap, s_eps=sc.s_eps, residual_unit=piece.residual),
+              out / "catenoid_summary.json")
     return EXIT_OK
+
+
+def _piece_summary(sc, piece, gap: float, **fields) -> dict:
+    """The keys both piece summaries share, from the scales, the piece's
+    Picard loop and its Cauchy gap, plus the command's own fields."""
+    return {
+        "eps": sc.eps, "r_eps": sc.r_eps,
+        "iterations": piece.iterations,
+        "last_contraction": piece.contractions[-1] if piece.contractions else None,
+        "cauchy_gap": gap,
+        "cauchy_gap_over_reps2": gap / sc.r_eps**2,
+        **fields,
+    }
 
 
 def _export_rows(name: str, x: np.ndarray, values: np.ndarray, path: Path):
@@ -253,18 +257,9 @@ def cmd_neck(cfg: RunConfig, out: Path) -> int:
     # the gap in units of the glue's working ball kappa r_eps^2; a gap
     # outside the ball exits like a failed certificate
     over_ball = gap / (cfg.kappa * b)
-    dump_json(
-        {
-            "eps": sc.eps, "r_eps": sc.r_eps, "r0": patch.grid.r_out,
-            "residual_rel": piece.residual_rel,
-            "iterations": piece.iterations,
-            "last_contraction": piece.contractions[-1] if piece.contractions else None,
-            "cauchy_gap": gap,
-            "cauchy_gap_over_reps2": gap / sc.r_eps**2,
-            "cauchy_gap_over_ball": over_ball,
-        },
-        out / "neck_summary.json",
-    )
+    dump_json(_piece_summary(sc, piece, gap, r0=patch.grid.r_out, residual_rel=piece.residual_rel,
+                             cauchy_gap_over_ball=over_ball),
+              out / "neck_summary.json")
     return EXIT_OK if over_ball <= 1.0 else EXIT_CERTIFICATE
 
 
@@ -275,14 +270,18 @@ def _seed_surface(cfg: RunConfig):
     return seed_catenoid(prof, spec, scale=cfg.seed_scale)
 
 
-def cmd_glue(cfg: RunConfig, out: Path) -> int:
+def _glue(cfg: RunConfig):
+    """The one glue of the glue and verify commands, on the config's seed."""
     from .gluing import glue_end
 
-    surf = _seed_surface(cfg)
-    glued = glue_end(
-        surf, cfg.eps, kappa=cfg.kappa, tol_piece=cfg.tol_solver, tol_match=cfg.tol_match,
-        delta=cfg.delta,
+    return glue_end(
+        _seed_surface(cfg), cfg.eps, kappa=cfg.kappa, tol_piece=cfg.tol_solver,
+        tol_match=cfg.tol_match, delta=cfg.delta,
     )
+
+
+def cmd_glue(cfg: RunConfig, out: Path) -> int:
+    glued = _glue(cfg)
     cert = glued.certificates["embeddedness"]
     dump_json(
         {
@@ -322,14 +321,9 @@ def cmd_tower(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
-    from .gluing import glue_end
     from .verify import mc_residual, second_fund
 
-    surf = _seed_surface(cfg)
-    glued = glue_end(
-        surf, cfg.eps, kappa=cfg.kappa, tol_piece=cfg.tol_solver, tol_match=cfg.tol_match,
-        delta=cfg.delta,
-    )
+    glued = _glue(cfg)
     res = mc_residual(glued)
     prof2 = second_fund(glued)
     report = {
@@ -347,17 +341,18 @@ def cmd_chordarc(cfg: RunConfig, out: Path) -> int:
     from .verify import catenoid_sample_graph, chord_arc, plane_sample_graph
 
     n = cfg.n
-    plane = plane_sample_graph(n, extent=10.0)
-    center = int(np.argmin(np.linalg.norm(plane.points, axis=1)))
     rows = []
-    for R in (2.0, 4.0, 6.0):
-        rep = chord_arc(plane, center, R)
-        rows.append({"chart": "plane", "R": R, **{k: v for k, v in rep.items() if k != "component_size"}})
-    cat = catenoid_sample_graph(n, scale=1.0, s_window=3.0)
-    center = int(np.argmin(np.linalg.norm(cat.points - np.array([1.0] + [0] * n), axis=1)))
-    for R in (2.0, 4.0, 8.0):
-        rep = chord_arc(cat, center, R)
-        rows.append({"chart": "catenoid", "R": R, **{k: v for k, v in rep.items() if k != "component_size"}})
+    # each chart's balls are centred on its sample nearest a point: the
+    # origin on the plane, the waist point e_1 on the catenoid
+    for chart, graph, x, radii in (
+        ("plane", plane_sample_graph(n, extent=10.0), 0.0, (2.0, 4.0, 6.0)),
+        ("catenoid", catenoid_sample_graph(n, scale=1.0, s_window=3.0), np.eye(n + 1)[0],
+         (2.0, 4.0, 8.0)),
+    ):
+        center = int(np.argmin(np.linalg.norm(graph.points - x, axis=1)))
+        for R in radii:
+            rep = chord_arc(graph, center, R)
+            rows.append({"chart": chart, "R": R, **{k: v for k, v in rep.items() if k != "component_size"}})
     dump_json({"measurements": rows}, out / "chordarc_report.json")
     return EXIT_OK
 

@@ -124,8 +124,9 @@ def collocation_bound(rows: np.ndarray, grid: ZonalGrid) -> float:
 
 
 def rows_from_collocation(vals: np.ndarray, grid: ZonalGrid) -> np.ndarray:
-    """Collocation values on (node, beta) -> band rows on (band, node)."""
-    return grid.to_bands(vals).T
+    """Collocation values on (node, beta) -> band rows on (band, node), by
+    the grid's least-squares projector (ZonalGrid.proj)."""
+    return (np.asarray(vals) @ grid.proj.T).T
 
 
 # -- band two-point solvers ------------------------------------------------------

@@ -119,21 +119,18 @@ class BlockBuffers:
     """Scratch for the forms of one block of at most BLOCK rows on a grid
     of m beta nodes: d_beta's 2m-point extension and its two spectra, the
     beta derivatives P_b, P_bb and P_ab (2m points each, the forms reading
-    [..., :m]), and the unit normal, component-last as _cross stores it.
-    The arrays are consecutive pieces of one allocation, 1.9 MB at m = 48.
+    [..., :m]), and the unit normal, component-last as _cross stores it:
+    1.9 MB at m = 48.
 
     _BUFFERS holds one set per m, shared by every walk on a grid of that
     size: a block's forms stay valid until the next block of any of them."""
 
     def __init__(self, m: int):
-        shapes = ((3, BLOCK, 2 * m), (3, BLOCK, 2 * m + 2), (3, BLOCK, 2 * m + 2),
-                  (3, 3, BLOCK, 2 * m), (BLOCK, m, 3))
-        sizes = [int(np.prod(shape)) for shape in shapes]
-        pieces = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-        self.ext, spec, spec_d, self.derivs, self.normal = (
-            piece.reshape(shape) for piece, shape in zip(pieces, shapes))
-        self.spec = spec.view(complex)
-        self.spec_d = spec_d.view(complex)
+        self.ext = np.empty((3, BLOCK, 2 * m))
+        self.spec = np.empty((3, BLOCK, m + 1), dtype=complex)
+        self.spec_d = np.empty((3, BLOCK, m + 1), dtype=complex)
+        self.derivs = np.empty((3, 3, BLOCK, 2 * m))
+        self.normal = np.empty((BLOCK, m, 3))
 
     def first_rows(self, r: int) -> tuple:
         """(d_beta's buffers for P_b and P_bb, its buffers for P_ab, the
@@ -165,9 +162,13 @@ class OrbitSurface:
         self.walk = walk
 
     def _blocks(self):
-        """Yield (rows, P of those rows, their forms) block by block."""
+        """Yield (rows, P of those rows, det = E G - F^2, the curvature trace
+        (G L - 2 F M + E NN) / det of the generating 2-surface, L, M, NN and
+        the unit normal) block by block."""
         for rows, P, Pa, Paa in self.walk():
-            yield rows, P, self.fundamental_forms(P, Pa, Paa)
+            E, F, G, L, M, NN, Nvec = self.fundamental_forms(P, Pa, Paa)
+            det = E * G - F * F
+            yield rows, P, det, (G * L - 2 * F * M + E * NN) / det, L, M, NN, Nvec
 
     def fundamental_forms(self, P, Pa, Paa):
         """E, F, G, L, M, NN and the unit normal of the rows of one block;
@@ -178,7 +179,7 @@ class OrbitSurface:
             _BUFFERS[m] = BlockBuffers(m)
         into_P, into_Pa, normal = _BUFFERS[m].first_rows(P.shape[1])
         Pb, Pbb = self.grid.d_beta(P, _ORBIT_PARITY, (1, 2), buffers=into_P)
-        Pab = self.grid.d_beta(Pa, _ORBIT_PARITY, buffers=into_Pa)
+        Pab, = self.grid.d_beta(Pa, _ORBIT_PARITY, (1,), buffers=into_Pa)
         Nvec = _cross(Pa, Pb, normal)
         E = np.einsum("kij,kij->ij", Pa, Pa)
         F = np.einsum("kij,kij->ij", Pa, Pb)
@@ -192,9 +193,7 @@ class OrbitSurface:
 
     def _mean_curvature_blocks(self, n: int):
         """Yield (rows, H of those rows) block by block."""
-        for rows, P, (E, F, G, L, M, NN, Nvec) in self._blocks():
-            det = E * G - F * F
-            h2 = (G * L - 2 * F * M + E * NN) / det
+        for rows, P, _, h2, _, _, _, Nvec in self._blocks():
             yield rows, h2 - (n - 2) * Nvec[1] / P[1]
 
     def mean_curvature(self, n: int) -> np.ndarray:
@@ -229,9 +228,7 @@ class OrbitSurface:
     def second_fundamental_sq(self, n: int) -> np.ndarray:
         """|A|^2 = kappa_1^2 + kappa_2^2 + (n - 2) kappa_rot^2."""
         A2 = np.empty((self.rows, self.grid.t.size))
-        for rows, P, (E, F, G, L, M, NN, Nvec) in self._blocks():
-            det = E * G - F * F
-            tr = (G * L - 2 * F * M + E * NN) / det
+        for rows, P, det, tr, L, M, NN, Nvec in self._blocks():
             dt = (L * NN - M * M) / det
             disc = np.clip(tr * tr - 4 * dt, 0.0, None)
             k1 = 0.5 * (tr + np.sqrt(disc))

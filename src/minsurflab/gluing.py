@@ -12,7 +12,7 @@ C_0(t) - C_eps(t) drives the true mismatch to the matching tolerance.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -82,15 +82,9 @@ class BoundaryTriple:
         return cls(SphereField.zeros(spectrum), RigidParams.zeros(), SphereField.zeros(spectrum))
 
     def combine(self, other: "BoundaryTriple", a: float, b: float) -> "BoundaryTriple":
+        rigid = (a * x + b * y for x, y in zip(astuple(self.A), astuple(other.A), strict=True))
         return BoundaryTriple(
-            a * self.h_I + b * other.h_I,
-            RigidParams(
-                a * self.A.T + b * other.A.T,
-                a * self.A.R + b * other.A.R,
-                a * self.A.d + b * other.A.d,
-                a * self.A.e + b * other.A.e,
-            ),
-            a * self.h_II + b * other.h_II,
+            a * self.h_I + b * other.h_I, RigidParams(*rigid), a * self.h_II + b * other.h_II
         )
 
 
@@ -358,11 +352,9 @@ def _new_end_tilt(cat: CatenoidPiece) -> float:
     graph slope b1(s) phi^{(2-n)/2} (-phi'/phi) / (eps_len phi); the tilt is
     its supremum over the far half of the chart.
     """
-    n = cat.scales.n
     w = cat.w
-    data = grid_profile(n, w.grid.s)
-    phi, dphi = data["phi"], data["dphi"]
-    conj = phi ** ((2 - n) / 2.0)
+    data = grid_profile(cat.scales.n, w.grid.s)
+    phi, dphi, conj = data["phi"], data["dphi"], data["conj"]
     far = w.grid.s >= w.grid.s[0] + 6.0
     b1 = np.abs(w.values[1][far])
     slope = b1 * conj[far] * np.abs(dphi[far]) / phi[far] / (cat.scales.eps_len * phi[far])

@@ -49,7 +49,7 @@ from .diffops import NotAKnotSpline
 from .neck import NeckPiece, graph_defect, graph_operator, graph_residual
 from .profile import ProfileTable, Scales, profile_values
 from .radial import RadialGrid, decaying, regular, solve_rows
-from .spectral import BandSpectrum, SphereField, angular_grid
+from .spectral import BandSpectrum, SphereField, angular_grid, gamma_sq
 
 
 def psi_infinity(profile: ProfileTable) -> float:
@@ -253,13 +253,11 @@ def _band_matrix_conjugated(n: int, ell: int, s: np.ndarray, delta: float) -> np
     singular value detects genuine admissible kernel only.
     """
     data = grid_profile(n, s)
-    c2 = ((n - 2) / 2.0) ** 2
-    lam = ell * (ell + n - 2.0)
     h = s[1] - s[0]
     m = s.size
     mu_p = delta * s / np.sqrt(s * s + 1.0)
     mu_pp = delta * (1.0 / np.sqrt(s * s + 1.0) - s * s / (s * s + 1.0) ** 1.5)
-    vpot = -(lam + c2) + data["pot"] + mu_pp + mu_p**2
+    vpot = -gamma_sq(n, ell) + data["pot"] + mu_pp + mu_p**2
     A = np.zeros((m, m))
     i = np.arange(1, m - 1)
     A[i, i - 1] = 1.0 / h**2 - mu_p[1:-1] / h
@@ -333,10 +331,9 @@ def _smallest_singular_value(n: int, L: int, delta: float, m: int) -> float:
     worst = np.inf
     for ell in range(0, L + 1):
         A = _band_matrix_conjugated(n, ell, s, delta)
-        lam = ell * (ell + n - 2.0)
-        gam = np.sqrt(lam + ((n - 2) / 2.0) ** 2)
-        opscale = max(1.0, lam + ((n - 2) / 2.0) ** 2 + delta**2)
-        if gam < abs(delta):
+        g2 = gamma_sq(n, ell)
+        opscale = max(1.0, g2 + delta**2)
+        if np.sqrt(g2) < abs(delta):
             # content decaying at only the indicial rate gamma_l < |delta| is
             # outside the admissible space yet invisible to local rows on a
             # truncated cylinder; quotient the end-decaying homogeneous pair

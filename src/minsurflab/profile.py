@@ -164,7 +164,8 @@ def solve_profile(n: int, s_max: float, step: float, max_substep: float = 1e-3) 
     Raises ProfileError (carrying the worst node) if the first-integral
     residual exceeds FIRST_INTEGRAL_TOL anywhere, which signals a step that
     is too coarse, or is not finite; and, before allocating, if phi can
-    overflow on [0, s_max].
+    overflow on [0, s_max] or if the grid's float array would exceed the
+    largest array NumPy can make.
     """
     if n < 3:
         raise ProfileError(f"n={n} must be >= 3")
@@ -174,6 +175,9 @@ def solve_profile(n: int, s_max: float, step: float, max_substep: float = 1e-3) 
     s_limit = math.log(sys.float_info.max)
     if not s_max < s_limit:
         raise ProfileError(f"s_max={s_max} must be below {s_limit:.2f}, where phi overflows")
+    nodes = 2.0 * (s_max / step) + 1.0
+    if not nodes * 8.0 <= np.iinfo(np.intp).max:
+        raise ProfileError(f"step={step} gives {nodes:.3g} grid nodes, more than an array holds")
     m = int(round(s_max / step))
     if abs(m * step - s_max) > 1e-12 * max(1.0, s_max):
         m = int(np.ceil(s_max / step))

@@ -34,10 +34,17 @@ class BandSpectrum:
     gamma: np.ndarray
 
 
+def gamma_sq(n: int, ell):
+    """gamma_l^2 = lam_l + ((n-2)/2)^2 with lam_l = l(l + n - 2), for a band
+    l or an array of bands: minus the band constant of the conjugated
+    cylinder operator, and the square of its homogeneous solutions' rate."""
+    return ell * (ell + n - 2.0) + ((n - 2) / 2.0) ** 2
+
+
 def band_spectrum(n: int, L: int) -> BandSpectrum:
     """Spectrum of -Delta_{S^{n-1}} restricted to bands l <= L.
 
-    lam_l = l(l + n - 2); gamma_l = sqrt(lam_l + ((n-2)/2)^2) is the
+    lam_l = l(l + n - 2); gamma_l = sqrt(gamma_sq(n, l)) is the
     exponential rate of the homogeneous band solutions on the cylinder.
     """
     if n < 3:
@@ -46,8 +53,7 @@ def band_spectrum(n: int, L: int) -> BandSpectrum:
         raise SpectralError(f"band limit L={L} must be >= 2")
     ells = np.arange(L + 1)
     lam = ells * (ells + n - 2.0)
-    gam = np.sqrt(lam + ((n - 2.0) / 2.0) ** 2)
-    return BandSpectrum(n=n, L=L, lam=lam, gamma=gam)
+    return BandSpectrum(n=n, L=L, lam=lam, gamma=np.sqrt(gamma_sq(n, ells)))
 
 
 def zonal_eval(n: int, ell: int, t: np.ndarray) -> np.ndarray:
@@ -87,25 +93,18 @@ class ZonalGrid:
         self.w = (np.pi / m) * self.sinb ** (n - 2)
         self.Z = np.array([zonal_eval(n, l, self.t) for l in range(L + 1)])
         self.Zp = np.array([zonal_eval_deriv(n, l, self.t) for l in range(L + 1)])
-        # weighted least-squares projector: exact on band-limited samples
+        # weighted least-squares projector onto bands 0..L in the zonal
+        # measure: exact on samples of a polynomial of degree <= L in t
         gram = (self.Z * self.w) @ self.Z.T
-        self._proj = np.linalg.solve(gram, self.Z * self.w)
+        self.proj = np.linalg.solve(gram, self.Z * self.w)
         # d_beta's spectral multipliers for wavenumbers 0..m of the 2m-point
         # even/odd extension
         k = np.fft.rfftfreq(2 * m) * 2 * m
         self._ik = 1j * k
         self._minus_k2 = -(k**2)
 
-    def to_bands(self, values: np.ndarray) -> np.ndarray:
-        """Zonal band coefficients 0..L from values on the beta nodes.
-
-        Weighted least-squares in the zonal measure; exact whenever the
-        sample is a polynomial of degree <= L in t.  The beta axis is last.
-        """
-        return np.asarray(values) @ self._proj.T
-
-    def d_beta(self, values: np.ndarray, parity: float | np.ndarray,
-               deriv: int | tuple = 1, *, buffers: tuple) -> np.ndarray | tuple:
+    def d_beta(self, values: np.ndarray, parity: float | np.ndarray, orders: tuple,
+               *, buffers: tuple) -> tuple:
         """Exact trig differentiation d/d beta along the last axis, which
         holds the samples on the grid's beta nodes.
 
@@ -114,19 +113,19 @@ class ZonalGrid:
         parity may also be an array of +-1 that broadcasts against values,
         e.g. shape (3, 1, 1) for the three components of one orbit chart
         block; each row's result is the same as with its scalar parity.
-        deriv is 1, 2 or a tuple of them: a tuple returns one derivative per
-        entry, each the same as its own call.  A call takes one forward real
-        FFT of the 2m-point extension and one inverse FFT per derivative.
+        orders is a tuple of derivative orders, each 1 or 2, and the call
+        returns one derivative per entry, each the same as a call with that
+        order alone.  A call takes one forward real FFT of the 2m-point
+        extension and one inverse FFT per derivative.
 
         buffers is (ext, spec, spec_d, out_1, ...): the 2m-point extension,
         its spectrum and the multiplied spectrum (complex, m + 1
-        wavenumbers), and one 2m-point array per derivative, each with the
+        wavenumbers), and one 2m-point array per order, each with the
         leading shape of values.  The call writes each of its arrays into
         them with out= and returns views [..., :m] of the out arrays.
         """
-        orders = (deriv,) if isinstance(deriv, int) else deriv
         if any(d not in (1, 2) for d in orders):
-            raise SpectralError("deriv must be 1 or 2")
+            raise SpectralError("derivative orders must be 1 or 2")
         v = np.asarray(values, dtype=float)
         m = v.shape[-1]
         ext, spec, spec_d, *outs = buffers
@@ -141,7 +140,7 @@ class ZonalGrid:
             else:
                 np.multiply(spec, self._minus_k2, out=spec_d)
             out.append(np.fft.irfft(spec_d, n=2 * m, axis=-1, out=into)[..., :m])
-        return out[0] if isinstance(deriv, int) else tuple(out)
+        return tuple(out)
 
 
 @dataclass

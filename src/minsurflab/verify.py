@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .geometry import uniform_surface
+from .geometry import graph_orbit_points, uniform_surface
 from .neck import graph_surface
 from .outer import CORE_SPAN, CORE_STEP
 from .profile import profile_values
@@ -42,11 +42,6 @@ class ChartSampleGraph:
 
     points: np.ndarray  # (N, n+1) ambient coordinates
     adjacency: object  # scipy.sparse.csr_matrix of edge lengths
-
-    def shortest_paths(self, source: int) -> np.ndarray:
-        from scipy.sparse.csgraph import dijkstra
-
-        return dijkstra(self.adjacency, directed=False, indices=source)
 
 
 # neighbor and knight moves on an (i, j, k) grid; the two-ring moves keep the
@@ -185,9 +180,7 @@ def catenoid_sample_graph(n: int, scale: float, s_window: float) -> ChartSampleG
 
 def _profile_chart_rows(phi, psi, grid, lo: int, hi: int) -> np.ndarray:
     """Rows lo:hi of the orbit chart of the profile curve (phi, psi)."""
-    F = phi[lo:hi, None] * np.ones((1, grid.t.size))
-    G = psi[lo:hi, None] * np.ones((1, grid.t.size))
-    return np.stack([F * grid.t[None, :], F * grid.sinb[None, :], G])
+    return graph_orbit_points(phi[lo:hi], grid, psi[lo:hi, None] * np.ones((1, grid.t.size)))
 
 
 def mc_residual(glued) -> dict:
@@ -371,8 +364,10 @@ def graphical_radius(graph: ChartSampleGraph, x_index: int, C_A: float) -> dict:
 
     R runs over 26 geometric steps from 2 to 98 percent of the largest
     intrinsic distance from x."""
+    from scipy.sparse.csgraph import dijkstra
+
     pts = graph.points
-    dist = graph.shortest_paths(x_index)
+    dist = dijkstra(graph.adjacency, directed=False, indices=x_index)
     finite = np.isfinite(dist)
     # tangent plane by local PCA over the nearest samples
     near = np.argsort(dist + ~finite * 1e18)[:40]
@@ -497,16 +492,13 @@ def _stability_fields(Na: int, Nb: int) -> np.ndarray:
     ia = np.arange(Na)[:, None] / (Na - 1.0)
     jb = np.arange(Nb)[None, :] / (Nb - 1.0)
     window = np.sin(np.pi * ia) ** 2 * np.ones_like(jb)
-    caps = []
-    for frac in (0.25, 0.4, 0.55, 0.7, 0.85, 1.0):
+    fracs = (0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
+    for c, frac in enumerate(fracs):
         cap = np.cos(np.pi * (ia - 0.5) / frac) ** 2 * (np.abs(ia - 0.5) < frac / 2.0)
         cap = cap * np.ones_like(jb)
         cap[~interior] = 0.0
-        caps.append(cap.ravel())
-    for c in range(n_random):
-        if c < len(caps):
-            vecs[:, n_hat + c] = caps[c]
-            continue
+        vecs[:, n_hat + c] = cap.ravel()
+    for c in range(len(fracs), n_random):
         field_c = np.zeros((Na, Nb))
         for _ in range(4):
             ka, kb = rng.integers(0, 3, size=2)
@@ -566,27 +558,19 @@ def separation_check(P1: np.ndarray, u: np.ndarray, A2: np.ndarray, n: int) -> d
     whether q <= 1 there (precondition_ok).
     """
     E, F, G, det, vol = _first_form(P1, n)
-
-    def d_a(f):
-        return np.gradient(f, axis=0)
-
-    def d_b(f):
-        return np.gradient(f, axis=1)
-
-    ua, ub = d_a(u), d_b(u)
+    ua, ub = np.gradient(u, axis=0), np.gradient(u, axis=1)
     # Laplace-Beltrami on the orbit chart including the rotational volume
     flux_a = vol * (G * ua - F * ub) / det
     flux_b = vol * (E * ub - F * ua) / det
-    lap = (d_a(flux_a) + d_b(flux_b)) / vol
+    lap = (np.gradient(flux_a, axis=0) + np.gradient(flux_b, axis=1)) / vol
     grad2 = (G * ua**2 - 2 * F * ua * ub + E * ub**2) / det
     defect = lap + A2 * u
-    interior = np.zeros_like(u, dtype=bool)
-    interior[3:-3, 3:-3] = True
     q = np.abs(u) * np.sqrt(np.clip(A2, 0, None)) + np.sqrt(np.clip(grad2, 0, None))
-    pre_ok = float(np.max(q[interior])) <= 1.0 if interior.any() else True
+    # the interior leaves 3 rows and columns at each edge; an empty one gives 0
+    max_q = float(np.max(q[3:-3, 3:-3], initial=0.0))
     return {
-        "precondition_ok": bool(pre_ok),
-        "max_q": float(np.max(q[interior])) if interior.any() else 0.0,
-        "defect_sup": float(np.max(np.abs(defect[interior]))) if interior.any() else 0.0,
+        "precondition_ok": max_q <= 1.0,
+        "max_q": max_q,
+        "defect_sup": float(np.max(np.abs(defect[3:-3, 3:-3]), initial=0.0)),
     }
 

@@ -9,10 +9,13 @@ import numpy as np
 
 
 def d_beta(grid, values, parity, deriv=1):
-    """grid.d_beta(values, parity, deriv) on buffers made for this call."""
+    """grid.d_beta(values, parity, orders) on buffers made for this call,
+    where deriv is a tuple of orders, or one order: then the call returns
+    its one derivative rather than a tuple."""
     lead, m = np.shape(values)[:-1], np.shape(values)[-1]
     orders = (deriv,) if isinstance(deriv, int) else deriv
     spec = np.empty(lead + (m + 1,), dtype=complex)
     outs = [np.empty(lead + (2 * m,)) for _ in orders]
     buffers = (np.empty(lead + (2 * m,)), spec, np.empty_like(spec), *outs)
-    return grid.d_beta(values, parity, deriv, buffers=buffers)
+    out = grid.d_beta(values, parity, orders, buffers=buffers)
+    return out[0] if isinstance(deriv, int) else out

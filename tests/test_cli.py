@@ -254,6 +254,9 @@ class TestRun:
         ("profile", {"s_max": 2.0}, "asymptotic fit defect"),
         ("catenoid-piece", {"eps": 1e-100}, "exceeds the profile grid"),
         ("profile", {"s_max": 720}, "where phi overflows"),
+        # steps whose grid no array can hold: 3.2e301 and infinitely many nodes
+        ("profile", {"s_step": 1e-300}, "more than an array holds"),
+        ("profile", {"s_step": 5e-324}, "more than an array holds"),
         # a profile span too short for the catenoid piece's grid above the cut
         ("catenoid-piece", {"s_max": 12}, "rebuild the profile with s_max >= 14.013"),
         ("glue", {"s_max": 12}, "rebuild the profile with s_max >= 14.013"),

@@ -43,6 +43,23 @@ def test_stalling_map_stops_by_the_stall_rule():
     assert contractions[-1] == pytest.approx(1.0)
 
 
+@pytest.mark.xfail(strict=True, reason="the stall rule accepts a growing update (ROADMAP item 18)")
+def test_growing_update_below_the_stall_cap_raises():
+    # each update doubles the last, from 1e-9 to 5.1e-7 over ten steps, all
+    # below 1e-5 * scale: a growing update never stops the loop, so the
+    # driver gives up after max_iter steps; today the stall rule returns it
+    # at the second
+    state = {"update": 1e-9}
+
+    def step(v):
+        v_new = field(v.values + state["update"])
+        state["update"] *= 2.0
+        return v_new
+
+    with pytest.raises(ContractionError, match="did not converge in 10 iterations"):
+        picard(step, field([1.0]), 1e-12, 1e-300, 10, stage="growing")
+
+
 def test_non_contracting_map_raises_with_history():
     with pytest.raises(ContractionError) as excinfo:
         picard(lambda v: field(2.0 * v.values + 1.0), field([0.0]), 1e-8, 1e-300, 5,

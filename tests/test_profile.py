@@ -99,6 +99,13 @@ class TestSolveProfile:
         with pytest.raises(ProfileError, match="overflows"):
             solve_profile(3, s_max, 8e-3)
 
+    @pytest.mark.parametrize("step", [1e-300, 5e-324])
+    def test_rejects_a_step_whose_grid_no_array_holds(self, step):
+        # 16 / step nodes on either side overflow the largest array, or
+        # float itself: refused before the grid is allocated
+        with pytest.raises(ProfileError, match="more than an array holds"):
+            solve_profile(3, 16.0, step)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_residual_raises(self, monkeypatch):
         from minsurflab import profile as profile_module
