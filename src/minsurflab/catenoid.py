@@ -104,8 +104,7 @@ _PROFILE_CACHE: dict = {}
 
 
 def grid_profile(n: int, s: np.ndarray) -> dict:
-    """Profile samples, the conjugated-operator potential and the
-    conjugation weight phi^{(2-n)/2} on a grid."""
+    """Profile samples and the conjugated-operator potential on a grid."""
     key = (n, round(float(s[0]), 12), round(float(s[-1]), 12), s.size)
     if key not in _PROFILE_CACHE:
         phi, dphi, psi, dpsi = profile_values(n, s)
@@ -115,9 +114,13 @@ def grid_profile(n: int, s: np.ndarray) -> dict:
             "psi": psi,
             "dpsi": dpsi,
             "pot": n * (3 * n - 2) / 4.0 * phi ** (2 - 2 * n),
-            "conj": phi ** ((2 - n) / 2.0),
         }
     return _PROFILE_CACHE[key]
+
+
+def conjugation_weight(n: int, phi):
+    """The conjugation weight phi^{(2-n)/2} of the cylinder operator."""
+    return phi ** ((2 - n) / 2.0)
 
 
 _PAIR_CACHE: dict = {}
@@ -269,7 +272,7 @@ class _NeckGeometry:
         self.dphi = data["dphi"]
         self.psi = data["psi"]
         self.dpsi = data["dpsi"]
-        self.conj = conj = data["conj"]
+        self.conj = conj = conjugation_weight(n, self.phi)
         chi = smooth_step(s - s[0])
         self.alpha_theta = conj * chi * self.dpsi / self.phi
         self.alpha_vert = conj * ((1.0 - chi) - chi * self.dphi / self.phi)
@@ -328,13 +331,16 @@ def in_working_ball(norm: float, kappa: float, scales: Scales) -> bool:
     return norm <= kappa * scales.r_eps**2 * (1 + 1e-9)
 
 
+# the Picard iterations a catenoid or neck piece may take to settle
+MAX_PICARD = 40
+
+
 def build_catenoid_piece(
     profile: ProfileTable,
     scales: Scales,
     h_II: SphereField,
     kappa: float,
     tol: float,
-    max_iter: int = 40,
 ) -> CatenoidPiece:
     """Solve the perturbed-catenoid problem with high-mode boundary data.
 
@@ -399,7 +405,7 @@ def build_catenoid_piece(
 
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
     v, it, contractions = picard(
-        update, BandField.zeros(spec, wt.grid), 1e-7, floor, max_iter,
+        update, BandField.zeros(spec, wt.grid), 1e-7, floor, MAX_PICARD,
         stage=f"catenoid (eps={eps:.3e})",
     )
     w = wt + v

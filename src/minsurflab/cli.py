@@ -172,9 +172,18 @@ def _context(cfg: RunConfig):
     return spec, prof
 
 
+def _write_csv(path: Path, header: list, columns):
+    """CSV of columns under a header line of their names, one line per node, in
+    full-precision floats; a band-row CSV's column rowl holds band l."""
+    lines = [",".join(header)]
+    lines += [",".join(format(v, ".17g") for v in row) for row in zip(*columns)]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def cmd_profile(cfg: RunConfig, out: Path) -> int:
     spec, prof = _context(cfg)
-    (out / "profile.csv").write_text(prof.to_csv())
+    _write_csv(out / "profile.csv", ["s", "phi", "psi", "dphi", "dpsi"],
+               (prof.s, prof.phi, prof.psi, prof.dphi, prof.dpsi))
     dump_json(
         {
             "n": cfg.n,
@@ -205,7 +214,8 @@ def cmd_catenoid_piece(cfg: RunConfig, out: Path) -> int:
     h = _band2_datum(spec, sc)
     piece = build_catenoid_piece(prof, sc, h, cfg.kappa, cfg.tol_solver)
     gap = cauchy_gap(piece.cauchy, simple_cauchy_catenoid(sc, h))
-    _export_rows("s", piece.w.grid.s, piece.w.values, out / "catenoid_piece.csv")
+    _write_csv(out / "catenoid_piece.csv", ["s"] + [f"row{l}" for l in range(cfg.L + 1)],
+               (piece.w.grid.s, *piece.w.values))
     dump_json(_piece_summary(sc, piece, gap, s_eps=sc.s_eps, residual_unit=piece.residual),
               out / "catenoid_summary.json")
     return EXIT_OK
@@ -222,18 +232,6 @@ def _piece_summary(sc, piece, gap: float, **fields) -> dict:
         "cauchy_gap_over_reps2": gap / sc.r_eps**2,
         **fields,
     }
-
-
-def _export_rows(name: str, x: np.ndarray, values: np.ndarray, path: Path):
-    """CSV of band rows: a header `name,row0,...,rowL` (column rowl holds
-    band l), then one line per node x[j], full-precision floats."""
-    rows = [f"{name}," + ",".join(f"row{i}" for i in range(values.shape[0]))]
-    for j in range(x.size):
-        rows.append(
-            format(x[j], ".17g") + ","
-            + ",".join(format(v, ".17g") for v in values[:, j])
-        )
-    path.write_text("\n".join(rows) + "\n")
 
 
 def cmd_neck(cfg: RunConfig, out: Path) -> int:
@@ -253,7 +251,8 @@ def cmd_neck(cfg: RunConfig, out: Path) -> int:
     piece = build_neck_piece(patch, sc, A, h0, h2, cfg.tol_solver, kappa=cfg.kappa,
                              green=ctx.green)
     gap = cauchy_gap(piece.cauchy_inner, simple_cauchy_neck(sc, A, h2))
-    _export_rows("r", piece.V.grid.r, piece.V.values, out / "neck_piece.csv")
+    _write_csv(out / "neck_piece.csv", ["r"] + [f"row{l}" for l in range(cfg.L + 1)],
+               (piece.V.grid.r, *piece.V.values))
     # the gap in units of the glue's working ball kappa r_eps^2; a gap
     # outside the ball exits like a failed certificate
     over_ball = gap / (cfg.kappa * b)

@@ -20,6 +20,7 @@ from .catenoid import (
     CatenoidPiece,
     PreconditionError,
     build_catenoid_piece,
+    conjugation_weight,
     default_delta,
     grid_profile,
     in_working_ball,
@@ -335,7 +336,7 @@ def glue_end(
 
     if delta is None:
         delta = default_delta(surface.spectrum.n)
-    nondegeneracy_check(surface, delta, m=400)
+    nondegeneracy_check(surface, delta)
     ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece)
     glued = fixed_point_glue(ctx, tol_match=tol_match)
     tilt = _new_end_tilt(glued.catenoid_piece)
@@ -354,10 +355,10 @@ def _new_end_tilt(cat: CatenoidPiece) -> float:
     """
     w = cat.w
     data = grid_profile(cat.scales.n, w.grid.s)
-    phi, dphi, conj = data["phi"], data["dphi"], data["conj"]
     far = w.grid.s >= w.grid.s[0] + 6.0
+    phi, dphi = data["phi"][far], data["dphi"][far]
     b1 = np.abs(w.values[1][far])
-    slope = b1 * conj[far] * np.abs(dphi[far]) / phi[far] / (cat.scales.eps_len * phi[far])
+    slope = b1 * conjugation_weight(cat.scales.n, phi) * np.abs(dphi) / phi / (cat.scales.eps_len * phi)
     return float(np.max(slope)) if np.any(far) else 0.0
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catenoid import (
+    MAX_PICARD,
     PreconditionError,
     ResidualError,
     in_working_ball,
@@ -78,13 +79,12 @@ class GreenTable:
     values: np.ndarray
     a0: float
 
-    def at(self, r: np.ndarray) -> np.ndarray:
-        return self.grid.interp_matrix(r) @ self.values
-
-    def deriv_at(self, r: np.ndarray) -> np.ndarray:
-        """d gamma_0 / dr at the requested radii."""
+    def at(self, r: np.ndarray) -> tuple:
+        """(gamma_0, d gamma_0 / dr) at the requested radii, both read
+        through one interpolation matrix."""
+        P = self.grid.interp_matrix(r)
         drho = self.grid.D @ self.values
-        return (self.grid.interp_matrix(r) @ drho) / np.asarray(r, dtype=float)
+        return P @ self.values, (P @ drho) / np.asarray(r, dtype=float)
 
 
 # -- collocation machinery --------------------------------------------------------
@@ -208,8 +208,7 @@ def rigid_deviation_rows(
     grid = u.grid
     out = BandField.zeros(u.spectrum, grid)
     coef = (scales.eps + A.e) / (u.spectrum.n - 2)
-    gam = green.at(grid.r)
-    dgam = green.deriv_at(grid.r)
+    gam, dgam = green.at(grid.r)
     out.values[0] = coef * (gam - green.a0) + A.d
     out.values[1] = grid.r * A.R - coef * dgam * A.T
     return out
@@ -322,7 +321,7 @@ def build_neck_piece(
 
     floor = max(float(np.max(np.abs(wt.values))), scales.r_eps**2, 1e-300)
     v, it, contractions = picard(
-        update, BandField.zeros(spec, grid), 1e-8, floor, 40,
+        update, BandField.zeros(spec, grid), 1e-8, floor, MAX_PICARD,
         stage=f"neck (eps={scales.eps:.3e})",
     )
 

@@ -41,6 +41,7 @@ from .catenoid import (
     ResidualError,
     admissible_delta,
     band_pair,
+    conjugation_weight,
     grid_profile,
     picard,
 )
@@ -67,19 +68,16 @@ _END_SPLINES: dict = {}
 
 
 def _end_splines(n: int):
-    """Cached not-a-knot splines (diffops.NotAKnotSpline) s(log phi),
-    psi(s), dpsi/dphi slope data for ends, tabulated on s in [0, 26]."""
+    """Cached not-a-knot splines (diffops.NotAKnotSpline) for ends, tabulated
+    on s in [0, 26]: s(log phi), and one of s whose rows are phi, phi', psi
+    and psi', each the bits of a spline of its own."""
     if n not in _END_SPLINES:
         s = np.linspace(0.0, 26.0, 9000)
         phi, dphi, psi, dpsi = profile_values(n, s)
-        psi_inf_val = psi[-1] + phi[-1] ** (2 - n) / (n - 2)
         _END_SPLINES[n] = {
             "s_of_logphi": NotAKnotSpline(np.log(phi[1:]), s[1:]),
-            "phi": NotAKnotSpline(s, phi),
-            "dphi": NotAKnotSpline(s, dphi),
-            "psi": NotAKnotSpline(s, psi),
-            "dpsi": NotAKnotSpline(s, dpsi),
-            "psi_inf": psi_inf_val,
+            "profile": NotAKnotSpline(s, np.stack([phi, dphi, psi, dpsi])),
+            "psi_inf": psi[-1] + phi[-1] ** (2 - n) / (n - 2),
             "logphi_max": float(np.log(phi[-1])),
         }
     return _END_SPLINES[n]
@@ -105,17 +103,14 @@ class EndModel:
         if np.any(target <= 0) or np.any(target > sp["logphi_max"]):
             raise PreconditionError("end radius outside the representable range")
         s = sp["s_of_logphi"](target)
-        phi = sp["phi"](s)
-        dphi = sp["dphi"](s)
-        psi = sp["psi"](s)
-        dpsi = sp["dpsi"](s)
+        phi, dphi, psi, dpsi = sp["profile"](s)
         h = self.a * (sp["psi_inf"] - psi)
         g = -dpsi / dphi  # d height / d radius, sign per the upper branch
         if self.w is not None:
             wg = self.w.grid
             sw = np.clip(s, wg.s[0], wg.s[-1])
             idx = np.minimum(((sw - wg.s[0]) / wg.step).astype(int), wg.m - 1)
-            conj = phi ** ((2 - n) / 2.0)
+            conj = conjugation_weight(n, phi)
             h = h + conj * self.w.values[0][idx] * (-dphi / phi)
         return h, g
 
@@ -288,20 +283,23 @@ def _sigma_min_tridiagonal(A: np.ndarray) -> float:
     return float(eigvals_banded(ab, lower=True, select="i", select_range=(m, m))[0])
 
 
-# (n, L, delta, m) -> normalized sigma_min of the nondegeneracy check
+# the nodes of the nondegeneracy check's core grid
+NONDEGENERACY_NODES = 400
+
+# (n, L, delta) -> normalized sigma_min of the nondegeneracy check
 _NONDEGENERACY: dict = {}
 
 
-def nondegeneracy_check(surface: OuterSurface, delta: float, m: int) -> float:
+def nondegeneracy_check(surface: OuterSurface, delta: float) -> float:
     """The normalized smallest singular value of the core operator on the
-    decaying space, minimized over bands, on m nodes; raises
+    decaying space, minimized over bands, on NONDEGENERACY_NODES nodes; raises
     ContractionError when it is below 1e-6.  It is the library's one
     refusal of a weight delta outside admissible_delta's interval
     (PreconditionError), which glue_end reaches on every surface.
 
     Reads only n and L from the surface, so the check of a tower's seed
     holds for every level glued onto it, and its value is computed once per
-    (n, L, delta, m) and kept in _NONDEGENERACY; a cached value below the
+    (n, L, delta) and kept in _NONDEGENERACY; a cached value below the
     threshold raises again on every call.  A band with gamma_l >= |delta|
     is the tridiagonal _band_matrix_conjugated, whose sigma_min is one
     eigenvalue of its Golub-Kahan band matrix; the quotient bands
@@ -311,9 +309,9 @@ def nondegeneracy_check(surface: OuterSurface, delta: float, m: int) -> float:
     if not admissible_delta(n, delta):
         raise PreconditionError(f"delta={delta} outside the admissible interval")
     L = surface.spectrum.L
-    key = (n, L, delta, m)
+    key = (n, L, delta)
     if key not in _NONDEGENERACY:
-        _NONDEGENERACY[key] = _smallest_singular_value(n, L, delta, m)
+        _NONDEGENERACY[key] = _smallest_singular_value(n, L, delta, NONDEGENERACY_NODES)
     worst = _NONDEGENERACY[key]
     if worst < 1e-6:
         raise ContractionError(

@@ -27,7 +27,6 @@ bits.
 
 from __future__ import annotations
 
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -44,6 +43,9 @@ class ScaleError(ValueError):
 
 
 FIRST_INTEGRAL_TOL = 1e-10
+
+# the largest RK4 substep of a profile integration
+MAX_SUBSTEP = 1e-3
 
 
 def integrate_profile(n: int, s_nodes: np.ndarray, max_substep: float):
@@ -122,15 +124,8 @@ class ProfileTable:
         """Normalized defect |(phi'/phi)^2 + phi^(2-2n) - 1| per node."""
         return np.abs((self.dphi / self.phi) ** 2 + self.phi ** (2 - 2 * self.n) - 1.0)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("s,phi,psi,dphi,dpsi\n")
-        for row in zip(self.s, self.phi, self.psi, self.dphi, self.dpsi):
-            buf.write(",".join(format(v, ".17g") for v in row) + "\n")
-        return buf.getvalue()
 
-
-def profile_values(n: int, s_points: np.ndarray, max_substep: float = 1e-3):
+def profile_values(n: int, s_points: np.ndarray, max_substep: float = MAX_SUBSTEP):
     """Exact-symmetry profile samples (phi, dphi, psi, dpsi) at arbitrary s.
 
     phi is even, psi odd; negative arguments are folded through the symmetry
@@ -158,8 +153,9 @@ def profile_values(n: int, s_points: np.ndarray, max_substep: float = 1e-3):
     return phi, dphi, psi, dpsi
 
 
-def solve_profile(n: int, s_max: float, step: float, max_substep: float = 1e-3) -> ProfileTable:
-    """Integrate the profile on the symmetric uniform grid [-s_max, s_max].
+def solve_profile(n: int, s_max: float, step: float) -> ProfileTable:
+    """Integrate the profile on the symmetric uniform grid [-s_max, s_max],
+    with substeps no larger than MAX_SUBSTEP or the grid step.
 
     Raises ProfileError (carrying the worst node) if the first-integral
     residual exceeds FIRST_INTEGRAL_TOL anywhere, which signals a step that
@@ -182,7 +178,7 @@ def solve_profile(n: int, s_max: float, step: float, max_substep: float = 1e-3) 
     if abs(m * step - s_max) > 1e-12 * max(1.0, s_max):
         m = int(np.ceil(s_max / step))
     s = step * np.arange(-m, m + 1)
-    phi, dphi, psi, dpsi = profile_values(n, s, max_substep=min(max_substep, step))
+    phi, dphi, psi, dpsi = profile_values(n, s, max_substep=min(MAX_SUBSTEP, step))
     # asymptotic constant from the last decade of the positive grid
     s_pos, phi_p = s[m:], phi[m:]
     tail = s_pos >= 0.9 * s_pos[-1]

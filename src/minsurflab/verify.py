@@ -321,8 +321,8 @@ def _upper_branch_height(n, sc, radii):
     sp = _end_splines(n)
     target = np.log(np.asarray(radii) / sc.eps_len)
     s = sp["s_of_logphi"](np.clip(target, 1e-9, sp["logphi_max"]))
-    psi = sp["psi"](s)
-    psic = sp["psi"](abs(sc.s_eps))
+    psi = sp["profile"](s)[2]
+    psic = sp["profile"](abs(sc.s_eps))[2]
     return sc.eps_len * (psi - (-psic))
 
 

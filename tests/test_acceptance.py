@@ -298,6 +298,23 @@ class TestAcceptance:
             assert level.site.end is max(ends, key=lambda e: e.plane_height)
             assert level.site.end.plane_height > lower_plane
 
+    def test_A7_intrinsic_to_extrinsic_ratio_diverges_up_the_tower(self, tower):
+        # a witness of improperness: a path from a glued level's new end
+        # to the end below it runs through the level's neck box, so it is
+        # at least 2 (|site - x0|_inf - halfwidth) long, x0 on the seed's
+        # axis, while the two planes lie ever closer
+        glued4, _ = tower
+        outer = glued4.outer
+        x0 = outer.seed_ends[0].axis_xy
+        ratios = []
+        for level in outer.glue_levels:
+            intrinsic = 2.0 * (np.max(np.abs(level.site.center_xy - x0)) - level.box.halfwidth)
+            extrinsic = level.new_end.plane_height - level.site.end.plane_height
+            assert intrinsic > 0.0 and extrinsic > 0.0
+            ratios.append(intrinsic / extrinsic)
+        assert len(ratios) == 3
+        assert all(later >= 10.0 * earlier for earlier, later in zip(ratios, ratios[1:]))
+
     def test_A7_tower_report_json(self, tower, tmp_path):
         from minsurflab.cli import dump_json
 

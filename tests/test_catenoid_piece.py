@@ -104,14 +104,15 @@ class TestBuild:
                 profile, compute_scales(profile, 0.5), SphereField.zeros(spectrum), 1.0, TOL
             )
 
-    def test_unconverged_solve_raises_at_the_requested_eps(self, spectrum, profile, caplog):
+    def test_unconverged_solve_raises_at_the_requested_eps(self, spectrum, profile, caplog,
+                                                            monkeypatch):
         # one iteration can never settle: the solve must fail at the eps it
         # was asked for, not retry silently at another scale
+        monkeypatch.setattr(catenoid, "MAX_PICARD", 1)
         with caplog.at_level(logging.WARNING):
             with pytest.raises(ContractionError) as excinfo:
                 build_catenoid_piece(
                     profile, compute_scales(profile, EPS), SphereField.zeros(spectrum), 1.0, TOL,
-                    max_iter=1,
                 )
         assert f"eps={EPS:.3e}" in str(excinfo.value)
         assert "update norms" in str(excinfo.value)

@@ -160,7 +160,10 @@ class TestRun:
         if command == "verify":
             assert report["mc_residual"]["max_rel"] <= 2 * RunConfig().tol_solver
         if command in BAND_CSV:
-            # both pieces report their Picard loop's last contraction factor
+            # both pieces hold their oracle residual within tol_solver, and
+            # report their Picard loop's last contraction factor
+            residual = report["residual_rel" if command == "neck" else "residual_unit"]
+            assert residual <= RunConfig().tol_solver
             last = report["last_contraction"]
             assert isinstance(last, float) and np.isfinite(last)
             name, header = BAND_CSV[command]
@@ -209,6 +212,11 @@ class TestRun:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report == {name: json.loads((tmp_path / f"{name}.json").read_text())
                           for name in names}
+        # the default glue adds a third end, certifies it embedded, and
+        # reports as its mismatch the last value of its history, exactly
+        glue = report["glue_summary"]
+        assert glue["ends"] == 3 and glue["embedded"] is True
+        assert glue["mismatch"] == glue["history"][-1]
 
     def test_profile_smoke_with_summary(self, tmp_path):
         cfg = RunConfig(out_dir=str(tmp_path / "run"))
@@ -262,6 +270,9 @@ class TestRun:
         ("glue", {"s_max": 12}, "rebuild the profile with s_max >= 14.013"),
         ("verify", {"s_max": 12}, "rebuild the profile with s_max >= 14.013"),
         ("tower", {"s_max": 12}, "rebuild the profile with s_max >= 14.416"),
+        # the neck refuses what the glue refuses: at n=6 its site's r0
+        # leaves no room above r_eps, before any solve runs
+        ("neck", {"n": 6}, "leaves no room above r_eps"),
     ])
     def test_refused_profile_or_scales_exit_with_config_code(
         self, tmp_path, caplog, command, config, message

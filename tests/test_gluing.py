@@ -251,7 +251,7 @@ class TestGlue:
         class Reached(Exception):
             pass
 
-        def capture(surface, delta, **kwargs):
+        def capture(surface, delta):
             raise Reached(delta)
 
         monkeypatch.setattr(gluing, "nondegeneracy_check", capture)
@@ -410,7 +410,7 @@ class TestGlueKeepsItsInput:
         with pytest.raises(Stop):
             glue_end(glued_surface.outer, EPS)
         assert builds == bands
-        assert list(outer_module._NONDEGENERACY) == [(N, spectrum.L, -2.0, 400)]
+        assert list(outer_module._NONDEGENERACY) == [(N, spectrum.L, -2.0)]
 
     def test_refused_glue_leaves_the_seed(self, spectrum, profile, monkeypatch):
         monkeypatch.setattr(verify, "embeddedness", refuse_embeddedness)

@@ -66,9 +66,7 @@ ALLOWED = {}
 
 # parameters that only the tests set, with the reason each stays
 PARAMS_ALLOWED = {
-    "catenoid.build_catenoid_piece(max_iter)": "a test caps the iterations to reach the non-convergence failure",
     "cli.main(argv)": "the CLI tests run commands in process; the console script passes none",
-    "profile.solve_profile(max_substep)": "a test forces a coarse substep to reach the first-integral refusal",
 }
 
 

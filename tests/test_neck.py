@@ -19,6 +19,7 @@ from minsurflab.profile import compute_scales, profile_values
 from minsurflab.cylinder import BandField
 from minsurflab.radial import RadialGrid, solve_mixed
 from radial_reference import default_nu, weighted_norm
+from table_reference import green_two_reads
 from minsurflab.spectral import SphereField, apply_Dtheta, project_high, sphere_area
 
 N = 3
@@ -92,7 +93,7 @@ class TestMeanCurvature:
         for m in (60, 120):
             r = np.linspace(2.0, 4.0, m)
             s_of = spl["s_of_logphi"](np.log(r))
-            u = (spl["psi_inf"] - spl["psi"](s_of))[:, None] * np.ones((1, g.t.size))
+            u = (spl["psi_inf"] - spl["profile"](s_of)[2])[:, None] * np.ones((1, g.t.size))
             P = graph_orbit_points(r, g, u)
             H = uniform_surface(P, g, r[1] - r[0], order=2).mean_curvature(N)
             sups.append(np.max(np.abs(H[2:-2])))
@@ -191,9 +192,17 @@ class TestGreenFunction:
     def test_inner_truncation_stability(self, patch, scales, green):
         g2 = green_function(patch, scales.r_eps / 8)
         probe = np.geomspace(scales.r_eps / 2, R0 / 2, 40)
-        v1 = green.at(probe)
-        v2 = g2.at(probe)
+        v1 = green.at(probe)[0]
+        v2 = g2.at(probe)[0]
         assert np.max(np.abs(v1 - v2) / np.abs(v1)) < 0.01
+
+    def test_one_read_has_the_bits_of_two(self, patch, scales, green):
+        # gamma_0 and its slope through one interpolation matrix, against
+        # one matrix each, on the neck's own radii and on a probe
+        neck_grid = RadialGrid(scales.r_eps, R0, patch.grid.m)
+        for r in (neck_grid.r, np.geomspace(scales.r_eps / 2, R0 / 2, 40)):
+            for one, two in zip(green.at(r), green_two_reads(green, r)):
+                assert np.array_equal(one, two)
 
     def test_rejects_large_inner_radius(self, patch):
         with pytest.raises(PreconditionError):
@@ -210,7 +219,7 @@ class TestSigmaEps:
 
     def test_zero_parameters_give_green_term(self, working, scales, green):
         dev = rigid_deviation_rows(working, scales, RigidParams.zeros(), green)
-        expect = EPS / (N - 2) * (green.at(working.grid.r) - green.a0)
+        expect = EPS / (N - 2) * (green.at(working.grid.r)[0] - green.a0)
         assert np.max(np.abs(dev.values[0] - expect)) < 1e-12 * np.max(np.abs(expect))
 
     def test_pure_vertical_shift(self, working, scales, green):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from minsurflab import outer
+from table_reference import end_height_profile, five_spline_table, upper_branch_height
+from minsurflab import outer, verify
 from minsurflab.catenoid import (
     ContractionError,
     PreconditionError,
@@ -9,10 +10,12 @@ from minsurflab.catenoid import (
     default_delta,
     grid_profile,
 )
+from minsurflab.cylinder import BandField, UniformGrid
 from minsurflab.diffops import fd_derivative
 from minsurflab.neck import graph_residual, mean_curvature_graph
 from minsurflab.outer import (
     CORE_SPAN,
+    EndModel,
     NeckBox,
     cauchy_U_eps,
     find_site,
@@ -22,7 +25,7 @@ from minsurflab.outer import (
     assemble_outer,
     solve_outer_nonlinear,
 )
-from minsurflab.profile import compute_scales, solve_profile
+from minsurflab.profile import Scales, compute_scales, solve_profile
 from minsurflab.spectral import SphereField, band_spectrum
 
 N = 3
@@ -155,29 +158,61 @@ def jacobi_quotient(n: int, ell: int, field, m: int) -> float:
     return num / np.abs(vpot).max()
 
 
+class TestEndTable:
+    """The end table's one four-row spline against one spline per row."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_height_profile_has_the_bits_of_five_splines(self, n):
+        rng = np.random.default_rng(n)
+        five = five_spline_table(n)
+        # radii from just off the waist to the table's end, in units of a
+        a = 0.3
+        R = a * np.exp(rng.uniform(1e-6, 0.999 * five["logphi_max"], 20000))
+        s = np.linspace(-0.7, 14.3, 3001)
+        spec = band_spectrum(n, 8)
+        w = BandField(spec, UniformGrid(s), rng.standard_normal((9, s.size)) * 1e-6)
+        for field in (None, w):
+            end = EndModel(a=a, w=field, axis_xy=np.zeros(n), plane_height=0.0)
+            for one, ref in zip(end.height_profile(n, R), end_height_profile(five, end, n, R)):
+                assert np.array_equal(one, ref)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_upper_branch_height_has_the_bits_of_five_splines(self, n):
+        rng = np.random.default_rng(10 + n)
+        eps = 1e-6
+        s_eps = np.log(eps) / ((n - 1) * (3 * n - 2))
+        # the height reads eps_len and s_eps only
+        sc = Scales(n=n, eps=eps, s_eps=s_eps, r_eps=0.0, psi_cut=0.0)
+        radii = sc.eps_len * np.exp(rng.uniform(-1.0, 30.0, 20000))
+        assert np.array_equal(verify._upper_branch_height(n, sc, radii),
+                              upper_branch_height(five_spline_table(n), sc, radii))
+
+
 class TestNondegeneracy:
     def test_seed_above_threshold(self, surface):
-        val = nondegeneracy_check(surface, -2.0, m=400)
+        val = nondegeneracy_check(surface, -2.0)
         assert val > 1e-6
 
     def test_kernel_injection_drives_to_zero(self, surface):
-        base = nondegeneracy_check(surface, -2.0, m=400)
+        base = nondegeneracy_check(surface, -2.0)
 
         def transl(s):
             return grid_profile(N, s)["phi"] ** (-N / 2.0)
 
         # the translation Jacobi field would drive the check's minimum to zero
-        inj = min(base, jacobi_quotient(N, 1, transl, 400))
+        inj = min(base, jacobi_quotient(N, 1, transl, outer.NONDEGENERACY_NODES))
         assert inj < base / 30.0
 
-    def test_stable_under_refinement(self, surface):
-        v1 = nondegeneracy_check(surface, -2.0, m=400)
-        v2 = nondegeneracy_check(surface, -2.0, m=800)
+    def test_stable_under_refinement(self, surface, monkeypatch):
+        v1 = nondegeneracy_check(surface, -2.0)
+        monkeypatch.setattr(outer, "_NONDEGENERACY", {})
+        monkeypatch.setattr(outer, "NONDEGENERACY_NODES", 2 * outer.NONDEGENERACY_NODES)
+        v2 = nondegeneracy_check(surface, -2.0)
         assert 0.5 <= v1 / v2 <= 2.0
 
     def test_rejects_bad_delta(self, surface):
         with pytest.raises(PreconditionError):
-            nondegeneracy_check(surface, -1.0, m=400)
+            nondegeneracy_check(surface, -1.0)
 
     @pytest.fixture()
     def builds(self, monkeypatch):
@@ -205,21 +240,22 @@ class TestNondegeneracy:
 
         monkeypatch.setattr(outer, "_band_matrix_conjugated", zero_column)
         with pytest.raises(ContractionError):
-            nondegeneracy_check(surface, -2.0, m=400)
+            nondegeneracy_check(surface, -2.0)
         assert len(builds) == surface.spectrum.L + 1
         with pytest.raises(ContractionError):
-            nondegeneracy_check(surface, -2.0, m=400)
+            nondegeneracy_check(surface, -2.0)
         assert len(builds) == surface.spectrum.L + 1
 
-    def test_computed_once_per_n_L_delta_m(self, spectrum, profile, builds):
+    def test_computed_once_per_n_L_delta(self, spectrum, profile, builds):
         bands = list(range(spectrum.L + 1))
-        first = nondegeneracy_check(seed_catenoid(profile, spectrum, scale=1.0), -2.0, m=400)
+        first = nondegeneracy_check(seed_catenoid(profile, spectrum, scale=1.0), -2.0)
         assert builds == bands
-        # another seed with the same (n, L, delta, m) builds no band matrix
+        # another seed with the same (n, L, delta) builds no band matrix
         other = seed_catenoid(profile, spectrum, scale=0.3)
-        assert nondegeneracy_check(other, -2.0, m=400) == first
+        assert nondegeneracy_check(other, -2.0) == first
         assert builds == bands
-        nondegeneracy_check(other, -2.0, m=300)
+        # another admissible delta builds again
+        nondegeneracy_check(other, -1.9)
         assert builds == bands + bands
 
     @pytest.mark.parametrize("n", [3, 4, 5])

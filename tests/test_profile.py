@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import beta, betainc
 
 from band_reference import norm_exp
+from table_reference import profile_csv
+from minsurflab import profile as profile_module
+from minsurflab.cli import EXIT_OK, main
 from minsurflab.cylinder import BandField, UniformGrid
 from minsurflab.outer import _end_splines, psi_infinity
 from minsurflab.profile import (
@@ -89,9 +92,10 @@ class TestSolveProfile:
         assert abs(tops[2] - tops[1]) < abs(tops[1] - tops[0])
         assert abs(tops[2] - tops[1]) < 2e-5
 
-    def test_coarse_step_raises_with_worst_node(self):
+    def test_coarse_step_raises_with_worst_node(self, monkeypatch):
+        monkeypatch.setattr(profile_module, "MAX_SUBSTEP", 0.75)
         with pytest.raises(ProfileError, match="residual"):
-            solve_profile(3, 12.0, 0.75, max_substep=0.75)
+            solve_profile(3, 12.0, 0.75)
 
     @pytest.mark.parametrize("s_max", [720.0, 1e9, np.inf, np.nan])
     def test_rejects_a_span_where_phi_overflows(self, s_max):
@@ -108,8 +112,6 @@ class TestSolveProfile:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_residual_raises(self, monkeypatch):
-        from minsurflab import profile as profile_module
-
         exact = profile_module.integrate_profile
 
         def overflowed(n, s_nodes, max_substep):
@@ -126,9 +128,10 @@ class TestSolveProfile:
         with pytest.raises(ProfileError):
             solve_profile(2, 8.0, 1e-2)
 
-    def test_csv_export_has_all_columns(self, profile):
-        head = profile.to_csv().splitlines()[0]
-        assert head == "s,phi,psi,dphi,dpsi"
+    def test_csv_export_has_all_columns(self, profile, tmp_path):
+        # the default config's table is the fixture's, n=3 on [-16, 16] at step 8e-3
+        assert main(["profile", "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "profile.csv").read_bytes() == profile_csv(profile).encode()
 
 
 class TestIntegrateProfile:

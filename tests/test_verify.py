@@ -412,10 +412,10 @@ class TestSeparationCheck:
             m = 90
             r = np.linspace(r_lo, 2 * r_lo, m)
             s_of = spl["s_of_logphi"](np.log(r))
-            u_prof = spl["psi_inf"] - spl["psi"](s_of)
+            phi_of, _, psi_of, _ = spl["profile"](s_of)
+            u_prof = spl["psi_inf"] - psi_of
             heights = -u_prof[:, None] * np.ones((1, g.t.size))
             P = graph_orbit_points(r, g, heights)
-            phi_of = spl["phi"](s_of)
             A2 = (N * (N - 1.0) * phi_of ** (-2 * N))[:, None] * np.ones((1, g.t.size))
             u = u_prof[:, None] * np.ones((1, g.t.size))
             rep = separation_check(P, u, A2, N)
