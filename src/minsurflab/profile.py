@@ -125,13 +125,15 @@ class ProfileTable:
         return np.abs((self.dphi / self.phi) ** 2 + self.phi ** (2 - 2 * self.n) - 1.0)
 
 
-def profile_values(n: int, s_points: np.ndarray, max_substep: float = MAX_SUBSTEP):
+def profile_values(n: int, s_points: np.ndarray, max_substep: float | None = None):
     """Exact-symmetry profile samples (phi, dphi, psi, dpsi) at arbitrary s.
 
     phi is even, psi odd; negative arguments are folded through the symmetry
     so both halves share one upward integration with substeps no larger
-    than max_substep.
+    than max_substep, MAX_SUBSTEP as it stands at the call when None.
     """
+    if max_substep is None:
+        max_substep = MAX_SUBSTEP
     s_points = np.asarray(s_points, dtype=float)
     flat = np.abs(s_points).ravel()
     order = np.argsort(flat, kind="stable")

@@ -4,7 +4,9 @@ PDE check.
 
 Every evaluation here is structurally independent of the solver paths:
 different stencil orders, offset resampled grids, analytic
-surface-of-revolution formulas, and sampled-graph shortest paths.
+surface-of-revolution formulas, and shortest paths on sampled graphs.  A
+sampled graph holds only its points and grid shape: the grid implies the
+edges, and each query builds the adjacency of the nodes it reads.
 Embeddedness of hypersurfaces in R^{n+1} is certified through separation
 functions and box disjointness, never through rendering.
 """
@@ -33,15 +35,16 @@ DELTA1 = {3: 3.0 / 8.0, 4: 2.0 / 3.0, 5: 21.0 / 22.0}  # 1 - stability windows
 
 @dataclass
 class ChartSampleGraph:
-    """Sampled chart points with chordal-length edges for intrinsic distances.
+    """Sampled chart points on an (i, j, k) grid whose k axis is periodic.
 
-    The adjacency is one canonical CSR matrix (N, N), built once: int32
-    indices, sorted columns, and every edge stored once, in the row of the
-    node it leaves.  Shortest paths read it as undirected.
+    The grid implies the edges: each node is joined to its neighbours by the
+    grid moves and by the wrap from the last k to the first, each edge
+    weighted by its chordal length.  No adjacency is stored; each query
+    builds, with _orbit_adjacency, the CSR of the nodes it reads.
     """
 
-    points: np.ndarray  # (N, n+1) ambient coordinates
-    adjacency: object  # scipy.sparse.csr_matrix of edge lengths
+    points: np.ndarray  # (N, n+1) ambient coordinates, in C order of the grid
+    shape: tuple  # (profile, colatitude, orbit) grid extents
 
 
 # neighbor and knight moves on an (i, j, k) grid; the two-ring moves keep the
@@ -55,7 +58,7 @@ GRID_MOVES = (
 
 
 # first-axis grid rows per block of the adjacency build: each block's tables
-# take about 0.5 MB per row of the shipped graphs
+# take about 0.3 MB per row of the shipped graphs
 GRAPH_BLOCK = 8
 
 
@@ -77,19 +80,24 @@ def _inside(d, extent: int, at):
     return (at + d >= 0) & (at + d < extent)
 
 
-def _orbit_adjacency(shape, pts_flat):
-    """CSR adjacency of an (i, j, k) grid whose k axis is periodic: the grid
-    moves, plus the wrap from the last k to the first, each edge weighted by
-    its chordal length.
+def _orbit_adjacency(shape, pts_flat, keep):
+    """CSR adjacency of the nodes of an (i, j, k) grid where keep is true,
+    renumbered in order; the k axis is periodic.  The edges are the grid
+    moves, plus the wrap from the last k to the first, that join two kept
+    nodes, each weighted by its chordal length and stored once, in the row
+    of the node it leaves.
 
     A node's neighbours are its flat index plus each move's flat offset, so
     taking the moves in the order of their offsets leaves every row's
-    columns sorted.  The build walks blocks of GRAPH_BLOCK rows along the
-    first axis.  Each block fills a table with one column per move: the
-    neighbour index, the edge length and whether the move stays on the grid.
-    The validity mask then counts the block's row pointers and compacts the
-    table straight into the preallocated CSR arrays, so only one block's
-    tables are held at a time.
+    columns sorted, and the matrix equals the rows and columns keep of the
+    whole grid's adjacency.  The build walks blocks of GRAPH_BLOCK rows along
+    the first axis and skips the blocks with no kept node.  A block's tables
+    hold one row per move, so that each move reads and writes contiguous
+    runs: the mask of the moves that stay on the grid between two kept
+    nodes, the renumbered targets and the edge lengths.  The first pass
+    counts the kept edges of each node, and the second recomputes the mask
+    and compacts the tables, node by node, straight into the CSR arrays of
+    exact size, so only one block's tables are held at a time.
     """
     from scipy.sparse import csr_matrix
 
@@ -101,34 +109,55 @@ def _orbit_adjacency(shape, pts_flat):
         return move[0] * row + move[1] * S2 + move[2]
 
     moves = sorted(GRID_MOVES + ((0, 0, 1 - S2),), key=offset)
-    offsets = np.array([offset(move) for move in moves], dtype=np.int32)
-    # each move's sources that stay on the grid along the j and k axes (row, moves)
+    # each move's sources that stay on the grid along the j and k axes (moves, row)
     inner = np.stack([(_inside(dj, S1, np.arange(S1))[:, None]
-                       & _inside(dk, S2, np.arange(S2))).ravel() for _, dj, dk in moves], axis=1)
-    di = np.array([move[0] for move in moves])
-    # each move's edges: its sources that stay on the grid along every axis
-    nnz = sum(int(np.prod([max(0, e - abs(d)) for d, e in zip(move, shape)])) for move in moves)
-    indptr = np.zeros(N + 1, dtype=np.int32)
-    indices = np.empty(nnz, dtype=np.int32)
-    data = np.empty(nnz)
-    for i0 in range(0, S0, GRAPH_BLOCK):
-        i1 = min(i0 + GRAPH_BLOCK, S0)
-        a, b = i0 * row, i1 * row
-        valid = (_inside(di, S0, np.arange(i0, i1)[:, None])[:, None, :] & inner).reshape(b - a, -1)
-        target = np.arange(a, b, dtype=np.int32)[:, None] + offsets
-        length = np.empty((len(moves), b - a))  # by move, so each move writes a contiguous run
-        for m, off in enumerate(offsets.tolist()):
+                       & _inside(dk, S2, np.arange(S2))).ravel() for _, dj, dk in moves])
+    blocks = [(i0 * row, min(i0 + GRAPH_BLOCK, S0) * row) for i0 in range(0, S0, GRAPH_BLOCK)
+              if keep[i0 * row:(i0 + GRAPH_BLOCK) * row].any()]
+
+    def spans(a, b):
+        """(move, its sources lo:hi in nodes a:b whose targets are nodes, the target offset).
+
+        With j and k on the grid, a target is a node exactly when its i is."""
+        for m, move in enumerate(moves):
+            off = offset(move)
             lo, hi = max(a, -off), min(b, N - off)
             if hi > lo:
-                length[m, lo - a:hi - a] = _lengths(pts_flat[lo:hi] - pts_flat[lo + off:hi + off])
-        np.cumsum(np.count_nonzero(valid, axis=1), out=indptr[a + 1:b + 1])
-        indptr[a + 1:b + 1] += indptr[a]
-        at = np.flatnonzero(valid)
-        out = slice(indptr[a], indptr[b])
-        # every position in at is in range, and "clip" takes them without the check
-        np.take(target, at, out=indices[out], mode="clip")
-        np.take(length.T.ravel(), at, out=data[out], mode="clip")
-    return csr_matrix((data, indices, indptr), shape=(N, N))
+                yield m, lo, hi, off
+
+    def kept_edges(a, b):
+        """Which moves from each of nodes a:b join two kept nodes (moves, b - a)."""
+        found = np.zeros((len(moves), b - a), dtype=bool)
+        for m, lo, hi, off in spans(a, b):
+            np.logical_and(keep[lo:hi], keep[lo + off:hi + off], out=found[m, lo - a:hi - a])
+        by_row = found.reshape(len(moves), -1, row)
+        np.logical_and(by_row, inner[:, None, :], out=by_row)
+        return found
+
+    counts = np.zeros(N, dtype=np.int32)
+    for a, b in blocks:
+        kept_edges(a, b).sum(axis=0, dtype=np.int32, out=counts[a:b])
+    renumber = np.cumsum(keep, dtype=np.int32) - 1
+    K = int(renumber[-1]) + 1
+    indptr = np.zeros(K + 1, dtype=np.int32)
+    np.cumsum(counts[keep], out=indptr[1:])
+    del counts
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    start = 0
+    for a, b in blocks:
+        found = kept_edges(a, b)
+        target = np.empty(found.shape, dtype=np.int32)
+        length = np.empty(found.shape)
+        for m, lo, hi, off in spans(a, b):
+            target[m, lo - a:hi - a] = renumber[lo + off:hi + off]
+            length[m, lo - a:hi - a] = _lengths(pts_flat[lo:hi] - pts_flat[lo + off:hi + off])
+        # the edges of the kept nodes in a:b, taken node by node
+        stop = indptr[renumber[b - 1] + 1]
+        indices[start:stop] = target.T[found.T]
+        data[start:stop] = length.T[found.T]
+        start = stop
+    return csr_matrix((data, indices, indptr), shape=(K, K))
 
 
 def _orbit_graph(n: int, xq, rho, xv, n_orbit: int) -> ChartSampleGraph:
@@ -139,8 +168,8 @@ def _orbit_graph(n: int, xq, rho, xv, n_orbit: int) -> ChartSampleGraph:
     sampled along a fixed 2-plane of the transverse block; intrinsic
     distances within the sampled submanifold upper-bound nothing but
     faithfully measure the zonal charts we build.  The nodes are numbered
-    in C order of the (Na, Nb, n_orbit) grid, and the edges are the grid
-    moves plus those closing the periodic orbit axis, in one CSR adjacency.
+    in C order of the (Na, Nb, n_orbit) grid, whose moves, with those
+    closing the periodic orbit axis, imply the edges.
     """
     omega = np.linspace(0, 2 * np.pi, n_orbit, endpoint=False)
     shape = xq.shape + (n_orbit,)
@@ -150,7 +179,7 @@ def _orbit_graph(n: int, xq, rho, xv, n_orbit: int) -> ChartSampleGraph:
     pts[..., 2] = rho[..., None] * np.sin(omega)[None, None, :]
     pts[..., n] = xv[..., None]
     pts = pts.reshape(-1, n + 1)
-    return ChartSampleGraph(pts, _orbit_adjacency(shape, pts))
+    return ChartSampleGraph(pts, shape)
 
 
 def plane_sample_graph(n: int, extent: float) -> ChartSampleGraph:
@@ -334,9 +363,8 @@ def chord_arc(graph: ChartSampleGraph, x_index: int, R: float) -> dict:
 
     rho is the maximal graph distance from x within the connected component
     of the extrinsic R-ball; c_fit = rho / R^n.  The component is what
-    shortest paths from x reach over the edges with both ends in the ball:
-    the ball's rows and columns of the graph's adjacency, its nodes
-    renumbered in order.
+    shortest paths from x reach over the edges with both ends in the ball,
+    whose CSR is built from the grid, its nodes renumbered in order.
     """
     from scipy.sparse.csgraph import dijkstra
 
@@ -344,7 +372,7 @@ def chord_arc(graph: ChartSampleGraph, x_index: int, R: float) -> dict:
     n = pts.shape[1] - 1
     d_ext = _lengths(pts - pts[x_index])
     inside = d_ext <= R
-    ball = graph.adjacency[inside][:, inside]
+    ball = _orbit_adjacency(graph.shape, pts, inside)
     dist_in = dijkstra(ball, directed=False, indices=np.count_nonzero(inside[:x_index]))
     finite = np.isfinite(dist_in)
     rho = float(np.max(dist_in[finite]))
@@ -367,7 +395,8 @@ def graphical_radius(graph: ChartSampleGraph, x_index: int, C_A: float) -> dict:
     from scipy.sparse.csgraph import dijkstra
 
     pts = graph.points
-    dist = dijkstra(graph.adjacency, directed=False, indices=x_index)
+    every = np.ones(pts.shape[0], dtype=bool)
+    dist = dijkstra(_orbit_adjacency(graph.shape, pts, every), directed=False, indices=x_index)
     finite = np.isfinite(dist)
     # tangent plane by local PCA over the nearest samples
     near = np.argsort(dist + ~finite * 1e18)[:40]

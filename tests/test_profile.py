@@ -5,7 +5,7 @@ from scipy.special import beta, betainc
 
 from band_reference import norm_exp
 from table_reference import profile_csv
-from minsurflab import profile as profile_module
+from minsurflab import catenoid, profile as profile_module
 from minsurflab.cli import EXIT_OK, main
 from minsurflab.cylinder import BandField, UniformGrid
 from minsurflab.outer import _end_splines, psi_infinity
@@ -96,6 +96,28 @@ class TestSolveProfile:
         monkeypatch.setattr(profile_module, "MAX_SUBSTEP", 0.75)
         with pytest.raises(ProfileError, match="residual"):
             solve_profile(3, 12.0, 0.75)
+
+    def test_max_substep_is_read_at_each_call(self, profile, monkeypatch):
+        # the callers that leave max_substep out refine with the constant:
+        # the catenoid's grid samples and the cut-off scales
+        s = np.linspace(-3.0, 3.0, 61)
+
+        def read():
+            monkeypatch.setattr(catenoid, "_PROFILE_CACHE", {})
+            samples = catenoid.grid_profile(3, s)
+            return [samples[k] for k in ("phi", "dphi", "psi", "dpsi", "pot")], compute_scales(profile, 1e-6)
+
+        def same(a, b):
+            return all(np.array_equal(x, y) for x, y in zip(a[0], b[0])) and a[1] == b[1]
+
+        at_default = read()
+        assert all(np.array_equal(x, y) for x, y in zip(at_default[0][:4], profile_values(3, s, 1e-3)))
+        monkeypatch.setattr(profile_module, "MAX_SUBSTEP", 2.5e-4)
+        refined = read()
+        assert not np.array_equal(refined[0][0], at_default[0][0])
+        assert refined[1].r_eps != at_default[1].r_eps
+        monkeypatch.setattr(profile_module, "MAX_SUBSTEP", 1e-3)
+        assert same(read(), at_default)
 
     @pytest.mark.parametrize("s_max", [720.0, 1e9, np.inf, np.nan])
     def test_rejects_a_span_where_phi_overflows(self, s_max):

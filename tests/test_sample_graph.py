@@ -1,12 +1,14 @@
-"""The sample-graph oracles on one CSR adjacency.
+"""The sample-graph oracles on adjacencies built from the grid.
 
-The built adjacency, chord_arc and graphical_radius are checked for
+The grid's adjacency, chord_arc and graphical_radius are checked for
 equality against references that take their edges node by node from the
-grid (tests/graph_reference.py), and the peak memory of a graph build and
-of the heaviest chord_arc query is bounded by a small multiple of the
-adjacency's arrays.
+grid (tests/graph_reference.py), and the adjacency of a node subset against
+the rows and columns of the grid's.  A graph holds only its points, and the
+peak memory of a graph build, of an adjacency build and of the heaviest
+chord_arc query is bounded by a small multiple of the arrays they hold.
 """
 
+import dataclasses
 import tracemalloc
 from functools import lru_cache
 
@@ -41,9 +43,30 @@ GRAPHS = {
 }
 
 
-def adjacency_bytes(graph):
-    A = graph.adjacency
+def csr_bytes(A):
     return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+
+
+def whole_adjacency(shape, pts):
+    return _orbit_adjacency(shape, pts, np.ones(pts.shape[0], dtype=bool))
+
+
+def traced_peak(call):
+    """call's value and the peak of the memory it allocates."""
+    tracemalloc.start()
+    try:
+        value = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+def assert_same_csr(A, B):
+    assert A.shape == B.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(A, name).dtype == getattr(B, name).dtype
+        assert np.array_equal(getattr(A, name), getattr(B, name))
 
 
 @lru_cache(maxsize=1)
@@ -94,13 +117,16 @@ class TestChordArc:
             assert rep["component_size"] == g.points.shape[0]
 
 
+SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+# first axes over several blocks of the build, the last one partial
+BLOCK_SHAPES = st.tuples(
+    st.integers(GRAPH_BLOCK + 1, 3 * GRAPH_BLOCK - 1), st.integers(1, 4), st.integers(1, 5)
+)
+
+
 class TestGridEdges:
     @PROPERTY
-    @given(
-        shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
-        n=st.integers(3, 5),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(shape=SHAPES, n=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
     # axes of extent 1 and 2, where the two-step moves along them are empty
     @example(shape=(1, 1, 1), n=3, seed=0)
     @example(shape=(2, 1, 2), n=4, seed=1)
@@ -116,23 +142,52 @@ class TestGridEdges:
     def test_equals_node_by_node_reference(self, shape, n, seed):
         N = int(np.prod(shape))
         pts = np.random.default_rng(seed).normal(size=(N, n + 1))
-        A = _orbit_adjacency(shape, pts)
         rows, cols, w = orbit_edges(shape, pts)
-        ref = coo_matrix((w, (rows, cols)), shape=(N, N)).tocsr()
-        for name in ("indptr", "indices", "data"):
-            assert getattr(A, name).dtype == getattr(ref, name).dtype
-            assert np.array_equal(getattr(A, name), getattr(ref, name))
+        assert_same_csr(whole_adjacency(shape, pts), coo_matrix((w, (rows, cols)), shape=(N, N)).tocsr())
+
+    @PROPERTY
+    @given(
+        shape=st.one_of(SHAPES, BLOCK_SHAPES),
+        n=st.integers(3, 5),
+        mask=st.sampled_from(["node", "every", "subset", "ball"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(1, 1, 1), n=3, mask="node", seed=0)
+    @example(shape=(2 * GRAPH_BLOCK + 3, 3, 4), n=3, mask="ball", seed=1)
+    @example(shape=(3 * GRAPH_BLOCK + 1, 2, 1), n=4, mask="subset", seed=2)
+    @example(shape=(GRAPH_BLOCK + 2, 1, 3), n=5, mask="node", seed=3)
+    def test_subset_equals_rows_and_columns_of_the_grid(self, shape, n, mask, seed):
+        N = int(np.prod(shape))
+        rng = np.random.default_rng(seed)
+        # points in grid order, so that an extrinsic ball is a contiguous patch
+        index = np.stack(np.unravel_index(np.arange(N), shape), axis=1)
+        pts = np.concatenate([index, np.zeros((N, n - 2))], axis=1) + 0.1 * rng.normal(size=(N, n + 1))
+        x = int(rng.integers(N))
+        if mask == "node":
+            keep = np.arange(N) == x
+        elif mask == "every":
+            keep = np.ones(N, dtype=bool)
+        elif mask == "subset":
+            keep = rng.random(N) < rng.uniform(0.1, 0.9)
+        else:
+            keep = np.linalg.norm(pts - pts[x], axis=1) <= rng.uniform(0.5, 4.0)
+        assert_same_csr(_orbit_adjacency(shape, pts, keep), whole_adjacency(shape, pts)[keep][:, keep])
+
+    def test_holds_only_its_points(self):
+        for kind, (build, shape) in GRAPHS.items():
+            g, peak = traced_peak(lambda: build(3, 1.0))
+            assert [f.name for f in dataclasses.fields(g)] == ["points", "shape"]
+            assert g.shape == shape and all(type(e) is int for e in g.shape)
+            # the points and the orbit lifts, about 1.34x; a graph build that
+            # also held an adjacency would pass 6x
+            assert peak <= 1.5 * g.points.nbytes, kind
 
     def test_build_peak_memory_bounded_by_edges(self):
-        tracemalloc.start()
-        try:
-            g = catenoid_sample_graph(3, scale=1.0, s_window=3.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the points, the CSR arrays and one block's tables; a build that
-        # held a second copy of the edge arrays would pass 2x
-        assert peak <= 2 * adjacency_bytes(g)
+        pts = catenoid_sample_graph(3, scale=1.0, s_window=3.0).points
+        A, peak = traced_peak(lambda: whole_adjacency(CATENOID_SHAPE, pts))
+        # the CSR arrays, the edge counts and one block's tables, about 1.2x;
+        # a build that held a second copy of the edge arrays would pass 2x
+        assert peak <= 1.5 * csr_bytes(A)
 
 
 class TestQueries:
@@ -149,13 +204,12 @@ class TestQueries:
         # the verify workload's heaviest query: the ball holds most nodes
         g = catenoid_sample_graph(3, scale=1.0, s_window=3.0)
         x = int(np.argmin(np.linalg.norm(g.points - np.eye(4)[0], axis=1)))
-        tracemalloc.start()
-        try:
-            chord_arc(g, x, 8.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the ball's row and column cuts of the CSR arrays, then dijkstra's
-        # transpose of the ball, about 1.7x the adjacency; the ball's edge
-        # list and its conversion to CSR peaked at about 3x
-        assert peak <= 2 * adjacency_bytes(g)
+        _, peak = traced_peak(lambda: chord_arc(g, x, 8.0))
+        inside = np.linalg.norm(g.points - g.points[x], axis=1) <= 8.0
+        ball = csr_bytes(_orbit_adjacency(g.shape, g.points, inside))
+        # the ball's CSR and dijkstra's transpose of it, about 2.1x the
+        # ball's arrays and 1.7x the whole graph's; a query that cut the
+        # ball from a whole adjacency would hold that too and pass 3x the
+        # ball's, and one that built an edge list would pass 2x the graph's
+        assert peak <= 2.25 * ball
+        assert peak <= 2 * csr_bytes(whole_adjacency(g.shape, g.points))
