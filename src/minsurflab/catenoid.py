@@ -37,7 +37,7 @@ from .cylinder import (
 )
 from .diffops import NotAKnotSpline, fd_derivative
 from .geometry import BLOCK, uniform_surface
-from .profile import ProfileTable, Scales, profile_values
+from .profile import Scales, profile_values
 from .spectral import SphereField, ZonalGrid, angular_grid, apply_Dtheta, gamma_sq, has_low_modes
 
 
@@ -145,15 +145,6 @@ def band_pair(n: int, s: np.ndarray, ell: int):
         um.flags.writeable = False
         _PAIR_CACHE[key] = (up, um, W)
     return _PAIR_CACHE[key]
-
-
-def _check_profile_covers(profile: ProfileTable, s: np.ndarray):
-    if s[0] < profile.s[0] - 1e-9 or s[-1] > profile.s[-1] + 1e-9:
-        raise PreconditionError(
-            f"grid [{s[0]:.3f}, {s[-1]:.3f}] exceeds the profile table range "
-            f"[{profile.s[0]:.3f}, {profile.s[-1]:.3f}]; rebuild the profile with "
-            f"s_max >= {max(-s[0], s[-1]):.3f}"
-        )
 
 
 def apply_Lcal(w: BandField, k: int) -> np.ndarray:
@@ -336,7 +327,6 @@ MAX_PICARD = 40
 
 
 def build_catenoid_piece(
-    profile: ProfileTable,
     scales: Scales,
     h_II: SphereField,
     kappa: float,
@@ -348,8 +338,9 @@ def build_catenoid_piece(
     numerically as the difference between the linear operator and the
     conjugated mean curvature of the realized transition-field surface.
     scales is compute_scales(profile, eps) at the glue's eps, which the
-    caller already holds; tol bounds the oracle mean-curvature residual at
-    unit neck scale.
+    caller already holds, and gives n; the piece reads the profile only
+    through grid_profile, on its own grid, so it takes no table.  tol
+    bounds the oracle mean-curvature residual at unit neck scale.
 
     Every step checks the cubic-regime guard: the scaled field
     phi^(-n/2) w / eps_len must stay within 0.2 on the collocation nodes,
@@ -358,7 +349,7 @@ def build_catenoid_piece(
     cannot trip it and skips the collocation; any other takes the maximum
     exactly.
     """
-    n = profile.n
+    n = scales.n
     eps = scales.eps
     spec = h_II.spectrum
     if has_low_modes(h_II):
@@ -376,7 +367,6 @@ def build_catenoid_piece(
 
     s_eps = scales.s_eps
     s_grid = _piece_grid(s_eps)
-    _check_profile_covers(profile, s_grid)
     geo = _NeckGeometry(n, s_grid, grid, scales.eps_len)
 
     g_II = h_II * (geo.phi[0] ** ((n - 2) / 2.0))

@@ -212,7 +212,7 @@ def cmd_catenoid_piece(cfg: RunConfig, out: Path) -> int:
     spec, prof = _context(cfg)
     sc = compute_scales(prof, cfg.eps)
     h = _band2_datum(spec, sc)
-    piece = build_catenoid_piece(prof, sc, h, cfg.kappa, cfg.tol_solver)
+    piece = build_catenoid_piece(sc, h, cfg.kappa, cfg.tol_solver)
     gap = cauchy_gap(piece.cauchy, simple_cauchy_catenoid(sc, h))
     _write_csv(out / "catenoid_piece.csv", ["s"] + [f"row{l}" for l in range(cfg.L + 1)],
                (piece.w.grid.s, *piece.w.values))

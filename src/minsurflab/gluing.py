@@ -45,12 +45,13 @@ from .outer import (
     assemble_outer,
     cauchy_U_eps,
     find_site,
+    neck_waist,
     nondegeneracy_check,
     psi_infinity,
     simple_cauchy_outer,
     solve_outer_nonlinear,
 )
-from .profile import Scales, compute_scales, profile_values
+from .profile import Scales, compute_scales
 from .spectral import BandSpectrum, SphereField, dtheta_multipliers, project_high
 
 
@@ -145,7 +146,7 @@ def conglomerate_C(t: BoundaryTriple, ctx: GlueContext) -> tuple:
     Zero mismatch means the three pieces form a C^1 matched minimal surface.
     """
     sc = ctx.scales
-    cat = build_catenoid_piece(ctx.surface.profile, sc, t.h_II, ctx.kappa, ctx.tol_piece)
+    cat = build_catenoid_piece(sc, t.h_II, ctx.kappa, ctx.tol_piece)
     # the vertical-shift parameter acts as the relative offset of the
     # catenoid piece (lowering it by d raises the middle slot by d, the
     # model's response); inside the shared-ring-data formulation a middle
@@ -290,9 +291,7 @@ def assemble_glued_surface(ctx, t, cat: CatenoidPiece, neck: NeckPiece,
     axis_xy[0] += t.A.T
     end = EndModel(a=eps_len, w=cat.w, axis_xy=axis_xy, plane_height=float(plane_height))
     # neck box: |A| < 1 outside; the box contains the full scaled waist
-    phi_star = (np.sqrt(n * (n - 1.0)) / eps_len) ** (1.0 / n)
-    s_star = float(np.log(2 * phi_star))
-    psi_star = float(profile_values(n, np.array([s_star]))[2][0])
+    phi_star, psi_star = neck_waist(n, eps_len)
     half_w = 1.6 * eps_len * phi_star
     z_lo = ring_height - eps_len * (psi_cut + psi_star)
     z_hi = ring_height + eps_len * (psi_star - psi_cut)

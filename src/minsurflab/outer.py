@@ -48,7 +48,7 @@ from .catenoid import (
 from .cylinder import BandField, rows_from_collocation
 from .diffops import NotAKnotSpline
 from .neck import NeckPiece, graph_defect, graph_operator, graph_residual
-from .profile import ProfileTable, Scales, profile_values
+from .profile import FIRST_INTEGRAL_TOL, ProfileError, ProfileTable, Scales, profile_values
 from .radial import RadialGrid, decaying, regular, solve_rows
 from .spectral import BandSpectrum, SphereField, angular_grid, gamma_sq
 
@@ -57,11 +57,16 @@ def psi_infinity(profile: ProfileTable) -> float:
     """Limit height of the unit catenoid end, with the analytic tail.
 
     The tail of the height integral beyond the table is phi^{2-n}/(n-2) up
-    to relative O(phi^{-2n+2}).
+    to relative O(phi^{-2n+2}); a table whose neglected phi_top^{4-3n}/(n-2)
+    exceeds FIRST_INTEGRAL_TOL psi_inf ends too soon and is refused.
     """
     n = profile.n
     phi_top = profile.phi[-1]
-    return float(profile.psi[-1] + phi_top ** (2 - n) / (n - 2))
+    psi_inf = float(profile.psi[-1] + phi_top ** (2 - n) / (n - 2))
+    if not phi_top ** (4 - 3 * n) / (n - 2) <= FIRST_INTEGRAL_TOL * psi_inf:
+        raise ProfileError(f"psi_inf's tail past the table's end s_max={profile.s_max:.3f} exceeds "
+                           f"{FIRST_INTEGRAL_TOL:.0e} psi_inf; rebuild the profile with a larger s_max")
+    return psi_inf
 
 
 _END_SPLINES: dict = {}
@@ -218,16 +223,19 @@ def seed_catenoid(profile: ProfileTable, spectrum: BandSpectrum, scale: float) -
                         seed_box=_seed_neck_box(n, scale))
 
 
+def neck_waist(n: int, a: float) -> tuple:
+    """(phi_star, psi(s_star)), the waist a neck box of scale a holds: phi_star
+    = max((sqrt(n(n-1))/a)^(1/n), 1.05), and phi(s_star) = phi_star through the
+    closed form phi(s) = cosh((n-1) s)^(1/(n-1))."""
+    phi_star = max((np.sqrt(n * (n - 1.0)) / a) ** (1.0 / n), 1.05)
+    s_star = float(np.arccosh(phi_star ** (n - 1)) / (n - 1))
+    return phi_star, float(profile_values(n, np.array([s_star]))[2][0])
+
+
 def _seed_neck_box(n: int, a: float) -> NeckBox:
     """Box around the seed's neck at the origin: half-width 1.3 a phi_star
-    and height 1.2 a psi(s_star) on either side of the core, where phi_star =
-    max((sqrt(n(n-1))/a)^(1/n), 1.05) and s_star solves phi(s_star) =
-    phi_star through the closed form phi(s) = cosh((n-1) s)^(1/(n-1)):
-    s_star = arccosh(phi_star^(n-1)) / (n-1)."""
-    phi_star = (np.sqrt(n * (n - 1.0)) / a) ** (1.0 / n)
-    phi_star = max(phi_star, 1.05)
-    s_star = float(np.arccosh(phi_star ** (n - 1)) / (n - 1))
-    psis = profile_values(n, np.array([s_star]))[2][0]
+    and height 1.2 a psi(s_star) on either side of the core (neck_waist)."""
+    phi_star, psis = neck_waist(n, a)
     return NeckBox(
         center_xy=np.zeros(n),
         halfwidth=float(1.3 * a * phi_star),

@@ -83,9 +83,9 @@ def _inside(d, extent: int, at):
 def _orbit_adjacency(shape, pts_flat, keep):
     """CSR adjacency of the nodes of an (i, j, k) grid where keep is true,
     renumbered in order; the k axis is periodic.  The edges are the grid
-    moves, plus the wrap from the last k to the first, that join two kept
-    nodes, each weighted by its chordal length and stored once, in the row
-    of the node it leaves.
+    moves, plus the wrap from the last k to the first if there are three or
+    more, that join two kept nodes, each weighted by its chordal length and
+    stored once, in the row of the node it leaves.
 
     A node's neighbours are its flat index plus each move's flat offset, so
     taking the moves in the order of their offsets leaves every row's
@@ -108,7 +108,9 @@ def _orbit_adjacency(shape, pts_flat, keep):
     def offset(move):
         return move[0] * row + move[1] * S2 + move[2]
 
-    moves = sorted(GRID_MOVES + ((0, 0, 1 - S2),), key=offset)
+    # with one or two orbit nodes the wrap is a self-loop or a grid move
+    wrap = ((0, 0, 1 - S2),) if S2 >= 3 else ()
+    moves = sorted(GRID_MOVES + wrap, key=offset)
     # each move's sources that stay on the grid along the j and k axes (moves, row)
     inner = np.stack([(_inside(dj, S1, np.arange(S1))[:, None]
                        & _inside(dk, S2, np.arange(S2))).ravel() for _, dj, dk in moves])

@@ -48,7 +48,9 @@ def grid_edges_node_by_node(shape):
 def _orbit_edge_index(shape):
     rows, cols = grid_edges_node_by_node(shape)
     S0, S1, S2 = shape
-    for i in range(S0):
+    # one or two orbit nodes have no wrap: it would be a self-loop or a
+    # second copy of the grid edge between the two
+    for i in range(S0 if S2 >= 3 else 0):
         for j in range(S1):
             rows.append((i * S1 + j) * S2 + S2 - 1)
             cols.append((i * S1 + j) * S2)
@@ -57,7 +59,8 @@ def _orbit_edge_index(shape):
 
 def orbit_edges(shape, pts_flat):
     """(rows, cols, lengths): the grid edges, then the wrap from each node at
-    the last orbit angle to the node at the first."""
+    the last orbit angle to the node at the first, when there are at least
+    three."""
     rows, cols = _orbit_edge_index(tuple(shape))
     return rows, cols, np.linalg.norm(pts_flat[rows] - pts_flat[cols], axis=1)
 

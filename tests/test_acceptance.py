@@ -37,7 +37,7 @@ from minsurflab.outer import (
     solve_outer_nonlinear,
 )
 from minsurflab.catenoid import build_catenoid_piece, cauchy_gap, simple_cauchy_catenoid, solve_GS
-from minsurflab.profile import compute_scales, solve_profile
+from minsurflab.profile import compute_scales, profile_values, solve_profile
 from minsurflab.radial import RadialGrid, solve_mixed
 from minsurflab.spectral import SphereField, band_spectrum
 from minsurflab.verify import (
@@ -156,7 +156,7 @@ class TestAcceptance:
             sc = compute_scales(profile, eps)
             h = SphereField.zonal_band(spectrum, 2, 1.0)
             h = h * (0.5 * sc.r_eps**2 / h.holder_norm())
-            piece = build_catenoid_piece(profile, sc, h, 1.0, TOL_SOLVER)
+            piece = build_catenoid_piece(sc, h, 1.0, TOL_SOLVER)
             ratios.append(cauchy_gap(piece.cauchy, simple_cauchy_catenoid(sc, h)) / sc.r_eps**2)
         ok = max(ratios) <= 12.0 and max(ratios) / min(ratios) <= 2.0
         verdict(
@@ -314,6 +314,32 @@ class TestAcceptance:
             ratios.append(intrinsic / extrinsic)
         assert len(ratios) == 3
         assert all(later >= 10.0 * earlier for earlier, later in zip(ratios, ratios[1:]))
+
+    def test_A7_every_level_box_takes_the_exact_waist(self, tower, glued):
+        # each box holds its neck's waist: a level's spans a psi(s*) above and
+        # below the catenoid's centre ring_height - a psi_cut, then its 0.2 a
+        # phi* margin; the seed's spans 1.2 a psi(s*) about the origin.  The
+        # waist is the seed's rule, written out: phi(s*) = phi* through the
+        # closed form of phi
+        def waist(a):
+            phi_star = max((np.sqrt(N * (N - 1.0)) / a) ** (1.0 / N), 1.05)
+            s_star = float(np.arccosh(phi_star ** (N - 1)) / (N - 1))
+            phi, _, psi, _ = profile_values(N, np.array([s_star]))
+            assert abs(phi[0] / phi_star - 1.0) <= 1e-11
+            return phi_star, float(psi[0])
+
+        for outer in (tower[0].outer, glued.outer):
+            a = outer.core_scale
+            _, psi_star = waist(a)
+            assert outer.seed_box.z_range == (float(-1.2 * a * psi_star), float(1.2 * a * psi_star))
+            for level in outer.glue_levels:
+                sc, ring = level.catenoid_piece.scales, level.ring_height
+                a = sc.eps_len
+                phi_star, psi_star = waist(a)
+                z_lo = ring - a * (sc.psi_cut + psi_star)
+                z_hi = ring + a * (psi_star - sc.psi_cut)
+                assert level.box.z_range == (float(min(z_lo, ring) - 0.2 * a * phi_star),
+                                             float(max(z_hi, ring) + 0.2 * a * phi_star))
 
     def test_A7_tower_report_json(self, tower, tmp_path):
         from minsurflab.cli import dump_json

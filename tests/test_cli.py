@@ -265,11 +265,12 @@ class TestRun:
         # steps whose grid no array can hold: 3.2e301 and infinitely many nodes
         ("profile", {"s_step": 1e-300}, "more than an array holds"),
         ("profile", {"s_step": 5e-324}, "more than an array holds"),
-        # a profile span too short for the catenoid piece's grid above the cut
-        ("catenoid-piece", {"s_max": 12}, "rebuild the profile with s_max >= 14.013"),
-        ("glue", {"s_max": 12}, "rebuild the profile with s_max >= 14.013"),
-        ("verify", {"s_max": 12}, "rebuild the profile with s_max >= 14.013"),
-        ("tower", {"s_max": 12}, "rebuild the profile with s_max >= 14.416"),
+        # the piece's datum 0.3 r_eps^2 lies outside a working ball of 0.2 r_eps^2
+        ("catenoid-piece", {"kappa": 0.2}, "exceeds kappa r_eps^2"),
+        # a table whose far end leaves psi_inf's tail remainder above 1e-10 psi_inf
+        ("glue", {"s_max": 4}, "rebuild the profile with a larger s_max"),
+        ("verify", {"s_max": 4}, "rebuild the profile with a larger s_max"),
+        ("tower", {"s_max": 4}, "rebuild the profile with a larger s_max"),
         # the neck refuses what the glue refuses: at n=6 its site's r0
         # leaves no room above r_eps, before any solve runs
         ("neck", {"n": 6}, "leaves no room above r_eps"),
@@ -277,14 +278,26 @@ class TestRun:
     def test_refused_profile_or_scales_exit_with_config_code(
         self, tmp_path, caplog, command, config, message
     ):
-        # the config accepts these; the profile, compute_scales or the
-        # catenoid piece refuses them
+        # the config accepts these; the profile, compute_scales, psi_infinity
+        # or the catenoid piece refuses them
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(config))
         with caplog.at_level(logging.ERROR):
             rc = main([command, "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert message in caplog.text
+
+    def test_catenoid_piece_reads_no_profile_table(self, tmp_path):
+        # the piece's grid [s_eps, s_eps + 15] runs past a table cut at 12,
+        # and the piece's files are those of the default table's
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"s_max": 12}))
+        assert main(["catenoid-piece", "--config", str(p), "--out", str(tmp_path / "short")]) \
+            == EXIT_OK
+        assert main(["catenoid-piece", "--out", str(tmp_path / "default")]) == EXIT_OK
+        for name in ("catenoid_piece.csv", "catenoid_summary.json"):
+            assert (tmp_path / "short" / name).read_bytes() == \
+                (tmp_path / "default" / name).read_bytes()
 
     def test_module_entry_point_runs_with_runtime_warnings_as_errors(self, tmp_path):
         # the package __init__ imports no submodule, so -m finds no

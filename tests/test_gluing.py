@@ -462,7 +462,7 @@ profile = solve_profile(3, 16.0, 8e-3)
 spectrum = band_spectrum(3, 8)
 _end_splines(3)
 seed_catenoid(profile, spectrum, scale=1.0).seed_box
-build_catenoid_piece(profile, compute_scales(profile, 1e-6), SphereField.zeros(spectrum),
+build_catenoid_piece(compute_scales(profile, 1e-6), SphereField.zeros(spectrum),
                      1.0, 5e-3)
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy."))))
 """

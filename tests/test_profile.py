@@ -265,6 +265,15 @@ class TestClosedForms:
         assert abs(psi_infinity(table) / exact - 1.0) <= CLOSED_FORM_TOL
         assert abs(_end_splines(table.n)["psi_inf"] / exact - 1.0) <= CLOSED_FORM_TOL
 
+    def test_psi_infinity_refuses_a_table_short_of_its_tail(self):
+        # at n=3 the tail's remainder phi_top^(-5) is 1.2e-8 at s_max 4 and
+        # 7.9e-11 at 5, against 1e-10 psi_inf = 1.3e-10; the limit the
+        # accepted table gives is within the closed-form bound
+        with pytest.raises(ProfileError, match="s_max=4.000"):
+            psi_infinity(solve_profile(3, 4.0, 8e-3))
+        accepted = psi_infinity(solve_profile(3, 5.0, 8e-3))
+        assert abs(accepted / self._psi_inf(3) - 1.0) <= CLOSED_FORM_TOL
+
 
 class TestNormExp:
     """The reference norm the cylinder solver tests state their bounds in."""

@@ -173,6 +173,20 @@ class TestGridEdges:
             keep = np.linalg.norm(pts - pts[x], axis=1) <= rng.uniform(0.5, 4.0)
         assert_same_csr(_orbit_adjacency(shape, pts, keep), whole_adjacency(shape, pts)[keep][:, keep])
 
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (1, 2, 2), (3, 1, 3)])
+    def test_every_edge_is_stored_once_off_the_diagonal(self, shape):
+        # with one orbit node the wrap would be a self-loop, with two a
+        # second copy of the grid edge between them
+        N = int(np.prod(shape))
+        pts = np.random.default_rng(0).normal(size=(N, 4))
+        A = whole_adjacency(shape, pts)
+        rows = np.repeat(np.arange(N), np.diff(A.indptr))
+        assert not np.any(A.indices == rows)
+        assert A.multiply(A.T).nnz == 0
+        if shape == (1, 2, 2):
+            # the two orbit pairs, k = 0 to 1 at j = 0 and at j = 1, one entry each
+            assert A[0, 1] > 0 and A[2, 3] > 0 and A[1, 0] == 0 and A[3, 2] == 0
+
     def test_holds_only_its_points(self):
         for kind, (build, shape) in GRAPHS.items():
             g, peak = traced_peak(lambda: build(3, 1.0))
