@@ -50,10 +50,11 @@ def _orbit_edge_index(shape):
     S0, S1, S2 = shape
     # one or two orbit nodes have no wrap: it would be a self-loop or a
     # second copy of the grid edge between the two
-    for i in range(S0 if S2 >= 3 else 0):
-        for j in range(S1):
-            rows.append((i * S1 + j) * S2 + S2 - 1)
-            cols.append((i * S1 + j) * S2)
+    if S2 >= 3:
+        for i in range(S0):
+            for j in range(S1):
+                rows.append((i * S1 + j) * S2 + S2 - 1)
+                cols.append((i * S1 + j) * S2)
     return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
 
 
