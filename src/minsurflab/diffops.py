@@ -1,9 +1,11 @@
 """Differentiation operators shared by the solvers and their oracles.
 
 Uniform-grid finite differences at orders 2 and 4, Chebyshev collocation
-nodes with differentiation matrices, barycentric differentiation on
-arbitrary node sets (used for the Gauss colatitude grid), and the
-not-a-knot cubic spline that resamples profile tables and band rows.
+nodes with their differentiation matrix (one read-only pair on [-1, 1] per
+node count, which every grid of that count maps to its own interval),
+barycentric differentiation on arbitrary node sets (used for the Gauss
+colatitude grid), and the not-a-knot cubic spline that resamples profile
+tables and band rows.
 """
 
 from __future__ import annotations
@@ -70,26 +72,35 @@ def fd_derivative(F: np.ndarray, h: float, axis: int, deriv: int, order: int) ->
     return out.swapaxes(0, axis)
 
 
-def cheb_nodes_matrix(m: int, a: float, b: float):
-    """Chebyshev collocation nodes (ascending on [a, b]) and D d/dx matrix."""
-    if m < 2:
-        raise ValueError("need at least 2 Chebyshev nodes")
-    N = m - 1
-    k = np.arange(m)
-    x = np.cos(np.pi * k / N)  # descending on [-1, 1]
-    c = np.ones(m)
-    c[0] = 2.0
-    c[-1] = 2.0
-    c = c * (-1.0) ** k
-    X = np.tile(x, (m, 1)).T
-    dX = X - X.T
-    D = np.outer(c, 1.0 / c) / (dX + np.eye(m))
-    D -= np.diag(D.sum(axis=1))
-    # flip to ascending and map to [a, b]
-    x = x[::-1]
-    D = D[::-1, ::-1]
-    scale = 2.0 / (b - a)
-    return a + (x + 1.0) * (b - a) / 2.0, D * scale
+# the Chebyshev nodes and d/dx matrix on [-1, 1] of each node count m,
+# made by the first grid of m nodes and read-only
+_CHEBYSHEV: dict = {}
+
+
+def cheb_unit(m: int) -> tuple:
+    """Chebyshev collocation nodes, ascending on [-1, 1], and the d/dx
+    matrix on them: one read-only pair per m, which a grid on [a, b] maps
+    by a + (x + 1) (b - a) / 2 and scales by 2 / (b - a)."""
+    if m not in _CHEBYSHEV:
+        if m < 2:
+            raise ValueError("need at least 2 Chebyshev nodes")
+        N = m - 1
+        k = np.arange(m)
+        x = np.cos(np.pi * k / N)  # descending on [-1, 1]
+        c = np.ones(m)
+        c[0] = 2.0
+        c[-1] = 2.0
+        c = c * (-1.0) ** k
+        X = np.tile(x, (m, 1)).T
+        dX = X - X.T
+        D = np.outer(c, 1.0 / c) / (dX + np.eye(m))
+        D -= np.diag(D.sum(axis=1))
+        # flip to ascending
+        pair = (x[::-1].copy(), D[::-1, ::-1].copy())
+        for a in pair:
+            a.flags.writeable = False
+        _CHEBYSHEV[m] = pair
+    return _CHEBYSHEV[m]
 
 
 def bary_weights(x: np.ndarray) -> np.ndarray:

@@ -42,6 +42,16 @@ for the next block, so walks may interleave block by block and a row
 function may walk a chart of its own; any other caller of fundamental_forms
 must read them as soon.  No code in the package starts a thread.
 
+The unit normal is held component-first, (3, rows, m), each component
+contiguous as _cross writes it.  Its sums over the components are written
+out in the orders numpy 2.4.6's einsum takes on the component-last normal
+that np.cross stores: |N|^2 = (N0^2 + N2^2) + N1^2, and L, M and NN are
+(a0 N0 + a1 N1) + a2 N2 (_dot).  The stored bench reference was recorded in
+those orders; einsum over a contiguous component-first normal sums
+(x0 + x1) + x2, which moves the last bits of |N| and, through the glue's
+fixed points, the outputs (tests/test_geometry.py pins both orders).  E, F
+and G stay einsums of component-first operands.
+
 mean_curvature and second_fundamental_sq return the whole chart's values.
 The oracles need only sup |H| away from the chart's ends, and block_peaks
 yields it block by block from the same per-block H, so an oracle on a
@@ -72,14 +82,21 @@ _ORBIT_PARITY = np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)
 
 
 def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a x b over axis 0, written into out component-last, of shape
-    a.shape[1:] + (3,), as np.cross(a, b, axis=0) stores it: the layout
-    fixes the order in which einsum sums over the components, and with it
-    the last bits of the forms."""
+    """a x b over axis 0, written into out component-first, each component
+    contiguous."""
     for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(a[i], b[j], out=out[..., c])
-        out[..., c] -= a[j] * b[i]
-    return out.transpose(2, 0, 1)
+        np.multiply(a[i], b[j], out=out[c])
+        out[c] -= a[j] * b[i]
+    return out
+
+
+def _dot(a: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """(a0 N0 + a1 N1) + a2 N2, the order einsum took with the normal
+    component-last."""
+    s = a[0] * N[0]
+    s += a[1] * N[1]
+    s += a[2] * N[2]
+    return s
 
 
 def _chart(P, grid: ZonalGrid) -> np.ndarray:
@@ -119,8 +136,8 @@ class BlockBuffers:
     """Scratch for the forms of one block of at most BLOCK rows on a grid
     of m beta nodes: d_beta's 2m-point extension and its two spectra, the
     beta derivatives P_b, P_bb and P_ab (2m points each, the forms reading
-    [..., :m]), and the unit normal, component-last as _cross stores it:
-    1.9 MB at m = 48.
+    [..., :m]), and the unit normal, component-first with each component
+    contiguous, as _cross writes it: 1.9 MB at m = 48.
 
     _BUFFERS holds one set per m, shared by every walk on a grid of that
     size: a block's forms stay valid until the next block of any of them."""
@@ -130,14 +147,14 @@ class BlockBuffers:
         self.spec = np.empty((3, BLOCK, m + 1), dtype=complex)
         self.spec_d = np.empty((3, BLOCK, m + 1), dtype=complex)
         self.derivs = np.empty((3, 3, BLOCK, 2 * m))
-        self.normal = np.empty((BLOCK, m, 3))
+        self.normal = np.empty((3, BLOCK, m))
 
     def first_rows(self, r: int) -> tuple:
         """(d_beta's buffers for P_b and P_bb, its buffers for P_ab, the
         normal's) on the first r rows of a block."""
         work = (self.ext[:, :r], self.spec[:, :r], self.spec_d[:, :r])
         Pb, Pbb, Pab = self.derivs[:, :, :r]
-        return work + (Pb, Pbb), work + (Pab,), self.normal[:r]
+        return work + (Pb, Pbb), work + (Pab,), self.normal[:, :r]
 
 
 # the BlockBuffers of each grid size m, made by the first walk on such a grid
@@ -184,11 +201,12 @@ class OrbitSurface:
         E = np.einsum("kij,kij->ij", Pa, Pa)
         F = np.einsum("kij,kij->ij", Pa, Pb)
         G = np.einsum("kij,kij->ij", Pb, Pb)
-        norm = np.sqrt(np.einsum("kij,kij->ij", Nvec, Nvec))
-        np.divide(Nvec, norm, out=Nvec)
-        L = np.einsum("kij,kij->ij", Paa, Nvec)
-        M = np.einsum("kij,kij->ij", Pab, Nvec)
-        NN = np.einsum("kij,kij->ij", Pbb, Nvec)
+        # (N0^2 + N2^2) + N1^2, einsum's order on a component-last normal
+        norm = Nvec[0] * Nvec[0]
+        norm += Nvec[2] * Nvec[2]
+        norm += Nvec[1] * Nvec[1]
+        np.divide(Nvec, np.sqrt(norm, out=norm), out=Nvec)
+        L, M, NN = _dot(Paa, Nvec), _dot(Pab, Nvec), _dot(Pbb, Nvec)
         return E, F, G, L, M, NN, Nvec
 
     def _mean_curvature_blocks(self, n: int):

@@ -2,8 +2,11 @@
 
 Fields over a polar domain are stored as band rows on a Chebyshev grid in
 rho = log r, row l holding band l, where the graph operators are
-band-diagonal for a radially symmetric background.  The linearized graph
-operator about a radial height profile b(r) acts on band l as
+band-diagonal for a radially symmetric background.  Every grid of m nodes
+reads the one read-only Chebyshev matrix on [-1, 1] of that count, so the
+three grids each glued level keeps (site patch, site exterior, neck chart)
+hold no m x m matrix.  The linearized graph operator about a radial height
+profile b(r) acts on band l as
 
     Lambda_l w = e^{-n rho} d_rho[ e^{(n-2) rho} w_rho / W^3 ] - lam_l e^{-2 rho} w / W,
 
@@ -32,26 +35,43 @@ from __future__ import annotations
 import numpy as np
 
 from .cylinder import BandField, GridError
-from .diffops import bary_interp_matrix, cheb_nodes_matrix
+from .diffops import bary_interp_matrix, cheb_unit
 from .spectral import BandSpectrum, SphereField
 
 
 class RadialGrid:
-    """Chebyshev collocation in log r on [r_in, r_out]."""
+    """Chebyshev collocation in log r on [r_in, r_out].
+
+    A grid keeps its m nodes and the scale 2 / (rho_out - rho_in) of its
+    interval; the d/d rho matrix is the shared m-node matrix on [-1, 1]
+    (diffops.cheb_unit) times that scale, made on each read of D, and
+    d_row makes one row of it alone.
+    """
 
     def __init__(self, r_in: float, r_out: float, m: int):
         if not (0 < r_in < r_out):
             raise GridError("need 0 < r_in < r_out")
-        self.rho, self.D = cheb_nodes_matrix(m, np.log(r_in), np.log(r_out))
+        a, b = np.log(r_in), np.log(r_out)
+        self.rho = a + (cheb_unit(m)[0] + 1.0) * (b - a) / 2.0
+        self.scale = 2.0 / (b - a)
         self.r = np.exp(self.rho)
         self.r_in = r_in
         self.r_out = r_out
         self.m = m
         self.nodes = self.rho
 
+    @property
+    def D(self) -> np.ndarray:
+        """The d/d rho collocation matrix, a new (m, m) array."""
+        return cheb_unit(self.m)[1] * self.scale
+
+    def d_row(self, index: int) -> np.ndarray:
+        """The row of D at a node, made without the rest of D."""
+        return cheb_unit(self.m)[1][index] * self.scale
+
     def d_rows(self, values: np.ndarray, index: int) -> np.ndarray:
         """r d/dr ( = d/d rho ) of the rows at a node, spectrally accurate."""
-        return values @ self.D[index]
+        return values @ self.d_row(index)
 
     def interp_matrix(self, r_new: np.ndarray) -> np.ndarray:
         return bary_interp_matrix(self.rho, np.log(np.asarray(r_new, dtype=float)))
@@ -122,19 +142,19 @@ def solve_rows(op: BandOperator, f: BandField | None, inner, outer) -> np.ndarra
     rings = []
     for k, cond in ((0, inner), (-1, outer)):
         if callable(cond):
-            rings.append((k, cond(spec), np.zeros(rows)))
+            rings.append((k, cond(spec), np.zeros(rows), op.grid.d_row(k)))
         else:
-            rings.append((k, [None] * rows, np.zeros(rows) if cond is None else cond.c))
+            rings.append((k, [None] * rows, np.zeros(rows) if cond is None else cond.c, None))
     out = np.empty((rows, op.grid.m))
     for ell in range(rows):
         A = op.matrix_scaled(ell).copy()
         rhs = np.zeros(op.grid.m) if f is None else f.values[ell] * op.row_scale
-        for k, robin, data in rings:
+        for k, robin, data, d_row in rings:
             if robin[ell] is None:
                 A[k, :] = 0.0
                 A[k, k] = 1.0
             else:
-                A[k, :] = op.grid.D[k]
+                A[k, :] = d_row
                 A[k, k] -= float(robin[ell])
             rhs[k] = data[ell]
         out[ell] = np.linalg.solve(A, rhs)

@@ -14,11 +14,37 @@ kept it; a solve through the context must give its bits.
 weighted_norm and default_nu measure solutions and the neck's Picard
 correction at the weight of the paper's annulus estimates; no pipeline
 code reads them.
+
+cheb_nodes_matrix builds the Chebyshev nodes and d/dx matrix of one
+interval from scratch, as every RadialGrid did before the grids of one node
+count shared one matrix on [-1, 1]; a grid's D must give its bits.
 """
 
 import numpy as np
 
 from minsurflab.radial import BandOperator, RadialGrid
+
+
+def cheb_nodes_matrix(m: int, a: float, b: float):
+    """Chebyshev collocation nodes (ascending on [a, b]) and D d/dx matrix."""
+    if m < 2:
+        raise ValueError("need at least 2 Chebyshev nodes")
+    N = m - 1
+    k = np.arange(m)
+    x = np.cos(np.pi * k / N)  # descending on [-1, 1]
+    c = np.ones(m)
+    c[0] = 2.0
+    c[-1] = 2.0
+    c = c * (-1.0) ** k
+    X = np.tile(x, (m, 1)).T
+    dX = X - X.T
+    D = np.outer(c, 1.0 / c) / (dX + np.eye(m))
+    D -= np.diag(D.sum(axis=1))
+    # flip to ascending and map to [a, b]
+    x = x[::-1]
+    D = D[::-1, ::-1]
+    scale = 2.0 / (b - a)
+    return a + (x + 1.0) * (b - a) / 2.0, D * scale
 
 
 def band_mixed(op, ell, f, outer_value):

@@ -20,9 +20,9 @@ from minsurflab.diffops import (
     NotAKnotSpline,
     bary_interp_matrix,
     bary_weights,
-    cheb_nodes_matrix,
     fd_derivative,
 )
+from radial_reference import cheb_nodes_matrix
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

@@ -11,7 +11,9 @@ temporaries, and a row-function chart is fetched one block at a time.
 Charts on one grid share its size's BlockBuffers: walked one after the
 other, block by block in turn, or one inside the row function of the
 other, each gives its own reference's bits.  A row's H does not read rows
-more than the stencils' reach away.
+more than the stencils' reach away.  The engine writes out the component
+sums that the reference's einsums take on np.cross's component-last
+normal, and those orders are pinned on their own.
 """
 
 import itertools
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beta_reference import d_beta
-from minsurflab.diffops import cheb_nodes_matrix, fd_derivative
+from minsurflab.diffops import fd_derivative
 from minsurflab.geometry import (
     BLOCK,
     graph_orbit_points,
@@ -30,6 +32,7 @@ from minsurflab.geometry import (
     uniform_surface,
 )
 from minsurflab.spectral import ZonalGrid
+from radial_reference import cheb_nodes_matrix
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -331,3 +334,30 @@ class TestBlockedEngine:
         # P_a and P_aa over all rows took the peak to about 3.3x, and the
         # whole-chart evaluation to about 9x
         assert peak <= 0.6 * P.nbytes
+
+
+def test_einsum_orders_the_engine_writes_out():
+    """np.einsum over k of a component-last (r, m, 3) view, as np.cross
+    stores the reference's normal, sums (x0^2 + x2^2) + x1^2; of a
+    component-first operand with such a view, (a0 N0 + a1 N1) + a2 N2.
+    geometry sums |N|^2 and L, M, NN in these orders on its component-first
+    normal, so its bits are the reference's.  A numpy whose einsum pairs the
+    terms otherwise fails here first, and the stored bench reference then
+    needs re-recording (ROADMAP item 19).  About 10^6 entries on the
+    engine's block shapes, a full block and a tail."""
+    rng = np.random.default_rng(44)
+    m = 48
+    last = np.empty((BLOCK, m, 3))
+    first = np.empty((3, BLOCK, 2 * m))
+    for r in (53, BLOCK):
+        for _ in range(100):
+            N = last[:r].transpose(2, 0, 1)
+            N[...] = rng.uniform(-1.0, 1.0, N.shape) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 1, 1))
+            a = first[:, :r, :m]
+            a[...] = rng.normal(size=a.shape)
+            sq = N * N
+            assert np.array_equal(np.einsum("kij,kij->ij", N, N), (sq[0] + sq[2]) + sq[1])
+            prod = a * N
+            expected = (prod[0] + prod[1]) + prod[2]
+            assert np.array_equal(np.einsum("kij,kij->ij", a, N), expected)
+            assert np.array_equal(np.einsum("kij,kij->ij", a.copy(), N), expected)

@@ -9,14 +9,21 @@ w_rho = (2 - n - l) w at the rings that take them.  Every residual is
 measured against the size of the terms it balances, to the relative
 tolerance RTOL.  A second test requires the rows to equal, bit for bit,
 the three band solves that solve_rows replaced (tests/radial_reference.py).
+
+The grids of one node count share one read-only Chebyshev pair on [-1, 1]:
+a grid's nodes, D, d_row and d_rows must give the bits of the nodes and
+matrix built afresh for its interval (cheb_nodes_matrix), and the grid
+itself may hold no array larger than its m nodes.
 """
 
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from minsurflab.cylinder import BandField
+from minsurflab.diffops import cheb_unit
 from minsurflab.radial import (
     BandOperator,
     RadialGrid,
@@ -27,7 +34,7 @@ from minsurflab.radial import (
     solve_rows,
 )
 from minsurflab.spectral import SphereField, band_spectrum
-from radial_reference import band_exterior, band_interior, band_mixed
+from radial_reference import band_exterior, band_interior, band_mixed, cheb_nodes_matrix
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 RTOL = 1e-9
@@ -118,3 +125,27 @@ def test_rows_equal_the_reference_band_solves(problem):
     assert np.array_equal(solve_mixed(op, f, data).values, np.array(annulus))
     assert np.array_equal(solve_rows(op, f, data, decaying), np.array(exterior))
     assert np.array_equal(solve_rows(op, None, regular, data), np.array(ball))
+
+
+@pytest.mark.parametrize("m", [2, 3, 17, 150])
+def test_grids_share_one_matrix_per_node_count(m):
+    rng = np.random.default_rng(m)
+    for _ in range(8):
+        r_in = 10.0 ** rng.uniform(-8.0, 1.0)
+        r_out = r_in * 10.0 ** rng.uniform(0.01, 6.0)
+        grid = RadialGrid(r_in, r_out, m)
+        rho, D = cheb_nodes_matrix(m, np.log(r_in), np.log(r_out))
+        assert np.array_equal(grid.rho, rho) and np.array_equal(grid.r, np.exp(rho))
+        assert np.array_equal(grid.D, D)
+        values = rng.normal(size=(5, m))
+        for index in (0, m // 2, m - 1, -1):
+            assert np.array_equal(grid.d_row(index), D[index])
+            assert np.array_equal(grid.d_rows(values, index), values @ D[index])
+        held = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+        assert held and max(v.size for v in held) <= m
+    x, D = cheb_unit(m)
+    assert cheb_unit(m)[1] is D
+    for shared in (x, D):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
