@@ -15,8 +15,8 @@ unit up; its fixed point realizes a minimal piece whose boundary is the
 graph of the prescribed high-mode data over the cut sphere.
 
 Every solve here (solve_GS, solve_PS, build_catenoid_piece) is the same for
-every weight delta that admissible_delta admits, so none takes delta; the
-weight is checked by the CLI's RunConfig and by outer.nondegeneracy_check.
+every weight delta in the admissible window (-(n+2)/2, -n/2), so none takes
+delta; outer.nondegeneracy_check reads it, at the window's midpoint.
 """
 
 from __future__ import annotations
@@ -90,14 +90,6 @@ def picard(step, v0, tol: float, floor: float, max_iter: int, *, stage: str):
 
 class ResidualError(RuntimeError):
     """Realized surface missed the declared mean-curvature tolerance."""
-
-
-def admissible_delta(n: int, delta: float) -> bool:
-    return -(n + 2) / 2.0 < delta < -n / 2.0
-
-
-def default_delta(n: int) -> float:
-    return -(n + 1) / 2.0
 
 
 _PROFILE_CACHE: dict = {}

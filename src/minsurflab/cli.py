@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catenoid import admissible_delta, default_delta
+from .gluing import KAPPA, TOL_PIECE
+from .outer import nondegeneracy_delta
 from .verify import DELTA1
 
 log = logging.getLogger(__name__)
@@ -60,8 +61,8 @@ def _number(name: str, value, nullable: bool = False):
 @dataclass(frozen=True)
 class RunConfig:
     """Run parameters, valid by construction: __post_init__ checks each
-    field once, and every weight sits in its admissible window.  A null
-    delta becomes default_delta(n); dataclasses.replace checks again."""
+    field once, and dataclasses.replace checks again.  The nondegeneracy
+    check's weight is fixed by n, so it is no field; the manifest records it."""
 
     n: int = 3
     eps: float = 1e-6
@@ -70,10 +71,9 @@ class RunConfig:
     L: int = 8
     s_max: float = 16.0
     s_step: float = 8e-3
-    tol_solver: float = 5e-3
+    tol_solver: float = TOL_PIECE
     tol_match: float | None = None
-    kappa: float = 16.0
-    delta: float | None = None
+    kappa: float = KAPPA
     seed_scale: float = 0.3
     out_dir: str = "out"
 
@@ -104,14 +104,6 @@ class RunConfig:
             _number(name, value, nullable=name == "tol_match")
             if value is not None and not value > 0:
                 raise ConfigError(f"{name}={value} must be > 0")
-        n = self.n
-        _number("delta", self.delta, nullable=True)
-        if self.delta is None:
-            object.__setattr__(self, "delta", default_delta(n))
-        elif not admissible_delta(n, self.delta):
-            raise ConfigError(
-                f"delta={self.delta} outside (-(n+2)/2, -n/2) = ({-(n + 2) / 2}, {-n / 2})"
-            )
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir={self.out_dir!r} must be a string")
 
@@ -149,6 +141,7 @@ def write_manifest(cfg: RunConfig, out: Path):
         "config": asdict(cfg),
         "constants": {
             "delta1": DELTA1,
+            "nondegeneracy_delta": nondegeneracy_delta(cfg.n),
             "s_eps_rule": "log(eps)/((n-1)(3n-2))",
             "r_eps_rule": "eps^(1/(n-1)) * phi(s_eps)",
         },
@@ -275,7 +268,7 @@ def _glue(cfg: RunConfig):
 
     return glue_end(
         _seed_surface(cfg), cfg.eps, kappa=cfg.kappa, tol_piece=cfg.tol_solver,
-        tol_match=cfg.tol_match, delta=cfg.delta,
+        tol_match=cfg.tol_match,
     )
 
 
@@ -306,7 +299,7 @@ def cmd_tower(cfg: RunConfig, out: Path) -> int:
     try:
         glued, report = stack_tower(
             cfg.K, surf, schedule=cfg.eps_schedule, kappa=cfg.kappa, tol_piece=cfg.tol_solver,
-            tol_match=cfg.tol_match, delta=cfg.delta,
+            tol_match=cfg.tol_match,
         )
     except GlueError as exc:
         if exc.report is not None:

@@ -21,7 +21,6 @@ from .catenoid import (
     PreconditionError,
     build_catenoid_piece,
     conjugation_weight,
-    default_delta,
     grid_profile,
     in_working_ball,
     recorded_eps0,
@@ -53,6 +52,11 @@ from .outer import (
 )
 from .profile import Scales, compute_scales
 from .spectral import BandSpectrum, SphereField, dtheta_multipliers, project_high
+
+
+# a glue's default kappa (working ball) and piece tolerance
+KAPPA = 16.0
+TOL_PIECE = 5e-3
 
 
 class GlueError(RuntimeError):
@@ -317,25 +321,22 @@ def assemble_glued_surface(ctx, t, cat: CatenoidPiece, neck: NeckPiece,
 def glue_end(
     surface: OuterSurface,
     eps: float,
-    kappa: float = 16.0,
-    tol_piece: float = 5e-3,
+    kappa: float = KAPPA,
+    tol_piece: float = TOL_PIECE,
     tol_match: float | None = None,
-    delta: float | None = None,
 ) -> GluedSurface:
     """Glue one half-catenoid to the top end of the surface.
 
-    Refuses an inadmissible weight delta or a degenerate surface through
-    nondegeneracy_check, and what prepare_glue refuses; raises GlueError
-    when the embeddedness certificate of the verify module fails, and
-    carries it otherwise.  Returns a new surface, the input plus one level;
-    the input is never changed.  The check reads only n and L, so on a
-    surface glued from a checked seed it is a cache lookup.
+    Refuses a degenerate surface through nondegeneracy_check, at its fixed
+    weight, and what prepare_glue refuses; raises GlueError when the
+    embeddedness certificate of the verify module fails, and carries it
+    otherwise.  Returns a new surface, the input plus one level; the input
+    is never changed.  The check reads only n and L, so on a surface glued
+    from a checked seed it is a cache lookup.
     """
     from .verify import embeddedness
 
-    if delta is None:
-        delta = default_delta(surface.spectrum.n)
-    nondegeneracy_check(surface, delta)
+    nondegeneracy_check(surface)
     ctx = prepare_glue(surface, eps, kappa=kappa, tol_piece=tol_piece)
     glued = fixed_point_glue(ctx, tol_match=tol_match)
     tilt = _new_end_tilt(glued.catenoid_piece)
@@ -394,17 +395,17 @@ def stack_tower(
     K: int,
     seed: OuterSurface,
     schedule: list | None,
-    kappa: float = 16.0,
-    tol_piece: float = 5e-3,
+    kappa: float = KAPPA,
+    tol_piece: float = TOL_PIECE,
     tol_match: float | None = None,
-    delta: float | None = None,
 ) -> tuple:
     """Stack K glues on the seed; returns (GluedSurface | seed, TowerReport).
 
     schedule holds one eps per glued level, K - 1 in all, each under its
     bound; None means default_schedule(K - 1, recorded_eps0(kappa)).
-    tol_match and delta reach every level's glue_end.  The seed is never
-    changed: a failed level's partial report holds the levels before it.
+    kappa, tol_piece and tol_match reach every level's glue_end.  The seed
+    is never changed: a failed level's partial report holds the levels
+    before it.
     """
     if K < 1:
         raise PreconditionError("K must be >= 1")
@@ -428,8 +429,7 @@ def stack_tower(
     for k in range(K - 1):
         eps = schedule[k]
         try:
-            glued = glue_end(surface, eps, kappa=kappa, tol_piece=tol_piece,
-                             tol_match=tol_match, delta=delta)
+            glued = glue_end(surface, eps, kappa=kappa, tol_piece=tol_piece, tol_match=tol_match)
         except Exception as exc:  # the partial report rides on the error
             report = _tower_report(surface, glued, levels, certificates, partial=str(exc))
             raise GlueError(f"tower aborted at level {k + 2}: {exc}", report) from exc

@@ -125,21 +125,18 @@ class ProfileTable:
         return np.abs((self.dphi / self.phi) ** 2 + self.phi ** (2 - 2 * self.n) - 1.0)
 
 
-def profile_values(n: int, s_points: np.ndarray, max_substep: float | None = None):
+def profile_values(n: int, s_points: np.ndarray):
     """Exact-symmetry profile samples (phi, dphi, psi, dpsi) at arbitrary s.
 
     phi is even, psi odd; negative arguments are folded through the symmetry
     so both halves share one upward integration with substeps no larger
-    than max_substep, MAX_SUBSTEP as it stands at the call when None.
-    """
-    if max_substep is None:
-        max_substep = MAX_SUBSTEP
+    than MAX_SUBSTEP as it stands at the call."""
     s_points = np.asarray(s_points, dtype=float)
     flat = np.abs(s_points).ravel()
     order = np.argsort(flat, kind="stable")
     uniq, inverse = np.unique(flat[order], return_inverse=True)
     nodes = uniq if uniq[0] == 0.0 else np.concatenate([[0.0], uniq])
-    vals = integrate_profile(n, nodes, max_substep)
+    vals = integrate_profile(n, nodes, MAX_SUBSTEP)
     if uniq[0] != 0.0:
         vals = vals[1:]
     gathered = np.empty((flat.size, 3))
@@ -157,7 +154,8 @@ def profile_values(n: int, s_points: np.ndarray, max_substep: float | None = Non
 
 def solve_profile(n: int, s_max: float, step: float) -> ProfileTable:
     """Integrate the profile on the symmetric uniform grid [-s_max, s_max],
-    with substeps no larger than MAX_SUBSTEP or the grid step.
+    with substeps no larger than MAX_SUBSTEP; a grid step below it spans
+    one substep.
 
     Raises ProfileError (carrying the worst node) if the first-integral
     residual exceeds FIRST_INTEGRAL_TOL anywhere, which signals a step that
@@ -180,7 +178,7 @@ def solve_profile(n: int, s_max: float, step: float) -> ProfileTable:
     if abs(m * step - s_max) > 1e-12 * max(1.0, s_max):
         m = int(np.ceil(s_max / step))
     s = step * np.arange(-m, m + 1)
-    phi, dphi, psi, dpsi = profile_values(n, s, max_substep=min(MAX_SUBSTEP, step))
+    phi, dphi, psi, dpsi = profile_values(n, s)
     # asymptotic constant from the last decade of the positive grid
     s_pos, phi_p = s[m:], phi[m:]
     tail = s_pos >= 0.9 * s_pos[-1]
@@ -225,7 +223,9 @@ class Scales:
 
 def compute_scales(profile: ProfileTable, eps: float) -> Scales:
     """s_eps = log(eps) / ((n-1)(3n-2)), r_eps = eps^(1/(n-1)) phi(s_eps) and
-    psi_cut = psi(s_eps)."""
+    psi_cut = psi(s_eps).  Refusing |s_eps| > s_max guards no table read
+    (profile_values gives the values): it is the lab's eps floor,
+    e^{-(n-1)(3n-2) s_max}, about e^{-224} at n = 3 and s_max = 16."""
     n = profile.n
     if not (0.0 < eps < 1.0):
         raise ScaleError(f"eps={eps} must lie in (0, 1)")
@@ -233,8 +233,8 @@ def compute_scales(profile: ProfileTable, eps: float) -> Scales:
     if abs(s_eps) > profile.s_max:
         need = abs(s_eps)
         raise ScaleError(
-            f"|s_eps|={need:.4f} exceeds the profile grid s_max={profile.s_max:.4f}; "
-            f"rebuild the profile with s_max >= {need * 1.05:.4f}"
+            f"|s_eps|={need:.4f} exceeds the profile grid s_max={profile.s_max:.4f}: eps is "
+            f"below the lab's eps floor; rebuild the profile with s_max >= {need * 1.05:.4f}"
         )
     phi_cut, _, psi_cut, _ = profile_values(n, np.array([s_eps]))
     r_eps = eps ** (1.0 / (n - 1)) * float(phi_cut[0])

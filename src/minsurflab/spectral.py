@@ -85,7 +85,7 @@ class ZonalGrid:
 
     def __init__(self, n: int, L: int, n_nodes: int):
         if n_nodes < 2 * L + n:
-            n_nodes = 2 * L + n
+            raise SpectralError(f"n_nodes={n_nodes} is below 2L + n = {2 * L + n}")
         m = n_nodes
         self.beta = (np.arange(m) + 0.5) * np.pi / m
         self.t = np.cos(self.beta)  # descending in beta
@@ -239,12 +239,12 @@ _ANGULAR_GRIDS: dict = {}
 
 
 def angular_grid(spectrum: BandSpectrum) -> ZonalGrid:
-    """The ZonalGrid(n, L, max(48, 4 L)) on which the band fields of a
-    spectrum are collocated and normed, built once per (n, L)."""
-    key = (spectrum.n, spectrum.L)
-    if key not in _ANGULAR_GRIDS:
-        _ANGULAR_GRIDS[key] = ZonalGrid(spectrum.n, spectrum.L, max(48, 4 * spectrum.L))
-    return _ANGULAR_GRIDS[key]
+    """The ZonalGrid(n, L, max(48, 4 L, 2 L + n)) on which the band fields
+    of a spectrum are collocated and normed, built once per (n, L)."""
+    n, L = spectrum.n, spectrum.L
+    if (n, L) not in _ANGULAR_GRIDS:
+        _ANGULAR_GRIDS[n, L] = ZonalGrid(n, L, max(48, 4 * L, 2 * L + n))
+    return _ANGULAR_GRIDS[n, L]
 
 
 # -- band projections and the boundary operator --------------------------------

@@ -285,6 +285,13 @@ class TestAcceptance:
             f"sup|A| outside boxes {report.curvature_outside:.3f} < 1",
         )
 
+    def test_A7_every_box_bounds_A_by_c_j(self, tower):
+        # NeckBox's promise, |A| <= c_j inside the box, on the seed's box and
+        # each glued level's
+        _, report = tower
+        assert len(report.boxes) == 4
+        assert all(0 < b["sup_A"] <= b["c_j"] for b in report.boxes)
+
     def test_A7_every_level_glues_onto_the_upward_top_end(self, tower, profile):
         # each site is cut from the highest end of the surface it was glued
         # onto, and that end's plane lies above the seed's lower plane, the

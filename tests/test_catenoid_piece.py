@@ -14,7 +14,6 @@ from minsurflab.catenoid import (
     _oracle_residual,
     build_catenoid_piece,
     cauchy_gap,
-    default_delta,
     grid_profile,
     simple_cauchy_catenoid,
     smooth_step,
@@ -23,13 +22,14 @@ from band_reference import norm_exp
 from oracle_reference import oracle_residual_whole
 from minsurflab.cylinder import BandField, UniformGrid, collocation_bound, collocation_from_rows
 from minsurflab.geometry import OrbitSurface
+from minsurflab.outer import nondegeneracy_delta
 from minsurflab.profile import compute_scales, solve_profile
 from minsurflab.spectral import SphereField, ZonalGrid, band_spectrum, project_high
 
 N = 3
 EPS = 1e-6
 TOL = 5e-3
-DELTA = default_delta(N)
+DELTA = nondegeneracy_delta(N)
 
 
 @pytest.fixture(scope="module")

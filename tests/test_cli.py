@@ -30,12 +30,19 @@ from minsurflab.verify import catenoid_sample_graph, plane_sample_graph
 
 class TestConfig:
     def test_defaults_validate(self):
+        # the glue defaults are gluing's, which glue_end and stack_tower read
         cfg = RunConfig()
-        assert cfg.delta == -2.0
+        assert (cfg.kappa, cfg.tol_solver) == (gluing.KAPPA, gluing.TOL_PIECE)
 
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ConfigError, match="delta"):
-            RunConfig(delta=-1.2)
+    def test_rejects_bad_delta(self, tmp_path, capsys):
+        # the weight is no field: a config naming it, even at the window's
+        # midpoint, is refused like any retired field
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"delta": -2.0}))
+        rc = main(["profile", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "unknown config fields: ['delta']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ConfigError, match="eps"):
@@ -60,7 +67,7 @@ class TestConfig:
 
     def test_cli_exit_code_on_config_error(self, tmp_path):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"delta": -1.2}))
+        p.write_text(json.dumps({"eps": 2.0}))
         rc = main(["profile", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
@@ -84,7 +91,6 @@ class TestConfig:
         ('{"L": 3.7}', "L=3.7 must be an integer"),
         ('{"eps": "1e-6"}', "eps='1e-6' must be a number"),
         ('{"kappa": false}', "kappa=False must be a number"),
-        ('{"delta": "-2"}', "delta='-2' must be a number or null"),
         ('{"eps_schedule": 1e-7}', "eps_schedule=1e-07 must be null or a list of numbers"),
         ('{"eps_schedule": [1e-7, "1e-9"]}', "must be null or a list of numbers"),
         ('{"out_dir": 5}', "out_dir=5 must be a string"),
@@ -99,7 +105,6 @@ class TestConfig:
         ('{"s_step": NaN}', "s_step=nan must be finite"),
         ('{"seed_scale": Infinity}', "seed_scale=inf must be finite"),
         ('{"s_max": -Infinity}', "s_max=-inf must be finite"),
-        ('{"delta": NaN}', "delta=nan must be finite"),
         ('{"tol_match": Infinity}', "tol_match=inf must be finite"),
         ('{"eps_schedule": [1e-7, NaN]}', "schedule entry nan must be finite"),
     ])
@@ -226,6 +231,10 @@ class TestRun:
         assert summary["first_integral_residual"] <= 1e-10
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["constants"]["delta1"]["3"] == pytest.approx(3.0 / 8.0)
+        # the nondegeneracy check's weight is a constant of n, not a config field
+        assert manifest["constants"]["nondegeneracy_delta"] == -2.0
+        assert set(manifest["config"]) == {f.name for f in dataclasses.fields(RunConfig)}
+        assert "delta" not in manifest["config"]
         # the environment a run's last bits depend on
         env = manifest["environment"]
         assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
@@ -314,7 +323,7 @@ class TestRun:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (out / "profile_summary.json").exists()
 
-    def test_tower_forwards_delta_and_tol_match(self, tmp_path, monkeypatch):
+    def test_tower_forwards_tol_match(self, tmp_path, monkeypatch):
         seen = []
 
         def record(*args, **kwargs):
@@ -322,9 +331,9 @@ class TestRun:
             raise PreconditionError("recorded")
 
         monkeypatch.setattr(gluing, "glue_end", record)
-        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2, delta=-1.9, tol_match=1e-9)
+        cfg = RunConfig(out_dir=str(tmp_path / "tower"), K=2, tol_match=1e-9)
         assert run("tower", cfg) == EXIT_CONFIG
-        assert [(kw["delta"], kw["tol_match"]) for kw in seen] == [(-1.9, 1e-9)]
+        assert seen == [{"kappa": cfg.kappa, "tol_piece": cfg.tol_solver, "tol_match": 1e-9}]
 
     def test_failed_tower_writes_partial_report(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

@@ -248,38 +248,24 @@ class TestGlue:
         assert glued.triple.norm(sc) <= 16 * sc.r_eps**2
 
     def test_delta_reaches_the_nondegeneracy_check(self, spectrum, profile, monkeypatch):
+        # glue_end checks its surface at the midpoint -(n+1)/2 of the
+        # admissible window, before any solve runs
         class Reached(Exception):
             pass
 
-        def capture(surface, delta):
-            raise Reached(delta)
+        def capture(n, L, delta, m):
+            raise Reached(n, L, delta, m)
 
-        monkeypatch.setattr(gluing, "nondegeneracy_check", capture)
+        def stop(*args, **kwargs):
+            raise AssertionError("prepare_glue reached")
+
+        monkeypatch.setattr(outer_module, "_NONDEGENERACY", {})
+        monkeypatch.setattr(outer_module, "_smallest_singular_value", capture)
+        monkeypatch.setattr(gluing, "prepare_glue", stop)
         surf = seed_catenoid(profile, spectrum, scale=1.0)
         with pytest.raises(Reached) as reached:
-            glue_end(surf, EPS, delta=-1.9)
-        assert reached.value.args == (-1.9,)
-
-    def test_seed_refuses_an_inadmissible_delta(self, spectrum, profile, monkeypatch):
-        def stop(*args, **kwargs):
-            raise AssertionError("prepare_glue reached")
-
-        monkeypatch.setattr(gluing, "prepare_glue", stop)
-        surf = seed_catenoid(profile, spectrum, scale=1.0)
-        with pytest.raises(PreconditionError, match="delta=-1.0 outside the admissible"):
-            glue_end(surf, EPS, delta=-1.0)
-
-    def test_glued_surface_refuses_an_inadmissible_delta(self, glued_surface, monkeypatch):
-        # glue_end runs the nondegeneracy check on every surface, a surface
-        # with a level too, and the check refuses the weight before any
-        # solve runs
-        def stop(*args, **kwargs):
-            raise AssertionError("prepare_glue reached")
-
-        monkeypatch.setattr(gluing, "prepare_glue", stop)
-        assert len(glued_surface.outer.glue_levels) == 1
-        with pytest.raises(PreconditionError, match="delta=-1.0 outside the admissible"):
-            glue_end(glued_surface.outer, EPS, delta=-1.0)
+            glue_end(surf, EPS)
+        assert reached.value.args == (N, spectrum.L, -(N + 1) / 2, outer_module.NONDEGENERACY_NODES)
 
 
 class TestTower:
@@ -383,8 +369,8 @@ class TestGlueKeepsItsInput:
     def test_nondegeneracy_check_runs_once_per_seed(self, spectrum, profile, glued_surface,
                                                     monkeypatch):
         """glue_end checks every surface, and the check is computed once per
-        (n, L, delta, m): a surface with a level reads the value of the seed
-        it grew from."""
+        (n, L): a surface with a level reads the value of the seed it grew
+        from."""
         class Stop(Exception):
             pass
 
@@ -410,7 +396,7 @@ class TestGlueKeepsItsInput:
         with pytest.raises(Stop):
             glue_end(glued_surface.outer, EPS)
         assert builds == bands
-        assert list(outer_module._NONDEGENERACY) == [(N, spectrum.L, -2.0)]
+        assert list(outer_module._NONDEGENERACY) == [(N, spectrum.L)]
 
     def test_refused_glue_leaves_the_seed(self, spectrum, profile, monkeypatch):
         monkeypatch.setattr(verify, "embeddedness", refuse_embeddedness)

@@ -7,7 +7,6 @@ from minsurflab.catenoid import (
     ContractionError,
     PreconditionError,
     ResidualError,
-    default_delta,
     grid_profile,
 )
 from minsurflab.cylinder import BandField, UniformGrid
@@ -20,6 +19,7 @@ from minsurflab.outer import (
     cauchy_U_eps,
     find_site,
     nondegeneracy_check,
+    nondegeneracy_delta,
     seed_catenoid,
     simple_cauchy_outer,
     assemble_outer,
@@ -190,11 +190,11 @@ class TestEndTable:
 
 class TestNondegeneracy:
     def test_seed_above_threshold(self, surface):
-        val = nondegeneracy_check(surface, -2.0)
+        val = nondegeneracy_check(surface)
         assert val > 1e-6
 
     def test_kernel_injection_drives_to_zero(self, surface):
-        base = nondegeneracy_check(surface, -2.0)
+        base = nondegeneracy_check(surface)
 
         def transl(s):
             return grid_profile(N, s)["phi"] ** (-N / 2.0)
@@ -204,15 +204,11 @@ class TestNondegeneracy:
         assert inj < base / 30.0
 
     def test_stable_under_refinement(self, surface, monkeypatch):
-        v1 = nondegeneracy_check(surface, -2.0)
+        v1 = nondegeneracy_check(surface)
         monkeypatch.setattr(outer, "_NONDEGENERACY", {})
         monkeypatch.setattr(outer, "NONDEGENERACY_NODES", 2 * outer.NONDEGENERACY_NODES)
-        v2 = nondegeneracy_check(surface, -2.0)
+        v2 = nondegeneracy_check(surface)
         assert 0.5 <= v1 / v2 <= 2.0
-
-    def test_rejects_bad_delta(self, surface):
-        with pytest.raises(PreconditionError):
-            nondegeneracy_check(surface, -1.0)
 
     @pytest.fixture()
     def builds(self, monkeypatch):
@@ -240,27 +236,34 @@ class TestNondegeneracy:
 
         monkeypatch.setattr(outer, "_band_matrix_conjugated", zero_column)
         with pytest.raises(ContractionError):
-            nondegeneracy_check(surface, -2.0)
+            nondegeneracy_check(surface)
         assert len(builds) == surface.spectrum.L + 1
         with pytest.raises(ContractionError):
-            nondegeneracy_check(surface, -2.0)
+            nondegeneracy_check(surface)
         assert len(builds) == surface.spectrum.L + 1
 
-    def test_computed_once_per_n_L_delta(self, spectrum, profile, builds):
+    def test_computed_once_per_n_L(self, spectrum, profile, builds):
         bands = list(range(spectrum.L + 1))
-        first = nondegeneracy_check(seed_catenoid(profile, spectrum, scale=1.0), -2.0)
+        first = nondegeneracy_check(seed_catenoid(profile, spectrum, scale=1.0))
         assert builds == bands
-        # another seed with the same (n, L, delta) builds no band matrix
+        # another seed with the same (n, L) builds no band matrix
         other = seed_catenoid(profile, spectrum, scale=0.3)
-        assert nondegeneracy_check(other, -2.0) == first
+        assert nondegeneracy_check(other) == first
         assert builds == bands
-        # another admissible delta builds again
-        nondegeneracy_check(other, -1.9)
-        assert builds == bands + bands
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_admissible_weight_passes(self, n):
+        # why the weight can be fixed: sigma_min stays far above the 1e-6
+        # refusal across the window (-(n+2)/2, -n/2), at both ends and at the
+        # midpoint the check uses
+        mid = nondegeneracy_delta(n)
+        assert mid == -(n + 1) / 2
+        for delta in (-(n + 2) / 2 + 1e-9, mid, -n / 2 - 1e-9):
+            assert outer._smallest_singular_value(n, 8, delta, outer.NONDEGENERACY_NODES) > 1e-6
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_banded_sigma_min_matches_dense_svd(self, n):
-        delta = default_delta(n)
+        delta = nondegeneracy_delta(n)
         spec = band_spectrum(n, 8)
         tridiagonal = spec.gamma >= abs(delta)
         assert tridiagonal.sum() == 7
@@ -274,7 +277,7 @@ class TestNondegeneracy:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_value_matches_dense_check(self, n, monkeypatch):
-        delta = default_delta(n)
+        delta = nondegeneracy_delta(n)
         banded = outer._smallest_singular_value(n, 8, delta, 400)
         monkeypatch.setattr(outer, "_sigma_min_tridiagonal",
                             lambda A: np.linalg.svd(A, compute_uv=False)[-1])

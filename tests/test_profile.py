@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,13 +113,34 @@ class TestSolveProfile:
             return all(np.array_equal(x, y) for x, y in zip(a[0], b[0])) and a[1] == b[1]
 
         at_default = read()
-        assert all(np.array_equal(x, y) for x, y in zip(at_default[0][:4], profile_values(3, s, 1e-3)))
+        assert all(np.array_equal(x, y) for x, y in zip(at_default[0][:4], profile_values(3, s)))
         monkeypatch.setattr(profile_module, "MAX_SUBSTEP", 2.5e-4)
         refined = read()
         assert not np.array_equal(refined[0][0], at_default[0][0])
         assert refined[1].r_eps != at_default[1].r_eps
         monkeypatch.setattr(profile_module, "MAX_SUBSTEP", 1e-3)
         assert same(read(), at_default)
+
+    def test_fine_step_takes_one_substep_per_span(self, monkeypatch):
+        # a grid step below MAX_SUBSTEP spans one RK4 substep; the step alone
+        # as the substep bound would let rounding split 1460 of the 2000
+        # spans on [0, 1] in two
+        exact = profile_module.integrate_profile
+        seen = []
+
+        def record(n, s_nodes, max_substep):
+            seen.append((s_nodes, max_substep))
+            return exact(n, s_nodes, max_substep)
+
+        monkeypatch.setattr(profile_module, "integrate_profile", record)
+        table = solve_profile(3, 8.0, 5e-4)
+        [(nodes, max_substep)] = seen
+        spans = np.diff(nodes)
+        assert spans.size == 16000
+        assert max_substep == profile_module.MAX_SUBSTEP
+        assert all(max(1, math.ceil(span / max_substep)) == 1 for span in spans.tolist())
+        # one substep per span is what an unbounded substep takes, bit for bit
+        assert np.array_equal(table.phi[16000:], exact(3, nodes, np.inf)[:, 0])
 
     @pytest.mark.parametrize("s_max", [720.0, 1e9, np.inf, np.nan])
     def test_rejects_a_span_where_phi_overflows(self, s_max):

@@ -170,6 +170,16 @@ class TestTransformsAndSerialization:
         vals = c @ zgrid.Z
         assert np.max(np.abs(rows_from_collocation(vals, zgrid) - c)) < 1e-12
 
+    def test_grid_below_the_band_limit_is_refused(self, monkeypatch):
+        # 2L + n nodes resolve bands 0..L; fewer are refused, not raised
+        # quietly, and angular_grid asks for at least that many
+        with pytest.raises(SpectralError, match="n_nodes=18 is below 2L \\+ n = 19"):
+            ZonalGrid(3, 8, 18)
+        assert ZonalGrid(3, 8, 19).t.size == 19
+        monkeypatch.setattr(spectral, "_ANGULAR_GRIDS", {})
+        for n, L, m in ((3, 8, 48), (3, 20, 80), (60, 2, 64)):
+            assert spectral.angular_grid(band_spectrum(n, L)).t.size == m
+
     def test_beta_derivative_exact(self, spectrum, zgrid):
         f = zonal_eval(spectrum.n, 5, zgrid.t)
         from minsurflab.spectral import zonal_eval_deriv

@@ -132,6 +132,12 @@ class TestSecondFund:
         assert prof["outside_sup"] < 1.0
         assert all(b["sup_A"] >= 0 for b in prof["boxes"])
 
+    def test_every_box_bounds_A_by_c_j(self, glued_surface):
+        # NeckBox's promise: |A| <= c_j inside the box (about 0.91 c_j here)
+        boxes = second_fund(glued_surface)["boxes"]
+        assert len(boxes) == 2
+        assert all(0 < b["sup_A"] <= b["c_j"] for b in boxes)
+
     def test_matches_the_per_sample_reference(self, glued_surface):
         prof = second_fund(glued_surface)
         outside, per_box = reference_second_fund(glued_surface)
